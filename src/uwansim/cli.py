@@ -14,19 +14,19 @@ from .sim import run_scenario
 
 
 def _load(path: str, overrides: argparse.Namespace):
-    scenario = load_scenario(path) if path else scenario_from_dict({})
-    data = scenario_to_dict(scenario)
+    # a file's placement is explicit once resolved; without a file nothing
+    # is, so the defaults (placement included) follow the overrides
+    data = scenario_to_dict(load_scenario(path)) if path else {}
     if overrides.seed is not None:
         data["seed"] = overrides.seed
-        # regenerate the topology for the new seed unless it was explicit
         if getattr(overrides, "reseed_topology", False):
-            data["network"].pop("nodes", None)
+            data.setdefault("network", {}).pop("nodes", None)
             data["network"].pop("routes", None)
-        data["channel"]["rng_seed"] = overrides.seed
+        data.setdefault("channel", {})["rng_seed"] = overrides.seed
     if overrides.duration is not None:
         data["duration_s"] = overrides.duration
     if getattr(overrides, "protocol", None):
-        data["mac"]["protocol"] = overrides.protocol
+        data.setdefault("mac", {})["protocol"] = overrides.protocol
     return scenario_from_dict(data)
 
 

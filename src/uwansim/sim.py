@@ -1,17 +1,43 @@
 """Discrete-event engine binding channel, physical layer, and MAC engines.
 
 One run owns one event heap and one set of RNG streams, so identical
-scenarios and seeds replay identically.  Frames broadcast to every other
-node with per-link propagation delay; receptions are adjudicated at
-their arrival end against the worst-case set of overlapping arrivals,
-using cached per-link power quantities so the hot path stays free of
-array math.
+scenarios and seeds replay identically.
+
+Every frame reaches every other node after the pair's propagation delay:
+its arrival at node v covers ``[tx + delay(src, v), ... + duration)``.
+Only *tracked* receptions are events, a start and an end each: frames
+addressed to the node and, under TRMAC, overheard probes.  Every other
+arrival matters only as interference or carrier-sense power, so the engine
+keeps a log with one entry per transmission (tx time, the event sequence
+number taken at tx start, the frame) and answers from it:
+
+* the interference of a tracked reception, summed at its end over every
+  other transmission whose arrival at that node overlaps it (the worst
+  case of chunk-wise SINR over overlapping signals);
+* ``busy_until``, the latest end among arrivals sensed at a node now,
+  for CSMA carrier sense.
+
+Half-duplex and receiver-lock rules act on the node's open tracked
+receptions only.  Per-pair quantities are cached, so the hot path stays
+free of array math.
+
+Ties.  Heap entries are ``(time, seq, kind, subject, attachment)`` tuples;
+``seq`` grows with every push, so equal-time events run in the order they
+were scheduled.  Every arrival boundary of a transmission has the key
+``(time, seq of the transmission)``; while the event with key ``(t, s)``
+is handled, a boundary has passed iff its key is smaller.  Overlapping
+arrivals are sorted by ``(arrival start, seq)`` and added to a ``0.0``
+accumulator.  This is the order in which one event per arrival boundary
+would be handled, so the float sums and every equal-time outcome are the
+same as scheduling all of them.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,48 +70,28 @@ EV_TIMER = 3
 _SEED_MASK = (1 << 64) - 1
 
 
-class Event:
-    """Heap entry; equal times break deterministically by sequence number."""
-
-    __slots__ = ("time", "sequence", "kind", "subject", "attachment")
-
-    def __init__(self, time, sequence, kind, subject, attachment):
-        self.time = time
-        self.sequence = sequence
-        self.kind = kind
-        self.subject = subject
-        self.attachment = attachment
-
-    def __lt__(self, other):
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
-
-
 class _RxRecord:
-    __slots__ = ("frame", "rx_start", "rx_end", "sense_power", "contribution",
-                 "tracked", "corrupted", "interference")
+    """One tracked reception: a frame addressed to, or a probe overheard by, a node."""
 
-    def __init__(self, frame, rx_start, rx_end, sense_power, contribution, tracked):
+    __slots__ = ("frame", "rx_start", "rx_end", "seq", "corrupted", "interference")
+
+    def __init__(self, frame, rx_start, rx_end, seq):
         self.frame = frame
         self.rx_start = rx_start
         self.rx_end = rx_end
-        self.sense_power = sense_power
-        self.contribution = contribution
-        self.tracked = tracked
+        self.seq = seq  # of the transmission
         self.corrupted = False
         self.interference = 0.0
 
 
 class _NodeState:
-    __slots__ = ("engine", "tx_busy_until", "outbox", "impinging", "tracked", "rx_lock", "timer_gen")
+    __slots__ = ("engine", "tx_busy_until", "outbox", "tracked", "rx_lock", "timer_gen")
 
     def __init__(self, engine):
         self.engine = engine
         self.tx_busy_until = 0.0
         self.outbox = []
-        self.impinging = {}
-        self.tracked = []
+        self.tracked = []  # tracked receptions that started and have not ended
         self.rx_lock = None
         self.timer_gen = {}
 
@@ -230,6 +236,9 @@ class Simulator:
         self.trmac = scenario.mac.protocol == TRMAC
 
         seed = scenario.seed & _SEED_MASK
+        # engines reach the medium through a proxy, so a finished run holds
+        # no reference cycle and is freed as soon as it is dropped
+        medium = weakref.proxy(self)
         self.nodes: list[_NodeState] = []
         for i in range(self.n_nodes):
             neighbors = {
@@ -246,7 +255,7 @@ class Simulator:
                 scenario.network.data_rate,
                 control_bits=scenario.mac.control_bits,
                 rng=np.random.default_rng(np.random.SeedSequence((seed, 0x3AC, i))),
-                medium=self,
+                medium=medium,
                 s_csma_cap=scenario.mac.s_csma_max_backoff,
             )
             self.nodes.append(_NodeState(engine))
@@ -256,9 +265,18 @@ class Simulator:
             for f in range(len(scenario.routes))
         ]
 
-        # per-pair scalar caches (lazily filled); keys are node index tuples
+        # dense per-receiver rows indexed by transmitter, filled when a node
+        # first transmits: delay[v][src], sensed[v][src], and the latest
+        # arrival offset reach[src] of src's frames at any node.  A pair's
+        # delay is taken in the direction of its first transmission, since
+        # an arrival file may give the two directions different delays.
+        n = self.n_nodes
+        self._delay: list[list] = [[None] * n for _ in range(n)]
+        self._sensed: list[list] = [[False] * n for _ in range(n)]
+        self._reach: list = [None] * n
+
+        # lazily filled per-pair caches; keys are node index tuples
         self._cirs: dict = {}
-        self._delay: dict = {}
         self._impinge: dict = {}
         self._tr_sig: dict = {}
         self._tr_isi: dict = {}
@@ -272,23 +290,32 @@ class Simulator:
             # receiver sensitivity: the weakest decodable signal is sensed
             self.sense_threshold = self.phy.min_required_sinr * self.phy.noise_variance
 
-        self.heap: list[Event] = []
-        self.now = 0.0
+        # transmission log in tx order: (tx time, seq, src, duration, frame,
+        # latest arrival end at any node)
+        self._tx_log: deque = deque()
+        self.heap: list[tuple] = []
         self._seq = 0
+        self._event_seq = 0  # seq of the event being handled
         self._frame_seq = 0
         self._packet_seq = 0
         self.trace = RunTrace(events=[] if record_events else None)
 
     # ------------------------------------------------------------- caches
 
-    def _pair_delay(self, a: int, b: int) -> float:
-        key = (a, b)
-        value = self._delay.get(key)
-        if value is None:
-            value = self.channel.propagation_delay(self.positions[a], self.positions[b])
-            self._delay[key] = value
-            self._delay[(b, a)] = value
-        return value
+    def _link_transmitter(self, src: int) -> None:
+        """Fill src's column of the per-receiver rows (first transmission only)."""
+        pos = self.positions[src]
+        for v in range(self.n_nodes):
+            if v == src:
+                continue
+            if self._delay[v][src] is None:
+                d = self.channel.propagation_delay(pos, self.positions[v])
+                self._delay[v][src] = d
+                self._delay[src][v] = d
+            self._sensed[v][src] = self._impinge_power(src, v) >= self.sense_threshold
+        self._reach[src] = max(
+            (self._delay[v][src] for v in range(self.n_nodes) if v != src), default=0.0
+        )
 
     def _cir(self, a: int, b: int) -> Cir:
         key = (a, b) if a <= b else (b, a)
@@ -356,22 +383,66 @@ class Simulator:
             return self._ili_power(frame.src, victim, frame.tr_basis)
         return self._impinge_power(frame.src, victim)
 
-    # -------------------------------------------------------- medium iface
+    # ---------------------------------------------------- transmission log
+
+    def _arrivals(self, node_id: int, lo: float, hi: float, seq: int) -> list:
+        """Logged arrivals at the node that overlap ``[lo, hi]``: their start
+        key is below ``(hi, seq)`` and their end key above ``(lo, seq)``.
+        Returns ``(start, seq, src, end, frame)`` in transmission order."""
+        delay = self._delay[node_id]
+        found = []
+        for t, q, src, dur, frame, _ in self._tx_log:
+            if t > hi:
+                break  # later transmissions arrive after hi
+            if src == node_id:
+                continue
+            start = t + delay[src]
+            if start > hi or (start == hi and q > seq):
+                continue
+            end = start + dur
+            if end < lo or (end == lo and q < seq):
+                continue
+            found.append((start, q, src, end, frame))
+        return found
 
     def busy_until(self, node_id: int, now: float) -> float | None:
         """Latest arrival end among signals currently sensed at the node."""
+        sensed = self._sensed[node_id]
         latest = None
-        for rec in self.nodes[node_id].impinging.values():
-            if rec.sense_power >= self.sense_threshold:
-                if latest is None or rec.rx_end > latest:
-                    latest = rec.rx_end
+        for _, _, src, end, _ in self._arrivals(node_id, now, now, self._event_seq):
+            if sensed[src] and (latest is None or end > latest):
+                latest = end
         return latest
+
+    def _interference(self, rec: _RxRecord, node_id: int) -> float:
+        """Power of every other arrival overlapping a tracked reception,
+        added in arrival order (seq is unique, so frames are never compared)."""
+        total = 0.0
+        for _, q, _, _, frame in sorted(self._arrivals(node_id, rec.rx_start, rec.rx_end, rec.seq)):
+            if q != rec.seq:
+                total += self._contribution(frame, node_id)
+        return total
+
+    def _trim_log(self, now: float) -> None:
+        """Drop the oldest transmissions whose arrivals ended everywhere
+        before every open tracked reception began and before ``now``, the
+        earliest start of any reception still to come."""
+        log = self._tx_log
+        if not log or log[0][5] >= now:
+            return
+        cutoff = now
+        for state in self.nodes:
+            for rec in state.tracked:
+                if rec.rx_start < cutoff:
+                    cutoff = rec.rx_start
+        while log and log[0][5] < cutoff:
+            log.popleft()
 
     # ---------------------------------------------------------- scheduling
 
     def _push(self, time: float, kind: int, subject, attachment) -> None:
         self._seq += 1
-        heapq.heappush(self.heap, Event(time, self._seq, kind, subject, attachment))
+        heapq.heappush(self.heap, (time, self._seq, kind, subject, attachment))
 
     def schedule_packet(self, flow_idx: int, time: float) -> None:
         """Inject one packet arrival on a flow (test and tooling hook)."""
@@ -393,20 +464,20 @@ class Simulator:
             self._schedule_flow_arrival(flow_idx, 0.0)
         duration = self.scenario.duration
         heap = self.heap
+        heappop = heapq.heappop
         while heap:
-            event = heapq.heappop(heap)
-            if event.time > duration:
+            time, seq, kind, subject, attachment = heappop(heap)
+            if time > duration:
                 break
-            self.now = event.time
-            kind = event.kind
+            self._event_seq = seq
             if kind == EV_RX_START:
-                self._handle_rx_start(event.subject, event.attachment, event.time)
+                self._handle_rx_start(subject, attachment, time)
             elif kind == EV_RX_END:
-                self._handle_rx_end(event.subject, event.attachment, event.time)
+                self._handle_rx_end(subject, attachment, time)
             elif kind == EV_TIMER:
-                self._handle_timer(event.subject, event.attachment, event.time)
+                self._handle_timer(subject, attachment, time)
             else:
-                self._handle_arrival(event.subject, event.attachment, event.time)
+                self._handle_arrival(subject, attachment, time)
         metrics = collect_metrics(self.trace, duration, self.scenario.warmup)
         stats: dict = {}
         for state in self.nodes:
@@ -465,47 +536,42 @@ class Simulator:
 
     def _start_tx(self, node_id: int, frame: Frame, now: float) -> None:
         state = self.nodes[node_id]
-        state.tx_busy_until = now + frame.tx_duration
+        duration = frame.tx_duration
+        state.tx_busy_until = now + duration
         # half-duplex: transmitting destroys anything currently arriving here
-        for rec in state.impinging.values():
+        for rec in state.tracked:
             rec.corrupted = True
         self._process_actions(node_id, state.engine.on_tx_start(frame, now), now)
+        if self._reach[node_id] is None:
+            self._link_transmitter(node_id)
         if frame.kind in DATA_KINDS:
             self.trace.data_tx_times.append(now)
-            end = now + frame.tx_duration + self._pair_delay(node_id, frame.dst)
+            end = now + duration + self._delay[frame.dst][node_id]
             self.trace.busy_intervals.append((now, end))
             if self.scenario.per_link_busy_accounting:
                 self.trace.per_link_busy.setdefault((node_id, frame.dst), []).append((now, end))
         self._log(now, node_id, "tx_start", frame.kind.value, f"to {frame.dst}")
-        for other in range(self.n_nodes):
-            if other == node_id:
-                continue
-            t0 = now + self._pair_delay(node_id, other)
-            self._push(t0, EV_RX_START, other, frame)
-            self._push(t0 + frame.tx_duration, EV_RX_END, other, frame)
+        self._seq += 1
+        seq = self._seq
+        self._trim_log(now)
+        self._tx_log.append((now, seq, node_id, duration, frame, now + self._reach[node_id] + duration))
+        if self.trmac and frame.kind is FrameKind.PRO:
+            receivers = [v for v in range(self.n_nodes) if v != node_id]
+        else:
+            receivers = (frame.dst,)
+        for v in receivers:
+            t0 = now + self._delay[v][node_id]
+            rec = _RxRecord(frame, t0, t0 + duration, seq)
+            self._push(t0, EV_RX_START, v, rec)
+            self._push(rec.rx_end, EV_RX_END, v, rec)
         if state.outbox:
             self._push(state.tx_busy_until, EV_TIMER, node_id, ("__drain", -1, None))
 
-    def _handle_rx_start(self, node_id: int, frame: Frame, now: float) -> None:
+    def _handle_rx_start(self, node_id: int, rec: _RxRecord, now: float) -> None:
         state = self.nodes[node_id]
-        addressed = frame.dst == node_id
-        overheard_probe = not addressed and self.trmac and frame.kind is FrameKind.PRO
-        rec = _RxRecord(
-            frame,
-            now,
-            now + frame.tx_duration,
-            self._impinge_power(frame.src, node_id),
-            self._contribution(frame, node_id),
-            addressed or overheard_probe,
-        )
         if state.tx_busy_until > now:
             rec.corrupted = True
-        for other in state.tracked:
-            other.interference += rec.contribution
-        if rec.tracked:
-            for other in state.impinging.values():
-                rec.interference += other.contribution
-        if addressed:
+        if rec.frame.dst == node_id:
             # one real reception at a time; opportunistically decoded probes
             # neither hold the receiver nor survive overlapping it
             if state.rx_lock is not None:
@@ -515,23 +581,19 @@ class Simulator:
             for other in state.tracked:
                 if other.frame.dst != node_id:
                     other.corrupted = True
-        elif overheard_probe and state.rx_lock is not None:
+        elif state.rx_lock is not None:
             rec.corrupted = True
-        if rec.tracked:
-            state.tracked.append(rec)
-        state.impinging[frame.frame_id] = rec
+        state.tracked.append(rec)
 
-    def _handle_rx_end(self, node_id: int, frame: Frame, now: float) -> None:
+    def _handle_rx_end(self, node_id: int, rec: _RxRecord, now: float) -> None:
         state = self.nodes[node_id]
-        rec = state.impinging.pop(frame.frame_id, None)
-        if rec is None:
-            return
         if state.rx_lock is rec:
             state.rx_lock = None
-        if not rec.tracked:
-            return
         state.tracked.remove(rec)
+        if not rec.corrupted:
+            rec.interference = self._interference(rec, node_id)
         success = self._adjudicate(rec, node_id)
+        frame = rec.frame
         self._log(now, node_id, "rx_end", frame.kind.value, "ok" if success else "fail")
         if not success:
             return

@@ -69,3 +69,24 @@ def test_run_protocol_override(tmp_path, capsys):
     assert main(["run", scenario, "--protocol", "s_csma_ca", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("s_csma_ca:")
+
+
+def test_run_seed_without_scenario_file_regenerates_placement(tmp_path, monkeypatch):
+    from uwansim import cli
+    from uwansim.sim import run_scenario
+
+    ran = []
+
+    def recording_run(scenario, **kwargs):
+        ran.append(scenario)
+        return run_scenario(scenario, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    assert main(["run", "--seed", "5", "--duration", "1", "--out", str(tmp_path)]) == 0
+    assert main(["run", "--duration", "1", "--out", str(tmp_path)]) == 0
+    seeded, default = ran
+    assert seeded.seed == 5 and seeded.channel.rng_seed == 5
+    assert seeded.positions == scenario_from_dict({"seed": 5}).positions
+    assert seeded.routes == scenario_from_dict({"seed": 5}).routes
+    assert default.positions == scenario_from_dict({}).positions
+    assert seeded.positions != default.positions

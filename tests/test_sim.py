@@ -1,8 +1,11 @@
+import copy
+import gc
 import math
+import weakref
 
 import pytest
 
-from uwansim.mac import Frame, FrameKind, Packet
+from uwansim.mac import Arm, Frame, FrameKind, Packet, Send
 from uwansim.scenario import scenario_from_dict
 from uwansim.sim import MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
 
@@ -77,6 +80,21 @@ def test_conservation_and_causality():
     times = [e["time"] for e in result.trace.events]
     assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
     assert 0.0 <= m.drop_ratio <= 1.0
+
+
+@pytest.mark.parametrize("protocol", ["trmac", "csma_ca"])
+def test_finished_simulator_is_freed_by_refcounting(protocol):
+    # no reference cycle: the engines' medium must not keep the run alive
+    gc.disable()
+    try:
+        sim = Simulator(single_link_scenario(mac={"protocol": protocol}))
+        sim.schedule_packet(0, 0.0)
+        assert sim.run().metrics.delivered == 1
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------- multihop
@@ -254,14 +272,18 @@ def test_metrics_record_fields_complete():
 # ------------------------------------------------------------ event order
 
 
-def test_events_at_equal_times_break_by_sequence():
-    from uwansim.sim import EV_TIMER, Event
-
-    early = Event(5.0, 1, EV_TIMER, 0, None)
-    late = Event(5.0, 2, EV_TIMER, 0, None)
-    other = Event(4.0, 9, EV_TIMER, 0, None)
-    assert early < late and not (late < early)
-    assert other < early
+def test_equal_time_timers_fire_in_the_order_armed():
+    sim = Simulator(single_link_scenario())
+    fired = []
+    for node in (0, 1):
+        sim.nodes[node].engine.on_timer = (
+            lambda key, context, now, node=node: fired.append((now, node, key)) or []
+        )
+    sim._process_actions(1, [Arm("b", 5.0), Arm("c", 4.0)], 0.0)
+    sim._process_actions(0, [Arm("a", 5.0), Arm("d", 5.0)], 0.0)
+    sim._process_actions(1, [Arm("e", 5.0)], 0.0)
+    sim.run()
+    assert fired == [(4.0, 1, "c"), (5.0, 1, "b"), (5.0, 0, "a"), (5.0, 0, "d"), (5.0, 1, "e")]
 
 
 def test_arrival_file_channel_end_to_end(tmp_path):
@@ -311,10 +333,153 @@ def test_adjudicate_closed_form_threshold_margin():
     sim._tr_isi[(0, 1)] = 0.0
     frame = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, tr_basis=(0, 1),
                   packet=Packet(1, 0, (0, 1), 256, 0.0))
-    rec = _RxRecord(frame, 0.0, 0.5, 1.0, 1.0, True)
+    rec = _RxRecord(frame, 0.0, 0.5, 1)
     assert sim._adjudicate(rec, 1) is True
     rec.interference = 3.0 * gamma * sigma2
     assert sim._adjudicate(rec, 1) is False
     rec.interference = 0.0
     rec.corrupted = True
     assert sim._adjudicate(rec, 1) is False
+
+
+# ------------------------------------------------------------- exact ties
+#
+# Dyadic geometry makes boundaries coincide exactly: 750 m at 1500 m/s is
+# a 0.5-s delay, and 0.5-s frames starting together end exactly when a
+# frame from twice as far begins to arrive.  At an equal time, the
+# boundaries of the transmission that started first are handled first.
+
+
+def line_scenario(xs, protocol="trmac", routes=((0, 1),), **phy):
+    cfg = {
+        "seed": 11,
+        "duration_s": 20,
+        "traffic": {"mean_interarrival_s": None},
+        "mac": {"protocol": protocol},
+        "network": {"nodes": [[10, x, 0] for x in xs], "routes": [list(r) for r in routes]},
+    }
+    if phy:
+        cfg["phy"] = phy
+    return scenario_from_dict(cfg)
+
+
+def rx_outcomes(sim, node):
+    return [(e["time"], e["outcome"]) for e in sim.trace.events
+            if e["event"] == "rx_end" and e["node"] == node]
+
+
+def _tr_ack(src, dst):
+    return Frame(FrameKind.TR_ACK, src, dst, 32, 0.5, tr_basis=(src, dst))
+
+
+def _tie_run(scenario, frames, first):
+    # node 1 hears C (from node 0, 0.5 s away) over [0.5, 1.0) and A (from
+    # node 2, 1.0 s away) over [1.0, 1.5); both are sent at t = 0
+    sim = Simulator(scenario, record_events=True)
+    for name in sorted(frames, key=lambda name: name != first):
+        sim._submit_frame(frames[name].src, frames[name], 0.0)
+    sim.run()
+    return sim
+
+
+@pytest.mark.parametrize("first, a_outcome", [("A", "fail"), ("C", "ok")])
+def test_tie_arrival_end_meets_arrival_start_under_rx_lock(first, a_outcome):
+    # both frames are addressed to node 1; if A started first its arrival
+    # start is handled before C's end, so it finds the receiver locked
+    frames = {"A": _tr_ack(2, 1), "C": _tr_ack(0, 1)}
+    sim = _tie_run(line_scenario([0, 750, 2250]), frames, first)
+    assert sim.channel.propagation_delay(sim.positions[2], sim.positions[1]) == 1.0
+    assert rx_outcomes(sim, 1) == [(1.0, "ok"), (1.5, a_outcome)]
+
+
+@pytest.mark.parametrize("victim, first, outcome", [
+    ("A", "A", "fail"), ("A", "C", "ok"), ("C", "A", "fail"), ("C", "C", "ok"),
+])
+def test_tie_arrival_end_meets_arrival_start_interference(victim, first, outcome):
+    # the victim is for node 1, the other frame is for node 0 or 2 and only
+    # interferes; gamma sits between the victim's SINR with and without it,
+    # so the victim fails exactly when the two arrivals count as overlapping
+    if victim == "A":
+        frames = {"A": _tr_ack(2, 1), "C": _tr_ack(0, 2)}
+        interferer = frames["C"]
+    else:
+        frames = {"A": _tr_ack(2, 0), "C": _tr_ack(0, 1)}
+        interferer = frames["A"]
+    probe = Simulator(line_scenario([0, 750, 2250]))
+    sig, isi = probe._tr_quantities((frames[victim].src, 1))
+    inter = probe._contribution(interferer, 1)
+    noise = probe.phy.noise_variance
+    gamma = math.sqrt(sig / (isi + noise) * sig / (isi + inter + noise))
+    sim = _tie_run(line_scenario([0, 750, 2250], min_required_sinr=gamma), frames, first)
+    end = 1.5 if victim == "A" else 1.0
+    assert rx_outcomes(sim, 1) == [(end, outcome)]
+
+
+class _FixedDraw:
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self, low, high):
+        return self.value
+
+
+def test_tie_csma_backoff_expires_at_end_of_later_arrival():
+    # node 1 senses node 0's frame until 1.0, then backs off 0.25 s.  Node 4
+    # (187.5 m away) starts a 0.0625-s frame at 1.0625, after the backoff
+    # was drawn; it ends at node 1 exactly when the backoff expires, so the
+    # medium is still busy: node 1 senses again and draws a second backoff
+    sc = line_scenario([0, 750, 2250, 1500, 937.5], protocol="csma_ca", routes=[(1, 3)])
+    sim = Simulator(sc, record_events=True)
+    sim.nodes[1].engine.rng = _FixedDraw(0.25)
+    sim._submit_frame(0, Frame(FrameKind.ACK, 0, 3, 32, 0.5), 0.0)
+    late = Frame(FrameKind.ACK, 4, 3, 32, 0.0625)
+    sim._process_actions(4, [Send(late, delay=1.0625)], 0.0)
+    sim.schedule_packet(0, 0.75)
+    sim.run()
+    rts = [e["time"] for e in sim.trace.events if e["event"] == "tx_start" and e["node"] == 1]
+    assert rts[0] == 1.5
+
+
+def test_interference_sums_in_arrival_order():
+    # three interferers reach node 0 at 0.1, 0.2 and 0.3 s and all overlap
+    # its reception over [0.5, 1.0); they start in the reverse order.  Only
+    # arrival order gives (1 + 2**-53) + 2**-53 == 1.0 exactly
+    sc = line_scenario([450, 1200, 300, 150, 0])
+    sim = Simulator(sc)
+    powers = {2: 1.0, 3: 2.0 ** -53, 4: 2.0 ** -53}
+    for node, power in powers.items():
+        sim._ili[(node, 0, (node, 1))] = power
+    for node in (4, 3, 2):
+        sim._submit_frame(node, _tr_ack(node, 1), 0.0)
+    sim._submit_frame(1, _tr_ack(1, 0), 0.0)
+    seen = []
+    adjudicate = sim._adjudicate
+
+    def recording(rec, node_id):
+        if node_id == 0:
+            seen.append(rec.interference)
+        return adjudicate(rec, node_id)
+
+    sim._adjudicate = recording
+    sim.run()
+    assert seen == [1.0]
+
+
+@pytest.mark.parametrize("far_frame, sensed_until", [(False, 1.0), (True, 1.5)])
+def test_tie_csma_sense_timer_expires_at_arrival_end(far_frame, sensed_until):
+    # node 1 gets a packet at 0.75 while node 0's frame arrives over
+    # [0.5, 1.0), so its sense timer expires exactly at 1.0.  That arrival
+    # has ended by then; node 2's frame, sent at t = 0 from 1.0 s away,
+    # has begun and holds the medium until 1.5.  Then the first backoff
+    # draw u sends the RTS.
+    sc = line_scenario([0, 750, 2250, 1500], protocol="csma_ca", routes=[(1, 3)])
+    sim = Simulator(sc, record_events=True)
+    u = copy.deepcopy(sim.nodes[1].engine.rng).uniform(0.0, 2.0)
+    sim._submit_frame(0, Frame(FrameKind.ACK, 0, 3, 32, 0.5), 0.0)
+    if far_frame:
+        sim._submit_frame(2, Frame(FrameKind.ACK, 2, 3, 32, 0.5), 0.0)
+    sim.schedule_packet(0, 0.75)
+    sim.run()
+    rts = [e["time"] for e in sim.trace.events if e["event"] == "tx_start" and e["node"] == 1]
+    assert rts[0] == sensed_until + u
+    assert len(sim.trace.deliveries) == 1
