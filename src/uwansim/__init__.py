@@ -9,7 +9,6 @@ from .channel import (
     NodePosition,
     cross_correlation,
     generate_cir,
-    load_arrivals,
     norm,
     normalized_cross_correlation,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "cross_correlation",
     "eta_threshold",
     "generate_cir",
-    "load_arrivals",
     "load_scenario",
     "norm",
     "normalized_cross_correlation",

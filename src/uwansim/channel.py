@@ -62,18 +62,12 @@ class NodePosition:
 
 @dataclass(frozen=True)
 class Environment:
-    """Acoustic environment shared by all links of a scenario.
-
-    ``svp`` is a depth-ordered (depth m, sound speed m/s) table.  The
-    statistical channel model does not consume it; it is carried for
-    arrival-file provenance and experiment metadata.
-    """
+    """Acoustic environment shared by all links of a scenario."""
 
     water_depth: float = 80.0
     carrier_frequency: float = 25e3
     bandwidth: float = 4e3
     nominal_sound_speed: float = 1500.0
-    svp: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if self.water_depth <= 0:
@@ -86,13 +80,6 @@ class Environment:
             raise ValueError(
                 f"Environment.nominal_sound_speed must lie in [1400, 1600] m/s, got {self.nominal_sound_speed}"
             )
-        object.__setattr__(self, "svp", tuple((float(d), float(c)) for d, c in self.svp))
-        depths = [d for d, _ in self.svp]
-        if any(b <= a for a, b in zip(depths, depths[1:])):
-            raise ValueError("Environment.svp depths must be strictly increasing")
-        for _, speed in self.svp:
-            if not 1400.0 <= speed <= 1600.0:
-                raise ValueError(f"Environment.svp speeds must lie in [1400, 1600] m/s, got {speed}")
 
     @property
     def sample_interval(self) -> float:
@@ -107,7 +94,7 @@ class ChannelModelConfig:
     model_kind: str = STATISTICAL_PDP
     tap_count: int = 129
     pdp_decay_constant: float = 1.0e-3
-    rng_seed: int = 0
+    rng_seed: int | None = 0  # None inside a Scenario: follow Scenario.seed
     arrival_file_path: str | None = None
     depth_quantum: float = 5.0
     range_quantum: float = 50.0
@@ -159,16 +146,6 @@ def cross_correlation(a: Cir, b: Cir, lag: int) -> complex:
     if hi <= lo:
         return 0j
     return complex(np.dot(at[lo:hi], np.conj(bt[lo + lag : hi + lag])))
-
-
-def correlation_sequence(a: Cir, b: Cir) -> np.ndarray:
-    """All r_{a,b}[lag] for lag = -(len(a)-1) .. len(b)-1, ascending.
-
-    Computed as a full convolution with the reversed conjugate of b;
-    element m holds the lag m - (len(a) - 1).
-    """
-    conv = np.convolve(a.taps, np.conj(b.taps[::-1]))
-    return conv[::-1]
 
 
 def normalized_cross_correlation(a: Cir, b: Cir, lag: int) -> complex:
@@ -305,28 +282,16 @@ def _arrival_table(path: str) -> ArrivalTable:
     return ArrivalTable.from_file(path)
 
 
-def load_arrivals(path: str, pair_index: tuple[str, str], sample_interval: float = 1.0 / 4e3) -> Cir:
-    """Load the CIR of one pair from an arrival file."""
-    return ArrivalTable.from_file(path).cir(pair_index, sample_interval)
-
-
 class ChannelModel:
-    """Resolves and caches per-pair CIRs and propagation delays for a run."""
+    """Resolves per-pair CIRs and propagation delays for a run."""
 
     def __init__(self, env: Environment, cfg: ChannelModelConfig):
         self.env = env
         self.cfg = cfg
-        self._cirs: dict[tuple[NodePosition, NodePosition], Cir] = {}
         self._table = _arrival_table(cfg.arrival_file_path) if cfg.model_kind == ARRIVAL_FILE else None
 
     def cir(self, tx: NodePosition, rx: NodePosition) -> Cir:
-        key = (tx, rx)
-        cached = self._cirs.get(key)
-        if cached is None:
-            cached = generate_cir(tx, rx, self.env, self.cfg)
-            self._cirs[key] = cached
-            self._cirs[(rx, tx)] = cached
-        return cached
+        return generate_cir(tx, rx, self.env, self.cfg)
 
     def propagation_delay(self, tx: NodePosition, rx: NodePosition) -> float:
         if self._table is not None:

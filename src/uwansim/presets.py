@@ -9,6 +9,7 @@ completion order.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -183,12 +184,11 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
 
 
 def _network_scenario_dict(seed: int, protocol: str, duration: float, params: dict) -> dict:
-    data = dict(params.get("scenario", {}))
+    # a deep copy: callers fill in sections, and params must stay as given
+    data = copy.deepcopy(params.get("scenario", {}))
     data["seed"] = seed
     data["duration_s"] = duration
-    mac = dict(data.get("mac", {}))
-    mac["protocol"] = protocol
-    data["mac"] = mac
+    data.setdefault("mac", {})["protocol"] = protocol
     return data
 
 

@@ -1,26 +1,29 @@
 """Scenario definition: validated simulation inputs with network defaults.
 
 A scenario wires together the environment, channel model, physical layer,
-MAC protocol and timers, traffic, and the static route set.  Every field
-has a default matching the reference multi-hop deployment (80 m water,
-4 km x 4 km region, 20 nodes at 0-50 m depth, 1 km hop range, 512 bps,
-D = 4, 4 kHz bandwidth, 8 s mean packet interval, 256-bit packets,
-T = 30 s, delta = 0.25 s, N_max = 3, 2 s S-CSMA/CA backoff cap), so an
-empty config file is a runnable scenario.
+MAC protocol and timers, traffic, and the static route set.  The dataclasses
+below hold every default (the reference multi-hop deployment), so an empty
+config file is a runnable scenario.  ``FIELDS`` gives each YAML key once
+with its attribute, type and rule; parsing, emitting and validating all
+walk it, and so does ``Scenario.resolved`` for scenarios built in code.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple
 
 import networkx as nx
 import numpy as np
 import yaml
 
-from .channel import ChannelModelConfig, Environment, NodePosition
+from .channel import ARRIVAL_FILE, STATISTICAL_PDP, ChannelModelConfig, Environment, NodePosition
 from .mac import PROTOCOLS, TRMAC
 from .tr_phy import PhyConfig
 
@@ -67,32 +70,34 @@ class Scenario:
     duration: float = 2000.0
     warmup: float = 0.0
     environment: Environment = field(default_factory=Environment)
-    channel: ChannelModelConfig = field(default_factory=lambda: ChannelModelConfig(tap_count=129))
+    # rng_seed None: the channel stream follows ``seed``
+    channel: ChannelModelConfig = field(default_factory=lambda: ChannelModelConfig(rng_seed=None))
     phy: PhyConfig = field(
-        default_factory=lambda: PhyConfig(
-            avg_transmit_power=1.0,
-            noise_variance=1.0e-7,
-            updown_factor=4,
-            min_required_sinr=0.5,
-        )
+        default_factory=lambda: PhyConfig(noise_variance=1.0e-7, updown_factor=4, min_required_sinr=0.5)
     )
     mac: MacConfig = field(default_factory=MacConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     positions: list[NodePosition] = field(default_factory=list)
     routes: list[tuple[int, ...]] = field(default_factory=list)
-    per_link_busy_accounting: bool = False
 
     def resolved(self) -> "Scenario":
-        """Fill in positions/routes (generating a topology if needed) and validate."""
+        """Check and normalize every field, fill in positions/routes
+        (generating a topology if needed) and validate the whole."""
         out = copy.deepcopy(self)
+        if out.channel.rng_seed is None:
+            out.channel = dataclasses.replace(out.channel, rng_seed=out.seed)
+        out = _with_values(out, {f.attr: f.parse(attrgetter(f.attr)(out)) for f in FIELDS})
         if out.network.nodes is not None:
-            out.positions = [
-                NodePosition(depth=d, x=x, y=y, node_id=str(i))
-                for i, (d, x, y) in enumerate(out.network.nodes)
-            ]
+            try:
+                out.positions = [
+                    NodePosition(depth=d, x=x, y=y, node_id=str(i))
+                    for i, (d, x, y) in enumerate(out.network.nodes)
+                ]
+            except ValueError as exc:
+                raise ScenarioError(f"network.nodes: {exc}") from None
         if out.network.routes is not None:
-            out.routes = [tuple(r) for r in out.network.routes]
+            out.routes = list(out.network.routes)
         if not out.positions and not out.routes:
             out.positions, out.routes = _generate_topology(out)
         elif not out.positions:
@@ -107,6 +112,156 @@ class Scenario:
             out.routes = [tuple(p) for p in pairs]
         validate_scenario(out)
         return out
+
+
+# ------------------------------------------------------------ field table
+
+
+class _Rule(NamedTuple):
+    text: str
+    holds: Callable[[Any], bool]
+
+
+_ANY = _Rule("", lambda v: True)
+
+
+def _above(low: float) -> _Rule:
+    return _Rule(f"> {low:g}", lambda v: v > low)
+
+
+def _at_least(low: float) -> _Rule:
+    return _Rule(f">= {low:g}", lambda v: v >= low)
+
+
+def _one_of(*names: str) -> _Rule:
+    return _Rule("in {" + ", ".join(names) + "}", lambda v: v in names)
+
+
+def _number(value) -> float:
+    out = float(value)  # also parses "1e-7", which PyYAML reads as a string
+    if not math.isfinite(out):
+        raise ValueError(value)
+    return out
+
+
+def _integer(value) -> int:
+    out = int(value)
+    if out != value:  # 2.7 is not truncated, and "5" is not an integer
+        raise ValueError(value)
+    return out
+
+
+def _nodes(value) -> list[tuple[float, ...]]:
+    return [tuple(_number(v) for v in node) for node in value]
+
+
+def _routes(value) -> list[tuple[int, ...]]:
+    return [tuple(_integer(v) for v in route) for route in value]
+
+
+# type name (as error messages and the README say it) -> converter
+_KINDS: dict[str, Callable[[Any], Any]] = {
+    "number": _number,
+    "integer": _integer,
+    "string": str,
+    "nodes": _nodes,
+    "routes": _routes,
+}
+
+
+@dataclass(frozen=True)
+class Field:
+    """One scenario key: the YAML key, the ``Scenario`` attribute it sets,
+    its type and the rule its value must satisfy."""
+
+    key: str          # dotted YAML key
+    attr: str         # dotted attribute path on Scenario
+    kind: str         # a key of _KINDS
+    rule: _Rule = _ANY
+    nullable: bool = False  # null is a value here, not "use the default"
+
+    @property
+    def expected(self) -> str:
+        return " ".join(filter(None, (self.kind, self.rule.text, "or null" if self.nullable else "")))
+
+    def parse(self, value):
+        """``value`` converted to this field's type; ScenarioError naming the
+        key when it cannot be converted or breaks the rule."""
+        if value is None and self.nullable:
+            return None
+        try:  # YAML's true/false are not numbers or strings here
+            out = None if isinstance(value, bool) else _KINDS[self.kind](value)
+        except (TypeError, ValueError, OverflowError):
+            out = None
+        if out is not None and self.rule.holds(out):
+            return out
+        raise ScenarioError(f"{self.key}: expected {self.expected}, got {value!r}")
+
+
+_POSITIVE = _above(0)
+_NON_NEGATIVE = _at_least(0)
+
+FIELDS: tuple[Field, ...] = (
+    Field("seed", "seed", "integer"),
+    Field("duration_s", "duration", "number", _NON_NEGATIVE),
+    Field("warmup_s", "warmup", "number", _NON_NEGATIVE),
+    Field("environment.water_depth_m", "environment.water_depth", "number", _POSITIVE),
+    Field("environment.carrier_frequency_hz", "environment.carrier_frequency", "number", _POSITIVE),
+    Field("environment.bandwidth_hz", "environment.bandwidth", "number", _POSITIVE),
+    Field("environment.nominal_sound_speed_mps", "environment.nominal_sound_speed", "number",
+          _Rule("in [1400, 1600]", lambda v: 1400 <= v <= 1600)),
+    Field("channel.model", "channel.model_kind", "string", _one_of(STATISTICAL_PDP, ARRIVAL_FILE)),
+    Field("channel.tap_count", "channel.tap_count", "integer", _at_least(1)),
+    Field("channel.pdp_decay_s", "channel.pdp_decay_constant", "number", _POSITIVE),
+    Field("channel.rng_seed", "channel.rng_seed", "integer"),
+    Field("channel.arrival_file", "channel.arrival_file_path", "string", nullable=True),
+    Field("channel.depth_quantum_m", "channel.depth_quantum", "number", _POSITIVE),
+    Field("channel.range_quantum_m", "channel.range_quantum", "number", _POSITIVE),
+    Field("phy.transmit_power_w", "phy.avg_transmit_power", "number", _POSITIVE),
+    Field("phy.noise_variance_w", "phy.noise_variance", "number", _POSITIVE),
+    Field("phy.updown_factor", "phy.updown_factor", "integer", _at_least(1)),
+    Field("phy.min_required_sinr", "phy.min_required_sinr", "number", _POSITIVE),
+    Field("mac.protocol", "mac.protocol", "string", _one_of(*PROTOCOLS)),
+    Field("mac.guard_time_s", "mac.guard_time", "number", _POSITIVE),
+    Field("mac.coherence_time_s", "mac.coherence_time", "number", _POSITIVE),
+    Field("mac.max_retransmissions", "mac.n_max", "integer", _at_least(1)),
+    Field("mac.control_bits", "mac.control_bits", "integer", _at_least(1)),
+    Field("mac.s_csma_max_backoff_s", "mac.s_csma_max_backoff", "number", _NON_NEGATIVE),
+    Field("mac.sense_threshold_w", "mac.sense_threshold_w", "number", _NON_NEGATIVE, nullable=True),
+    Field("traffic.mean_interarrival_s", "traffic.mean_interarrival", "number", _POSITIVE, nullable=True),
+    Field("traffic.packet_bits", "traffic.packet_bits", "integer", _at_least(1)),
+    Field("network.region_size_m", "network.region_size", "number", _POSITIVE),
+    Field("network.node_depth_max_m", "network.node_depth_max", "number", _NON_NEGATIVE),
+    Field("network.one_hop_range_m", "network.one_hop_range", "number", _POSITIVE),
+    Field("network.data_rate_bps", "network.data_rate", "number", _POSITIVE),
+    Field("network.max_hops", "network.max_hops", "integer", _at_least(1)),
+    Field("network.node_count", "network.node_count", "integer", _at_least(2)),
+    Field("network.link_count", "network.link_count", "integer", _at_least(1)),
+    Field("network.nodes", "network.nodes", "nodes", nullable=True),
+    Field("network.routes", "network.routes", "routes", nullable=True),
+)
+
+_SECTIONS = {f.key.split(".")[0] for f in FIELDS if "." in f.key}
+# top-level keys carry a "config." prefix here, as in error messages
+_BY_KEY = {f.key if "." in f.key else f"config.{f.key}": f for f in FIELDS}
+
+
+def _with_values(scenario: Scenario, values: dict[str, Any]) -> Scenario:
+    """Copy of ``scenario`` with the given dotted attributes replaced."""
+    sections: dict[str, dict[str, Any]] = {}
+    for attr, value in values.items():
+        section, _, name = attr.rpartition(".")
+        sections.setdefault(section, {})[name] = value
+    top = sections.pop("", {})
+    for section, changes in sections.items():
+        try:
+            top[section] = dataclasses.replace(getattr(scenario, section), **changes)
+        except ValueError as exc:  # cross-field rules of the section's own dataclass
+            raise ScenarioError(f"{section}: {exc}") from None
+    return dataclasses.replace(scenario, **top)
+
+
+# -------------------------------------------------------------- topology
 
 
 def _generate_topology(scenario: Scenario) -> tuple[list[NodePosition], list[tuple[int, ...]]]:
@@ -150,38 +305,16 @@ def _pair_nodes(positions, link_count, hop_range, rng) -> list[tuple[int, int]] 
 
 
 def validate_scenario(scenario: Scenario) -> None:
+    for f in FIELDS:
+        f.parse(attrgetter(f.attr)(scenario))
     net = scenario.network
-    if scenario.duration < 0:
-        raise ScenarioError(f"duration: must be >= 0, got {scenario.duration}")
-    if scenario.warmup < 0:
-        raise ScenarioError(f"warmup: must be >= 0, got {scenario.warmup}")
-    if scenario.mac.protocol not in PROTOCOLS:
-        raise ScenarioError(f"mac.protocol: unknown protocol {scenario.mac.protocol!r}")
-    if scenario.mac.guard_time <= 0:
-        raise ScenarioError("mac.guard_time: must be > 0")
-    if scenario.mac.coherence_time <= 0:
-        raise ScenarioError("mac.coherence_time: must be > 0")
-    if scenario.mac.n_max < 1:
-        raise ScenarioError("mac.n_max: must be >= 1")
-    if scenario.mac.control_bits < 1:
-        raise ScenarioError("mac.control_bits: must be >= 1")
-    if scenario.traffic.packet_bits < 1:
-        raise ScenarioError("traffic.packet_bits: must be >= 1")
-    if scenario.traffic.mean_interarrival is not None and scenario.traffic.mean_interarrival <= 0:
-        raise ScenarioError("traffic.mean_interarrival: must be > 0 (or null to disable)")
-    if net.data_rate <= 0:
-        raise ScenarioError("network.data_rate: must be > 0")
-    if net.one_hop_range <= 0:
-        raise ScenarioError("network.one_hop_range: must be > 0")
-    if net.max_hops < 1:
-        raise ScenarioError("network.max_hops: must be >= 1")
     if (scenario.channel.tap_count - 1) % scenario.phy.updown_factor != 0:
         raise ScenarioError(
             "phy.updown_factor: (channel.tap_count - 1) must be divisible by it "
             f"({scenario.channel.tap_count - 1} % {scenario.phy.updown_factor} != 0)"
         )
     if net.node_depth_max > scenario.environment.water_depth:
-        raise ScenarioError("network.node_depth_max: exceeds environment.water_depth")
+        raise ScenarioError("network.node_depth_max_m: exceeds environment.water_depth_m")
 
     for i, pos in enumerate(scenario.positions):
         if not (0.0 <= pos.depth <= net.node_depth_max):
@@ -217,68 +350,16 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    env = scenario.environment
-    ch = scenario.channel
-    phy = scenario.phy
-    out: dict = {
-        "seed": scenario.seed,
-        "duration_s": scenario.duration,
-        "warmup_s": scenario.warmup,
-        "environment": {
-            "water_depth_m": env.water_depth,
-            "carrier_frequency_hz": env.carrier_frequency,
-            "bandwidth_hz": env.bandwidth,
-            "nominal_sound_speed_mps": env.nominal_sound_speed,
-            "svp": [[d, c] for d, c in env.svp],
-        },
-        "channel": {
-            "model": ch.model_kind,
-            "tap_count": ch.tap_count,
-            "pdp_decay_s": ch.pdp_decay_constant,
-            "rng_seed": ch.rng_seed,
-            "arrival_file": ch.arrival_file_path,
-            "depth_quantum_m": ch.depth_quantum,
-            "range_quantum_m": ch.range_quantum,
-        },
-        "phy": {
-            "transmit_power_w": phy.avg_transmit_power,
-            "noise_variance_w": phy.noise_variance,
-            "updown_factor": phy.updown_factor,
-            "min_required_sinr": phy.min_required_sinr,
-            "acoustic_conversion": phy.acoustic_conversion,
-        },
-        "mac": {
-            "protocol": scenario.mac.protocol,
-            "guard_time_s": scenario.mac.guard_time,
-            "coherence_time_s": scenario.mac.coherence_time,
-            "max_retransmissions": scenario.mac.n_max,
-            "control_bits": scenario.mac.control_bits,
-            "s_csma_max_backoff_s": scenario.mac.s_csma_max_backoff,
-            "sense_threshold_w": scenario.mac.sense_threshold_w,
-        },
-        "traffic": {
-            "mean_interarrival_s": scenario.traffic.mean_interarrival,
-            "packet_bits": scenario.traffic.packet_bits,
-        },
-        "network": {
-            "region_size_m": scenario.network.region_size,
-            "node_depth_max_m": scenario.network.node_depth_max,
-            "one_hop_range_m": scenario.network.one_hop_range,
-            "data_rate_bps": scenario.network.data_rate,
-            "max_hops": scenario.network.max_hops,
-            "node_count": scenario.network.node_count,
-            "link_count": scenario.network.link_count,
-        },
-        "per_link_busy_accounting": scenario.per_link_busy_accounting,
-    }
-    if scenario.network.nodes is not None:
-        out["network"]["nodes"] = [list(n) for n in scenario.network.nodes]
-    elif scenario.positions:
-        out["network"]["nodes"] = [[p.depth, p.x, p.y] for p in scenario.positions]
-    if scenario.network.routes is not None:
-        out["network"]["routes"] = [list(r) for r in scenario.network.routes]
-    elif scenario.routes:
-        out["network"]["routes"] = [list(r) for r in scenario.routes]
+    out: dict = {}
+    for f in FIELDS:
+        section, _, name = f.key.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[name] = attrgetter(f.attr)(scenario)
+    # a resolved placement is written out, so reloading reproduces it
+    net = scenario.network
+    nodes = net.nodes if net.nodes is not None else [(p.depth, p.x, p.y) for p in scenario.positions]
+    routes = net.routes if net.routes is not None else scenario.routes
+    out["network"]["nodes"] = [list(n) for n in nodes] or None
+    out["network"]["routes"] = [list(r) for r in routes] or None
     return out
 
 
@@ -290,117 +371,25 @@ def _expect_mapping(value, context: str) -> dict:
     return value
 
 
-def _take(section: dict, key: str, default, context: str):
-    value = section.pop(key, None)
-    return default if value is None else value
-
-
 def scenario_from_dict(data: dict | None) -> Scenario:
-    data = dict(_expect_mapping(data, "config"))
-    base = Scenario()
+    """Parse a scenario mapping (as read from YAML) without modifying it.
 
-    seed = int(_take(data, "seed", base.seed, "seed"))
-    duration = float(_take(data, "duration_s", base.duration, "duration_s"))
-    warmup = float(_take(data, "warmup_s", base.warmup, "warmup_s"))
-    per_link = bool(_take(data, "per_link_busy_accounting", False, "per_link_busy_accounting"))
-
-    env_d = _expect_mapping(data.pop("environment", None), "environment")
-    try:
-        environment = Environment(
-            water_depth=float(_take(env_d, "water_depth_m", 80.0, "environment")),
-            carrier_frequency=float(_take(env_d, "carrier_frequency_hz", 25e3, "environment")),
-            bandwidth=float(_take(env_d, "bandwidth_hz", 4e3, "environment")),
-            nominal_sound_speed=float(_take(env_d, "nominal_sound_speed_mps", 1500.0, "environment")),
-            svp=tuple((float(d), float(c)) for d, c in _take(env_d, "svp", (), "environment")),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"environment: {exc}") from None
-    _reject_unknown(env_d, "environment")
-
-    ch_d = _expect_mapping(data.pop("channel", None), "channel")
-    try:
-        channel = ChannelModelConfig(
-            model_kind=str(_take(ch_d, "model", "statistical_pdp", "channel")),
-            tap_count=int(_take(ch_d, "tap_count", 129, "channel")),
-            pdp_decay_constant=float(_take(ch_d, "pdp_decay_s", 1.0e-3, "channel")),
-            rng_seed=int(_take(ch_d, "rng_seed", seed, "channel")),
-            arrival_file_path=ch_d.pop("arrival_file", None),
-            depth_quantum=float(_take(ch_d, "depth_quantum_m", 5.0, "channel")),
-            range_quantum=float(_take(ch_d, "range_quantum_m", 50.0, "channel")),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"channel: {exc}") from None
-    _reject_unknown(ch_d, "channel")
-
-    phy_d = _expect_mapping(data.pop("phy", None), "phy")
-    try:
-        phy = PhyConfig(
-            avg_transmit_power=float(_take(phy_d, "transmit_power_w", 1.0, "phy")),
-            noise_variance=float(_take(phy_d, "noise_variance_w", 1.0e-7, "phy")),
-            updown_factor=int(_take(phy_d, "updown_factor", 4, "phy")),
-            min_required_sinr=float(_take(phy_d, "min_required_sinr", 0.5, "phy")),
-            acoustic_conversion=float(_take(phy_d, "acoustic_conversion", 1.0, "phy")),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"phy: {exc}") from None
-    _reject_unknown(phy_d, "phy")
-
-    mac_d = _expect_mapping(data.pop("mac", None), "mac")
-    mac = MacConfig(
-        protocol=str(_take(mac_d, "protocol", TRMAC, "mac")),
-        guard_time=float(_take(mac_d, "guard_time_s", 0.25, "mac")),
-        coherence_time=float(_take(mac_d, "coherence_time_s", 30.0, "mac")),
-        n_max=int(_take(mac_d, "max_retransmissions", 3, "mac")),
-        control_bits=int(_take(mac_d, "control_bits", 32, "mac")),
-        s_csma_max_backoff=float(_take(mac_d, "s_csma_max_backoff_s", 2.0, "mac")),
-        sense_threshold_w=(lambda v: None if v is None else float(v))(mac_d.pop("sense_threshold_w", None)),
-    )
-    _reject_unknown(mac_d, "mac")
-
-    tr_d = _expect_mapping(data.pop("traffic", None), "traffic")
-    mean = tr_d.pop("mean_interarrival_s", 8.0)
-    traffic = TrafficConfig(
-        mean_interarrival=None if mean is None else float(mean),
-        packet_bits=int(_take(tr_d, "packet_bits", 256, "traffic")),
-    )
-    _reject_unknown(tr_d, "traffic")
-
-    net_d = _expect_mapping(data.pop("network", None), "network")
-    nodes = net_d.pop("nodes", None)
-    routes = net_d.pop("routes", None)
-    network = NetworkConfig(
-        region_size=float(_take(net_d, "region_size_m", 4000.0, "network")),
-        node_depth_max=float(_take(net_d, "node_depth_max_m", 50.0, "network")),
-        one_hop_range=float(_take(net_d, "one_hop_range_m", 1000.0, "network")),
-        data_rate=float(_take(net_d, "data_rate_bps", 512.0, "network")),
-        max_hops=int(_take(net_d, "max_hops", 6, "network")),
-        node_count=int(_take(net_d, "node_count", 20, "network")),
-        link_count=int(_take(net_d, "link_count", 10, "network")),
-        nodes=None if nodes is None else [tuple(float(v) for v in n) for n in nodes],
-        routes=None if routes is None else [tuple(int(v) for v in r) for r in routes],
-    )
-    _reject_unknown(net_d, "network")
-    _reject_unknown(data, "config")
-
-    scenario = Scenario(
-        seed=seed,
-        duration=duration,
-        warmup=warmup,
-        environment=environment,
-        channel=channel,
-        phy=phy,
-        mac=mac,
-        traffic=traffic,
-        network=network,
-        per_link_busy_accounting=per_link,
-    )
-    return scenario.resolved()
-
-
-def _reject_unknown(section: dict, context: str) -> None:
-    if section:
-        key = sorted(section)[0]
-        raise ScenarioError(f"{context}.{key}: unknown field")
+    A null value selects the default, except for keys whose rule admits null.
+    """
+    items = []
+    for key, value in _expect_mapping(data, "config").items():
+        if key in _SECTIONS:
+            items += [(f"{key}.{sub}", v) for sub, v in _expect_mapping(value, key).items()]
+        else:
+            items.append((f"config.{key}", value))
+    values: dict[str, Any] = {}
+    for key, value in items:
+        f = _BY_KEY.get(key)
+        if f is None:
+            raise ScenarioError(f"{key}: unknown field")
+        if value is not None or f.nullable:
+            values[f.attr] = f.parse(value)
+    return _with_values(Scenario(), values).resolved()
 
 
 def load_scenario(path: str) -> Scenario:

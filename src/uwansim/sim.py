@@ -105,7 +105,6 @@ class RunTrace:
     drops: list = field(default_factory=list)           # (time, packet_id)
     data_tx_times: list = field(default_factory=list)
     busy_intervals: list = field(default_factory=list)  # (start, end)
-    per_link_busy: dict = field(default_factory=dict)   # (src, dst) -> intervals
     rx_success: list = field(default_factory=list)      # (time, payload_bits)
     events: Optional[list] = None                       # debug records when enabled
 
@@ -546,10 +545,7 @@ class Simulator:
             self._link_transmitter(node_id)
         if frame.kind in DATA_KINDS:
             self.trace.data_tx_times.append(now)
-            end = now + duration + self._delay[frame.dst][node_id]
-            self.trace.busy_intervals.append((now, end))
-            if self.scenario.per_link_busy_accounting:
-                self.trace.per_link_busy.setdefault((node_id, frame.dst), []).append((now, end))
+            self.trace.busy_intervals.append((now, now + duration + self._delay[frame.dst][node_id]))
         self._log(now, node_id, "tx_start", frame.kind.value, f"to {frame.dst}")
         self._seq += 1
         seq = self._seq

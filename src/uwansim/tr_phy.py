@@ -21,18 +21,12 @@ from .channel import Cir, norm
 
 @dataclass(frozen=True)
 class PhyConfig:
-    """Physical-layer parameters shared by all nodes.
-
-    avg_transmit_power is electric; acoustic_conversion maps it to acoustic
-    power for reporting.  SINRs are power ratios, so the conversion factor
-    cancels whenever it is applied to both signal and noise.
-    """
+    """Physical-layer parameters shared by all nodes."""
 
     avg_transmit_power: float = 1.0
     noise_variance: float = 1.0
     updown_factor: int = 1
     min_required_sinr: float = 1.0
-    acoustic_conversion: float = 1.0
 
     def __post_init__(self):
         if self.avg_transmit_power <= 0:
@@ -43,8 +37,6 @@ class PhyConfig:
             raise ValueError("PhyConfig.updown_factor must be a positive integer")
         if self.min_required_sinr <= 0:
             raise ValueError("PhyConfig.min_required_sinr must be > 0")
-        if self.acoustic_conversion <= 0:
-            raise ValueError("PhyConfig.acoustic_conversion must be > 0")
 
 
 @dataclass(eq=False)

@@ -59,6 +59,13 @@ def test_validate_exit_codes(tmp_path):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_validate_names_a_nan_field(tmp_path, capsys):
+    bad = tmp_path / "nan.yaml"
+    bad.write_text("network: {region_size_m: .nan}\n")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: network.region_size_m")
+
+
 def test_preset_subcommand(tmp_path):
     assert main(["preset", "sinr_vs_eta", "--out", str(tmp_path)]) == 0
     assert os.path.exists(tmp_path / "sinr_vs_eta.csv")

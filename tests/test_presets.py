@@ -1,3 +1,4 @@
+import copy
 import csv
 import math
 
@@ -112,6 +113,25 @@ def test_timeseries_rows(tmp_path):
     assert header == ["protocol", "time_s", "mean_delay_s", "drop_ratio", "throughput_bps"]
     assert len(rows) == 3 * 2
     assert {r[0] for r in rows} == {"trmac", "csma_ca", "s_csma_ca"}
+
+
+def test_timeseries_scenario_override_reaches_every_protocol(tmp_path, monkeypatch):
+    from uwansim import presets
+
+    real_run, ran = presets.run_scenario, []
+
+    def recording_run(scenario, **kwargs):
+        ran.append(scenario)
+        return real_run(scenario, **kwargs)
+
+    monkeypatch.setattr(presets, "run_scenario", recording_run)
+    params = {"duration": 20.0, "sample_every": 10.0, "links": 2,
+              "scenario": {"network": {"node_count": 12}, "mac": {"guard_time_s": 0.5}}}
+    before = copy.deepcopy(params)
+    run_preset(ExperimentPreset("timeseries", params=params, seeds=(4,), output_dir=str(tmp_path)))
+    assert params == before
+    assert [s.mac.protocol for s in ran] == ["trmac", "csma_ca", "s_csma_ca"]
+    assert all(s.network.node_count == 12 and s.mac.guard_time == 0.5 for s in ran)
 
 
 def test_run_preset_dispatch(tmp_path):

@@ -1,6 +1,11 @@
+import copy
+import os
+import re
+
 import pytest
 
 from uwansim.scenario import (
+    FIELDS,
     Scenario,
     ScenarioError,
     config_hash,
@@ -117,3 +122,78 @@ def test_scenario_dataclass_direct_resolution():
     resolved = sc.resolved()
     assert len(resolved.positions) == 20
     assert resolved is not sc
+
+
+NAN = float("nan")
+
+# (config, dotted key its error must start with)
+INVALID = [
+    ({"duration_s": NAN}, "duration_s"),
+    ({"duration_s": float("inf")}, "duration_s"),
+    ({"warmup_s": NAN}, "warmup_s"),
+    ({"duration_s": True}, "duration_s"),
+    ({"seed": "abc"}, "seed"),
+    ({"traffic": {"mean_interarrival_s": NAN}}, "traffic.mean_interarrival_s"),
+    ({"traffic": {"packet_bits": 2.7}}, "traffic.packet_bits"),
+    ({"network": {"link_count": 0}}, "network.link_count"),
+    ({"network": {"region_size_m": NAN}}, "network.region_size_m"),
+    ({"network": {"nodes": 5}}, "network.nodes"),
+    ({"network": {"nodes": [[-5, 0, 0], [10, 500, 0]], "routes": [[0, 1]]}}, "network.nodes"),
+    ({"phy": {"noise_variance_w": NAN}}, "phy.noise_variance_w"),
+    ({"phy": {"min_required_sinr": NAN}}, "phy.min_required_sinr"),
+    ({"mac": {"sense_threshold_w": NAN}}, "mac.sense_threshold_w"),
+    ({"mac": {"guard_time_s": NAN}}, "mac.guard_time_s"),
+    ({"mac": {"max_retransmissions": 1.9}}, "mac.max_retransmissions"),
+    ({"mac": {"s_csma_max_backoff_s": -1}}, "mac.s_csma_max_backoff_s"),
+    ({"channel": {"pdp_decay_s": NAN}}, "channel.pdp_decay_s"),
+    ({"environment": {"bandwidth_hz": NAN}}, "environment.bandwidth_hz"),
+]
+
+
+@pytest.mark.parametrize("config, key", INVALID, ids=[key for _, key in INVALID])
+def test_invalid_value_rejected_with_its_key(config, key):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(config)
+    assert str(err.value).startswith(f"{key}: ")
+
+
+def test_dataclass_scenario_is_checked_on_resolution():
+    with pytest.raises(ScenarioError, match=r"^duration_s: "):
+        Scenario(duration=NAN).resolved()
+
+
+@pytest.mark.parametrize("seed, duration", [(1, 2000.0), (5, 300.0)])
+def test_dataclass_and_dict_entry_points_agree(seed, duration):
+    built = Scenario(seed=seed, duration=duration).resolved()
+    parsed = scenario_from_dict({"seed": seed, "duration_s": duration})
+    assert built.channel.rng_seed == seed
+    assert config_hash(built) == config_hash(parsed)
+
+
+def test_from_dict_leaves_its_argument_unchanged():
+    data = {
+        "seed": 4,
+        "mac": {"protocol": "csma_ca"},
+        "traffic": {"mean_interarrival_s": None},
+        "network": {"nodes": [[10, 0, 0], [10, 500, 0]], "routes": [[0, 1]]},
+    }
+    before = copy.deepcopy(data)
+    scenario_from_dict(data)
+    assert data == before
+
+
+def test_null_selects_default_except_where_null_is_a_value():
+    sc = scenario_from_dict({"duration_s": None, "mac": {"protocol": None},
+                             "traffic": {"mean_interarrival_s": None}})
+    assert sc.duration == Scenario().duration
+    assert sc.mac.protocol == Scenario().mac.protocol
+    assert sc.traffic.mean_interarrival is None
+
+
+def test_readme_table_lists_every_field():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z_.]+)` \| .+ \| (.+) \|$", section, re.MULTILINE)
+    assert [key for key, _ in rows] == [f.key for f in FIELDS]
+    assert [rule for _, rule in rows] == [f.expected for f in FIELDS]

@@ -311,15 +311,6 @@ def test_arrival_file_channel_end_to_end(tmp_path):
     assert m.delay_samples[0] == pytest.approx(expected, abs=1e-9)
 
 
-def test_per_link_busy_accounting_flag():
-    sc = single_link_scenario(per_link_busy_accounting=True)
-    sim = Simulator(sc)
-    sim.schedule_packet(0, 0.0)
-    result = sim.run()
-    assert (0, 1) in result.trace.per_link_busy
-    assert len(result.trace.per_link_busy[(0, 1)]) == 1
-
-
 def test_adjudicate_closed_form_threshold_margin():
     # lone TR frame on a single-tap-equivalent link with SINR = 2*gamma
     # succeeds; pushing interference to 3x the signal budget fails it
