@@ -70,12 +70,11 @@ class Environment:
     nominal_sound_speed: float = 1500.0
 
     def __post_init__(self):
-        if self.water_depth <= 0:
-            raise ValueError(f"Environment.water_depth must be > 0, got {self.water_depth}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"Environment.bandwidth must be > 0, got {self.bandwidth}")
-        if self.carrier_frequency <= 0:
-            raise ValueError("Environment.carrier_frequency must be > 0")
+        # chained comparisons reject NaN as well as infinities
+        for name in ("water_depth", "bandwidth", "carrier_frequency"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"Environment.{name} must be finite and > 0, got {value!r}")
         if not 1400.0 <= self.nominal_sound_speed <= 1600.0:
             raise ValueError(
                 f"Environment.nominal_sound_speed must lie in [1400, 1600] m/s, got {self.nominal_sound_speed}"
@@ -102,12 +101,12 @@ class ChannelModelConfig:
     def __post_init__(self):
         if self.model_kind not in (STATISTICAL_PDP, ARRIVAL_FILE):
             raise ValueError(f"ChannelModelConfig.model_kind unknown: {self.model_kind!r}")
-        if self.tap_count < 1:
-            raise ValueError(f"ChannelModelConfig.tap_count must be >= 1, got {self.tap_count}")
-        if self.pdp_decay_constant <= 0:
-            raise ValueError("ChannelModelConfig.pdp_decay_constant must be > 0")
-        if self.depth_quantum <= 0 or self.range_quantum <= 0:
-            raise ValueError("ChannelModelConfig quanta must be > 0")
+        if not 1 <= self.tap_count < math.inf:
+            raise ValueError(f"ChannelModelConfig.tap_count must be >= 1, got {self.tap_count!r}")
+        for name in ("pdp_decay_constant", "depth_quantum", "range_quantum"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"ChannelModelConfig.{name} must be finite and > 0, got {value!r}")
         if self.model_kind == ARRIVAL_FILE and not self.arrival_file_path:
             raise ValueError("ChannelModelConfig.arrival_file_path required for arrival_file model")
 

@@ -11,6 +11,7 @@ an engine never touches another node's state.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -88,8 +89,8 @@ class Frame:
             raise ValueError("Frame.payload_bits must be >= 0")
         if self.tx_duration <= 0:
             raise ValueError("Frame.tx_duration must be > 0")
-        if self.kind in TR_KINDS and self.tr_basis is None:
-            raise ValueError(f"{self.kind.value} frames must carry tr_basis")
+        if self.kind in TR_KINDS and (self.tr_basis is None or self.tr_basis[0] != self.src):
+            raise ValueError(f"{self.kind.value} frames must carry a tr_basis starting at their src")
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,11 @@ class MacTimers:
     n_max: int
 
     def __post_init__(self):
-        if min(self.t_p, self.t_tr, self.delta, self.coherence_time) <= 0:
-            raise ValueError("MacTimers durations must be positive")
-        if self.n_max < 1:
-            raise ValueError("MacTimers.n_max must be >= 1")
+        # chained comparisons reject NaN as well as infinities
+        if not all(0 < t < math.inf for t in (self.t_p, self.t_tr, self.delta, self.coherence_time)):
+            raise ValueError("MacTimers durations must be finite and positive")
+        if not 1 <= self.n_max < math.inf:
+            raise ValueError(f"MacTimers.n_max must be >= 1, got {self.n_max!r}")
 
     @property
     def t_cl(self) -> float:

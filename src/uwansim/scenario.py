@@ -268,6 +268,11 @@ def _generate_topology(scenario: Scenario) -> tuple[list[NodePosition], list[tup
     """Random placement plus disjoint single-hop link set, deterministically
     retried until the requested link count is feasible."""
     net = scenario.network
+    if 2 * net.link_count > net.node_count:
+        raise ScenarioError(
+            f"network.link_count: {net.link_count} disjoint links need at least "
+            f"{2 * net.link_count} nodes, node_count is {net.node_count}"
+        )
     rng = np.random.default_rng(np.random.SeedSequence((scenario.seed & (2**64 - 1), 0x7090)))
     for _ in range(200):
         positions = [
@@ -283,7 +288,7 @@ def _generate_topology(scenario: Scenario) -> tuple[list[NodePosition], list[tup
         if pairs is not None:
             return positions, [tuple(p) for p in pairs]
     raise ScenarioError(
-        "network: could not place nodes admitting the requested disjoint link count"
+        f"network: could not place {net.node_count} nodes admitting {net.link_count} disjoint links"
     )
 
 

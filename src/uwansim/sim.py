@@ -18,8 +18,16 @@ number taken at tx start, the frame) and answers from it:
   for CSMA carrier sense.
 
 Half-duplex and receiver-lock rules act on the node's open tracked
-receptions only.  Per-pair quantities are cached, so the hot path stays
-free of array math.
+receptions only.
+
+Per-pair quantities live in symmetric n x n rows that are read by plain
+indexing and written at two points only, both at a transmission start: a
+node's first transmission fills every pair of that node (CIR, delay,
+impinging power, direct-transmission signal and ISI), and the first TR
+frame on a link fills its TR signal, ISI and ILI at every victim.  A
+pair's CIR and delay come from its lower -> higher node index direction,
+so an arrival file that gives the two directions different records
+yields the same results whichever node speaks first.
 
 Ties.  Heap entries are ``(time, seq, kind, subject, attachment)`` tuples;
 ``seq`` grows with every push, so equal-time events run in the order they
@@ -264,24 +272,17 @@ class Simulator:
             for f in range(len(scenario.routes))
         ]
 
-        # dense per-receiver rows indexed by transmitter, filled when a node
-        # first transmits: delay[v][src], sensed[v][src], and the latest
-        # arrival offset reach[src] of src's frames at any node.  A pair's
-        # delay is taken in the direction of its first transmission, since
-        # an arrival file may give the two directions different delays.
+        # the link table (module docstring): symmetric n x n rows filled by
+        # _fill_node, plus tr[a][b] = (signal, ISI, ILI by victim) of link
+        # (a, b) filled by _fill_basis; reach[src] is the latest arrival
+        # offset of src's frames at any node
         n = self.n_nodes
+        self._cir: list[list] = [[None] * n for _ in range(n)]
         self._delay: list[list] = [[None] * n for _ in range(n)]
-        self._sensed: list[list] = [[False] * n for _ in range(n)]
+        self._power: list[list] = [[None] * n for _ in range(n)]
+        self._direct: list[list] = [[None] * n for _ in range(n)]
+        self._tr: list[list] = [[None] * n for _ in range(n)]
         self._reach: list = [None] * n
-
-        # lazily filled per-pair caches; keys are node index tuples
-        self._cirs: dict = {}
-        self._impinge: dict = {}
-        self._tr_sig: dict = {}
-        self._tr_isi: dict = {}
-        self._direct_sig: dict = {}
-        self._direct_isi: dict = {}
-        self._ili: dict = {}
 
         if scenario.mac.sense_threshold_w is not None:
             self.sense_threshold = scenario.mac.sense_threshold_w
@@ -299,88 +300,41 @@ class Simulator:
         self._packet_seq = 0
         self.trace = RunTrace(events=[] if record_events else None)
 
-    # ------------------------------------------------------------- caches
+    # ---------------------------------------------------------- link table
 
-    def _link_transmitter(self, src: int) -> None:
-        """Fill src's column of the per-receiver rows (first transmission only)."""
-        pos = self.positions[src]
+    def _fill_node(self, src: int) -> None:
+        """Fill every pair of src not yet filled (its first transmission).
+        CIR and delay are taken in the lower -> higher index direction, since
+        an arrival file may give the two directions different records."""
+        d = self.phy.updown_factor
+        power = self.phy.avg_transmit_power
         for v in range(self.n_nodes):
-            if v == src:
+            if v == src or self._cir[src][v] is not None:
                 continue
-            if self._delay[v][src] is None:
-                d = self.channel.propagation_delay(pos, self.positions[v])
-                self._delay[v][src] = d
-                self._delay[src][v] = d
-            self._sensed[v][src] = self._impinge_power(src, v) >= self.sense_threshold
-        self._reach[src] = max(
-            (self._delay[v][src] for v in range(self.n_nodes) if v != src), default=0.0
-        )
-
-    def _cir(self, a: int, b: int) -> Cir:
-        key = (a, b) if a <= b else (b, a)
-        c = self._cirs.get(key)
-        if c is None:
-            c = self.channel.cir(self.positions[a], self.positions[b])
-            d = self.phy.updown_factor
+            lo, hi = self.positions[min(src, v)], self.positions[max(src, v)]
+            c = self.channel.cir(lo, hi)
             excess = (len(c) - 1) % d
             if excess:
                 # arrival-file responses have data-driven lengths; trailing
                 # zero taps make them compliant without changing any power
                 taps = np.concatenate([c.taps, np.zeros(d - excess, dtype=np.complex128)])
                 c = Cir(taps, c.sample_interval)
-            self._cirs[key] = c
-        return c
+            delay = self.channel.propagation_delay(lo, hi)
+            impinge = power * float(np.sum(np.abs(c.taps) ** 2))
+            peak, isi_sum = sdt_signal_and_isi(c, d)
+            direct = (d * power * peak, d * power * isi_sum)
+            for a, b in ((src, v), (v, src)):
+                self._cir[a][b] = c
+                self._delay[a][b] = delay
+                self._power[a][b] = impinge
+                self._direct[a][b] = direct
+        self._reach[src] = max((x for x in self._delay[src] if x is not None), default=0.0)
 
-    def _impinge_power(self, a: int, b: int) -> float:
-        key = (a, b)
-        value = self._impinge.get(key)
-        if value is None:
-            c = self._cir(a, b)
-            value = self.phy.avg_transmit_power * float(np.sum(np.abs(c.taps) ** 2))
-            self._impinge[key] = value
-            self._impinge[(b, a)] = value
-        return value
-
-    def _tr_quantities(self, basis: tuple[int, int]) -> tuple[float, float]:
-        sig = self._tr_sig.get(basis)
-        if sig is None:
-            c = self._cir(*basis)
-            sig = p_sig(c, self.phy)
-            isi = p_isi(c, self.phy)
-            self._tr_sig[basis] = sig
-            self._tr_isi[basis] = isi
-            rev = (basis[1], basis[0])
-            self._tr_sig[rev] = sig
-            self._tr_isi[rev] = isi
-        return sig, self._tr_isi[basis]
-
-    def _direct_quantities(self, a: int, b: int) -> tuple[float, float]:
-        key = (a, b)
-        sig = self._direct_sig.get(key)
-        if sig is None:
-            c = self._cir(a, b)
-            peak, isi_sum = sdt_signal_and_isi(c, self.phy.updown_factor)
-            dp = self.phy.updown_factor * self.phy.avg_transmit_power
-            sig = dp * peak
-            isi = dp * isi_sum
-            self._direct_sig[key] = sig
-            self._direct_isi[key] = isi
-            self._direct_sig[(b, a)] = sig
-            self._direct_isi[(b, a)] = isi
-        return sig, self._direct_isi[key]
-
-    def _ili_power(self, tx: int, victim: int, basis: tuple[int, int]) -> float:
-        key = (tx, victim, basis)
-        value = self._ili.get(key)
-        if value is None:
-            value = p_ili(self._cir(tx, victim), self._cir(*basis), self.phy)
-            self._ili[key] = value
-        return value
-
-    def _contribution(self, frame: Frame, victim: int) -> float:
-        if frame.kind in TR_KINDS:
-            return self._ili_power(frame.src, victim, frame.tr_basis)
-        return self._impinge_power(frame.src, victim)
+    def _fill_basis(self, a: int, b: int) -> None:
+        """Fill the TR quantities of frames a sends on link (a, b)."""
+        own = self._cir[a][b]
+        ili = [None if v == a else p_ili(self._cir[a][v], own, self.phy) for v in range(self.n_nodes)]
+        self._tr[a][b] = (p_sig(own, self.phy), p_isi(own, self.phy), ili)
 
     # ---------------------------------------------------- transmission log
 
@@ -406,20 +360,27 @@ class Simulator:
 
     def busy_until(self, node_id: int, now: float) -> float | None:
         """Latest arrival end among signals currently sensed at the node."""
-        sensed = self._sensed[node_id]
+        power = self._power[node_id]
+        threshold = self.sense_threshold
         latest = None
         for _, _, src, end, _ in self._arrivals(node_id, now, now, self._event_seq):
-            if sensed[src] and (latest is None or end > latest):
+            if power[src] >= threshold and (latest is None or end > latest):
                 latest = end
         return latest
 
     def _interference(self, rec: _RxRecord, node_id: int) -> float:
         """Power of every other arrival overlapping a tracked reception,
         added in arrival order (seq is unique, so frames are never compared)."""
+        power = self._power[node_id]
         total = 0.0
-        for _, q, _, _, frame in sorted(self._arrivals(node_id, rec.rx_start, rec.rx_end, rec.seq)):
-            if q != rec.seq:
-                total += self._contribution(frame, node_id)
+        for _, q, src, _, frame in sorted(self._arrivals(node_id, rec.rx_start, rec.rx_end, rec.seq)):
+            if q == rec.seq:
+                continue
+            if frame.kind in TR_KINDS:
+                a, b = frame.tr_basis
+                total += self._tr[a][b][2][node_id]
+            else:
+                total += power[src]
         return total
 
     def _trim_log(self, now: float) -> None:
@@ -542,7 +503,11 @@ class Simulator:
             rec.corrupted = True
         self._process_actions(node_id, state.engine.on_tx_start(frame, now), now)
         if self._reach[node_id] is None:
-            self._link_transmitter(node_id)
+            self._fill_node(node_id)
+        if frame.kind in TR_KINDS:
+            a, b = frame.tr_basis
+            if self._tr[a][b] is None:
+                self._fill_basis(a, b)
         if frame.kind in DATA_KINDS:
             self.trace.data_tx_times.append(now)
             self.trace.busy_intervals.append((now, now + duration + self._delay[frame.dst][node_id]))
@@ -595,7 +560,7 @@ class Simulator:
             return
         if frame.kind in DATA_KINDS and frame.dst == node_id:
             self.trace.rx_success.append((now, frame.payload_bits))
-        measured = self._cir(frame.src, node_id)
+        measured = self._cir[frame.src][node_id]
         actions = state.engine.on_frame(frame, measured, now)
         self._process_actions(node_id, actions, now)
 
@@ -605,9 +570,10 @@ class Simulator:
             return False
         frame = rec.frame
         if frame.kind in TR_KINDS:
-            sig, isi = self._tr_quantities(frame.tr_basis)
+            a, b = frame.tr_basis
+            sig, isi, _ = self._tr[a][b]
         else:
-            sig, isi = self._direct_quantities(frame.src, node_id)
+            sig, isi = self._direct[frame.src][node_id]
         sinr = sig / (isi + rec.interference + self.phy.noise_variance)
         return sinr >= self.phy.min_required_sinr
 

@@ -29,14 +29,13 @@ class PhyConfig:
     min_required_sinr: float = 1.0
 
     def __post_init__(self):
-        if self.avg_transmit_power <= 0:
-            raise ValueError("PhyConfig.avg_transmit_power must be > 0")
-        if self.noise_variance <= 0:
-            raise ValueError("PhyConfig.noise_variance must be > 0")
-        if self.updown_factor < 1 or int(self.updown_factor) != self.updown_factor:
-            raise ValueError("PhyConfig.updown_factor must be a positive integer")
-        if self.min_required_sinr <= 0:
-            raise ValueError("PhyConfig.min_required_sinr must be > 0")
+        # chained comparisons reject NaN as well as infinities
+        for name in ("avg_transmit_power", "noise_variance", "min_required_sinr"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"PhyConfig.{name} must be finite and > 0, got {value!r}")
+        if not 1 <= self.updown_factor < math.inf or int(self.updown_factor) != self.updown_factor:
+            raise ValueError(f"PhyConfig.updown_factor must be a positive integer, got {self.updown_factor!r}")
 
 
 @dataclass(eq=False)

@@ -94,6 +94,13 @@ def test_frame_invariants():
     assert frame.tr_basis == (0, 1)
 
 
+def test_tr_frame_basis_starts_at_its_src():
+    # the simulator keys a link's ILI at every victim by the basis, whose
+    # first node is the transmitter
+    with pytest.raises(ValueError, match="starting at their src"):
+        Frame(FrameKind.TR_ACK, 1, 0, 32, 0.0625, tr_basis=(0, 1))
+
+
 # --------------------------------------------------------- TRMAC enqueue
 
 

@@ -4,6 +4,9 @@ import re
 
 import pytest
 
+from uwansim.channel import ChannelModelConfig, Environment
+from uwansim.mac import MacTimers
+from uwansim.tr_phy import PhyConfig
 from uwansim.scenario import (
     FIELDS,
     Scenario,
@@ -155,6 +158,43 @@ def test_invalid_value_rejected_with_its_key(config, key):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(config)
     assert str(err.value).startswith(f"{key}: ")
+
+
+INF = float("inf")
+TIMERS = {"t_p": 0.5, "t_tr": 0.5, "delta": 0.25, "coherence_time": 30.0, "n_max": 3}
+
+# configs built directly, as presets and library callers do
+NON_FINITE = [
+    ("PhyConfig(noise_variance=nan)", lambda: PhyConfig(noise_variance=NAN)),
+    ("PhyConfig(avg_transmit_power=inf)", lambda: PhyConfig(avg_transmit_power=INF)),
+    ("PhyConfig(updown_factor=inf)", lambda: PhyConfig(updown_factor=INF)),
+    ("Environment(bandwidth=nan)", lambda: Environment(bandwidth=NAN)),
+    ("Environment(water_depth=inf)", lambda: Environment(water_depth=INF)),
+    ("ChannelModelConfig(pdp_decay_constant=nan)", lambda: ChannelModelConfig(pdp_decay_constant=NAN)),
+    ("MacTimers(t_p=nan)", lambda: MacTimers(**{**TIMERS, "t_p": NAN})),
+    ("MacTimers(coherence_time=inf)", lambda: MacTimers(**{**TIMERS, "coherence_time": INF})),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in NON_FINITE], ids=[i for i, _ in NON_FINITE])
+def test_directly_built_config_rejects_non_finite(build):
+    with pytest.raises(ValueError, match="finite|integer"):
+        build()
+
+
+def test_impossible_link_count_fails_before_placement_naming_both_counts():
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({"network": {"node_count": 12}})
+    assert str(err.value) == (
+        "network.link_count: 10 disjoint links need at least 20 nodes, node_count is 12"
+    )
+
+
+def test_failed_placement_names_both_counts():
+    # 20 nodes scattered over 1000 km x 1000 km never form 10 one-hop links
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({"network": {"region_size_m": 1e6}})
+    assert str(err.value) == "network: could not place 20 nodes admitting 10 disjoint links"
 
 
 def test_dataclass_scenario_is_checked_on_resolution():

@@ -8,6 +8,7 @@ import pytest
 from uwansim.mac import Arm, Frame, FrameKind, Packet, Send
 from uwansim.scenario import scenario_from_dict
 from uwansim.sim import MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
+from uwansim.tr_phy import p_ili, p_isi, p_sig
 
 
 def single_link_scenario(**overrides):
@@ -311,6 +312,28 @@ def test_arrival_file_channel_end_to_end(tmp_path):
     assert m.delay_samples[0] == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_arrival_file_pair_delay_from_lower_to_higher_index(tmp_path, first):
+    # the file gives 0 -> 1 a 0.4-s and 1 -> 0 a 0.6-s delay; the pair uses
+    # the 0 -> 1 record both ways, whichever node transmits first
+    arrivals = tmp_path / "arrivals.txt"
+    arrivals.write_text("ARRIVALS v1\n0 1 0.4 5e-3 0.0\n1 0 0.6 5e-3 0.0\n")
+    sc = scenario_from_dict({
+        "seed": 2,
+        "duration_s": 5,
+        "traffic": {"mean_interarrival_s": None},
+        "mac": {"protocol": "csma_ca"},
+        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "network": {"nodes": [[20, 0, 0], [20, 600, 0]], "routes": [[0, 1]]},
+    })
+    sim = Simulator(sc, record_events=True)
+    for src in (first, 1 - first):
+        sim._submit_frame(src, Frame(FrameKind.ACK, src, 1 - src, 32, 0.0625), 0.0)
+    sim.run()
+    ends = sorted((e["node"], e["time"]) for e in sim.trace.events if e["event"] == "rx_end")
+    assert ends == [(0, 0.4625), (1, 0.4625)]
+
+
 def test_adjudicate_closed_form_threshold_margin():
     # lone TR frame on a single-tap-equivalent link with SINR = 2*gamma
     # succeeds; pushing interference to 3x the signal budget fails it
@@ -320,8 +343,7 @@ def test_adjudicate_closed_form_threshold_margin():
     sim = Simulator(single_link_scenario())
     gamma = sim.phy.min_required_sinr
     sigma2 = sim.phy.noise_variance
-    sim._tr_sig[(0, 1)] = 2.0 * gamma * sigma2
-    sim._tr_isi[(0, 1)] = 0.0
+    sim._tr[0][1] = (2.0 * gamma * sigma2, 0.0, None)
     frame = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, tr_basis=(0, 1),
                   packet=Packet(1, 0, (0, 1), 256, 0.0))
     rec = _RxRecord(frame, 0.0, 0.5, 1)
@@ -397,8 +419,13 @@ def test_tie_arrival_end_meets_arrival_start_interference(victim, first, outcome
         frames = {"A": _tr_ack(2, 0), "C": _tr_ack(0, 1)}
         interferer = frames["A"]
     probe = Simulator(line_scenario([0, 750, 2250]))
-    sig, isi = probe._tr_quantities((frames[victim].src, 1))
-    inter = probe._contribution(interferer, 1)
+
+    def cir(a, b):
+        return probe.channel.cir(probe.positions[min(a, b)], probe.positions[max(a, b)])
+
+    own = cir(frames[victim].src, 1)
+    sig, isi = p_sig(own, probe.phy), p_isi(own, probe.phy)
+    inter = p_ili(cir(interferer.src, 1), cir(*interferer.tr_basis), probe.phy)
     noise = probe.phy.noise_variance
     gamma = math.sqrt(sig / (isi + noise) * sig / (isi + inter + noise))
     sim = _tie_run(line_scenario([0, 750, 2250], min_required_sinr=gamma), frames, first)
@@ -438,11 +465,11 @@ def test_interference_sums_in_arrival_order():
     sc = line_scenario([450, 1200, 300, 150, 0])
     sim = Simulator(sc)
     powers = {2: 1.0, 3: 2.0 ** -53, 4: 2.0 ** -53}
-    for node, power in powers.items():
-        sim._ili[(node, 0, (node, 1))] = power
     for node in (4, 3, 2):
         sim._submit_frame(node, _tr_ack(node, 1), 0.0)
     sim._submit_frame(1, _tr_ack(1, 0), 0.0)
+    for node, power in powers.items():
+        sim._tr[node][1][2][0] = power  # ILI of link (node, 1) at node 0
     seen = []
     adjudicate = sim._adjudicate
 
