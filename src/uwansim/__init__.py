@@ -9,6 +9,7 @@ from .channel import (
     NodePosition,
     cross_correlation,
     generate_cir,
+    generate_taps,
     norm,
     normalized_cross_correlation,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "cross_correlation",
     "eta_threshold",
     "generate_cir",
+    "generate_taps",
     "load_scenario",
     "norm",
     "normalized_cross_correlation",

@@ -101,8 +101,9 @@ class ChannelModelConfig:
     def __post_init__(self):
         if self.model_kind not in (STATISTICAL_PDP, ARRIVAL_FILE):
             raise ValueError(f"ChannelModelConfig.model_kind unknown: {self.model_kind!r}")
-        if not 1 <= self.tap_count < math.inf:
-            raise ValueError(f"ChannelModelConfig.tap_count must be >= 1, got {self.tap_count!r}")
+        if isinstance(self.tap_count, bool) or not 1 <= self.tap_count < math.inf \
+                or int(self.tap_count) != self.tap_count:
+            raise ValueError(f"ChannelModelConfig.tap_count must be a positive integer, got {self.tap_count!r}")
         for name in ("pdp_decay_constant", "depth_quantum", "range_quantum"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -137,22 +138,39 @@ def norm(c: Cir) -> float:
     return float(np.linalg.norm(c.taps))
 
 
-def cross_correlation(a: Cir, b: Cir, lag: int) -> complex:
-    """r_{a,b}[lag] = sum_l a[l] * conj(b[l + lag]); out-of-range taps are zero."""
-    at, bt = a.taps, b.taps
+def _cross_correlation(at: np.ndarray, conj_bt: np.ndarray, lag: int) -> complex:
     lo = max(0, -lag)
-    hi = min(at.size, bt.size - lag)
+    hi = min(at.size, conj_bt.size - lag)
     if hi <= lo:
         return 0j
-    return complex(np.dot(at[lo:hi], np.conj(bt[lo + lag : hi + lag])))
+    return complex(np.dot(at[lo:hi], conj_bt[lo + lag : hi + lag]))
+
+
+def cross_correlation(a: Cir, b: Cir, lag: int) -> complex:
+    """r_{a,b}[lag] = sum_l a[l] * conj(b[l + lag]); out-of-range taps are zero."""
+    return _cross_correlation(a.taps, np.conj(b.taps), lag)
+
+
+def normalized_cross_correlations(rows, b: Cir, lag: int) -> list[complex]:
+    """eta[lag] = r[lag] / (||a|| * ||b||) of each tap row a against b.
+
+    Each row gets its own norm and dot product, so a row's value is the
+    same as that of a ``Cir`` holding it; magnitudes are bounded by 1.
+    """
+    nb = norm(b)
+    conj_bt = np.conj(b.taps)
+    etas = []
+    for at in rows:
+        na = float(np.linalg.norm(at))
+        if na == 0.0 or nb == 0.0:
+            raise ValueError("normalized_cross_correlation requires nonzero-norm CIRs")
+        etas.append(_cross_correlation(at, conj_bt, lag) / (na * nb))
+    return etas
 
 
 def normalized_cross_correlation(a: Cir, b: Cir, lag: int) -> complex:
     """eta[lag] = r[lag] / (||a|| * ||b||); magnitude bounded by 1."""
-    na, nb = norm(a), norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("normalized_cross_correlation requires nonzero-norm CIRs")
-    return cross_correlation(a, b, lag) / (na * nb)
+    return normalized_cross_correlations([a.taps], b, lag)[0]
 
 
 def peak_eta(a: Cir, b: Cir) -> float:
@@ -165,7 +183,9 @@ def direct_path_delay(tx: NodePosition, rx: NodePosition, env: Environment) -> f
     return tx.distance_to(rx) / env.nominal_sound_speed
 
 
-def _link_signature(tx: NodePosition, rx: NodePosition, cfg: ChannelModelConfig) -> tuple[int, int, int]:
+def _link_signature(
+    tx: NodePosition, rx: NodePosition, distance: float, cfg: ChannelModelConfig
+) -> tuple[int, int, int]:
     """Quantized symmetric geometry signature used to seed the tap stream.
 
     Links whose endpoint depths fall in the same depth cells and whose
@@ -175,20 +195,58 @@ def _link_signature(tx: NodePosition, rx: NodePosition, cfg: ChannelModelConfig)
     """
     dq_tx = int(math.floor(tx.depth / cfg.depth_quantum))
     dq_rx = int(math.floor(rx.depth / cfg.depth_quantum))
-    lq = int(math.floor(tx.distance_to(rx) / cfg.range_quantum))
+    lq = int(math.floor(distance / cfg.range_quantum))
     return (min(dq_tx, dq_rx), max(dq_tx, dq_rx), lq)
+
+
+@lru_cache(maxsize=128)
+def _tap_draws(seed: int, signature: tuple[int, int, int], tap_count: int) -> np.ndarray:
+    """Unit-variance complex Gaussian tap stream of one link signature.
+
+    Read-only, because every link of the signature shares the array.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, *(q & _SEED_MASK for q in signature))))
+    draws = rng.standard_normal(tap_count) + 1j * rng.standard_normal(tap_count)
+    draws.flags.writeable = False
+    return draws
+
+
+def generate_taps(
+    tx: NodePosition, rxs: list[NodePosition], env: Environment, cfg: ChannelModelConfig
+) -> np.ndarray:
+    """Statistical-model taps of the links tx->rx, one row per receiver.
+
+    Tap l has expected power exp(-l*dt/tau) / d^2 with complex
+    circular-Gaussian amplitude.  The draws are seeded from the quantized
+    link geometry, so the result is deterministic, reciprocal, and highly
+    correlated across geometrically similar links; links that share a
+    signature share one cached draw.
+    """
+    if cfg.model_kind != STATISTICAL_PDP:
+        raise ValueError(f"generate_taps: needs the {STATISTICAL_PDP} model, got {cfg.model_kind!r}")
+    if any(tx.same_place(rx) for rx in rxs):
+        raise ValueError("generate_taps: tx and rx positions coincide")
+    tap_count = int(cfg.tap_count)
+    seed = cfg.rng_seed & _SEED_MASK
+    distances = [tx.distance_to(rx) for rx in rxs]
+    lags = np.arange(tap_count)
+    decay = np.exp(-lags * env.sample_interval / cfg.pdp_decay_constant)
+    # squared in Python: np.square rounds a few distances differently
+    scale = decay / np.array([d**2 for d in distances]).reshape(-1, 1)
+    scale /= 2.0
+    np.sqrt(scale, out=scale)
+    taps = np.array([
+        _tap_draws(seed, _link_signature(tx, rx, d, cfg), tap_count) for rx, d in zip(rxs, distances)
+    ]).reshape(-1, tap_count)
+    np.multiply(scale, taps, out=taps)
+    return taps
 
 
 def generate_cir(
     tx: NodePosition, rx: NodePosition, env: Environment, cfg: ChannelModelConfig
 ) -> Cir:
-    """Produce the CIR of the directed link tx->rx.
-
-    Statistical model: tap l has expected power exp(-l*dt/tau) / d^2 with
-    complex circular-Gaussian amplitude, seeded from the quantized link
-    geometry so that the result is deterministic, reciprocal, and highly
-    correlated across geometrically similar links.
-    """
+    """Produce the CIR of the directed link tx->rx: the arrival file's
+    record of the pair, or the ``generate_taps`` row of the pair."""
     if tx.same_place(rx):
         raise ValueError("generate_cir: tx and rx positions coincide")
     if cfg.model_kind == ARRIVAL_FILE:
@@ -196,17 +254,7 @@ def generate_cir(
             raise ValueError("arrival_file channel model requires NodePosition.node_id on both ends")
         table = _arrival_table(cfg.arrival_file_path)
         return table.cir((tx.node_id, rx.node_id), env.sample_interval)
-
-    distance = tx.distance_to(rx)
-    seed = np.random.SeedSequence(
-        (cfg.rng_seed & _SEED_MASK, *(q & _SEED_MASK for q in _link_signature(tx, rx, cfg)))
-    )
-    rng = np.random.default_rng(seed)
-    lags = np.arange(cfg.tap_count)
-    pdp = np.exp(-lags * env.sample_interval / cfg.pdp_decay_constant) / distance**2
-    scale = np.sqrt(pdp / 2.0)
-    taps = scale * (rng.standard_normal(cfg.tap_count) + 1j * rng.standard_normal(cfg.tap_count))
-    return Cir(taps, env.sample_interval)
+    return Cir(generate_taps(tx, [rx], env, cfg)[0], env.sample_interval)
 
 
 class ArrivalTable:

@@ -108,8 +108,8 @@ class MacTimers:
         # chained comparisons reject NaN as well as infinities
         if not all(0 < t < math.inf for t in (self.t_p, self.t_tr, self.delta, self.coherence_time)):
             raise ValueError("MacTimers durations must be finite and positive")
-        if not 1 <= self.n_max < math.inf:
-            raise ValueError(f"MacTimers.n_max must be >= 1, got {self.n_max!r}")
+        if isinstance(self.n_max, bool) or not 1 <= self.n_max < math.inf or int(self.n_max) != self.n_max:
+            raise ValueError(f"MacTimers.n_max must be a positive integer, got {self.n_max!r}")
 
     @property
     def t_cl(self) -> float:

@@ -18,20 +18,35 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .channel import ChannelModelConfig, Environment, NodePosition, generate_cir, norm, normalized_cross_correlation
+from .channel import (
+    ChannelModelConfig,
+    Environment,
+    NodePosition,
+    generate_cir,
+    generate_taps,
+    norm,
+    normalized_cross_correlations,
+)
 from .scenario import scenario_from_dict, scenario_to_dict
 from .sim import run_scenario
 from .tr_phy import (
     PhyConfig,
     crosscorr_sampled_stats,
     ili_power_from_parts,
+    p_ili,
     p_isi,
     p_sig,
-    sinr_atrsts,
-    sinr_sdt,
+    sdt_signal_and_isi,
+    sinr_atrsts_from_parts,
+    sinr_sdt_from_parts,
 )
 
 PRESET_NAMES = ("sinr_vs_snr", "sinr_vs_eta", "correlation_heatmap", "load_sweep", "timeseries")
+
+# receivers per tap matrix of the correlation heatmap: a whole 401-cell
+# row raised the peak memory by ~1.3 MiB, while 64 costs no more than one
+# CIR per cell and keeps numpy's per-call overhead small
+_PROBE_BLOCK = 64
 
 # two-link reference geometry used by the SINR presets: (depth m, range m)
 REFERENCE_GEOMETRY = {"a": (20.0, 0.0), "b": (20.0, 1000.0), "i": (50.0, 0.0), "j": (70.0, 1000.0)}
@@ -101,12 +116,16 @@ def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
 
     rows = []
     for d in d_factors:
+        # the noise-free powers depend on D only
+        phy = PhyConfig(avg_transmit_power=1.0, updown_factor=d, min_required_sinr=0.5)
+        sig, isi, ili = p_sig(h_ab, phy), p_isi(h_ab, phy), p_ili(h_ib, h_ij, phy)
+        peak, isi_sum = sdt_signal_and_isi(h_ab, d)
         for snr_db in snr_grid:
             sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
             phy = PhyConfig(avg_transmit_power=1.0, noise_variance=sigma2,
                             updown_factor=d, min_required_sinr=0.5)
-            atrsts = sinr_atrsts(h_ab, [(h_ib, h_ij)], phy)
-            sdt = sinr_sdt(h_ab, phy)
+            atrsts = sinr_atrsts_from_parts(sig, isi, [ili], phy)
+            sdt = sinr_sdt_from_parts(peak, isi_sum, phy)
             rows.append([d, snr_db, _db(atrsts), _db(sdt)])
     path = os.path.join(preset.output_dir, "sinr_vs_snr.csv")
     prov = f"# preset=sinr_vs_snr config={_params_hash(preset.name, params, preset.seeds)} seeds={seed}"
@@ -169,14 +188,17 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     ranges = [round(k * range_step, 9) for k in range(int(max_range / range_step) + 1)]
     rows = []
     for depth in depths:
-        for rng in ranges:
-            probe = NodePosition(depth=depth, x=rng, y=0.0)
-            if probe.same_place(ref_tx):
-                rows.append([depth, rng, math.nan])  # undefined link to itself
-                continue
-            h_probe = generate_cir(ref_tx, probe, env, cfg)
-            eta = abs(normalized_cross_correlation(h_probe, h_ref, 0))
-            rows.append([depth, rng, eta])
+        probes = [NodePosition(depth=depth, x=rng, y=0.0) for rng in ranges]
+        linked = [p for p in probes if not p.same_place(ref_tx)]
+        etas = []
+        for k in range(0, len(linked), _PROBE_BLOCK):
+            etas += normalized_cross_correlations(
+                generate_taps(ref_tx, linked[k : k + _PROBE_BLOCK], env, cfg), h_ref, 0)
+        etas = iter(etas)
+        for probe in probes:
+            # the cell at the reference transmitter is an undefined link to itself
+            eta = math.nan if probe.same_place(ref_tx) else abs(next(etas))
+            rows.append((depth, probe.x, eta))
     path = os.path.join(preset.output_dir, "correlation_heatmap.csv")
     prov = (f"# preset=correlation_heatmap config={_params_hash(preset.name, params, preset.seeds)} "
             f"seeds={seed} reference_tx={tx_spot} reference_rx={rx_spot}")

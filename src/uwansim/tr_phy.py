@@ -34,7 +34,8 @@ class PhyConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"PhyConfig.{name} must be finite and > 0, got {value!r}")
-        if not 1 <= self.updown_factor < math.inf or int(self.updown_factor) != self.updown_factor:
+        if isinstance(self.updown_factor, bool) or not 1 <= self.updown_factor < math.inf \
+                or int(self.updown_factor) != self.updown_factor:
             raise ValueError(f"PhyConfig.updown_factor must be a positive integer, got {self.updown_factor!r}")
 
 
@@ -149,6 +150,17 @@ def ili_power_from_parts(
     )
 
 
+def sinr_atrsts_from_parts(sig: float, isi: float, ilis: list[float], phy: PhyConfig) -> float:
+    """p_sig / (p_isi + sigma^2 + sum of the interferers' p_ili).
+
+    Lets sweeps over the noise variance reuse powers that depend on D only.
+    """
+    denom = isi + phy.noise_variance
+    for ili in ilis:
+        denom += ili
+    return sig / denom
+
+
 def sinr_atrsts(
     signal_link: Cir,
     interferers: list[tuple[Cir, Cir]],
@@ -158,10 +170,8 @@ def sinr_atrsts(
 
     Each interferer is (channel interferer->victim, interferer's own link).
     """
-    denom = p_isi(signal_link, phy) + phy.noise_variance
-    for to_victim, own_link in interferers:
-        denom += p_ili(to_victim, own_link, phy)
-    return p_sig(signal_link, phy) / denom
+    ilis = [p_ili(to_victim, own_link, phy) for to_victim, own_link in interferers]
+    return sinr_atrsts_from_parts(p_sig(signal_link, phy), p_isi(signal_link, phy), ilis, phy)
 
 
 def sdt_signal_and_isi(c: Cir, d_factor: int) -> tuple[float, float]:
@@ -177,13 +187,18 @@ def sdt_signal_and_isi(c: Cir, d_factor: int) -> tuple[float, float]:
     return float(mags[l_bar]), float(sampled.sum() - mags[l_bar])
 
 
+def sinr_sdt_from_parts(peak_power: float, isi_sum: float, phy: PhyConfig) -> float:
+    """SDT SINR from the ``sdt_signal_and_isi`` pair of a CIR."""
+    dp = phy.updown_factor * phy.avg_transmit_power
+    return dp * peak_power / (dp * isi_sum + phy.noise_variance)
+
+
 def sinr_sdt(c: Cir, phy: PhyConfig) -> float:
     """Effective SINR of a single direct (non-TR) transmission."""
     if norm(c) == 0.0:
         raise ValueError("sinr_sdt requires a nonzero CIR")
     peak_power, isi_sum = sdt_signal_and_isi(c, phy.updown_factor)
-    dp = phy.updown_factor * phy.avg_transmit_power
-    return dp * peak_power / (dp * isi_sum + phy.noise_variance)
+    return sinr_sdt_from_parts(peak_power, isi_sum, phy)
 
 
 def eta_threshold(

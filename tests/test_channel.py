@@ -14,6 +14,7 @@ from uwansim.channel import (
     cross_correlation,
     direct_path_delay,
     generate_cir,
+    generate_taps,
     norm,
     normalized_cross_correlation,
 )
@@ -217,6 +218,56 @@ def test_dissimilar_links_weakly_correlated():
     assert abs(normalized_cross_correlation(ref, other, 0)) < 0.5
 
 
+# ------------------------------------------------------------ generate_taps
+
+
+def single_link_oracle(tx, rx, env, cfg):
+    """The statistical model drawn for one link, step by step."""
+    distance = tx.distance_to(rx)
+    signature = (math.floor(min(tx.depth, rx.depth) / cfg.depth_quantum),
+                 math.floor(max(tx.depth, rx.depth) / cfg.depth_quantum),
+                 math.floor(distance / cfg.range_quantum))
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, *signature)))
+    pdp = np.exp(-np.arange(cfg.tap_count) * env.sample_interval / cfg.pdp_decay_constant) / distance**2
+    draws = rng.standard_normal(cfg.tap_count) + 1j * rng.standard_normal(cfg.tap_count)
+    return np.sqrt(pdp / 2.0) * draws
+
+
+HEATMAP_TX = NodePosition(50.0, 0.0, 0.0)
+# (0 m, 3550 m) is a cell where np.square(d) and d ** 2 differ in the last bit
+HEATMAP_PROBES = [NodePosition(0.0, 3550.0, 0.0), NodePosition(0.0, 10.0, 0.0),
+                  NodePosition(70.0, 1000.0, 0.0), NodePosition(50.0, 10.0, 0.0),
+                  NodePosition(80.0, 4000.0, 0.0), NodePosition(0.0, 3560.0, 0.0)]
+
+
+def test_generate_taps_rows_equal_single_link_cirs_bit_for_bit():
+    cfg = ChannelModelConfig(rng_seed=1)
+    far = HEATMAP_TX.distance_to(HEATMAP_PROBES[0])
+    assert far**2 != np.square(far)
+    rows = generate_taps(HEATMAP_TX, HEATMAP_PROBES, ENV, cfg)
+    assert rows.shape == (len(HEATMAP_PROBES), cfg.tap_count)
+    for row, probe in zip(rows, HEATMAP_PROBES):
+        assert np.array_equal(row, generate_cir(HEATMAP_TX, probe, ENV, cfg).taps)
+        assert np.array_equal(row, single_link_oracle(HEATMAP_TX, probe, ENV, cfg))
+
+
+def test_writing_into_a_cir_does_not_change_the_next_draw():
+    tx, rx = HEATMAP_TX, HEATMAP_PROBES[2]
+    first = generate_cir(tx, rx, ENV, CFG)
+    kept = first.taps.copy()
+    first.taps[:] = 0.0
+    rows = generate_taps(tx, [rx, rx], ENV, CFG)
+    rows[0] *= 2.0
+    assert np.array_equal(rows[1], kept)
+    assert np.array_equal(generate_cir(tx, rx, ENV, CFG).taps, kept)
+    assert np.array_equal(generate_cir(rx, tx, ENV, CFG).taps, kept)
+
+
+def test_generate_taps_rejects_a_coincident_receiver():
+    with pytest.raises(ValueError, match="coincide"):
+        generate_taps(HEATMAP_TX, [HEATMAP_PROBES[0], NodePosition(50.0, 0.0, 0.0)], ENV, CFG)
+
+
 # ------------------------------------------------------------ arrival files
 
 
@@ -294,6 +345,18 @@ def test_arrival_channel_model_missing_pair_identifies_pair(tmp_path):
     assert len(model.cir(a, b)) == 1
     with pytest.raises(ArrivalFileError, match="n1->n2"):
         model.cir(b, c)
+
+
+def test_arrival_file_model_bins_the_file_and_draws_no_taps(tmp_path):
+    path = write_arrivals(tmp_path, f"n0 n1 0.25 1.0 0.0\nn0 n1 {0.25 + 2 * DT} 0.5 {math.pi / 2}\n")
+    cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
+    a = NodePosition(10, 0, 0, node_id="n0")
+    b = NodePosition(10, 900, 0, node_id="n1")
+    for c in (generate_cir(a, b, ENV, cfg), generate_cir(b, a, ENV, cfg)):
+        assert np.array_equal(c.taps, ArrivalTable.from_file(path).cir(("n0", "n1"), DT).taps)
+        assert np.allclose(c.taps, [1.0, 0.0, 0.5j])
+    with pytest.raises(ValueError, match="statistical_pdp"):
+        generate_taps(a, [b], ENV, cfg)
 
 
 # ------------------------------------------------------------- environment

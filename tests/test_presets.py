@@ -46,6 +46,22 @@ def test_sinr_vs_snr_grid_cardinality(tmp_path):
         assert float(low[2]) > float(low[3])
 
 
+def test_sinr_vs_snr_correlates_once_per_d_factor(tmp_path, monkeypatch):
+    import uwansim.tr_phy as tr_phy
+
+    calls = []
+    real = tr_phy.autocorr_offpeak_sum
+
+    def counting(c, d_factor):
+        calls.append(d_factor)
+        return real(c, d_factor)
+
+    monkeypatch.setattr(tr_phy, "autocorr_offpeak_sum", counting)
+    params = {"d_factors": [1, 2, 4], "snr_db_grid": [40.0 + 5.0 * k for k in range(9)]}
+    preset_sinr_vs_snr(ExperimentPreset("sinr_vs_snr", params=params, output_dir=str(tmp_path)))
+    assert sorted(calls) == [1, 2, 4]
+
+
 def test_sinr_vs_eta_monotone_and_eta0_identity(tmp_path):
     preset = ExperimentPreset("sinr_vs_eta", output_dir=str(tmp_path))
     path = preset_sinr_vs_eta(preset)

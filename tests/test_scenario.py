@@ -182,6 +182,31 @@ def test_directly_built_config_rejects_non_finite(build):
         build()
 
 
+# non-integral counts, and booleans, in configs built directly
+NON_INTEGRAL = [
+    ("ChannelModelConfig(tap_count=2.5)", lambda: ChannelModelConfig(tap_count=2.5),
+     "ChannelModelConfig.tap_count", "2.5"),
+    ("ChannelModelConfig(tap_count=True)", lambda: ChannelModelConfig(tap_count=True),
+     "ChannelModelConfig.tap_count", "True"),
+    ("MacTimers(n_max=2.5)", lambda: MacTimers(**{**TIMERS, "n_max": 2.5}), "MacTimers.n_max", "2.5"),
+    ("MacTimers(n_max=True)", lambda: MacTimers(**{**TIMERS, "n_max": True}), "MacTimers.n_max", "True"),
+    ("PhyConfig(updown_factor=True)", lambda: PhyConfig(updown_factor=True),
+     "PhyConfig.updown_factor", "True"),
+]
+
+
+@pytest.mark.parametrize("build, field, value", [c[1:] for c in NON_INTEGRAL],
+                         ids=[c[0] for c in NON_INTEGRAL])
+def test_directly_built_config_rejects_non_integral_counts(build, field, value):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be a positive integer, got {value}$"):
+        build()
+
+
+def test_directly_built_config_accepts_integral_counts():
+    assert ChannelModelConfig(tap_count=129.0).tap_count == 129
+    assert MacTimers(**{**TIMERS, "n_max": 3}).n_max == 3
+
+
 def test_impossible_link_count_fails_before_placement_naming_both_counts():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict({"network": {"node_count": 12}})
