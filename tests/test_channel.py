@@ -263,6 +263,12 @@ def test_writing_into_a_cir_does_not_change_the_next_draw():
     assert np.array_equal(generate_cir(rx, tx, ENV, CFG).taps, kept)
 
 
+def test_integral_float_tap_count_draws_like_the_integer():
+    tx, rx = HEATMAP_TX, HEATMAP_PROBES[2]
+    as_float = generate_cir(tx, rx, ENV, ChannelModelConfig(tap_count=129.0, rng_seed=7))
+    assert np.array_equal(as_float.taps, generate_cir(tx, rx, ENV, CFG).taps)
+
+
 def test_generate_taps_rejects_a_coincident_receiver():
     with pytest.raises(ValueError, match="coincide"):
         generate_taps(HEATMAP_TX, [HEATMAP_PROBES[0], NodePosition(50.0, 0.0, 0.0)], ENV, CFG)

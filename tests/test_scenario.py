@@ -202,11 +202,6 @@ def test_directly_built_config_rejects_non_integral_counts(build, field, value):
         build()
 
 
-def test_directly_built_config_accepts_integral_counts():
-    assert ChannelModelConfig(tap_count=129.0).tap_count == 129
-    assert MacTimers(**{**TIMERS, "n_max": 3}).n_max == 3
-
-
 def test_impossible_link_count_fails_before_placement_naming_both_counts():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict({"network": {"node_count": 12}})
