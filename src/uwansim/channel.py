@@ -22,10 +22,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .rules import POSITIVE, Bound, Checked, integer, number, one_of, string
+
 STATISTICAL_PDP = "statistical_pdp"
 ARRIVAL_FILE = "arrival_file"
 
-_SEED_MASK = (1 << 64) - 1
+# seeds and signature cells enter a SeedSequence as unsigned 64-bit words
+SEED_MASK = (1 << 64) - 1
 
 
 class ArrivalFileError(ValueError):
@@ -61,7 +64,7 @@ class NodePosition:
 
 
 @dataclass(frozen=True)
-class Environment:
+class Environment(Checked):
     """Acoustic environment shared by all links of a scenario."""
 
     water_depth: float = 80.0
@@ -69,16 +72,12 @@ class Environment:
     bandwidth: float = 4e3
     nominal_sound_speed: float = 1500.0
 
-    def __post_init__(self):
-        # chained comparisons reject NaN as well as infinities
-        for name in ("water_depth", "bandwidth", "carrier_frequency"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"Environment.{name} must be finite and > 0, got {value!r}")
-        if not 1400.0 <= self.nominal_sound_speed <= 1600.0:
-            raise ValueError(
-                f"Environment.nominal_sound_speed must lie in [1400, 1600] m/s, got {self.nominal_sound_speed}"
-            )
+    RULES = {
+        "water_depth": number(POSITIVE),
+        "carrier_frequency": number(POSITIVE),
+        "bandwidth": number(POSITIVE),
+        "nominal_sound_speed": number(Bound("{} in [1400, 1600]", lambda v: 1400 <= v <= 1600)),
+    }
 
     @property
     def sample_interval(self) -> float:
@@ -87,7 +86,7 @@ class Environment:
 
 
 @dataclass(frozen=True)
-class ChannelModelConfig:
+class ChannelModelConfig(Checked):
     """How CIRs are produced for node pairs."""
 
     model_kind: str = STATISTICAL_PDP
@@ -98,16 +97,18 @@ class ChannelModelConfig:
     depth_quantum: float = 5.0
     range_quantum: float = 50.0
 
+    RULES = {
+        "model_kind": string(one_of(STATISTICAL_PDP, ARRIVAL_FILE)),
+        "tap_count": integer(POSITIVE),
+        "pdp_decay_constant": number(POSITIVE),
+        "rng_seed": integer(nullable=True),
+        "arrival_file_path": string(nullable=True),
+        "depth_quantum": number(POSITIVE),
+        "range_quantum": number(POSITIVE),
+    }
+
     def __post_init__(self):
-        if self.model_kind not in (STATISTICAL_PDP, ARRIVAL_FILE):
-            raise ValueError(f"ChannelModelConfig.model_kind unknown: {self.model_kind!r}")
-        if isinstance(self.tap_count, bool) or not 1 <= self.tap_count < math.inf \
-                or int(self.tap_count) != self.tap_count:
-            raise ValueError(f"ChannelModelConfig.tap_count must be a positive integer, got {self.tap_count!r}")
-        for name in ("pdp_decay_constant", "depth_quantum", "range_quantum"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"ChannelModelConfig.{name} must be finite and > 0, got {value!r}")
+        super().__post_init__()
         if self.model_kind == ARRIVAL_FILE and not self.arrival_file_path:
             raise ValueError("ChannelModelConfig.arrival_file_path required for arrival_file model")
 
@@ -205,7 +206,7 @@ def _tap_draws(seed: int, signature: tuple[int, int, int], tap_count: int) -> np
 
     Read-only, because every link of the signature shares the array.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, *(q & _SEED_MASK for q in signature))))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, *(q & SEED_MASK for q in signature))))
     draws = rng.standard_normal(tap_count) + 1j * rng.standard_normal(tap_count)
     draws.flags.writeable = False
     return draws
@@ -226,8 +227,10 @@ def generate_taps(
         raise ValueError(f"generate_taps: needs the {STATISTICAL_PDP} model, got {cfg.model_kind!r}")
     if any(tx.same_place(rx) for rx in rxs):
         raise ValueError("generate_taps: tx and rx positions coincide")
+    if cfg.rng_seed is None:  # a Scenario sets it to its seed on resolution
+        raise ValueError("generate_taps: ChannelModelConfig.rng_seed is None, a seed is needed")
     tap_count = int(cfg.tap_count)
-    seed = cfg.rng_seed & _SEED_MASK
+    seed = cfg.rng_seed & SEED_MASK
     distances = [tx.distance_to(rx) for rx in rxs]
     lags = np.arange(tap_count)
     decay = np.exp(-lags * env.sample_interval / cfg.pdp_decay_constant)

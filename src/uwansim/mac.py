@@ -11,12 +11,12 @@ an engine never touches another node's state.
 from __future__ import annotations
 
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .channel import Cir, norm, peak_eta
+from .rules import POSITIVE, Checked, integer, number
 from .tr_phy import autocorr_offpeak_sum, eta_threshold
 
 TRMAC = "trmac"
@@ -94,7 +94,7 @@ class Frame:
 
 
 @dataclass(frozen=True)
-class MacTimers:
+class MacTimers(Checked):
     """Protocol timer set; the collision and retransmission windows are
     derived so their defining identities hold exactly."""
 
@@ -104,12 +104,13 @@ class MacTimers:
     coherence_time: float
     n_max: int
 
-    def __post_init__(self):
-        # chained comparisons reject NaN as well as infinities
-        if not all(0 < t < math.inf for t in (self.t_p, self.t_tr, self.delta, self.coherence_time)):
-            raise ValueError("MacTimers durations must be finite and positive")
-        if isinstance(self.n_max, bool) or not 1 <= self.n_max < math.inf or int(self.n_max) != self.n_max:
-            raise ValueError(f"MacTimers.n_max must be a positive integer, got {self.n_max!r}")
+    RULES = {
+        "t_p": number(POSITIVE),
+        "t_tr": number(POSITIVE),
+        "delta": number(POSITIVE),
+        "coherence_time": number(POSITIVE),
+        "n_max": integer(POSITIVE),
+    }
 
     @property
     def t_cl(self) -> float:

@@ -158,7 +158,7 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
         _, offpeak = crosscorr_sampled_stats(h_ib, h_ij, d)
         for eta in eta_grid:
             ili = ili_power_from_parts(norm(h_ib), float(eta), offpeak, phy)
-            rows.append([d, eta, _db(sig / (isi + ili + sigma2))])
+            rows.append([d, eta, _db(sinr_atrsts_from_parts(sig, isi, [ili], phy))])
     path = os.path.join(preset.output_dir, "sinr_vs_eta.csv")
     prov = (f"# preset=sinr_vs_eta config={_params_hash(preset.name, params, preset.seeds)} "
             f"seeds={seed} snr_db={snr_db}")

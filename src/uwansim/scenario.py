@@ -4,8 +4,10 @@ A scenario wires together the environment, channel model, physical layer,
 MAC protocol and timers, traffic, and the static route set.  The dataclasses
 below hold every default (the reference multi-hop deployment), so an empty
 config file is a runnable scenario.  ``FIELDS`` gives each YAML key once
-with its attribute, type and rule; parsing, emitting and validating all
-walk it, and so does ``Scenario.resolved`` for scenarios built in code.
+with its attribute and rule; parsing and emitting walk it, and so does
+``Scenario.resolved`` for scenarios built in code.  The rules of the
+environment, channel, phy and MAC timer keys are those their dataclasses
+check on construction; ``FIELDS`` holds the only copy of the others.
 """
 
 from __future__ import annotations
@@ -14,17 +16,17 @@ import copy
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple
+from typing import Any
 
 import networkx as nx
 import numpy as np
 import yaml
 
-from .channel import ARRIVAL_FILE, STATISTICAL_PDP, ChannelModelConfig, Environment, NodePosition
-from .mac import PROTOCOLS, TRMAC
+from .channel import SEED_MASK, ChannelModelConfig, Environment, NodePosition
+from .mac import PROTOCOLS, TRMAC, MacTimers
+from .rules import NODES, NON_NEGATIVE, POSITIVE, ROUTES, Bound, Rule, integer, number, one_of, string
 from .tr_phy import PhyConfig
 
 
@@ -62,6 +64,11 @@ class NetworkConfig:
     link_count: int = 10
     nodes: list[tuple[float, float, float]] | None = None
     routes: list[tuple[int, ...]] | None = None
+
+    @property
+    def hop_limit(self) -> float:
+        """Longest one-hop distance: the range, widened by 1e-9 of it for float error."""
+        return self.one_hop_range * (1 + 1e-9)
 
 
 @dataclass
@@ -103,8 +110,8 @@ class Scenario:
         elif not out.positions:
             out.positions, _ = _generate_topology(out)
         elif not out.routes:
-            rng = np.random.default_rng(np.random.SeedSequence((out.seed & (2**64 - 1), 0x7090)))
-            pairs = _pair_nodes(out.positions, out.network.link_count, out.network.one_hop_range, rng)
+            pairs = _pair_nodes(out.positions, out.network.link_count, out.network.one_hop_range,
+                                _topology_rng(out.seed))
             if pairs is None:
                 raise ScenarioError(
                     "network.nodes: provided placement does not admit the requested disjoint links"
@@ -117,128 +124,67 @@ class Scenario:
 # ------------------------------------------------------------ field table
 
 
-class _Rule(NamedTuple):
-    text: str
-    holds: Callable[[Any], bool]
-
-
-_ANY = _Rule("", lambda v: True)
-
-
-def _above(low: float) -> _Rule:
-    return _Rule(f"> {low:g}", lambda v: v > low)
-
-
-def _at_least(low: float) -> _Rule:
-    return _Rule(f">= {low:g}", lambda v: v >= low)
-
-
-def _one_of(*names: str) -> _Rule:
-    return _Rule("in {" + ", ".join(names) + "}", lambda v: v in names)
-
-
-def _number(value) -> float:
-    out = float(value)  # also parses "1e-7", which PyYAML reads as a string
-    if not math.isfinite(out):
-        raise ValueError(value)
-    return out
-
-
-def _integer(value) -> int:
-    out = int(value)
-    if out != value:  # 2.7 is not truncated, and "5" is not an integer
-        raise ValueError(value)
-    return out
-
-
-def _nodes(value) -> list[tuple[float, ...]]:
-    return [tuple(_number(v) for v in node) for node in value]
-
-
-def _routes(value) -> list[tuple[int, ...]]:
-    return [tuple(_integer(v) for v in route) for route in value]
-
-
-# type name (as error messages and the README say it) -> converter
-_KINDS: dict[str, Callable[[Any], Any]] = {
-    "number": _number,
-    "integer": _integer,
-    "string": str,
-    "nodes": _nodes,
-    "routes": _routes,
-}
-
-
 @dataclass(frozen=True)
 class Field:
-    """One scenario key: the YAML key, the ``Scenario`` attribute it sets,
-    its type and the rule its value must satisfy."""
+    """One scenario key: the YAML key, the ``Scenario`` attribute it sets
+    and its rule, which is the owning dataclass's own where there is one."""
 
-    key: str          # dotted YAML key
-    attr: str         # dotted attribute path on Scenario
-    kind: str         # a key of _KINDS
-    rule: _Rule = _ANY
-    nullable: bool = False  # null is a value here, not "use the default"
+    key: str    # dotted YAML key
+    attr: str   # dotted attribute path on Scenario
+    rule: Rule
 
     @property
     def expected(self) -> str:
-        return " ".join(filter(None, (self.kind, self.rule.text, "or null" if self.nullable else "")))
+        return self.rule.expected
 
     def parse(self, value):
-        """``value`` converted to this field's type; ScenarioError naming the
-        key when it cannot be converted or breaks the rule."""
-        if value is None and self.nullable:
-            return None
-        try:  # YAML's true/false are not numbers or strings here
-            out = None if isinstance(value, bool) else _KINDS[self.kind](value)
-        except (TypeError, ValueError, OverflowError):
-            out = None
-        if out is not None and self.rule.holds(out):
-            return out
-        raise ScenarioError(f"{self.key}: expected {self.expected}, got {value!r}")
+        """``value`` converted by the rule; ScenarioError naming the key when
+        it cannot be converted or breaks the rule."""
+        try:
+            return self.rule.parse(value)
+        except ValueError:
+            raise ScenarioError(f"{self.key}: expected {self.expected}, got {value!r}") from None
 
 
-_POSITIVE = _above(0)
-_NON_NEGATIVE = _at_least(0)
+_ENV, _CHANNEL, _PHY, _TIMERS = (c.RULES for c in (Environment, ChannelModelConfig, PhyConfig, MacTimers))
 
 FIELDS: tuple[Field, ...] = (
-    Field("seed", "seed", "integer"),
-    Field("duration_s", "duration", "number", _NON_NEGATIVE),
-    Field("warmup_s", "warmup", "number", _NON_NEGATIVE),
-    Field("environment.water_depth_m", "environment.water_depth", "number", _POSITIVE),
-    Field("environment.carrier_frequency_hz", "environment.carrier_frequency", "number", _POSITIVE),
-    Field("environment.bandwidth_hz", "environment.bandwidth", "number", _POSITIVE),
-    Field("environment.nominal_sound_speed_mps", "environment.nominal_sound_speed", "number",
-          _Rule("in [1400, 1600]", lambda v: 1400 <= v <= 1600)),
-    Field("channel.model", "channel.model_kind", "string", _one_of(STATISTICAL_PDP, ARRIVAL_FILE)),
-    Field("channel.tap_count", "channel.tap_count", "integer", _at_least(1)),
-    Field("channel.pdp_decay_s", "channel.pdp_decay_constant", "number", _POSITIVE),
-    Field("channel.rng_seed", "channel.rng_seed", "integer"),
-    Field("channel.arrival_file", "channel.arrival_file_path", "string", nullable=True),
-    Field("channel.depth_quantum_m", "channel.depth_quantum", "number", _POSITIVE),
-    Field("channel.range_quantum_m", "channel.range_quantum", "number", _POSITIVE),
-    Field("phy.transmit_power_w", "phy.avg_transmit_power", "number", _POSITIVE),
-    Field("phy.noise_variance_w", "phy.noise_variance", "number", _POSITIVE),
-    Field("phy.updown_factor", "phy.updown_factor", "integer", _at_least(1)),
-    Field("phy.min_required_sinr", "phy.min_required_sinr", "number", _POSITIVE),
-    Field("mac.protocol", "mac.protocol", "string", _one_of(*PROTOCOLS)),
-    Field("mac.guard_time_s", "mac.guard_time", "number", _POSITIVE),
-    Field("mac.coherence_time_s", "mac.coherence_time", "number", _POSITIVE),
-    Field("mac.max_retransmissions", "mac.n_max", "integer", _at_least(1)),
-    Field("mac.control_bits", "mac.control_bits", "integer", _at_least(1)),
-    Field("mac.s_csma_max_backoff_s", "mac.s_csma_max_backoff", "number", _NON_NEGATIVE),
-    Field("mac.sense_threshold_w", "mac.sense_threshold_w", "number", _NON_NEGATIVE, nullable=True),
-    Field("traffic.mean_interarrival_s", "traffic.mean_interarrival", "number", _POSITIVE, nullable=True),
-    Field("traffic.packet_bits", "traffic.packet_bits", "integer", _at_least(1)),
-    Field("network.region_size_m", "network.region_size", "number", _POSITIVE),
-    Field("network.node_depth_max_m", "network.node_depth_max", "number", _NON_NEGATIVE),
-    Field("network.one_hop_range_m", "network.one_hop_range", "number", _POSITIVE),
-    Field("network.data_rate_bps", "network.data_rate", "number", _POSITIVE),
-    Field("network.max_hops", "network.max_hops", "integer", _at_least(1)),
-    Field("network.node_count", "network.node_count", "integer", _at_least(2)),
-    Field("network.link_count", "network.link_count", "integer", _at_least(1)),
-    Field("network.nodes", "network.nodes", "nodes", nullable=True),
-    Field("network.routes", "network.routes", "routes", nullable=True),
+    Field("seed", "seed", integer()),
+    Field("duration_s", "duration", number(NON_NEGATIVE)),
+    Field("warmup_s", "warmup", number(NON_NEGATIVE)),
+    Field("environment.water_depth_m", "environment.water_depth", _ENV["water_depth"]),
+    Field("environment.carrier_frequency_hz", "environment.carrier_frequency", _ENV["carrier_frequency"]),
+    Field("environment.bandwidth_hz", "environment.bandwidth", _ENV["bandwidth"]),
+    Field("environment.nominal_sound_speed_mps", "environment.nominal_sound_speed", _ENV["nominal_sound_speed"]),
+    Field("channel.model", "channel.model_kind", _CHANNEL["model_kind"]),
+    Field("channel.tap_count", "channel.tap_count", _CHANNEL["tap_count"]),
+    Field("channel.pdp_decay_s", "channel.pdp_decay_constant", _CHANNEL["pdp_decay_constant"]),
+    Field("channel.rng_seed", "channel.rng_seed", _CHANNEL["rng_seed"]),
+    Field("channel.arrival_file", "channel.arrival_file_path", _CHANNEL["arrival_file_path"]),
+    Field("channel.depth_quantum_m", "channel.depth_quantum", _CHANNEL["depth_quantum"]),
+    Field("channel.range_quantum_m", "channel.range_quantum", _CHANNEL["range_quantum"]),
+    Field("phy.transmit_power_w", "phy.avg_transmit_power", _PHY["avg_transmit_power"]),
+    Field("phy.noise_variance_w", "phy.noise_variance", _PHY["noise_variance"]),
+    Field("phy.updown_factor", "phy.updown_factor", _PHY["updown_factor"]),
+    Field("phy.min_required_sinr", "phy.min_required_sinr", _PHY["min_required_sinr"]),
+    Field("mac.protocol", "mac.protocol", string(one_of(*PROTOCOLS))),
+    Field("mac.guard_time_s", "mac.guard_time", _TIMERS["delta"]),
+    Field("mac.coherence_time_s", "mac.coherence_time", _TIMERS["coherence_time"]),
+    Field("mac.max_retransmissions", "mac.n_max", _TIMERS["n_max"]),
+    Field("mac.control_bits", "mac.control_bits", integer(POSITIVE)),
+    Field("mac.s_csma_max_backoff_s", "mac.s_csma_max_backoff", number(NON_NEGATIVE)),
+    Field("mac.sense_threshold_w", "mac.sense_threshold_w", number(NON_NEGATIVE, nullable=True)),
+    Field("traffic.mean_interarrival_s", "traffic.mean_interarrival", number(POSITIVE, nullable=True)),
+    Field("traffic.packet_bits", "traffic.packet_bits", integer(POSITIVE)),
+    Field("network.region_size_m", "network.region_size", number(POSITIVE)),
+    Field("network.node_depth_max_m", "network.node_depth_max", number(NON_NEGATIVE)),
+    Field("network.one_hop_range_m", "network.one_hop_range", number(POSITIVE)),
+    Field("network.data_rate_bps", "network.data_rate", number(POSITIVE)),
+    Field("network.max_hops", "network.max_hops", integer(POSITIVE)),
+    Field("network.node_count", "network.node_count", integer(Bound("{} >= 2", lambda v: v >= 2))),
+    Field("network.link_count", "network.link_count", integer(POSITIVE)),
+    Field("network.nodes", "network.nodes", NODES),
+    Field("network.routes", "network.routes", ROUTES),
 )
 
 _SECTIONS = {f.key.split(".")[0] for f in FIELDS if "." in f.key}
@@ -264,6 +210,11 @@ def _with_values(scenario: Scenario, values: dict[str, Any]) -> Scenario:
 # -------------------------------------------------------------- topology
 
 
+def _topology_rng(seed: int) -> np.random.Generator:
+    """The stream that places nodes and draws link directions."""
+    return np.random.default_rng(np.random.SeedSequence((seed & SEED_MASK, 0x7090)))
+
+
 def _generate_topology(scenario: Scenario) -> tuple[list[NodePosition], list[tuple[int, ...]]]:
     """Random placement plus disjoint single-hop link set, deterministically
     retried until the requested link count is feasible."""
@@ -273,7 +224,7 @@ def _generate_topology(scenario: Scenario) -> tuple[list[NodePosition], list[tup
             f"network.link_count: {net.link_count} disjoint links need at least "
             f"{2 * net.link_count} nodes, node_count is {net.node_count}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence((scenario.seed & (2**64 - 1), 0x7090)))
+    rng = _topology_rng(scenario.seed)
     for _ in range(200):
         positions = [
             NodePosition(
@@ -310,8 +261,8 @@ def _pair_nodes(positions, link_count, hop_range, rng) -> list[tuple[int, int]] 
 
 
 def validate_scenario(scenario: Scenario) -> None:
-    for f in FIELDS:
-        f.parse(attrgetter(f.attr)(scenario))
+    """The rules across fields and the topology checks of a scenario whose
+    fields are already parsed."""
     net = scenario.network
     if (scenario.channel.tap_count - 1) % scenario.phy.updown_factor != 0:
         raise ScenarioError(
@@ -344,7 +295,7 @@ def validate_scenario(scenario: Scenario) -> None:
                 raise ScenarioError(f"network.routes[{r}]: node index {node} out of range")
         for a, b in zip(route, route[1:]):
             hop = scenario.positions[a].distance_to(scenario.positions[b])
-            if hop > net.one_hop_range * (1 + 1e-9):
+            if hop > net.hop_limit:
                 raise ScenarioError(
                     f"network.routes[{r}]: hop {a}->{b} length {hop:.1f} m exceeds "
                     f"one_hop_range {net.one_hop_range} m"
@@ -392,7 +343,7 @@ def scenario_from_dict(data: dict | None) -> Scenario:
         f = _BY_KEY.get(key)
         if f is None:
             raise ScenarioError(f"{key}: unknown field")
-        if value is not None or f.nullable:
+        if value is not None or f.rule.nullable:
             values[f.attr] = f.parse(value)
     return _with_values(Scenario(), values).resolved()
 

@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelModel, Cir
+from .channel import SEED_MASK, ChannelModel, Cir
 from .mac import (
     Arm,
     Cancel,
@@ -74,8 +74,6 @@ EV_ARRIVAL = 0
 EV_RX_START = 1
 EV_RX_END = 2
 EV_TIMER = 3
-
-_SEED_MASK = (1 << 64) - 1
 
 
 class _RxRecord:
@@ -178,7 +176,11 @@ def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
         ]
         tx = [t for t in trace.data_tx_times if warmup <= t <= until]
         delays = [d[2] for d in deliveries]
-        mean_delay = sum(delays) / len(delays) if delays else math.nan
+        # added left to right: sum() of floats rounds differently on 3.12+
+        total_delay = 0.0
+        for delay in delays:
+            total_delay += delay
+        mean_delay = total_delay / len(delays) if delays else math.nan
         n_tx = len(tx)
         n_drop = len(drops)
         if n_tx == 0:
@@ -242,16 +244,16 @@ class Simulator:
         )
         self.trmac = scenario.mac.protocol == TRMAC
 
-        seed = scenario.seed & _SEED_MASK
+        seed = scenario.seed & SEED_MASK
         # engines reach the medium through a proxy, so a finished run holds
         # no reference cycle and is freed as soon as it is dropped
         medium = weakref.proxy(self)
+        hop_limit = scenario.network.hop_limit
         self.nodes: list[_NodeState] = []
         for i in range(self.n_nodes):
             neighbors = {
                 j for j in range(self.n_nodes)
-                if j != i and self.positions[i].distance_to(self.positions[j])
-                <= scenario.network.one_hop_range * (1 + 1e-9)
+                if j != i and self.positions[i].distance_to(self.positions[j]) <= hop_limit
             }
             engine = make_engine(
                 scenario.mac.protocol,
@@ -419,7 +421,9 @@ class Simulator:
 
     # -------------------------------------------------------------- events
 
-    def run(self) -> RunResult:
+    def run(self, sample_every: float | None = None) -> RunResult:
+        """Simulate to ``scenario.duration``; ``sample_every`` adds the
+        metrics series of ``collect_metrics``."""
         for flow_idx in range(len(self.scenario.routes)):
             self._schedule_flow_arrival(flow_idx, 0.0)
         duration = self.scenario.duration
@@ -438,7 +442,7 @@ class Simulator:
                 self._handle_timer(subject, attachment, time)
             else:
                 self._handle_arrival(subject, attachment, time)
-        metrics = collect_metrics(self.trace, duration, self.scenario.warmup)
+        metrics = collect_metrics(self.trace, duration, self.scenario.warmup, sample_every)
         stats: dict = {}
         for state in self.nodes:
             for key, value in state.engine.stats.items():
@@ -611,10 +615,4 @@ class Simulator:
 def run_scenario(scenario: Scenario, sample_every: float | None = None,
                  record_events: bool = False) -> RunResult:
     """Resolve, simulate, and aggregate one scenario."""
-    sim = Simulator(scenario.resolved(), record_events=record_events)
-    result = sim.run()
-    if sample_every is not None:
-        result.metrics = collect_metrics(
-            sim.trace, scenario.duration, scenario.warmup, sample_every
-        )
-    return result
+    return Simulator(scenario.resolved(), record_events=record_events).run(sample_every)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Cir, norm
+from .rules import POSITIVE, Checked, integer, number
 
 
 @dataclass(frozen=True)
-class PhyConfig:
+class PhyConfig(Checked):
     """Physical-layer parameters shared by all nodes."""
 
     avg_transmit_power: float = 1.0
@@ -28,15 +29,12 @@ class PhyConfig:
     updown_factor: int = 1
     min_required_sinr: float = 1.0
 
-    def __post_init__(self):
-        # chained comparisons reject NaN as well as infinities
-        for name in ("avg_transmit_power", "noise_variance", "min_required_sinr"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"PhyConfig.{name} must be finite and > 0, got {value!r}")
-        if isinstance(self.updown_factor, bool) or not 1 <= self.updown_factor < math.inf \
-                or int(self.updown_factor) != self.updown_factor:
-            raise ValueError(f"PhyConfig.updown_factor must be a positive integer, got {self.updown_factor!r}")
+    RULES = {
+        "avg_transmit_power": number(POSITIVE),
+        "noise_variance": number(POSITIVE),
+        "updown_factor": integer(POSITIVE),
+        "min_required_sinr": number(POSITIVE),
+    }
 
 
 @dataclass(eq=False)

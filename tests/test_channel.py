@@ -274,6 +274,15 @@ def test_generate_taps_rejects_a_coincident_receiver():
         generate_taps(HEATMAP_TX, [HEATMAP_PROBES[0], NodePosition(50.0, 0.0, 0.0)], ENV, CFG)
 
 
+def test_statistical_model_without_a_seed_names_the_field():
+    # rng_seed=None means "follow Scenario.seed", which only a resolved Scenario fills in
+    unseeded = ChannelModelConfig(rng_seed=None)
+    for draw in (lambda: generate_cir(HEATMAP_TX, HEATMAP_PROBES[2], ENV, unseeded),
+                 lambda: generate_taps(HEATMAP_TX, HEATMAP_PROBES[1:3], ENV, unseeded)):
+        with pytest.raises(ValueError, match=r"ChannelModelConfig\.rng_seed is None"):
+            draw()
+
+
 # ------------------------------------------------------------ arrival files
 
 

@@ -202,6 +202,54 @@ def test_directly_built_config_rejects_non_integral_counts(build, field, value):
         build()
 
 
+# the dataclass attribute whose rule each key reads; other keys' rules live only in FIELDS
+OWNERS = {"environment": Environment, "channel": ChannelModelConfig, "phy": PhyConfig}
+TIMER_ATTRS = {"mac.guard_time": "delta", "mac.coherence_time": "coherence_time", "mac.n_max": "n_max"}
+OWNED = [f for f in FIELDS if f.attr.split(".")[0] in OWNERS or f.attr in TIMER_ATTRS]
+BAD_VALUES = [True, NAN, INF, -1.0, 0, 2.5, 1e9, "bogus"]
+
+
+def owner_of(f):
+    """The dataclass and attribute whose rule the key reads."""
+    if f.attr in TIMER_ATTRS:
+        return MacTimers, TIMER_ATTRS[f.attr]
+    section, name = f.attr.split(".")
+    return OWNERS[section], name
+
+
+def breaks(rule, value):
+    try:
+        rule.parse(value)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("f", OWNED, ids=[f.key for f in OWNED])
+def test_owned_rule_rejects_alike_in_dataclass_and_scenario(f):
+    owner, name = owner_of(f)
+    assert f.rule is owner.RULES[name]
+    article = "an" if f.expected[0] in "aeiou" else "a"
+    section, _, sub = f.key.partition(".")
+    bad = [v for v in BAD_VALUES if breaks(f.rule, v)]
+    assert bad
+    for value in bad:
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict({section: {sub: value}})
+        assert str(err.value) == f"{f.key}: expected {f.expected}, got {value!r}"
+        with pytest.raises(ValueError) as err:
+            owner(**{**(TIMERS if owner is MacTimers else {}), name: value})
+        assert str(err.value) == f"{owner.__name__}.{name} must be {article} {f.expected}, got {value!r}"
+
+
+def test_every_dataclass_rule_but_the_derived_timers_has_a_key():
+    owned = {(c, name) for c in (*OWNERS.values(), MacTimers) for name in c.RULES}
+    derived = {(MacTimers, "t_p"), (MacTimers, "t_tr")}  # from the range, rate and packet size
+    keyed = [owner_of(f) for f in OWNED]
+    assert len(set(keyed)) == len(keyed)
+    assert set(keyed) == owned - derived
+
+
 def test_impossible_link_count_fails_before_placement_naming_both_counts():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict({"network": {"node_count": 12}})

@@ -264,6 +264,24 @@ def test_collect_metrics_warmup_and_series():
     assert series[1]["throughput"] == pytest.approx(512 / 2.0)
 
 
+def test_mean_delay_adds_delays_left_to_right():
+    # (1e16 + 1.0) rounds back to 1e16, so the left-to-right total is 0.0;
+    # sum() on Python 3.12+ compensates and gives 1.0
+    trace = RunTrace(generated=3)
+    trace.deliveries = [(1.0, 1, 1e16), (2.0, 2, 1.0), (3.0, 3, -1e16)]
+    m = collect_metrics(trace, duration=10.0, sample_every=10.0)
+    assert m.mean_delay == 0.0
+    assert m.series[0]["mean_delay"] == 0.0
+
+
+def test_run_scenario_collects_metrics_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr("uwansim.sim.collect_metrics", lambda *a: calls.append(a) or collect_metrics(*a))
+    result = run_scenario(single_link_scenario(traffic={"mean_interarrival_s": 5.0}), sample_every=20.0)
+    assert len(calls) == 1
+    assert [row["time"] for row in result.metrics.series] == [20.0, 40.0, 60.0]
+
+
 def test_metrics_record_fields_complete():
     m = collect_metrics(RunTrace(), duration=1.0)
     assert isinstance(m, MetricsRecord)
