@@ -5,6 +5,9 @@ line, header and every row) that these presets write:
 
 * ``load_sweep`` (loads 4 and 10) and ``timeseries`` (10 links, a sample
   every 30 s) over 300 simulated seconds;
+* ``timeseries_warmup``: the same ``timeseries`` with a 45-s warmup and a
+  sample every 7 s, so some samples fall before the warmup and the float
+  sample clock does not land on the duration;
 * ``correlation_heatmap`` on a 10 m x 250 m grid, which keeps the NaN cell
   of the reference transmitter;
 * ``sinr_vs_snr`` and ``sinr_vs_eta`` at 1025 taps on five grid points.
@@ -29,12 +32,15 @@ from uwansim.presets import ExperimentPreset, run_preset
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "presets.json")
 
+# golden key -> (preset name, params)
 PRESETS = {
-    "load_sweep": {"loads": [4, 10], "duration": 300.0, "workers": 1},
-    "timeseries": {"links": 10, "duration": 300.0, "sample_every": 30.0},
-    "correlation_heatmap": {"depth_step": 10.0, "range_step": 250.0},
-    "sinr_vs_snr": {"tap_count": 1025, "snr_db_grid": [40.0, 50.0, 60.0, 70.0, 80.0]},
-    "sinr_vs_eta": {"tap_count": 1025, "eta_grid": [0.0, 0.2, 0.45, 0.7, 0.9]},
+    "load_sweep": ("load_sweep", {"loads": [4, 10], "duration": 300.0, "workers": 1}),
+    "timeseries": ("timeseries", {"links": 10, "duration": 300.0, "sample_every": 30.0}),
+    "timeseries_warmup": ("timeseries", {"links": 10, "duration": 300.0, "sample_every": 7.0,
+                                         "scenario": {"warmup_s": 45.0}}),
+    "correlation_heatmap": ("correlation_heatmap", {"depth_step": 10.0, "range_step": 250.0}),
+    "sinr_vs_snr": ("sinr_vs_snr", {"tap_count": 1025, "snr_db_grid": [40.0, 50.0, 60.0, 70.0, 80.0]}),
+    "sinr_vs_eta": ("sinr_vs_eta", {"tap_count": 1025, "eta_grid": [0.0, 0.2, 0.45, 0.7, 0.9]}),
 }
 
 # pinned by digest only: the full text would be ~1.3 MB
@@ -60,9 +66,10 @@ def _load() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS))
-def test_golden_preset_csv(name, tmp_path):
-    assert preset_csv(name, PRESETS[name], str(tmp_path)) == _load()[name]
+@pytest.mark.parametrize("key", sorted(PRESETS))
+def test_golden_preset_csv(key, tmp_path):
+    name, params = PRESETS[key]
+    assert preset_csv(name, params, str(tmp_path)) == _load()[key]
 
 
 @pytest.mark.parametrize("key", sorted(DIGESTS))
@@ -75,7 +82,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        recorded = {name: preset_csv(name, PRESETS[name], tmp) for name in sorted(PRESETS)}
+        recorded = {key: preset_csv(name, params, tmp) for key, (name, params) in sorted(PRESETS.items())}
         recorded["sha256"] = {
             key: _sha256(preset_csv(name, params, tmp)) for key, (name, params) in sorted(DIGESTS.items())
         }
