@@ -28,7 +28,7 @@ from .channel import (
     normalized_cross_correlations,
 )
 from .scenario import scenario_from_dict, scenario_to_dict
-from .sim import run_scenario
+from .sim import Simulator
 from .tr_phy import (
     PhyConfig,
     crosscorr_sampled_stats,
@@ -231,8 +231,8 @@ def _nested_load_scenarios(seed: int, duration: float, loads, protocols, params)
 
 
 def _run_network_job(job: dict) -> dict:
-    scenario = scenario_from_dict(job["scenario"])
-    metrics = run_scenario(scenario).metrics
+    # scenario_from_dict resolves, so the scenario goes to the Simulator as it is
+    metrics = Simulator(scenario_from_dict(job["scenario"])).run().metrics
     return {
         "links": job["links"],
         "protocol": job["protocol"],
@@ -298,8 +298,7 @@ def preset_timeseries(preset: ExperimentPreset) -> str:
     for protocol in protocols:
         data = _network_scenario_dict(seed, protocol, duration, params)
         data.setdefault("network", {})["link_count"] = links
-        scenario = scenario_from_dict(data)
-        result = run_scenario(scenario, sample_every=sample_every)
+        result = Simulator(scenario_from_dict(data)).run(sample_every)
         for row in result.metrics.series:
             rows.append([protocol, row["time"], row["mean_delay"], row["drop_ratio"], row["throughput"]])
     path = os.path.join(preset.output_dir, "timeseries.csv")

@@ -44,7 +44,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import weakref
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -139,22 +141,12 @@ class RunResult:
     engine_stats: dict
 
 
-def _merge_intervals(intervals, lo, hi):
-    clipped = sorted(
-        (max(a, lo), min(b, hi)) for a, b in intervals if min(b, hi) > max(a, lo)
-    )
-    total = 0.0
-    cur_a = cur_b = None
-    for a, b in clipped:
-        if cur_b is None or a > cur_b:
-            if cur_b is not None:
-                total += cur_b - cur_a
-            cur_a, cur_b = a, b
-        else:
-            cur_b = max(cur_b, b)
-    if cur_b is not None:
-        total += cur_b - cur_a
-    return total
+def _time_ordered(field_name: str, times: list, what: str = "times") -> list:
+    """``times`` itself, checked non-decreasing: the cursors of
+    ``collect_metrics`` only move forward."""
+    if any(map(operator.gt, times, times[1:])):
+        raise ValueError(f"RunTrace.{field_name}: {what} must be non-decreasing")
+    return times
 
 
 def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
@@ -162,64 +154,109 @@ def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
     """Aggregate a run trace into delay / drop-ratio / throughput metrics.
 
     Drop ratio counts dropped data frames against transmitted data frames
-    including retransmissions; throughput counts correctly received payload
-    bits over the union of data-frame in-flight intervals.
-    """
+    including retransmissions; a sender-side drop of a packet that still
+    reached its destination (its acknowledgments were lost) is no loss.
+    Throughput counts correctly received payload bits over the union of
+    data-frame in-flight intervals.
 
-    def compute(until):
-        deliveries = [d for d in trace.deliveries if warmup <= d[0] <= until]
-        delivered_ids = {d[1] for d in trace.deliveries}
-        # a sender-side drop whose packet still reached the destination (its
-        # acknowledgments were lost) is not a lost data frame
-        drops = [
-            d for d in trace.drops if warmup <= d[0] <= until and d[1] not in delivered_ids
-        ]
-        tx = [t for t in trace.data_tx_times if warmup <= t <= until]
-        delays = [d[2] for d in deliveries]
-        # added left to right: sum() of floats rounds differently on 3.12+
-        total_delay = 0.0
-        for delay in delays:
-            total_delay += delay
+    The figures at a bound ``until`` count the entries with ``warmup <=
+    time <= until``, both bounds inclusive, and the union of the busy
+    intervals that start before ``until``, clipped to ``[warmup, until]``.
+    A bound below ``warmup`` gives ``nan`` / ``0.0`` / ``0.0``.  The record
+    is taken at ``duration``; with ``sample_every``, ``series`` adds one row
+    at ``min(t, duration)`` for ``t = sample_every, t += sample_every, ...``
+    while ``t <= duration + 1e-9``.
+
+    One forward pass computes them all.  The five trace lists must be in
+    time order (busy intervals by start), as the engine appends them; each
+    keeps a cursor that moves up to every bound in turn, and a list that
+    goes backwards raises ``ValueError`` naming it.  Delays and merged busy
+    segments are added left to right to a ``0.0`` accumulator, so the sums
+    do not depend on how the Python version's ``sum()`` rounds.
+    """
+    deliveries, drops, rx_success = trace.deliveries, trace.drops, trace.rx_success
+    intervals = trace.busy_intervals
+    delivery_t = _time_ordered("deliveries", [d[0] for d in deliveries])
+    drop_t = _time_ordered("drops", [d[0] for d in drops])
+    tx_t = _time_ordered("data_tx_times", trace.data_tx_times)
+    start_t = _time_ordered("busy_intervals", [iv[0] for iv in intervals], "starts")
+    rx_t = _time_ordered("rx_success", [r[0] for r in rx_success])
+    delivered_ids = {d[1] for d in deliveries}
+
+    sampled = sample_every is not None and sample_every > 0
+    bounds = []
+    if sampled:
+        t = sample_every
+        while t <= duration + 1e-9:
+            bounds.append(min(t, duration))
+            t += sample_every
+    bounds.append(duration)
+
+    # each cursor is the next entry to take in; entries before warmup never are
+    i_del, i_drop, tx_first, i_rx = (bisect_left(ts, warmup) for ts in (delivery_t, drop_t, tx_t, rx_t))
+    i_start = 0
+    delays = []
+    total_delay = 0.0
+    n_tx = n_drop = bits = 0
+    closed_busy = 0.0  # merged busy segments that no later interval can reach
+    cur_a = cur_b = None  # the open segment
+    rows = []
+    for until in bounds:
+        if until >= warmup:
+            end = bisect_right(delivery_t, until)
+            for d in deliveries[i_del:end]:
+                delays.append(d[2])
+                total_delay += d[2]
+            i_del = end
+            end = bisect_right(drop_t, until)
+            for d in drops[i_drop:end]:
+                if d[1] not in delivered_ids:
+                    n_drop += 1
+            i_drop = end
+            n_tx = bisect_right(tx_t, until) - tx_first
+            end = bisect_right(rx_t, until)
+            for r in rx_success[i_rx:end]:
+                bits += r[1]
+            i_rx = end
+            end = bisect_left(start_t, until)
+            for a, b in intervals[i_start:end]:
+                a = max(a, warmup)
+                if b <= a:
+                    continue  # empty after clipping
+                if cur_b is None or a > cur_b:
+                    if cur_b is not None:
+                        closed_busy += cur_b - cur_a
+                    cur_a, cur_b = a, b
+                elif b > cur_b:
+                    cur_b = b
+            i_start = end
         mean_delay = total_delay / len(delays) if delays else math.nan
-        n_tx = len(tx)
-        n_drop = len(drops)
         if n_tx == 0:
             drop_ratio = 0.0 if n_drop == 0 else 1.0
         else:
             drop_ratio = min(1.0, n_drop / n_tx)
-        busy = _merge_intervals(trace.busy_intervals, warmup, until)
-        bits = sum(b for t, b in trace.rx_success if warmup <= t <= until)
+        busy = closed_busy
+        if cur_b is not None:
+            busy += min(cur_b, until) - cur_a
         throughput = bits / busy if busy > 0 else 0.0
-        return deliveries, drops, tx, delays, mean_delay, drop_ratio, busy, bits, throughput
+        rows.append({"time": until, "mean_delay": mean_delay,
+                     "drop_ratio": drop_ratio, "throughput": throughput})
 
-    deliveries, drops, tx, delays, mean_delay, drop_ratio, busy, bits, throughput = compute(duration)
-    all_delivered = {d[1] for d in trace.deliveries}
-    all_dropped = {d[1] for d in trace.drops} - all_delivered
-
-    series = None
-    if sample_every is not None and sample_every > 0:
-        series = []
-        t = sample_every
-        while t <= duration + 1e-9:
-            _, _, _, _, m, r, _, _, thr = compute(min(t, duration))
-            series.append({"time": min(t, duration), "mean_delay": m,
-                           "drop_ratio": r, "throughput": thr})
-            t += sample_every
-
+    dropped_ids = {d[1] for d in drops} - delivered_ids
     return MetricsRecord(
         generated=trace.generated,
-        delivered=len(deliveries),
-        dropped=len(drops),
-        in_flight=trace.generated - len(all_delivered) - len(all_dropped),
+        delivered=len(delays),
+        dropped=n_drop,
+        in_flight=trace.generated - len(delivered_ids) - len(dropped_ids),
         delay_samples=delays,
         mean_delay=mean_delay,
-        data_frames_transmitted=len(tx),
-        data_frames_dropped=len(drops),
+        data_frames_transmitted=n_tx,
+        data_frames_dropped=n_drop,
         drop_ratio=drop_ratio,
         busy_time=busy,
         received_bits=bits,
         throughput=throughput,
-        series=series,
+        series=rows[:-1] if sampled else None,
     )
 
 

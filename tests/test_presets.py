@@ -16,6 +16,8 @@ from uwansim.presets import (
     preset_timeseries,
     run_preset,
 )
+from uwansim.scenario import Scenario, ScenarioError
+from uwansim.sim import run_scenario
 from uwansim.tr_phy import PhyConfig, crosscorr_sampled_stats, p_isi, p_sig
 
 
@@ -134,13 +136,13 @@ def test_timeseries_rows(tmp_path):
 def test_timeseries_scenario_override_reaches_every_protocol(tmp_path, monkeypatch):
     from uwansim import presets
 
-    real_run, ran = presets.run_scenario, []
+    real_simulator, ran = presets.Simulator, []
 
-    def recording_run(scenario, **kwargs):
+    def recording_simulator(scenario):
         ran.append(scenario)
-        return real_run(scenario, **kwargs)
+        return real_simulator(scenario)
 
-    monkeypatch.setattr(presets, "run_scenario", recording_run)
+    monkeypatch.setattr(presets, "Simulator", recording_simulator)
     params = {"duration": 20.0, "sample_every": 10.0, "links": 2,
               "scenario": {"network": {"node_count": 12}, "mac": {"guard_time_s": 0.5}}}
     before = copy.deepcopy(params)
@@ -148,6 +150,26 @@ def test_timeseries_scenario_override_reaches_every_protocol(tmp_path, monkeypat
     assert params == before
     assert [s.mac.protocol for s in ran] == ["trmac", "csma_ca", "s_csma_ca"]
     assert all(s.network.node_count == 12 and s.mac.guard_time == 0.5 for s in ran)
+
+
+def test_network_presets_resolve_each_scenario_once(tmp_path, monkeypatch):
+    real_resolved, calls = Scenario.resolved, []
+
+    def counting_resolved(self):
+        calls.append(self)
+        return real_resolved(self)
+
+    monkeypatch.setattr(Scenario, "resolved", counting_resolved)
+    run_preset(ExperimentPreset("timeseries", params={"duration": 20.0, "sample_every": 10.0, "links": 2},
+                                output_dir=str(tmp_path)))
+    assert len(calls) == 3  # one per protocol
+    calls.clear()
+    run_preset(ExperimentPreset("load_sweep", params={"duration": 20.0, "loads": (1, 2), "workers": 1},
+                                output_dir=str(tmp_path)))
+    assert len(calls) == 1 + 2 * 3  # the shared topology, then one per job
+    # run_scenario still resolves, so it still rejects an invalid scenario
+    with pytest.raises(ScenarioError, match="duration_s"):
+        run_scenario(Scenario(duration=math.nan))
 
 
 def test_run_preset_dispatch(tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import gc
 import math
+import random
 import weakref
 
 import pytest
@@ -286,6 +287,201 @@ def test_metrics_record_fields_complete():
     m = collect_metrics(RunTrace(), duration=1.0)
     assert isinstance(m, MetricsRecord)
     assert m.series is None
+
+
+def _reference_busy(intervals, lo, hi):
+    clipped = sorted(
+        (max(a, lo), min(b, hi)) for a, b in intervals if min(b, hi) > max(a, lo)
+    )
+    total = 0.0
+    cur_a = cur_b = None
+    for a, b in clipped:
+        if cur_b is None or a > cur_b:
+            if cur_b is not None:
+                total += cur_b - cur_a
+            cur_a, cur_b = a, b
+        else:
+            cur_b = max(cur_b, b)
+    if cur_b is not None:
+        total += cur_b - cur_a
+    return total
+
+
+def reference_metrics(trace, duration, warmup=0.0, sample_every=None):
+    """Brute-force ``collect_metrics``: filters the whole trace and merges
+    every busy interval afresh at each bound."""
+
+    def compute(until):
+        deliveries = [d for d in trace.deliveries if warmup <= d[0] <= until]
+        delivered_ids = {d[1] for d in trace.deliveries}
+        drops = [
+            d for d in trace.drops if warmup <= d[0] <= until and d[1] not in delivered_ids
+        ]
+        tx = [t for t in trace.data_tx_times if warmup <= t <= until]
+        delays = [d[2] for d in deliveries]
+        total_delay = 0.0
+        for delay in delays:
+            total_delay += delay
+        mean_delay = total_delay / len(delays) if delays else math.nan
+        n_tx = len(tx)
+        n_drop = len(drops)
+        if n_tx == 0:
+            drop_ratio = 0.0 if n_drop == 0 else 1.0
+        else:
+            drop_ratio = min(1.0, n_drop / n_tx)
+        busy = _reference_busy(trace.busy_intervals, warmup, until)
+        bits = sum(b for t, b in trace.rx_success if warmup <= t <= until)
+        throughput = bits / busy if busy > 0 else 0.0
+        return deliveries, drops, tx, delays, mean_delay, drop_ratio, busy, bits, throughput
+
+    deliveries, drops, tx, delays, mean_delay, drop_ratio, busy, bits, throughput = compute(duration)
+    all_delivered = {d[1] for d in trace.deliveries}
+    all_dropped = {d[1] for d in trace.drops} - all_delivered
+
+    series = None
+    if sample_every is not None and sample_every > 0:
+        series = []
+        t = sample_every
+        while t <= duration + 1e-9:
+            _, _, _, _, m, r, _, _, thr = compute(min(t, duration))
+            series.append({"time": min(t, duration), "mean_delay": m,
+                           "drop_ratio": r, "throughput": thr})
+            t += sample_every
+
+    return MetricsRecord(
+        generated=trace.generated,
+        delivered=len(deliveries),
+        dropped=len(drops),
+        in_flight=trace.generated - len(all_delivered) - len(all_dropped),
+        delay_samples=delays,
+        mean_delay=mean_delay,
+        data_frames_transmitted=len(tx),
+        data_frames_dropped=len(drops),
+        drop_ratio=drop_ratio,
+        busy_time=busy,
+        received_bits=bits,
+        throughput=throughput,
+        series=series,
+    )
+
+
+def _same(a, b):
+    """``==``, with NaN equal to NaN, through lists and dicts."""
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+def random_trace(rng, duration, warmup, sample_every):
+    """A time-ordered synthetic trace whose times often fall exactly on a
+    sample bound, on ``warmup`` or on ``duration``, with nested, touching
+    and warmup-straddling busy intervals and sender-side drops of
+    delivered packets; any list may come out empty."""
+    marks = [0.0, warmup, duration]
+    if sample_every:
+        t = sample_every
+        while t <= duration + 1e-9:
+            marks.append(min(t, duration))
+            t += sample_every
+
+    def times(n):
+        return sorted(
+            rng.choice(marks) if rng.random() < 0.4 else round(rng.uniform(0.0, 1.2 * duration), rng.choice((1, 9)))
+            for _ in range(n)
+        )
+
+    def count():
+        return 0 if rng.random() < 0.15 else rng.randint(1, 12)
+
+    ids = list(range(1, 16))
+    trace = RunTrace()
+    trace.deliveries = [(t, pid, rng.uniform(0.1, 9.0))
+                        for t, pid in zip(times(count()), rng.sample(ids, 12))]
+    trace.drops = [(t, rng.choice(ids)) for t in times(count())]
+    trace.data_tx_times = times(count())
+    trace.rx_success = [(t, rng.choice((32, 256, 512))) for t in times(count())]
+    a = b = None
+    for _ in range(count()):
+        if a is None:
+            a = rng.choice(marks) if rng.random() < 0.4 else rng.uniform(0.0, duration)
+        else:
+            a = rng.choice((a, b, a + (b - a) * rng.random(), b + rng.uniform(0.0, 4.0),
+                            max(a, rng.choice(marks))))
+        b = a + rng.choice((0.0, rng.uniform(0.0, 6.0), rng.uniform(0.0, 0.5 * duration)))
+        trace.busy_intervals.append((a, b))
+    trace.generated = len({d[1] for d in trace.deliveries} | {d[1] for d in trace.drops}) + rng.randint(0, 3)
+    return trace
+
+
+@pytest.mark.parametrize("trace, duration, warmup, sample_every", [
+    # touching intervals are one segment: (0.2 - 0.1) + (0.9 - 0.2) != 0.9 - 0.1
+    (RunTrace(generated=1, busy_intervals=[(0.1, 0.2), (0.2, 0.9)], rx_success=[(0.9, 256)]),
+     1.0, 0.0, 0.5),
+    # every event at warmup or at a sample bound; a drop of a delivered packet
+    (RunTrace(generated=3, deliveries=[(10.0, 1, 0.5), (20.0, 2, 0.7)], drops=[(20.0, 1), (40.0, 3)],
+              data_tx_times=[10.0, 20.0, 40.0], rx_success=[(10.0, 256), (20.0, 32)],
+              busy_intervals=[(5.0, 10.0), (8.0, 20.0), (20.0, 31.0)]),
+     40.0, 10.0, 10.0),
+    # nested, straddling warmup and ending after the run, on a 7-s clock
+    (RunTrace(generated=1, data_tx_times=[1.0, 3.0, 9.0], rx_success=[(31.0, 512)],
+              busy_intervals=[(1.0, 30.0), (2.0, 3.0), (3.0, 50.0), (41.0, 45.0)]),
+     40.0, 2.5, 7.0),
+    (RunTrace(), 10.0, 0.0, 25.0),  # empty, and no sample before the end
+], ids=["touching", "at-bounds", "nested-straddling", "empty"])
+def test_collect_metrics_matches_brute_force_reference_at_corners(trace, duration, warmup, sample_every):
+    got = collect_metrics(trace, duration, warmup, sample_every)
+    assert _same(vars(got), vars(reference_metrics(trace, duration, warmup, sample_every)))
+
+
+def test_collect_metrics_matches_brute_force_reference():
+    cases = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        duration = rng.choice((50.0, 37.3, 100.0))
+        warmup = rng.choice((0.0, 10.0, 12.7, duration, duration + 5.0))
+        sample_every = rng.choice((None, 5.0, 7.3, 10.0, 0.3 * duration, duration, 2 * duration))
+        trace = random_trace(rng, duration, warmup, sample_every)
+        got = collect_metrics(trace, duration, warmup, sample_every)
+        want = reference_metrics(trace, duration, warmup, sample_every)
+        assert _same(vars(got), vars(want)), f"seed {seed}"
+        cases.append((trace, warmup, duration, want.series))
+    # the generator reaches the corners it is meant to
+    pairs = [p for t, _, _, _ in cases for p in zip(t.busy_intervals, t.busy_intervals[1:])]
+    assert any(b0 == a1 for (_, b0), (a1, _) in pairs)  # touching
+    assert any(b1 < b0 for (_, b0), (_, b1) in pairs)  # nested
+    assert any(a < w < b for t, w, _, _ in cases for a, b in t.busy_intervals)  # straddling warmup
+    assert any(b > d for t, _, d, _ in cases for _, b in t.busy_intervals)
+    assert any(not t.busy_intervals and not t.deliveries for t, _, _, _ in cases)
+    assert any(w > 0 and w in t.data_tx_times for t, w, _, _ in cases)
+    assert any(d[0] == row["time"] for t, _, _, rows in cases for row in rows or () for d in t.deliveries)
+    assert any(rows == [] for _, _, _, rows in cases)  # sample_every > duration
+    delivered_drops = [{d[1] for d in t.drops} & {d[1] for d in t.deliveries} for t, _, _, _ in cases]
+    assert sum(map(bool, delivered_drops)) > 20
+
+
+@pytest.mark.parametrize("field, what", [
+    ("deliveries", "times"), ("drops", "times"), ("data_tx_times", "times"),
+    ("busy_intervals", "starts"), ("rx_success", "times"),
+])
+def test_collect_metrics_rejects_a_trace_list_out_of_time_order(field, what):
+    backwards = {
+        "deliveries": [(2.0, 1, 1.0), (1.0, 2, 1.0)],
+        "drops": [(2.0, 1), (1.0, 2)],
+        "data_tx_times": [2.0, 1.0],
+        "busy_intervals": [(2.0, 9.0), (1.0, 3.0)],
+        "rx_success": [(2.0, 256), (1.0, 256)],
+    }
+    trace = RunTrace(generated=2)
+    setattr(trace, field, backwards[field])
+    with pytest.raises(ValueError, match=rf"^RunTrace\.{field}: {what} must be non-decreasing$"):
+        collect_metrics(trace, duration=10.0)
+    # equal times are in order
+    setattr(trace, field, backwards[field][:1] * 2)
+    collect_metrics(trace, duration=10.0)
 
 
 # ------------------------------------------------------------ event order
