@@ -31,6 +31,10 @@ ARRIVAL_FILE = "arrival_file"
 SEED_MASK = (1 << 64) - 1
 
 
+# a node location as plain numbers: (depth, x, y), as in NodePosition
+Point = tuple[float, float, float]
+
+
 class ArrivalFileError(ValueError):
     """Malformed arrival file, or a requested pair that is not present."""
 
@@ -134,17 +138,26 @@ class Cir:
         return self.taps.size
 
 
+def _row_norm(taps: np.ndarray) -> float:
+    """Euclidean norm of a 1-D complex tap row, from the same two dot
+    products (real and imaginary part) that ``np.linalg.norm`` makes."""
+    re, im = taps.real, taps.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def norm(c: Cir) -> float:
     """Euclidean norm of the complex tap vector."""
-    return float(np.linalg.norm(c.taps))
+    return _row_norm(c.taps)
 
 
 def _cross_correlation(at: np.ndarray, conj_bt: np.ndarray, lag: int) -> complex:
+    if lag == 0 and at.size == conj_bt.size:  # whole rows: no slices to make
+        return complex(at.dot(conj_bt))
     lo = max(0, -lag)
     hi = min(at.size, conj_bt.size - lag)
     if hi <= lo:
         return 0j
-    return complex(np.dot(at[lo:hi], conj_bt[lo + lag : hi + lag]))
+    return complex(at[lo:hi].dot(conj_bt[lo + lag : hi + lag]))
 
 
 def cross_correlation(a: Cir, b: Cir, lag: int) -> complex:
@@ -162,7 +175,7 @@ def normalized_cross_correlations(rows, b: Cir, lag: int) -> list[complex]:
     conj_bt = np.conj(b.taps)
     etas = []
     for at in rows:
-        na = float(np.linalg.norm(at))
+        na = _row_norm(at)
         if na == 0.0 or nb == 0.0:
             raise ValueError("normalized_cross_correlation requires nonzero-norm CIRs")
         etas.append(_cross_correlation(at, conj_bt, lag) / (na * nb))
@@ -185,7 +198,7 @@ def direct_path_delay(tx: NodePosition, rx: NodePosition, env: Environment) -> f
 
 
 def _link_signature(
-    tx: NodePosition, rx: NodePosition, distance: float, cfg: ChannelModelConfig
+    tx_depth: float, rx_depth: float, distance: float, cfg: ChannelModelConfig
 ) -> tuple[int, int, int]:
     """Quantized symmetric geometry signature used to seed the tap stream.
 
@@ -194,10 +207,10 @@ def _link_signature(
     stream; sorting the depth cells makes the signature (and thus the
     CIR) reciprocal.
     """
-    dq_tx = int(math.floor(tx.depth / cfg.depth_quantum))
-    dq_rx = int(math.floor(rx.depth / cfg.depth_quantum))
-    lq = int(math.floor(distance / cfg.range_quantum))
-    return (min(dq_tx, dq_rx), max(dq_tx, dq_rx), lq)
+    dq_tx = math.floor(tx_depth / cfg.depth_quantum)
+    dq_rx = math.floor(rx_depth / cfg.depth_quantum)
+    lq = math.floor(distance / cfg.range_quantum)
+    return (dq_tx, dq_rx, lq) if dq_tx <= dq_rx else (dq_rx, dq_tx, lq)
 
 
 @lru_cache(maxsize=128)
@@ -212,34 +225,39 @@ def _tap_draws(seed: int, signature: tuple[int, int, int], tap_count: int) -> np
     return draws
 
 
-def generate_taps(
-    tx: NodePosition, rxs: list[NodePosition], env: Environment, cfg: ChannelModelConfig
-) -> np.ndarray:
+def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelModelConfig) -> np.ndarray:
     """Statistical-model taps of the links tx->rx, one row per receiver.
 
-    Tap l has expected power exp(-l*dt/tau) / d^2 with complex
-    circular-Gaussian amplitude.  The draws are seeded from the quantized
-    link geometry, so the result is deterministic, reciprocal, and highly
-    correlated across geometrically similar links; links that share a
-    signature share one cached draw.
+    ``tx`` and each receiver are ``(depth, x, y)`` points.  Tap l has
+    expected power exp(-l*dt/tau) / d^2 with complex circular-Gaussian
+    amplitude.  The draws are seeded from the quantized link geometry, so
+    the result is deterministic, reciprocal, and highly correlated across
+    geometrically similar links; links that share a signature share one
+    cached draw.
     """
     if cfg.model_kind != STATISTICAL_PDP:
         raise ValueError(f"generate_taps: needs the {STATISTICAL_PDP} model, got {cfg.model_kind!r}")
-    if any(tx.same_place(rx) for rx in rxs):
-        raise ValueError("generate_taps: tx and rx positions coincide")
     if cfg.rng_seed is None:  # a Scenario sets it to its seed on resolution
         raise ValueError("generate_taps: ChannelModelConfig.rng_seed is None, a seed is needed")
+    distances = [math.dist(tx, rx) for rx in rxs]
+    # a distance is 0.0 only where the points coincide, and not finite
+    # only where a coordinate is not
+    if 0.0 in distances:
+        raise ValueError("generate_taps: tx and rx positions coincide")
+    if not math.isfinite(sum(distances)):
+        raise ValueError("generate_taps: point coordinates must be finite")
     tap_count = int(cfg.tap_count)
     seed = cfg.rng_seed & SEED_MASK
-    distances = [tx.distance_to(rx) for rx in rxs]
     lags = np.arange(tap_count)
     decay = np.exp(-lags * env.sample_interval / cfg.pdp_decay_constant)
     # squared in Python: np.square rounds a few distances differently
     scale = decay / np.array([d**2 for d in distances]).reshape(-1, 1)
     scale /= 2.0
     np.sqrt(scale, out=scale)
+    tx_depth = tx[0]
     taps = np.array([
-        _tap_draws(seed, _link_signature(tx, rx, d, cfg), tap_count) for rx, d in zip(rxs, distances)
+        _tap_draws(seed, _link_signature(tx_depth, rx[0], d, cfg), tap_count)
+        for rx, d in zip(rxs, distances)
     ]).reshape(-1, tap_count)
     np.multiply(scale, taps, out=taps)
     return taps
@@ -257,7 +275,8 @@ def generate_cir(
             raise ValueError("arrival_file channel model requires NodePosition.node_id on both ends")
         table = _arrival_table(cfg.arrival_file_path)
         return table.cir((tx.node_id, rx.node_id), env.sample_interval)
-    return Cir(generate_taps(tx, [rx], env, cfg)[0], env.sample_interval)
+    taps = generate_taps((tx.depth, tx.x, tx.y), [(rx.depth, rx.x, rx.y)], env, cfg)
+    return Cir(taps[0], env.sample_interval)
 
 
 class ArrivalTable:

@@ -27,6 +27,7 @@ from .channel import (
     norm,
     normalized_cross_correlations,
 )
+from .rules import POSITIVE, number
 from .scenario import scenario_from_dict, scenario_to_dict
 from .sim import Simulator
 from .tr_phy import (
@@ -165,40 +166,60 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
     return _write_csv(path, prov, ["d_factor", "eta", "sinr_db"], rows)
 
 
+def _grid_number(params: dict, key: str, default: float) -> float:
+    """A heatmap grid parameter: a positive finite number."""
+    value = params.get(key, default)
+    try:
+        return number(POSITIVE).parse(value)
+    except ValueError as exc:
+        raise ValueError(f"correlation_heatmap: {key}: expected {exc}, got {value!r}") from None
+
+
+def _grid_spot(params: dict, key: str, default: tuple[float, float]) -> tuple[tuple, NodePosition]:
+    """A reference node of the heatmap as given and as a position."""
+    value = params.get(key, default)
+    try:
+        spot = tuple(value)
+        return spot, _position(spot)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"correlation_heatmap: {key}: expected a finite (depth >= 0, range) pair, got {value!r}"
+        ) from None
+
+
 def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     """|eta| between the reference link and the link from the reference
     transmitter to a probe node swept over (depth, range) cells."""
     params = preset.params
-    depth_step = float(params.get("depth_step", 5.0))
-    range_step = float(params.get("range_step", 50.0))
+    depth_step = _grid_number(params, "depth_step", 5.0)
+    range_step = _grid_number(params, "range_step", 50.0)
+    water_depth = _grid_number(params, "water_depth", 80.0)
+    max_range = _grid_number(params, "max_range", 4000.0)
     tap_count = int(params.get("tap_count", 129))
-    water_depth = float(params.get("water_depth", 80.0))
-    max_range = float(params.get("max_range", 4000.0))
-    tx_spot = tuple(params.get("reference_tx", REFERENCE_GEOMETRY["i"]))
-    rx_spot = tuple(params.get("reference_rx", REFERENCE_GEOMETRY["j"]))
+    tx_spot, ref_tx = _grid_spot(params, "reference_tx", REFERENCE_GEOMETRY["i"])
+    rx_spot, ref_rx = _grid_spot(params, "reference_rx", REFERENCE_GEOMETRY["j"])
     seed = preset.seeds[0]
 
     env = Environment(water_depth=water_depth)
     cfg = ChannelModelConfig(tap_count=tap_count, rng_seed=seed)
-    ref_tx = _position(tx_spot)
-    ref_rx = _position(rx_spot)
     h_ref = generate_cir(ref_tx, ref_rx, env, cfg)
 
+    # cells are (depth, x, y) points, as generate_taps takes them
+    tx = (ref_tx.depth, ref_tx.x, ref_tx.y)
     depths = [round(k * depth_step, 9) for k in range(int(water_depth / depth_step) + 1)]
     ranges = [round(k * range_step, 9) for k in range(int(max_range / range_step) + 1)]
     rows = []
     for depth in depths:
-        probes = [NodePosition(depth=depth, x=rng, y=0.0) for rng in ranges]
-        linked = [p for p in probes if not p.same_place(ref_tx)]
+        cells = [(depth, rng, 0.0) for rng in ranges]
+        linked = [cell for cell in cells if cell != tx]
         etas = []
         for k in range(0, len(linked), _PROBE_BLOCK):
             etas += normalized_cross_correlations(
-                generate_taps(ref_tx, linked[k : k + _PROBE_BLOCK], env, cfg), h_ref, 0)
+                generate_taps(tx, linked[k : k + _PROBE_BLOCK], env, cfg), h_ref, 0)
         etas = iter(etas)
-        for probe in probes:
+        for cell in cells:
             # the cell at the reference transmitter is an undefined link to itself
-            eta = math.nan if probe.same_place(ref_tx) else abs(next(etas))
-            rows.append((depth, probe.x, eta))
+            rows.append((depth, cell[1], math.nan if cell == tx else abs(next(etas))))
     path = os.path.join(preset.output_dir, "correlation_heatmap.csv")
     prov = (f"# preset=correlation_heatmap config={_params_hash(preset.name, params, preset.seeds)} "
             f"seeds={seed} reference_tx={tx_spot} reference_rx={rx_spot}")

@@ -4,8 +4,9 @@ A scenario wires together the environment, channel model, physical layer,
 MAC protocol and timers, traffic, and the static route set.  The dataclasses
 below hold every default (the reference multi-hop deployment), so an empty
 config file is a runnable scenario.  ``FIELDS`` gives each YAML key once
-with its attribute and rule; parsing and emitting walk it, and so does
-``Scenario.resolved`` for scenarios built in code.  The rules of the
+with its attribute and rule; parsing and emitting walk it, and so do
+``Scenario.resolved`` for scenarios built in code and ``check_scenario``
+for placed scenarios that are run as they are.  The rules of the
 environment, channel, phy and MAC timer keys are those their dataclasses
 check on construction; ``FIELDS`` holds the only copy of the others.
 """
@@ -94,7 +95,7 @@ class Scenario:
         out = copy.deepcopy(self)
         if out.channel.rng_seed is None:
             out.channel = dataclasses.replace(out.channel, rng_seed=out.seed)
-        out = _with_values(out, {f.attr: f.parse(attrgetter(f.attr)(out)) for f in FIELDS})
+        out = _with_values(out, _parsed_fields(out))
         if out.network.nodes is not None:
             try:
                 out.positions = [
@@ -192,6 +193,11 @@ _SECTIONS = {f.key.split(".")[0] for f in FIELDS if "." in f.key}
 _BY_KEY = {f.key if "." in f.key else f"config.{f.key}": f for f in FIELDS}
 
 
+def _parsed_fields(scenario: Scenario) -> dict[str, Any]:
+    """Every field's value converted by its rule, by dotted attribute."""
+    return {f.attr: f.parse(attrgetter(f.attr)(scenario)) for f in FIELDS}
+
+
 def _with_values(scenario: Scenario, values: dict[str, Any]) -> Scenario:
     """Copy of ``scenario`` with the given dotted attributes replaced."""
     sections: dict[str, dict[str, Any]] = {}
@@ -258,6 +264,13 @@ def _pair_nodes(positions, link_count, hop_range, rng) -> list[tuple[int, int]] 
         return None
     pairs = sorted(tuple(sorted(p)) for p in matching)[:link_count]
     return [(a, b) if rng.random() < 0.5 else (b, a) for a, b in pairs]
+
+
+def check_scenario(scenario: Scenario) -> None:
+    """Every field rule and every rule of ``validate_scenario``, applied to
+    a scenario as it is: nothing is copied, converted or placed."""
+    _parsed_fields(scenario)
+    validate_scenario(scenario)
 
 
 def validate_scenario(scenario: Scenario) -> None:

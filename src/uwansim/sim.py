@@ -69,7 +69,7 @@ from .mac import (
     TRMAC,
     make_engine,
 )
-from .scenario import Scenario
+from .scenario import Scenario, check_scenario
 from .tr_phy import p_ili, p_isi, p_sig, sdt_signal_and_isi
 
 EV_ARRIVAL = 0
@@ -266,6 +266,8 @@ class Simulator:
     def __init__(self, scenario: Scenario, record_events: bool = False):
         if not scenario.positions or not scenario.routes:
             scenario = scenario.resolved()
+        else:  # placed already: checked, but run as it is
+            check_scenario(scenario)
         self.scenario = scenario
         self.env = scenario.environment
         self.phy = scenario.phy

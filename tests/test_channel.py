@@ -233,18 +233,24 @@ def single_link_oracle(tx, rx, env, cfg):
     return np.sqrt(pdp / 2.0) * draws
 
 
+def point(p):
+    """A NodePosition as the (depth, x, y) point generate_taps takes."""
+    return (p.depth, p.x, p.y)
+
+
 HEATMAP_TX = NodePosition(50.0, 0.0, 0.0)
 # (0 m, 3550 m) is a cell where np.square(d) and d ** 2 differ in the last bit
 HEATMAP_PROBES = [NodePosition(0.0, 3550.0, 0.0), NodePosition(0.0, 10.0, 0.0),
                   NodePosition(70.0, 1000.0, 0.0), NodePosition(50.0, 10.0, 0.0),
                   NodePosition(80.0, 4000.0, 0.0), NodePosition(0.0, 3560.0, 0.0)]
+TX_POINT, PROBE_POINTS = point(HEATMAP_TX), [point(p) for p in HEATMAP_PROBES]
 
 
 def test_generate_taps_rows_equal_single_link_cirs_bit_for_bit():
     cfg = ChannelModelConfig(rng_seed=1)
     far = HEATMAP_TX.distance_to(HEATMAP_PROBES[0])
     assert far**2 != np.square(far)
-    rows = generate_taps(HEATMAP_TX, HEATMAP_PROBES, ENV, cfg)
+    rows = generate_taps(TX_POINT, PROBE_POINTS, ENV, cfg)
     assert rows.shape == (len(HEATMAP_PROBES), cfg.tap_count)
     for row, probe in zip(rows, HEATMAP_PROBES):
         assert np.array_equal(row, generate_cir(HEATMAP_TX, probe, ENV, cfg).taps)
@@ -256,7 +262,7 @@ def test_writing_into_a_cir_does_not_change_the_next_draw():
     first = generate_cir(tx, rx, ENV, CFG)
     kept = first.taps.copy()
     first.taps[:] = 0.0
-    rows = generate_taps(tx, [rx, rx], ENV, CFG)
+    rows = generate_taps(point(tx), [point(rx), point(rx)], ENV, CFG)
     rows[0] *= 2.0
     assert np.array_equal(rows[1], kept)
     assert np.array_equal(generate_cir(tx, rx, ENV, CFG).taps, kept)
@@ -270,15 +276,25 @@ def test_integral_float_tap_count_draws_like_the_integer():
 
 
 def test_generate_taps_rejects_a_coincident_receiver():
-    with pytest.raises(ValueError, match="coincide"):
-        generate_taps(HEATMAP_TX, [HEATMAP_PROBES[0], NodePosition(50.0, 0.0, 0.0)], ENV, CFG)
+    # -0.0 is the same coordinate as 0.0, and a list is the same point as a tuple
+    for same in ((50.0, 0.0, 0.0), (50, -0.0, 0), [50.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="coincide"):
+            generate_taps(TX_POINT, [PROBE_POINTS[0], same], ENV, CFG)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 10.0, 0.0), (0.0, math.inf, 0.0), (0.0, 10.0, -math.inf)])
+def test_generate_taps_rejects_a_nonfinite_point(bad):
+    with pytest.raises(ValueError, match="finite"):
+        generate_taps(TX_POINT, [PROBE_POINTS[0], bad], ENV, CFG)
+    with pytest.raises(ValueError, match="finite"):
+        generate_taps(bad, PROBE_POINTS[:2], ENV, CFG)
 
 
 def test_statistical_model_without_a_seed_names_the_field():
     # rng_seed=None means "follow Scenario.seed", which only a resolved Scenario fills in
     unseeded = ChannelModelConfig(rng_seed=None)
     for draw in (lambda: generate_cir(HEATMAP_TX, HEATMAP_PROBES[2], ENV, unseeded),
-                 lambda: generate_taps(HEATMAP_TX, HEATMAP_PROBES[1:3], ENV, unseeded)):
+                 lambda: generate_taps(TX_POINT, PROBE_POINTS[1:3], ENV, unseeded)):
         with pytest.raises(ValueError, match=r"ChannelModelConfig\.rng_seed is None"):
             draw()
 
@@ -371,7 +387,7 @@ def test_arrival_file_model_bins_the_file_and_draws_no_taps(tmp_path):
         assert np.array_equal(c.taps, ArrivalTable.from_file(path).cir(("n0", "n1"), DT).taps)
         assert np.allclose(c.taps, [1.0, 0.0, 0.5j])
     with pytest.raises(ValueError, match="statistical_pdp"):
-        generate_taps(a, [b], ENV, cfg)
+        generate_taps(point(a), [point(b)], ENV, cfg)
 
 
 # ------------------------------------------------------------- environment

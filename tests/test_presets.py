@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from uwansim.channel import norm
+from uwansim.channel import (
+    ChannelModelConfig,
+    Environment,
+    NodePosition,
+    generate_cir,
+    norm,
+    normalized_cross_correlation,
+)
 from uwansim.presets import (
     ExperimentPreset,
     REFERENCE_GEOMETRY,
@@ -101,6 +108,67 @@ def test_correlation_heatmap_reference_cell_and_cardinality(tmp_path):
     ref_tx = REFERENCE_GEOMETRY["i"]
     self_cell = [r for r in rows if float(r[0]) == ref_tx[0] and float(r[1]) == ref_tx[1]]
     assert math.isnan(float(self_cell[0][2]))
+
+
+def brute_force_heatmap(params, seed):
+    """The heatmap cell by cell: a NodePosition per cell, then generate_cir
+    and normalized_cross_correlation of the cell's link alone."""
+    depth_step, range_step = params["depth_step"], params["range_step"]
+    env = Environment(water_depth=80.0)
+    cfg = ChannelModelConfig(tap_count=params.get("tap_count", 129), rng_seed=seed)
+    tx_depth, tx_range = params.get("reference_tx", REFERENCE_GEOMETRY["i"])
+    rx_depth, rx_range = REFERENCE_GEOMETRY["j"]
+    ref_tx = NodePosition(tx_depth, tx_range, 0.0)
+    h_ref = generate_cir(ref_tx, NodePosition(rx_depth, rx_range, 0.0), env, cfg)
+    rows = []
+    for kd in range(int(80.0 / depth_step) + 1):
+        for kr in range(int(4000.0 / range_step) + 1):
+            probe = NodePosition(round(kd * depth_step, 9), round(kr * range_step, 9), 0.0)
+            if probe.same_place(ref_tx):
+                eta = math.nan
+            else:
+                eta = abs(normalized_cross_correlation(generate_cir(ref_tx, probe, env, cfg), h_ref, 0))
+            rows.append((probe.depth, probe.x, eta))
+    return rows
+
+
+HEATMAP_GRIDS = {
+    "tx_on_a_cell": {"depth_step": 10.0, "range_step": 250.0},
+    "tx_off_the_grid": {"depth_step": 15.0, "range_step": 250.0, "reference_tx": [47.5, 130.0]},
+    # 81 cells a row: more than one tap matrix per row
+    "rows_past_a_block": {"depth_step": 25.0, "range_step": 50.0},
+    "257_taps": {"depth_step": 10.0, "range_step": 250.0, "tap_count": 257},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("grid", sorted(HEATMAP_GRIDS))
+def test_correlation_heatmap_matches_cell_by_cell_reference(grid, seed, tmp_path):
+    params = HEATMAP_GRIDS[grid]
+    path = preset_correlation_heatmap(
+        ExperimentPreset("correlation_heatmap", params=params, seeds=(seed,), output_dir=str(tmp_path)))
+    _, _, rows = read_csv(path)
+    got = [tuple(float(v) for v in row) for row in rows]
+    want = brute_force_heatmap(params, seed)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:2] == w[:2]
+        assert g[2] == w[2] or (math.isnan(g[2]) and math.isnan(w[2])), (g, w)
+    assert sum(math.isnan(g[2]) for g in got) == (0 if grid == "tx_off_the_grid" else 1)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("range_step", -10), ("range_step", math.inf), ("range_step", "ten"),
+    ("depth_step", 0), ("depth_step", math.nan), ("depth_step", True),
+    ("max_range", -1), ("max_range", math.inf), ("water_depth", 0.0),
+    ("reference_tx", (math.nan, 0.0)), ("reference_tx", (-1.0, 0.0)), ("reference_tx", (50.0,)),
+    ("reference_rx", (70.0, math.inf)), ("reference_rx", 70.0),
+])
+def test_correlation_heatmap_rejects_a_bad_grid_naming_the_parameter(key, value, tmp_path):
+    preset = ExperimentPreset("correlation_heatmap", params={key: value}, output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=f"correlation_heatmap: {key}: expected"):
+        preset_correlation_heatmap(preset)
+    assert not list(tmp_path.iterdir())
 
 
 def test_load_sweep_cardinality_and_determinism(tmp_path):

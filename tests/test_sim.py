@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import math
 import random
@@ -7,7 +8,7 @@ import weakref
 import pytest
 
 from uwansim.mac import Arm, Frame, FrameKind, Packet, Send
-from uwansim.scenario import scenario_from_dict
+from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim.sim import MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
 from uwansim.tr_phy import p_ili, p_isi, p_sig
 
@@ -37,6 +38,23 @@ def test_zero_duration_run_has_no_activity():
     m = run_scenario(sc).metrics
     assert m.generated == m.delivered == m.dropped == 0
     assert m.throughput == 0.0 and m.drop_ratio == 0.0
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"warmup": math.inf}, "warmup_s"),
+    ({"duration": -5.0}, "duration_s"),
+    ({"routes": [(0, 1, 0)]}, "repeated node"),
+], ids=["warmup", "duration", "route"])
+def test_placed_scenario_is_checked_before_it_runs(change, key):
+    placed = scenario_from_dict({"duration_s": 50})
+    with pytest.raises(ScenarioError, match=key):
+        Simulator(dataclasses.replace(placed, **change))
+
+
+def test_placed_scenario_runs_as_it_is(monkeypatch):
+    placed = scenario_from_dict({"duration_s": 50})
+    monkeypatch.setattr(Scenario, "resolved", lambda self: pytest.fail("a placed scenario was resolved"))
+    assert Simulator(placed).scenario is placed
 
 
 def test_single_link_hand_traced_latency():
