@@ -93,7 +93,7 @@ def _cmd_preset(args) -> int:
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     print(f"OK: {args.scenario} (config={config_hash(scenario)}, "
-          f"{len(scenario.positions)} nodes, {len(scenario.routes)} routes)")
+          f"{len(scenario.network.nodes)} nodes, {len(scenario.network.routes)} routes)")
     return 0
 
 

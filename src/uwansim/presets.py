@@ -245,7 +245,7 @@ def _nested_load_scenarios(seed: int, duration: float, loads, protocols, params)
     for links in loads:
         for protocol in protocols:
             d = scenario_to_dict(base)
-            d["network"]["routes"] = [list(r) for r in base.routes[:links]]
+            d["network"]["routes"] = [list(r) for r in base.network.routes[:links]]
             d["mac"]["protocol"] = protocol
             jobs.append({"links": links, "protocol": protocol, "seed": seed, "scenario": d})
     return jobs

@@ -66,11 +66,18 @@ def _integer(value) -> int:
     return out
 
 
+def _node(value) -> tuple[float, float, float]:
+    depth, x, y = map(_number, value)  # exactly three
+    if depth < 0:
+        raise ValueError(value)
+    return depth, x, y
+
+
 number = partial(Rule, "finite number", _number)
 integer = partial(Rule, "integer", _integer)
 string = partial(Rule, "string", str)
-# lists of [depth, x, y] and of node indices
-NODES = Rule("nodes", lambda v: [tuple(map(_number, node)) for node in v], nullable=True)
+# lists of (depth, x, y) and of node indices
+NODES = Rule("list of finite [depth >= 0, x, y]", lambda v: [_node(node) for node in v], nullable=True)
 ROUTES = Rule("routes", lambda v: [tuple(map(_integer, route)) for route in v], nullable=True)
 
 

@@ -1,22 +1,24 @@
 """Scenario definition: validated simulation inputs with network defaults.
 
 A scenario wires together the environment, channel model, physical layer,
-MAC protocol and timers, traffic, and the static route set.  The dataclasses
-below hold every default (the reference multi-hop deployment), so an empty
-config file is a runnable scenario.  ``FIELDS`` gives each YAML key once
-with its attribute and rule; parsing and emitting walk it, and so do
-``Scenario.resolved`` for scenarios built in code and ``check_scenario``
-for placed scenarios that are run as they are.  The rules of the
-environment, channel, phy and MAC timer keys are those their dataclasses
-check on construction; ``FIELDS`` holds the only copy of the others.
+MAC protocol and timers, traffic, and the placement: the node positions
+``network.nodes`` and the static routes ``network.routes``.  The
+dataclasses below hold every default (the reference multi-hop deployment),
+so an empty config file is a runnable scenario.  ``FIELDS`` gives each YAML
+key once with its attribute and rule; parsing and emitting walk it, and so
+does ``Scenario.resolved``, which also fills in a missing placement.  The
+``Simulator`` runs a resolved scenario as it is, after ``check_scenario``.
+The rules of the environment, channel, phy and MAC timer keys are those
+their dataclasses check on construction; ``FIELDS`` holds the only copy of
+the others.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any
@@ -25,7 +27,7 @@ import networkx as nx
 import numpy as np
 import yaml
 
-from .channel import SEED_MASK, ChannelModelConfig, Environment, NodePosition
+from .channel import SEED_MASK, ChannelModelConfig, Environment, Point
 from .mac import PROTOCOLS, TRMAC, MacTimers
 from .rules import NODES, NON_NEGATIVE, POSITIVE, ROUTES, Bound, Rule, integer, number, one_of, string
 from .tr_phy import PhyConfig
@@ -63,7 +65,9 @@ class NetworkConfig:
     max_hops: int = 6
     node_count: int = 20
     link_count: int = 10
-    nodes: list[tuple[float, float, float]] | None = None
+    # the placement: (depth, x, y) per node and node indices per route;
+    # null until Scenario.resolved generates what is missing
+    nodes: list[Point] | None = None
     routes: list[tuple[int, ...]] | None = None
 
     @property
@@ -86,38 +90,28 @@ class Scenario:
     mac: MacConfig = field(default_factory=MacConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    positions: list[NodePosition] = field(default_factory=list)
-    routes: list[tuple[int, ...]] = field(default_factory=list)
 
     def resolved(self) -> "Scenario":
-        """Check and normalize every field, fill in positions/routes
-        (generating a topology if needed) and validate the whole."""
-        out = copy.deepcopy(self)
-        if out.channel.rng_seed is None:
-            out.channel = dataclasses.replace(out.channel, rng_seed=out.seed)
-        out = _with_values(out, _parsed_fields(out))
-        if out.network.nodes is not None:
-            try:
-                out.positions = [
-                    NodePosition(depth=d, x=x, y=y, node_id=str(i))
-                    for i, (d, x, y) in enumerate(out.network.nodes)
-                ]
-            except ValueError as exc:
-                raise ScenarioError(f"network.nodes: {exc}") from None
-        if out.network.routes is not None:
-            out.routes = list(out.network.routes)
-        if not out.positions and not out.routes:
-            out.positions, out.routes = _generate_topology(out)
-        elif not out.positions:
-            out.positions, _ = _generate_topology(out)
-        elif not out.routes:
-            pairs = _pair_nodes(out.positions, out.network.link_count, out.network.one_hop_range,
-                                _topology_rng(out.seed))
-            if pairs is None:
+        """A new scenario with every field checked and normalized, the
+        placement filled in where ``network.nodes`` or ``network.routes`` is
+        null or empty (generated nodes get their own routes, given nodes
+        are paired) and the whole validated.  It shares no list with this one."""
+        values = _parsed_fields(self)
+        if values["channel.rng_seed"] is None:
+            values["channel.rng_seed"] = values["seed"]
+        out = _with_values(self, values)
+        net = out.network
+        nodes, routes = net.nodes, net.routes
+        if not nodes:
+            nodes, generated = _generate_topology(out)
+            routes = routes or generated
+        elif not routes:
+            routes = _pair_nodes(nodes, net.link_count, net.one_hop_range, _topology_rng(out.seed))
+            if routes is None:
                 raise ScenarioError(
                     "network.nodes: provided placement does not admit the requested disjoint links"
                 )
-            out.routes = [tuple(p) for p in pairs]
+        out.network = dataclasses.replace(net, nodes=nodes, routes=routes)
         validate_scenario(out)
         return out
 
@@ -221,7 +215,7 @@ def _topology_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed & SEED_MASK, 0x7090)))
 
 
-def _generate_topology(scenario: Scenario) -> tuple[list[NodePosition], list[tuple[int, ...]]]:
+def _generate_topology(scenario: Scenario) -> tuple[list[Point], list[tuple[int, int]]]:
     """Random placement plus disjoint single-hop link set, deterministically
     retried until the requested link count is feasible."""
     net = scenario.network
@@ -232,32 +226,30 @@ def _generate_topology(scenario: Scenario) -> tuple[list[NodePosition], list[tup
         )
     rng = _topology_rng(scenario.seed)
     for _ in range(200):
-        positions = [
-            NodePosition(
-                depth=float(rng.uniform(0.0, net.node_depth_max)),
-                x=float(rng.uniform(0.0, net.region_size)),
-                y=float(rng.uniform(0.0, net.region_size)),
-                node_id=str(i),
-            )
-            for i in range(net.node_count)
+        nodes = [
+            (float(rng.uniform(0.0, net.node_depth_max)),
+             float(rng.uniform(0.0, net.region_size)),
+             float(rng.uniform(0.0, net.region_size)))
+            for _ in range(net.node_count)
         ]
-        pairs = _pair_nodes(positions, net.link_count, net.one_hop_range, rng)
-        if pairs is not None:
-            return positions, [tuple(p) for p in pairs]
+        routes = _pair_nodes(nodes, net.link_count, net.one_hop_range, rng)
+        if routes is not None:
+            return nodes, routes
     raise ScenarioError(
         f"network: could not place {net.node_count} nodes admitting {net.link_count} disjoint links"
     )
 
 
-def _pair_nodes(positions, link_count, hop_range, rng) -> list[tuple[int, int]] | None:
-    """Disjoint single-hop link set via maximum-cardinality matching on the
-    within-range graph.  Returns None when the placement cannot host
-    link_count links; link directions are drawn from the given stream."""
+def _pair_nodes(nodes, link_count, hop_range, rng) -> list[tuple[int, int]] | None:
+    """Disjoint single-hop link set of (depth, x, y) nodes via
+    maximum-cardinality matching on the within-range graph.  Returns None
+    when the placement cannot host link_count links; link directions are
+    drawn from the given stream."""
     graph = nx.Graph()
-    graph.add_nodes_from(range(len(positions)))
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            if positions[i].distance_to(positions[j]) <= hop_range:
+    graph.add_nodes_from(range(len(nodes)))
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            if math.dist(nodes[i], nodes[j]) <= hop_range:
                 graph.add_edge(i, j)
     matching = nx.max_weight_matching(graph, maxcardinality=True)
     if len(matching) < link_count:
@@ -268,15 +260,17 @@ def _pair_nodes(positions, link_count, hop_range, rng) -> list[tuple[int, int]] 
 
 def check_scenario(scenario: Scenario) -> None:
     """Every field rule and every rule of ``validate_scenario``, applied to
-    a scenario as it is: nothing is copied, converted or placed."""
+    a resolved scenario as it is: nothing is copied, converted or placed."""
     _parsed_fields(scenario)
     validate_scenario(scenario)
 
 
 def validate_scenario(scenario: Scenario) -> None:
     """The rules across fields and the topology checks of a scenario whose
-    fields are already parsed."""
+    fields are already parsed and whose placement is filled in."""
     net = scenario.network
+    if not net.nodes or not net.routes:
+        raise ScenarioError("network.nodes: the scenario is not placed; resolve it first (Scenario.resolved)")
     if (scenario.channel.tap_count - 1) % scenario.phy.updown_factor != 0:
         raise ScenarioError(
             "phy.updown_factor: (channel.tap_count - 1) must be divisible by it "
@@ -285,16 +279,16 @@ def validate_scenario(scenario: Scenario) -> None:
     if net.node_depth_max > scenario.environment.water_depth:
         raise ScenarioError("network.node_depth_max_m: exceeds environment.water_depth_m")
 
-    for i, pos in enumerate(scenario.positions):
-        if not (0.0 <= pos.depth <= net.node_depth_max):
+    for i, (depth, x, y) in enumerate(net.nodes):
+        if not (0.0 <= depth <= net.node_depth_max):
             raise ScenarioError(
-                f"network.nodes[{i}]: depth {pos.depth} outside [0, {net.node_depth_max}]"
+                f"network.nodes[{i}]: depth {depth} outside [0, {net.node_depth_max}]"
             )
-        if not (0.0 <= pos.x <= net.region_size and 0.0 <= pos.y <= net.region_size):
+        if not (0.0 <= x <= net.region_size and 0.0 <= y <= net.region_size):
             raise ScenarioError(f"network.nodes[{i}]: position outside the region")
 
-    n = len(scenario.positions)
-    for r, route in enumerate(scenario.routes):
+    n = len(net.nodes)
+    for r, route in enumerate(net.routes):
         if len(route) < 2:
             raise ScenarioError(f"network.routes[{r}]: needs at least two nodes")
         if len(route) - 1 > net.max_hops:
@@ -307,7 +301,7 @@ def validate_scenario(scenario: Scenario) -> None:
             if not (0 <= node < n):
                 raise ScenarioError(f"network.routes[{r}]: node index {node} out of range")
         for a, b in zip(route, route[1:]):
-            hop = scenario.positions[a].distance_to(scenario.positions[b])
+            hop = math.dist(net.nodes[a], net.nodes[b])
             if hop > net.hop_limit:
                 raise ScenarioError(
                     f"network.routes[{r}]: hop {a}->{b} length {hop:.1f} m exceeds "
@@ -323,12 +317,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     for f in FIELDS:
         section, _, name = f.key.rpartition(".")
         (out.setdefault(section, {}) if section else out)[name] = attrgetter(f.attr)(scenario)
-    # a resolved placement is written out, so reloading reproduces it
+    # as lists, which YAML writes; a resolved placement is written out, so
+    # reloading reproduces it
     net = scenario.network
-    nodes = net.nodes if net.nodes is not None else [(p.depth, p.x, p.y) for p in scenario.positions]
-    routes = net.routes if net.routes is not None else scenario.routes
-    out["network"]["nodes"] = [list(n) for n in nodes] or None
-    out["network"]["routes"] = [list(r) for r in routes] or None
+    out["network"]["nodes"] = [list(n) for n in net.nodes or ()] or None
+    out["network"]["routes"] = [list(r) for r in net.routes or ()] or None
     return out
 
 

@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import SEED_MASK, ChannelModel, Cir
+from .channel import SEED_MASK, ChannelModel, Cir, NodePosition
 from .mac import (
     Arm,
     Cancel,
@@ -264,14 +264,14 @@ class Simulator:
     """One scenario, one seed, one deterministic event loop."""
 
     def __init__(self, scenario: Scenario, record_events: bool = False):
-        if not scenario.positions or not scenario.routes:
-            scenario = scenario.resolved()
-        else:  # placed already: checked, but run as it is
-            check_scenario(scenario)
+        """Check ``scenario``, which must be resolved, and set up to run it as it is."""
+        check_scenario(scenario)
         self.scenario = scenario
         self.env = scenario.environment
         self.phy = scenario.phy
-        self.positions = scenario.positions
+        # node ids key the pairs of an arrival file
+        self.positions = [NodePosition(depth, x, y, node_id=str(i))
+                          for i, (depth, x, y) in enumerate(scenario.network.nodes)]
         self.n_nodes = len(self.positions)
         self.channel = ChannelModel(self.env, scenario.channel)
         self.timers = MacTimers(
@@ -310,7 +310,7 @@ class Simulator:
 
         self.flow_rngs = [
             np.random.default_rng(np.random.SeedSequence((seed, 0xF10, f)))
-            for f in range(len(scenario.routes))
+            for f in range(len(scenario.network.routes))
         ]
 
         # the link table (module docstring): symmetric n x n rows filled by
@@ -463,7 +463,7 @@ class Simulator:
     def run(self, sample_every: float | None = None) -> RunResult:
         """Simulate to ``scenario.duration``; ``sample_every`` adds the
         metrics series of ``collect_metrics``."""
-        for flow_idx in range(len(self.scenario.routes)):
+        for flow_idx in range(len(self.scenario.network.routes)):
             self._schedule_flow_arrival(flow_idx, 0.0)
         duration = self.scenario.duration
         heap = self.heap
@@ -489,7 +489,7 @@ class Simulator:
         return RunResult(metrics=metrics, trace=self.trace, engine_stats=stats)
 
     def _handle_arrival(self, flow_idx: int, tag, now: float) -> None:
-        route = self.scenario.routes[flow_idx]
+        route = self.scenario.network.routes[flow_idx]
         self._packet_seq += 1
         packet = Packet(
             packet_id=self._packet_seq,

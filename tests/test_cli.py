@@ -93,7 +93,7 @@ def test_run_seed_without_scenario_file_regenerates_placement(tmp_path, monkeypa
     assert main(["run", "--duration", "1", "--out", str(tmp_path)]) == 0
     seeded, default = ran
     assert seeded.seed == 5 and seeded.channel.rng_seed == 5
-    assert seeded.positions == scenario_from_dict({"seed": 5}).positions
-    assert seeded.routes == scenario_from_dict({"seed": 5}).routes
-    assert default.positions == scenario_from_dict({}).positions
-    assert seeded.positions != default.positions
+    assert seeded.network.nodes == scenario_from_dict({"seed": 5}).network.nodes
+    assert seeded.network.routes == scenario_from_dict({"seed": 5}).network.routes
+    assert default.network.nodes == scenario_from_dict({}).network.nodes
+    assert seeded.network.nodes != default.network.nodes

@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import re
 
@@ -9,6 +10,7 @@ from uwansim.mac import MacTimers
 from uwansim.tr_phy import PhyConfig
 from uwansim.scenario import (
     FIELDS,
+    NetworkConfig,
     Scenario,
     ScenarioError,
     config_hash,
@@ -37,20 +39,20 @@ def test_empty_config_gets_reference_defaults():
     assert sc.mac.guard_time == 0.25
     assert sc.mac.n_max == 3
     assert sc.mac.s_csma_max_backoff == 2.0
-    assert len(sc.positions) == 20
-    assert len(sc.routes) == 10
+    assert len(sc.network.nodes) == 20
+    assert len(sc.network.routes) == 10
     # generated links are single-hop and within range
-    for a, b in sc.routes:
-        assert sc.positions[a].distance_to(sc.positions[b]) <= 1000.0
+    for a, b in sc.network.routes:
+        assert math.dist(sc.network.nodes[a], sc.network.nodes[b]) <= 1000.0
 
 
 def test_topology_is_seed_deterministic():
     a = scenario_from_dict({"seed": 11})
     b = scenario_from_dict({"seed": 11})
     c = scenario_from_dict({"seed": 12})
-    assert [(p.depth, p.x, p.y) for p in a.positions] == [(p.depth, p.x, p.y) for p in b.positions]
-    assert a.routes == b.routes
-    assert a.routes != c.routes
+    assert a.network.nodes == b.network.nodes
+    assert a.network.routes == b.network.routes
+    assert a.network.routes != c.network.routes
 
 
 def test_divisibility_rejected():
@@ -104,10 +106,8 @@ def test_roundtrip_through_yaml(tmp_path):
     again = load_scenario(str(path))
     assert scenario_to_dict(again) == scenario_to_dict(sc)
     assert config_hash(again) == config_hash(sc)
-    assert again.routes == sc.routes
-    assert [(p.depth, p.x, p.y) for p in again.positions] == [
-        (p.depth, p.x, p.y) for p in sc.positions
-    ]
+    assert again.network.routes == sc.network.routes
+    assert again.network.nodes == sc.network.nodes
 
 
 def test_explicit_nodes_without_routes_get_paired():
@@ -115,16 +115,31 @@ def test_explicit_nodes_without_routes_get_paired():
     sc = scenario_from_dict({
         "network": {"nodes": nodes, "link_count": 2, "node_count": 4},
     })
-    assert len(sc.routes) == 2
-    used = {n for r in sc.routes for n in r}
+    assert len(sc.network.routes) == 2
+    used = {n for r in sc.network.routes for n in r}
     assert used == {0, 1, 2, 3}
 
 
 def test_scenario_dataclass_direct_resolution():
     sc = Scenario(seed=33, duration=10.0)
     resolved = sc.resolved()
-    assert len(resolved.positions) == 20
+    assert len(resolved.network.nodes) == 20
     assert resolved is not sc
+
+
+def test_resolution_shares_no_list_with_its_input():
+    sc = Scenario(network=NetworkConfig(nodes=[[10, 0, 0], [10, 500, 0]], routes=[[0, 1]]))
+    resolved = sc.resolved()
+    assert resolved.network.nodes == [(10.0, 0.0, 0.0), (10.0, 500.0, 0.0)]
+    assert resolved.network.routes == [(0, 1)]
+    assert resolved.network.nodes is not sc.network.nodes
+    assert resolved.network.routes is not sc.network.routes
+    # the input is left as it was: lists, and a channel seed still to follow
+    assert sc.network.nodes == [[10, 0, 0], [10, 500, 0]] and sc.network.routes == [[0, 1]]
+    assert sc.channel.rng_seed is None and resolved.channel.rng_seed == sc.seed
+    generated = Scenario(seed=3).resolved()
+    assert Scenario().network.nodes is None and Scenario().network.routes is None
+    assert generated.network.nodes is not generated.resolved().network.nodes
 
 
 NAN = float("nan")
@@ -150,6 +165,10 @@ INVALID = [
     ({"mac": {"s_csma_max_backoff_s": -1}}, "mac.s_csma_max_backoff_s"),
     ({"channel": {"pdp_decay_s": NAN}}, "channel.pdp_decay_s"),
     ({"environment": {"bandwidth_hz": NAN}}, "environment.bandwidth_hz"),
+    # a node is exactly (depth >= 0, x, y)
+    ({"network": {"nodes": [[1, 2]]}}, "network.nodes"),
+    ({"network": {"nodes": [[1, 2, 3, 4]]}}, "network.nodes"),
+    ({"network": {"nodes": [[-0.5, 0, 0], [10, 500, 0]], "routes": [[0, 1]]}}, "network.nodes"),
 ]
 
 

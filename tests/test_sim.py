@@ -41,14 +41,23 @@ def test_zero_duration_run_has_no_activity():
 
 
 @pytest.mark.parametrize("change, key", [
-    ({"warmup": math.inf}, "warmup_s"),
-    ({"duration": -5.0}, "duration_s"),
-    ({"routes": [(0, 1, 0)]}, "repeated node"),
+    (lambda sc: {"warmup": math.inf}, "warmup_s"),
+    (lambda sc: {"duration": -5.0}, "duration_s"),
+    (lambda sc: {"network": dataclasses.replace(sc.network, routes=[(0, 1, 0)])}, "repeated node"),
 ], ids=["warmup", "duration", "route"])
 def test_placed_scenario_is_checked_before_it_runs(change, key):
     placed = scenario_from_dict({"duration_s": 50})
     with pytest.raises(ScenarioError, match=key):
-        Simulator(dataclasses.replace(placed, **change))
+        Simulator(dataclasses.replace(placed, **change(placed)))
+
+
+def test_unresolved_scenario_is_refused():
+    with pytest.raises(ScenarioError, match=r"^network\.nodes: .*resolve"):
+        Simulator(Scenario())
+    placed = scenario_from_dict({"duration_s": 50})
+    unrouted = dataclasses.replace(placed, network=dataclasses.replace(placed.network, routes=None))
+    with pytest.raises(ScenarioError, match=r"^network\.nodes: .*resolve"):
+        Simulator(unrouted)
 
 
 def test_placed_scenario_runs_as_it_is(monkeypatch):
