@@ -438,9 +438,6 @@ class CsmaEngine(MacEngine):
     point of the comparison.
     """
 
-    NEED_IDLE = "need_idle"
-    IN_BACKOFF = "in_backoff"
-
     RTS_PHASE = "rts"
     DATA_PHASE = "data"
 
@@ -451,7 +448,6 @@ class CsmaEngine(MacEngine):
         self.kind = kind
         self.s_csma_cap = s_csma_cap
         self.phase: Optional[str] = None
-        self.access_state: Optional[str] = None
         self.reserved_for: Optional[int] = None
         self.delivered_ids: set[int] = set()
 
@@ -469,13 +465,10 @@ class CsmaEngine(MacEngine):
         if busy_until is None:
             if initial:
                 return self._transmit_pending(now)
-            self.access_state = self.IN_BACKOFF
             return [Arm("backoff", float(self.rng.uniform(0.0, self.backoff_window())))]
-        self.access_state = self.NEED_IDLE
         return [Arm("sense", max(busy_until - now, 0.0))]
 
     def _transmit_pending(self, now: float) -> list[Action]:
-        self.access_state = None
         packet, dst = self.current
         if self.phase == self.RTS_PHASE:
             return [Send(self._control_frame(FrameKind.RTS, dst, packet=packet))]
@@ -503,7 +496,6 @@ class CsmaEngine(MacEngine):
             if busy_until is None:
                 return self._transmit_pending(now)
             # busy again: defer until idle, then draw a fresh backoff
-            self.access_state = self.NEED_IDLE
             return [Arm("sense", max(busy_until - now, 0.0))]
         if key == "response":
             phase, packet_id = context
@@ -512,7 +504,6 @@ class CsmaEngine(MacEngine):
             if self.retries >= self.timers.n_max:
                 return self._drop_current(now, f"{phase} retry limit")
             self.retries += 1
-            self.access_state = self.IN_BACKOFF
             return [Arm("backoff", float(self.rng.uniform(0.0, self.backoff_window())))]
         return []
 
