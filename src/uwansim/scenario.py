@@ -30,7 +30,7 @@ import yaml
 from .channel import SEED_MASK, ChannelModelConfig, Environment, Point
 from .mac import PROTOCOLS, TRMAC, MacTimers
 from .rules import NODES, NON_NEGATIVE, POSITIVE, ROUTES, Bound, Rule, integer, number, one_of, string
-from .tr_phy import PhyConfig
+from .tr_phy import PhyConfig, check_divisible
 
 
 class ScenarioError(ValueError):
@@ -271,11 +271,10 @@ def validate_scenario(scenario: Scenario) -> None:
     net = scenario.network
     if not net.nodes or not net.routes:
         raise ScenarioError("network.nodes: the scenario is not placed; resolve it first (Scenario.resolved)")
-    if (scenario.channel.tap_count - 1) % scenario.phy.updown_factor != 0:
-        raise ScenarioError(
-            "phy.updown_factor: (channel.tap_count - 1) must be divisible by it "
-            f"({scenario.channel.tap_count - 1} % {scenario.phy.updown_factor} != 0)"
-        )
+    try:
+        check_divisible(scenario.channel.tap_count, scenario.phy.updown_factor)
+    except ValueError as exc:
+        raise ScenarioError(f"phy.updown_factor: {exc}") from None
     if net.node_depth_max > scenario.environment.water_depth:
         raise ScenarioError("network.node_depth_max_m: exceeds environment.water_depth_m")
 

@@ -70,7 +70,7 @@ from .mac import (
     make_engine,
 )
 from .scenario import Scenario, check_scenario
-from .tr_phy import p_ili, p_isi, p_sig, sdt_signal_and_isi
+from .tr_phy import p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
 
 EV_ARRIVAL = 0
 EV_RX_START = 1
@@ -617,8 +617,7 @@ class Simulator:
             sig, isi, _ = self._tr[a][b]
         else:
             sig, isi = self._direct[frame.src][node_id]
-        sinr = sig / (isi + rec.interference + self.phy.noise_variance)
-        return sinr >= self.phy.min_required_sinr
+        return sinr_from_parts(sig, isi, rec.interference, self.phy) >= self.phy.min_required_sinr
 
     def _handle_timer(self, node_id: int, payload, now: float) -> None:
         key, gen, context = payload

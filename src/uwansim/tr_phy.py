@@ -50,7 +50,8 @@ class TrWaveform:
         self.taps = taps
 
 
-def _check_divisible(tap_count: int, d_factor: int) -> None:
+def check_divisible(tap_count: int, d_factor: int) -> None:
+    """The rule that D divides L - 1, so the lag grid holds the peak."""
     if (tap_count - 1) % d_factor != 0:
         raise ValueError(
             f"(L-1) must be divisible by the up/down-sampling factor: L={tap_count}, D={d_factor}"
@@ -71,7 +72,7 @@ def composite_response(c: Cir, d_factor: int) -> np.ndarray:
     Length 2(L-1)/D + 1; the center entry equals ||c|| (autocorrelation
     peak), everything else is residual ISI structure.
     """
-    _check_divisible(len(c), d_factor)
+    check_divisible(len(c), d_factor)
     g = tr_waveform(c).taps
     return np.convolve(c.taps, g)[::d_factor]
 
@@ -84,7 +85,7 @@ def _sampled_correlation(a_taps: np.ndarray, b_taps: np.ndarray, d_factor: int) 
     """
     if a_taps.size != b_taps.size:
         raise ValueError(f"CIR lengths must match: {a_taps.size} vs {b_taps.size}")
-    _check_divisible(a_taps.size, d_factor)
+    check_divisible(a_taps.size, d_factor)
     return np.convolve(a_taps, np.conj(b_taps[::-1]))[::d_factor]
 
 
@@ -148,15 +149,22 @@ def ili_power_from_parts(
     )
 
 
+def sinr_from_parts(sig: float, isi: float, interference: float, phy: PhyConfig) -> float:
+    """sig / (isi + interference + sigma^2), summed in that order: the one
+    SINR formula of the TR and direct transmissions and of the engine."""
+    return sig / (isi + interference + phy.noise_variance)
+
+
 def sinr_atrsts_from_parts(sig: float, isi: float, ilis: list[float], phy: PhyConfig) -> float:
-    """p_sig / (p_isi + sigma^2 + sum of the interferers' p_ili).
+    """p_sig / (p_isi + sum of the interferers' p_ili + sigma^2), the ILIs
+    summed left to right.
 
     Lets sweeps over the noise variance reuse powers that depend on D only.
     """
-    denom = isi + phy.noise_variance
+    interference = 0.0
     for ili in ilis:
-        denom += ili
-    return sig / denom
+        interference += ili
+    return sinr_from_parts(sig, isi, interference, phy)
 
 
 def sinr_atrsts(
@@ -178,7 +186,7 @@ def sdt_signal_and_isi(c: Cir, d_factor: int) -> tuple[float, float]:
     The down-sampling phase is chosen so the strongest tap is always
     retained, even when its index is not a multiple of D.
     """
-    _check_divisible(len(c), d_factor)
+    check_divisible(len(c), d_factor)
     mags = np.abs(c.taps) ** 2
     l_bar = int(np.argmax(mags))
     sampled = mags[l_bar % d_factor :: d_factor]
@@ -188,7 +196,7 @@ def sdt_signal_and_isi(c: Cir, d_factor: int) -> tuple[float, float]:
 def sinr_sdt_from_parts(peak_power: float, isi_sum: float, phy: PhyConfig) -> float:
     """SDT SINR from the ``sdt_signal_and_isi`` pair of a CIR."""
     dp = phy.updown_factor * phy.avg_transmit_power
-    return dp * peak_power / (dp * isi_sum + phy.noise_variance)
+    return sinr_from_parts(dp * peak_power, dp * isi_sum, 0.0, phy)
 
 
 def sinr_sdt(c: Cir, phy: PhyConfig) -> float:

@@ -56,7 +56,8 @@ def test_topology_is_seed_deterministic():
 
 
 def test_divisibility_rejected():
-    with pytest.raises(ScenarioError, match="updown_factor"):
+    # the message is tr_phy's rule, prefixed with the key
+    with pytest.raises(ScenarioError, match=r"^phy\.updown_factor: \(L-1\) must be divisible .*L=130, D=4$"):
         scenario_from_dict({"channel": {"tap_count": 130}, "phy": {"updown_factor": 4}})
     # 129 % 3 == 0, so D=3 with the L=130 configuration is accepted
     sc = scenario_from_dict({"channel": {"tap_count": 130}, "phy": {"updown_factor": 3}})

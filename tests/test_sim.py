@@ -9,8 +9,9 @@ import pytest
 
 from uwansim.mac import Arm, Frame, FrameKind, Packet, Send
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
+from uwansim import sim as sim_module
 from uwansim.sim import MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
-from uwansim.tr_phy import p_ili, p_isi, p_sig
+from uwansim.tr_phy import p_ili, p_isi, p_sig, sinr_from_parts
 
 
 def single_link_scenario(**overrides):
@@ -64,6 +65,21 @@ def test_placed_scenario_runs_as_it_is(monkeypatch):
     placed = scenario_from_dict({"duration_s": 50})
     monkeypatch.setattr(Scenario, "resolved", lambda self: pytest.fail("a placed scenario was resolved"))
     assert Simulator(placed).scenario is placed
+
+
+def test_receptions_are_adjudicated_by_the_tr_phy_sinr(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sinr_from_parts(*args)
+
+    monkeypatch.setattr(sim_module, "sinr_from_parts", counting)
+    sim = Simulator(single_link_scenario())
+    sim.schedule_packet(0, 0.0)
+    assert sim.run().metrics.delivered == 1
+    # probe request, probe, TR data and TR ack, each alone on the medium
+    assert [interference for _, _, interference, _ in calls] == [0.0] * 4
 
 
 def test_single_link_hand_traced_latency():

@@ -16,7 +16,10 @@ from uwansim.tr_phy import (
     p_sig,
     sdt_signal_and_isi,
     sinr_atrsts,
+    sinr_atrsts_from_parts,
+    sinr_from_parts,
     sinr_sdt,
+    sinr_sdt_from_parts,
     tr_waveform,
 )
 
@@ -231,6 +234,17 @@ def test_sinr_sdt_examples():
     # equal-power two-tap channel: one tap is signal, the other pure ISI
     tiny_noise = PhyConfig(noise_variance=1e-15, updown_factor=1)
     assert sinr_sdt(cir([1.0, 1.0]), tiny_noise) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_sinr_parts_share_the_engine_summation_order():
+    # the order matters in the last bits: (isi + sum of ILIs) + sigma^2
+    phy = PhyConfig(avg_transmit_power=0.7, noise_variance=0.1, updown_factor=3)
+    sig, isi, ilis = 2.3, 0.3, [0.1, 0.2, 1e-17]
+    assert sinr_from_parts(sig, isi, 0.4, phy) == sig / (isi + 0.4 + 0.1)
+    assert sinr_atrsts_from_parts(sig, isi, ilis, phy) == sig / (isi + (0.0 + 0.1 + 0.2 + 1e-17) + 0.1)
+    assert sinr_atrsts_from_parts(sig, isi, [], phy) == sig / (isi + 0.1)
+    dp = 3 * 0.7
+    assert sinr_sdt_from_parts(1.5, 0.25, phy) == dp * 1.5 / (dp * 0.25 + 0.1)
 
 
 def test_sinr_sdt_retains_offgrid_strongest_tap():
