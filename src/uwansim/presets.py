@@ -27,7 +27,7 @@ from .channel import (
     norm,
     normalized_cross_correlations,
 )
-from .rules import POSITIVE, number
+from .rules import POSITIVE, Rule, number
 from .scenario import scenario_from_dict, scenario_to_dict
 from .sim import Simulator
 from .tr_phy import (
@@ -111,7 +111,7 @@ def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
     snr_grid = params.get("snr_db_grid")
     if snr_grid is None:
         snr_grid = [40.0 + 2.0 * k for k in range(21)]  # 40..80 dB, artifact-chosen
-    tap_count = int(params.get("tap_count", 129))
+    tap_count = _tap_count(preset)
     seed = preset.seeds[0]
     h_ab, h_ib, h_ij = _reference_links(seed, tap_count)
 
@@ -145,7 +145,7 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
     if any(not (0.0 <= e < 1.0) for e in eta_grid):
         raise ValueError("sinr_vs_eta: eta grid must lie in [0, 1)")
     snr_db = float(params.get("snr_db", 65.0))
-    tap_count = int(params.get("tap_count", 129))
+    tap_count = _tap_count(preset)
     seed = preset.seeds[0]
     h_ab, h_ib, h_ij = _reference_links(seed, tap_count)
     sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
@@ -166,13 +166,19 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
     return _write_csv(path, prov, ["d_factor", "eta", "sinr_db"], rows)
 
 
-def _grid_number(params: dict, key: str, default: float) -> float:
-    """A heatmap grid parameter: a positive finite number."""
-    value = params.get(key, default)
+def _param(preset: ExperimentPreset, key: str, rule: Rule, default):
+    """A preset parameter converted by its rule; ValueError naming the
+    preset and the key when it breaks the rule."""
+    value = preset.params.get(key, default)
     try:
-        return number(POSITIVE).parse(value)
+        return rule.parse(value)
     except ValueError as exc:
-        raise ValueError(f"correlation_heatmap: {key}: expected {exc}, got {value!r}") from None
+        raise ValueError(f"{preset.name}: {key}: expected {exc}, got {value!r}") from None
+
+
+def _tap_count(preset: ExperimentPreset) -> int:
+    """The taps per CIR of a PHY preset, under the rule and default of ``ChannelModelConfig``."""
+    return _param(preset, "tap_count", ChannelModelConfig.RULES["tap_count"], ChannelModelConfig.tap_count)
 
 
 def _grid_spot(params: dict, key: str, default: tuple[float, float]) -> tuple[tuple, NodePosition]:
@@ -191,11 +197,11 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     """|eta| between the reference link and the link from the reference
     transmitter to a probe node swept over (depth, range) cells."""
     params = preset.params
-    depth_step = _grid_number(params, "depth_step", 5.0)
-    range_step = _grid_number(params, "range_step", 50.0)
-    water_depth = _grid_number(params, "water_depth", 80.0)
-    max_range = _grid_number(params, "max_range", 4000.0)
-    tap_count = int(params.get("tap_count", 129))
+    depth_step = _param(preset, "depth_step", number(POSITIVE), 5.0)
+    range_step = _param(preset, "range_step", number(POSITIVE), 50.0)
+    water_depth = _param(preset, "water_depth", number(POSITIVE), 80.0)
+    max_range = _param(preset, "max_range", number(POSITIVE), 4000.0)
+    tap_count = _tap_count(preset)
     tx_spot, ref_tx = _grid_spot(params, "reference_tx", REFERENCE_GEOMETRY["i"])
     rx_spot, ref_rx = _grid_spot(params, "reference_rx", REFERENCE_GEOMETRY["j"])
     seed = preset.seeds[0]

@@ -171,6 +171,37 @@ def test_correlation_heatmap_rejects_a_bad_grid_naming_the_parameter(key, value,
     assert not list(tmp_path.iterdir())
 
 
+# small grids of the three PHY presets
+PHY_PRESETS = {
+    "sinr_vs_snr": {"d_factors": (1, 4), "snr_db_grid": (40.0, 60.0)},
+    "sinr_vs_eta": {"d_factors": (1, 4), "eta_grid": (0.0, 0.5)},
+    "correlation_heatmap": {"depth_step": 20.0, "range_step": 500.0},
+}
+
+
+@pytest.mark.parametrize("name", PHY_PRESETS)
+@pytest.mark.parametrize("taps", [129.9, True, 0])
+def test_phy_presets_reject_a_tap_count_that_is_no_positive_integer(name, taps, tmp_path):
+    preset = ExperimentPreset(name, params={**PHY_PRESETS[name], "tap_count": taps}, output_dir=str(tmp_path))
+    with pytest.raises(ValueError) as err:
+        run_preset(preset)
+    assert str(err.value) == f"{name}: tap_count: expected positive integer, got {taps!r}"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", PHY_PRESETS)
+def test_phy_presets_run_a_whole_float_tap_count_as_that_integer(name, tmp_path):
+    def data(**taps):
+        path = run_preset(ExperimentPreset(name, params={**PHY_PRESETS[name], **taps},
+                                           output_dir=str(tmp_path / repr(taps))))
+        _, header, rows = read_csv(path)  # the provenance hashes the params as given
+        return header, rows
+
+    assert data(tap_count=129.0) == data(tap_count=129)
+    # the default is ChannelModelConfig's
+    assert data() == data(tap_count=ChannelModelConfig().tap_count)
+
+
 def test_load_sweep_cardinality_and_determinism(tmp_path):
     preset = ExperimentPreset(
         "load_sweep",
