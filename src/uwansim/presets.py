@@ -49,6 +49,9 @@ PRESET_NAMES = ("sinr_vs_snr", "sinr_vs_eta", "correlation_heatmap", "load_sweep
 # CIR per cell and keeps numpy's per-call overhead small
 _PROBE_BLOCK = 64
 
+# the taps per CIR of the PHY presets, under ChannelModelConfig's rule and default
+_TAPS = ("tap_count", ChannelModelConfig.RULES["tap_count"], ChannelModelConfig.tap_count)
+
 # two-link reference geometry used by the SINR presets: (depth m, range m)
 REFERENCE_GEOMETRY = {"a": (20.0, 0.0), "b": (20.0, 1000.0), "i": (50.0, 0.0), "j": (70.0, 1000.0)}
 
@@ -111,7 +114,7 @@ def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
     snr_grid = params.get("snr_db_grid")
     if snr_grid is None:
         snr_grid = [40.0 + 2.0 * k for k in range(21)]  # 40..80 dB, artifact-chosen
-    tap_count = _tap_count(preset)
+    tap_count = _param(preset, *_TAPS)
     seed = preset.seeds[0]
     h_ab, h_ib, h_ij = _reference_links(seed, tap_count)
 
@@ -145,7 +148,7 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
     if any(not (0.0 <= e < 1.0) for e in eta_grid):
         raise ValueError("sinr_vs_eta: eta grid must lie in [0, 1)")
     snr_db = float(params.get("snr_db", 65.0))
-    tap_count = _tap_count(preset)
+    tap_count = _param(preset, *_TAPS)
     seed = preset.seeds[0]
     h_ab, h_ib, h_ij = _reference_links(seed, tap_count)
     sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
@@ -167,18 +170,12 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
 
 
 def _param(preset: ExperimentPreset, key: str, rule: Rule, default):
-    """A preset parameter converted by its rule; ValueError naming the
-    preset and the key when it breaks the rule."""
+    """A preset parameter converted by its rule; ValueError naming the preset and key."""
     value = preset.params.get(key, default)
     try:
         return rule.parse(value)
     except ValueError as exc:
         raise ValueError(f"{preset.name}: {key}: expected {exc}, got {value!r}") from None
-
-
-def _tap_count(preset: ExperimentPreset) -> int:
-    """The taps per CIR of a PHY preset, under the rule and default of ``ChannelModelConfig``."""
-    return _param(preset, "tap_count", ChannelModelConfig.RULES["tap_count"], ChannelModelConfig.tap_count)
 
 
 def _grid_spot(params: dict, key: str, default: tuple[float, float]) -> tuple[tuple, NodePosition]:
@@ -201,7 +198,7 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     range_step = _param(preset, "range_step", number(POSITIVE), 50.0)
     water_depth = _param(preset, "water_depth", number(POSITIVE), 80.0)
     max_range = _param(preset, "max_range", number(POSITIVE), 4000.0)
-    tap_count = _tap_count(preset)
+    tap_count = _param(preset, *_TAPS)
     tx_spot, ref_tx = _grid_spot(params, "reference_tx", REFERENCE_GEOMETRY["i"])
     rx_spot, ref_rx = _grid_spot(params, "reference_rx", REFERENCE_GEOMETRY["j"])
     seed = preset.seeds[0]

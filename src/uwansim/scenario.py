@@ -92,10 +92,9 @@ class Scenario:
     network: NetworkConfig = field(default_factory=NetworkConfig)
 
     def resolved(self) -> "Scenario":
-        """A new scenario with every field checked and normalized, the
-        placement filled in where ``network.nodes`` or ``network.routes`` is
-        null or empty (generated nodes get their own routes, given nodes
-        are paired) and the whole validated.  It shares no list with this one."""
+        """A new scenario, sharing no list with this one: every field checked
+        and normalized, a null or empty ``network.nodes`` generated (with routes
+        unless given), given nodes without routes paired, and the whole validated."""
         values = _parsed_fields(self)
         if values["channel.rng_seed"] is None:
             values["channel.rng_seed"] = values["seed"]

@@ -269,7 +269,6 @@ class Simulator:
         self.scenario = scenario
         self.env = scenario.environment
         self.phy = scenario.phy
-        # node ids key the pairs of an arrival file
         self.positions = [NodePosition(depth, x, y, node_id=str(i))
                           for i, (depth, x, y) in enumerate(scenario.network.nodes)]
         self.n_nodes = len(self.positions)

@@ -51,7 +51,6 @@ class TrWaveform:
 
 
 def check_divisible(tap_count: int, d_factor: int) -> None:
-    """The rule that D divides L - 1, so the lag grid holds the peak."""
     if (tap_count - 1) % d_factor != 0:
         raise ValueError(
             f"(L-1) must be divisible by the up/down-sampling factor: L={tap_count}, D={d_factor}"
@@ -156,8 +155,7 @@ def sinr_from_parts(sig: float, isi: float, interference: float, phy: PhyConfig)
 
 
 def sinr_atrsts_from_parts(sig: float, isi: float, ilis: list[float], phy: PhyConfig) -> float:
-    """p_sig / (p_isi + sum of the interferers' p_ili + sigma^2), the ILIs
-    summed left to right.
+    """p_sig / (p_isi + sum of the interferers' p_ili + sigma^2), ILIs summed left to right.
 
     Lets sweeps over the noise variance reuse powers that depend on D only.
     """
