@@ -16,7 +16,7 @@ from .channel import (
 from .mac import Frame, FrameKind, MacTimers, Packet
 from .presets import ExperimentPreset, run_preset
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
-from .sim import MetricsRecord, RunResult, Simulator, collect_metrics, run_scenario
+from .sim import LinkTable, MetricsRecord, RunResult, Simulator, collect_metrics, run_scenario
 from .tr_phy import (
     PhyConfig,
     TrWaveform,
@@ -40,6 +40,7 @@ __all__ = [
     "ExperimentPreset",
     "Frame",
     "FrameKind",
+    "LinkTable",
     "MacTimers",
     "MetricsRecord",
     "NodePosition",

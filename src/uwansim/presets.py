@@ -2,9 +2,11 @@
 
 Each preset writes one CSV with a leading provenance comment line
 (`# preset=<name> config=<hash> seeds=<...>`), a header row, and one row
-per grid point -- never fewer, never more.  Network sweeps dispatch runs
-to a process pool; rows are assembled in grid order regardless of
-completion order.
+per grid point -- never fewer, never more.  The hash covers the params
+as parsed, so values equal under their rules hash alike.  Network presets
+dispatch their runs to a process pool; rows are assembled in grid order
+regardless of completion order, and the runs of one placement share one
+link table.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .channel import (
     norm,
     normalized_cross_correlations,
 )
-from .rules import POSITIVE, Rule, number
+from .rules import POSITIVE, Rule, integer, number
 from .scenario import scenario_from_dict, scenario_to_dict
-from .sim import Simulator
+from .sim import LinkTable, Simulator, placement
 from .tr_phy import (
     PhyConfig,
     crosscorr_sampled_stats,
@@ -51,6 +53,8 @@ _PROBE_BLOCK = 64
 
 # the taps per CIR of the PHY presets, under ChannelModelConfig's rule and default
 _TAPS = ("tap_count", ChannelModelConfig.RULES["tap_count"], ChannelModelConfig.tap_count)
+# the pool size of the network presets; null means one worker per CPU
+_WORKERS = ("workers", integer(POSITIVE, nullable=True), None)
 
 # two-link reference geometry used by the SINR presets: (depth m, range m)
 REFERENCE_GEOMETRY = {"a": (20.0, 0.0), "b": (20.0, 1000.0), "i": (50.0, 0.0), "j": (70.0, 1000.0)}
@@ -66,13 +70,17 @@ class ExperimentPreset:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}; expected one of {PRESET_NAMES}")
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple(_parsed(self.name, "seeds", integer(), s) for s in self.seeds)
         if len(self.seeds) < 1:
             raise ValueError("ExperimentPreset.seeds must contain at least one seed")
 
 
-def _params_hash(name: str, params: dict, seeds) -> str:
-    blob = json.dumps({"name": name, "params": params, "seeds": list(seeds)}, sort_keys=True, default=str)
+def _params_hash(preset: ExperimentPreset, **parsed) -> str:
+    """Digest of the preset's name, seeds and params, with the ``parsed``
+    value of each param given in place of the value as given."""
+    params = {**preset.params, **{k: v for k, v in parsed.items() if k in preset.params}}
+    blob = json.dumps({"name": preset.name, "params": params, "seeds": list(preset.seeds)},
+                      sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -132,7 +140,7 @@ def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
             sdt = sinr_sdt_from_parts(peak, isi_sum, phy)
             rows.append([d, snr_db, _db(atrsts), _db(sdt)])
     path = os.path.join(preset.output_dir, "sinr_vs_snr.csv")
-    prov = f"# preset=sinr_vs_snr config={_params_hash(preset.name, params, preset.seeds)} seeds={seed}"
+    prov = f"# preset=sinr_vs_snr config={_params_hash(preset, tap_count=tap_count)} seeds={seed}"
     return _write_csv(path, prov, ["d_factor", "snr_db", "sinr_atrsts_db", "sinr_sdt_db"], rows)
 
 
@@ -164,18 +172,22 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
             ili = ili_power_from_parts(norm(h_ib), float(eta), offpeak, phy)
             rows.append([d, eta, _db(sinr_atrsts_from_parts(sig, isi, [ili], phy))])
     path = os.path.join(preset.output_dir, "sinr_vs_eta.csv")
-    prov = (f"# preset=sinr_vs_eta config={_params_hash(preset.name, params, preset.seeds)} "
+    prov = (f"# preset=sinr_vs_eta config={_params_hash(preset, tap_count=tap_count)} "
             f"seeds={seed} snr_db={snr_db}")
     return _write_csv(path, prov, ["d_factor", "eta", "sinr_db"], rows)
 
 
-def _param(preset: ExperimentPreset, key: str, rule: Rule, default):
-    """A preset parameter converted by its rule; ValueError naming the preset and key."""
-    value = preset.params.get(key, default)
+def _parsed(name: str, key: str, rule: Rule, value):
+    """``value`` converted by its rule; ValueError naming the preset and key."""
     try:
         return rule.parse(value)
     except ValueError as exc:
-        raise ValueError(f"{preset.name}: {key}: expected {exc}, got {value!r}") from None
+        raise ValueError(f"{name}: {key}: expected {exc}, got {value!r}") from None
+
+
+def _param(preset: ExperimentPreset, key: str, rule: Rule, default):
+    """A preset parameter converted by its rule; ValueError naming the preset and key."""
+    return _parsed(preset.name, key, rule, preset.params.get(key, default))
 
 
 def _grid_spot(params: dict, key: str, default: tuple[float, float]) -> tuple[tuple, NodePosition]:
@@ -224,7 +236,9 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
             # the cell at the reference transmitter is an undefined link to itself
             rows.append((depth, cell[1], math.nan if cell == tx else abs(next(etas))))
     path = os.path.join(preset.output_dir, "correlation_heatmap.csv")
-    prov = (f"# preset=correlation_heatmap config={_params_hash(preset.name, params, preset.seeds)} "
+    config = _params_hash(preset, depth_step=depth_step, range_step=range_step, water_depth=water_depth,
+                          max_range=max_range, tap_count=tap_count)
+    prov = (f"# preset=correlation_heatmap config={config} "
             f"seeds={seed} reference_tx={tx_spot} reference_rx={rx_spot}")
     return _write_csv(path, prov, ["depth_m", "range_m", "eta_abs"], rows)
 
@@ -254,9 +268,8 @@ def _nested_load_scenarios(seed: int, duration: float, loads, protocols, params)
     return jobs
 
 
-def _run_network_job(job: dict) -> dict:
-    # scenario_from_dict resolves, so the scenario goes to the Simulator as it is
-    metrics = Simulator(scenario_from_dict(job["scenario"])).run().metrics
+def _run_network_job(job: dict, scenario, links: LinkTable) -> dict:
+    metrics = Simulator(scenario, links=links).run(job.get("sample_every")).metrics
     return {
         "links": job["links"],
         "protocol": job["protocol"],
@@ -267,17 +280,45 @@ def _run_network_job(job: dict) -> dict:
         "mean_delay_s": metrics.mean_delay,
         "drop_ratio": metrics.drop_ratio,
         "throughput_bps": metrics.throughput,
+        "series": metrics.series,
     }
 
 
+# the link tables of the running call by placement, in a pool worker
+_worker_tables: dict[tuple, LinkTable] = {}
+
+
+def _set_worker_tables(tables: dict[tuple, LinkTable]) -> None:
+    global _worker_tables
+    _worker_tables = tables
+
+
+def _run_pooled_job(job: dict, scenario) -> dict:
+    return _run_network_job(job, scenario, _worker_tables[placement(scenario)])
+
+
 def run_network_jobs(jobs: list[dict], workers: int | None = None) -> list[dict]:
-    """Run scenario jobs, in parallel when workers allows; results keep job order."""
+    """Run scenario jobs, in parallel when workers allows; results keep job order.
+
+    A job's ``scenario`` mapping is resolved once, here, and one link table
+    is built per placement and shared by its jobs: a pool gets the tables
+    through its initializer.  A job with ``sample_every`` also returns the
+    metric ``series``.
+    """
+    scenarios = [scenario_from_dict(job["scenario"]) for job in jobs]
+    tables: dict[tuple, LinkTable] = {}
+    for scenario in scenarios:
+        key = placement(scenario)
+        if key not in tables:
+            tables[key] = LinkTable(scenario)
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1 or len(jobs) <= 1:
-        return [_run_network_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_network_job, jobs))
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return [_run_network_job(job, sc, tables[placement(sc)]) for job, sc in zip(jobs, scenarios)]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_tables,
+                             initargs=(tables,)) as pool:
+        return list(pool.map(_run_pooled_job, jobs, scenarios))
 
 
 def preset_load_sweep(preset: ExperimentPreset) -> str:
@@ -286,23 +327,20 @@ def preset_load_sweep(preset: ExperimentPreset) -> str:
     loads = tuple(params.get("loads", (4, 6, 8, 10)))
     protocols = tuple(params.get("protocols", ("trmac", "csma_ca", "s_csma_ca")))
     duration = float(params.get("duration", 2000.0))
-    workers = params.get("workers")
+    workers = _param(preset, *_WORKERS)
     if not loads:
         raise ValueError("load_sweep: loads grid must be nonempty")
 
     jobs = []
     for seed in preset.seeds:
         jobs.extend(_nested_load_scenarios(seed, duration, loads, protocols, params))
-    results = run_network_jobs(jobs, workers)
-    order = {(j["links"], j["protocol"], j["seed"]): k for k, j in enumerate(jobs)}
-    results.sort(key=lambda r: order[(r["links"], r["protocol"], r["seed"])])
     rows = [
         [r["links"], r["protocol"], r["seed"], r["generated"], r["delivered"], r["dropped"],
          r["mean_delay_s"], r["drop_ratio"], r["throughput_bps"]]
-        for r in results
+        for r in run_network_jobs(jobs, workers)
     ]
     path = os.path.join(preset.output_dir, "load_sweep.csv")
-    prov = (f"# preset=load_sweep config={_params_hash(preset.name, params, preset.seeds)} "
+    prov = (f"# preset=load_sweep config={_params_hash(preset, workers=workers)} "
             f"seeds={','.join(str(s) for s in preset.seeds)}")
     header = ["links", "protocol", "seed", "generated", "delivered", "dropped",
               "mean_delay_s", "drop_ratio", "throughput_bps"]
@@ -315,18 +353,23 @@ def preset_timeseries(preset: ExperimentPreset) -> str:
     protocols = tuple(params.get("protocols", ("trmac", "csma_ca", "s_csma_ca")))
     duration = float(params.get("duration", 2000.0))
     sample_every = float(params.get("sample_every", 100.0))
-    links = int(params.get("links", 10))
+    links = _param(preset, "links", integer(POSITIVE), 10)
+    workers = _param(preset, *_WORKERS)
     seed = preset.seeds[0]
 
-    rows = []
+    jobs = []
     for protocol in protocols:
         data = _network_scenario_dict(seed, protocol, duration, params)
         data.setdefault("network", {})["link_count"] = links
-        result = Simulator(scenario_from_dict(data)).run(sample_every)
-        for row in result.metrics.series:
-            rows.append([protocol, row["time"], row["mean_delay"], row["drop_ratio"], row["throughput"]])
+        jobs.append({"links": links, "protocol": protocol, "seed": seed, "scenario": data,
+                     "sample_every": sample_every})
+    rows = [
+        [r["protocol"], row["time"], row["mean_delay"], row["drop_ratio"], row["throughput"]]
+        for r in run_network_jobs(jobs, workers)
+        for row in r["series"]
+    ]
     path = os.path.join(preset.output_dir, "timeseries.csv")
-    prov = (f"# preset=timeseries config={_params_hash(preset.name, params, preset.seeds)} "
+    prov = (f"# preset=timeseries config={_params_hash(preset, links=links, workers=workers)} "
             f"seeds={seed} links={links}")
     header = ["protocol", "time_s", "mean_delay_s", "drop_ratio", "throughput_bps"]
     return _write_csv(path, prov, header, rows)

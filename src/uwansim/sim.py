@@ -20,14 +20,18 @@ number taken at tx start, the frame) and answers from it:
 Half-duplex and receiver-lock rules act on the node's open tracked
 receptions only.
 
-Per-pair quantities live in symmetric n x n rows that are read by plain
-indexing and written at two points only, both at a transmission start: a
-node's first transmission fills every pair of that node (CIR, delay,
-impinging power, direct-transmission signal and ISI), and the first TR
-frame on a link fills its TR signal, ISI and ILI at every victim.  A
-pair's CIR and delay come from its lower -> higher node index direction,
-so an arrival file that gives the two directions different records
-yields the same results whichever node speaks first.
+Per-pair quantities live in a ``LinkTable``: symmetric n x n rows of CIR,
+delay, impinging power and direct-transmission signal and ISI, read by
+plain indexing.  They depend only on the placement (node positions,
+environment, channel model and phy), so a table is built for a placement
+in one pass and may serve every run on it: a run builds its own at its
+first transmission unless it is handed one (``Simulator(..., links=)``),
+and a preset call shares one per placement across its runs.  Only the TR
+quantities of a link (signal, ISI and ILI at every victim) are filled
+later, into the table, by the first TR frame on that link.  A pair's CIR
+and delay come from its lower -> higher node index direction, so an
+arrival file that gives the two directions different records yields the
+same results whichever node speaks first.
 
 Ties.  Heap entries are ``(time, seq, kind, subject, attachment)`` tuples;
 ``seq`` grows with every push, so equal-time events run in the order they
@@ -53,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import SEED_MASK, ChannelModel, Cir, NodePosition
+from .channel import SEED_MASK, STATISTICAL_PDP, ChannelModel, Cir, NodePosition, generate_taps
 from .mac import (
     Arm,
     Cancel,
@@ -260,19 +264,97 @@ def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
     )
 
 
+def placement(scenario: Scenario) -> tuple:
+    """What the link table of a scenario depends on: its node positions,
+    environment, channel model and phy, as hashable values."""
+    nodes = tuple(map(tuple, scenario.network.nodes))
+    return nodes, scenario.environment, scenario.channel, scenario.phy
+
+
+def _pair_cirs(positions: list[NodePosition], channel: ChannelModel, d_factor: int):
+    """``(i, j, CIR, sum of |taps|^2)`` of every pair i < j, CIR in the i -> j
+    direction.  Statistical taps come from one ``generate_taps`` call per
+    node over its higher-index partners, read-only since tables are shared."""
+    points = [(p.depth, p.x, p.y) for p in positions]
+    interval = channel.env.sample_interval
+    if channel.cfg.model_kind == STATISTICAL_PDP:
+        for i in range(len(points) - 1):
+            taps = generate_taps(points[i], points[i + 1:], channel.env, channel.cfg)
+            taps.flags.writeable = False
+            energies = (np.abs(taps) ** 2).sum(axis=1)
+            for j, row, energy in zip(range(i + 1, len(points)), taps, energies):
+                yield i, j, Cir(row, interval), float(energy)
+        return
+    for i in range(len(points) - 1):
+        for j in range(i + 1, len(points)):
+            c = channel.cir(positions[i], positions[j])
+            excess = (len(c) - 1) % d_factor
+            if excess:
+                # arrival-file responses have data-driven lengths; trailing
+                # zero taps make them compliant without changing any power
+                c = Cir(np.concatenate([c.taps, np.zeros(d_factor - excess, dtype=np.complex128)]), interval)
+            c.taps.flags.writeable = False
+            yield i, j, c, float(np.sum(np.abs(c.taps) ** 2))
+
+
+class LinkTable:
+    """The per-pair quantities of one placement (module docstring).
+
+    ``cir``, ``delay``, ``power`` (impinging) and ``direct`` (signal, ISI)
+    are symmetric n x n rows, ``None`` on the diagonal; ``reach[v]`` is the
+    latest arrival offset of v's frames at any node.  ``tr[a][b]`` is the
+    ``(signal, ISI, ILI by victim)`` of frames a sends on link (a, b),
+    ``None`` until ``fill_tr`` computes it.
+    """
+
+    def __init__(self, scenario: Scenario):
+        """Build every pair of the placement of ``scenario``, a resolved one."""
+        self.key = placement(scenario)
+        self.phy = phy = scenario.phy
+        positions = [NodePosition(*node, node_id=str(i)) for i, node in enumerate(scenario.network.nodes)]
+        channel = ChannelModel(scenario.environment, scenario.channel)
+        n = len(positions)
+        self.cir: list[list] = [[None] * n for _ in range(n)]
+        self.delay: list[list] = [[None] * n for _ in range(n)]
+        self.power: list[list] = [[None] * n for _ in range(n)]
+        self.direct: list[list] = [[None] * n for _ in range(n)]
+        self.tr: list[list] = [[None] * n for _ in range(n)]
+        d = phy.updown_factor
+        power = phy.avg_transmit_power
+        for i, j, c, energy in _pair_cirs(positions, channel, d):
+            delay = channel.propagation_delay(positions[i], positions[j])
+            peak, isi_sum = sdt_signal_and_isi(c, d)
+            direct = (d * power * peak, d * power * isi_sum)
+            for a, b in ((i, j), (j, i)):
+                self.cir[a][b] = c
+                self.delay[a][b] = delay
+                self.power[a][b] = power * energy
+                self.direct[a][b] = direct
+        self.reach = [max(x for x in row if x is not None) for row in self.delay]
+
+    def fill_tr(self, a: int, b: int) -> None:
+        """Fill the TR quantities of frames a sends on link (a, b)."""
+        own, row = self.cir[a][b], self.cir[a]
+        ili = [None if v == a else p_ili(row[v], own, self.phy) for v in range(len(row))]
+        self.tr[a][b] = (p_sig(own, self.phy), p_isi(own, self.phy), ili)
+
+
 class Simulator:
     """One scenario, one seed, one deterministic event loop."""
 
-    def __init__(self, scenario: Scenario, record_events: bool = False):
-        """Check ``scenario``, which must be resolved, and set up to run it as it is."""
+    def __init__(self, scenario: Scenario, record_events: bool = False, links: LinkTable | None = None):
+        """Check ``scenario``, which must be resolved, and set up to run it as
+        it is.  ``links`` is a table of the scenario's placement to use, and
+        fill, instead of building one; ValueError if it is another's."""
         check_scenario(scenario)
+        if links is not None and links.key != placement(scenario):
+            raise ValueError("Simulator: links: the table was built for another placement")
+        self.links = links
         self.scenario = scenario
         self.env = scenario.environment
         self.phy = scenario.phy
-        self.positions = [NodePosition(depth, x, y, node_id=str(i))
-                          for i, (depth, x, y) in enumerate(scenario.network.nodes)]
-        self.n_nodes = len(self.positions)
-        self.channel = ChannelModel(self.env, scenario.channel)
+        nodes = scenario.network.nodes
+        self.n_nodes = len(nodes)
         self.timers = MacTimers(
             t_p=scenario.network.one_hop_range / self.env.nominal_sound_speed,
             t_tr=scenario.traffic.packet_bits / scenario.network.data_rate,
@@ -291,7 +373,7 @@ class Simulator:
         for i in range(self.n_nodes):
             neighbors = {
                 j for j in range(self.n_nodes)
-                if j != i and self.positions[i].distance_to(self.positions[j]) <= hop_limit
+                if j != i and math.dist(nodes[i], nodes[j]) <= hop_limit
             }
             engine = make_engine(
                 scenario.mac.protocol,
@@ -312,18 +394,6 @@ class Simulator:
             for f in range(len(scenario.network.routes))
         ]
 
-        # the link table (module docstring): symmetric n x n rows filled by
-        # _fill_node, plus tr[a][b] = (signal, ISI, ILI by victim) of link
-        # (a, b) filled by _fill_basis; reach[src] is the latest arrival
-        # offset of src's frames at any node
-        n = self.n_nodes
-        self._cir: list[list] = [[None] * n for _ in range(n)]
-        self._delay: list[list] = [[None] * n for _ in range(n)]
-        self._power: list[list] = [[None] * n for _ in range(n)]
-        self._direct: list[list] = [[None] * n for _ in range(n)]
-        self._tr: list[list] = [[None] * n for _ in range(n)]
-        self._reach: list = [None] * n
-
         if scenario.mac.sense_threshold_w is not None:
             self.sense_threshold = scenario.mac.sense_threshold_w
         else:
@@ -340,49 +410,13 @@ class Simulator:
         self._packet_seq = 0
         self.trace = RunTrace(events=[] if record_events else None)
 
-    # ---------------------------------------------------------- link table
-
-    def _fill_node(self, src: int) -> None:
-        """Fill every pair of src not yet filled (its first transmission).
-        CIR and delay are taken in the lower -> higher index direction, since
-        an arrival file may give the two directions different records."""
-        d = self.phy.updown_factor
-        power = self.phy.avg_transmit_power
-        for v in range(self.n_nodes):
-            if v == src or self._cir[src][v] is not None:
-                continue
-            lo, hi = self.positions[min(src, v)], self.positions[max(src, v)]
-            c = self.channel.cir(lo, hi)
-            excess = (len(c) - 1) % d
-            if excess:
-                # arrival-file responses have data-driven lengths; trailing
-                # zero taps make them compliant without changing any power
-                taps = np.concatenate([c.taps, np.zeros(d - excess, dtype=np.complex128)])
-                c = Cir(taps, c.sample_interval)
-            delay = self.channel.propagation_delay(lo, hi)
-            impinge = power * float(np.sum(np.abs(c.taps) ** 2))
-            peak, isi_sum = sdt_signal_and_isi(c, d)
-            direct = (d * power * peak, d * power * isi_sum)
-            for a, b in ((src, v), (v, src)):
-                self._cir[a][b] = c
-                self._delay[a][b] = delay
-                self._power[a][b] = impinge
-                self._direct[a][b] = direct
-        self._reach[src] = max((x for x in self._delay[src] if x is not None), default=0.0)
-
-    def _fill_basis(self, a: int, b: int) -> None:
-        """Fill the TR quantities of frames a sends on link (a, b)."""
-        own = self._cir[a][b]
-        ili = [None if v == a else p_ili(self._cir[a][v], own, self.phy) for v in range(self.n_nodes)]
-        self._tr[a][b] = (p_sig(own, self.phy), p_isi(own, self.phy), ili)
-
     # ---------------------------------------------------- transmission log
 
     def _arrivals(self, node_id: int, lo: float, hi: float, seq: int) -> list:
         """Logged arrivals at the node that overlap ``[lo, hi]``: their start
         key is below ``(hi, seq)`` and their end key above ``(lo, seq)``.
         Returns ``(start, seq, src, end, frame)`` in transmission order."""
-        delay = self._delay[node_id]
+        delay = self.links.delay[node_id]
         found = []
         for t, q, src, dur, frame, _ in self._tx_log:
             if t > hi:
@@ -400,7 +434,9 @@ class Simulator:
 
     def busy_until(self, node_id: int, now: float) -> float | None:
         """Latest arrival end among signals currently sensed at the node."""
-        power = self._power[node_id]
+        if not self._tx_log:
+            return None  # nothing sent yet, so no link table either
+        power = self.links.power[node_id]
         threshold = self.sense_threshold
         latest = None
         for _, _, src, end, _ in self._arrivals(node_id, now, now, self._event_seq):
@@ -411,14 +447,15 @@ class Simulator:
     def _interference(self, rec: _RxRecord, node_id: int) -> float:
         """Power of every other arrival overlapping a tracked reception,
         added in arrival order (seq is unique, so frames are never compared)."""
-        power = self._power[node_id]
+        links = self.links
+        power = links.power[node_id]
         total = 0.0
         for _, q, src, _, frame in sorted(self._arrivals(node_id, rec.rx_start, rec.rx_end, rec.seq)):
             if q == rec.seq:
                 continue
             if frame.kind in TR_KINDS:
                 a, b = frame.tr_basis
-                total += self._tr[a][b][2][node_id]
+                total += links.tr[a][b][2][node_id]
             else:
                 total += power[src]
         return total
@@ -544,26 +581,27 @@ class Simulator:
         for rec in state.tracked:
             rec.corrupted = True
         self._process_actions(node_id, state.engine.on_tx_start(frame, now), now)
-        if self._reach[node_id] is None:
-            self._fill_node(node_id)
+        links = self.links
+        if links is None:
+            links = self.links = LinkTable(self.scenario)
         if frame.kind in TR_KINDS:
             a, b = frame.tr_basis
-            if self._tr[a][b] is None:
-                self._fill_basis(a, b)
+            if links.tr[a][b] is None:
+                links.fill_tr(a, b)
         if frame.kind in DATA_KINDS:
             self.trace.data_tx_times.append(now)
-            self.trace.busy_intervals.append((now, now + duration + self._delay[frame.dst][node_id]))
+            self.trace.busy_intervals.append((now, now + duration + links.delay[frame.dst][node_id]))
         self._log(now, node_id, "tx_start", frame.kind.value, f"to {frame.dst}")
         self._seq += 1
         seq = self._seq
         self._trim_log(now)
-        self._tx_log.append((now, seq, node_id, duration, frame, now + self._reach[node_id] + duration))
+        self._tx_log.append((now, seq, node_id, duration, frame, now + links.reach[node_id] + duration))
         if self.trmac and frame.kind is FrameKind.PRO:
             receivers = [v for v in range(self.n_nodes) if v != node_id]
         else:
             receivers = (frame.dst,)
         for v in receivers:
-            t0 = now + self._delay[v][node_id]
+            t0 = now + links.delay[v][node_id]
             rec = _RxRecord(frame, t0, t0 + duration, seq)
             self._push(t0, EV_RX_START, v, rec)
             self._push(rec.rx_end, EV_RX_END, v, rec)
@@ -602,7 +640,7 @@ class Simulator:
             return
         if frame.kind in DATA_KINDS and frame.dst == node_id:
             self.trace.rx_success.append((now, frame.payload_bits))
-        measured = self._cir[frame.src][node_id]
+        measured = self.links.cir[frame.src][node_id]
         actions = state.engine.on_frame(frame, measured, now)
         self._process_actions(node_id, actions, now)
 
@@ -613,9 +651,9 @@ class Simulator:
         frame = rec.frame
         if frame.kind in TR_KINDS:
             a, b = frame.tr_basis
-            sig, isi, _ = self._tr[a][b]
+            sig, isi, _ = self.links.tr[a][b]
         else:
-            sig, isi = self._direct[frame.src][node_id]
+            sig, isi = self.links.direct[frame.src][node_id]
         return sinr_from_parts(sig, isi, rec.interference, self.phy) >= self.phy.min_required_sinr
 
     def _handle_timer(self, node_id: int, payload, now: float) -> None:

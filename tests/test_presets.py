@@ -1,6 +1,7 @@
 import copy
 import csv
 import math
+import re
 
 import pytest
 
@@ -24,7 +25,7 @@ from uwansim.presets import (
     run_preset,
 )
 from uwansim.scenario import Scenario, ScenarioError
-from uwansim.sim import run_scenario
+from uwansim.sim import LinkTable, run_scenario
 from uwansim.tr_phy import PhyConfig, crosscorr_sampled_stats, p_isi, p_sig
 
 
@@ -194,7 +195,7 @@ def test_phy_presets_run_a_whole_float_tap_count_as_that_integer(name, tmp_path)
     def data(**taps):
         path = run_preset(ExperimentPreset(name, params={**PHY_PRESETS[name], **taps},
                                            output_dir=str(tmp_path / repr(taps))))
-        _, header, rows = read_csv(path)  # the provenance hashes the params as given
+        _, header, rows = read_csv(path)
         return header, rows
 
     assert data(tap_count=129.0) == data(tap_count=129)
@@ -237,12 +238,12 @@ def test_timeseries_scenario_override_reaches_every_protocol(tmp_path, monkeypat
 
     real_simulator, ran = presets.Simulator, []
 
-    def recording_simulator(scenario):
+    def recording_simulator(scenario, **kwargs):
         ran.append(scenario)
-        return real_simulator(scenario)
+        return real_simulator(scenario, **kwargs)
 
     monkeypatch.setattr(presets, "Simulator", recording_simulator)
-    params = {"duration": 20.0, "sample_every": 10.0, "links": 2,
+    params = {"duration": 20.0, "sample_every": 10.0, "links": 2, "workers": 1,
               "scenario": {"network": {"node_count": 12}, "mac": {"guard_time_s": 0.5}}}
     before = copy.deepcopy(params)
     run_preset(ExperimentPreset("timeseries", params=params, seeds=(4,), output_dir=str(tmp_path)))
@@ -259,7 +260,8 @@ def test_network_presets_resolve_each_scenario_once(tmp_path, monkeypatch):
         return real_resolved(self)
 
     monkeypatch.setattr(Scenario, "resolved", counting_resolved)
-    run_preset(ExperimentPreset("timeseries", params={"duration": 20.0, "sample_every": 10.0, "links": 2},
+    run_preset(ExperimentPreset("timeseries", params={"duration": 20.0, "sample_every": 10.0, "links": 2,
+                                                      "workers": 1},
                                 output_dir=str(tmp_path)))
     assert len(calls) == 3  # one per protocol
     calls.clear()
@@ -279,3 +281,71 @@ def test_run_preset_dispatch(tmp_path):
     assert len(rows) == 2
     with pytest.raises(ValueError, match="eta grid"):
         run_preset(ExperimentPreset("sinr_vs_eta", params={"eta_grid": (1.5,)}, output_dir=str(tmp_path)))
+
+
+def _text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_timeseries_in_a_pool_writes_the_serial_text(tmp_path):
+    def text(workers):
+        params = {"duration": 60.0, "sample_every": 20.0, "links": 3, "workers": workers}
+        out = tmp_path / str(workers)
+        return _text(run_preset(ExperimentPreset("timeseries", params=params, seeds=(2,), output_dir=str(out))))
+
+    serial, pooled = text(1).split("\n", 1), text(2).split("\n", 1)
+    assert pooled[1] == serial[1]
+    # the provenance differs only in the hash, which covers the params
+    assert re.sub("config=[0-9a-f]+", "", pooled[0]) == re.sub("config=[0-9a-f]+", "", serial[0])
+
+
+@pytest.mark.parametrize("name, params, seeds, tables", [
+    ("load_sweep", {"duration": 20.0, "loads": (1, 2), "workers": 1}, (1,), 1),
+    ("load_sweep", {"duration": 20.0, "loads": (1, 2), "workers": 1}, (1, 2), 2),
+    ("timeseries", {"duration": 20.0, "sample_every": 10.0, "links": 2, "workers": 1}, (1,), 1),
+])
+def test_network_presets_build_one_link_table_per_placement(name, params, seeds, tables, tmp_path, monkeypatch):
+    real_init, built = LinkTable.__init__, []
+
+    def counting_init(self, scenario):
+        built.append(scenario)
+        real_init(self, scenario)
+
+    monkeypatch.setattr(LinkTable, "__init__", counting_init)
+    run_preset(ExperimentPreset(name, params=params, seeds=seeds, output_dir=str(tmp_path)))
+    assert len(built) == tables
+
+
+@pytest.mark.parametrize("name, params, seeds, key, value, expected", [
+    ("sinr_vs_snr", {}, (1.7,), "seeds", 1.7, "integer"),
+    ("load_sweep", {}, (True,), "seeds", True, "integer"),
+    ("timeseries", {"links": 2.6}, (1,), "links", 2.6, "positive integer"),
+    ("timeseries", {"links": 0}, (1,), "links", 0, "positive integer"),
+    ("timeseries", {"workers": 1.5}, (1,), "workers", 1.5, "positive integer or null"),
+    ("load_sweep", {"workers": 0}, (1,), "workers", 0, "positive integer or null"),
+    ("load_sweep", {"workers": "2"}, (1,), "workers", "2", "positive integer or null"),
+])
+def test_preset_integers_are_parsed_by_their_rule(name, params, seeds, key, value, expected, tmp_path):
+    with pytest.raises(ValueError) as err:
+        run_preset(ExperimentPreset(name, params={"duration": 20.0, **params}, seeds=seeds,
+                                    output_dir=str(tmp_path)))
+    assert str(err.value) == f"{name}: {key}: expected {expected}, got {value!r}"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, params, whole, exact", [
+    ("sinr_vs_snr", PHY_PRESETS["sinr_vs_snr"], {"tap_count": 129.0}, {"tap_count": 129}),
+    ("correlation_heatmap", PHY_PRESETS["correlation_heatmap"],
+     {"depth_step": 20, "max_range": 2000}, {"depth_step": 20.0, "max_range": 2000.0}),
+    ("timeseries", {"duration": 20.0, "sample_every": 10.0},
+     {"links": 2.0, "workers": 1.0}, {"links": 2, "workers": 1}),
+    ("load_sweep", {"duration": 20.0, "loads": (1,)}, {"workers": 1.0}, {"workers": 1}),
+])
+def test_provenance_hashes_the_parsed_params(name, params, whole, exact, tmp_path):
+    def text(extra, seeds):
+        out = tmp_path / repr((extra, seeds))
+        return _text(run_preset(ExperimentPreset(name, params={**params, **extra}, seeds=seeds,
+                                                 output_dir=str(out))))
+
+    assert text(whole, (1.0,)) == text(exact, (1,))

@@ -5,13 +5,15 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 
+from uwansim.channel import ArrivalFileError, ChannelModel, Cir, NodePosition
 from uwansim.mac import Arm, Frame, FrameKind, Packet, Send
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import sim as sim_module
-from uwansim.sim import MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
-from uwansim.tr_phy import p_ili, p_isi, p_sig, sinr_from_parts
+from uwansim.sim import LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
+from uwansim.tr_phy import p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
 
 
 def single_link_scenario(**overrides):
@@ -560,7 +562,7 @@ def test_arrival_file_channel_end_to_end(tmp_path):
         "network": {"nodes": [[20, 0, 0], [20, 600, 0]], "routes": [[0, 1]]},
     })
     sim = Simulator(sc)
-    assert sim.channel.propagation_delay(sim.positions[0], sim.positions[1]) == 0.4
+    assert LinkTable(sc).delay[0][1] == 0.4
     sim.schedule_packet(0, 0.0)
     m = sim.run().metrics
     assert m.delivered == 1
@@ -597,10 +599,11 @@ def test_adjudicate_closed_form_threshold_margin():
     from uwansim.mac import Frame, FrameKind
     from uwansim.sim import _RxRecord
 
-    sim = Simulator(single_link_scenario())
+    sc = single_link_scenario()
+    sim = Simulator(sc, links=LinkTable(sc))
     gamma = sim.phy.min_required_sinr
     sigma2 = sim.phy.noise_variance
-    sim._tr[0][1] = (2.0 * gamma * sigma2, 0.0, None)
+    sim.links.tr[0][1] = (2.0 * gamma * sigma2, 0.0, None)
     frame = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, tr_basis=(0, 1),
                   packet=Packet(1, 0, (0, 1), 256, 0.0))
     rec = _RxRecord(frame, 0.0, 0.5, 1)
@@ -658,7 +661,7 @@ def test_tie_arrival_end_meets_arrival_start_under_rx_lock(first, a_outcome):
     # start is handled before C's end, so it finds the receiver locked
     frames = {"A": _tr_ack(2, 1), "C": _tr_ack(0, 1)}
     sim = _tie_run(line_scenario([0, 750, 2250]), frames, first)
-    assert sim.channel.propagation_delay(sim.positions[2], sim.positions[1]) == 1.0
+    assert sim.links.delay[2][1] == 1.0
     assert rx_outcomes(sim, 1) == [(1.0, "ok"), (1.5, a_outcome)]
 
 
@@ -676,9 +679,10 @@ def test_tie_arrival_end_meets_arrival_start_interference(victim, first, outcome
         frames = {"A": _tr_ack(2, 0), "C": _tr_ack(0, 1)}
         interferer = frames["A"]
     probe = Simulator(line_scenario([0, 750, 2250]))
+    table = LinkTable(probe.scenario)
 
     def cir(a, b):
-        return probe.channel.cir(probe.positions[min(a, b)], probe.positions[max(a, b)])
+        return table.cir[min(a, b)][max(a, b)]
 
     own = cir(frames[victim].src, 1)
     sig, isi = p_sig(own, probe.phy), p_isi(own, probe.phy)
@@ -726,7 +730,7 @@ def test_interference_sums_in_arrival_order():
         sim._submit_frame(node, _tr_ack(node, 1), 0.0)
     sim._submit_frame(1, _tr_ack(1, 0), 0.0)
     for node, power in powers.items():
-        sim._tr[node][1][2][0] = power  # ILI of link (node, 1) at node 0
+        sim.links.tr[node][1][2][0] = power  # ILI of link (node, 1) at node 0
     seen = []
     adjudicate = sim._adjudicate
 
@@ -758,3 +762,121 @@ def test_tie_csma_sense_timer_expires_at_arrival_end(far_frame, sensed_until):
     rts = [e["time"] for e in sim.trace.events if e["event"] == "tx_start" and e["node"] == 1]
     assert rts[0] == sensed_until + u
     assert len(sim.trace.deliveries) == 1
+
+
+# ------------------------------------------------------------- link table
+
+
+def _reference_pair(channel, nodes, i, j, phy):
+    """A pair's quantities the way a per-pair loop computes them."""
+    lo = NodePosition(*nodes[i], node_id=str(i))
+    hi = NodePosition(*nodes[j], node_id=str(j))
+    c = channel.cir(lo, hi)
+    d = phy.updown_factor
+    excess = (len(c) - 1) % d
+    if excess:
+        c = Cir(np.concatenate([c.taps, np.zeros(d - excess, dtype=np.complex128)]), c.sample_interval)
+    peak, isi_sum = sdt_signal_and_isi(c, d)
+    dp = d * phy.avg_transmit_power
+    power = phy.avg_transmit_power * float(np.sum(np.abs(c.taps) ** 2))
+    return c, channel.propagation_delay(lo, hi), power, (dp * peak, dp * isi_sum)
+
+
+def assert_table_matches_per_pair(sc):
+    table = LinkTable(sc)
+    nodes = sc.network.nodes
+    channel = ChannelModel(sc.environment, sc.channel)
+    n = len(nodes)
+    for i in range(n):
+        assert table.cir[i][i] is None and table.delay[i][i] is None
+        for j in range(i + 1, n):
+            c, delay, power, direct = _reference_pair(channel, nodes, i, j, sc.phy)
+            for a, b in ((i, j), (j, i)):
+                assert np.array_equal(table.cir[a][b].taps, c.taps)
+                assert table.delay[a][b] == delay
+                assert table.power[a][b] == power
+                assert table.direct[a][b] == direct
+        assert table.reach[i] == max(table.delay[i][v] for v in range(n) if v != i)
+    return table
+
+
+@pytest.mark.parametrize("seed, tap_count", [(1, 129), (7, 257)])
+def test_link_table_matches_per_pair_statistical_model(seed, tap_count):
+    sc = scenario_from_dict({"seed": seed, "channel": {"tap_count": tap_count}})
+    table = assert_table_matches_per_pair(sc)
+    # a shared table's taps cannot be written by one of its runs
+    with pytest.raises(ValueError):
+        table.cir[0][1].taps[0] = 0.0
+
+
+def test_link_table_matches_per_pair_arrival_file(tmp_path):
+    # 0 -> 1 and 1 -> 0 differ, and the table takes 0 -> 1; 2 -> 3 is only
+    # given reversed; three-tap responses are padded to (L-1) % D == 0
+    dt = 1.0 / 4000.0
+    arrivals = tmp_path / "arrivals.txt"
+    arrivals.write_text("\n".join([
+        "ARRIVALS v1",
+        "0 1 0.4 5e-3 0.0", f"0 1 {0.4 + 2 * dt} 2e-3 1.0",
+        "1 0 0.6 4e-3 0.5",
+        "0 2 0.5 3e-3 0.0", "0 3 0.55 3e-3 0.2", "1 2 0.3 6e-3 0.1",
+        "1 3 0.35 2e-3 0.0", f"1 3 {0.35 + 5 * dt} 1e-3 2.0",
+        "3 2 0.45 1e-3 0.3",
+    ]) + "\n")
+    sc = scenario_from_dict({
+        "seed": 2,
+        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "network": {"nodes": [[20, 0, 0], [20, 600, 0], [30, 0, 700], [30, 600, 700]],
+                    "routes": [[0, 1], [2, 3]]},
+    })
+    table = assert_table_matches_per_pair(sc)
+    assert table.delay[1][0] == 0.4 and len(table.cir[0][1]) == 5
+
+
+def _run_outputs(result):
+    trace = result.trace
+    return (repr(dataclasses.asdict(result.metrics)), result.engine_stats, trace.deliveries,
+            trace.drops, trace.data_tx_times, trace.busy_intervals, trace.rx_success)
+
+
+def test_shared_link_table_gives_the_fresh_table_results():
+    scenarios = {p: scenario_from_dict({"seed": 3, "duration_s": 400, "mac": {"protocol": p}})
+                 for p in ("trmac", "csma_ca", "s_csma_ca")}
+    fresh = {p: _run_outputs(Simulator(sc).run()) for p, sc in scenarios.items()}
+    table = LinkTable(scenarios["trmac"])
+    # trmac twice: the second run reads the TR quantities the first filled in
+    for p in ("trmac", "csma_ca", "s_csma_ca", "trmac"):
+        sim = Simulator(scenarios[p], links=table)
+        assert _run_outputs(sim.run()) == fresh[p]
+        assert sim.links is table
+    assert any(entry is not None for row in table.tr for entry in row)
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 4},
+    {"phy": {"noise_variance_w": 2.0e-7}},
+    {"channel": {"rng_seed": 9}},
+    {"environment": {"nominal_sound_speed_mps": 1490.0}},
+])
+def test_link_table_of_another_placement_is_refused(change):
+    base = {"seed": 3, "duration_s": 50}
+    table = LinkTable(scenario_from_dict(base))
+    Simulator(scenario_from_dict({**base, "mac": {"protocol": "csma_ca"}}), links=table)  # same placement
+    other = scenario_from_dict({**base, **change})
+    with pytest.raises(ValueError, match="another placement"):
+        Simulator(other, links=table)
+
+
+def test_arrival_file_missing_pair_raises_at_the_first_transmission(tmp_path):
+    # pair 1-2 is missing; node 0's first frame builds the whole table
+    arrivals = tmp_path / "arrivals.txt"
+    arrivals.write_text("ARRIVALS v1\n0 1 0.4 5e-3 0.0\n0 2 0.5 5e-3 0.0\n")
+    sc = scenario_from_dict({
+        "seed": 2,
+        "duration_s": 5,
+        "traffic": {"mean_interarrival_s": None},
+        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "network": {"nodes": [[20, 0, 0], [20, 600, 0], [20, 0, 700]], "routes": [[0, 1]]},
+    })
+    sim = Simulator(sc)
+    with pytest.raises(ArrivalFileError, match="1->2"):
+        sim._submit_frame(0, Frame(FrameKind.ACK, 0, 1, 32, 0.0625), 0.0)
