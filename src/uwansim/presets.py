@@ -54,7 +54,7 @@ _PROBE_BLOCK = 64
 # the taps per CIR of the PHY presets, under ChannelModelConfig's rule and default
 _TAPS = ("tap_count", ChannelModelConfig.RULES["tap_count"], ChannelModelConfig.tap_count)
 # the pool size of the network presets; null means one worker per CPU
-_WORKERS = ("workers", integer(POSITIVE, nullable=True), None)
+_WORKERS = integer(POSITIVE, nullable=True)
 
 # two-link reference geometry used by the SINR presets: (depth m, range m)
 REFERENCE_GEOMETRY = {"a": (20.0, 0.0), "b": (20.0, 1000.0), "i": (50.0, 0.0), "j": (70.0, 1000.0)}
@@ -327,7 +327,7 @@ def preset_load_sweep(preset: ExperimentPreset) -> str:
     loads = tuple(params.get("loads", (4, 6, 8, 10)))
     protocols = tuple(params.get("protocols", ("trmac", "csma_ca", "s_csma_ca")))
     duration = float(params.get("duration", 2000.0))
-    workers = _param(preset, *_WORKERS)
+    workers = _param(preset, "workers", _WORKERS, None)
     if not loads:
         raise ValueError("load_sweep: loads grid must be nonempty")
 
@@ -354,7 +354,9 @@ def preset_timeseries(preset: ExperimentPreset) -> str:
     duration = float(params.get("duration", 2000.0))
     sample_every = float(params.get("sample_every", 100.0))
     links = _param(preset, "links", integer(POSITIVE), 10)
-    workers = _param(preset, *_WORKERS)
+    # in-process unless asked: a pool saves little beyond its start-up on
+    # three runs, and in-process runs stay visible to a profiler
+    workers = _param(preset, "workers", _WORKERS, 1)
     seed = preset.seeds[0]
 
     jobs = []

@@ -300,6 +300,18 @@ def test_timeseries_in_a_pool_writes_the_serial_text(tmp_path):
     assert re.sub("config=[0-9a-f]+", "", pooled[0]) == re.sub("config=[0-9a-f]+", "", serial[0])
 
 
+def test_timeseries_runs_in_process_unless_workers_is_given(tmp_path, monkeypatch):
+    from uwansim import presets
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("timeseries started a process pool")
+
+    monkeypatch.setattr(presets, "ProcessPoolExecutor", no_pool)
+    params = {"duration": 20.0, "sample_every": 10.0, "links": 2}
+    _, _, rows = read_csv(run_preset(ExperimentPreset("timeseries", params=params, output_dir=str(tmp_path))))
+    assert len(rows) == 6
+
+
 @pytest.mark.parametrize("name, params, seeds, tables", [
     ("load_sweep", {"duration": 20.0, "loads": (1, 2), "workers": 1}, (1,), 1),
     ("load_sweep", {"duration": 20.0, "loads": (1, 2), "workers": 1}, (1, 2), 2),
