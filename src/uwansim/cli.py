@@ -121,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     preset_p = sub.add_parser("preset", help="run a canned experiment preset")
     preset_p.add_argument("name", choices=PRESET_NAMES)
     preset_p.add_argument("--out", default=".", help="output directory")
-    preset_p.add_argument("--seed", type=int, default=None)
-    preset_p.add_argument("--seeds", type=int, nargs="+", default=None)
+    seeds = preset_p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None)
+    seeds.add_argument("--seeds", type=int, nargs="+", default=None)
     preset_p.add_argument("--duration", type=float, default=None)
     preset_p.add_argument("--loads", type=int, nargs="+", default=None)
     preset_p.add_argument("--jobs", type=int, default=None, help="parallel run workers")

@@ -5,7 +5,9 @@ the simulator feeds them decoded frames, transmit-start notifications,
 and timer expiries, and they answer with action lists (send a frame
 after an optional delay, arm/cancel a named timer, deliver or drop a
 packet).  Cross-node interaction happens only through the scheduler, so
-an engine never touches another node's state.
+an engine never touches another node's state.  Engines name links by node
+ids and read their static quantities from the run's ``LinkTable`` through
+``medium.links``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .channel import Cir, norm, peak_eta
+from .channel import peak_eta
 from .rules import POSITIVE, Checked, integer, number
-from .tr_phy import autocorr_offpeak_sum, eta_threshold
+from .tr_phy import eta_threshold
 
 TRMAC = "trmac"
 CSMA_CA = "csma_ca"
@@ -123,8 +125,6 @@ class MacTimers(Checked):
 
 @dataclass
 class ProCacheEntry:
-    origin: int
-    cir: Cir
     piggyback: Piggyback
     received_at: float
 
@@ -193,7 +193,7 @@ class MacEngine:
             return self._begin_next(now)
         return []
 
-    def on_frame(self, frame: Frame, measured_cir: Cir, now: float) -> list[Action]:
+    def on_frame(self, frame: Frame, now: float) -> list[Action]:
         raise NotImplementedError
 
     def on_tx_start(self, frame: Frame, now: float) -> list[Action]:
@@ -264,30 +264,30 @@ class TrmacEngine(MacEngine):
         self.pro_cache: dict[int, ProCacheEntry] = {}
         self.phase: Optional[str] = None
         self.reserved_for: Optional[int] = None
-        self.deferred_prs: deque[tuple[int, Cir]] = deque()
+        self.deferred_prs: deque[int] = deque()  # requester ids
         self.delivered_ids: set[int] = set()
 
     # -- sender side -------------------------------------------------------
 
     def _start_packet(self, now: float) -> list[Action]:
-        packet, dst = self.current
+        dst = self.current[1]
         entry = self.pro_cache.get(dst)
         if entry is not None and now - entry.received_at < self.timers.coherence_time:
-            # handshake omission: reuse the cached probe's CIR directly
+            # handshake omission: the cached probe still describes the link
             self.stats["handshake_omissions"] += 1
             self.phase = self.DATA
-            return self._schedule_tr_data(now, t_pro_b=now - entry.received_at, cir_ab=entry.cir)
+            return self._schedule_tr_data(now, t_pro_b=now - entry.received_at)
         self.phase = self.PROBE
         return [Send(self._control_frame(FrameKind.P_R, dst))]
 
-    def _schedule_tr_data(self, now: float, t_pro_b: Optional[float], cir_ab: Cir) -> list[Action]:
+    def _schedule_tr_data(self, now: float, t_pro_b: Optional[float]) -> list[Action]:
         packet, dst = self.current
-        backoff = self.compute_backoff(now, t_pro_b, cir_ab, dst)
+        backoff = self.compute_backoff(now, t_pro_b, dst)
         frame = self._data_frame(FrameKind.TR_DATA, dst, packet, tr_basis=(self.node_id, dst))
         return [Send(frame, delay=backoff)]
 
-    def compute_backoff(self, now: float, t_pro_b: Optional[float], cir_ab: Cir, dst: int) -> float:
-        """Steps 3-5 deferral.
+    def compute_backoff(self, now: float, t_pro_b: Optional[float], dst: int) -> float:
+        """Steps 3-5 deferral before sending to ``dst``.
 
         t_pro_b None marks the fresh-handshake path, where the receiver
         term is defined to vanish.  Each third-party probe overheard
@@ -296,18 +296,21 @@ class TrmacEngine(MacEngine):
         """
         t_cl = self.timers.t_cl
         backoff = max(t_cl - t_pro_b, 0.0) if t_pro_b is not None else 0.0
+        cir = self.medium.links.cir
+        own = cir[self.node_id][dst]
         for origin, entry in self.pro_cache.items():
             if origin == dst:
                 continue
             age = now - entry.received_at
             if age >= t_cl:
                 continue
-            eta = peak_eta(entry.cir, cir_ab)
+            heard = cir[origin][self.node_id]
+            eta = peak_eta(heard, own)
             threshold = eta_threshold(
                 entry.piggyback.victim_link_norm,
                 entry.piggyback.victim_autocorr_offpeak_sum,
-                entry.cir,
-                cir_ab,
+                heard,
+                own,
                 self.phy,
             )
             if threshold is None or eta > threshold:
@@ -338,52 +341,44 @@ class TrmacEngine(MacEngine):
         self.retries += 1
         if self.phase == self.PROBE:
             return [Send(self._control_frame(FrameKind.P_R, dst))]
-        entry = self.pro_cache.get(dst)
-        if entry is None:
-            # probe evaporated from the cache; fall back to a fresh handshake
-            self.phase = self.PROBE
-            return [Send(self._control_frame(FrameKind.P_R, dst))]
-        return self._schedule_tr_data(now, t_pro_b=now - entry.received_at, cir_ab=entry.cir)
+        # the probe that opened the data phase stays cached
+        return self._schedule_tr_data(now, t_pro_b=now - self.pro_cache[dst].received_at)
 
     # -- receiver side -----------------------------------------------------
 
-    def on_frame(self, frame: Frame, measured_cir: Cir, now: float) -> list[Action]:
+    def on_frame(self, frame: Frame, now: float) -> list[Action]:
         kind = frame.kind
         if kind is FrameKind.PRO:
-            return self._on_pro(frame, measured_cir, now)
+            return self._on_pro(frame, now)
         if frame.dst != self.node_id:
             return []  # overheard non-probe frames are discarded
         if kind is FrameKind.P_R:
-            return self._on_probe_request(frame, measured_cir, now)
+            return self._on_probe_request(frame)
         if kind is FrameKind.TR_DATA:
-            return self._on_tr_data(frame, measured_cir, now)
+            return self._on_tr_data(frame, now)
         if kind is FrameKind.TR_ACK:
             return self._on_tr_ack(frame, now)
         raise ValueError(f"TRMAC engine cannot handle frame kind {kind.value}")
 
-    def _pro_reply(self, requester: int, measured_cir: Cir) -> list[Action]:
+    def _pro_reply(self, requester: int) -> list[Action]:
         self.reserved_for = requester
-        piggyback = Piggyback(
-            victim_link_norm=norm(measured_cir),
-            victim_autocorr_offpeak_sum=autocorr_offpeak_sum(measured_cir, self.phy.updown_factor),
-        )
+        piggyback = Piggyback(*self.medium.links.reply_quantities(self.node_id, requester))
         return [
             Send(self._control_frame(FrameKind.PRO, requester, piggyback=piggyback)),
             Arm("reservation", self.timers.t_th),
         ]
 
-    def _on_probe_request(self, frame: Frame, measured_cir: Cir, now: float) -> list[Action]:
+    def _on_probe_request(self, frame: Frame) -> list[Action]:
         if self.reserved_for in (None, frame.src):
-            return self._pro_reply(frame.src, measured_cir)
+            return self._pro_reply(frame.src)
         # already reserved by another link: defer the reply until it clears
-        self.deferred_prs = deque(
-            [(src, cir) for src, cir in self.deferred_prs if src != frame.src]
-        )
-        self.deferred_prs.append((frame.src, measured_cir))
+        if frame.src in self.deferred_prs:
+            self.deferred_prs.remove(frame.src)
+        self.deferred_prs.append(frame.src)
         return []
 
-    def _on_pro(self, frame: Frame, measured_cir: Cir, now: float) -> list[Action]:
-        self.pro_cache[frame.src] = ProCacheEntry(frame.src, measured_cir, frame.piggyback, now)
+    def _on_pro(self, frame: Frame, now: float) -> list[Action]:
+        self.pro_cache[frame.src] = ProCacheEntry(frame.piggyback, now)
         if frame.dst != self.node_id:
             return []
         if self.current is None or self.phase != self.PROBE or frame.src != self.current[1]:
@@ -392,10 +387,10 @@ class TrmacEngine(MacEngine):
         self.retries = 0
         self.phase = self.DATA
         actions: list[Action] = [Cancel("response")]
-        actions.extend(self._schedule_tr_data(now, t_pro_b=None, cir_ab=measured_cir))
+        actions.extend(self._schedule_tr_data(now, t_pro_b=None))
         return actions
 
-    def _on_tr_data(self, frame: Frame, measured_cir: Cir, now: float) -> list[Action]:
+    def _on_tr_data(self, frame: Frame, now: float) -> list[Action]:
         # the acknowledgment rides the updated link CIR back to the sender;
         # it goes first so a relayed packet's probe request queues behind it
         ack = self._control_frame(
@@ -423,8 +418,7 @@ class TrmacEngine(MacEngine):
         self.reserved_for = None
         actions: list[Action] = [Cancel("reservation")]
         if self.deferred_prs:
-            requester, measured_cir = self.deferred_prs.popleft()
-            actions.extend(self._pro_reply(requester, measured_cir))
+            actions.extend(self._pro_reply(self.deferred_prs.popleft()))
         return actions
 
 
@@ -507,7 +501,7 @@ class CsmaEngine(MacEngine):
             return [Arm("backoff", float(self.rng.uniform(0.0, self.backoff_window())))]
         return []
 
-    def on_frame(self, frame: Frame, measured_cir: Cir, now: float) -> list[Action]:
+    def on_frame(self, frame: Frame, now: float) -> list[Action]:
         if frame.dst != self.node_id:
             return []
         kind = frame.kind

@@ -352,7 +352,7 @@ def preset_timeseries(preset: ExperimentPreset) -> str:
     params = preset.params
     protocols = tuple(params.get("protocols", ("trmac", "csma_ca", "s_csma_ca")))
     duration = float(params.get("duration", 2000.0))
-    sample_every = float(params.get("sample_every", 100.0))
+    sample_every = _param(preset, "sample_every", number(POSITIVE), 100.0)
     links = _param(preset, "links", integer(POSITIVE), 10)
     # in-process unless asked: a pool saves little beyond its start-up on
     # three runs, and in-process runs stay visible to a profiler
@@ -371,8 +371,8 @@ def preset_timeseries(preset: ExperimentPreset) -> str:
         for row in r["series"]
     ]
     path = os.path.join(preset.output_dir, "timeseries.csv")
-    prov = (f"# preset=timeseries config={_params_hash(preset, links=links, workers=workers)} "
-            f"seeds={seed} links={links}")
+    config = _params_hash(preset, links=links, workers=workers, sample_every=sample_every)
+    prov = f"# preset=timeseries config={config} seeds={seed} links={links}"
     header = ["protocol", "time_s", "mean_delay_s", "drop_ratio", "throughput_bps"]
     return _write_csv(path, prov, header, rows)
 

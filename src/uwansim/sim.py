@@ -26,10 +26,11 @@ plain indexing.  They depend only on the placement (node positions,
 environment, channel model and phy), so a table is built for a placement
 in one pass and may serve every run on it: a run builds its own at its
 first transmission unless it is handed one (``Simulator(..., links=)``),
-and a preset call shares one per placement across its runs.  Only the TR
-quantities of a link (signal, ISI and ILI at every victim) are filled
-later, into the table, by the first TR frame on that link.  A pair's CIR
-and delay come from its lower -> higher node index direction, so an
+and a preset call shares one per placement across its runs.  A link's TR
+quantities (signal, ISI, ILI at every victim) are filled in at its first TR
+frame, and the norm and off-peak autocorrelation sum its probe replies carry
+at its first reply.  MAC engines read the table by node ids.  A pair's
+CIR and delay come from its lower -> higher node index direction, so an
 arrival file that gives the two directions different records yields the
 same results whichever node speaks first.
 
@@ -57,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import SEED_MASK, STATISTICAL_PDP, ChannelModel, Cir, NodePosition, generate_taps
+from .channel import SEED_MASK, STATISTICAL_PDP, ChannelModel, Cir, NodePosition, generate_taps, norm
 from .mac import (
     Arm,
     Cancel,
@@ -70,11 +71,10 @@ from .mac import (
     Packet,
     Send,
     TR_KINDS,
-    TRMAC,
     make_engine,
 )
 from .scenario import Scenario, check_scenario
-from .tr_phy import p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
+from .tr_phy import autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
 
 EV_ARRIVAL = 0
 EV_RX_START = 1
@@ -167,9 +167,9 @@ def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
     time <= until``, both bounds inclusive, and the union of the busy
     intervals that start before ``until``, clipped to ``[warmup, until]``.
     A bound below ``warmup`` gives ``nan`` / ``0.0`` / ``0.0``.  The record
-    is taken at ``duration``; with ``sample_every``, ``series`` adds one row
-    at ``min(t, duration)`` for ``t = sample_every, t += sample_every, ...``
-    while ``t <= duration + 1e-9``.
+    is taken at ``duration``; with ``sample_every`` (positive and finite, or
+    ValueError), ``series`` adds one row at ``min(t, duration)`` for ``t =
+    sample_every, t += sample_every, ...`` while ``t <= duration + 1e-9``.
 
     One forward pass computes them all.  The five trace lists must be in
     time order (busy intervals by start), as the engine appends them; each
@@ -178,6 +178,9 @@ def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
     segments are added left to right to a ``0.0`` accumulator, so the sums
     do not depend on how the Python version's ``sum()`` rounds.
     """
+    sampled = sample_every is not None
+    if sampled and not 0.0 < sample_every < math.inf:
+        raise ValueError(f"sample_every: expected a positive finite number, got {sample_every!r}")
     deliveries, drops, rx_success = trace.deliveries, trace.drops, trace.rx_success
     intervals = trace.busy_intervals
     delivery_t = _time_ordered("deliveries", [d[0] for d in deliveries])
@@ -187,7 +190,6 @@ def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
     rx_t = _time_ordered("rx_success", [r[0] for r in rx_success])
     delivered_ids = {d[1] for d in deliveries}
 
-    sampled = sample_every is not None and sample_every > 0
     bounds = []
     if sampled:
         t = sample_every
@@ -304,7 +306,8 @@ class LinkTable:
     are symmetric n x n rows, ``None`` on the diagonal; ``reach[v]`` is the
     latest arrival offset of v's frames at any node.  ``tr[a][b]`` is the
     ``(signal, ISI, ILI by victim)`` of frames a sends on link (a, b),
-    ``None`` until ``fill_tr`` computes it.
+    ``None`` until ``fill_tr`` computes it; ``reply[a][b]``, symmetric, is
+    ``None`` until ``reply_quantities`` computes it.
     """
 
     def __init__(self, scenario: Scenario):
@@ -319,6 +322,7 @@ class LinkTable:
         self.power: list[list] = [[None] * n for _ in range(n)]
         self.direct: list[list] = [[None] * n for _ in range(n)]
         self.tr: list[list] = [[None] * n for _ in range(n)]
+        self.reply: list[list] = [[None] * n for _ in range(n)]
         d = phy.updown_factor
         power = phy.avg_transmit_power
         for i, j, c, energy in _pair_cirs(positions, channel, d):
@@ -338,6 +342,13 @@ class LinkTable:
         ili = [None if v == a else p_ili(row[v], own, self.phy) for v in range(len(row))]
         self.tr[a][b] = (p_sig(own, self.phy), p_isi(own, self.phy), ili)
 
+    def reply_quantities(self, a: int, b: int) -> tuple[float, float]:
+        """The ``(norm, off-peak autocorrelation sum)`` of link (a, b) that its probe replies carry."""
+        if self.reply[a][b] is None:
+            c = self.cir[a][b]
+            self.reply[a][b] = self.reply[b][a] = (norm(c), autocorr_offpeak_sum(c, self.phy.updown_factor))
+        return self.reply[a][b]
+
 
 class Simulator:
     """One scenario, one seed, one deterministic event loop."""
@@ -351,18 +362,16 @@ class Simulator:
             raise ValueError("Simulator: links: the table was built for another placement")
         self.links = links
         self.scenario = scenario
-        self.env = scenario.environment
         self.phy = scenario.phy
         nodes = scenario.network.nodes
         self.n_nodes = len(nodes)
         self.timers = MacTimers(
-            t_p=scenario.network.one_hop_range / self.env.nominal_sound_speed,
+            t_p=scenario.network.one_hop_range / scenario.environment.nominal_sound_speed,
             t_tr=scenario.traffic.packet_bits / scenario.network.data_rate,
             delta=scenario.mac.guard_time,
             coherence_time=scenario.mac.coherence_time,
             n_max=scenario.mac.n_max,
         )
-        self.trmac = scenario.mac.protocol == TRMAC
 
         seed = scenario.seed & SEED_MASK
         # engines reach the medium through a proxy, so a finished run holds
@@ -518,10 +527,7 @@ class Simulator:
             else:
                 self._handle_arrival(subject, attachment, time)
         metrics = collect_metrics(self.trace, duration, self.scenario.warmup, sample_every)
-        stats: dict = {}
-        for state in self.nodes:
-            for key, value in state.engine.stats.items():
-                stats[key] = stats.get(key, 0) + value
+        stats = {key: sum(state.engine.stats[key] for state in self.nodes) for key in self.nodes[0].engine.stats}
         return RunResult(metrics=metrics, trace=self.trace, engine_stats=stats)
 
     def _handle_arrival(self, flow_idx: int, tag, now: float) -> None:
@@ -596,7 +602,7 @@ class Simulator:
         seq = self._seq
         self._trim_log(now)
         self._tx_log.append((now, seq, node_id, duration, frame, now + links.reach[node_id] + duration))
-        if self.trmac and frame.kind is FrameKind.PRO:
+        if frame.kind is FrameKind.PRO:  # TRMAC's probe replies are overheard by every node
             receivers = [v for v in range(self.n_nodes) if v != node_id]
         else:
             receivers = (frame.dst,)
@@ -640,9 +646,7 @@ class Simulator:
             return
         if frame.kind in DATA_KINDS and frame.dst == node_id:
             self.trace.rx_success.append((now, frame.payload_bits))
-        measured = self.links.cir[frame.src][node_id]
-        actions = state.engine.on_frame(frame, measured, now)
-        self._process_actions(node_id, actions, now)
+        self._process_actions(node_id, state.engine.on_frame(frame, now), now)
 
     def _adjudicate(self, rec: _RxRecord, node_id: int) -> bool:
         """SINR gate over the full-overlap worst case, after half-duplex rules."""

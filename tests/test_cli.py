@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from uwansim.cli import main
 from uwansim.scenario import emit_scenario, scenario_from_dict
 
@@ -48,6 +50,24 @@ def test_run_trace_and_series(tmp_path):
     series = (tmp_path / "metrics_series.csv").read_text().splitlines()
     assert series[1] == "time_s,mean_delay_s,drop_ratio,throughput_bps"
     assert len(series) == 4  # provenance + header + 2 samples
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+def test_run_rejects_a_sample_period_that_is_no_positive_finite_number(value, tmp_path, capsys):
+    scenario = write_scenario(tmp_path, duration_s=20.0)
+    out = tmp_path / "out"
+    assert main(["run", scenario, "--out", str(out), "--sample-every", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample_every: expected a positive finite number")
+    assert not out.exists()
+
+
+def test_preset_refuses_seed_and_seeds_together(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["preset", "sinr_vs_eta", "--seed", "3", "--seeds", "1", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_validate_exit_codes(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uwansim.channel import Cir, norm
+from uwansim.channel import norm
 from uwansim.mac import (
     Arm,
     Cancel,
@@ -18,20 +18,18 @@ from uwansim.mac import (
     TrmacEngine,
     make_engine,
 )
-from uwansim.tr_phy import PhyConfig, autocorr_offpeak_sum
+from uwansim.scenario import scenario_from_dict
+from uwansim.sim import LinkTable
+from uwansim.tr_phy import autocorr_offpeak_sum
 
 TIMERS = MacTimers(t_p=1000.0 / 1500.0, t_tr=0.5, delta=0.25, coherence_time=30.0, n_max=3)
-PHY = PhyConfig(avg_transmit_power=1.0, noise_variance=1e-7, updown_factor=4, min_required_sinr=0.5)
-DT = 0.25e-3
-
-
-def cir(taps):
-    return Cir(np.asarray(taps, dtype=complex), DT)
-
-
-def make_cir(seed, length=9):
-    rng = np.random.default_rng(seed)
-    return cir(rng.standard_normal(length) + 1j * rng.standard_normal(length))
+# engines read their links from the table of a placed four-node network
+SCENARIO = scenario_from_dict({
+    "seed": 5,
+    "network": {"nodes": [[20, 0, 0], [20, 600, 0], [30, 0, 700], [40, 600, 700]],
+                "routes": [[0, 1], [2, 3]]},
+})
+PHY = SCENARIO.phy
 
 
 def packet(pid=1, route=(0, 1)):
@@ -41,6 +39,7 @@ def packet(pid=1, route=(0, 1)):
 class FakeMedium:
     def __init__(self):
         self.busy = None
+        self.links = LinkTable(SCENARIO)
 
     def busy_until(self, node_id, now):
         return self.busy
@@ -117,8 +116,7 @@ def test_trmac_enqueue_without_cached_probe_sends_pr_and_arms_timeout():
 
 def test_trmac_enqueue_with_fresh_cached_probe_skips_handshake():
     engine = trmac()
-    c = make_cir(1)
-    engine.pro_cache[1] = ProCacheEntry(1, c, Piggyback(norm(c), 0.1), received_at=0.0)
+    engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.1), received_at=0.0)
     actions = engine.enqueue(packet(), 1, now=TIMERS.coherence_time / 2)
     assert not sends(actions, FrameKind.P_R)
     (send,) = sends(actions, FrameKind.TR_DATA)
@@ -130,8 +128,7 @@ def test_trmac_enqueue_with_fresh_cached_probe_skips_handshake():
 
 def test_trmac_enqueue_with_stale_probe_falls_back_to_pr():
     engine = trmac()
-    c = make_cir(1)
-    engine.pro_cache[1] = ProCacheEntry(1, c, Piggyback(norm(c), 0.1), received_at=0.0)
+    engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.1), received_at=0.0)
     actions = engine.enqueue(packet(), 1, now=2 * TIMERS.coherence_time)
     assert sends(actions, FrameKind.P_R)
 
@@ -157,17 +154,16 @@ def permissive_piggyback():
 
 def test_backoff_no_overheard_pro_is_zero():
     engine = trmac()
-    assert engine.compute_backoff(10.0, TIMERS.t_cl, make_cir(1), dst=1) == 0.0
-    assert engine.compute_backoff(10.0, None, make_cir(1), dst=1) == 0.0
+    assert engine.compute_backoff(10.0, TIMERS.t_cl, dst=1) == 0.0
+    assert engine.compute_backoff(10.0, None, dst=1) == 0.0
 
 
 def test_backoff_conflicting_neighbor_hand_value():
     # T_Pro^j = 0.2 s at T_cl = 1.4167 s -> deferral 1.2167 s
     engine = trmac()
     now = 5.0
-    c_ab = make_cir(1)
-    engine.pro_cache[2] = ProCacheEntry(2, c_ab, conflicting_piggyback(), received_at=now - 0.2)
-    backoff = engine.compute_backoff(now, TIMERS.t_cl, c_ab, dst=1)
+    engine.pro_cache[2] = ProCacheEntry(conflicting_piggyback(), received_at=now - 0.2)
+    backoff = engine.compute_backoff(now, TIMERS.t_cl, dst=1)
     assert backoff == pytest.approx(TIMERS.t_cl - 0.2, abs=1e-9)
     assert f"{backoff:.4f}" == "1.2167"
     assert engine.stats["step4_deferrals"] == 1
@@ -176,35 +172,56 @@ def test_backoff_conflicting_neighbor_hand_value():
 def test_backoff_ignores_low_correlation_neighbor():
     engine = trmac()
     now = 5.0
-    c_ab = make_cir(1)
-    engine.pro_cache[2] = ProCacheEntry(2, c_ab, permissive_piggyback(), received_at=now - 0.2)
-    assert engine.compute_backoff(now, TIMERS.t_cl, c_ab, dst=1) == 0.0
+    engine.pro_cache[2] = ProCacheEntry(permissive_piggyback(), received_at=now - 0.2)
+    assert engine.compute_backoff(now, TIMERS.t_cl, dst=1) == 0.0
     assert engine.stats["step4_deferrals"] == 0
 
 
 def test_backoff_ignores_expired_and_destination_probes():
     engine = trmac()
     now = 5.0
-    c_ab = make_cir(1)
-    engine.pro_cache[1] = ProCacheEntry(1, c_ab, conflicting_piggyback(), received_at=now - 0.1)
-    engine.pro_cache[2] = ProCacheEntry(2, c_ab, conflicting_piggyback(), received_at=now - 2 * TIMERS.t_cl)
-    assert engine.compute_backoff(now, TIMERS.t_cl, c_ab, dst=1) == 0.0
+    engine.pro_cache[1] = ProCacheEntry(conflicting_piggyback(), received_at=now - 0.1)
+    engine.pro_cache[2] = ProCacheEntry(conflicting_piggyback(), received_at=now - 2 * TIMERS.t_cl)
+    assert engine.compute_backoff(now, TIMERS.t_cl, dst=1) == 0.0
 
 
 def test_backoff_takes_max_over_conflicting_neighbors():
     engine = trmac()
     now = 5.0
-    c_ab = make_cir(1)
-    engine.pro_cache[2] = ProCacheEntry(2, c_ab, conflicting_piggyback(), received_at=now - 0.9)
-    engine.pro_cache[3] = ProCacheEntry(3, c_ab, conflicting_piggyback(), received_at=now - 0.2)
-    backoff = engine.compute_backoff(now, TIMERS.t_cl, c_ab, dst=1)
+    engine.pro_cache[2] = ProCacheEntry(conflicting_piggyback(), received_at=now - 0.9)
+    engine.pro_cache[3] = ProCacheEntry(conflicting_piggyback(), received_at=now - 0.2)
+    backoff = engine.compute_backoff(now, TIMERS.t_cl, dst=1)
     assert backoff == pytest.approx(TIMERS.t_cl - 0.2, abs=1e-9)
+
+
+def test_backoff_compares_the_heard_channel_with_the_own_link(monkeypatch):
+    # node 0 overheard node 2's probe reply and sends to node 1: eta and its
+    # threshold take the 2 -> 0 channel and the 0 -> 1 link from the table
+    import uwansim.mac as mac
+
+    seen = []
+
+    def peak_eta(heard, own):
+        seen.append((heard, own))
+        return 0.0
+
+    def eta_threshold(victim_norm, victim_offpeak, heard, own, phy):
+        seen.append((heard, own))
+        return 1.0
+
+    monkeypatch.setattr(mac, "peak_eta", peak_eta)
+    monkeypatch.setattr(mac, "eta_threshold", eta_threshold)
+    engine = trmac()
+    engine.pro_cache[2] = ProCacheEntry(permissive_piggyback(), received_at=4.8)
+    assert engine.compute_backoff(5.0, None, dst=1) == 0.0
+    links = engine.medium.links
+    # Cir compares by identity, and the table holds one object per pair
+    assert seen == [(links.cir[2][0], links.cir[0][1])] * 2 == [(links.cir[0][2], links.cir[1][0])] * 2
 
 
 def test_backoff_includes_receiver_window_on_cached_path():
     engine = trmac()
-    c = make_cir(1)
-    engine.pro_cache[1] = ProCacheEntry(1, c, Piggyback(norm(c), 0.1), received_at=10.0)
+    engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.1), received_at=10.0)
     actions = engine.enqueue(packet(), 1, now=10.3)
     (send,) = sends(actions, FrameKind.TR_DATA)
     assert send.delay == pytest.approx(TIMERS.t_cl - 0.3, abs=1e-9)
@@ -215,54 +232,52 @@ def test_backoff_includes_receiver_window_on_cached_path():
 
 def test_pr_at_idle_receiver_replies_pro_with_piggyback():
     engine = trmac(node=1)
-    measured = make_cir(7)
+    measured = engine.medium.links.cir[0][1]
     pr = Frame(FrameKind.P_R, src=0, dst=1, payload_bits=32, tx_duration=0.0625)
-    actions = engine.on_frame(pr, measured, now=1.0)
+    actions = engine.on_frame(pr, now=1.0)
     (send,) = sends(actions, FrameKind.PRO)
     assert send.frame.dst == 0
-    assert send.frame.piggyback.victim_link_norm == pytest.approx(norm(measured))
-    assert send.frame.piggyback.victim_autocorr_offpeak_sum == pytest.approx(
-        autocorr_offpeak_sum(measured, PHY.updown_factor)
-    )
+    assert send.frame.piggyback == Piggyback(norm(measured), autocorr_offpeak_sum(measured, PHY.updown_factor))
     assert engine.reserved_for == 0
     assert arms(actions, "reservation")
 
 
 def test_pr_at_reserved_receiver_defers_reply():
     engine = trmac(node=1)
-    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), make_cir(7), now=1.0)
-    actions = engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), make_cir(8), now=1.5)
+    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), now=1.0)
+    actions = engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), now=1.5)
     assert not sends(actions)
-    assert [src for src, _ in engine.deferred_prs] == [2]
+    assert list(engine.deferred_prs) == [2]
 
 
 def test_overheard_pro_is_cached_without_transmission():
     engine = trmac(node=0)
     pro = Frame(FrameKind.PRO, src=3, dst=2, payload_bits=32, tx_duration=0.0625,
                 piggyback=Piggyback(1.0, 0.1))
-    actions = engine.on_frame(pro, make_cir(9), now=4.0)
+    actions = engine.on_frame(pro, now=4.0)
     assert actions == []
     assert engine.pro_cache[3].received_at == 4.0
 
 
 def test_tr_data_delivery_ack_and_deferred_pro_flush():
     engine = trmac(node=1)
-    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), make_cir(7), now=1.0)
-    engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), make_cir(8), now=1.5)
+    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), now=1.0)
+    engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), now=1.5)
     pkt = packet(pid=42)
     data = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, tr_basis=(0, 1), packet=pkt)
-    actions = engine.on_frame(data, make_cir(7), now=3.0)
+    actions = engine.on_frame(data, now=3.0)
     assert [a.packet.packet_id for a in actions if isinstance(a, Deliver)] == [42]
     (ack,) = sends(actions, FrameKind.TR_ACK)
     assert ack.frame.tr_basis == (1, 0)
     assert ack.frame.packet is pkt
-    # reservation passes to the deferred requester
+    # reservation passes to the deferred requester, with its own link's quantities
     (pro,) = sends(actions, FrameKind.PRO)
     assert pro.frame.dst == 2
+    assert pro.frame.piggyback.victim_link_norm == norm(engine.medium.links.cir[2][1])
     assert engine.reserved_for == 2
 
     # duplicate data is acknowledged but not delivered twice
-    again = engine.on_frame(data, make_cir(7), now=3.6)
+    again = engine.on_frame(data, now=3.6)
     assert not [a for a in again if isinstance(a, Deliver)]
     assert sends(again, FrameKind.TR_ACK)
 
@@ -275,24 +290,24 @@ def test_full_sender_handshake_and_ack_completion():
     engine.on_tx_start(pr.frame, 0.0)
 
     pro = Frame(FrameKind.PRO, 1, 0, 32, 0.0625, piggyback=Piggyback(1.0, 0.05))
-    actions = engine.on_frame(pro, make_cir(3), now=1.46)
+    actions = engine.on_frame(pro, now=1.46)
     assert any(isinstance(a, Cancel) and a.key == "response" for a in actions)
     (data,) = sends(actions, FrameKind.TR_DATA)
     assert data.delay == 0.0  # fresh handshake: no receiver-side deferral
     engine.on_tx_start(data.frame, 1.46)
 
     ack = Frame(FrameKind.TR_ACK, 1, 0, 32, 0.0625, tr_basis=(1, 0), packet=pkt)
-    actions = engine.on_frame(ack, make_cir(3), now=3.4)
+    actions = engine.on_frame(ack, now=3.4)
     assert any(isinstance(a, Cancel) for a in actions)
     assert engine.current is None
 
 
 def test_stale_ack_for_abandoned_packet_is_ignored():
     engine = trmac(node=0)
-    engine.pro_cache[1] = ProCacheEntry(1, make_cir(3), Piggyback(1.0, 0.05), received_at=0.0)
+    engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.05), received_at=0.0)
     engine.enqueue(packet(pid=7), 1, now=1.0)
     stale = Frame(FrameKind.TR_ACK, 1, 0, 32, 0.0625, tr_basis=(1, 0), packet=packet(pid=6))
-    assert engine.on_frame(stale, make_cir(3), now=1.2) == []
+    assert engine.on_frame(stale, now=1.2) == []
     assert engine.current is not None
 
 
@@ -316,8 +331,7 @@ def test_trmac_timeout_retransmits_then_drops():
 
 def test_trmac_data_timeout_recomputes_backoff_from_cache():
     engine = trmac(node=0)
-    c = make_cir(3)
-    engine.pro_cache[1] = ProCacheEntry(1, c, Piggyback(norm(c), 0.05), received_at=0.0)
+    engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.05), received_at=0.0)
     engine.enqueue(packet(pid=11), 1, now=5.0)
     actions = engine.on_timer("response", ("data", 11), now=8.0)
     (send,) = sends(actions, FrameKind.TR_DATA)
@@ -327,8 +341,8 @@ def test_trmac_data_timeout_recomputes_backoff_from_cache():
 
 def test_reservation_timeout_releases_and_flushes():
     engine = trmac(node=1)
-    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), make_cir(7), now=1.0)
-    engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), make_cir(8), now=1.5)
+    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), now=1.0)
+    engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), now=1.5)
     actions = engine.on_timer("reservation", (), now=1.0 + TIMERS.t_th)
     (pro,) = sends(actions, FrameKind.PRO)
     assert pro.frame.dst == 2
@@ -392,24 +406,24 @@ def test_csma_handshake_flow_and_reservation():
     (rts,) = sends(sender.enqueue(pkt, 1, now=0.0), FrameKind.RTS)
     sender.on_tx_start(rts.frame, 0.0)
 
-    actions = receiver.on_frame(rts.frame, make_cir(1), now=0.5)
+    actions = receiver.on_frame(rts.frame, now=0.5)
     (cts,) = sends(actions, FrameKind.CTS)
     assert receiver.reserved_for == 0
     # a competing RTS gets silence while reserved
     competing = Frame(FrameKind.RTS, 2, 1, 32, 0.0625, packet=packet(pid=22))
-    assert receiver.on_frame(competing, make_cir(2), now=0.6) == []
+    assert receiver.on_frame(competing, now=0.6) == []
 
-    actions = sender.on_frame(cts.frame, make_cir(1), now=1.1)
+    actions = sender.on_frame(cts.frame, now=1.1)
     (data,) = sends(actions, FrameKind.DATA)
     assert data.frame.packet is pkt
     sender.on_tx_start(data.frame, 1.1)
 
-    actions = receiver.on_frame(data.frame, make_cir(1), now=2.2)
+    actions = receiver.on_frame(data.frame, now=2.2)
     assert [a for a in actions if isinstance(a, Deliver)]
     (ack,) = sends(actions, FrameKind.ACK)
     assert receiver.reserved_for is None
 
-    actions = sender.on_frame(ack.frame, make_cir(1), now=3.0)
+    actions = sender.on_frame(ack.frame, now=3.0)
     assert sender.current is None
 
 
@@ -417,7 +431,7 @@ def test_csma_stale_cts_ignored():
     sender = csma(node=0)
     sender.enqueue(packet(pid=31), 1, now=0.0)
     stale = Frame(FrameKind.CTS, 1, 0, 32, 0.0625, packet=packet(pid=30))
-    assert sender.on_frame(stale, make_cir(1), now=0.5) == []
+    assert sender.on_frame(stale, now=0.5) == []
     assert sender.phase == CsmaEngine.RTS_PHASE
 
 
@@ -430,8 +444,8 @@ def test_engines_reject_foreign_frame_kinds():
     engine = trmac(node=1)
     rts = Frame(FrameKind.RTS, src=0, dst=1, payload_bits=32, tx_duration=0.0625)
     with pytest.raises(ValueError, match="RTS"):
-        engine.on_frame(rts, make_cir(1), now=0.0)
+        engine.on_frame(rts, now=0.0)
     baseline = csma(node=1, neighbors=(0,))
     pr = Frame(FrameKind.P_R, src=0, dst=1, payload_bits=32, tx_duration=0.0625)
     with pytest.raises(ValueError, match="P_R"):
-        baseline.on_frame(pr, make_cir(1), now=0.0)
+        baseline.on_frame(pr, now=0.0)

@@ -337,6 +337,11 @@ def test_network_presets_build_one_link_table_per_placement(name, params, seeds,
     ("timeseries", {"workers": 1.5}, (1,), "workers", 1.5, "positive integer or null"),
     ("load_sweep", {"workers": 0}, (1,), "workers", 0, "positive integer or null"),
     ("load_sweep", {"workers": "2"}, (1,), "workers", "2", "positive integer or null"),
+    ("timeseries", {"sample_every": 0}, (1,), "sample_every", 0, "positive finite number"),
+    ("timeseries", {"sample_every": -5}, (1,), "sample_every", -5, "positive finite number"),
+    ("timeseries", {"sample_every": math.nan}, (1,), "sample_every", math.nan, "positive finite number"),
+    ("timeseries", {"sample_every": math.inf}, (1,), "sample_every", math.inf, "positive finite number"),
+    ("timeseries", {"sample_every": "twenty"}, (1,), "sample_every", "twenty", "positive finite number"),
 ])
 def test_preset_integers_are_parsed_by_their_rule(name, params, seeds, key, value, expected, tmp_path):
     with pytest.raises(ValueError) as err:
@@ -353,6 +358,7 @@ def test_preset_integers_are_parsed_by_their_rule(name, params, seeds, key, valu
     ("timeseries", {"duration": 20.0, "sample_every": 10.0},
      {"links": 2.0, "workers": 1.0}, {"links": 2, "workers": 1}),
     ("load_sweep", {"duration": 20.0, "loads": (1,)}, {"workers": 1.0}, {"workers": 1}),
+    ("timeseries", {"duration": 20.0, "links": 2}, {"sample_every": 10}, {"sample_every": 10.0}),
 ])
 def test_provenance_hashes_the_parsed_params(name, params, whole, exact, tmp_path):
     def text(extra, seeds):

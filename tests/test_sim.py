@@ -8,12 +8,12 @@ import weakref
 import numpy as np
 import pytest
 
-from uwansim.channel import ArrivalFileError, ChannelModel, Cir, NodePosition
+from uwansim.channel import ArrivalFileError, ChannelModel, Cir, NodePosition, norm
 from uwansim.mac import Arm, Frame, FrameKind, Packet, Send
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import sim as sim_module
 from uwansim.sim import LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
-from uwansim.tr_phy import p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
+from uwansim.tr_phy import autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
 
 
 def single_link_scenario(**overrides):
@@ -830,6 +830,30 @@ def test_link_table_matches_per_pair_arrival_file(tmp_path):
     })
     table = assert_table_matches_per_pair(sc)
     assert table.delay[1][0] == 0.4 and len(table.cir[0][1]) == 5
+
+
+def test_reply_row_holds_each_links_norm_and_offpeak_sum():
+    sc = scenario_from_dict({})
+    table = LinkTable(sc)
+    n = len(sc.network.nodes)
+    for a in range(n):
+        for b in range(a + 1, n):
+            table.reply_quantities(a, b)  # fills both directions
+    for a in range(n):
+        assert table.reply[a][a] is None
+        for b in set(range(n)) - {a}:
+            c = table.cir[a][b]
+            assert table.reply[a][b] == (norm(c), autocorr_offpeak_sum(c, sc.phy.updown_factor))
+
+
+def test_trmac_run_fills_the_reply_row_of_the_links_that_sent_probe_replies():
+    sim = Simulator(scenario_from_dict({"seed": 1}), record_events=True)
+    sim.run()
+    replied = {frozenset((e["node"], int(e["outcome"].removeprefix("to ")))) for e in sim.trace.events
+               if e["event"] == "tx_start" and e["frame"] == "PRO"}
+    filled = {frozenset((a, b)) for a, row in enumerate(sim.links.reply) for b, q in enumerate(row) if q is not None}
+    assert len(replied) == 10
+    assert filled == replied
 
 
 def _run_outputs(result):
