@@ -4,9 +4,9 @@ Each preset writes one CSV with a leading provenance comment line
 (`# preset=<name> config=<hash> seeds=<...>`), a header row, and one row
 per grid point -- never fewer, never more.  The hash covers the params
 as parsed, so values equal under their rules hash alike.  Network presets
-dispatch their runs to a process pool; rows are assembled in grid order
-regardless of completion order, and the runs of one placement share one
-link table.
+run their jobs in a pool of ``workers`` processes, or in-process when that
+is 1; rows are assembled in grid order regardless of completion order, and
+the runs of one placement share one link table.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .channel import (
@@ -155,7 +154,7 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
         eta_grid = [round(0.05 * k, 2) for k in range(19)]  # 0 .. 0.9
     if any(not (0.0 <= e < 1.0) for e in eta_grid):
         raise ValueError("sinr_vs_eta: eta grid must lie in [0, 1)")
-    snr_db = float(params.get("snr_db", 65.0))
+    snr_db = _param(preset, "snr_db", number(), 65.0)
     tap_count = _param(preset, *_TAPS)
     seed = preset.seeds[0]
     h_ab, h_ib, h_ij = _reference_links(seed, tap_count)
@@ -172,7 +171,7 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
             ili = ili_power_from_parts(norm(h_ib), float(eta), offpeak, phy)
             rows.append([d, eta, _db(sinr_atrsts_from_parts(sig, isi, [ili], phy))])
     path = os.path.join(preset.output_dir, "sinr_vs_eta.csv")
-    prov = (f"# preset=sinr_vs_eta config={_params_hash(preset, tap_count=tap_count)} "
+    prov = (f"# preset=sinr_vs_eta config={_params_hash(preset, tap_count=tap_count, snr_db=snr_db)} "
             f"seeds={seed} snr_db={snr_db}")
     return _write_csv(path, prov, ["d_factor", "eta", "sinr_db"], rows)
 
@@ -316,6 +315,8 @@ def run_network_jobs(jobs: list[dict], workers: int | None = None) -> list[dict]
     workers = min(workers, len(jobs))
     if workers <= 1:
         return [_run_network_job(job, sc, tables[placement(sc)]) for job, sc in zip(jobs, scenarios)]
+    from concurrent.futures import ProcessPoolExecutor  # a serial call never loads it
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_tables,
                              initargs=(tables,)) as pool:
         return list(pool.map(_run_pooled_job, jobs, scenarios))
@@ -326,7 +327,7 @@ def preset_load_sweep(preset: ExperimentPreset) -> str:
     params = preset.params
     loads = tuple(params.get("loads", (4, 6, 8, 10)))
     protocols = tuple(params.get("protocols", ("trmac", "csma_ca", "s_csma_ca")))
-    duration = float(params.get("duration", 2000.0))
+    duration = _param(preset, "duration", number(POSITIVE), 2000.0)
     workers = _param(preset, "workers", _WORKERS, None)
     if not loads:
         raise ValueError("load_sweep: loads grid must be nonempty")
@@ -340,7 +341,7 @@ def preset_load_sweep(preset: ExperimentPreset) -> str:
         for r in run_network_jobs(jobs, workers)
     ]
     path = os.path.join(preset.output_dir, "load_sweep.csv")
-    prov = (f"# preset=load_sweep config={_params_hash(preset, workers=workers)} "
+    prov = (f"# preset=load_sweep config={_params_hash(preset, duration=duration, workers=workers)} "
             f"seeds={','.join(str(s) for s in preset.seeds)}")
     header = ["links", "protocol", "seed", "generated", "delivered", "dropped",
               "mean_delay_s", "drop_ratio", "throughput_bps"]
@@ -351,7 +352,7 @@ def preset_timeseries(preset: ExperimentPreset) -> str:
     """Cumulative metric-versus-time curves for each protocol at one load."""
     params = preset.params
     protocols = tuple(params.get("protocols", ("trmac", "csma_ca", "s_csma_ca")))
-    duration = float(params.get("duration", 2000.0))
+    duration = _param(preset, "duration", number(POSITIVE), 2000.0)
     sample_every = _param(preset, "sample_every", number(POSITIVE), 100.0)
     links = _param(preset, "links", integer(POSITIVE), 10)
     # in-process unless asked: a pool saves little beyond its start-up on
@@ -371,7 +372,8 @@ def preset_timeseries(preset: ExperimentPreset) -> str:
         for row in r["series"]
     ]
     path = os.path.join(preset.output_dir, "timeseries.csv")
-    config = _params_hash(preset, links=links, workers=workers, sample_every=sample_every)
+    config = _params_hash(preset, duration=duration, links=links, workers=workers,
+                          sample_every=sample_every)
     prov = f"# preset=timeseries config={config} seeds={seed} links={links}"
     header = ["protocol", "time_s", "mean_delay_s", "drop_ratio", "throughput_bps"]
     return _write_csv(path, prov, header, rows)

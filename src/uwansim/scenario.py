@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any
 
-import networkx as nx
 import numpy as np
-import yaml
 
 from .channel import SEED_MASK, ChannelModelConfig, Environment, Point
 from .mac import PROTOCOLS, TRMAC, MacTimers
@@ -244,6 +242,8 @@ def _pair_nodes(nodes, link_count, hop_range, rng) -> list[tuple[int, int]] | No
     maximum-cardinality matching on the within-range graph.  Returns None
     when the placement cannot host link_count links; link directions are
     drawn from the given stream."""
+    import networkx as nx  # only placement needs it, and it is slow to import
+
     graph = nx.Graph()
     graph.add_nodes_from(range(len(nodes)))
     for i in range(len(nodes)):
@@ -353,12 +353,21 @@ def scenario_from_dict(data: dict | None) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
+    """Parse a scenario YAML file; ScenarioError naming the file when it
+    does not parse as YAML."""
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"{path}: not valid YAML: {exc}") from None
     return scenario_from_dict(data)
 
 
 def emit_scenario(scenario: Scenario, path: str) -> None:
+    import yaml
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(scenario_to_dict(scenario), fh, sort_keys=True)
 

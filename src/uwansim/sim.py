@@ -153,6 +153,11 @@ def _time_ordered(field_name: str, times: list, what: str = "times") -> list:
     return times
 
 
+def _check_sample_every(sample_every: float | None) -> None:
+    if sample_every is not None and not 0.0 < sample_every < math.inf:
+        raise ValueError(f"sample_every: expected a positive finite number, got {sample_every!r}")
+
+
 def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
                     sample_every: float | None = None) -> MetricsRecord:
     """Aggregate a run trace into delay / drop-ratio / throughput metrics.
@@ -179,8 +184,7 @@ def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
     do not depend on how the Python version's ``sum()`` rounds.
     """
     sampled = sample_every is not None
-    if sampled and not 0.0 < sample_every < math.inf:
-        raise ValueError(f"sample_every: expected a positive finite number, got {sample_every!r}")
+    _check_sample_every(sample_every)
     deliveries, drops, rx_success = trace.deliveries, trace.drops, trace.rx_success
     intervals = trace.busy_intervals
     delivery_t = _time_ordered("deliveries", [d[0] for d in deliveries])
@@ -507,7 +511,9 @@ class Simulator:
 
     def run(self, sample_every: float | None = None) -> RunResult:
         """Simulate to ``scenario.duration``; ``sample_every`` adds the
-        metrics series of ``collect_metrics``."""
+        metrics series of ``collect_metrics``, whose ValueError for a bad
+        period comes before the first event."""
+        _check_sample_every(sample_every)
         for flow_idx in range(len(self.scenario.network.routes)):
             self._schedule_flow_arrival(flow_idx, 0.0)
         duration = self.scenario.duration

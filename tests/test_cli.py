@@ -79,6 +79,18 @@ def test_validate_exit_codes(tmp_path):
     assert main(["validate", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_malformed_yaml_is_a_scenario_error_naming_the_file(command, tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: [1\n")
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "run" else []
+    assert main([command, str(bad), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid YAML")
+    assert not out.exists()
+
+
 def test_validate_names_a_nan_field(tmp_path, capsys):
     bad = tmp_path / "nan.yaml"
     bad.write_text("network: {region_size_m: .nan}\n")

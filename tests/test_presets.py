@@ -301,12 +301,12 @@ def test_timeseries_in_a_pool_writes_the_serial_text(tmp_path):
 
 
 def test_timeseries_runs_in_process_unless_workers_is_given(tmp_path, monkeypatch):
-    from uwansim import presets
-
     def no_pool(*args, **kwargs):
         raise AssertionError("timeseries started a process pool")
 
-    monkeypatch.setattr(presets, "ProcessPoolExecutor", no_pool)
+    # run_network_jobs imports the pool class where it starts one, so it
+    # reads this attribute at call time
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     params = {"duration": 20.0, "sample_every": 10.0, "links": 2}
     _, _, rows = read_csv(run_preset(ExperimentPreset("timeseries", params=params, output_dir=str(tmp_path))))
     assert len(rows) == 6
@@ -342,6 +342,12 @@ def test_network_presets_build_one_link_table_per_placement(name, params, seeds,
     ("timeseries", {"sample_every": math.nan}, (1,), "sample_every", math.nan, "positive finite number"),
     ("timeseries", {"sample_every": math.inf}, (1,), "sample_every", math.inf, "positive finite number"),
     ("timeseries", {"sample_every": "twenty"}, (1,), "sample_every", "twenty", "positive finite number"),
+    ("timeseries", {"duration": "abc"}, (1,), "duration", "abc", "positive finite number"),
+    ("timeseries", {"duration": 0}, (1,), "duration", 0, "positive finite number"),
+    ("load_sweep", {"duration": "abc"}, (1,), "duration", "abc", "positive finite number"),
+    ("load_sweep", {"duration": math.inf}, (1,), "duration", math.inf, "positive finite number"),
+    ("sinr_vs_eta", {"snr_db": "abc"}, (1,), "snr_db", "abc", "finite number"),
+    ("sinr_vs_eta", {"snr_db": math.nan}, (1,), "snr_db", math.nan, "finite number"),
 ])
 def test_preset_integers_are_parsed_by_their_rule(name, params, seeds, key, value, expected, tmp_path):
     with pytest.raises(ValueError) as err:
@@ -359,6 +365,8 @@ def test_preset_integers_are_parsed_by_their_rule(name, params, seeds, key, valu
      {"links": 2.0, "workers": 1.0}, {"links": 2, "workers": 1}),
     ("load_sweep", {"duration": 20.0, "loads": (1,)}, {"workers": 1.0}, {"workers": 1}),
     ("timeseries", {"duration": 20.0, "links": 2}, {"sample_every": 10}, {"sample_every": 10.0}),
+    ("timeseries", {"links": 2, "sample_every": 10.0}, {"duration": 20}, {"duration": 20.0}),
+    ("sinr_vs_eta", PHY_PRESETS["sinr_vs_eta"], {"snr_db": 65}, {"snr_db": 65.0}),
 ])
 def test_provenance_hashes_the_parsed_params(name, params, whole, exact, tmp_path):
     def text(extra, seeds):

@@ -320,6 +320,14 @@ def test_mean_delay_adds_delays_left_to_right():
     assert m.series[0]["mean_delay"] == 0.0
 
 
+@pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+def test_run_rejects_a_bad_sample_period_before_the_first_event(value):
+    sim = Simulator(single_link_scenario(traffic={"mean_interarrival_s": 5.0}))
+    with pytest.raises(ValueError, match="^sample_every: expected a positive finite number"):
+        sim.run(value)
+    assert not sim.heap and sim.trace.generated == 0
+
+
 def test_run_scenario_collects_metrics_once(monkeypatch):
     calls = []
     monkeypatch.setattr("uwansim.sim.collect_metrics", lambda *a: calls.append(a) or collect_metrics(*a))
