@@ -2,11 +2,9 @@
 with a time-reversal physical layer and MAC protocols."""
 
 from .channel import (
-    ChannelModel,
     ChannelModelConfig,
     Cir,
     Environment,
-    NodePosition,
     cross_correlation,
     generate_cir,
     generate_taps,
@@ -33,7 +31,6 @@ from .tr_phy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelModel",
     "ChannelModelConfig",
     "Cir",
     "Environment",
@@ -43,7 +40,6 @@ __all__ = [
     "LinkTable",
     "MacTimers",
     "MetricsRecord",
-    "NodePosition",
     "Packet",
     "PhyConfig",
     "RunResult",

@@ -10,7 +10,8 @@ exploits.  Quantizing a symmetric geometry signature also makes the
 model reciprocal and seed-deterministic by construction.
 
 An arrival-file path ingests precomputed ray arrivals for users who
-have ray-traced data instead.
+have ray-traced data instead.  ``ChannelModel.pairs`` is the one place
+that chooses between the two.
 """
 
 from __future__ import annotations
@@ -31,40 +32,12 @@ ARRIVAL_FILE = "arrival_file"
 SEED_MASK = (1 << 64) - 1
 
 
-# a node location as plain numbers: (depth, x, y), as in NodePosition
+# a node location as plain numbers: (depth in meters, positive down, x, y)
 Point = tuple[float, float, float]
 
 
 class ArrivalFileError(ValueError):
     """Malformed arrival file, or a requested pair that is not present."""
-
-
-@dataclass(frozen=True)
-class NodePosition:
-    """Node location: depth in meters (positive down), x/y horizontal meters.
-
-    ``node_id`` is only needed when CIRs come from an arrival file, where
-    pairs are keyed by id rather than by geometry.
-    """
-
-    depth: float
-    x: float
-    y: float
-    node_id: str | None = None
-
-    def __post_init__(self):
-        for name in ("depth", "x", "y"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"NodePosition.{name} must be finite, got {value!r}")
-        if self.depth < 0:
-            raise ValueError(f"NodePosition.depth must be >= 0, got {self.depth}")
-
-    def distance_to(self, other: "NodePosition") -> float:
-        return math.dist((self.depth, self.x, self.y), (other.depth, other.x, other.y))
-
-    def same_place(self, other: "NodePosition") -> bool:
-        return self.depth == other.depth and self.x == other.x and self.y == other.y
 
 
 @dataclass(frozen=True)
@@ -192,11 +165,6 @@ def peak_eta(a: Cir, b: Cir) -> float:
     return abs(normalized_cross_correlation(a, b, 0))
 
 
-def direct_path_delay(tx: NodePosition, rx: NodePosition, env: Environment) -> float:
-    """Straight-line propagation delay: distance / nominal sound speed."""
-    return tx.distance_to(rx) / env.nominal_sound_speed
-
-
 def _link_signature(
     tx_depth: float, rx_depth: float, distance: float, cfg: ChannelModelConfig
 ) -> tuple[int, int, int]:
@@ -263,20 +231,10 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     return taps
 
 
-def generate_cir(
-    tx: NodePosition, rx: NodePosition, env: Environment, cfg: ChannelModelConfig
-) -> Cir:
-    """Produce the CIR of the directed link tx->rx: the arrival file's
-    record of the pair, or the ``generate_taps`` row of the pair."""
-    if tx.same_place(rx):
-        raise ValueError("generate_cir: tx and rx positions coincide")
-    if cfg.model_kind == ARRIVAL_FILE:
-        if tx.node_id is None or rx.node_id is None:
-            raise ValueError("arrival_file channel model requires NodePosition.node_id on both ends")
-        table = _arrival_table(cfg.arrival_file_path)
-        return table.cir((tx.node_id, rx.node_id), env.sample_interval)
-    taps = generate_taps((tx.depth, tx.x, tx.y), [(rx.depth, rx.x, rx.y)], env, cfg)
-    return Cir(taps[0], env.sample_interval)
+def generate_cir(tx: Point, rx: Point, env: Environment, cfg: ChannelModelConfig) -> Cir:
+    """The statistical-model CIR of the directed link tx->rx: the
+    ``generate_taps`` row of the pair."""
+    return Cir(generate_taps(tx, [rx], env, cfg)[0], env.sample_interval)
 
 
 class ArrivalTable:
@@ -284,6 +242,7 @@ class ArrivalTable:
 
     Format: header line ``ARRIVALS v1``, then whitespace-separated records
     ``tx_id rx_id delay_s amplitude phase_rad``, ``#`` starting a comment.
+    A placement's ids are its 0-based node indices.
     """
 
     def __init__(self, records: dict[tuple[str, str], list[tuple[float, float, float]]], path: str = "<memory>"):
@@ -352,17 +311,44 @@ def _arrival_table(path: str) -> ArrivalTable:
 
 
 class ChannelModel:
-    """Resolves per-pair CIRs and propagation delays for a run."""
+    """The per-pair CIRs and propagation delays of a placement, from the
+    statistical model or from an arrival file, whichever ``cfg`` names."""
 
     def __init__(self, env: Environment, cfg: ChannelModelConfig):
         self.env = env
         self.cfg = cfg
-        self._table = _arrival_table(cfg.arrival_file_path) if cfg.model_kind == ARRIVAL_FILE else None
 
-    def cir(self, tx: NodePosition, rx: NodePosition) -> Cir:
-        return generate_cir(tx, rx, self.env, self.cfg)
+    def pairs(self, points: list[Point], d_factor: int):
+        """``(i, j, CIR, sum of |taps|^2, delay)`` of every pair i < j of
+        ``points``, CIR and delay in the i -> j direction; taps are read-only,
+        since tables that hold them are shared.
 
-    def propagation_delay(self, tx: NodePosition, rx: NodePosition) -> float:
-        if self._table is not None:
-            return self._table.direct_delay((tx.node_id, rx.node_id))
-        return direct_path_delay(tx, rx, self.env)
+        Statistical taps come from one ``generate_taps`` call per node over
+        its higher-index partners, and the delay is the straight-line
+        distance over the nominal sound speed.  An arrival file names nodes
+        by their index in ``points``; its responses are zero-padded to
+        ``(L-1) % d_factor == 0``, and its earliest arrival is the delay.
+        """
+        env, cfg = self.env, self.cfg
+        interval = env.sample_interval
+        if cfg.model_kind == STATISTICAL_PDP:
+            for i in range(len(points) - 1):
+                taps = generate_taps(points[i], points[i + 1:], env, cfg)
+                taps.flags.writeable = False
+                energies = (np.abs(taps) ** 2).sum(axis=1)
+                for j, row, energy in zip(range(i + 1, len(points)), taps, energies):
+                    delay = math.dist(points[i], points[j]) / env.nominal_sound_speed
+                    yield i, j, Cir(row, interval), float(energy), delay
+            return
+        table = _arrival_table(cfg.arrival_file_path)
+        for i in range(len(points) - 1):
+            for j in range(i + 1, len(points)):
+                pair = (str(i), str(j))
+                c = table.cir(pair, interval)
+                excess = (len(c) - 1) % d_factor
+                if excess:
+                    # arrival-file responses have data-driven lengths; trailing
+                    # zero taps make them compliant without changing any power
+                    c = Cir(np.concatenate([c.taps, np.zeros(d_factor - excess, dtype=np.complex128)]), interval)
+                c.taps.flags.writeable = False
+                yield i, j, c, float(np.sum(np.abs(c.taps) ** 2)), table.direct_delay(pair)

@@ -71,14 +71,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# the flags each network preset reads; a preset given another flag is refused
+_PRESET_FLAGS = {"load_sweep": ("--duration", "--loads", "--jobs"), "timeseries": ("--duration", "--jobs")}
+
+
 def _cmd_preset(args) -> int:
+    given = {"--duration": ("duration", args.duration), "--jobs": ("workers", args.jobs),
+             "--loads": ("loads", None if args.loads is None else tuple(args.loads))}
     params: dict = {}
-    if args.duration is not None:
-        params["duration"] = args.duration
-    if args.loads:
-        params["loads"] = tuple(args.loads)
-    if args.jobs is not None:
-        params["workers"] = args.jobs
+    for flag, (key, value) in given.items():
+        if value is not None:
+            if flag not in _PRESET_FLAGS.get(args.name, ()):
+                raise ValueError(f"preset {args.name} does not read {flag}")
+            params[key] = value
     preset = ExperimentPreset(
         name=args.name,
         params=params,
@@ -138,6 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "reseed_topology", False) and args.seed is None:
+        parser.error("argument --reseed-topology: needs --seed")
     try:
         return args.func(args)
     except (ScenarioError, ValueError, OSError) as exc:

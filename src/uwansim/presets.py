@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 from .channel import (
     ChannelModelConfig,
     Environment,
-    NodePosition,
+    Point,
     generate_cir,
     generate_taps,
     norm,
     normalized_cross_correlations,
 )
-from .rules import POSITIVE, Rule, integer, number
+from .rules import NODES, POSITIVE, Rule, integer, number
 from .scenario import scenario_from_dict, scenario_to_dict
 from .sim import LinkTable, Simulator, placement
 from .tr_phy import (
@@ -93,15 +93,10 @@ def _write_csv(path: str, provenance: str, header: list[str], rows: list[list]) 
     return path
 
 
-def _position(spot: tuple[float, float]) -> NodePosition:
-    depth, rng = spot
-    return NodePosition(depth=depth, x=rng, y=0.0)
-
-
 def _reference_links(seed: int, tap_count: int):
     env = Environment()
     cfg = ChannelModelConfig(tap_count=tap_count, rng_seed=seed)
-    g = {k: _position(v) for k, v in REFERENCE_GEOMETRY.items()}
+    g = {k: (depth, rng, 0.0) for k, (depth, rng) in REFERENCE_GEOMETRY.items()}
     h_ab = generate_cir(g["a"], g["b"], env, cfg)
     h_ib = generate_cir(g["i"], g["b"], env, cfg)
     h_ij = generate_cir(g["i"], g["j"], env, cfg)
@@ -189,12 +184,15 @@ def _param(preset: ExperimentPreset, key: str, rule: Rule, default):
     return _parsed(preset.name, key, rule, preset.params.get(key, default))
 
 
-def _grid_spot(params: dict, key: str, default: tuple[float, float]) -> tuple[tuple, NodePosition]:
-    """A reference node of the heatmap as given and as a position."""
+def _grid_spot(params: dict, key: str, default: tuple[float, float]) -> tuple[tuple, Point]:
+    """A reference node of the heatmap as given and as a ``(depth, range, 0)``
+    point, checked as a node of ``network.nodes`` is."""
     value = params.get(key, default)
     try:
+        if isinstance(value, str):  # "70" would unpack to two digits
+            raise ValueError(value)
         spot = tuple(value)
-        return spot, _position(spot)
+        return spot, NODES.parse([(*spot, 0.0)])[0]
     except (TypeError, ValueError):
         raise ValueError(
             f"correlation_heatmap: {key}: expected a finite (depth >= 0, range) pair, got {value!r}"
@@ -210,16 +208,15 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     water_depth = _param(preset, "water_depth", number(POSITIVE), 80.0)
     max_range = _param(preset, "max_range", number(POSITIVE), 4000.0)
     tap_count = _param(preset, *_TAPS)
-    tx_spot, ref_tx = _grid_spot(params, "reference_tx", REFERENCE_GEOMETRY["i"])
-    rx_spot, ref_rx = _grid_spot(params, "reference_rx", REFERENCE_GEOMETRY["j"])
+    tx_spot, tx = _grid_spot(params, "reference_tx", REFERENCE_GEOMETRY["i"])
+    rx_spot, rx = _grid_spot(params, "reference_rx", REFERENCE_GEOMETRY["j"])
     seed = preset.seeds[0]
 
     env = Environment(water_depth=water_depth)
     cfg = ChannelModelConfig(tap_count=tap_count, rng_seed=seed)
-    h_ref = generate_cir(ref_tx, ref_rx, env, cfg)
+    h_ref = generate_cir(tx, rx, env, cfg)
 
     # cells are (depth, x, y) points, as generate_taps takes them
-    tx = (ref_tx.depth, ref_tx.x, ref_tx.y)
     depths = [round(k * depth_step, 9) for k in range(int(water_depth / depth_step) + 1)]
     ranges = [round(k * range_step, 9) for k in range(int(max_range / range_step) + 1)]
     rows = []

@@ -67,6 +67,8 @@ def _integer(value) -> int:
 
 
 def _node(value) -> tuple[float, float, float]:
+    if isinstance(value, str):  # "200" would unpack to three digits
+        raise ValueError(value)
     depth, x, y = map(_number, value)  # exactly three
     if depth < 0:
         raise ValueError(value)

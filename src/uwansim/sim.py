@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import SEED_MASK, STATISTICAL_PDP, ChannelModel, Cir, NodePosition, generate_taps, norm
+from .channel import SEED_MASK, ChannelModel, norm
 from .mac import (
     Arm,
     Cancel,
@@ -277,32 +277,6 @@ def placement(scenario: Scenario) -> tuple:
     return nodes, scenario.environment, scenario.channel, scenario.phy
 
 
-def _pair_cirs(positions: list[NodePosition], channel: ChannelModel, d_factor: int):
-    """``(i, j, CIR, sum of |taps|^2)`` of every pair i < j, CIR in the i -> j
-    direction.  Statistical taps come from one ``generate_taps`` call per
-    node over its higher-index partners, read-only since tables are shared."""
-    points = [(p.depth, p.x, p.y) for p in positions]
-    interval = channel.env.sample_interval
-    if channel.cfg.model_kind == STATISTICAL_PDP:
-        for i in range(len(points) - 1):
-            taps = generate_taps(points[i], points[i + 1:], channel.env, channel.cfg)
-            taps.flags.writeable = False
-            energies = (np.abs(taps) ** 2).sum(axis=1)
-            for j, row, energy in zip(range(i + 1, len(points)), taps, energies):
-                yield i, j, Cir(row, interval), float(energy)
-        return
-    for i in range(len(points) - 1):
-        for j in range(i + 1, len(points)):
-            c = channel.cir(positions[i], positions[j])
-            excess = (len(c) - 1) % d_factor
-            if excess:
-                # arrival-file responses have data-driven lengths; trailing
-                # zero taps make them compliant without changing any power
-                c = Cir(np.concatenate([c.taps, np.zeros(d_factor - excess, dtype=np.complex128)]), interval)
-            c.taps.flags.writeable = False
-            yield i, j, c, float(np.sum(np.abs(c.taps) ** 2))
-
-
 class LinkTable:
     """The per-pair quantities of one placement (module docstring).
 
@@ -318,9 +292,8 @@ class LinkTable:
         """Build every pair of the placement of ``scenario``, a resolved one."""
         self.key = placement(scenario)
         self.phy = phy = scenario.phy
-        positions = [NodePosition(*node, node_id=str(i)) for i, node in enumerate(scenario.network.nodes)]
-        channel = ChannelModel(scenario.environment, scenario.channel)
-        n = len(positions)
+        nodes = scenario.network.nodes
+        n = len(nodes)
         self.cir: list[list] = [[None] * n for _ in range(n)]
         self.delay: list[list] = [[None] * n for _ in range(n)]
         self.power: list[list] = [[None] * n for _ in range(n)]
@@ -329,8 +302,7 @@ class LinkTable:
         self.reply: list[list] = [[None] * n for _ in range(n)]
         d = phy.updown_factor
         power = phy.avg_transmit_power
-        for i, j, c, energy in _pair_cirs(positions, channel, d):
-            delay = channel.propagation_delay(positions[i], positions[j])
+        for i, j, c, energy, delay in ChannelModel(scenario.environment, scenario.channel).pairs(nodes, d):
             peak, isi_sum = sdt_signal_and_isi(c, d)
             direct = (d * power * peak, d * power * isi_sum)
             for a, b in ((i, j), (j, i)):

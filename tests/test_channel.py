@@ -10,9 +10,7 @@ from uwansim.channel import (
     ChannelModelConfig,
     Cir,
     Environment,
-    NodePosition,
     cross_correlation,
-    direct_path_delay,
     generate_cir,
     generate_taps,
     norm,
@@ -67,7 +65,7 @@ def test_norm_trivial_cases():
 
 
 def test_norm_matches_elementwise_oracle_on_130_taps():
-    c = generate_cir(NodePosition(20, 0, 0), NodePosition(20, 1000, 0), ENV,
+    c = generate_cir((20, 0, 0), (20, 1000, 0), ENV,
                      ChannelModelConfig(tap_count=130, rng_seed=3))
     brute = math.sqrt(sum(abs(t) ** 2 for t in c.taps))
     assert norm(c) == pytest.approx(brute, rel=1e-12)
@@ -155,8 +153,8 @@ def test_normalized_cross_correlation_rejects_zero_norm():
 
 
 def test_generate_cir_deterministic_and_reciprocal():
-    tx = NodePosition(20.0, 0.0, 0.0)
-    rx = NodePosition(50.0, 800.0, 300.0)
+    tx = (20.0, 0.0, 0.0)
+    rx = (50.0, 800.0, 300.0)
     c1 = generate_cir(tx, rx, ENV, CFG)
     c2 = generate_cir(tx, rx, ENV, CFG)
     c3 = generate_cir(rx, tx, ENV, CFG)
@@ -167,54 +165,53 @@ def test_generate_cir_deterministic_and_reciprocal():
 
 
 def test_generate_cir_changes_with_seed_and_geometry():
-    tx = NodePosition(20.0, 0.0, 0.0)
-    rx = NodePosition(50.0, 800.0, 300.0)
+    tx = (20.0, 0.0, 0.0)
+    rx = (50.0, 800.0, 300.0)
     c1 = generate_cir(tx, rx, ENV, CFG)
     c2 = generate_cir(tx, rx, ENV, ChannelModelConfig(rng_seed=8))
     assert not np.array_equal(c1.taps, c2.taps)
-    far = NodePosition(5.0, 2500.0, 0.0)
+    far = (5.0, 2500.0, 0.0)
     c3 = generate_cir(tx, far, ENV, CFG)
     assert not np.array_equal(c1.taps, c3.taps)
 
 
 def test_generate_cir_rejects_coincident_positions():
-    p = NodePosition(10.0, 5.0, 5.0)
-    with pytest.raises(ValueError):
-        generate_cir(p, NodePosition(10.0, 5.0, 5.0), ENV, CFG)
+    p = (10.0, 5.0, 5.0)
+    with pytest.raises(ValueError, match="coincide"):
+        generate_cir(p, (10.0, 5.0, 5.0), ENV, CFG)
 
 
 def test_generate_cir_accepts_130_tap_25khz_configuration():
     env = Environment(carrier_frequency=25e3)
     cfg = ChannelModelConfig(tap_count=130, rng_seed=1)
-    c = generate_cir(NodePosition(20, 0, 0), NodePosition(20, 1000, 0), env, cfg)
+    c = generate_cir((20, 0, 0), (20, 1000, 0), env, cfg)
     assert len(c) == 130
 
 
-def test_direct_path_delay_hand_value():
+def test_statistical_pair_delay_hand_value():
     # 1000 m at 1500 m/s
-    tx = NodePosition(20.0, 0.0, 0.0)
-    rx = NodePosition(20.0, 1000.0, 0.0)
-    assert direct_path_delay(tx, rx, ENV) == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert f"{direct_path_delay(tx, rx, ENV):.4f}" == "0.6667"
+    [(_, _, _, _, delay)] = ChannelModel(ENV, CFG).pairs([(20.0, 0.0, 0.0), (20.0, 1000.0, 0.0)], 1)
+    assert delay == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert f"{delay:.4f}" == "0.6667"
 
 
 def test_same_signature_links_share_tap_pattern():
     # distances in the same 50 m range cell and depths in the same 5 m cells
     # share the tap stream; amplitudes scale exactly as 1/d.
-    tx = NodePosition(20.0, 0.0, 0.0)
-    rx_a = NodePosition(30.0, 1000.0, 0.0)
-    rx_b = NodePosition(30.0, 1010.0, 0.0)
+    tx = (20.0, 0.0, 0.0)
+    rx_a = (30.0, 1000.0, 0.0)
+    rx_b = (30.0, 1010.0, 0.0)
     ca = generate_cir(tx, rx_a, ENV, CFG)
     cb = generate_cir(tx, rx_b, ENV, CFG)
-    ratio = tx.distance_to(rx_a) / tx.distance_to(rx_b)
+    ratio = math.dist(tx, rx_a) / math.dist(tx, rx_b)
     assert np.allclose(cb.taps * 1.0 / ratio, ca.taps, rtol=1e-12)
     assert abs(normalized_cross_correlation(ca, cb, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dissimilar_links_weakly_correlated():
-    tx = NodePosition(20.0, 0.0, 0.0)
-    ref = generate_cir(tx, NodePosition(30.0, 1000.0, 0.0), ENV, CFG)
-    other = generate_cir(NodePosition(45.0, 500.0, 900.0), NodePosition(10.0, 2000.0, 2000.0), ENV, CFG)
+    tx = (20.0, 0.0, 0.0)
+    ref = generate_cir(tx, (30.0, 1000.0, 0.0), ENV, CFG)
+    other = generate_cir((45.0, 500.0, 900.0), (10.0, 2000.0, 2000.0), ENV, CFG)
     assert abs(normalized_cross_correlation(ref, other, 0)) < 0.5
 
 
@@ -223,9 +220,9 @@ def test_dissimilar_links_weakly_correlated():
 
 def single_link_oracle(tx, rx, env, cfg):
     """The statistical model drawn for one link, step by step."""
-    distance = tx.distance_to(rx)
-    signature = (math.floor(min(tx.depth, rx.depth) / cfg.depth_quantum),
-                 math.floor(max(tx.depth, rx.depth) / cfg.depth_quantum),
+    distance = math.dist(tx, rx)
+    signature = (math.floor(min(tx[0], rx[0]) / cfg.depth_quantum),
+                 math.floor(max(tx[0], rx[0]) / cfg.depth_quantum),
                  math.floor(distance / cfg.range_quantum))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, *signature)))
     pdp = np.exp(-np.arange(cfg.tap_count) * env.sample_interval / cfg.pdp_decay_constant) / distance**2
@@ -233,36 +230,29 @@ def single_link_oracle(tx, rx, env, cfg):
     return np.sqrt(pdp / 2.0) * draws
 
 
-def point(p):
-    """A NodePosition as the (depth, x, y) point generate_taps takes."""
-    return (p.depth, p.x, p.y)
-
-
-HEATMAP_TX = NodePosition(50.0, 0.0, 0.0)
+TX_POINT = (50.0, 0.0, 0.0)
 # (0 m, 3550 m) is a cell where np.square(d) and d ** 2 differ in the last bit
-HEATMAP_PROBES = [NodePosition(0.0, 3550.0, 0.0), NodePosition(0.0, 10.0, 0.0),
-                  NodePosition(70.0, 1000.0, 0.0), NodePosition(50.0, 10.0, 0.0),
-                  NodePosition(80.0, 4000.0, 0.0), NodePosition(0.0, 3560.0, 0.0)]
-TX_POINT, PROBE_POINTS = point(HEATMAP_TX), [point(p) for p in HEATMAP_PROBES]
+PROBE_POINTS = [(0.0, 3550.0, 0.0), (0.0, 10.0, 0.0), (70.0, 1000.0, 0.0),
+                (50.0, 10.0, 0.0), (80.0, 4000.0, 0.0), (0.0, 3560.0, 0.0)]
 
 
 def test_generate_taps_rows_equal_single_link_cirs_bit_for_bit():
     cfg = ChannelModelConfig(rng_seed=1)
-    far = HEATMAP_TX.distance_to(HEATMAP_PROBES[0])
+    far = math.dist(TX_POINT, PROBE_POINTS[0])
     assert far**2 != np.square(far)
     rows = generate_taps(TX_POINT, PROBE_POINTS, ENV, cfg)
-    assert rows.shape == (len(HEATMAP_PROBES), cfg.tap_count)
-    for row, probe in zip(rows, HEATMAP_PROBES):
-        assert np.array_equal(row, generate_cir(HEATMAP_TX, probe, ENV, cfg).taps)
-        assert np.array_equal(row, single_link_oracle(HEATMAP_TX, probe, ENV, cfg))
+    assert rows.shape == (len(PROBE_POINTS), cfg.tap_count)
+    for row, probe in zip(rows, PROBE_POINTS):
+        assert np.array_equal(row, generate_cir(TX_POINT, probe, ENV, cfg).taps)
+        assert np.array_equal(row, single_link_oracle(TX_POINT, probe, ENV, cfg))
 
 
 def test_writing_into_a_cir_does_not_change_the_next_draw():
-    tx, rx = HEATMAP_TX, HEATMAP_PROBES[2]
+    tx, rx = TX_POINT, PROBE_POINTS[2]
     first = generate_cir(tx, rx, ENV, CFG)
     kept = first.taps.copy()
     first.taps[:] = 0.0
-    rows = generate_taps(point(tx), [point(rx), point(rx)], ENV, CFG)
+    rows = generate_taps(tx, [rx, rx], ENV, CFG)
     rows[0] *= 2.0
     assert np.array_equal(rows[1], kept)
     assert np.array_equal(generate_cir(tx, rx, ENV, CFG).taps, kept)
@@ -270,7 +260,7 @@ def test_writing_into_a_cir_does_not_change_the_next_draw():
 
 
 def test_integral_float_tap_count_draws_like_the_integer():
-    tx, rx = HEATMAP_TX, HEATMAP_PROBES[2]
+    tx, rx = TX_POINT, PROBE_POINTS[2]
     as_float = generate_cir(tx, rx, ENV, ChannelModelConfig(tap_count=129.0, rng_seed=7))
     assert np.array_equal(as_float.taps, generate_cir(tx, rx, ENV, CFG).taps)
 
@@ -293,7 +283,7 @@ def test_generate_taps_rejects_a_nonfinite_point(bad):
 def test_statistical_model_without_a_seed_names_the_field():
     # rng_seed=None means "follow Scenario.seed", which only a resolved Scenario fills in
     unseeded = ChannelModelConfig(rng_seed=None)
-    for draw in (lambda: generate_cir(HEATMAP_TX, HEATMAP_PROBES[2], ENV, unseeded),
+    for draw in (lambda: generate_cir(TX_POINT, PROBE_POINTS[2], ENV, unseeded),
                  lambda: generate_taps(TX_POINT, PROBE_POINTS[1:3], ENV, unseeded)):
         with pytest.raises(ValueError, match=r"ChannelModelConfig\.rng_seed is None"):
             draw()
@@ -312,82 +302,83 @@ def write_arrivals(tmp_path, body):
 
 
 def test_load_arrivals_single_tap(tmp_path):
-    path = write_arrivals(tmp_path, "n0 n1 0.0 1.0 0.0\n")
-    c = ArrivalTable.from_file(path).cir(("n0", "n1"), DT)
+    path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
+    c = ArrivalTable.from_file(path).cir(("0", "1"), DT)
     assert np.array_equal(c.taps, np.array([1.0 + 0j]))
 
 
 def test_load_arrivals_two_taps(tmp_path):
-    path = write_arrivals(tmp_path, f"n0 n1 0.0 1.0 0.0\nn0 n1 {DT} 0.5 0.0\n")
-    c = ArrivalTable.from_file(path).cir(("n0", "n1"), DT)
+    path = write_arrivals(tmp_path, f"0 1 0.0 1.0 0.0\n0 1 {DT} 0.5 0.0\n")
+    c = ArrivalTable.from_file(path).cir(("0", "1"), DT)
     assert np.allclose(c.taps, [1.0, 0.5])
 
 
 def test_load_arrivals_colliding_taps_sum_to_zero(tmp_path):
     # 1 at phase 0 plus 1 at phase pi land on the same tap and cancel
-    path = write_arrivals(tmp_path, f"n0 n1 0.0 1.0 0.0\nn0 n1 0.0 1.0 {math.pi}\n")
-    c = ArrivalTable.from_file(path).cir(("n0", "n1"), DT)
+    path = write_arrivals(tmp_path, f"0 1 0.0 1.0 0.0\n0 1 0.0 1.0 {math.pi}\n")
+    c = ArrivalTable.from_file(path).cir(("0", "1"), DT)
     assert abs(c.taps[0]) < 1e-15
 
 
 def test_load_arrivals_relative_to_earliest_and_comments(tmp_path):
-    body = "# a comment line\nn0 n1 0.010 1.0 0.0   # trailing comment\nn0 n1 0.0105 0.25 0.0\n"
-    c = ArrivalTable.from_file(write_arrivals(tmp_path, body)).cir(("n0", "n1"), DT)
+    body = "# a comment line\n0 1 0.010 1.0 0.0   # trailing comment\n0 1 0.0105 0.25 0.0\n"
+    c = ArrivalTable.from_file(write_arrivals(tmp_path, body)).cir(("0", "1"), DT)
     assert np.allclose(c.taps, [1.0, 0.0, 0.25])
 
 
 def test_load_arrivals_reversed_pair_fallback(tmp_path):
-    path = write_arrivals(tmp_path, "n0 n1 0.0 1.0 0.0\n")
-    c = ArrivalTable.from_file(path).cir(("n1", "n0"), DT)
+    path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
+    c = ArrivalTable.from_file(path).cir(("1", "0"), DT)
     assert np.array_equal(c.taps, np.array([1.0 + 0j]))
 
 
 def test_load_arrivals_errors(tmp_path):
-    path = write_arrivals(tmp_path, "n0 n1 0.0 1.0\n")
+    path = write_arrivals(tmp_path, "0 1 0.0 1.0\n")
     with pytest.raises(ArrivalFileError, match=":2:"):
-        ArrivalTable.from_file(path).cir(("n0", "n1"), DT)
+        ArrivalTable.from_file(path).cir(("0", "1"), DT)
 
-    path = write_arrivals(tmp_path, "n0 n1 zero 1.0 0.0\n")
+    path = write_arrivals(tmp_path, "0 1 zero 1.0 0.0\n")
     with pytest.raises(ArrivalFileError, match=":2:"):
-        ArrivalTable.from_file(path).cir(("n0", "n1"), DT)
+        ArrivalTable.from_file(path).cir(("0", "1"), DT)
 
-    path = write_arrivals(tmp_path, "n0 n1 -1.0 1.0 0.0\n")
+    path = write_arrivals(tmp_path, "0 1 -1.0 1.0 0.0\n")
     with pytest.raises(ArrivalFileError, match="delay"):
-        ArrivalTable.from_file(path).cir(("n0", "n1"), DT)
+        ArrivalTable.from_file(path).cir(("0", "1"), DT)
 
-    path = write_arrivals(tmp_path, "n0 n1 0.0 1.0 0.0\n")
-    with pytest.raises(ArrivalFileError, match="n2->n3"):
-        ArrivalTable.from_file(path).cir(("n2", "n3"), DT)
+    path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
+    with pytest.raises(ArrivalFileError, match="2->3"):
+        ArrivalTable.from_file(path).cir(("2", "3"), DT)
 
     bad = tmp_path / "noheader.txt"
-    bad.write_text("n0 n1 0.0 1.0 0.0\n", encoding="utf-8")
+    bad.write_text("0 1 0.0 1.0 0.0\n", encoding="utf-8")
     with pytest.raises(ArrivalFileError, match="header"):
         ArrivalTable.from_file(str(bad))
 
 
 def test_arrival_channel_model_missing_pair_identifies_pair(tmp_path):
-    path = write_arrivals(tmp_path, "n0 n1 0.5 1.0 0.0\n")
+    # a file names nodes by their index in the placement; pair 1-2 is missing
+    path = write_arrivals(tmp_path, "0 1 0.5 1.0 0.0\n0 2 0.7 1.0 0.0\n")
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
-    model = ChannelModel(ENV, cfg)
-    a = NodePosition(10, 0, 0, node_id="n0")
-    b = NodePosition(10, 900, 0, node_id="n1")
-    c = NodePosition(10, 1800, 0, node_id="n2")
-    assert model.propagation_delay(a, b) == 0.5
-    assert len(model.cir(a, b)) == 1
-    with pytest.raises(ArrivalFileError, match="n1->n2"):
-        model.cir(b, c)
+    pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)], 1)
+    i, j, c, _, delay = next(pairs)
+    assert (i, j, delay, len(c)) == (0, 1, 0.5, 1)
+    assert next(pairs)[4] == 0.7
+    with pytest.raises(ArrivalFileError, match="1->2"):
+        next(pairs)
 
 
 def test_arrival_file_model_bins_the_file_and_draws_no_taps(tmp_path):
-    path = write_arrivals(tmp_path, f"n0 n1 0.25 1.0 0.0\nn0 n1 {0.25 + 2 * DT} 0.5 {math.pi / 2}\n")
+    path = write_arrivals(tmp_path, f"0 1 0.25 1.0 0.0\n0 1 {0.25 + 2 * DT} 0.5 {math.pi / 2}\n")
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
-    a = NodePosition(10, 0, 0, node_id="n0")
-    b = NodePosition(10, 900, 0, node_id="n1")
-    for c in (generate_cir(a, b, ENV, cfg), generate_cir(b, a, ENV, cfg)):
-        assert np.array_equal(c.taps, ArrivalTable.from_file(path).cir(("n0", "n1"), DT).taps)
-        assert np.allclose(c.taps, [1.0, 0.0, 0.5j])
-    with pytest.raises(ValueError, match="statistical_pdp"):
-        generate_taps(point(a), [point(b)], ENV, cfg)
+    a, b = (10, 0, 0), (10, 900, 0)
+    [(_, _, c, energy, delay)] = ChannelModel(ENV, cfg).pairs([a, b], 1)
+    assert np.array_equal(c.taps, ArrivalTable.from_file(path).cir(("0", "1"), DT).taps)
+    assert np.allclose(c.taps, [1.0, 0.0, 0.5j])
+    assert energy == pytest.approx(1.25) and delay == 0.25
+    # the statistical model's functions do not read arrival files
+    for draw in (lambda: generate_cir(a, b, ENV, cfg), lambda: generate_taps(a, [b], ENV, cfg)):
+        with pytest.raises(ValueError, match="statistical_pdp"):
+            draw()
 
 
 # ------------------------------------------------------------- environment
@@ -403,8 +394,9 @@ def test_environment_validation():
 
 
 def test_channel_model_caches_and_reciprocity():
-    model = ChannelModel(ENV, CFG)
-    a = NodePosition(20, 0, 0)
-    b = NodePosition(30, 700, 0)
-    assert np.array_equal(model.cir(a, b).taps, model.cir(b, a).taps)
-    assert model.propagation_delay(a, b) == pytest.approx(a.distance_to(b) / 1500.0)
+    a, b = (20, 0, 0), (30, 700, 0)
+    [(_, _, ab, _, delay)] = ChannelModel(ENV, CFG).pairs([a, b], 1)
+    [(_, _, ba, _, _)] = ChannelModel(ENV, CFG).pairs([b, a], 1)
+    assert np.array_equal(ab.taps, ba.taps)
+    assert np.array_equal(ab.taps, generate_cir(a, b, ENV, CFG).taps)
+    assert delay == pytest.approx(math.dist(a, b) / 1500.0)

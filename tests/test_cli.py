@@ -129,3 +129,34 @@ def test_run_seed_without_scenario_file_regenerates_placement(tmp_path, monkeypa
     assert seeded.network.routes == scenario_from_dict({"seed": 5}).network.routes
     assert default.network.nodes == scenario_from_dict({}).network.nodes
     assert seeded.network.nodes != default.network.nodes
+
+
+def test_run_refuses_reseed_topology_without_seed(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", scenario, "--reseed-topology", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--reseed-topology: needs --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, flag", [
+    ("sinr_vs_snr", ["--duration", "5"]), ("sinr_vs_eta", ["--jobs", "2"]),
+    ("correlation_heatmap", ["--loads", "3"]), ("timeseries", ["--loads", "3"]),
+])
+def test_preset_refuses_a_flag_it_does_not_read(name, flag, tmp_path, capsys):
+    assert main(["preset", name, *flag, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: preset {name} does not read {flag[0]}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_preset_passes_the_flags_it_reads(tmp_path, monkeypatch):
+    from uwansim import cli
+
+    given = []
+    monkeypatch.setattr(cli, "run_preset", lambda preset: given.append(preset.params) or "x.csv")
+    assert main(["preset", "load_sweep", "--duration", "5", "--loads", "2", "3", "--jobs", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["preset", "timeseries", "--duration", "5", "--jobs", "1", "--out", str(tmp_path)]) == 0
+    assert given == [{"duration": 5.0, "workers": 1, "loads": (2, 3)}, {"duration": 5.0, "workers": 1}]

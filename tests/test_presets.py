@@ -8,7 +8,6 @@ import pytest
 from uwansim.channel import (
     ChannelModelConfig,
     Environment,
-    NodePosition,
     generate_cir,
     norm,
     normalized_cross_correlation,
@@ -112,24 +111,24 @@ def test_correlation_heatmap_reference_cell_and_cardinality(tmp_path):
 
 
 def brute_force_heatmap(params, seed):
-    """The heatmap cell by cell: a NodePosition per cell, then generate_cir
-    and normalized_cross_correlation of the cell's link alone."""
+    """The heatmap cell by cell: a (depth, range, 0) point per cell, then
+    generate_cir and normalized_cross_correlation of the cell's link alone."""
     depth_step, range_step = params["depth_step"], params["range_step"]
     env = Environment(water_depth=80.0)
     cfg = ChannelModelConfig(tap_count=params.get("tap_count", 129), rng_seed=seed)
     tx_depth, tx_range = params.get("reference_tx", REFERENCE_GEOMETRY["i"])
     rx_depth, rx_range = REFERENCE_GEOMETRY["j"]
-    ref_tx = NodePosition(tx_depth, tx_range, 0.0)
-    h_ref = generate_cir(ref_tx, NodePosition(rx_depth, rx_range, 0.0), env, cfg)
+    ref_tx = (tx_depth, tx_range, 0.0)
+    h_ref = generate_cir(ref_tx, (rx_depth, rx_range, 0.0), env, cfg)
     rows = []
     for kd in range(int(80.0 / depth_step) + 1):
         for kr in range(int(4000.0 / range_step) + 1):
-            probe = NodePosition(round(kd * depth_step, 9), round(kr * range_step, 9), 0.0)
-            if probe.same_place(ref_tx):
+            probe = (round(kd * depth_step, 9), round(kr * range_step, 9), 0.0)
+            if probe == ref_tx:
                 eta = math.nan
             else:
                 eta = abs(normalized_cross_correlation(generate_cir(ref_tx, probe, env, cfg), h_ref, 0))
-            rows.append((probe.depth, probe.x, eta))
+            rows.append((probe[0], probe[1], eta))
     return rows
 
 
@@ -163,7 +162,7 @@ def test_correlation_heatmap_matches_cell_by_cell_reference(grid, seed, tmp_path
     ("depth_step", 0), ("depth_step", math.nan), ("depth_step", True),
     ("max_range", -1), ("max_range", math.inf), ("water_depth", 0.0),
     ("reference_tx", (math.nan, 0.0)), ("reference_tx", (-1.0, 0.0)), ("reference_tx", (50.0,)),
-    ("reference_rx", (70.0, math.inf)), ("reference_rx", 70.0),
+    ("reference_rx", (70.0, math.inf)), ("reference_rx", 70.0), ("reference_rx", "70"),
 ])
 def test_correlation_heatmap_rejects_a_bad_grid_naming_the_parameter(key, value, tmp_path):
     preset = ExperimentPreset("correlation_heatmap", params={key: value}, output_dir=str(tmp_path))

@@ -170,6 +170,7 @@ INVALID = [
     ({"network": {"nodes": [[1, 2]]}}, "network.nodes"),
     ({"network": {"nodes": [[1, 2, 3, 4]]}}, "network.nodes"),
     ({"network": {"nodes": [[-0.5, 0, 0], [10, 500, 0]], "routes": [[0, 1]]}}, "network.nodes"),
+    ({"network": {"nodes": ["200", "950"], "routes": [[0, 1]]}}, "network.nodes"),
 ]
 
 

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from uwansim.channel import ArrivalFileError, ChannelModel, Cir, NodePosition, norm
+from uwansim.channel import ArrivalFileError, ArrivalTable, Cir, generate_cir, norm
 from uwansim.mac import Arm, Frame, FrameKind, Packet, Send
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import sim as sim_module
@@ -775,11 +775,18 @@ def test_tie_csma_sense_timer_expires_at_arrival_end(far_frame, sensed_until):
 # ------------------------------------------------------------- link table
 
 
-def _reference_pair(channel, nodes, i, j, phy):
-    """A pair's quantities the way a per-pair loop computes them."""
-    lo = NodePosition(*nodes[i], node_id=str(i))
-    hi = NodePosition(*nodes[j], node_id=str(j))
-    c = channel.cir(lo, hi)
+def _reference_pair(sc, i, j):
+    """A pair's quantities the way a per-pair loop computes them, from
+    ``generate_cir`` and the straight-line delay, or from the arrival file
+    read afresh."""
+    nodes, env, phy = sc.network.nodes, sc.environment, sc.phy
+    if sc.channel.model_kind == "arrival_file":
+        arrivals = ArrivalTable.from_file(sc.channel.arrival_file_path)
+        c = arrivals.cir((str(i), str(j)), env.sample_interval)
+        delay = arrivals.direct_delay((str(i), str(j)))
+    else:
+        c = generate_cir(nodes[i], nodes[j], env, sc.channel)
+        delay = math.dist(nodes[i], nodes[j]) / env.nominal_sound_speed
     d = phy.updown_factor
     excess = (len(c) - 1) % d
     if excess:
@@ -787,18 +794,16 @@ def _reference_pair(channel, nodes, i, j, phy):
     peak, isi_sum = sdt_signal_and_isi(c, d)
     dp = d * phy.avg_transmit_power
     power = phy.avg_transmit_power * float(np.sum(np.abs(c.taps) ** 2))
-    return c, channel.propagation_delay(lo, hi), power, (dp * peak, dp * isi_sum)
+    return c, delay, power, (dp * peak, dp * isi_sum)
 
 
 def assert_table_matches_per_pair(sc):
     table = LinkTable(sc)
-    nodes = sc.network.nodes
-    channel = ChannelModel(sc.environment, sc.channel)
-    n = len(nodes)
+    n = len(sc.network.nodes)
     for i in range(n):
         assert table.cir[i][i] is None and table.delay[i][i] is None
         for j in range(i + 1, n):
-            c, delay, power, direct = _reference_pair(channel, nodes, i, j, sc.phy)
+            c, delay, power, direct = _reference_pair(sc, i, j)
             for a, b in ((i, j), (j, i)):
                 assert np.array_equal(table.cir[a][b].taps, c.taps)
                 assert table.delay[a][b] == delay
@@ -912,3 +917,16 @@ def test_arrival_file_missing_pair_raises_at_the_first_transmission(tmp_path):
     sim = Simulator(sc)
     with pytest.raises(ArrivalFileError, match="1->2"):
         sim._submit_frame(0, Frame(FrameKind.ACK, 0, 1, 32, 0.0625), 0.0)
+
+
+def test_arrival_file_keyed_by_names_fails_at_the_table_build_naming_the_pair(tmp_path):
+    # a file names nodes by their index in network.nodes, so "n0 n1" is no pair of the placement
+    arrivals = tmp_path / "arrivals.txt"
+    arrivals.write_text("ARRIVALS v1\nn0 n1 0.4 5e-3 0.0\n")
+    sc = scenario_from_dict({
+        "seed": 2,
+        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "network": {"nodes": [[20, 0, 0], [20, 600, 0]], "routes": [[0, 1]]},
+    })
+    with pytest.raises(ArrivalFileError, match="0->1"):
+        LinkTable(sc)
