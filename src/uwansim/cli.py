@@ -8,6 +8,7 @@ import math
 import os
 import sys
 
+from .mac import PROTOCOLS
 from .presets import PRESET_NAMES, ExperimentPreset, run_preset
 from .scenario import ScenarioError, config_hash, load_scenario, scenario_from_dict, scenario_to_dict
 from .sim import run_scenario
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--reseed-topology", action="store_true",
                        help="regenerate node placement for the overridden seed")
     run_p.add_argument("--duration", type=float, default=None)
-    run_p.add_argument("--protocol", choices=("trmac", "csma_ca", "s_csma_ca"), default=None)
+    run_p.add_argument("--protocol", choices=PROTOCOLS, default=None)
     run_p.add_argument("--out", default=".", help="output directory")
     run_p.add_argument("--sample-every", type=float, default=None,
                        help="also write cumulative metric series at this period")

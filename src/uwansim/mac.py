@@ -8,6 +8,10 @@ packet).  Cross-node interaction happens only through the scheduler, so
 an engine never touches another node's state.  Engines name links by node
 ids and read their static quantities from the run's ``LinkTable`` through
 ``medium.links``.
+
+Both families run one request/reply/data/ack handshake, written once in
+``MacEngine``; the subclasses keep only their protocol hooks.  A TR frame
+is focused on its own link: its basis is always its ``(src, dst)`` pair.
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ class Packet:
     created_at: float
 
     @property
-    def source(self) -> int:
-        return self.route[0]
-
-    @property
     def final_dst(self) -> int:
         return self.route[-1]
 
@@ -82,7 +82,6 @@ class Frame:
     payload_bits: int
     tx_duration: float
     piggyback: Optional[Piggyback] = None
-    tr_basis: Optional[tuple[int, int]] = None
     packet: Optional[Packet] = None
     frame_id: int = -1
 
@@ -91,8 +90,6 @@ class Frame:
             raise ValueError("Frame.payload_bits must be >= 0")
         if self.tx_duration <= 0:
             raise ValueError("Frame.tx_duration must be > 0")
-        if self.kind in TR_KINDS and (self.tr_basis is None or self.tr_basis[0] != self.src):
-            raise ValueError(f"{self.kind.value} frames must carry a tr_basis starting at their src")
 
 
 @dataclass(frozen=True)
@@ -165,9 +162,20 @@ Action = Send | Arm | Cancel | Deliver | Drop
 
 
 class MacEngine:
-    """Common queueing/retry skeleton shared by both protocol families."""
+    """The four-frame reservation handshake both protocol families share.
+
+    A sender's request wins a reply that moves it to the data phase, and
+    the acknowledgement of its data frame starts the next packet; a phase
+    left unanswered is retried ``n_max`` times, then its packet is dropped.
+    A receiver reserves itself for one requester until that requester's
+    data arrives or the reservation timer expires.  Subclasses set the
+    frame kinds ``REQUEST``, ``REPLY``, ``DATA`` and ``ACK`` and the
+    ``FIRST_PHASE`` name, and define ``_start_packet`` (which sets
+    ``phase``), ``_send_data``, ``_retry`` and ``_reply_frame``.
+    """
 
     kind = "abstract"
+    DATA_PHASE = "data"
 
     def __init__(self, node_id, timers, phy, neighbors, data_rate, control_bits=32, rng=None, medium=None):
         self.node_id = node_id
@@ -181,9 +189,13 @@ class MacEngine:
         self.queue: deque[tuple[Packet, int]] = deque()
         self.current: Optional[tuple[Packet, int]] = None
         self.retries = 0
+        self.phase: Optional[str] = None
+        self.reserved_for: Optional[int] = None
+        self.delivered_ids: set[int] = set()
         self.stats = {"drops": 0, "handshake_omissions": 0, "step4_deferrals": 0}
 
     # -- hooks the simulator drives ---------------------------------------
+    # (a hook never calls another hook, so traced hook calls do not nest)
 
     def enqueue(self, packet: Packet, dst: int, now: float) -> list[Action]:
         if dst not in self.neighbors:
@@ -194,15 +206,76 @@ class MacEngine:
         return []
 
     def on_frame(self, frame: Frame, now: float) -> list[Action]:
-        raise NotImplementedError
+        if frame.dst != self.node_id:
+            return []  # overheard frames are discarded
+        return self._addressed(frame, now)
 
     def on_tx_start(self, frame: Frame, now: float) -> list[Action]:
+        """Arm the response timer when the current phase's frame airs."""
+        if self.current is None:
+            return []
+        phase = self.phase
+        if frame.kind is (self.REQUEST if phase == self.FIRST_PHASE else self.DATA):
+            return [Arm("response", self.timers.t_th, (phase, self.current[0].packet_id))]
         return []
 
     def on_timer(self, key: str, context: tuple, now: float) -> list[Action]:
-        raise NotImplementedError
+        if key == "reservation":
+            return self._release_reservation()
+        if self.current is None:
+            return []
+        if key != "response":
+            return self._on_timer(key, now)
+        phase, packet_id = context
+        if self.current[0].packet_id != packet_id or phase != self.phase:
+            return []
+        if self.retries >= self.timers.n_max:
+            return self._drop_current(now, f"{phase} retry limit")
+        self.retries += 1
+        return self._retry(now)
 
-    # -- shared helpers ----------------------------------------------------
+    # -- the handshake -----------------------------------------------------
+
+    def _addressed(self, frame: Frame, now: float) -> list[Action]:
+        kind = frame.kind
+        if kind is self.REQUEST:
+            if self.reserved_for in (None, frame.src):
+                return self._reply(frame.src, frame.packet)
+            return self._on_reserved(frame)
+        if kind is self.REPLY:
+            if not self._answers(frame, self.FIRST_PHASE):
+                return []
+            # reservation complete; move to the data phase
+            self.retries = 0
+            self.phase = self.DATA_PHASE
+            return [Cancel("response"), *self._send_data(now)]
+        if kind is self.DATA:
+            # the acknowledgement goes first, so a relayed packet's request
+            # queues behind it
+            actions: list[Action] = [Send(self._control_frame(self.ACK, frame.src, packet=frame.packet))]
+            if frame.packet.packet_id not in self.delivered_ids:
+                self.delivered_ids.add(frame.packet.packet_id)
+                actions.append(Deliver(frame.packet))
+            if self.reserved_for == frame.src:
+                actions.extend(self._release_reservation())
+            return actions
+        if kind is self.ACK:
+            if not self._answers(frame, self.DATA_PHASE):
+                return []
+            self.phase = None
+            return [Cancel("response"), *self._begin_next(now)]
+        raise ValueError(f"{self.kind} engine cannot handle frame kind {kind.value}")
+
+    def _answers(self, frame: Frame, phase: str) -> bool:
+        """Whether ``frame`` answers the current packet's ``phase`` frame; a
+        frame naming another packet answers an already-abandoned one."""
+        current = self.current
+        return (current is not None and self.phase == phase and frame.src == current[1]
+                and (frame.packet is None or frame.packet.packet_id == current[0].packet_id))
+
+    def _reply(self, requester: int, packet: Optional[Packet]) -> list[Action]:
+        self.reserved_for = requester
+        return [Send(self._reply_frame(requester, packet)), Arm("reservation", self.timers.t_th)]
 
     def _begin_next(self, now: float) -> list[Action]:
         if not self.queue:
@@ -212,15 +285,26 @@ class MacEngine:
         self.retries = 0
         return self._start_packet(now)
 
-    def _start_packet(self, now: float) -> list[Action]:
-        raise NotImplementedError
-
     def _drop_current(self, now: float, reason: str) -> list[Action]:
         packet, _ = self.current
         self.stats["drops"] += 1
         actions: list[Action] = [Cancel("response"), Drop(packet, reason)]
         actions.extend(self._begin_next(now))
         return actions
+
+    # -- protocol hooks with a default -------------------------------------
+
+    def _on_reserved(self, frame: Frame) -> list[Action]:
+        return []  # a busy receiver stays silent; the sender times out
+
+    def _release_reservation(self) -> list[Action]:
+        self.reserved_for = None
+        return [Cancel("reservation")]
+
+    def _on_timer(self, key: str, now: float) -> list[Action]:
+        return []
+
+    # -- frames ------------------------------------------------------------
 
     def _control_frame(self, kind: FrameKind, dst: int, **extra) -> Frame:
         return Frame(
@@ -232,7 +316,7 @@ class MacEngine:
             **extra,
         )
 
-    def _data_frame(self, kind: FrameKind, dst: int, packet: Packet, **extra) -> Frame:
+    def _data_frame(self, kind: FrameKind, dst: int, packet: Packet) -> Frame:
         return Frame(
             kind=kind,
             src=self.node_id,
@@ -240,7 +324,6 @@ class MacEngine:
             payload_bits=packet.size_bits,
             tx_duration=packet.size_bits / self.data_rate,
             packet=packet,
-            **extra,
         )
 
 
@@ -255,17 +338,24 @@ class TrmacEngine(MacEngine):
     """
 
     kind = TRMAC
-
-    PROBE = "probe"
-    DATA = "data"
+    REQUEST, REPLY, DATA, ACK = FrameKind.P_R, FrameKind.PRO, FrameKind.TR_DATA, FrameKind.TR_ACK
+    FIRST_PHASE = "probe"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.pro_cache: dict[int, ProCacheEntry] = {}
-        self.phase: Optional[str] = None
-        self.reserved_for: Optional[int] = None
         self.deferred_prs: deque[int] = deque()  # requester ids
-        self.delivered_ids: set[int] = set()
+
+    # bound here so that tracing TRMAC's hooks sees every P_R that airs
+    on_tx_start = MacEngine.on_tx_start
+
+    def on_frame(self, frame: Frame, now: float) -> list[Action]:
+        if frame.kind is FrameKind.PRO:
+            # every probe reply heard, addressed or overheard, is cached
+            self.pro_cache[frame.src] = ProCacheEntry(frame.piggyback, now)
+        if frame.dst != self.node_id:
+            return []
+        return self._addressed(frame, now)
 
     # -- sender side -------------------------------------------------------
 
@@ -275,16 +365,22 @@ class TrmacEngine(MacEngine):
         if entry is not None and now - entry.received_at < self.timers.coherence_time:
             # handshake omission: the cached probe still describes the link
             self.stats["handshake_omissions"] += 1
-            self.phase = self.DATA
-            return self._schedule_tr_data(now, t_pro_b=now - entry.received_at)
-        self.phase = self.PROBE
+            self.phase = self.DATA_PHASE
+            return self._send_data(now, t_pro_b=now - entry.received_at)
+        self.phase = self.FIRST_PHASE
         return [Send(self._control_frame(FrameKind.P_R, dst))]
 
-    def _schedule_tr_data(self, now: float, t_pro_b: Optional[float]) -> list[Action]:
+    def _send_data(self, now: float, t_pro_b: Optional[float] = None) -> list[Action]:
         packet, dst = self.current
         backoff = self.compute_backoff(now, t_pro_b, dst)
-        frame = self._data_frame(FrameKind.TR_DATA, dst, packet, tr_basis=(self.node_id, dst))
-        return [Send(frame, delay=backoff)]
+        return [Send(self._data_frame(FrameKind.TR_DATA, dst, packet), delay=backoff)]
+
+    def _retry(self, now: float) -> list[Action]:
+        dst = self.current[1]
+        if self.phase == self.FIRST_PHASE:
+            return [Send(self._control_frame(FrameKind.P_R, dst))]
+        # the probe that opened the data phase stays cached
+        return self._send_data(now, t_pro_b=now - self.pro_cache[dst].received_at)
 
     def compute_backoff(self, now: float, t_pro_b: Optional[float], dst: int) -> float:
         """Steps 3-5 deferral before sending to ``dst``.
@@ -318,107 +414,23 @@ class TrmacEngine(MacEngine):
                 backoff = max(backoff, t_cl - age)
         return backoff
 
-    def on_tx_start(self, frame: Frame, now: float) -> list[Action]:
-        if self.current is None:
-            return []
-        if frame.kind is FrameKind.P_R and self.phase == self.PROBE:
-            return [Arm("response", self.timers.t_th, (self.PROBE, self.current[0].packet_id))]
-        if frame.kind is FrameKind.TR_DATA and self.phase == self.DATA:
-            return [Arm("response", self.timers.t_th, (self.DATA, self.current[0].packet_id))]
-        return []
-
-    def on_timer(self, key: str, context: tuple, now: float) -> list[Action]:
-        if key == "reservation":
-            return self._release_reservation(now)
-        if key != "response" or self.current is None:
-            return []
-        phase, packet_id = context
-        packet, dst = self.current
-        if packet.packet_id != packet_id or phase != self.phase:
-            return []
-        if self.retries >= self.timers.n_max:
-            return self._drop_current(now, f"{phase} retry limit")
-        self.retries += 1
-        if self.phase == self.PROBE:
-            return [Send(self._control_frame(FrameKind.P_R, dst))]
-        # the probe that opened the data phase stays cached
-        return self._schedule_tr_data(now, t_pro_b=now - self.pro_cache[dst].received_at)
-
     # -- receiver side -----------------------------------------------------
 
-    def on_frame(self, frame: Frame, now: float) -> list[Action]:
-        kind = frame.kind
-        if kind is FrameKind.PRO:
-            return self._on_pro(frame, now)
-        if frame.dst != self.node_id:
-            return []  # overheard non-probe frames are discarded
-        if kind is FrameKind.P_R:
-            return self._on_probe_request(frame)
-        if kind is FrameKind.TR_DATA:
-            return self._on_tr_data(frame, now)
-        if kind is FrameKind.TR_ACK:
-            return self._on_tr_ack(frame, now)
-        raise ValueError(f"TRMAC engine cannot handle frame kind {kind.value}")
-
-    def _pro_reply(self, requester: int) -> list[Action]:
-        self.reserved_for = requester
+    def _reply_frame(self, requester: int, packet: Optional[Packet]) -> Frame:
         piggyback = Piggyback(*self.medium.links.reply_quantities(self.node_id, requester))
-        return [
-            Send(self._control_frame(FrameKind.PRO, requester, piggyback=piggyback)),
-            Arm("reservation", self.timers.t_th),
-        ]
+        return self._control_frame(FrameKind.PRO, requester, piggyback=piggyback)
 
-    def _on_probe_request(self, frame: Frame) -> list[Action]:
-        if self.reserved_for in (None, frame.src):
-            return self._pro_reply(frame.src)
+    def _on_reserved(self, frame: Frame) -> list[Action]:
         # already reserved by another link: defer the reply until it clears
         if frame.src in self.deferred_prs:
             self.deferred_prs.remove(frame.src)
         self.deferred_prs.append(frame.src)
         return []
 
-    def _on_pro(self, frame: Frame, now: float) -> list[Action]:
-        self.pro_cache[frame.src] = ProCacheEntry(frame.piggyback, now)
-        if frame.dst != self.node_id:
-            return []
-        if self.current is None or self.phase != self.PROBE or frame.src != self.current[1]:
-            return []
-        # reservation and recording complete; move to the transmission step
-        self.retries = 0
-        self.phase = self.DATA
-        actions: list[Action] = [Cancel("response")]
-        actions.extend(self._schedule_tr_data(now, t_pro_b=None))
-        return actions
-
-    def _on_tr_data(self, frame: Frame, now: float) -> list[Action]:
-        # the acknowledgment rides the updated link CIR back to the sender;
-        # it goes first so a relayed packet's probe request queues behind it
-        ack = self._control_frame(
-            FrameKind.TR_ACK, frame.src, tr_basis=(self.node_id, frame.src), packet=frame.packet
-        )
-        actions: list[Action] = [Send(ack)]
-        if frame.packet.packet_id not in self.delivered_ids:
-            self.delivered_ids.add(frame.packet.packet_id)
-            actions.append(Deliver(frame.packet))
-        if self.reserved_for == frame.src:
-            actions.extend(self._release_reservation(now))
-        return actions
-
-    def _on_tr_ack(self, frame: Frame, now: float) -> list[Action]:
-        if self.current is None or self.phase != self.DATA or frame.src != self.current[1]:
-            return []
-        if frame.packet is not None and frame.packet.packet_id != self.current[0].packet_id:
-            return []  # acknowledgment for an already-abandoned packet
-        actions: list[Action] = [Cancel("response")]
-        self.phase = None
-        actions.extend(self._begin_next(now))
-        return actions
-
-    def _release_reservation(self, now: float) -> list[Action]:
-        self.reserved_for = None
-        actions: list[Action] = [Cancel("reservation")]
+    def _release_reservation(self) -> list[Action]:
+        actions = super()._release_reservation()
         if self.deferred_prs:
-            actions.extend(self._pro_reply(self.deferred_prs.popleft()))
+            actions.extend(self._reply(self.deferred_prs.popleft(), None))
         return actions
 
 
@@ -432,8 +444,8 @@ class CsmaEngine(MacEngine):
     point of the comparison.
     """
 
-    RTS_PHASE = "rts"
-    DATA_PHASE = "data"
+    REQUEST, REPLY, DATA, ACK = FrameKind.RTS, FrameKind.CTS, FrameKind.DATA, FrameKind.ACK
+    FIRST_PHASE = "rts"
 
     def __init__(self, *args, kind=CSMA_CA, s_csma_cap=2.0, **kwargs):
         super().__init__(*args, **kwargs)
@@ -441,9 +453,6 @@ class CsmaEngine(MacEngine):
             raise ValueError(f"unknown CSMA engine kind {kind!r}")
         self.kind = kind
         self.s_csma_cap = s_csma_cap
-        self.phase: Optional[str] = None
-        self.reserved_for: Optional[int] = None
-        self.delivered_ids: set[int] = set()
 
     def backoff_window(self) -> float:
         if self.kind == S_CSMA_CA:
@@ -451,98 +460,40 @@ class CsmaEngine(MacEngine):
         return 2.0 ** max(1, self.retries)
 
     def _start_packet(self, now: float) -> list[Action]:
-        self.phase = self.RTS_PHASE
-        return self._attempt(now, initial=True)
+        self.phase = self.FIRST_PHASE
+        return self._when_idle(now, self._transmit_pending)
 
-    def _attempt(self, now: float, initial: bool = False) -> list[Action]:
+    def _when_idle(self, now: float, then) -> list[Action]:
+        """``then(now)`` if the channel is idle, else sense again once it clears."""
         busy_until = self.medium.busy_until(self.node_id, now)
         if busy_until is None:
-            if initial:
-                return self._transmit_pending(now)
-            return [Arm("backoff", float(self.rng.uniform(0.0, self.backoff_window())))]
+            return then(now)
         return [Arm("sense", max(busy_until - now, 0.0))]
 
     def _transmit_pending(self, now: float) -> list[Action]:
-        packet, dst = self.current
-        if self.phase == self.RTS_PHASE:
+        if self.phase == self.FIRST_PHASE:
+            packet, dst = self.current
             return [Send(self._control_frame(FrameKind.RTS, dst, packet=packet))]
+        return self._send_data(now)
+
+    def _send_data(self, now: float) -> list[Action]:
+        packet, dst = self.current
         return [Send(self._data_frame(FrameKind.DATA, dst, packet))]
 
-    def on_tx_start(self, frame: Frame, now: float) -> list[Action]:
-        if self.current is None:
-            return []
-        if frame.kind is FrameKind.RTS and self.phase == self.RTS_PHASE:
-            return [Arm("response", self.timers.t_th, (self.RTS_PHASE, self.current[0].packet_id))]
-        if frame.kind is FrameKind.DATA and self.phase == self.DATA_PHASE:
-            return [Arm("response", self.timers.t_th, (self.DATA_PHASE, self.current[0].packet_id))]
-        return []
+    def _retry(self, now: float) -> list[Action]:
+        """Draw a backoff, after which the pending frame airs if still idle."""
+        return [Arm("backoff", float(self.rng.uniform(0.0, self.backoff_window())))]
 
-    def on_timer(self, key: str, context: tuple, now: float) -> list[Action]:
-        if key == "reservation":
-            self.reserved_for = None
-            return []
-        if self.current is None:
-            return []
+    def _reply_frame(self, requester: int, packet: Optional[Packet]) -> Frame:
+        return self._control_frame(FrameKind.CTS, requester, packet=packet)
+
+    def _on_timer(self, key: str, now: float) -> list[Action]:
         if key == "sense":
-            return self._attempt(now)
+            return self._when_idle(now, self._retry)
         if key == "backoff":
-            busy_until = self.medium.busy_until(self.node_id, now)
-            if busy_until is None:
-                return self._transmit_pending(now)
             # busy again: defer until idle, then draw a fresh backoff
-            return [Arm("sense", max(busy_until - now, 0.0))]
-        if key == "response":
-            phase, packet_id = context
-            if self.current[0].packet_id != packet_id or phase != self.phase:
-                return []
-            if self.retries >= self.timers.n_max:
-                return self._drop_current(now, f"{phase} retry limit")
-            self.retries += 1
-            return [Arm("backoff", float(self.rng.uniform(0.0, self.backoff_window())))]
+            return self._when_idle(now, self._transmit_pending)
         return []
-
-    def on_frame(self, frame: Frame, now: float) -> list[Action]:
-        if frame.dst != self.node_id:
-            return []
-        kind = frame.kind
-        if kind is FrameKind.RTS:
-            if self.reserved_for in (None, frame.src):
-                self.reserved_for = frame.src
-                return [
-                    Send(self._control_frame(FrameKind.CTS, frame.src, packet=frame.packet)),
-                    Arm("reservation", self.timers.t_th),
-                ]
-            return []  # busy receiver stays silent; the sender times out
-        if kind is FrameKind.CTS:
-            if self.current is None or self.phase != self.RTS_PHASE or frame.src != self.current[1]:
-                return []
-            if frame.packet is not None and frame.packet.packet_id != self.current[0].packet_id:
-                return []
-            self.retries = 0
-            self.phase = self.DATA_PHASE
-            packet, dst = self.current
-            return [Cancel("response"), Send(self._data_frame(FrameKind.DATA, dst, packet))]
-        if kind is FrameKind.DATA:
-            actions: list[Action] = [
-                Send(self._control_frame(FrameKind.ACK, frame.src, packet=frame.packet))
-            ]
-            if frame.packet.packet_id not in self.delivered_ids:
-                self.delivered_ids.add(frame.packet.packet_id)
-                actions.append(Deliver(frame.packet))
-            if self.reserved_for == frame.src:
-                self.reserved_for = None
-                actions.append(Cancel("reservation"))
-            return actions
-        if kind is FrameKind.ACK:
-            if self.current is None or self.phase != self.DATA_PHASE or frame.src != self.current[1]:
-                return []
-            if frame.packet is not None and frame.packet.packet_id != self.current[0].packet_id:
-                return []
-            actions = [Cancel("response")]
-            self.phase = None
-            actions.extend(self._begin_next(now))
-            return actions
-        raise ValueError(f"CSMA engine cannot handle frame kind {kind.value}")
 
 
 def make_engine(protocol: str, *args, s_csma_cap: float = 2.0, **kwargs) -> MacEngine:

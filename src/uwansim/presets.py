@@ -28,6 +28,7 @@ from .channel import (
     norm,
     normalized_cross_correlations,
 )
+from .mac import PROTOCOLS
 from .rules import NODES, POSITIVE, Rule, integer, number
 from .scenario import scenario_from_dict, scenario_to_dict
 from .sim import LinkTable, Simulator, placement
@@ -72,6 +73,8 @@ class ExperimentPreset:
         self.seeds = tuple(_parsed(self.name, "seeds", integer(), s) for s in self.seeds)
         if len(self.seeds) < 1:
             raise ValueError("ExperimentPreset.seeds must contain at least one seed")
+        if len(self.seeds) > 1 and self.name != "load_sweep":
+            raise ValueError(f"{self.name}: seeds: expected one seed, got {self.seeds!r}")
 
 
 def _params_hash(preset: ExperimentPreset, **parsed) -> str:
@@ -323,7 +326,7 @@ def preset_load_sweep(preset: ExperimentPreset) -> str:
     """Delay / drop ratio / throughput for each protocol across network loads."""
     params = preset.params
     loads = tuple(params.get("loads", (4, 6, 8, 10)))
-    protocols = tuple(params.get("protocols", ("trmac", "csma_ca", "s_csma_ca")))
+    protocols = tuple(params.get("protocols", PROTOCOLS))
     duration = _param(preset, "duration", number(POSITIVE), 2000.0)
     workers = _param(preset, "workers", _WORKERS, None)
     if not loads:
@@ -348,7 +351,7 @@ def preset_load_sweep(preset: ExperimentPreset) -> str:
 def preset_timeseries(preset: ExperimentPreset) -> str:
     """Cumulative metric-versus-time curves for each protocol at one load."""
     params = preset.params
-    protocols = tuple(params.get("protocols", ("trmac", "csma_ca", "s_csma_ca")))
+    protocols = tuple(params.get("protocols", PROTOCOLS))
     duration = _param(preset, "duration", number(POSITIVE), 2000.0)
     sample_every = _param(preset, "sample_every", number(POSITIVE), 100.0)
     links = _param(preset, "links", integer(POSITIVE), 10)

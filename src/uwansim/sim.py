@@ -439,8 +439,7 @@ class Simulator:
             if q == rec.seq:
                 continue
             if frame.kind in TR_KINDS:
-                a, b = frame.tr_basis
-                total += links.tr[a][b][2][node_id]
+                total += links.tr[frame.src][frame.dst][2][node_id]
             else:
                 total += power[src]
         return total
@@ -568,10 +567,8 @@ class Simulator:
         links = self.links
         if links is None:
             links = self.links = LinkTable(self.scenario)
-        if frame.kind in TR_KINDS:
-            a, b = frame.tr_basis
-            if links.tr[a][b] is None:
-                links.fill_tr(a, b)
+        if frame.kind in TR_KINDS and links.tr[frame.src][frame.dst] is None:
+            links.fill_tr(frame.src, frame.dst)
         if frame.kind in DATA_KINDS:
             self.trace.data_tx_times.append(now)
             self.trace.busy_intervals.append((now, now + duration + links.delay[frame.dst][node_id]))
@@ -632,8 +629,7 @@ class Simulator:
             return False
         frame = rec.frame
         if frame.kind in TR_KINDS:
-            a, b = frame.tr_basis
-            sig, isi, _ = self.links.tr[a][b]
+            sig, isi, _ = self.links.tr[frame.src][frame.dst]
         else:
             sig, isi = self.links.direct[frame.src][node_id]
         return sinr_from_parts(sig, isi, rec.interference, self.phy) >= self.phy.min_required_sinr

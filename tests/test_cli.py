@@ -70,6 +70,12 @@ def test_preset_refuses_seed_and_seeds_together(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_preset_refuses_seeds_it_does_not_read(tmp_path, capsys):
+    assert main(["preset", "sinr_vs_eta", "--seeds", "1", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: sinr_vs_eta: seeds: expected one seed, got (1, 2)\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_validate_exit_codes(tmp_path):
     scenario = write_scenario(tmp_path)
     assert main(["validate", scenario]) == 0

@@ -86,18 +86,9 @@ def test_mac_timers_identities():
 
 def test_frame_invariants():
     with pytest.raises(ValueError):
-        Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5)  # missing tr_basis
-    with pytest.raises(ValueError):
         Frame(FrameKind.RTS, 0, 1, -1, 0.1)
-    frame = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, tr_basis=(0, 1))
-    assert frame.tr_basis == (0, 1)
-
-
-def test_tr_frame_basis_starts_at_its_src():
-    # the simulator keys a link's ILI at every victim by the basis, whose
-    # first node is the transmitter
-    with pytest.raises(ValueError, match="starting at their src"):
-        Frame(FrameKind.TR_ACK, 1, 0, 32, 0.0625, tr_basis=(0, 1))
+    with pytest.raises(ValueError):
+        Frame(FrameKind.TR_DATA, 0, 1, 256, 0.0)
 
 
 # --------------------------------------------------------- TRMAC enqueue
@@ -120,7 +111,7 @@ def test_trmac_enqueue_with_fresh_cached_probe_skips_handshake():
     actions = engine.enqueue(packet(), 1, now=TIMERS.coherence_time / 2)
     assert not sends(actions, FrameKind.P_R)
     (send,) = sends(actions, FrameKind.TR_DATA)
-    assert send.frame.tr_basis == (0, 1)
+    assert (send.frame.src, send.frame.dst) == (0, 1)
     assert engine.stats["handshake_omissions"] == 1
     # probe age exceeds the collision window, so no receiver-side deferral
     assert send.delay == 0.0
@@ -264,11 +255,12 @@ def test_tr_data_delivery_ack_and_deferred_pro_flush():
     engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), now=1.0)
     engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), now=1.5)
     pkt = packet(pid=42)
-    data = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, tr_basis=(0, 1), packet=pkt)
+    data = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, packet=pkt)
     actions = engine.on_frame(data, now=3.0)
     assert [a.packet.packet_id for a in actions if isinstance(a, Deliver)] == [42]
     (ack,) = sends(actions, FrameKind.TR_ACK)
-    assert ack.frame.tr_basis == (1, 0)
+    # the acknowledgement is focused on the reverse link
+    assert (ack.frame.src, ack.frame.dst) == (1, 0)
     assert ack.frame.packet is pkt
     # reservation passes to the deferred requester, with its own link's quantities
     (pro,) = sends(actions, FrameKind.PRO)
@@ -296,35 +288,41 @@ def test_full_sender_handshake_and_ack_completion():
     assert data.delay == 0.0  # fresh handshake: no receiver-side deferral
     engine.on_tx_start(data.frame, 1.46)
 
-    ack = Frame(FrameKind.TR_ACK, 1, 0, 32, 0.0625, tr_basis=(1, 0), packet=pkt)
+    ack = Frame(FrameKind.TR_ACK, 1, 0, 32, 0.0625, packet=pkt)
     actions = engine.on_frame(ack, now=3.4)
     assert any(isinstance(a, Cancel) for a in actions)
     assert engine.current is None
 
 
-def test_stale_ack_for_abandoned_packet_is_ignored():
-    engine = trmac(node=0)
-    engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.05), received_at=0.0)
+@pytest.mark.parametrize("make", [trmac, csma], ids=["trmac", "csma_ca"])
+def test_ack_for_abandoned_packet_is_ignored(make):
+    engine = make(node=0)
     engine.enqueue(packet(pid=7), 1, now=1.0)
-    stale = Frame(FrameKind.TR_ACK, 1, 0, 32, 0.0625, tr_basis=(1, 0), packet=packet(pid=6))
+    piggyback = Piggyback(1.0, 0.05) if engine.REPLY is FrameKind.PRO else None
+    engine.on_frame(Frame(engine.REPLY, 1, 0, 32, 0.0625, piggyback=piggyback), now=1.1)
+    assert engine.phase == "data"
+    stale = Frame(engine.ACK, 1, 0, 32, 0.0625, packet=packet(pid=6))
     assert engine.on_frame(stale, now=1.2) == []
     assert engine.current is not None
 
 
-def test_trmac_timeout_retransmits_then_drops():
-    engine = trmac(node=0)
-    pkt = packet(pid=9)
-    actions = engine.enqueue(pkt, 1, now=0.0)
+@pytest.mark.parametrize("make, phase", [(trmac, "probe"), (csma, "rts")], ids=["trmac", "csma_ca"])
+def test_timeout_retransmits_then_drops(make, phase):
+    engine = make(node=0)
+    actions = engine.enqueue(packet(pid=9), 1, now=0.0)
     engine.on_tx_start(sends(actions)[0].frame, 0.0)
-    # three retransmissions allowed
+    # three retransmissions allowed; CSMA airs each one after a backoff
     for retry in range(1, TIMERS.n_max + 1):
-        actions = engine.on_timer("response", ("probe", 9), now=float(retry))
-        assert sends(actions, FrameKind.P_R)
+        actions = engine.on_timer("response", (phase, 9), now=float(retry))
+        if arms(actions, "backoff"):
+            actions = engine.on_timer("backoff", (), now=float(retry))
+        assert sends(actions, engine.REQUEST)
         assert engine.retries == retry
     # the next expiry drops the packet
-    actions = engine.on_timer("response", ("probe", 9), now=10.0)
+    actions = engine.on_timer("response", (phase, 9), now=10.0)
     drops = [a for a in actions if isinstance(a, Drop)]
     assert len(drops) == 1 and drops[0].packet.packet_id == 9
+    assert drops[0].reason == f"{phase} retry limit"
     assert engine.stats["drops"] == 1
     assert engine.current is None
 
@@ -432,7 +430,7 @@ def test_csma_stale_cts_ignored():
     sender.enqueue(packet(pid=31), 1, now=0.0)
     stale = Frame(FrameKind.CTS, 1, 0, 32, 0.0625, packet=packet(pid=30))
     assert sender.on_frame(stale, now=0.5) == []
-    assert sender.phase == CsmaEngine.RTS_PHASE
+    assert sender.phase == CsmaEngine.FIRST_PHASE
 
 
 def test_make_engine_rejects_unknown_protocol():

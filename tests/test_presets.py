@@ -43,6 +43,15 @@ def test_preset_validation():
         ExperimentPreset("sinr_vs_snr", seeds=())
 
 
+@pytest.mark.parametrize("name", ["sinr_vs_snr", "sinr_vs_eta", "correlation_heatmap", "timeseries"])
+def test_single_seed_presets_refuse_more_seeds(name, tmp_path):
+    with pytest.raises(ValueError) as err:
+        ExperimentPreset(name, seeds=(1, 2), output_dir=str(tmp_path))
+    assert str(err.value) == f"{name}: seeds: expected one seed, got (1, 2)"
+    assert not list(tmp_path.iterdir())
+    assert ExperimentPreset("load_sweep", seeds=(1, 2)).seeds == (1, 2)
+
+
 def test_sinr_vs_snr_grid_cardinality(tmp_path):
     path = preset_sinr_vs_snr(ExperimentPreset("sinr_vs_snr", output_dir=str(tmp_path)))
     _, header, rows = read_csv(path)

@@ -191,7 +191,7 @@ def test_lone_tr_frame_success_and_parallel_tr_frames_both_succeed():
     sim = Simulator(sc, record_events=True)
     for sender, dst, pid in ((0, 1, 1), (2, 3, 2)):
         pkt = Packet(packet_id=pid, flow_id=0, route=(sender, dst), size_bits=256, created_at=0.0)
-        frame = Frame(FrameKind.TR_DATA, sender, dst, 256, 0.5, tr_basis=(sender, dst), packet=pkt)
+        frame = Frame(FrameKind.TR_DATA, sender, dst, 256, 0.5, packet=pkt)
         sim._submit_frame(sender, frame, 0.0)
         sim.nodes[sender].tx_busy_until = 0.5
     sim.run()
@@ -226,7 +226,7 @@ def test_half_duplex_receiver_locks_to_first_addressed_frame():
     sim = Simulator(sc, record_events=True)
     for sender, pid in ((0, 1), (2, 2)):
         pkt = Packet(packet_id=pid, flow_id=0, route=(sender, 1), size_bits=256, created_at=0.0)
-        frame = Frame(FrameKind.TR_DATA, sender, 1, 256, 0.5, tr_basis=(sender, 1), packet=pkt)
+        frame = Frame(FrameKind.TR_DATA, sender, 1, 256, 0.5, packet=pkt)
         sim._submit_frame(sender, frame, 0.0)
         sim.nodes[sender].tx_busy_until = 0.5
     result = sim.run()
@@ -612,8 +612,7 @@ def test_adjudicate_closed_form_threshold_margin():
     gamma = sim.phy.min_required_sinr
     sigma2 = sim.phy.noise_variance
     sim.links.tr[0][1] = (2.0 * gamma * sigma2, 0.0, None)
-    frame = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, tr_basis=(0, 1),
-                  packet=Packet(1, 0, (0, 1), 256, 0.0))
+    frame = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, packet=Packet(1, 0, (0, 1), 256, 0.0))
     rec = _RxRecord(frame, 0.0, 0.5, 1)
     assert sim._adjudicate(rec, 1) is True
     rec.interference = 3.0 * gamma * sigma2
@@ -650,7 +649,7 @@ def rx_outcomes(sim, node):
 
 
 def _tr_ack(src, dst):
-    return Frame(FrameKind.TR_ACK, src, dst, 32, 0.5, tr_basis=(src, dst))
+    return Frame(FrameKind.TR_ACK, src, dst, 32, 0.5)
 
 
 def _tie_run(scenario, frames, first):
@@ -694,7 +693,7 @@ def test_tie_arrival_end_meets_arrival_start_interference(victim, first, outcome
 
     own = cir(frames[victim].src, 1)
     sig, isi = p_sig(own, probe.phy), p_isi(own, probe.phy)
-    inter = p_ili(cir(interferer.src, 1), cir(*interferer.tr_basis), probe.phy)
+    inter = p_ili(cir(interferer.src, 1), cir(interferer.src, interferer.dst), probe.phy)
     noise = probe.phy.noise_variance
     gamma = math.sqrt(sig / (isi + noise) * sig / (isi + inter + noise))
     sim = _tie_run(line_scenario([0, 750, 2250], min_required_sinr=gamma), frames, first)
