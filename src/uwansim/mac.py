@@ -345,6 +345,7 @@ class TrmacEngine(MacEngine):
         super().__init__(*args, **kwargs)
         self.pro_cache: dict[int, ProCacheEntry] = {}
         self.deferred_prs: deque[int] = deque()  # requester ids
+        self.eta_checks: dict[tuple, tuple] = {}  # (origin, dst, piggyback) -> (eta, threshold)
 
     # bound here so that tracing TRMAC's hooks sees every P_R that airs
     on_tx_start = MacEngine.on_tx_start
@@ -389,6 +390,8 @@ class TrmacEngine(MacEngine):
         term is defined to vanish.  Each third-party probe overheard
         within the collision window is checked against its threshold;
         conflicting ones extend the deferral to the end of their window.
+        A probe's eta and threshold depend only on its origin, ``dst`` and
+        piggyback, so each such triple is computed once and kept.
         """
         t_cl = self.timers.t_cl
         backoff = max(t_cl - t_pro_b, 0.0) if t_pro_b is not None else 0.0
@@ -400,15 +403,13 @@ class TrmacEngine(MacEngine):
             age = now - entry.received_at
             if age >= t_cl:
                 continue
-            heard = cir[origin][self.node_id]
-            eta = peak_eta(heard, own)
-            threshold = eta_threshold(
-                entry.piggyback.victim_link_norm,
-                entry.piggyback.victim_autocorr_offpeak_sum,
-                heard,
-                own,
-                self.phy,
-            )
+            key = (origin, dst, entry.piggyback)
+            check = self.eta_checks.get(key)
+            if check is None:
+                heard, piggyback = cir[origin][self.node_id], entry.piggyback
+                check = self.eta_checks[key] = (peak_eta(heard, own), eta_threshold(
+                    piggyback.victim_link_norm, piggyback.victim_autocorr_offpeak_sum, heard, own, self.phy))
+            eta, threshold = check
             if threshold is None or eta > threshold:
                 self.stats["step4_deferrals"] += 1
                 backoff = max(backoff, t_cl - age)

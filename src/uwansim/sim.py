@@ -17,6 +17,9 @@ number taken at tx start, the frame) and answers from it:
 * ``busy_until``, the latest end among arrivals sensed at a node now,
   for CSMA carrier sense.
 
+Each query scans the log once and applies the key rule below inline.
+Debug records (``record_events``) are built only when they are kept.
+
 Half-duplex and receiver-lock rules act on the node's open tracked
 receptions only.
 
@@ -393,20 +396,44 @@ class Simulator:
         self._event_seq = 0  # seq of the event being handled
         self._frame_seq = 0
         self._packet_seq = 0
+        self._ran = False
         self.trace = RunTrace(events=[] if record_events else None)
 
     # ---------------------------------------------------- transmission log
 
-    def _arrivals(self, node_id: int, lo: float, hi: float, seq: int) -> list:
-        """Logged arrivals at the node that overlap ``[lo, hi]``: their start
-        key is below ``(hi, seq)`` and their end key above ``(lo, seq)``.
-        Returns ``(start, seq, src, end, frame)`` in transmission order."""
-        delay = self.links.delay[node_id]
+    def busy_until(self, node_id: int, now: float) -> float | None:
+        """Latest arrival end among signals currently sensed at the node."""
+        if not self._tx_log:
+            return None  # nothing sent yet, so no link table either
+        delay, power = self.links.delay[node_id], self.links.power[node_id]
+        threshold, seq = self.sense_threshold, self._event_seq
+        latest = None
+        for t, q, src, dur, _, _ in self._tx_log:
+            if t > now:
+                break  # later transmissions arrive after now
+            if src == node_id or power[src] < threshold:
+                continue
+            start = t + delay[src]
+            if start > now or (start == now and q > seq):
+                continue
+            end = start + dur
+            if end < now or (end == now and q < seq):
+                continue
+            if latest is None or end > latest:
+                latest = end
+        return latest
+
+    def _interference(self, rec: _RxRecord, node_id: int) -> float:
+        """Power of every other arrival overlapping a tracked reception,
+        added in arrival order (seq is unique, so powers are never compared)."""
+        links = self.links
+        delay, power, tr = links.delay[node_id], links.power[node_id], links.tr
+        lo, hi, seq = rec.rx_start, rec.rx_end, rec.seq
         found = []
         for t, q, src, dur, frame, _ in self._tx_log:
             if t > hi:
                 break  # later transmissions arrive after hi
-            if src == node_id:
+            if src == node_id or q == seq:
                 continue
             start = t + delay[src]
             if start > hi or (start == hi and q > seq):
@@ -414,34 +441,13 @@ class Simulator:
             end = start + dur
             if end < lo or (end == lo and q < seq):
                 continue
-            found.append((start, q, src, end, frame))
-        return found
-
-    def busy_until(self, node_id: int, now: float) -> float | None:
-        """Latest arrival end among signals currently sensed at the node."""
-        if not self._tx_log:
-            return None  # nothing sent yet, so no link table either
-        power = self.links.power[node_id]
-        threshold = self.sense_threshold
-        latest = None
-        for _, _, src, end, _ in self._arrivals(node_id, now, now, self._event_seq):
-            if power[src] >= threshold and (latest is None or end > latest):
-                latest = end
-        return latest
-
-    def _interference(self, rec: _RxRecord, node_id: int) -> float:
-        """Power of every other arrival overlapping a tracked reception,
-        added in arrival order (seq is unique, so frames are never compared)."""
-        links = self.links
-        power = links.power[node_id]
+            part = tr[frame.src][frame.dst][2][node_id] if frame.kind in TR_KINDS else power[src]
+            found.append((start, q, part))
+        if len(found) > 1:
+            found.sort()
         total = 0.0
-        for _, q, src, _, frame in sorted(self._arrivals(node_id, rec.rx_start, rec.rx_end, rec.seq)):
-            if q == rec.seq:
-                continue
-            if frame.kind in TR_KINDS:
-                total += links.tr[frame.src][frame.dst][2][node_id]
-            else:
-                total += power[src]
+        for _, _, part in found:
+            total += part
         return total
 
     def _trim_log(self, now: float) -> None:
@@ -483,8 +489,12 @@ class Simulator:
     def run(self, sample_every: float | None = None) -> RunResult:
         """Simulate to ``scenario.duration``; ``sample_every`` adds the
         metrics series of ``collect_metrics``, whose ValueError for a bad
-        period comes before the first event."""
+        period comes before the first event.  A simulator runs once; a
+        second call raises RuntimeError before it handles any event."""
+        if self._ran:
+            raise RuntimeError("Simulator.run: this simulator has already run; build a new one")
         _check_sample_every(sample_every)
+        self._ran = True
         for flow_idx in range(len(self.scenario.network.routes)):
             self._schedule_flow_arrival(flow_idx, 0.0)
         duration = self.scenario.duration
@@ -518,7 +528,8 @@ class Simulator:
             created_at=now,
         )
         self.trace.generated += 1
-        self._log(now, route[0], "packet_arrival", "-", f"flow{flow_idx}")
+        if self.trace.events is not None:
+            self._log(now, route[0], "packet_arrival", "-", f"flow{flow_idx}")
         actions = self.nodes[route[0]].engine.enqueue(packet, route[1], now)
         self._process_actions(route[0], actions, now)
         if tag == "auto":
@@ -527,22 +538,24 @@ class Simulator:
     def _process_actions(self, node_id: int, actions, now: float) -> None:
         state = self.nodes[node_id]
         for action in actions:
-            if isinstance(action, Send):
+            kind = type(action)  # no action class has a subclass
+            if kind is Send:
                 if action.delay > 0.0:
                     self._push(now + action.delay, EV_TIMER, node_id, ("__send", -1, action.frame))
                 else:
                     self._submit_frame(node_id, action.frame, now)
-            elif isinstance(action, Arm):
+            elif kind is Arm:
                 gen = state.timer_gen.get(action.key, 0) + 1
                 state.timer_gen[action.key] = gen
                 self._push(now + action.delay, EV_TIMER, node_id, (action.key, gen, action.context))
-            elif isinstance(action, Cancel):
+            elif kind is Cancel:
                 state.timer_gen[action.key] = state.timer_gen.get(action.key, 0) + 1
-            elif isinstance(action, Deliver):
+            elif kind is Deliver:
                 self._handle_delivery(node_id, action.packet, now)
-            elif isinstance(action, Drop):
+            elif kind is Drop:
                 self.trace.drops.append((now, action.packet.packet_id))
-                self._log(now, node_id, "drop", "-", action.reason)
+                if self.trace.events is not None:
+                    self._log(now, node_id, "drop", "-", action.reason)
             else:
                 raise TypeError(f"unknown MAC action {action!r}")
 
@@ -572,7 +585,8 @@ class Simulator:
         if frame.kind in DATA_KINDS:
             self.trace.data_tx_times.append(now)
             self.trace.busy_intervals.append((now, now + duration + links.delay[frame.dst][node_id]))
-        self._log(now, node_id, "tx_start", frame.kind.value, f"to {frame.dst}")
+        if self.trace.events is not None:
+            self._log(now, node_id, "tx_start", frame.kind.value, f"to {frame.dst}")
         self._seq += 1
         seq = self._seq
         self._trim_log(now)
@@ -581,11 +595,14 @@ class Simulator:
             receivers = [v for v in range(self.n_nodes) if v != node_id]
         else:
             receivers = (frame.dst,)
+        heap, heappush, delay, n = self.heap, heapq.heappush, links.delay, self._seq
         for v in receivers:
-            t0 = now + links.delay[v][node_id]
+            t0 = now + delay[v][node_id]
             rec = _RxRecord(frame, t0, t0 + duration, seq)
-            self._push(t0, EV_RX_START, v, rec)
-            self._push(rec.rx_end, EV_RX_END, v, rec)
+            heappush(heap, (t0, n + 1, EV_RX_START, v, rec))
+            heappush(heap, (rec.rx_end, n + 2, EV_RX_END, v, rec))
+            n += 2
+        self._seq = n
         if state.outbox:
             self._push(state.tx_busy_until, EV_TIMER, node_id, ("__drain", -1, None))
 
@@ -616,7 +633,8 @@ class Simulator:
             rec.interference = self._interference(rec, node_id)
         success = self._adjudicate(rec, node_id)
         frame = rec.frame
-        self._log(now, node_id, "rx_end", frame.kind.value, "ok" if success else "fail")
+        if self.trace.events is not None:
+            self._log(now, node_id, "rx_end", frame.kind.value, "ok" if success else "fail")
         if not success:
             return
         if frame.kind in DATA_KINDS and frame.dst == node_id:
@@ -652,17 +670,17 @@ class Simulator:
     def _handle_delivery(self, node_id: int, packet: Packet, now: float) -> None:
         if node_id == packet.final_dst:
             self.trace.deliveries.append((now, packet.packet_id, now - packet.created_at))
-            self._log(now, node_id, "delivered", "-", f"packet {packet.packet_id}")
+            if self.trace.events is not None:
+                self._log(now, node_id, "delivered", "-", f"packet {packet.packet_id}")
             return
         next_hop = packet.next_hop(node_id)
         actions = self.nodes[node_id].engine.enqueue(packet, next_hop, now)
         self._process_actions(node_id, actions, now)
 
     def _log(self, time, node, event, frame_kind, outcome) -> None:
-        if self.trace.events is not None:
-            self.trace.events.append(
-                {"time": time, "node": node, "event": event, "frame": frame_kind, "outcome": outcome}
-            )
+        self.trace.events.append(
+            {"time": time, "node": node, "event": event, "frame": frame_kind, "outcome": outcome}
+        )
 
 
 def run_scenario(scenario: Scenario, sample_every: float | None = None,

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
 import gc
+import json
 import math
+import os
 import random
 import weakref
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from uwansim.channel import ArrivalFileError, ArrivalTable, Cir, generate_cir, norm
-from uwansim.mac import Arm, Frame, FrameKind, Packet, Send
+from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Frame, FrameKind, Packet, Send
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import sim as sim_module
 from uwansim.sim import LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
@@ -326,6 +328,25 @@ def test_run_rejects_a_bad_sample_period_before_the_first_event(value):
     with pytest.raises(ValueError, match="^sample_every: expected a positive finite number"):
         sim.run(value)
     assert not sim.heap and sim.trace.generated == 0
+
+
+def test_second_run_is_refused_before_any_event():
+    sim = Simulator(scenario_from_dict({"seed": 1, "duration_s": 100}), record_events=True)
+    sim.run()
+    before = (list(sim.heap), len(sim.trace.events), sim.trace.generated, sim._event_seq)
+    with pytest.raises(RuntimeError, match="^Simulator.run: "):
+        sim.run()
+    assert (list(sim.heap), len(sim.trace.events), sim.trace.generated, sim._event_seq) == before
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_run_without_record_events_builds_no_debug_record(monkeypatch, protocol):
+    def refuse(*args):
+        raise AssertionError("a debug record was built for a run that keeps none")
+
+    monkeypatch.setattr(Simulator, "_log", refuse)
+    result = run_scenario(scenario_from_dict({"seed": 1, "duration_s": 60, "mac": {"protocol": protocol}}))
+    assert result.trace.events is None and result.metrics.delivered > 0
 
 
 def test_run_scenario_collects_metrics_once(monkeypatch):
@@ -749,6 +770,76 @@ def test_interference_sums_in_arrival_order():
     sim._adjudicate = recording
     sim.run()
     assert seen == [1.0]
+
+
+def _dense_golden_cases(per_protocol):
+    path = os.path.join(os.path.dirname(__file__), "golden", "fingerprint.json")
+    with open(path, encoding="utf-8") as fh:
+        dense = [c for c in json.load(fh)["cases"] if c["id"].startswith("dense-")]
+    return [c for p in PROTOCOLS for c in [c for c in dense if c["scenario"]["mac"]["protocol"] == p][:per_protocol]]
+
+
+def _reference_overlaps(log, links, node_id, lo, hi, seq):
+    """``(start, seq, src, frame, end)`` of every transmission in ``log``
+    whose arrival at the node has its start key below ``(hi, seq)`` and its
+    end key above ``(lo, seq)``, in no particular order."""
+    found = []
+    for t, q, src, dur, frame in log:
+        if src != node_id:
+            start = t + links.delay[node_id][src]
+            if (start, q) < (hi, seq) and (start + dur, q) > (lo, seq):
+                found.append((start, q, src, frame, start + dur))
+    return found
+
+
+DENSE_CASES = _dense_golden_cases(8)
+# every pair of these networks is sensed at the default threshold; 3e-5 W
+# sits among their pair powers, so carrier sense also skips weak arrivals
+OVERLAP_CASES = [(c, None) for c in DENSE_CASES] + [
+    (c, 3e-5) for c in DENSE_CASES if c["scenario"]["mac"]["protocol"] != "trmac"]
+
+
+@pytest.mark.parametrize("case, sense_threshold_w", OVERLAP_CASES,
+                         ids=[c["id"] + ("" if w is None else f"-sense{w}") for c, w in OVERLAP_CASES])
+def test_overlap_queries_match_an_untrimmed_brute_force_reference(case, sense_threshold_w):
+    # every carrier-sense answer and every adjudicated interference sum of a
+    # dense run, recomputed from a log that keeps every transmission
+    config = copy.deepcopy(case["scenario"])
+    config["duration_s"] = 100.0
+    config["mac"]["sense_threshold_w"] = sense_threshold_w
+    sim = Simulator(scenario_from_dict(config))
+    log, queries, receptions = [], [], []
+    start_tx, busy_until, adjudicate = sim._start_tx, sim.busy_until, sim._adjudicate
+
+    def logging_start_tx(node_id, frame, now):
+        start_tx(node_id, frame, now)
+        log.append(sim._tx_log[-1][:5])  # (tx time, seq, src, duration, frame)
+
+    def recording_busy_until(node_id, now):
+        answer = busy_until(node_id, now)
+        queries.append((node_id, now, sim._event_seq, answer))
+        return answer
+
+    def recording_adjudicate(rec, node_id):
+        if not rec.corrupted:
+            receptions.append((rec, node_id, rec.interference))
+        return adjudicate(rec, node_id)
+
+    sim._start_tx, sim.busy_until, sim._adjudicate = logging_start_tx, recording_busy_until, recording_adjudicate
+    sim.run()
+    links = sim.links
+    assert receptions and (queries or case["scenario"]["mac"]["protocol"] == "trmac")
+    for node_id, now, seq, answer in queries:
+        power = links.power[node_id]
+        ends = [end for _, _, src, _, end in _reference_overlaps(log, links, node_id, now, now, seq)
+                if power[src] >= sim.sense_threshold]
+        assert answer == (max(ends) if ends else None)
+    for rec, node_id, interference in receptions:
+        total = 0.0
+        for _, q, src, frame, _ in sorted(_reference_overlaps(log, links, node_id, rec.rx_start, rec.rx_end, rec.seq)):
+            if q != rec.seq:
+                total += links.tr[frame.src][frame.dst][2][node_id] if frame.kind in TR_KINDS else links.power[node_id][src]
+        assert interference == total
 
 
 @pytest.mark.parametrize("far_frame, sensed_until", [(False, 1.0), (True, 1.5)])
