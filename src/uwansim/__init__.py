@@ -3,7 +3,6 @@ with a time-reversal physical layer and MAC protocols."""
 
 from .channel import (
     ChannelModelConfig,
-    Cir,
     Environment,
     cross_correlation,
     generate_cir,
@@ -17,7 +16,6 @@ from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from .sim import LinkTable, MetricsRecord, RunResult, Simulator, collect_metrics, run_scenario
 from .tr_phy import (
     PhyConfig,
-    TrWaveform,
     composite_response,
     eta_threshold,
     p_ili,
@@ -32,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelModelConfig",
-    "Cir",
     "Environment",
     "ExperimentPreset",
     "Frame",
@@ -46,7 +43,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "Simulator",
-    "TrWaveform",
     "collect_metrics",
     "composite_response",
     "cross_correlation",

@@ -90,37 +90,18 @@ class ChannelModelConfig(Checked):
             raise ValueError("ChannelModelConfig.arrival_file_path required for arrival_file model")
 
 
-@dataclass(eq=False)
-class Cir:
-    """Complex tap vector of a directed link, one tap per sample_interval."""
+def norm(c: np.ndarray) -> float:
+    """Euclidean norm of a CIR, a 1-D complex tap row, from the same two
+    dot products (real and imaginary part) that ``np.linalg.norm`` makes.
 
-    taps: np.ndarray
-    sample_interval: float
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.complex128).reshape(-1)
-        if taps.size < 1:
-            raise ValueError("Cir requires at least one tap")
-        if not np.all(np.isfinite(taps.real)) or not np.all(np.isfinite(taps.imag)):
-            raise ValueError("Cir taps must be finite")
-        if self.sample_interval <= 0:
-            raise ValueError("Cir.sample_interval must be > 0")
-        self.taps = taps
-
-    def __len__(self) -> int:
-        return self.taps.size
-
-
-def _row_norm(taps: np.ndarray) -> float:
-    """Euclidean norm of a 1-D complex tap row, from the same two dot
-    products (real and imaginary part) that ``np.linalg.norm`` makes."""
-    re, im = taps.real, taps.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def norm(c: Cir) -> float:
-    """Euclidean norm of the complex tap vector."""
-    return _row_norm(c.taps)
+    ValueError for a row with no taps or a norm that is not finite: a tap
+    that is not finite, or taps whose energy overflows.
+    """
+    re, im = c.real, c.imag
+    n = math.sqrt(re.dot(re) + im.dot(im))
+    if not (c.size and n < math.inf):
+        raise ValueError("a CIR needs at least one tap, and finite taps")
+    return n
 
 
 def _cross_correlation(at: np.ndarray, conj_bt: np.ndarray, lag: int) -> complex:
@@ -133,34 +114,40 @@ def _cross_correlation(at: np.ndarray, conj_bt: np.ndarray, lag: int) -> complex
     return complex(at[lo:hi].dot(conj_bt[lo + lag : hi + lag]))
 
 
-def cross_correlation(a: Cir, b: Cir, lag: int) -> complex:
-    """r_{a,b}[lag] = sum_l a[l] * conj(b[l + lag]); out-of-range taps are zero."""
-    return _cross_correlation(a.taps, np.conj(b.taps), lag)
+def cross_correlation(a: np.ndarray, b: np.ndarray, lag: int) -> complex:
+    """r_{a,b}[lag] = sum_l a[l] * conj(b[l + lag]); out-of-range taps are zero.
+
+    ValueError if a row has no taps or the result is not finite.
+    """
+    r = _cross_correlation(a, np.conj(b), lag)
+    if not (a.size and b.size and cmath.isfinite(r)):
+        raise ValueError("cross_correlation needs CIRs of at least one tap, and a finite result")
+    return r
 
 
-def normalized_cross_correlations(rows, b: Cir, lag: int) -> list[complex]:
+def normalized_cross_correlations(rows, b: np.ndarray, lag: int) -> list[complex]:
     """eta[lag] = r[lag] / (||a|| * ||b||) of each tap row a against b.
 
-    Each row gets its own norm and dot product, so a row's value is the
-    same as that of a ``Cir`` holding it; magnitudes are bounded by 1.
+    Each row gets its own norm and dot product, so a row's value does not
+    depend on the other rows; magnitudes are bounded by 1.
     """
     nb = norm(b)
-    conj_bt = np.conj(b.taps)
+    conj_bt = np.conj(b)
     etas = []
     for at in rows:
-        na = _row_norm(at)
+        na = norm(at)
         if na == 0.0 or nb == 0.0:
             raise ValueError("normalized_cross_correlation requires nonzero-norm CIRs")
         etas.append(_cross_correlation(at, conj_bt, lag) / (na * nb))
     return etas
 
 
-def normalized_cross_correlation(a: Cir, b: Cir, lag: int) -> complex:
+def normalized_cross_correlation(a: np.ndarray, b: np.ndarray, lag: int) -> complex:
     """eta[lag] = r[lag] / (||a|| * ||b||); magnitude bounded by 1."""
-    return normalized_cross_correlations([a.taps], b, lag)[0]
+    return normalized_cross_correlations([a], b, lag)[0]
 
 
-def peak_eta(a: Cir, b: Cir) -> float:
+def peak_eta(a: np.ndarray, b: np.ndarray) -> float:
     """|eta[0]| between two links, the quantity the MAC compares to its threshold."""
     return abs(normalized_cross_correlation(a, b, 0))
 
@@ -231,10 +218,10 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     return taps
 
 
-def generate_cir(tx: Point, rx: Point, env: Environment, cfg: ChannelModelConfig) -> Cir:
+def generate_cir(tx: Point, rx: Point, env: Environment, cfg: ChannelModelConfig) -> np.ndarray:
     """The statistical-model CIR of the directed link tx->rx: the
     ``generate_taps`` row of the pair."""
-    return Cir(generate_taps(tx, [rx], env, cfg)[0], env.sample_interval)
+    return generate_taps(tx, [rx], env, cfg)[0]
 
 
 class ArrivalTable:
@@ -291,7 +278,7 @@ class ArrivalTable:
             raise ArrivalFileError(f"{self.path}: no arrivals for pair {pair[0]}->{pair[1]}")
         return found
 
-    def cir(self, pair: tuple[str, str], sample_interval: float) -> Cir:
+    def cir(self, pair: tuple[str, str], sample_interval: float) -> np.ndarray:
         """Bin arrivals into taps at round(delay/sample_interval) past the earliest one."""
         arrivals = self._arrivals(pair)
         earliest = min(delay for delay, _, _ in arrivals)
@@ -299,15 +286,10 @@ class ArrivalTable:
         taps = np.zeros(max(indices) + 1, dtype=np.complex128)
         for idx, (_, amplitude, phase) in zip(indices, arrivals):
             taps[idx] += amplitude * cmath.exp(1j * phase)
-        return Cir(taps, sample_interval)
+        return taps
 
     def direct_delay(self, pair: tuple[str, str]) -> float:
         return min(delay for delay, _, _ in self._arrivals(pair))
-
-
-@lru_cache(maxsize=8)
-def _arrival_table(path: str) -> ArrivalTable:
-    return ArrivalTable.from_file(path)
 
 
 class ChannelModel:
@@ -330,7 +312,6 @@ class ChannelModel:
         ``(L-1) % d_factor == 0``, and its earliest arrival is the delay.
         """
         env, cfg = self.env, self.cfg
-        interval = env.sample_interval
         if cfg.model_kind == STATISTICAL_PDP:
             for i in range(len(points) - 1):
                 taps = generate_taps(points[i], points[i + 1:], env, cfg)
@@ -338,17 +319,24 @@ class ChannelModel:
                 energies = (np.abs(taps) ** 2).sum(axis=1)
                 for j, row, energy in zip(range(i + 1, len(points)), taps, energies):
                     delay = math.dist(points[i], points[j]) / env.nominal_sound_speed
-                    yield i, j, Cir(row, interval), float(energy), delay
+                    yield i, j, row, float(energy), delay
             return
-        table = _arrival_table(cfg.arrival_file_path)
+        # read afresh for every table: a file may change between runs
+        table = ArrivalTable.from_file(cfg.arrival_file_path)
         for i in range(len(points) - 1):
             for j in range(i + 1, len(points)):
                 pair = (str(i), str(j))
-                c = table.cir(pair, interval)
-                excess = (len(c) - 1) % d_factor
-                if excess:
-                    # arrival-file responses have data-driven lengths; trailing
-                    # zero taps make them compliant without changing any power
-                    c = Cir(np.concatenate([c.taps, np.zeros(d_factor - excess, dtype=np.complex128)]), interval)
-                c.taps.flags.writeable = False
-                yield i, j, c, float(np.sum(np.abs(c.taps) ** 2)), table.direct_delay(pair)
+                # an overflow is reported below, naming the file and the pair
+                with np.errstate(over="ignore", invalid="ignore"):
+                    c = table.cir(pair, env.sample_interval)
+                    excess = (c.size - 1) % d_factor
+                    if excess:
+                        # arrival-file responses have data-driven lengths; trailing
+                        # zero taps make them compliant without changing any power
+                        c = np.concatenate([c, np.zeros(d_factor - excess, dtype=np.complex128)])
+                    energy = float(np.sum(np.abs(c) ** 2))
+                if not energy < math.inf:
+                    raise ArrivalFileError(
+                        f"{table.path}: pair {i}->{j}: taps or tap energy not finite (amplitudes too large)")
+                c.flags.writeable = False
+                yield i, j, c, energy, table.direct_delay(pair)

@@ -177,7 +177,7 @@ class MacEngine:
     kind = "abstract"
     DATA_PHASE = "data"
 
-    def __init__(self, node_id, timers, phy, neighbors, data_rate, control_bits=32, rng=None, medium=None):
+    def __init__(self, node_id, timers, phy, neighbors, data_rate, control_bits, rng=None, medium=None):
         self.node_id = node_id
         self.timers = timers
         self.phy = phy
@@ -448,7 +448,7 @@ class CsmaEngine(MacEngine):
     REQUEST, REPLY, DATA, ACK = FrameKind.RTS, FrameKind.CTS, FrameKind.DATA, FrameKind.ACK
     FIRST_PHASE = "rts"
 
-    def __init__(self, *args, kind=CSMA_CA, s_csma_cap=2.0, **kwargs):
+    def __init__(self, *args, s_csma_cap, kind=CSMA_CA, **kwargs):
         super().__init__(*args, **kwargs)
         if kind not in (CSMA_CA, S_CSMA_CA):
             raise ValueError(f"unknown CSMA engine kind {kind!r}")
@@ -497,7 +497,7 @@ class CsmaEngine(MacEngine):
         return []
 
 
-def make_engine(protocol: str, *args, s_csma_cap: float = 2.0, **kwargs) -> MacEngine:
+def make_engine(protocol: str, *args, s_csma_cap: float, **kwargs) -> MacEngine:
     if protocol == TRMAC:
         return TrmacEngine(*args, **kwargs)
     if protocol in (CSMA_CA, S_CSMA_CA):

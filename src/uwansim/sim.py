@@ -283,9 +283,10 @@ def placement(scenario: Scenario) -> tuple:
 class LinkTable:
     """The per-pair quantities of one placement (module docstring).
 
-    ``cir``, ``delay``, ``power`` (impinging) and ``direct`` (signal, ISI)
-    are symmetric n x n rows, ``None`` on the diagonal; ``reach[v]`` is the
-    latest arrival offset of v's frames at any node.  ``tr[a][b]`` is the
+    ``cir`` (read-only tap rows), ``delay``, ``power`` (impinging) and
+    ``direct`` (signal, ISI) are symmetric n x n rows, ``None`` on the
+    diagonal; ``reach[v]`` is the latest arrival offset of v's frames at
+    any node.  ``tr[a][b]`` is the
     ``(signal, ISI, ILI by victim)`` of frames a sends on link (a, b),
     ``None`` until ``fill_tr`` computes it; ``reply[a][b]``, symmetric, is
     ``None`` until ``reply_quantities`` computes it.

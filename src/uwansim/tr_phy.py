@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Cir, norm
+from .channel import norm
 from .rules import POSITIVE, Checked, integer, number
 
 
@@ -37,43 +37,31 @@ class PhyConfig(Checked):
     }
 
 
-@dataclass(eq=False)
-class TrWaveform:
-    """Unit-norm time-reversed conjugate of a link CIR."""
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.complex128).reshape(-1)
-        if abs(np.linalg.norm(taps) - 1.0) > 1e-12:
-            raise ValueError("TrWaveform must have unit Euclidean norm")
-        self.taps = taps
-
-
 def check_divisible(tap_count: int, d_factor: int) -> None:
+    if tap_count < 1:
+        raise ValueError("a CIR needs at least one tap")
     if (tap_count - 1) % d_factor != 0:
         raise ValueError(
             f"(L-1) must be divisible by the up/down-sampling factor: L={tap_count}, D={d_factor}"
         )
 
 
-def tr_waveform(c: Cir) -> TrWaveform:
-    """g[k] = conj(c[L-1-k]) / ||c||."""
+def tr_waveform(c: np.ndarray) -> np.ndarray:
+    """The unit-norm TR waveform g[k] = conj(c[L-1-k]) / ||c||."""
     n = norm(c)
     if n == 0.0:
         raise ValueError("tr_waveform requires a nonzero CIR")
-    return TrWaveform(np.conj(c.taps[::-1]) / n)
+    return np.conj(c[::-1]) / n
 
 
-def composite_response(c: Cir, d_factor: int) -> np.ndarray:
+def composite_response(c: np.ndarray, d_factor: int) -> np.ndarray:
     """Down-sampled channel-plus-waveform response (c conv g)[D*l].
 
     Length 2(L-1)/D + 1; the center entry equals ||c|| (autocorrelation
     peak), everything else is residual ISI structure.
     """
-    check_divisible(len(c), d_factor)
-    g = tr_waveform(c).taps
-    return np.convolve(c.taps, g)[::d_factor]
+    check_divisible(c.size, d_factor)
+    return np.convolve(c, tr_waveform(c))[::d_factor]
 
 
 def _sampled_correlation(a_taps: np.ndarray, b_taps: np.ndarray, d_factor: int) -> np.ndarray:
@@ -88,40 +76,40 @@ def _sampled_correlation(a_taps: np.ndarray, b_taps: np.ndarray, d_factor: int) 
     return np.convolve(a_taps, np.conj(b_taps[::-1]))[::d_factor]
 
 
-def autocorr_offpeak_sum(c: Cir, d_factor: int) -> float:
+def autocorr_offpeak_sum(c: np.ndarray, d_factor: int) -> float:
     """sum_{l != (L-1)/D} |eta_{c,c}[D*l-(L-1)]|^2 -- the normalized ISI energy."""
-    n2 = float(np.dot(c.taps, np.conj(c.taps)).real)
-    if n2 == 0.0:
-        raise ValueError("autocorr_offpeak_sum requires a nonzero CIR")
-    sampled = _sampled_correlation(c.taps, c.taps, d_factor)
+    n2 = float(np.dot(c, np.conj(c)).real)
+    if not 0.0 < n2 < math.inf:
+        raise ValueError("autocorr_offpeak_sum requires a nonzero CIR of finite taps")
+    sampled = _sampled_correlation(c, c, d_factor)
     mags = np.abs(sampled) ** 2 / n2**2
-    center = (len(c) - 1) // d_factor
+    center = (c.size - 1) // d_factor
     return float(mags.sum() - mags[center])
 
 
-def crosscorr_sampled_stats(a: Cir, b: Cir, d_factor: int) -> tuple[float, float]:
+def crosscorr_sampled_stats(a: np.ndarray, b: np.ndarray, d_factor: int) -> tuple[float, float]:
     """(|eta_{a,b}[0]|, sum over the off-center sampled lags of |eta|^2)."""
     na, nb = norm(a), norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("crosscorr_sampled_stats requires nonzero CIRs")
-    sampled = _sampled_correlation(a.taps, b.taps, d_factor)
+    sampled = _sampled_correlation(a, b, d_factor)
     mags = np.abs(sampled) ** 2 / (na * nb) ** 2
-    center = (len(a) - 1) // d_factor
+    center = (a.size - 1) // d_factor
     return float(math.sqrt(mags[center])), float(mags.sum() - mags[center])
 
 
-def p_sig(c: Cir, phy: PhyConfig) -> float:
+def p_sig(c: np.ndarray, phy: PhyConfig) -> float:
     """Received signal power of a TR transmission: D * P * ||c||^2."""
     return phy.updown_factor * phy.avg_transmit_power * norm(c) ** 2
 
 
-def p_isi(c: Cir, phy: PhyConfig) -> float:
+def p_isi(c: np.ndarray, phy: PhyConfig) -> float:
     """Residual self-interference power after TR and down-sampling."""
     n2 = norm(c) ** 2
     return phy.updown_factor * phy.avg_transmit_power * n2 * autocorr_offpeak_sum(c, phy.updown_factor)
 
 
-def p_ili(interferer_to_victim: Cir, interferer_link: Cir, phy: PhyConfig) -> float:
+def p_ili(interferer_to_victim: np.ndarray, interferer_link: np.ndarray, phy: PhyConfig) -> float:
     """Inter-link interference power at a victim from one concurrent TR link.
 
     D * P * ||h_iv||^2 * sum over all sampled lags of |eta_{iv,il}|^2,
@@ -166,8 +154,8 @@ def sinr_atrsts_from_parts(sig: float, isi: float, ilis: list[float], phy: PhyCo
 
 
 def sinr_atrsts(
-    signal_link: Cir,
-    interferers: list[tuple[Cir, Cir]],
+    signal_link: np.ndarray,
+    interferers: list[tuple[np.ndarray, np.ndarray]],
     phy: PhyConfig,
 ) -> float:
     """Effective SINR of active TR-based simultaneous transmissions.
@@ -178,17 +166,20 @@ def sinr_atrsts(
     return sinr_atrsts_from_parts(p_sig(signal_link, phy), p_isi(signal_link, phy), ilis, phy)
 
 
-def sdt_signal_and_isi(c: Cir, d_factor: int) -> tuple[float, float]:
+def sdt_signal_and_isi(c: np.ndarray, d_factor: int) -> tuple[float, float]:
     """(|h_lbar|^2, sum of |h[.]|^2 over the other sampled taps) for SDT.
 
     The down-sampling phase is chosen so the strongest tap is always
     retained, even when its index is not a multiple of D.
     """
-    check_divisible(len(c), d_factor)
-    mags = np.abs(c.taps) ** 2
-    l_bar = int(np.argmax(mags))
+    check_divisible(c.size, d_factor)
+    mags = np.abs(c) ** 2
+    l_bar = int(np.argmax(mags))  # a NaN, if there is one
+    peak = float(mags[l_bar])
+    if not peak < math.inf:
+        raise ValueError("sdt_signal_and_isi requires finite taps")
     sampled = mags[l_bar % d_factor :: d_factor]
-    return float(mags[l_bar]), float(sampled.sum() - mags[l_bar])
+    return peak, float(sampled.sum() - mags[l_bar])
 
 
 def sinr_sdt_from_parts(peak_power: float, isi_sum: float, phy: PhyConfig) -> float:
@@ -197,7 +188,7 @@ def sinr_sdt_from_parts(peak_power: float, isi_sum: float, phy: PhyConfig) -> fl
     return sinr_from_parts(dp * peak_power, dp * isi_sum, 0.0, phy)
 
 
-def sinr_sdt(c: Cir, phy: PhyConfig) -> float:
+def sinr_sdt(c: np.ndarray, phy: PhyConfig) -> float:
     """Effective SINR of a single direct (non-TR) transmission."""
     if norm(c) == 0.0:
         raise ValueError("sinr_sdt requires a nonzero CIR")
@@ -208,8 +199,8 @@ def sinr_sdt(c: Cir, phy: PhyConfig) -> float:
 def eta_threshold(
     victim_link_norm: float,
     victim_autocorr_offpeak_sum: float,
-    interferer_to_victim: Cir,
-    interferer_link: Cir,
+    interferer_to_victim: np.ndarray,
+    interferer_link: np.ndarray,
     phy: PhyConfig,
 ) -> float | None:
     """Largest peak |eta| between interfering and victim-bound channels that
@@ -219,8 +210,8 @@ def eta_threshold(
     radicand is negative, e.g. in near-far geometries); otherwise the
     square root clamped into [0, 1].
     """
-    if victim_link_norm <= 0:
-        raise ValueError("eta_threshold requires a positive victim link norm")
+    if not 0.0 < victim_link_norm < math.inf:
+        raise ValueError("eta_threshold requires a positive finite victim link norm")
     gamma = phy.min_required_sinr
     nv2 = victim_link_norm**2
     ni2 = norm(interferer_to_victim) ** 2

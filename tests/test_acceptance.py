@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from uwansim.channel import Cir, norm, normalized_cross_correlation
+from uwansim.channel import norm, normalized_cross_correlation
 from uwansim.cli import main as cli_main
 from uwansim.mac import MacTimers
 from uwansim.presets import (
@@ -35,7 +35,6 @@ from uwansim.tr_phy import (
     sinr_sdt,
 )
 
-DT = 0.25e-3
 WORKERS = 2
 
 
@@ -44,7 +43,7 @@ def report(number, text):
 
 
 def random_cir(rng, length):
-    return Cir(rng.standard_normal(length) + 1j * rng.standard_normal(length), DT)
+    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
 
 
 # --------------------------------------------------------------------------
@@ -70,23 +69,23 @@ def test_acceptance_01_correlation_properties():
         # (the value itself rotates by the scalar's phase), and the value is
         # unchanged exactly for positive real scale
         scalar = complex(rng.normal(), rng.normal()) or 1.0
-        scaled = Cir(scalar * b.taps, DT)
+        scaled = scalar * b
         lag = int(rng.integers(-(length - 1), length))
         unscaled_eta = normalized_cross_correlation(a, b, lag)
         assert abs(abs(normalized_cross_correlation(a, scaled, lag)) - abs(unscaled_eta)) <= 1e-12
         assert abs(normalized_cross_correlation(a, scaled, lag)
                    - unscaled_eta * np.conj(scalar) / abs(scalar)) <= 1e-12
-        real_scaled = Cir(2.5 * b.taps, DT)
+        real_scaled = 2.5 * b
         assert abs(normalized_cross_correlation(a, real_scaled, lag) - unscaled_eta) <= 1e-12
 
         # convolution/correlation identity against a double-loop oracle:
         # conv(a, reversed conjugate of b)[k] = r_{a,b}[(L-1) - k]
-        rev = np.conj(b.taps[::-1])
+        rev = np.conj(b[::-1])
         for k in range(2 * length - 1):
             conv_k = 0j
             for m in range(length):
                 if 0 <= k - m < length:
-                    conv_k += a.taps[m] * rev[k - m]
+                    conv_k += a[m] * rev[k - m]
             r = normalized_cross_correlation(a, b, (length - 1) - k) * norm(a) * norm(b)
             assert abs(conv_k - r) <= 1e-10
     elapsed = time.monotonic() - started
@@ -100,13 +99,13 @@ def test_acceptance_01_correlation_properties():
 
 def test_acceptance_02_sinr_closed_forms():
     phy = PhyConfig(avg_transmit_power=1.0, noise_variance=1.0, updown_factor=4)
-    single = Cir([1.0], DT)
+    single = np.array([1.0 + 0j])
     assert sinr_atrsts(single, [], phy) == 4.0
     assert sinr_sdt(single, phy) == 4.0
     assert p_isi(single, phy) == 0.0
     for power in (1.0, 2.5):
         phy1 = PhyConfig(avg_transmit_power=power, noise_variance=1.0, updown_factor=1)
-        assert abs(p_isi(Cir([1.0, 1.0], DT), phy1) - power) <= 1e-12
+        assert abs(p_isi(np.array([1.0 + 0j, 1.0]), phy1) - power) <= 1e-12
     report(2, "single-tap ATRSTs/SDT SINR = 4.0 exactly; two-tap ISI power = P")
 
 
@@ -129,7 +128,7 @@ def _controlled_interferer(amplitude, peak, offpeak_component, length, d_factor)
     own[d_factor] = offpeak_component
     rest = 1.0 - peak**2 - offpeak_component**2
     own[d_factor + 1] = math.sqrt(max(rest, 0.0))  # d_factor+1 is never sampled
-    return Cir(to_victim, DT), Cir(own, DT)
+    return to_victim, own
 
 
 def test_acceptance_03_threshold_self_consistency():
@@ -185,7 +184,7 @@ def test_acceptance_04_noise_dominated_tr_gain():
         sigma2 = 1e6 * d * 1.0 * norm(c) ** 2
         phy = PhyConfig(avg_transmit_power=1.0, noise_variance=sigma2, updown_factor=d)
         ratio = sinr_atrsts(c, [], phy) / sinr_sdt(c, phy)
-        expected = norm(c) ** 2 / float(np.abs(c.taps).max()) ** 2
+        expected = norm(c) ** 2 / float(np.abs(c).max()) ** 2
         assert ratio == pytest.approx(expected, rel=0.01)
         assert ratio >= 1.0
     report(4, "TR/SDT SINR ratio = ||c||^2/|h_peak|^2 within 1% at crushing noise")

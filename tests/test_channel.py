@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +10,28 @@ from uwansim.channel import (
     ArrivalTable,
     ChannelModel,
     ChannelModelConfig,
-    Cir,
     Environment,
     cross_correlation,
     generate_cir,
     generate_taps,
     norm,
     normalized_cross_correlation,
+    normalized_cross_correlations,
+    peak_eta,
+)
+from uwansim.tr_phy import (
+    PhyConfig,
+    autocorr_offpeak_sum,
+    composite_response,
+    crosscorr_sampled_stats,
+    eta_threshold,
+    p_ili,
+    p_isi,
+    p_sig,
+    sdt_signal_and_isi,
+    sinr_atrsts,
+    sinr_sdt,
+    tr_waveform,
 )
 
 
@@ -38,36 +55,74 @@ def oracle_convolution(x, y):
     return out
 
 
-def random_cir(rng, length, dt=0.25e-3):
-    taps = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    return Cir(taps, dt)
+def row(taps):
+    """A CIR as the library takes it: a 1-D complex128 tap row."""
+    return np.array(taps, dtype=np.complex128)
+
+
+def random_cir(rng, length):
+    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
 
 
 ENV = Environment()
 CFG = ChannelModelConfig(rng_seed=7)
 
 
-# ---------------------------------------------------------------- Cir type
+# -------------------------------------------------------- CIR rows checked
 
 
-def test_cir_rejects_empty_and_nonfinite():
-    with pytest.raises(ValueError):
-        Cir(np.array([]), 1e-3)
-    with pytest.raises(ValueError):
-        Cir(np.array([np.nan + 0j]), 1e-3)
-    with pytest.raises(ValueError):
-        Cir(np.array([1j * np.inf]), 1e-3)
+GOOD = row([1.0])
+PHY = PhyConfig()
+# every public function that takes a CIR, with the bad row in each CIR slot
+CIR_FUNCTIONS = {
+    "norm": norm,
+    "cross_correlation_a": lambda c: cross_correlation(c, GOOD, 0),
+    "cross_correlation_b": lambda c: cross_correlation(GOOD, c, 0),
+    "normalized_cross_correlation_a": lambda c: normalized_cross_correlation(c, GOOD, 0),
+    "normalized_cross_correlation_b": lambda c: normalized_cross_correlation(GOOD, c, 0),
+    "normalized_cross_correlations_rows": lambda c: normalized_cross_correlations([GOOD, c], GOOD, 0),
+    "normalized_cross_correlations_b": lambda c: normalized_cross_correlations([GOOD], c, 0),
+    "peak_eta_a": lambda c: peak_eta(c, GOOD),
+    "peak_eta_b": lambda c: peak_eta(GOOD, c),
+    "tr_waveform": tr_waveform,
+    "composite_response": lambda c: composite_response(c, 1),
+    "autocorr_offpeak_sum": lambda c: autocorr_offpeak_sum(c, 1),
+    "crosscorr_sampled_stats_a": lambda c: crosscorr_sampled_stats(c, GOOD, 1),
+    "crosscorr_sampled_stats_b": lambda c: crosscorr_sampled_stats(GOOD, c, 1),
+    "p_sig": lambda c: p_sig(c, PHY),
+    "p_isi": lambda c: p_isi(c, PHY),
+    "p_ili_to_victim": lambda c: p_ili(c, GOOD, PHY),
+    "p_ili_own_link": lambda c: p_ili(GOOD, c, PHY),
+    "sinr_atrsts_signal": lambda c: sinr_atrsts(c, [], PHY),
+    "sinr_atrsts_to_victim": lambda c: sinr_atrsts(GOOD, [(c, GOOD)], PHY),
+    "sinr_atrsts_own_link": lambda c: sinr_atrsts(GOOD, [(GOOD, c)], PHY),
+    "sdt_signal_and_isi": lambda c: sdt_signal_and_isi(c, 1),
+    "sinr_sdt": lambda c: sinr_sdt(c, PHY),
+    "eta_threshold_to_victim": lambda c: eta_threshold(1.0, 0.0, c, GOOD, PHY),
+    "eta_threshold_own_link": lambda c: eta_threshold(1.0, 0.0, GOOD, c, PHY),
+}
+BAD_ROWS = {"empty": row([]), "nan": row([np.nan]), "inf": row([1j * np.inf])}
+
+
+@pytest.mark.parametrize("bad", BAD_ROWS)
+@pytest.mark.parametrize("function", CIR_FUNCTIONS)
+def test_cir_rejects_empty_and_nonfinite(function, bad):
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError):
+            CIR_FUNCTIONS[function](BAD_ROWS[bad])
+    # the good row passes where the bad one failed
+    CIR_FUNCTIONS[function](GOOD)
 
 
 def test_norm_trivial_cases():
-    assert norm(Cir([1.0], 1e-3)) == 1.0
-    assert norm(Cir([3.0, 4.0j], 1e-3)) == pytest.approx(5.0, abs=1e-12)
+    assert norm(row([1.0])) == 1.0
+    assert norm(row([3.0, 4.0j])) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_norm_matches_elementwise_oracle_on_130_taps():
     c = generate_cir((20, 0, 0), (20, 1000, 0), ENV,
                      ChannelModelConfig(tap_count=130, rng_seed=3))
-    brute = math.sqrt(sum(abs(t) ** 2 for t in c.taps))
+    brute = math.sqrt(sum(abs(t) ** 2 for t in c))
     assert norm(c) == pytest.approx(brute, rel=1e-12)
 
 
@@ -75,11 +130,11 @@ def test_norm_matches_elementwise_oracle_on_130_taps():
 
 
 def test_cross_correlation_trivial_examples():
-    one = Cir([1.0], 1e-3)
+    one = row([1.0])
     assert cross_correlation(one, one, 0) == 1.0
 
-    a = Cir([1.0, 0.0], 1e-3)
-    b = Cir([0.0, 1.0], 1e-3)
+    a = row([1.0, 0.0])
+    b = row([0.0, 1.0])
     assert cross_correlation(a, b, 1) == 1.0
     assert cross_correlation(a, b, 0) == 0.0
 
@@ -91,7 +146,7 @@ def test_cross_correlation_matches_double_loop_oracle():
         b = random_cir(rng, 8)
         for lag in range(-9, 10):
             got = cross_correlation(a, b, lag)
-            want = oracle_cross_correlation(a.taps, b.taps, lag)
+            want = oracle_cross_correlation(a, b, lag)
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -103,7 +158,7 @@ def test_correlation_convolution_identity():
         L = int(rng.integers(2, 17))
         a = random_cir(rng, L)
         b = random_cir(rng, L)
-        conv = oracle_convolution(a.taps, np.conj(b.taps[::-1]))
+        conv = oracle_convolution(a, np.conj(b[::-1]))
         for k in range(2 * L - 1):
             want = cross_correlation(a, b, (L - 1) - k)
             assert conv[k] == pytest.approx(want, abs=1e-10)
@@ -127,11 +182,11 @@ def test_normalized_cross_correlation_properties():
     # autocorrelation peak is exactly 1
     assert normalized_cross_correlation(a, a, 0) == pytest.approx(1.0, abs=1e-12)
     # orthogonal impulses
-    e0 = Cir([1.0, 0.0], 1e-3)
-    e1 = Cir([0.0, 1.0], 1e-3)
+    e0 = row([1.0, 0.0])
+    e1 = row([0.0, 1.0])
     assert normalized_cross_correlation(e0, e1, 0) == 0.0
     # scale invariance
-    scaled = Cir(2.0 * b.taps, b.sample_interval)
+    scaled = 2.0 * b
     assert normalized_cross_correlation(a, scaled, 0) == pytest.approx(
         normalized_cross_correlation(a, b, 0), abs=1e-12
     )
@@ -141,8 +196,8 @@ def test_normalized_cross_correlation_properties():
 
 
 def test_normalized_cross_correlation_rejects_zero_norm():
-    zero = Cir([0.0, 0.0], 1e-3)
-    good = Cir([1.0], 1e-3)
+    zero = row([0.0, 0.0])
+    good = row([1.0])
     with pytest.raises(ValueError):
         normalized_cross_correlation(zero, good, 0)
     with pytest.raises(ValueError):
@@ -158,8 +213,8 @@ def test_generate_cir_deterministic_and_reciprocal():
     c1 = generate_cir(tx, rx, ENV, CFG)
     c2 = generate_cir(tx, rx, ENV, CFG)
     c3 = generate_cir(rx, tx, ENV, CFG)
-    assert np.array_equal(c1.taps, c2.taps)
-    assert np.array_equal(c1.taps, c3.taps)
+    assert np.array_equal(c1, c2)
+    assert np.array_equal(c1, c3)
     assert len(c1) == CFG.tap_count
     assert norm(c1) > 0
 
@@ -169,10 +224,10 @@ def test_generate_cir_changes_with_seed_and_geometry():
     rx = (50.0, 800.0, 300.0)
     c1 = generate_cir(tx, rx, ENV, CFG)
     c2 = generate_cir(tx, rx, ENV, ChannelModelConfig(rng_seed=8))
-    assert not np.array_equal(c1.taps, c2.taps)
+    assert not np.array_equal(c1, c2)
     far = (5.0, 2500.0, 0.0)
     c3 = generate_cir(tx, far, ENV, CFG)
-    assert not np.array_equal(c1.taps, c3.taps)
+    assert not np.array_equal(c1, c3)
 
 
 def test_generate_cir_rejects_coincident_positions():
@@ -204,7 +259,7 @@ def test_same_signature_links_share_tap_pattern():
     ca = generate_cir(tx, rx_a, ENV, CFG)
     cb = generate_cir(tx, rx_b, ENV, CFG)
     ratio = math.dist(tx, rx_a) / math.dist(tx, rx_b)
-    assert np.allclose(cb.taps * 1.0 / ratio, ca.taps, rtol=1e-12)
+    assert np.allclose(cb * 1.0 / ratio, ca, rtol=1e-12)
     assert abs(normalized_cross_correlation(ca, cb, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -243,26 +298,26 @@ def test_generate_taps_rows_equal_single_link_cirs_bit_for_bit():
     rows = generate_taps(TX_POINT, PROBE_POINTS, ENV, cfg)
     assert rows.shape == (len(PROBE_POINTS), cfg.tap_count)
     for row, probe in zip(rows, PROBE_POINTS):
-        assert np.array_equal(row, generate_cir(TX_POINT, probe, ENV, cfg).taps)
+        assert np.array_equal(row, generate_cir(TX_POINT, probe, ENV, cfg))
         assert np.array_equal(row, single_link_oracle(TX_POINT, probe, ENV, cfg))
 
 
 def test_writing_into_a_cir_does_not_change_the_next_draw():
     tx, rx = TX_POINT, PROBE_POINTS[2]
     first = generate_cir(tx, rx, ENV, CFG)
-    kept = first.taps.copy()
-    first.taps[:] = 0.0
+    kept = first.copy()
+    first[:] = 0.0
     rows = generate_taps(tx, [rx, rx], ENV, CFG)
     rows[0] *= 2.0
     assert np.array_equal(rows[1], kept)
-    assert np.array_equal(generate_cir(tx, rx, ENV, CFG).taps, kept)
-    assert np.array_equal(generate_cir(rx, tx, ENV, CFG).taps, kept)
+    assert np.array_equal(generate_cir(tx, rx, ENV, CFG), kept)
+    assert np.array_equal(generate_cir(rx, tx, ENV, CFG), kept)
 
 
 def test_integral_float_tap_count_draws_like_the_integer():
     tx, rx = TX_POINT, PROBE_POINTS[2]
     as_float = generate_cir(tx, rx, ENV, ChannelModelConfig(tap_count=129.0, rng_seed=7))
-    assert np.array_equal(as_float.taps, generate_cir(tx, rx, ENV, CFG).taps)
+    assert np.array_equal(as_float, generate_cir(tx, rx, ENV, CFG))
 
 
 def test_generate_taps_rejects_a_coincident_receiver():
@@ -304,32 +359,32 @@ def write_arrivals(tmp_path, body):
 def test_load_arrivals_single_tap(tmp_path):
     path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
     c = ArrivalTable.from_file(path).cir(("0", "1"), DT)
-    assert np.array_equal(c.taps, np.array([1.0 + 0j]))
+    assert np.array_equal(c, np.array([1.0 + 0j]))
 
 
 def test_load_arrivals_two_taps(tmp_path):
     path = write_arrivals(tmp_path, f"0 1 0.0 1.0 0.0\n0 1 {DT} 0.5 0.0\n")
     c = ArrivalTable.from_file(path).cir(("0", "1"), DT)
-    assert np.allclose(c.taps, [1.0, 0.5])
+    assert np.allclose(c, [1.0, 0.5])
 
 
 def test_load_arrivals_colliding_taps_sum_to_zero(tmp_path):
     # 1 at phase 0 plus 1 at phase pi land on the same tap and cancel
     path = write_arrivals(tmp_path, f"0 1 0.0 1.0 0.0\n0 1 0.0 1.0 {math.pi}\n")
     c = ArrivalTable.from_file(path).cir(("0", "1"), DT)
-    assert abs(c.taps[0]) < 1e-15
+    assert abs(c[0]) < 1e-15
 
 
 def test_load_arrivals_relative_to_earliest_and_comments(tmp_path):
     body = "# a comment line\n0 1 0.010 1.0 0.0   # trailing comment\n0 1 0.0105 0.25 0.0\n"
     c = ArrivalTable.from_file(write_arrivals(tmp_path, body)).cir(("0", "1"), DT)
-    assert np.allclose(c.taps, [1.0, 0.0, 0.25])
+    assert np.allclose(c, [1.0, 0.0, 0.25])
 
 
 def test_load_arrivals_reversed_pair_fallback(tmp_path):
     path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
     c = ArrivalTable.from_file(path).cir(("1", "0"), DT)
-    assert np.array_equal(c.taps, np.array([1.0 + 0j]))
+    assert np.array_equal(c, np.array([1.0 + 0j]))
 
 
 def test_load_arrivals_errors(tmp_path):
@@ -367,13 +422,28 @@ def test_arrival_channel_model_missing_pair_identifies_pair(tmp_path):
         next(pairs)
 
 
+@pytest.mark.parametrize("overflow", [
+    "0 2 0.7 1e200 0.0\n",  # the tap is finite, its energy is not
+    "0 2 0.7 1.5e308 0.0\n0 2 0.7 1.5e308 0.0\n",  # the binned tap is not finite
+])
+def test_arrival_channel_model_rejects_an_overflowing_pair(tmp_path, overflow):
+    path = write_arrivals(tmp_path, "0 1 0.5 1.0 0.0\n" + overflow)
+    cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
+    pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)], 1)
+    assert next(pairs)[:2] == (0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error says it all, without a numpy warning
+        with pytest.raises(ArrivalFileError, match=rf"^{re.escape(path)}: pair 0->2: .*not finite"):
+            next(pairs)
+
+
 def test_arrival_file_model_bins_the_file_and_draws_no_taps(tmp_path):
     path = write_arrivals(tmp_path, f"0 1 0.25 1.0 0.0\n0 1 {0.25 + 2 * DT} 0.5 {math.pi / 2}\n")
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
     a, b = (10, 0, 0), (10, 900, 0)
     [(_, _, c, energy, delay)] = ChannelModel(ENV, cfg).pairs([a, b], 1)
-    assert np.array_equal(c.taps, ArrivalTable.from_file(path).cir(("0", "1"), DT).taps)
-    assert np.allclose(c.taps, [1.0, 0.0, 0.5j])
+    assert np.array_equal(c, ArrivalTable.from_file(path).cir(("0", "1"), DT))
+    assert np.allclose(c, [1.0, 0.0, 0.5j])
     assert energy == pytest.approx(1.25) and delay == 0.25
     # the statistical model's functions do not read arrival files
     for draw in (lambda: generate_cir(a, b, ENV, cfg), lambda: generate_taps(a, [b], ENV, cfg)):
@@ -397,6 +467,6 @@ def test_channel_model_caches_and_reciprocity():
     a, b = (20, 0, 0), (30, 700, 0)
     [(_, _, ab, _, delay)] = ChannelModel(ENV, CFG).pairs([a, b], 1)
     [(_, _, ba, _, _)] = ChannelModel(ENV, CFG).pairs([b, a], 1)
-    assert np.array_equal(ab.taps, ba.taps)
-    assert np.array_equal(ab.taps, generate_cir(a, b, ENV, CFG).taps)
+    assert np.array_equal(ab, ba)
+    assert np.array_equal(ab, generate_cir(a, b, ENV, CFG))
     assert delay == pytest.approx(math.dist(a, b) / 1500.0)

@@ -57,3 +57,10 @@ def test_placing_a_network_loads_networkx(tmp_path):
         "assert 'networkx' in sys.modules\n",
         tmp_path,
     )
+
+
+def test_every_name_in_all_resolves():
+    import uwansim
+
+    assert [name for name in uwansim.__all__ if not hasattr(uwansim, name)] == []
+    assert len(set(uwansim.__all__)) == len(uwansim.__all__)

@@ -30,6 +30,7 @@ SCENARIO = scenario_from_dict({
                 "routes": [[0, 1], [2, 3]]},
 })
 PHY = SCENARIO.phy
+MAC = SCENARIO.mac  # the only source of the engines' defaults
 
 
 def packet(pid=1, route=(0, 1)):
@@ -46,13 +47,14 @@ class FakeMedium:
 
 
 def trmac(node=0, neighbors=(1, 2, 3)):
-    return TrmacEngine(node, TIMERS, PHY, neighbors, 512.0, control_bits=32,
+    return TrmacEngine(node, TIMERS, PHY, neighbors, 512.0, control_bits=MAC.control_bits,
                        rng=np.random.default_rng(0), medium=FakeMedium())
 
 
 def csma(node=0, kind="csma_ca", neighbors=(1, 2, 3)):
-    engine = make_engine(kind, node, TIMERS, PHY, neighbors, 512.0, control_bits=32,
-                         rng=np.random.default_rng(0), medium=FakeMedium())
+    engine = make_engine(kind, node, TIMERS, PHY, neighbors, 512.0, control_bits=MAC.control_bits,
+                         rng=np.random.default_rng(0), medium=FakeMedium(),
+                         s_csma_cap=MAC.s_csma_max_backoff)
     return engine
 
 
@@ -206,8 +208,11 @@ def test_backoff_compares_the_heard_channel_with_the_own_link(monkeypatch):
     engine.pro_cache[2] = ProCacheEntry(permissive_piggyback(), received_at=4.8)
     assert engine.compute_backoff(5.0, None, dst=1) == 0.0
     links = engine.medium.links
-    # Cir compares by identity, and the table holds one object per pair
-    assert seen == [(links.cir[2][0], links.cir[0][1])] * 2 == [(links.cir[0][2], links.cir[1][0])] * 2
+    # the table holds one read-only row per pair, in both directions
+    assert links.cir[2][0] is links.cir[0][2] and links.cir[0][1] is links.cir[1][0]
+    assert len(seen) == 2
+    for heard, own in seen:
+        assert heard is links.cir[2][0] and own is links.cir[0][1]
 
 
 def test_backoff_checks_each_probe_once_per_link_pair(monkeypatch):
@@ -479,7 +484,8 @@ def test_csma_stale_cts_ignored():
 
 def test_make_engine_rejects_unknown_protocol():
     with pytest.raises(ValueError):
-        make_engine("tdma", 0, TIMERS, PHY, (1,), 512.0)
+        make_engine("tdma", 0, TIMERS, PHY, (1,), 512.0, MAC.control_bits,
+                    s_csma_cap=MAC.s_csma_max_backoff)
 
 
 def test_engines_reject_foreign_frame_kinds():

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from uwansim.channel import ArrivalFileError, ArrivalTable, Cir, generate_cir, norm
+from uwansim.channel import ArrivalFileError, ArrivalTable, generate_cir, norm
 from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Frame, FrameKind, Packet, Send
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import sim as sim_module
@@ -600,6 +600,27 @@ def test_arrival_file_channel_end_to_end(tmp_path):
     assert m.delay_samples[0] == pytest.approx(expected, abs=1e-9)
 
 
+def test_arrival_file_rewritten_between_runs_is_read_again(tmp_path):
+    # the same path, first with a link strong enough to deliver, then with
+    # one too weak to: each run's table reads the file as it is then
+    arrivals = tmp_path / "arrivals.txt"
+    sc = scenario_from_dict({
+        "seed": 2,
+        "duration_s": 30,
+        "traffic": {"mean_interarrival_s": None},
+        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "network": {"nodes": [[20, 0, 0], [20, 600, 0]], "routes": [[0, 1]]},
+    })
+    delivered = []
+    for amplitude in (5e-3, 1e-6):
+        arrivals.write_text(f"ARRIVALS v1\n0 1 0.4 {amplitude} 0.0\n")
+        sim = Simulator(sc)
+        sim.schedule_packet(0, 0.0)
+        delivered.append(sim.run().metrics.delivered)
+        assert sim.links.power[0][1] == sc.phy.avg_transmit_power * amplitude**2
+    assert delivered == [1, 0]
+
+
 @pytest.mark.parametrize("first", [0, 1])
 def test_arrival_file_pair_delay_from_lower_to_higher_index(tmp_path, first):
     # the file gives 0 -> 1 a 0.4-s and 1 -> 0 a 0.6-s delay; the pair uses
@@ -842,6 +863,30 @@ def test_overlap_queries_match_an_untrimmed_brute_force_reference(case, sense_th
         assert interference == total
 
 
+def test_default_sense_threshold_is_receiver_sensitivity():
+    # sense_threshold_w left null: a node senses exactly the arrivals whose
+    # pair power reaches min_required_sinr * noise_variance.  Seen from node
+    # 0, node 1 lies below that power and node 2 within [1x, 2x) of it.
+    sc = scenario_from_dict({
+        "seed": 11,
+        "duration_s": 20,
+        "traffic": {"mean_interarrival_s": None},
+        "mac": {"protocol": "csma_ca"},
+        "network": {"region_size_m": 20000,
+                    "nodes": [[10, 0, 0], [10, 0, 13000], [10, 8500, 0], [10, 500, 0]],
+                    "routes": [[0, 3]]},
+    })
+    assert sc.mac.sense_threshold_w is None
+    sensitivity = sc.phy.min_required_sinr * sc.phy.noise_variance
+    power = LinkTable(sc).power[0]
+    assert power[1] < sensitivity <= power[2] < 2 * sensitivity
+    for src, sensed in ((1, False), (2, True)):
+        sim = Simulator(sc)
+        sim._submit_frame(src, Frame(FrameKind.ACK, src, 3, 32, 1.0), 0.0)
+        arrival = sim.links.delay[src][0]
+        assert sim.busy_until(0, arrival + 0.5) == (arrival + 1.0 if sensed else None)
+
+
 @pytest.mark.parametrize("far_frame, sensed_until", [(False, 1.0), (True, 1.5)])
 def test_tie_csma_sense_timer_expires_at_arrival_end(far_frame, sensed_until):
     # node 1 gets a packet at 0.75 while node 0's frame arrives over
@@ -878,12 +923,12 @@ def _reference_pair(sc, i, j):
         c = generate_cir(nodes[i], nodes[j], env, sc.channel)
         delay = math.dist(nodes[i], nodes[j]) / env.nominal_sound_speed
     d = phy.updown_factor
-    excess = (len(c) - 1) % d
+    excess = (c.size - 1) % d
     if excess:
-        c = Cir(np.concatenate([c.taps, np.zeros(d - excess, dtype=np.complex128)]), c.sample_interval)
+        c = np.concatenate([c, np.zeros(d - excess, dtype=np.complex128)])
     peak, isi_sum = sdt_signal_and_isi(c, d)
     dp = d * phy.avg_transmit_power
-    power = phy.avg_transmit_power * float(np.sum(np.abs(c.taps) ** 2))
+    power = phy.avg_transmit_power * float(np.sum(np.abs(c) ** 2))
     return c, delay, power, (dp * peak, dp * isi_sum)
 
 
@@ -895,7 +940,7 @@ def assert_table_matches_per_pair(sc):
         for j in range(i + 1, n):
             c, delay, power, direct = _reference_pair(sc, i, j)
             for a, b in ((i, j), (j, i)):
-                assert np.array_equal(table.cir[a][b].taps, c.taps)
+                assert np.array_equal(table.cir[a][b], c)
                 assert table.delay[a][b] == delay
                 assert table.power[a][b] == power
                 assert table.direct[a][b] == direct
@@ -909,7 +954,7 @@ def test_link_table_matches_per_pair_statistical_model(seed, tap_count):
     table = assert_table_matches_per_pair(sc)
     # a shared table's taps cannot be written by one of its runs
     with pytest.raises(ValueError):
-        table.cir[0][1].taps[0] = 0.0
+        table.cir[0][1][0] = 0.0
 
 
 def test_link_table_matches_per_pair_arrival_file(tmp_path):
