@@ -240,7 +240,11 @@ class ArrivalTable:
     def from_file(cls, path: str) -> "ArrivalTable":
         records: dict[tuple[str, str], list[tuple[float, float, float]]] = {}
         header_seen = False
-        with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise ArrivalFileError(f"{path}: cannot open: {exc.strerror}") from None
+        with fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

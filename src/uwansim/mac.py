@@ -135,14 +135,14 @@ class Send:
     delay: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Arm:
     key: str
     delay: float
     context: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Cancel:
     key: str
 

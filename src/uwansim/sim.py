@@ -6,7 +6,11 @@ scenarios and seeds replay identically.
 Every frame reaches every other node after the pair's propagation delay:
 its arrival at node v covers ``[tx + delay(src, v), ... + duration)``.
 Only *tracked* receptions are events, a start and an end each: frames
-addressed to the node and, under TRMAC, overheard probes.  Every other
+addressed to the node and, under TRMAC, probe replies (PROs) overheard by a
+node that can send, a non-final hop of some route.  Only a sender reads an
+overheard probe (``TrmacEngine.pro_cache`` feeds its handshake omission and
+backoff), and an overheard probe never holds a receiver or corrupts another
+reception, so at any other node it could change nothing.  Every other
 arrival matters only as interference or carrier-sense power, so the engine
 keeps a log with one entry per transmission (tx time, the event sequence
 number taken at tx start, the frame) and answers from it:
@@ -88,7 +92,7 @@ EV_TIMER = 3
 class _RxRecord:
     """One tracked reception: a frame addressed to, or a probe overheard by, a node."""
 
-    __slots__ = ("frame", "rx_start", "rx_end", "seq", "corrupted", "interference")
+    __slots__ = ("frame", "rx_start", "rx_end", "seq", "corrupted", "interference", "ended")
 
     def __init__(self, frame, rx_start, rx_end, seq):
         self.frame = frame
@@ -97,6 +101,7 @@ class _RxRecord:
         self.seq = seq  # of the transmission
         self.corrupted = False
         self.interference = 0.0
+        self.ended = False  # its rx end has been handled
 
 
 class _NodeState:
@@ -389,9 +394,17 @@ class Simulator:
             # receiver sensitivity: the weakest decodable signal is sensed
             self.sense_threshold = self.phy.min_required_sinr * self.phy.noise_variance
 
+        # the nodes that track a PRO sent by node u besides its addressee, in
+        # increasing order: every non-final hop of a route but u.  Only a
+        # sender reads an overheard probe (module docstring)
+        senders = sorted({v for route in scenario.network.routes for v in route[:-1]})
+        self._pro_listeners = [[v for v in senders if v != u] for u in range(self.n_nodes)]
+
         # transmission log in tx order: (tx time, seq, src, duration, frame,
         # latest arrival end at any node)
         self._tx_log: deque = deque()
+        # tracked receptions in rx-start order; ended ones leave from the front
+        self._open_rx: deque = deque()
         self.heap: list[tuple] = []
         self._seq = 0
         self._event_seq = 0  # seq of the event being handled
@@ -451,18 +464,25 @@ class Simulator:
             total += part
         return total
 
+    def _rx_cutoff(self, now: float) -> float:
+        """The earliest start of any open tracked reception, or ``now`` if
+        none starts earlier.  Receptions enter ``_open_rx`` in event order,
+        so its first entry that has not ended has the earliest start."""
+        open_rx = self._open_rx
+        while open_rx and open_rx[0].ended:
+            open_rx.popleft()
+        if open_rx and open_rx[0].rx_start < now:
+            return open_rx[0].rx_start
+        return now
+
     def _trim_log(self, now: float) -> None:
         """Drop the oldest transmissions whose arrivals ended everywhere
-        before every open tracked reception began and before ``now``, the
-        earliest start of any reception still to come."""
+        before ``_rx_cutoff(now)``: before every open tracked reception began
+        and before ``now``, the earliest start of any reception still to come."""
         log = self._tx_log
         if not log or log[0][5] >= now:
             return
-        cutoff = now
-        for state in self.nodes:
-            for rec in state.tracked:
-                if rec.rx_start < cutoff:
-                    cutoff = rec.rx_start
+        cutoff = self._rx_cutoff(now)
         while log and log[0][5] < cutoff:
             log.popleft()
 
@@ -592,8 +612,10 @@ class Simulator:
         seq = self._seq
         self._trim_log(now)
         self._tx_log.append((now, seq, node_id, duration, frame, now + links.reach[node_id] + duration))
-        if frame.kind is FrameKind.PRO:  # TRMAC's probe replies are overheard by every node
-            receivers = [v for v in range(self.n_nodes) if v != node_id]
+        if frame.kind is FrameKind.PRO:  # overheard by every node that can send
+            receivers = self._pro_listeners[node_id]
+            if frame.dst not in receivers:
+                receivers = sorted([*receivers, frame.dst])
         else:
             receivers = (frame.dst,)
         heap, heappush, delay, n = self.heap, heapq.heappush, links.delay, self._seq
@@ -624,12 +646,14 @@ class Simulator:
         elif state.rx_lock is not None:
             rec.corrupted = True
         state.tracked.append(rec)
+        self._open_rx.append(rec)
 
     def _handle_rx_end(self, node_id: int, rec: _RxRecord, now: float) -> None:
         state = self.nodes[node_id]
         if state.rx_lock is rec:
             state.rx_lock = None
         state.tracked.remove(rec)
+        rec.ended = True
         if not rec.corrupted:
             rec.interference = self._interference(rec, node_id)
         success = self._adjudicate(rec, node_id)

@@ -104,6 +104,25 @@ def test_validate_names_a_nan_field(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: network.region_size_m")
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("arrivals, message", [
+    (None, "cannot open: "),
+    ("ARRIVALS v1\n0 1 0.4 1e200 0.0\n", "pair 0->1: taps or tap energy not finite"),
+], ids=["missing", "overflowing"])
+def test_an_unusable_arrival_file_is_an_error_naming_it(command, arrivals, message, tmp_path, capsys):
+    arrival_file = tmp_path / "arrivals.txt"
+    if arrivals is not None:
+        arrival_file.write_text(arrivals)
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(f"channel: {{model: arrival_file, arrival_file: {arrival_file}}}\n"
+                        "network: {nodes: [[20, 0, 0], [20, 600, 0]], routes: [[0, 1]], link_count: 1}\n")
+    extra = ["--duration", "60", "--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(scenario), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert "OK" not in out
+    assert err.startswith(f"error: {arrival_file}: {message}")
+
+
 def test_preset_subcommand(tmp_path):
     assert main(["preset", "sinr_vs_eta", "--out", str(tmp_path)]) == 0
     assert os.path.exists(tmp_path / "sinr_vs_eta.csv")

@@ -86,6 +86,13 @@ def test_mac_timers_identities():
         MacTimers(t_p=0.1, t_tr=0.5, delta=0.25, coherence_time=30.0, n_max=0)
 
 
+def test_timer_actions_compare_by_value_and_hold_no_dict():
+    assert Arm("response", 2.0, ("probe", 5)) == Arm("response", 2.0, ("probe", 5))
+    assert Arm("response", 2.0) != Arm("reservation", 2.0)
+    assert Cancel("response") == Cancel("response") != Cancel("sense")
+    assert not hasattr(Arm("a", 1.0), "__dict__") and not hasattr(Cancel("a"), "__dict__")
+
+
 def test_frame_invariants():
     with pytest.raises(ValueError):
         Frame(FrameKind.RTS, 0, 1, -1, 0.1)

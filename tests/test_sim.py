@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from uwansim.channel import ArrivalFileError, ArrivalTable, generate_cir, norm
-from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Frame, FrameKind, Packet, Send
-from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
+from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Frame, FrameKind, Packet, Piggyback, Send
+from uwansim.scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from uwansim import sim as sim_module
 from uwansim.sim import LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
 from uwansim.tr_phy import autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
@@ -793,6 +793,28 @@ def test_interference_sums_in_arrival_order():
     assert seen == [1.0]
 
 
+def test_overheard_probe_replies_are_tracked_only_at_nodes_that_send(tmp_path):
+    # routes (0, 1, 2) and (3, 4); node 5 is on no route.  Node 3's probe
+    # request wins node 4's reply, which relay 1 overhears and caches; the
+    # final hop 2 and node 5 never send, so they get no event for it
+    path = tmp_path / "scenario.yaml"
+    path.write_text("seed: 11\nduration_s: 20\nmac: {protocol: trmac}\n"
+                    "traffic: {mean_interarrival_s: null}\n"
+                    "network:\n"
+                    "  nodes: [[10, 0, 0], [10, 200, 0], [10, 400, 0], [10, 600, 0], [10, 800, 0], [10, 1000, 0]]\n"
+                    "  routes: [[0, 1, 2], [3, 4]]\n")
+    sim = Simulator(load_scenario(str(path)), record_events=True)
+    sim.schedule_packet(1, 0.0)
+    sim.run()
+    assert sim._pro_listeners == [[1, 3], [0, 3], [0, 1, 3], [0, 1], [0, 1, 3], [0, 1, 3]]
+    heard = [(e["node"], e["outcome"]) for e in sim.trace.events if e["event"] == "rx_end" and e["frame"] == "PRO"]
+    assert sorted(heard) == [(0, "ok"), (1, "ok"), (3, "ok")]
+    for node in (0, 1):
+        entry = sim.nodes[node].engine.pro_cache[4]
+        assert entry.piggyback == Piggyback(*sim.links.reply_quantities(4, 3))
+    assert 4 not in sim.nodes[2].engine.pro_cache and 4 not in sim.nodes[5].engine.pro_cache
+
+
 def _dense_golden_cases(per_protocol):
     path = os.path.join(os.path.dirname(__file__), "golden", "fingerprint.json")
     with open(path, encoding="utf-8") as fh:
@@ -861,6 +883,28 @@ def test_overlap_queries_match_an_untrimmed_brute_force_reference(case, sense_th
             if q != rec.seq:
                 total += links.tr[frame.src][frame.dst][2][node_id] if frame.kind in TR_KINDS else links.power[node_id][src]
         assert interference == total
+
+
+@pytest.mark.parametrize("case", DENSE_CASES, ids=[c["id"] for c in DENSE_CASES])
+def test_rx_cutoff_is_the_earliest_open_reception_start(case):
+    # at every transmission of a dense run, the log-trim cutoff read from
+    # the rx-start-ordered queue equals a walk over every node's open
+    # tracked receptions
+    config = copy.deepcopy(case["scenario"])
+    config["duration_s"] = 100.0
+    sim = Simulator(scenario_from_dict(config))
+    start_tx = sim._start_tx
+    earlier = []
+
+    def checking_start_tx(node_id, frame, now):
+        walk = min([now] + [rec.rx_start for state in sim.nodes for rec in state.tracked])
+        assert sim._rx_cutoff(now) == walk
+        earlier.append(walk < now)
+        start_tx(node_id, frame, now)
+
+    sim._start_tx = checking_start_tx
+    sim.run()
+    assert any(earlier) and not all(earlier)
 
 
 def test_default_sense_threshold_is_receiver_sensitivity():
