@@ -327,6 +327,16 @@ class MacEngine:
         )
 
 
+def step4_defers(heard, own, victim_norm: float, victim_offpeak: float, phy) -> bool:
+    """TRMAC step 4: whether a probe reply heard over the channel ``heard``,
+    whose piggyback is ``(victim_norm, victim_offpeak)``, makes a sender on
+    the ``own`` link defer: the link pair's threshold does not exist or the
+    peak cross-correlation exceeds it."""
+    eta = peak_eta(heard, own)
+    threshold = eta_threshold(victim_norm, victim_offpeak, heard, own, phy)
+    return threshold is None or eta > threshold
+
+
 class TrmacEngine(MacEngine):
     """Probe-reservation MAC with time-reversed data transfer.
 
@@ -334,7 +344,10 @@ class TrmacEngine(MacEngine):
     A probe overheard from the intended receiver within the coherence
     time lets the sender skip the P_R/PRO exchange entirely; probes
     overheard from third parties feed the correlation-threshold backoff
-    that protects their in-progress receptions.
+    that protects their in-progress receptions.  The simulator hands an
+    engine only the overheard probes that can change what it does: every
+    probe of its next hops, and every probe of an origin one of whose
+    probes can make it defer (``Simulator._pro_listeners_of``).
     """
 
     kind = TRMAC
@@ -345,7 +358,6 @@ class TrmacEngine(MacEngine):
         super().__init__(*args, **kwargs)
         self.pro_cache: dict[int, ProCacheEntry] = {}
         self.deferred_prs: deque[int] = deque()  # requester ids
-        self.eta_checks: dict[tuple, tuple] = {}  # (origin, dst, piggyback) -> (eta, threshold)
 
     # bound here so that tracing TRMAC's hooks sees every P_R that airs
     on_tx_start = MacEngine.on_tx_start
@@ -388,29 +400,21 @@ class TrmacEngine(MacEngine):
 
         t_pro_b None marks the fresh-handshake path, where the receiver
         term is defined to vanish.  Each third-party probe overheard
-        within the collision window is checked against its threshold;
+        within the collision window is checked against its threshold
+        (``LinkTable.defers``, which keeps each check it computes);
         conflicting ones extend the deferral to the end of their window.
-        A probe's eta and threshold depend only on its origin, ``dst`` and
-        piggyback, so each such triple is computed once and kept.
         """
         t_cl = self.timers.t_cl
         backoff = max(t_cl - t_pro_b, 0.0) if t_pro_b is not None else 0.0
-        cir = self.medium.links.cir
-        own = cir[self.node_id][dst]
+        defers, node = self.medium.links.defers, self.node_id
         for origin, entry in self.pro_cache.items():
             if origin == dst:
                 continue
             age = now - entry.received_at
             if age >= t_cl:
                 continue
-            key = (origin, dst, entry.piggyback)
-            check = self.eta_checks.get(key)
-            if check is None:
-                heard, piggyback = cir[origin][self.node_id], entry.piggyback
-                check = self.eta_checks[key] = (peak_eta(heard, own), eta_threshold(
-                    piggyback.victim_link_norm, piggyback.victim_autocorr_offpeak_sum, heard, own, self.phy))
-            eta, threshold = check
-            if threshold is None or eta > threshold:
+            piggyback = entry.piggyback
+            if defers(origin, node, dst, piggyback.victim_link_norm, piggyback.victim_autocorr_offpeak_sum):
                 self.stats["step4_deferrals"] += 1
                 backoff = max(backoff, t_cl - age)
         return backoff

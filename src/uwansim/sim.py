@@ -7,10 +7,16 @@ Every frame reaches every other node after the pair's propagation delay:
 its arrival at node v covers ``[tx + delay(src, v), ... + duration)``.
 Only *tracked* receptions are events, a start and an end each: frames
 addressed to the node and, under TRMAC, probe replies (PROs) overheard by a
-node that can send, a non-final hop of some route.  Only a sender reads an
-overheard probe (``TrmacEngine.pro_cache`` feeds its handshake omission and
-backoff), and an overheard probe never holds a receiver or corrupts another
-reception, so at any other node it could change nothing.  Every other
+sender whose actions they can change.  An overheard probe never holds a
+receiver or corrupts another reception; it only enters the listener's
+``TrmacEngine.pro_cache``, which keeps the latest probe of each origin.  A
+sender reads that cache for its next hops (handshake omission and retry)
+and for the step-4 backoff, where a probe counts only if it makes the
+sender defer (``LinkTable.defers``).  So a sender v tracks the probes of an
+origin u only if u is a next hop of v or some probe u can send (to a route
+predecessor, with that link's piggyback) defers v for a next hop other than
+u; and then every probe of u, since a probe that does not defer still
+replaces one that does.  Every other
 arrival matters only as interference or carrier-sense power, so the engine
 keeps a log with one entry per transmission (tx time, the event sequence
 number taken at tx start, the frame) and answers from it:
@@ -36,7 +42,7 @@ first transmission unless it is handed one (``Simulator(..., links=)``),
 and a preset call shares one per placement across its runs.  A link's TR
 quantities (signal, ISI, ILI at every victim) are filled in at its first TR
 frame, and the norm and off-peak autocorrelation sum its probe replies carry
-at its first reply.  MAC engines read the table by node ids.  A pair's
+at the first reply its replier sends.  MAC engines read the table by node ids.  A pair's
 CIR and delay come from its lower -> higher node index direction, so an
 arrival file that gives the two directions different records yields the
 same results whichever node speaks first.
@@ -79,6 +85,7 @@ from .mac import (
     Send,
     TR_KINDS,
     make_engine,
+    step4_defers,
 )
 from .scenario import Scenario, check_scenario
 from .tr_phy import autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
@@ -294,7 +301,8 @@ class LinkTable:
     any node.  ``tr[a][b]`` is the
     ``(signal, ISI, ILI by victim)`` of frames a sends on link (a, b),
     ``None`` until ``fill_tr`` computes it; ``reply[a][b]``, symmetric, is
-    ``None`` until ``reply_quantities`` computes it.
+    ``None`` until ``reply_quantities`` computes it.  ``defers`` keeps each
+    TRMAC step-4 check it computes.
     """
 
     def __init__(self, scenario: Scenario):
@@ -309,6 +317,7 @@ class LinkTable:
         self.direct: list[list] = [[None] * n for _ in range(n)]
         self.tr: list[list] = [[None] * n for _ in range(n)]
         self.reply: list[list] = [[None] * n for _ in range(n)]
+        self._defers: dict[tuple, bool] = {}
         d = phy.updown_factor
         power = phy.avg_transmit_power
         for i, j, c, energy, delay in ChannelModel(scenario.environment, scenario.channel).pairs(nodes, d):
@@ -333,6 +342,18 @@ class LinkTable:
             c = self.cir[a][b]
             self.reply[a][b] = self.reply[b][a] = (norm(c), autocorr_offpeak_sum(c, self.phy.updown_factor))
         return self.reply[a][b]
+
+    def defers(self, origin: int, listener: int, dst: int, victim_norm: float, victim_offpeak: float) -> bool:
+        """Whether a probe reply from ``origin`` with the piggyback
+        ``(victim_norm, victim_offpeak)``, overheard at ``listener``, makes
+        the listener defer its frames to ``dst`` (``mac.step4_defers``).
+        Each check depends only on its arguments, so it is computed once."""
+        key = (origin, listener, dst, victim_norm, victim_offpeak)
+        check = self._defers.get(key)
+        if check is None:
+            check = self._defers[key] = step4_defers(
+                self.cir[origin][listener], self.cir[listener][dst], victim_norm, victim_offpeak, self.phy)
+        return check
 
 
 class Simulator:
@@ -394,11 +415,8 @@ class Simulator:
             # receiver sensitivity: the weakest decodable signal is sensed
             self.sense_threshold = self.phy.min_required_sinr * self.phy.noise_variance
 
-        # the nodes that track a PRO sent by node u besides its addressee, in
-        # increasing order: every non-final hop of a route but u.  Only a
-        # sender reads an overheard probe (module docstring)
-        senders = sorted({v for route in scenario.network.routes for v in route[:-1]})
-        self._pro_listeners = [[v for v in senders if v != u] for u in range(self.n_nodes)]
+        # the nodes that track the PROs node u sends, built at u's first PRO
+        self._pro_listeners: list[list | None] = [None] * self.n_nodes
 
         # transmission log in tx order: (tx time, seq, src, duration, frame,
         # latest arrival end at any node)
@@ -612,10 +630,10 @@ class Simulator:
         seq = self._seq
         self._trim_log(now)
         self._tx_log.append((now, seq, node_id, duration, frame, now + links.reach[node_id] + duration))
-        if frame.kind is FrameKind.PRO:  # overheard by every node that can send
+        if frame.kind is FrameKind.PRO:  # its addressee is a listener too
             receivers = self._pro_listeners[node_id]
-            if frame.dst not in receivers:
-                receivers = sorted([*receivers, frame.dst])
+            if receivers is None:
+                receivers = self._pro_listeners[node_id] = self._pro_listeners_of(node_id)
         else:
             receivers = (frame.dst,)
         heap, heappush, delay, n = self.heap, heapq.heappush, links.delay, self._seq
@@ -628,6 +646,20 @@ class Simulator:
         self._seq = n
         if state.outbox:
             self._push(state.tx_busy_until, EV_TIMER, node_id, ("__drain", -1, None))
+
+    def _pro_listeners_of(self, u: int) -> list[int]:
+        """The senders that track the probe replies of node u, in increasing
+        node order (module docstring): those with u as a next hop, which
+        include every node u replies to, and those that some reply of u
+        makes defer for another next hop."""
+        next_hops: dict[int, set] = {}
+        for route in self.scenario.network.routes:
+            for a, b in zip(route, route[1:]):
+                next_hops.setdefault(a, set()).add(b)
+        links = self.links
+        piggybacks = [links.reply_quantities(u, r) for r, hops in next_hops.items() if u in hops]
+        return [v for v in sorted(next_hops) if v != u and (u in next_hops[v] or any(
+            links.defers(u, v, d, *piggyback) for d in next_hops[v] if d != u for piggyback in piggybacks))]
 
     def _handle_rx_start(self, node_id: int, rec: _RxRecord, now: float) -> None:
         state = self.nodes[node_id]

@@ -222,50 +222,6 @@ def test_backoff_compares_the_heard_channel_with_the_own_link(monkeypatch):
         assert heard is links.cir[2][0] and own is links.cir[0][1]
 
 
-def test_backoff_checks_each_probe_once_per_link_pair(monkeypatch):
-    import uwansim.mac as mac
-
-    calls = []
-    for name in ("peak_eta", "eta_threshold"):
-        real = getattr(mac, name)
-        monkeypatch.setattr(mac, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
-    engine = trmac()
-    engine.pro_cache[2] = ProCacheEntry(conflicting_piggyback(), received_at=4.8)
-    first = engine.compute_backoff(5.0, None, dst=1)
-    assert calls == ["peak_eta", "eta_threshold"]
-    # the same cached probe again: the kept check is reused
-    assert engine.compute_backoff(5.0, None, dst=1) == first
-    assert len(calls) == 2 and engine.stats["step4_deferrals"] == 2
-    # the same probe against another own link
-    engine.compute_backoff(5.0, None, dst=3)
-    assert len(calls) == 4
-    # a new probe from the same origin carries another piggyback
-    engine.pro_cache[2] = ProCacheEntry(permissive_piggyback(), received_at=4.9)
-    assert engine.compute_backoff(5.0, None, dst=1) == 0.0
-    assert calls == ["peak_eta", "eta_threshold"] * 3
-
-
-def test_backoff_with_kept_checks_equals_fresh_engines():
-    # one engine across a run of probes and destinations against a fresh
-    # engine, which keeps no check yet, for every call
-    kept = trmac()
-    deferrals = 0
-    steps = [
-        (2, conflicting_piggyback(), 4.8, 5.0, 1), (3, permissive_piggyback(), 5.0, 5.1, 1),
-        (2, conflicting_piggyback(), 4.8, 5.2, 3), (2, permissive_piggyback(), 5.3, 5.4, 1),
-        (3, conflicting_piggyback(), 5.5, 5.6, 1), (2, permissive_piggyback(), 5.3, 5.7, 3),
-    ]
-    for origin, piggyback, heard_at, now, dst in steps:
-        kept.pro_cache[origin] = ProCacheEntry(piggyback, received_at=heard_at)
-        fresh = trmac()
-        fresh.pro_cache = dict(kept.pro_cache)
-        for t_pro_b in (None, 0.3):
-            assert kept.compute_backoff(now, t_pro_b, dst) == fresh.compute_backoff(now, t_pro_b, dst)
-        deferrals += fresh.stats["step4_deferrals"]
-        assert kept.stats["step4_deferrals"] == deferrals
-    assert deferrals > 0
-
-
 def test_backoff_includes_receiver_window_on_cached_path():
     engine = trmac()
     engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.1), received_at=10.0)

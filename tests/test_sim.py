@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from uwansim.channel import ArrivalFileError, ArrivalTable, generate_cir, norm
-from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Frame, FrameKind, Packet, Piggyback, Send
-from uwansim.scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
+from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Frame, FrameKind, Packet, Piggyback, ProCacheEntry, Send
+from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import sim as sim_module
 from uwansim.sim import LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
 from uwansim.tr_phy import autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
@@ -793,26 +793,129 @@ def test_interference_sums_in_arrival_order():
     assert seen == [1.0]
 
 
-def test_overheard_probe_replies_are_tracked_only_at_nodes_that_send(tmp_path):
-    # routes (0, 1, 2) and (3, 4); node 5 is on no route.  Node 3's probe
-    # request wins node 4's reply, which relay 1 overhears and caches; the
-    # final hop 2 and node 5 never send, so they get no event for it
-    path = tmp_path / "scenario.yaml"
-    path.write_text("seed: 11\nduration_s: 20\nmac: {protocol: trmac}\n"
-                    "traffic: {mean_interarrival_s: null}\n"
-                    "network:\n"
-                    "  nodes: [[10, 0, 0], [10, 200, 0], [10, 400, 0], [10, 600, 0], [10, 800, 0], [10, 1000, 0]]\n"
-                    "  routes: [[0, 1, 2], [3, 4]]\n")
-    sim = Simulator(load_scenario(str(path)), record_events=True)
-    sim.schedule_packet(1, 0.0)
+def run_probe_listener_scenario():
+    """Node 0 replies to requesters 1 (far, a weak link; at 0 s) and 2
+    (near; at 40 s, past the coherence time, so node 2 cannot skip its
+    request); node 3 sends to 4 near node 0, node 5 to 6 farther off.
+    Returns the run and the ``(src, dst)`` of each probe reply each node's
+    engine was handed."""
+    sim = Simulator(scenario_from_dict({
+        "seed": 11, "duration_s": 80, "mac": {"protocol": "trmac"},
+        "traffic": {"mean_interarrival_s": None},
+        "network": {"nodes": [[20, 500, 500], [32.7, 1375.4, 588.3], [12.0, 682.8, 412.7], [20.3, 821.9, 643.4],
+                              [20.3, 766.1, 1016.2], [17.3, 453.2, 1339.3], [17.3, 763.7, 1120.0]],
+                    "routes": [[1, 0], [2, 0], [3, 4], [5, 6]]},
+    }), record_events=True)
+    heard = {v: [] for v in range(sim.n_nodes)}
+    for v, state in enumerate(sim.nodes):
+        def on_frame(frame, now, _v=v, _on_frame=state.engine.on_frame):
+            if frame.kind is FrameKind.PRO:
+                heard[_v].append((frame.src, frame.dst))
+            return _on_frame(frame, now)
+        state.engine.on_frame = on_frame
+    sim.schedule_packet(0, 0.0)
+    sim.schedule_packet(1, 40.0)
     sim.run()
-    assert sim._pro_listeners == [[1, 3], [0, 3], [0, 1, 3], [0, 1], [0, 1, 3], [0, 1, 3]]
-    heard = [(e["node"], e["outcome"]) for e in sim.trace.events if e["event"] == "rx_end" and e["frame"] == "PRO"]
-    assert sorted(heard) == [(0, "ok"), (1, "ok"), (3, "ok")]
-    for node in (0, 1):
-        entry = sim.nodes[node].engine.pro_cache[4]
-        assert entry.piggyback == Piggyback(*sim.links.reply_quantities(4, 3))
-    assert 4 not in sim.nodes[2].engine.pro_cache and 4 not in sim.nodes[5].engine.pro_cache
+    return sim, heard
+
+
+def test_overheard_probe_replies_are_tracked_only_at_nodes_that_send():
+    # node 0's replies go to its requesters 1 and 2, which have node 0 as
+    # their next hop, and to node 3, which the reply to 1 makes defer; no
+    # reply of node 0 can make node 5 defer, so node 5 tracks none of them
+    sim, heard = run_probe_listener_scenario()
+    links = sim.links
+    replies = [links.reply_quantities(0, r) for r in (1, 2)]
+    assert links.defers(0, 3, 4, *replies[0]) and not links.defers(0, 3, 4, *replies[1])
+    assert not any(links.defers(0, 5, 6, *q) for q in replies)
+    assert sim._pro_listeners[0] == [1, 2, 3]
+    # an addressee is a listener by construction: a requester has its
+    # replier as a next hop
+    sent = [(e["node"], int(e["outcome"].removeprefix("to "))) for e in sim.trace.events
+            if e["event"] == "tx_start" and e["frame"] == "PRO"]
+    assert sent == [(0, 1), (0, 2)]
+    assert all(dst in sim._pro_listeners[src] for src, dst in sent)
+    assert heard[5] == [] and 0 not in sim.nodes[5].engine.pro_cache
+    tracked = sorted(e["node"] for e in sim.trace.events if e["event"] == "rx_end" and e["frame"] == "PRO")
+    assert tracked == [1, 1, 2, 2, 3, 3]
+
+
+def test_a_listener_tracks_every_probe_reply_of_an_origin_even_one_that_cannot_defer_it():
+    # the reply to 2 cannot make node 3 defer, but it replaces the reply to
+    # 1, which can, in node 3's cache; a listener list per (origin,
+    # requester) would leave that stale reply in the cache
+    sim, heard = run_probe_listener_scenario()
+    assert heard[3] == [(0, 1), (0, 2)]
+    entry = sim.nodes[3].engine.pro_cache[0]
+    assert entry.piggyback == Piggyback(*sim.links.reply_quantities(0, 2))
+
+
+def _every_sender_listens(sim, u):
+    """The listeners of node u's probe replies when every node that sends
+    but u tracks them, as before the step-4 check pruned them."""
+    return sorted({v for route in sim.scenario.network.routes for v in route[:-1]} - {u})
+
+
+def _multihop_trmac_config(seed):
+    """A dense TRMAC network of 5-8 nodes within 1 km of each other: routes
+    of three hops through two shared relays and of two hops through one."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 9))
+    radius = 450.0 * np.sqrt(rng.uniform(0.0, 1.0, n))
+    angle = rng.uniform(0.0, 2 * np.pi, n)
+    nodes = [[round(float(rng.uniform(5.0, 50.0)), 1), round(float(500.0 + r * np.cos(a)), 1),
+              round(float(500.0 + r * np.sin(a)), 1)] for r, a in zip(radius, angle)]
+    relays = [int(v) for v in rng.choice(n, size=2, replace=False)]
+    ends = [v for v in range(n) if v not in relays]
+    routes = []
+    for k in range(int(rng.integers(2, 5))):
+        a, b = (int(v) for v in rng.choice(ends, size=2, replace=False))
+        routes.append([a, *relays, b] if k % 2 == 0 else [a, relays[0], b])
+    return {"seed": seed, "duration_s": 300.0, "mac": {"protocol": "trmac"},
+            "traffic": {"mean_interarrival_s": round(float(rng.uniform(0.5, 3.0)), 2)},
+            "network": {"nodes": nodes, "routes": routes}}
+
+
+def _assert_pruned_listeners_change_no_result(config, monkeypatch):
+    """Run ``config`` with the pruned probe listeners and with every sender
+    listening: the results must be equal, and the pruned debug log must be
+    the other with only probe-reply ``rx_end`` records taken out.  Returns
+    the engine stats and the number of records taken out."""
+    pruned = Simulator(scenario_from_dict(copy.deepcopy(config)), record_events=True).run()
+    with monkeypatch.context() as m:
+        m.setattr(Simulator, "_pro_listeners_of", _every_sender_listens)
+        full = Simulator(scenario_from_dict(copy.deepcopy(config)), record_events=True).run()
+    assert _run_outputs(pruned) == _run_outputs(full)
+    kept = iter(pruned.trace.events)
+    expected = next(kept, None)
+    taken_out = 0
+    for record in full.trace.events:
+        if record == expected:
+            expected = next(kept, None)
+        else:
+            assert (record["event"], record["frame"]) == ("rx_end", "PRO"), record
+            taken_out += 1
+    assert expected is None
+    return pruned.engine_stats, taken_out
+
+
+def test_pruned_probe_listeners_change_no_result_of_random_multihop_networks(monkeypatch):
+    deferring = 0
+    for seed in range(30):
+        stats, taken_out = _assert_pruned_listeners_change_no_result(_multihop_trmac_config(seed), monkeypatch)
+        assert taken_out > 0, seed
+        deferring += stats["step4_deferrals"] > 0
+    assert deferring >= 10
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": 2, "duration_s": 400},
+    {"seed": 3, "duration_s": 400},
+    {"seed": 1, "duration_s": 400, "network": {"node_count": 50, "link_count": 16}},
+], ids=["default-seed2", "default-seed3", "50-nodes"])
+def test_pruned_probe_listeners_change_no_result_of_larger_networks(config, monkeypatch):
+    stats, taken_out = _assert_pruned_listeners_change_no_result({**config, "mac": {"protocol": "trmac"}}, monkeypatch)
+    assert taken_out > 0 and stats["step4_deferrals"] > 0
 
 
 def _dense_golden_cases(per_protocol):
@@ -1036,6 +1139,73 @@ def test_reply_row_holds_each_links_norm_and_offpeak_sum():
         for b in set(range(n)) - {a}:
             c = table.cir[a][b]
             assert table.reply[a][b] == (norm(c), autocorr_offpeak_sum(c, sc.phy.updown_factor))
+
+
+# a tiny victim norm makes the admission radicand negative (near-far); a
+# huge one clamps the threshold at 1, which |eta| cannot exceed
+CONFLICTING = (1e-4, 0.0)
+PERMISSIVE = (1e4, 0.0)
+
+
+def step4_scenario():
+    return scenario_from_dict({
+        "seed": 5, "mac": {"protocol": "trmac"},
+        "network": {"nodes": [[20, 0, 0], [20, 600, 0], [30, 0, 700], [40, 600, 700]],
+                    "routes": [[0, 1], [2, 3]]},
+    })
+
+
+def test_step4_check_is_computed_once_per_table_and_key(monkeypatch):
+    import uwansim.mac as mac
+
+    calls = []
+    for name in ("peak_eta", "eta_threshold"):
+        real = getattr(mac, name)
+        monkeypatch.setattr(mac, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    sc = step4_scenario()
+    table = LinkTable(sc)
+    # node 0 overheard node 2's probe reply and sends to node 1
+    assert table.defers(2, 0, 1, *CONFLICTING) is True
+    assert calls == ["peak_eta", "eta_threshold"]
+    # the same check again, also through an engine's backoff: the kept one
+    sim = Simulator(sc, links=table)
+    engine = sim.nodes[0].engine
+    engine.pro_cache[2] = ProCacheEntry(Piggyback(*CONFLICTING), received_at=4.8)
+    assert table.defers(2, 0, 1, *CONFLICTING) is True
+    assert engine.compute_backoff(5.0, None, dst=1) > 0.0
+    assert len(calls) == 2 and engine.stats["step4_deferrals"] == 1
+    # another destination, another listener, another piggyback: new checks
+    table.defers(2, 0, 3, *CONFLICTING)
+    table.defers(2, 1, 0, *CONFLICTING)
+    assert table.defers(2, 0, 1, *PERMISSIVE) is False
+    assert len(calls) == 8
+    # another table computes its own
+    assert LinkTable(sc).defers(2, 0, 1, *CONFLICTING) is True
+    assert calls == ["peak_eta", "eta_threshold"] * 5
+
+
+def test_backoff_with_kept_checks_equals_fresh_tables():
+    # one engine and table across a run of probes and destinations against
+    # an engine on a fresh table, which keeps no check yet, for every call
+    sc = step4_scenario()
+    kept_sim = Simulator(sc, links=LinkTable(sc))  # engines reach their simulator by weak reference
+    kept = kept_sim.nodes[0].engine
+    deferrals = 0
+    steps = [
+        (2, CONFLICTING, 4.8, 5.0, 1), (3, PERMISSIVE, 5.0, 5.1, 1),
+        (2, CONFLICTING, 4.8, 5.2, 3), (2, PERMISSIVE, 5.3, 5.4, 1),
+        (3, CONFLICTING, 5.5, 5.6, 1), (2, PERMISSIVE, 5.3, 5.7, 3),
+    ]
+    for origin, piggyback, heard_at, now, dst in steps:
+        kept.pro_cache[origin] = ProCacheEntry(Piggyback(*piggyback), received_at=heard_at)
+        fresh_sim = Simulator(sc, links=LinkTable(sc))
+        fresh = fresh_sim.nodes[0].engine
+        fresh.pro_cache = dict(kept.pro_cache)
+        for t_pro_b in (None, 0.3):
+            assert kept.compute_backoff(now, t_pro_b, dst) == fresh.compute_backoff(now, t_pro_b, dst)
+        deferrals += fresh.stats["step4_deferrals"]
+        assert kept.stats["step4_deferrals"] == deferrals
+    assert deferrals > 0
 
 
 def test_trmac_run_fills_the_reply_row_of_the_links_that_sent_probe_replies():
