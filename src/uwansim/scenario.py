@@ -27,6 +27,7 @@ import numpy as np
 
 from .channel import SEED_MASK, ChannelModelConfig, Environment, Point
 from .mac import PROTOCOLS, TRMAC, MacTimers
+from .matching import max_cardinality_matching
 from .rules import NODES, NON_NEGATIVE, POSITIVE, ROUTES, Bound, Rule, integer, number, one_of, string
 from .tr_phy import PhyConfig, check_divisible
 
@@ -242,19 +243,22 @@ def _pair_nodes(nodes, link_count, hop_range, rng) -> list[tuple[int, int]] | No
     maximum-cardinality matching on the within-range graph.  Returns None
     when the placement cannot host link_count links; link directions are
     drawn from the given stream."""
-    import networkx as nx  # only placement needs it, and it is slow to import
+    pairs = max_cardinality_matching(_within_range(nodes, hop_range))
+    if len(pairs) < link_count:
+        return None
+    return [(a, b) if rng.random() < 0.5 else (b, a) for a, b in pairs[:link_count]]
 
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(nodes)))
+
+def _within_range(nodes, hop_range) -> list[list[int]]:
+    """Each node's neighbours within ``hop_range``, in increasing order: the
+    order in which the matching breaks ties, so it decides the routes."""
+    adjacency = [[] for _ in nodes]
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             if math.dist(nodes[i], nodes[j]) <= hop_range:
-                graph.add_edge(i, j)
-    matching = nx.max_weight_matching(graph, maxcardinality=True)
-    if len(matching) < link_count:
-        return None
-    pairs = sorted(tuple(sorted(p)) for p in matching)[:link_count]
-    return [(a, b) if rng.random() < 0.5 else (b, a) for a, b in pairs]
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+    return adjacency
 
 
 def check_scenario(scenario: Scenario) -> None:

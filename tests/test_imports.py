@@ -1,8 +1,10 @@
 """Import budget: ``import uwansim`` loads no dependency that only some runs use.
 
-networkx serves only network placement, PyYAML only scenario files, and
-the process pool only ``workers`` > 1.  Each check runs in a fresh
-interpreter, since this one has long imported all of them.
+PyYAML serves only scenario files and the process pool only ``workers`` >
+1.  networkx serves nothing at run time: placement matches nodes with
+``uwansim.matching``, and only the tests that check that port against
+networkx import it.  Each check runs in a fresh interpreter, since this
+one may have imported all of them.
 """
 
 import os
@@ -47,14 +49,14 @@ def test_phy_presets_run_without_networkx_or_yaml(tmp_path):
         "correlation_heatmap.csv", "sinr_vs_eta.csv", "sinr_vs_snr.csv"]
 
 
-def test_placing_a_network_loads_networkx(tmp_path):
-    # without this the first test would pass with networkx never used at all
+def test_a_network_is_placed_and_run_without_networkx(tmp_path):
     run_python(
         "import sys\n"
-        "from uwansim import scenario_from_dict\n"
-        "assert 'networkx' not in sys.modules\n"
-        "scenario_from_dict({})\n"
-        "assert 'networkx' in sys.modules\n",
+        "sys.modules['networkx'] = None  # importing it now raises\n"
+        "from uwansim import Scenario, run_scenario\n"
+        "scenario = Scenario(duration=60.0).resolved()\n"
+        "assert len(scenario.network.routes) == 10, scenario.network.routes\n"
+        "assert run_scenario(scenario).metrics.delivered > 0\n",
         tmp_path,
     )
 

@@ -1,0 +1,87 @@
+"""``uwansim.matching`` against networkx's ``max_weight_matching``, which it ports.
+
+Placement takes its links from the matching, so the port must return the
+very matching networkx returns, not just one of the same size: otherwise the
+routes, and every golden metric, would change.
+"""
+
+import numpy as np
+import pytest
+
+nx = pytest.importorskip("networkx")
+
+from uwansim import matching, scenario
+from uwansim.matching import max_cardinality_matching
+
+
+def networkx_pairs(graph):
+    return sorted(tuple(sorted(p)) for p in nx.max_weight_matching(graph, maxcardinality=True))
+
+
+def graph_of(adjacency):
+    """The graph placement built with networkx: nodes in index order, then
+    each edge (i, j), i < j, in increasing order."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(adjacency)))
+    graph.add_edges_from((i, j) for i, row in enumerate(adjacency) for j in row if i < j)
+    return graph
+
+
+def test_within_range_graphs_match_networkx():
+    rng = np.random.default_rng(2024)
+    for case in range(2000):
+        n = int(rng.integers(4, 41))
+        hop_range = float(rng.uniform(300.0, 2000.0))
+        nodes = [tuple(p) for p in rng.uniform((0.0, 0.0, 0.0), (50.0, 4000.0, 4000.0), (n, 3)).tolist()]
+        adjacency = scenario._within_range(nodes, hop_range)
+        assert max_cardinality_matching(adjacency) == networkx_pairs(graph_of(adjacency)), case
+
+
+def test_random_graphs_match_networkx():
+    rng = np.random.default_rng(7)
+    for case in range(2000):
+        graph = nx.gnp_random_graph(int(rng.integers(0, 31)), float(rng.uniform()), seed=case)
+        adjacency = [list(graph.adj[v]) for v in graph]
+        assert max_cardinality_matching(adjacency) == networkx_pairs(graph), case
+
+
+@pytest.mark.parametrize("adjacency, pairs, blossoms", [
+    ([], [], 0),  # no nodes
+    ([[], [], []], [], 0),  # no edges
+    # triangle 1-2-3 with node 0 hanging off 1: 1-3 is matched first, then
+    # the search from 2 closes the triangle into a blossom before it reaches 0
+    ([[1], [0, 2, 3], [1, 3], [1, 2]], [(0, 1), (2, 3)], 1),
+    ([[1, 4], [0, 2], [1, 3], [2, 4], [0, 3]], [(0, 4), (2, 3)], 1),  # 5-cycle
+], ids=["no-nodes", "no-edges", "triangle-with-pendant", "odd-cycle"])
+def test_small_graphs(monkeypatch, adjacency, pairs, blossoms):
+    made = []
+
+    class Blossom(matching._Blossom):
+        __slots__ = ()
+
+        def __init__(self):
+            made.append(self)
+
+    monkeypatch.setattr(matching, "_Blossom", Blossom)
+    assert max_cardinality_matching(adjacency) == pairs
+    assert len(made) == blossoms
+    assert networkx_pairs(graph_of(adjacency)) == pairs
+
+
+def test_a_placement_too_sparse_for_the_links_is_drawn_again(monkeypatch):
+    attempts = []
+    pair_nodes = scenario._pair_nodes
+
+    def recording(nodes, *args):
+        attempts.append((nodes, pair_nodes(nodes, *args)))
+        return attempts[-1][1]
+
+    monkeypatch.setattr(scenario, "_pair_nodes", recording)
+    placed = scenario.scenario_from_dict({}).network
+    # the default seed draws three placements that cannot host 10 links
+    assert [routes for _, routes in attempts] == [None, None, None, placed.routes]
+    assert attempts[-1][0] == placed.nodes
+    for nodes, routes in attempts:
+        adjacency = scenario._within_range(nodes, placed.one_hop_range)
+        assert len(networkx_pairs(graph_of(adjacency))) == len(max_cardinality_matching(adjacency))
+        assert (len(max_cardinality_matching(adjacency)) >= placed.link_count) == (routes is not None)
