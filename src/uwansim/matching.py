@@ -37,36 +37,46 @@
 #    OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """Maximum-cardinality matching of a simple graph: Edmonds' blossom algorithm.
 
-``max_cardinality_matching`` ports networkx 3.6.1's
-``max_weight_matching(G, maxcardinality=True)`` for the one case network
-placement uses: unit edge weights on an adjacency list of node indices.
-Given each node's neighbours in the order an ``nx.Graph`` lists them, it
-returns the matching networkx returns, ties broken alike, so the placed
-routes do not depend on whether networkx is installed.  What that case
-never reaches is left out: the edge-weight lookup, the
-``maxcardinality=False`` branch (delta1), the non-integer dual arithmetic
-and the self-loop checks.  Every internal ``assert`` and the final check of
-the dual optimum are kept.
+``max_cardinality_matching`` returns the matching that networkx 3.6.1's
+``max_weight_matching(G, maxcardinality=True)`` returns when every edge
+weighs 1: given each node's neighbours in the order an ``nx.Graph`` lists
+them, it scans edges and queues vertices in the same order, so it breaks
+ties alike and the placed routes do not depend on networkx.
 
-The algorithm is Galil's form ("Efficient Algorithms for Finding Maximum
-Matching in Graphs", ACM Computing Surveys 18(1), 1986) of Edmonds'
-blossom method ("Paths, trees, and flowers", 1965), with primal-dual
-updates.  The networkx code derives from Joris van Rantwijk's
-mwmatching.py.  Many terms in the comments are explained in Galil's paper.
+networkx runs Galil's primal-dual form ("Efficient Algorithms for Finding
+Maximum Matching in Graphs", ACM Computing Surveys 18(1), 1986) of Edmonds'
+blossom method ("Paths, trees, and flowers", 1965).  With unit weights its
+dual machinery never acts before the search ends, which leaves Edmonds'
+cardinality algorithm:
+
+- every vertex dual starts at 1 (networkx keeps duals and slacks times
+  two), so every edge has zero slack and is allowable when first scanned;
+- so every blossom is made an S-blossom with zero dual, stays one and is
+  dissolved when its stage ends: no stage starts with a blossom and no
+  T-blossom exists;
+- so the only dual update is the final one (delta = 1), which exists only
+  to certify the optimum.  ``verify_optimum`` checks that certificate with
+  the duals worked out from the last stage's labels: S vertices 0, T
+  vertices 2, unlabelled vertices 1, top-level S-blossoms z = 1, nested
+  blossoms 0.
+
+Every internal ``assert`` of the code kept is kept, and an ``assert`` stands
+where networkx starts a branch that this argument rules out, so a wrong
+argument fails loudly instead of drifting from networkx.  The networkx code
+derives from Joris van Rantwijk's mwmatching.py.  Many terms in the
+comments are explained in Galil's paper.
 """
 
 
 class _Blossom:
     """A non-trivial blossom or sub-blossom."""
 
-    __slots__ = ("childs", "edges", "mybestedges")
+    __slots__ = ("childs", "edges")
 
     # childs: the sub-blossoms in order, starting with the base and going
     # round the blossom.
     # edges: the connecting edges; edges[i] = (v, w) with v a vertex in
     # childs[i] and w a vertex in childs[wrap(i+1)].
-    # mybestedges: for a top-level S-blossom, the least-slack edges to
-    # neighbouring S-blossoms, or None if not computed yet (for delta3).
 
     def leaves(self):
         """The blossom's vertices."""
@@ -92,9 +102,6 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
     if not gnodes:
         return []
 
-    # Every edge weighs 1, so the largest weight is 1 unless there is none.
-    maxweight = 1 if any(adjacency) else 0
-
     # If v is a matched vertex, mate[v] is its partner vertex.
     # If v is a single vertex, v does not occur as a key in mate.
     # Initially all vertices are single; updated during augmentation.
@@ -103,20 +110,15 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
     # If b is a top-level blossom,
     # label.get(b) is None if b is unlabeled (free),
     #                 1 if b is an S-blossom,
-    #                 2 if b is a T-blossom.
+    #                 2 if b is a T-vertex (never a non-trivial blossom).
     # The label of a vertex is found by looking at the label of its top-level
     # containing blossom.
-    # If v is a vertex inside a T-blossom, label[v] is 2 iff v is reachable
-    # from an S-vertex outside the blossom.
     # Labels are assigned during a stage and reset after each augmentation.
     label = {}
 
     # If b is a labeled top-level blossom,
     # labeledge[b] = (v, w) is the edge through which b obtained its label
     # such that w is a vertex in b, or None if b's base vertex is single.
-    # If w is a vertex inside a T-blossom and label[w] == 2,
-    # labeledge[w] = (v, w) is an edge through which w is reachable from
-    # outside the blossom.
     labeledge = {}
 
     # If v is a vertex, inblossom[v] is the top-level blossom to which v
@@ -129,69 +131,31 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
     # If b is a sub-blossom,
     # blossomparent[b] is its immediate parent (sub-)blossom.
     # If b is a top-level blossom, blossomparent[b] is None.
-    # Its keys are the vertices, then the blossoms in order of creation:
-    # delta3 scans them in that order, which breaks its ties.
+    # Its keys are the vertices, then the blossoms of this stage.
     blossomparent = dict.fromkeys(gnodes)
 
     # If b is a (sub-)blossom,
     # blossombase[b] is its base VERTEX (i.e. recursive sub-blossom).
     blossombase = dict(zip(gnodes, gnodes))
 
-    # If w is a free vertex (or an unreached vertex inside a T-blossom),
-    # bestedge[w] = (v, w) is the least-slack edge from an S-vertex,
-    # or None if there is no such edge.
-    # If b is a (possibly trivial) top-level S-blossom,
-    # bestedge[b] = (v, w) is the least-slack edge to a different S-blossom
-    # (v inside b), or None if there is no such edge.
-    # This is used for efficient computation of delta2 and delta3.
-    bestedge = {}
-
-    # If v is a vertex,
-    # dualvar[v] = 2 * u(v) where u(v) is the v's variable in the dual
-    # optimization problem (multiplication by two keeps all values integer).
-    # Initially, u(v) = maxweight / 2.
-    dualvar = [maxweight] * len(gnodes)
-
-    # If b is a non-trivial blossom,
-    # blossomdual[b] = z(b) where z(b) is b's variable in the dual
-    # optimization problem.
-    blossomdual = {}
-
-    # If (v, w) in allowedge or (w, v) in allowedge, then the edge
-    # (v, w) is known to have zero slack in the optimization problem;
-    # otherwise the edge may or may not have zero slack.
-    allowedge = set()
+    # The blossoms made in this stage, in order of creation.
+    blossoms = []
 
     # Queue of newly discovered S-vertices.
     queue = []
 
-    # Return 2 * slack of edge (v, w) (does not work inside blossoms).
-    def slack(v, w):
-        return dualvar[v] + dualvar[w] - 2
-
-    # Assign label t to the top-level blossom containing vertex w,
-    # coming through an edge from vertex v.
+    # Assign label t to vertex w, coming through an edge from vertex v.
     def assign_label(w, t, v):
-        b = inblossom[w]
-        assert label.get(w) is None and label.get(b) is None
-        label[w] = label[b] = t
-        if v is not None:
-            labeledge[w] = labeledge[b] = (v, w)
-        else:
-            labeledge[w] = labeledge[b] = None
-        bestedge[w] = bestedge[b] = None
+        # Only vertices are unlabelled: every blossom is made an S-blossom.
+        assert inblossom[w] == w and label.get(w) is None
+        label[w] = t
+        labeledge[w] = None if v is None else (v, w)
         if t == 1:
-            # b became an S-vertex/blossom; add it(s vertices) to the queue.
-            if isinstance(b, _Blossom):
-                queue.extend(b.leaves())
-            else:
-                queue.append(b)
+            # w became an S-vertex; add it to the queue.
+            queue.append(w)
         elif t == 2:
-            # b became a T-vertex/blossom; assign label S to its mate.
-            # (If b is a non-trivial blossom, its base is the only vertex
-            # with an external mate.)
-            base = blossombase[b]
-            assign_label(mate[base], 1, base)
+            # w became a T-vertex; assign label S to its mate.
+            assign_label(mate[w], 1, w)
 
     # Trace back from vertices v and w to discover either a new blossom
     # or an augmenting path. Return the base vertex of the new blossom,
@@ -219,7 +183,7 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
                 v = labeledge[b][0]
                 b = inblossom[v]
                 assert label[b] == 2
-                # b is a T-blossom; trace one more step back.
+                # b is a T-vertex; trace one more step back.
                 v = labeledge[b][0]
             # Swap v and w so that we alternate between both paths.
             if w is not None:
@@ -231,14 +195,15 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
         return base
 
     # Construct a new blossom with given base, through S-vertices v and w.
-    # Label the new blossom as S; set its dual variable to zero;
-    # relabel its T-vertices to S and add them to the queue.
+    # Label the new blossom as S; relabel its T-vertices to S and add them
+    # to the queue.
     def add_blossom(base, v, w):
         bb = inblossom[base]
         bv = inblossom[v]
         bw = inblossom[w]
         # Create blossom.
         b = _Blossom()
+        blossoms.append(b)
         blossombase[b] = base
         blossomparent[b] = None
         blossomparent[bb] = b
@@ -277,8 +242,6 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
         assert label[bb] == 1
         label[b] = 1
         labeledge[b] = labeledge[bb]
-        # Set dual variable to zero.
-        blossomdual[b] = 0
         # Relabel vertices.
         for v in b.leaves():
             if label[inblossom[v]] == 2:
@@ -286,162 +249,14 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
                 # part of an S-blossom; add it to the queue.
                 queue.append(v)
             inblossom[v] = b
-        # Compute b.mybestedges.
-        bestedgeto = {}
-        for bv in path:
-            if isinstance(bv, _Blossom):
-                if bv.mybestedges is not None:
-                    # Walk this subblossom's least-slack edges.
-                    nblist = bv.mybestedges
-                    # The sub-blossom won't need this data again.
-                    bv.mybestedges = None
-                else:
-                    # This subblossom does not have a list of least-slack
-                    # edges; get the information from the vertices.
-                    nblist = [(v, w) for v in bv.leaves() for w in adjacency[v]]
-            else:
-                nblist = [(bv, w) for w in adjacency[bv]]
-            for k in nblist:
-                (i, j) = k
-                if inblossom[j] == b:
-                    i, j = j, i
-                bj = inblossom[j]
-                if (
-                    bj != b
-                    and label.get(bj) == 1
-                    and ((bj not in bestedgeto) or slack(i, j) < slack(*bestedgeto[bj]))
-                ):
-                    bestedgeto[bj] = k
-            # Forget about least-slack edge of the subblossom.
-            bestedge[bv] = None
-        b.mybestedges = list(bestedgeto.values())
-        # Select bestedge[b].
-        mybestedge = None
-        bestedge[b] = None
-        for k in b.mybestedges:
-            kslack = slack(*k)
-            if mybestedge is None or kslack < mybestslack:
-                mybestedge = k
-                mybestslack = kslack
-        bestedge[b] = mybestedge
-
-    # Expand the given top-level blossom.
-    def expand_blossom(b, endstage):
-        # The expansion recurses into sub-blossoms. Each recursive call is
-        # a generator that yields the arguments of its own recursive calls,
-        # so that the Python call stack stays flat (a trampoline).
-
-        def _recurse(b, endstage):
-            # Convert sub-blossoms into top-level blossoms.
-            for s in b.childs:
-                blossomparent[s] = None
-                if isinstance(s, _Blossom):
-                    if endstage and blossomdual[s] == 0:
-                        # Recursively expand this sub-blossom.
-                        yield s
-                    else:
-                        for v in s.leaves():
-                            inblossom[v] = s
-                else:
-                    inblossom[s] = s
-            # If we expand a T-blossom during a stage, its sub-blossoms must be
-            # relabeled.
-            if (not endstage) and label.get(b) == 2:
-                # Start at the sub-blossom through which the expanding
-                # blossom obtained its label, and relabel sub-blossoms until
-                # we reach the base.
-                # Figure out through which sub-blossom the expanding blossom
-                # obtained its label initially.
-                entrychild = inblossom[labeledge[b][1]]
-                # Decide in which direction we will go round the blossom.
-                j = b.childs.index(entrychild)
-                if j & 1:
-                    # Start index is odd; go forward and wrap.
-                    j -= len(b.childs)
-                    jstep = 1
-                else:
-                    # Start index is even; go backward.
-                    jstep = -1
-                # Move along the blossom until we get to the base.
-                v, w = labeledge[b]
-                while j != 0:
-                    # Relabel the T-sub-blossom.
-                    if jstep == 1:
-                        p, q = b.edges[j]
-                    else:
-                        q, p = b.edges[j - 1]
-                    label[w] = None
-                    label[q] = None
-                    assign_label(w, 2, v)
-                    # Step to the next S-sub-blossom and note its forward edge.
-                    allowedge.add((p, q))
-                    allowedge.add((q, p))
-                    j += jstep
-                    if jstep == 1:
-                        v, w = b.edges[j]
-                    else:
-                        w, v = b.edges[j - 1]
-                    # Step to the next T-sub-blossom.
-                    allowedge.add((v, w))
-                    allowedge.add((w, v))
-                    j += jstep
-                # Relabel the base T-sub-blossom WITHOUT stepping through to
-                # its mate (so don't call assign_label).
-                bw = b.childs[j]
-                label[w] = label[bw] = 2
-                labeledge[w] = labeledge[bw] = (v, w)
-                bestedge[bw] = None
-                # Continue along the blossom until we get back to entrychild.
-                j += jstep
-                while b.childs[j] != entrychild:
-                    # Examine the vertices of the sub-blossom to see whether
-                    # it is reachable from a neighboring S-vertex outside the
-                    # expanding blossom.
-                    bv = b.childs[j]
-                    if label.get(bv) == 1:
-                        # This sub-blossom just got label S through one of its
-                        # neighbors; leave it be.
-                        j += jstep
-                        continue
-                    if isinstance(bv, _Blossom):
-                        for v in bv.leaves():
-                            if label.get(v):
-                                break
-                    else:
-                        v = bv
-                    # If the sub-blossom contains a reachable vertex, assign
-                    # label T to the sub-blossom.
-                    if label.get(v):
-                        assert label[v] == 2
-                        assert inblossom[v] == bv
-                        label[v] = None
-                        label[mate[blossombase[bv]]] = None
-                        assign_label(v, 2, labeledge[v][0])
-                    j += jstep
-            # Remove the expanded blossom entirely.
-            label.pop(b, None)
-            labeledge.pop(b, None)
-            bestedge.pop(b, None)
-            del blossomparent[b]
-            del blossombase[b]
-            del blossomdual[b]
-
-        # Run the trampoline: a stack of the pending generators, grown by one
-        # for each argument a generator yields and shrunk when one is done.
-        stack = [_recurse(b, endstage)]
-        while stack:
-            top = stack[-1]
-            for s in top:
-                stack.append(_recurse(s, endstage))
-                break
-            else:
-                stack.pop()
 
     # Swap matched/unmatched edges over an alternating path through blossom b
     # between vertex v and the base vertex. Keep blossom bookkeeping
     # consistent.
     def augment_blossom(b, v):
-        # A trampoline, as in expand_blossom.
+        # The augmentation recurses into sub-blossoms. Each recursive call is
+        # a generator that yields the arguments of its own recursive calls,
+        # so that the Python call stack stays flat (a trampoline).
 
         def _recurse(b, v):
             # Bubble up through the blossom tree from vertex v to an immediate
@@ -486,6 +301,8 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
             blossombase[b] = blossombase[b.childs[0]]
             assert blossombase[b] == v
 
+        # Run the trampoline: a stack of the pending generators, grown by one
+        # for each argument a generator yields and shrunk when one is done.
         stack = [_recurse(b, v)]
         while stack:
             top = stack[-1]
@@ -522,20 +339,24 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
                 assert label[bt] == 2
                 # Trace one more step back.
                 s, j = labeledge[bt]
-                # Augment through the T-blossom from j to base.
-                assert blossombase[bt] == t
-                if isinstance(bt, _Blossom):
-                    augment_blossom(bt, j)
+                # A T label is only ever on a vertex, so there is no
+                # T-blossom to augment through from j to its base.
+                assert blossombase[bt] == t and bt == j
                 # Update mate[j]
                 mate[j] = s
 
     # Verify that the optimum solution has been reached.
     def verify_optimum():
-        # Vertices may have negative dual;
-        # find a constant non-negative number to add to all vertex duals.
-        vdualoffset = max(0, -min(dualvar))
+        # The duals after the final update (times two): S vertices 0, T
+        # vertices 2, unlabelled 1; top-level S-blossoms 1, nested ones 0.
+        vertexdual = {None: 1, 1: 0, 2: 2}
+        dualvar = [vertexdual[label.get(inblossom[v])] for v in gnodes]
+        blossomdual = {}
+        for b in blossoms:
+            assert blossomparent[b] is not None or label[b] == 1
+            blossomdual[b] = 1 if blossomparent[b] is None else 0
         # 0. all dual variables are non-negative
-        assert min(dualvar) + vdualoffset >= 0
+        assert min(dualvar) >= 0
         assert len(blossomdual) == 0 or min(blossomdual.values()) >= 0
         # 0. all edges have non-negative slack and
         # 1. all matched edges have zero slack;
@@ -562,7 +383,7 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
                     assert s == 0
         # 2. all single vertices have zero dual value;
         for v in gnodes:
-            assert (v in mate) or dualvar[v] + vdualoffset == 0
+            assert (v in mate) or dualvar[v] == 0
         # 3. all blossoms with positive dual value are full.
         for b in blossomdual:
             if blossomdual[b] > 0:
@@ -577,193 +398,61 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
         # A stage finds an augmenting path and uses that to improve
         # the matching.
 
+        # The last stage dissolved every blossom.
+        assert len(blossomparent) == len(gnodes)
+
         # Remove labels from top-level blossoms/vertices.
         label.clear()
         labeledge.clear()
 
-        # Forget all about least-slack edges.
-        bestedge.clear()
-        for b in blossomdual:
-            b.mybestedges = None
-
-        # Loss of labeling means that we can not be sure that currently
-        # allowable edges remain allowable throughout this stage.
-        allowedge.clear()
-
         # Make queue empty.
         queue[:] = []
 
-        # Label single blossoms/vertices with S and put them in the queue.
+        # Label single vertices with S and put them in the queue.
         for v in gnodes:
-            if (v not in mate) and label.get(inblossom[v]) is None:
+            if v not in mate:
                 assign_label(v, 1, None)
 
-        # Loop until we succeed in augmenting the matching.
+        # Continue labeling until all vertices which are reachable
+        # through an alternating path have got a label, or an augmenting
+        # path is found.  Every edge is allowable, so there is no dual
+        # update to make before the queue runs empty.
         augmented = 0
-        while 1:
-            # Each iteration of this loop is a "substage".
-            # A substage tries to find an augmenting path;
-            # if found, the path is used to improve the matching and
-            # the stage ends. If there is no augmenting path, the
-            # primal-dual method is used to pump some slack out of
-            # the dual variables.
+        while queue and not augmented:
+            # Take an S vertex from the queue.
+            v = queue.pop()
+            assert label[inblossom[v]] == 1
 
-            # Continue labeling until all vertices which are reachable
-            # through an alternating path have got a label.
-            while queue and not augmented:
-                # Take an S vertex from the queue.
-                v = queue.pop()
-                assert label[inblossom[v]] == 1
-
-                # Scan its neighbors:
-                for w in adjacency[v]:
-                    # w is a neighbor to v
-                    bv = inblossom[v]
-                    bw = inblossom[w]
-                    if bv == bw:
-                        # this edge is internal to a blossom; ignore it
-                        continue
-                    if (v, w) not in allowedge:
-                        kslack = slack(v, w)
-                        if kslack <= 0:
-                            # edge k has zero slack => it is allowable
-                            allowedge.add((v, w))
-                            allowedge.add((w, v))
-                    if (v, w) in allowedge:
-                        if label.get(bw) is None:
-                            # (C1) w is a free vertex;
-                            # label w with T and label its mate with S (R12).
-                            assign_label(w, 2, v)
-                        elif label.get(bw) == 1:
-                            # (C2) w is an S-vertex (not in the same blossom);
-                            # follow back-links to discover either an
-                            # augmenting path or a new blossom.
-                            base = scan_blossom(v, w)
-                            if base is not None:
-                                # Found a new blossom; add it to the blossom
-                                # bookkeeping and turn it into an S-blossom.
-                                add_blossom(base, v, w)
-                            else:
-                                # Found an augmenting path; augment the
-                                # matching and end this stage.
-                                augment_matching(v, w)
-                                augmented = 1
-                                break
-                        elif label.get(w) is None:
-                            # w is inside a T-blossom, but w itself has not
-                            # yet been reached from outside the blossom;
-                            # mark it as reached (we need this to relabel
-                            # during T-blossom expansion).
-                            assert label[bw] == 2
-                            label[w] = 2
-                            labeledge[w] = (v, w)
-                    elif label.get(bw) == 1:
-                        # keep track of the least-slack non-allowable edge to
-                        # a different S-blossom.
-                        if bestedge.get(bv) is None or kslack < slack(*bestedge[bv]):
-                            bestedge[bv] = (v, w)
-                    elif label.get(w) is None:
-                        # w is a free vertex (or an unreached vertex inside
-                        # a T-blossom) but we can not reach it yet;
-                        # keep track of the least-slack edge that reaches w.
-                        if bestedge.get(w) is None or kslack < slack(*bestedge[w]):
-                            bestedge[w] = (v, w)
-
-            if augmented:
-                break
-
-            # There is no augmenting path under these constraints;
-            # compute delta and reduce slack in the optimization problem.
-            # (Note that our vertex dual variables, edge slacks and delta's
-            # are pre-multiplied by two.)  With maximum cardinality asked
-            # for, there is no delta1 (the least vertex dual).
-            deltatype = -1
-            delta = deltaedge = deltablossom = None
-
-            # Compute delta2: the minimum slack on any edge between
-            # an S-vertex and a free vertex.
-            for v in gnodes:
-                if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
-                    d = slack(*bestedge[v])
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = bestedge[v]
-
-            # Compute delta3: half the minimum slack on any edge between
-            # a pair of S-blossoms.
-            for b in blossomparent:
-                if (
-                    blossomparent[b] is None
-                    and label.get(b) == 1
-                    and bestedge.get(b) is not None
-                ):
-                    kslack = slack(*bestedge[b])
-                    assert (kslack % 2) == 0
-                    d = kslack // 2
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge = bestedge[b]
-
-            # Compute delta4: minimum z variable of any T-blossom.
-            for b in blossomdual:
-                if (
-                    blossomparent[b] is None
-                    and label.get(b) == 2
-                    and (deltatype == -1 or blossomdual[b] < delta)
-                ):
-                    delta = blossomdual[b]
-                    deltatype = 4
-                    deltablossom = b
-
-            if deltatype == -1:
-                # No further improvement possible; max-cardinality optimum
-                # reached. Do a final delta update to make the optimum
-                # verifiable.
-                deltatype = 1
-                delta = max(0, min(dualvar))
-
-            # Update dual variables according to delta.
-            for v in gnodes:
-                if label.get(inblossom[v]) == 1:
-                    # S-vertex: 2*u = 2*u - 2*delta
-                    dualvar[v] -= delta
-                elif label.get(inblossom[v]) == 2:
-                    # T-vertex: 2*u = 2*u + 2*delta
-                    dualvar[v] += delta
-            for b in blossomdual:
-                if blossomparent[b] is None:
-                    if label.get(b) == 1:
-                        # top-level S-blossom: z = z + 2*delta
-                        blossomdual[b] += delta
-                    elif label.get(b) == 2:
-                        # top-level T-blossom: z = z - 2*delta
-                        blossomdual[b] -= delta
-
-            # Take action at the point where minimum delta occurred.
-            if deltatype == 1:
-                # No further improvement possible; optimum reached.
-                break
-            elif deltatype == 2:
-                # Use the least-slack edge to continue the search.
-                (v, w) = deltaedge
-                assert label[inblossom[v]] == 1
-                allowedge.add((v, w))
-                allowedge.add((w, v))
-                queue.append(v)
-            elif deltatype == 3:
-                # Use the least-slack edge to continue the search.
-                (v, w) = deltaedge
-                allowedge.add((v, w))
-                allowedge.add((w, v))
-                assert label[inblossom[v]] == 1
-                queue.append(v)
-            elif deltatype == 4:
-                # Expand the least-z blossom.
-                expand_blossom(deltablossom, False)
-
-            # End of this substage.
+            # Scan its neighbors:
+            for w in adjacency[v]:
+                # w is a neighbor to v
+                bv = inblossom[v]
+                bw = inblossom[w]
+                if bv == bw:
+                    # this edge is internal to a blossom; ignore it
+                    continue
+                if label.get(bw) is None:
+                    # (C1) w is a free vertex;
+                    # label w with T and label its mate with S (R12).
+                    assign_label(w, 2, v)
+                elif label.get(bw) == 1:
+                    # (C2) w is an S-vertex (not in the same blossom);
+                    # follow back-links to discover either an
+                    # augmenting path or a new blossom.
+                    base = scan_blossom(v, w)
+                    if base is not None:
+                        # Found a new blossom; add it to the blossom
+                        # bookkeeping and turn it into an S-blossom.
+                        add_blossom(base, v, w)
+                    else:
+                        # Found an augmenting path; augment the
+                        # matching and end this stage.
+                        augment_matching(v, w)
+                        augmented = 1
+                        break
+                else:
+                    # w is a T-vertex, never inside a T-blossom.
+                    assert label[bw] == 2 and bw == w
 
         # Paranoia check that the matching is symmetric.
         for v in mate:
@@ -773,12 +462,16 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
         if not augmented:
             break
 
-        # End of a stage; expand all S-blossoms which have zero dual.
-        for b in list(blossomdual.keys()):
-            if b not in blossomdual:
-                continue  # already expanded
-            if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
-                expand_blossom(b, True)
+        # End of a stage; dissolve every blossom, each an S-blossom with
+        # zero dual, by making its own vertices top-level again.
+        for b in blossoms:
+            assert blossomparent[b] is not None or label[b] == 1
+            for s in b.childs:
+                if not isinstance(s, _Blossom):
+                    inblossom[s] = s
+                    blossomparent[s] = None
+            del blossomparent[b], blossombase[b]
+        blossoms.clear()
 
     # Verify that we reached the optimum solution.
     verify_optimum()

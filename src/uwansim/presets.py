@@ -29,7 +29,7 @@ from .channel import (
     normalized_cross_correlations,
 )
 from .mac import PROTOCOLS
-from .rules import NODES, POSITIVE, Rule, integer, number
+from .rules import NODES, POSITIVE, Bound, Rule, integer, number, one_of, string
 from .scenario import scenario_from_dict, scenario_to_dict
 from .sim import LinkTable, Simulator, placement
 from .tr_phy import (
@@ -44,7 +44,16 @@ from .tr_phy import (
     sinr_sdt_from_parts,
 )
 
-PRESET_NAMES = ("sinr_vs_snr", "sinr_vs_eta", "correlation_heatmap", "load_sweep", "timeseries")
+# the params each preset reads; a preset given any other is refused
+PARAMS = {
+    "sinr_vs_snr": ("d_factors", "snr_db_grid", "tap_count"),
+    "sinr_vs_eta": ("d_factors", "eta_grid", "snr_db", "tap_count"),
+    "correlation_heatmap": ("depth_step", "range_step", "water_depth", "max_range", "tap_count",
+                            "reference_tx", "reference_rx"),
+    "load_sweep": ("loads", "protocols", "duration", "workers", "scenario"),
+    "timeseries": ("protocols", "duration", "sample_every", "links", "workers", "scenario"),
+}
+PRESET_NAMES = tuple(PARAMS)
 
 # receivers per tap matrix of the correlation heatmap: a whole 401-cell
 # row raised the peak memory by ~1.3 MiB, while 64 costs no more than one
@@ -55,6 +64,10 @@ _PROBE_BLOCK = 64
 _TAPS = ("tap_count", ChannelModelConfig.RULES["tap_count"], ChannelModelConfig.tap_count)
 # the pool size of the network presets; null means one worker per CPU
 _WORKERS = integer(POSITIVE, nullable=True)
+# the items of the list params
+_D_FACTOR = integer(POSITIVE)
+_ETA = number(Bound("{} in [0, 1)", lambda v: 0 <= v < 1))
+_PROTOCOL = string(one_of(*PROTOCOLS))
 
 # two-link reference geometry used by the SINR presets: (depth m, range m)
 REFERENCE_GEOMETRY = {"a": (20.0, 0.0), "b": (20.0, 1000.0), "i": (50.0, 0.0), "j": (70.0, 1000.0)}
@@ -75,6 +88,10 @@ class ExperimentPreset:
             raise ValueError("ExperimentPreset.seeds must contain at least one seed")
         if len(self.seeds) > 1 and self.name != "load_sweep":
             raise ValueError(f"{self.name}: seeds: expected one seed, got {self.seeds!r}")
+        for key in self.params:
+            if key not in PARAMS[self.name]:
+                raise ValueError(f"{self.name}: {key}: unknown parameter; expected one of "
+                                 f"{', '.join(PARAMS[self.name])}")
 
 
 def _params_hash(preset: ExperimentPreset, **parsed) -> str:
@@ -114,11 +131,9 @@ def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
     """Effective SINR of the reference link versus acoustic SNR, for the
     TR-based simultaneous transmissions (one interfering link active) and
     the single direct transmission, at several up/down-sampling factors."""
-    params = preset.params
-    d_factors = tuple(params.get("d_factors", (1, 2, 4, 8)))
-    snr_grid = params.get("snr_db_grid")
-    if snr_grid is None:
-        snr_grid = [40.0 + 2.0 * k for k in range(21)]  # 40..80 dB, artifact-chosen
+    d_factors = _list_param(preset, "d_factors", _D_FACTOR, (1, 2, 4, 8))
+    # 40..80 dB, artifact-chosen
+    snr_grid = _list_param(preset, "snr_db_grid", number(), [40.0 + 2.0 * k for k in range(21)])
     tap_count = _param(preset, *_TAPS)
     seed = preset.seeds[0]
     h_ab, h_ib, h_ij = _reference_links(seed, tap_count)
@@ -145,13 +160,8 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
     """Effective SINR of the reference link versus the peak normalized
     cross-correlation between the interfering link and the victim-bound
     channel, with the measured off-peak structure held fixed."""
-    params = preset.params
-    d_factors = tuple(params.get("d_factors", (1, 2, 4, 8)))
-    eta_grid = params.get("eta_grid")
-    if eta_grid is None:
-        eta_grid = [round(0.05 * k, 2) for k in range(19)]  # 0 .. 0.9
-    if any(not (0.0 <= e < 1.0) for e in eta_grid):
-        raise ValueError("sinr_vs_eta: eta grid must lie in [0, 1)")
+    d_factors = _list_param(preset, "d_factors", _D_FACTOR, (1, 2, 4, 8))
+    eta_grid = _list_param(preset, "eta_grid", _ETA, [round(0.05 * k, 2) for k in range(19)])  # 0 .. 0.9
     snr_db = _param(preset, "snr_db", number(), 65.0)
     tap_count = _param(preset, *_TAPS)
     seed = preset.seeds[0]
@@ -185,6 +195,27 @@ def _parsed(name: str, key: str, rule: Rule, value):
 def _param(preset: ExperimentPreset, key: str, rule: Rule, default):
     """A preset parameter converted by its rule; ValueError naming the preset and key."""
     return _parsed(preset.name, key, rule, preset.params.get(key, default))
+
+
+def _list_param(preset: ExperimentPreset, key: str, rule: Rule, default) -> tuple:
+    """A list parameter's items as given (``default`` when it is absent or
+    null), each already of the kind ``rule`` converts to and within its
+    bound; ValueError naming the preset and key when it is no such
+    nonempty list."""
+    value = preset.params.get(key)
+    if value is None:
+        value = default
+    try:
+        if isinstance(value, str):  # "trmac" would iterate as letters
+            raise ValueError(value)
+        items = tuple(value)
+        if not items or any(rule.parse(item) != item for item in items):
+            raise ValueError(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{preset.name}: {key}: expected a nonempty list, each item a {rule.expected}, got {value!r}"
+        ) from None
+    return items
 
 
 def _grid_spot(params: dict, key: str, default: tuple[float, float]) -> tuple[tuple, Point]:
@@ -324,17 +355,14 @@ def run_network_jobs(jobs: list[dict], workers: int | None = None) -> list[dict]
 
 def preset_load_sweep(preset: ExperimentPreset) -> str:
     """Delay / drop ratio / throughput for each protocol across network loads."""
-    params = preset.params
-    loads = tuple(params.get("loads", (4, 6, 8, 10)))
-    protocols = tuple(params.get("protocols", PROTOCOLS))
+    loads = _list_param(preset, "loads", integer(POSITIVE), (4, 6, 8, 10))
+    protocols = _list_param(preset, "protocols", _PROTOCOL, PROTOCOLS)
     duration = _param(preset, "duration", number(POSITIVE), 2000.0)
     workers = _param(preset, "workers", _WORKERS, None)
-    if not loads:
-        raise ValueError("load_sweep: loads grid must be nonempty")
 
     jobs = []
     for seed in preset.seeds:
-        jobs.extend(_nested_load_scenarios(seed, duration, loads, protocols, params))
+        jobs.extend(_nested_load_scenarios(seed, duration, loads, protocols, preset.params))
     rows = [
         [r["links"], r["protocol"], r["seed"], r["generated"], r["delivered"], r["dropped"],
          r["mean_delay_s"], r["drop_ratio"], r["throughput_bps"]]
@@ -350,8 +378,7 @@ def preset_load_sweep(preset: ExperimentPreset) -> str:
 
 def preset_timeseries(preset: ExperimentPreset) -> str:
     """Cumulative metric-versus-time curves for each protocol at one load."""
-    params = preset.params
-    protocols = tuple(params.get("protocols", PROTOCOLS))
+    protocols = _list_param(preset, "protocols", _PROTOCOL, PROTOCOLS)
     duration = _param(preset, "duration", number(POSITIVE), 2000.0)
     sample_every = _param(preset, "sample_every", number(POSITIVE), 100.0)
     links = _param(preset, "links", integer(POSITIVE), 10)
@@ -362,7 +389,7 @@ def preset_timeseries(preset: ExperimentPreset) -> str:
 
     jobs = []
     for protocol in protocols:
-        data = _network_scenario_dict(seed, protocol, duration, params)
+        data = _network_scenario_dict(seed, protocol, duration, preset.params)
         data.setdefault("network", {})["link_count"] = links
         jobs.append({"links": links, "protocol": protocol, "seed": seed, "scenario": data,
                      "sample_every": sample_every})

@@ -106,8 +106,10 @@ class Scenario:
         elif not routes:
             routes = _pair_nodes(nodes, net.link_count, net.one_hop_range, _topology_rng(out.seed))
             if routes is None:
+                most = len(max_cardinality_matching(_within_range(nodes, net.one_hop_range)))
                 raise ScenarioError(
-                    "network.nodes: provided placement does not admit the requested disjoint links"
+                    f"network.link_count: {net.link_count} disjoint links requested, but the "
+                    f"given network.nodes admit at most {most}"
                 )
         out.network = dataclasses.replace(net, nodes=nodes, routes=routes)
         validate_scenario(out)

@@ -410,6 +410,24 @@ def test_load_arrivals_errors(tmp_path):
         ArrivalTable.from_file(str(bad))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ARRIVALS v1\n0 1 0.0 -1.0 0.0\n", ":2: amplitude must be finite and >= 0, got -1.0"),
+    ("ARRIVALS v1\n0 1 0.0 1.0 nan\n", ":2: phase must be finite, got nan"),
+    ("# no header, no record\n\n", ": missing 'ARRIVALS v1' header"),
+], ids=["negative-amplitude", "nan-phase", "missing-header"])
+def test_load_arrivals_rejects_a_bad_value_or_no_header(text, message, tmp_path):
+    path = tmp_path / "arrivals.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ArrivalFileError) as err:
+        ArrivalTable.from_file(str(path))
+    assert str(err.value) == str(path) + message
+
+
+def test_arrival_file_model_needs_a_path():
+    with pytest.raises(ValueError, match="ChannelModelConfig.arrival_file_path required"):
+        ChannelModelConfig(model_kind="arrival_file")
+
+
 def test_arrival_channel_model_missing_pair_identifies_pair(tmp_path):
     # a file names nodes by their index in the placement; pair 1-2 is missing
     path = write_arrivals(tmp_path, "0 1 0.5 1.0 0.0\n0 2 0.7 1.0 0.0\n")

@@ -156,6 +156,31 @@ def test_run_seed_without_scenario_file_regenerates_placement(tmp_path, monkeypa
     assert seeded.network.nodes != default.network.nodes
 
 
+def test_run_reseed_topology_places_the_seeds_network_instead_of_the_files(tmp_path, monkeypatch):
+    from uwansim import cli
+    from uwansim.scenario import load_scenario
+    from uwansim.sim import run_scenario
+
+    ran = []
+
+    def recording_run(scenario, **kwargs):
+        ran.append(scenario)
+        return run_scenario(scenario, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    scenario = write_scenario(tmp_path)  # placed by seed 3
+    assert main(["run", scenario, "--seed", "5", "--reseed-topology", "--duration", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["run", scenario, "--seed", "5", "--duration", "1", "--out", str(tmp_path)]) == 0
+    reseeded, kept = ran
+    assert reseeded.seed == kept.seed == 5
+    assert reseeded.network.nodes == scenario_from_dict({"seed": 5}).network.nodes
+    assert reseeded.network.routes == scenario_from_dict({"seed": 5}).network.routes
+    placed = load_scenario(scenario).network
+    assert (kept.network.nodes, kept.network.routes) == (placed.nodes, placed.routes)
+    assert reseeded.network.nodes != kept.network.nodes
+
+
 def test_run_refuses_reseed_topology_without_seed(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "out"

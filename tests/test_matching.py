@@ -1,4 +1,5 @@
-"""``uwansim.matching`` against networkx's ``max_weight_matching``, which it ports.
+"""``uwansim.matching`` against networkx's ``max_weight_matching``, whose
+unit-weight case it reproduces.
 
 Placement takes its links from the matching, so the port must return the
 very matching networkx returns, not just one of the same size: otherwise the
@@ -45,6 +46,26 @@ def test_random_graphs_match_networkx():
         assert max_cardinality_matching(adjacency) == networkx_pairs(graph), case
 
 
+# blossom-rich graphs, each relabelled at random: the search forms blossoms
+# in many orders, and each graph has a perfect matching
+NAMED_GRAPHS = {"petersen": nx.petersen_graph, "tutte": nx.tutte_graph,
+                "dodecahedral": nx.dodecahedral_graph}
+
+
+@pytest.mark.parametrize("name", NAMED_GRAPHS)
+def test_relabelled_named_graphs_match_networkx(name):
+    rng = np.random.default_rng(5)
+    named = NAMED_GRAPHS[name]()
+    for case in range(100):
+        label = dict(zip(named, rng.permutation(len(named)).tolist()))
+        adjacency = [[] for _ in named]
+        for u, v in named.edges:
+            adjacency[label[u]].append(label[v])
+            adjacency[label[v]].append(label[u])
+        adjacency = [sorted(row) for row in adjacency]
+        assert max_cardinality_matching(adjacency) == networkx_pairs(graph_of(adjacency)), case
+
+
 @pytest.mark.parametrize("adjacency, pairs, blossoms", [
     ([], [], 0),  # no nodes
     ([[], [], []], [], 0),  # no edges
@@ -52,7 +73,11 @@ def test_random_graphs_match_networkx():
     # the search from 2 closes the triangle into a blossom before it reaches 0
     ([[1], [0, 2, 3], [1, 3], [1, 2]], [(0, 1), (2, 3)], 1),
     ([[1, 4], [0, 2], [1, 3], [2, 4], [0, 3]], [(0, 4), (2, 3)], 1),  # 5-cycle
-], ids=["no-nodes", "no-edges", "triangle-with-pendant", "odd-cycle"])
+    # with 0-5 and 2-4 matched, triangle 2-3-4 closes into a blossom, which
+    # the cycle through 0 and 5 takes into a second one; the augmenting path
+    # from 0 to 1 then runs through both and moves the inner base to 4
+    ([[1, 2, 5], [0], [0, 3, 4], [2, 4], [2, 3, 5], [0, 4]], [(0, 1), (2, 3), (4, 5)], 2),
+], ids=["no-nodes", "no-edges", "triangle-with-pendant", "odd-cycle", "nested-blossom"])
 def test_small_graphs(monkeypatch, adjacency, pairs, blossoms):
     made = []
 

@@ -13,6 +13,7 @@ from uwansim.channel import (
     normalized_cross_correlation,
 )
 from uwansim.presets import (
+    PARAMS,
     ExperimentPreset,
     REFERENCE_GEOMETRY,
     _reference_links,
@@ -287,7 +288,7 @@ def test_run_preset_dispatch(tmp_path):
     ))
     _, _, rows = read_csv(path)
     assert len(rows) == 2
-    with pytest.raises(ValueError, match="eta grid"):
+    with pytest.raises(ValueError, match="eta_grid: expected"):
         run_preset(ExperimentPreset("sinr_vs_eta", params={"eta_grid": (1.5,)}, output_dir=str(tmp_path)))
 
 
@@ -358,10 +359,52 @@ def test_network_presets_build_one_link_table_per_placement(name, params, seeds,
     ("sinr_vs_eta", {"snr_db": math.nan}, (1,), "snr_db", math.nan, "finite number"),
 ])
 def test_preset_integers_are_parsed_by_their_rule(name, params, seeds, key, value, expected, tmp_path):
+    # a short duration where the preset reads one, so that a run not refused stays short
+    short = {"duration": 20.0} if "duration" in PARAMS[name] else {}
     with pytest.raises(ValueError) as err:
-        run_preset(ExperimentPreset(name, params={"duration": 20.0, **params}, seeds=seeds,
+        run_preset(ExperimentPreset(name, params={**short, **params}, seeds=seeds,
                                     output_dir=str(tmp_path)))
     assert str(err.value) == f"{name}: {key}: expected {expected}, got {value!r}"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("load_sweep", {"load": [2]},
+     "load_sweep: load: unknown parameter; expected one of loads, protocols, duration, workers, scenario"),
+    ("correlation_heatmap", {"tap_cout": 65},
+     "correlation_heatmap: tap_cout: unknown parameter; expected one of depth_step, range_step, "
+     "water_depth, max_range, tap_count, reference_tx, reference_rx"),
+])
+def test_presets_refuse_a_param_they_do_not_read(name, params, message, tmp_path):
+    with pytest.raises(ValueError) as err:
+        ExperimentPreset(name, params=params, output_dir=str(tmp_path))
+    assert str(err.value) == message
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, key, value, expected", [
+    ("load_sweep", "protocols", [], "string in {trmac, csma_ca, s_csma_ca}"),
+    ("timeseries", "protocols", ["trmac", "tdma"], "string in {trmac, csma_ca, s_csma_ca}"),
+    ("timeseries", "protocols", "trmac", "string in {trmac, csma_ca, s_csma_ca}"),
+    ("load_sweep", "loads", [], "positive integer"),
+    ("load_sweep", "loads", [2, 2.5], "positive integer"),
+    ("sinr_vs_snr", "snr_db_grid", ["x"], "finite number"),
+    ("sinr_vs_snr", "snr_db_grid", [40.0, math.nan], "finite number"),
+    ("sinr_vs_snr", "d_factors", [0], "positive integer"),
+    ("sinr_vs_eta", "eta_grid", ["0.5"], "finite number in [0, 1)"),
+    ("sinr_vs_eta", "eta_grid", 0.5, "finite number in [0, 1)"),
+])
+def test_preset_lists_are_checked_item_by_item_before_any_run(name, key, value, expected, tmp_path, monkeypatch):
+    from uwansim import presets
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(presets, "run_network_jobs", no_run)
+    monkeypatch.setattr(presets, "generate_cir", no_run)
+    with pytest.raises(ValueError) as err:
+        run_preset(ExperimentPreset(name, params={key: value}, output_dir=str(tmp_path)))
+    assert str(err.value) == f"{name}: {key}: expected a nonempty list, each item a {expected}, got {value!r}"
     assert not list(tmp_path.iterdir())
 
 

@@ -286,6 +286,37 @@ def test_failed_placement_names_both_counts():
     assert str(err.value) == "network: could not place 20 nodes admitting 10 disjoint links"
 
 
+def test_given_nodes_that_cannot_host_the_links_name_both_counts():
+    # only nodes 0 and 1 are within the 1000-m range of each other
+    nodes = [[10, 0, 0], [10, 500, 0], [10, 3000, 3000], [10, 3000, 0]]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({"network": {"nodes": nodes, "link_count": 2}})
+    assert str(err.value) == (
+        "network.link_count: 2 disjoint links requested, but the given network.nodes admit at most 1"
+    )
+
+
+def test_nodes_deeper_than_the_water_are_rejected():
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({"network": {"node_depth_max_m": 90.0}})
+    assert str(err.value) == "network.node_depth_max_m: exceeds environment.water_depth_m"
+
+
+def test_a_node_outside_the_region_is_rejected():
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({"network": {"nodes": [[10, 0, 0], [10, -100, 0]], "routes": [[0, 1]]}})
+    assert str(err.value) == "network.nodes[1]: position outside the region"
+
+
+def test_a_config_or_section_that_is_no_mapping_is_rejected():
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({"network": 5})
+    assert str(err.value) == "network: expected a mapping, got int"
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict([1])
+    assert str(err.value) == "config: expected a mapping, got list"
+
+
 def test_dataclass_scenario_is_checked_on_resolution():
     with pytest.raises(ScenarioError, match=r"^duration_s: "):
         Scenario(duration=NAN).resolved()
