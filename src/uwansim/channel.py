@@ -45,13 +45,11 @@ class Environment(Checked):
     """Acoustic environment shared by all links of a scenario."""
 
     water_depth: float = 80.0
-    carrier_frequency: float = 25e3
     bandwidth: float = 4e3
     nominal_sound_speed: float = 1500.0
 
     RULES = {
         "water_depth": number(POSITIVE),
-        "carrier_frequency": number(POSITIVE),
         "bandwidth": number(POSITIVE),
         "nominal_sound_speed": number(Bound("{} in [1400, 1600]", lambda v: 1400 <= v <= 1600)),
     }

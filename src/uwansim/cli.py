@@ -10,7 +10,7 @@ import sys
 
 from .channel import ARRIVAL_FILE
 from .mac import PROTOCOLS
-from .presets import PRESET_NAMES, ExperimentPreset, run_preset
+from .presets import PARAMS, PRESET_NAMES, ExperimentPreset, run_preset
 from .scenario import ScenarioError, config_hash, load_scenario, scenario_from_dict, scenario_to_dict
 from .sim import LinkTable, run_scenario
 
@@ -66,15 +66,16 @@ def _cmd_run(args) -> int:
     delay = "nan" if math.isnan(metrics.mean_delay) else f"{metrics.mean_delay:.3f}"
     print(
         f"{scenario.mac.protocol}: generated={metrics.generated} delivered={metrics.delivered} "
-        f"dropped={metrics.dropped} mean_delay={delay}s "
+        f"dropped={metrics.dropped} mean_delay={delay}s in_flight={metrics.in_flight} "
         f"drop_ratio={metrics.drop_ratio:.4f} throughput={metrics.throughput:.1f}bps"
     )
+    if 2 * metrics.in_flight > metrics.generated:
+        # a MAC that never sends its queued packets drops few of the frames it does send
+        print(f"warning: {metrics.in_flight} of {metrics.generated} generated packets are still in "
+              "flight at the end: the network is saturated, and drop_ratio counts only the data "
+              "frames that were transmitted", file=sys.stderr)
     print(f"metrics written to {os.path.join(out_dir, 'metrics.csv')}")
     return 0
-
-
-# the flags each network preset reads; a preset given another flag is refused
-_PRESET_FLAGS = {"load_sweep": ("--duration", "--loads", "--jobs"), "timeseries": ("--duration", "--jobs")}
 
 
 def _cmd_preset(args) -> int:
@@ -83,7 +84,7 @@ def _cmd_preset(args) -> int:
     params: dict = {}
     for flag, (key, value) in given.items():
         if value is not None:
-            if flag not in _PRESET_FLAGS.get(args.name, ()):
+            if key not in PARAMS[args.name]:
                 raise ValueError(f"preset {args.name} does not read {flag}")
             params[key] = value
     preset = ExperimentPreset(

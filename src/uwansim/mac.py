@@ -177,10 +177,9 @@ class MacEngine:
     kind = "abstract"
     DATA_PHASE = "data"
 
-    def __init__(self, node_id, timers, phy, neighbors, data_rate, control_bits, rng=None, medium=None):
+    def __init__(self, node_id, timers, neighbors, data_rate, control_bits, rng=None, medium=None):
         self.node_id = node_id
         self.timers = timers
-        self.phy = phy
         self.neighbors = frozenset(neighbors)
         self.data_rate = data_rate
         self.control_bits = control_bits

@@ -2,11 +2,12 @@
 
 Each preset writes one CSV with a leading provenance comment line
 (`# preset=<name> config=<hash> seeds=<...>`), a header row, and one row
-per grid point -- never fewer, never more.  The hash covers the params
-as parsed, so values equal under their rules hash alike.  Network presets
-run their jobs in a pool of ``workers`` processes, or in-process when that
-is 1; rows are assembled in grid order regardless of completion order, and
-the runs of one placement share one link table.
+per grid point -- never fewer, never more.  Each preset's params, with
+their rules and defaults, are one table in ``PARAMS``.  The hash covers the
+params given, each scalar as parsed, so values equal under their rules hash
+alike.  Network presets run their jobs in a pool of ``workers`` processes,
+or in-process when that is 1; rows are assembled in grid order regardless
+of completion order, and the runs of one placement share one link table.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 from .channel import (
     ChannelModelConfig,
@@ -30,7 +32,7 @@ from .channel import (
 )
 from .mac import PROTOCOLS
 from .rules import NODES, POSITIVE, Bound, Rule, integer, number, one_of, string
-from .scenario import scenario_from_dict, scenario_to_dict
+from .scenario import NetworkConfig, Scenario, scenario_from_dict, scenario_to_dict
 from .sim import LinkTable, Simulator, placement
 from .tr_phy import (
     PhyConfig,
@@ -44,33 +46,116 @@ from .tr_phy import (
     sinr_sdt_from_parts,
 )
 
-# the params each preset reads; a preset given any other is refused
-PARAMS = {
-    "sinr_vs_snr": ("d_factors", "snr_db_grid", "tap_count"),
-    "sinr_vs_eta": ("d_factors", "eta_grid", "snr_db", "tap_count"),
-    "correlation_heatmap": ("depth_step", "range_step", "water_depth", "max_range", "tap_count",
-                            "reference_tx", "reference_rx"),
-    "load_sweep": ("loads", "protocols", "duration", "workers", "scenario"),
-    "timeseries": ("protocols", "duration", "sample_every", "links", "workers", "scenario"),
-}
-PRESET_NAMES = tuple(PARAMS)
-
 # receivers per tap matrix of the correlation heatmap: a whole 401-cell
 # row raised the peak memory by ~1.3 MiB, while 64 costs no more than one
 # CIR per cell and keeps numpy's per-call overhead small
 _PROBE_BLOCK = 64
 
-# the taps per CIR of the PHY presets, under ChannelModelConfig's rule and default
-_TAPS = ("tap_count", ChannelModelConfig.RULES["tap_count"], ChannelModelConfig.tap_count)
-# the pool size of the network presets; null means one worker per CPU
-_WORKERS = integer(POSITIVE, nullable=True)
-# the items of the list params
-_D_FACTOR = integer(POSITIVE)
-_ETA = number(Bound("{} in [0, 1)", lambda v: 0 <= v < 1))
-_PROTOCOL = string(one_of(*PROTOCOLS))
-
 # two-link reference geometry used by the SINR presets: (depth m, range m)
 REFERENCE_GEOMETRY = {"a": (20.0, 0.0), "b": (20.0, 1000.0), "i": (50.0, 0.0), "j": (70.0, 1000.0)}
+
+
+class Param(NamedTuple):
+    """One preset parameter.  ``read`` turns the value as given into the
+    value the preset uses, or raises ValueError saying what it expected;
+    ``default`` stands in for an absent value.  The provenance hash takes a
+    scalar as read, so values equal under its rule hash alike, and any
+    other param as given."""
+
+    read: Callable[[Any], Any]
+    default: Any
+    scalar: bool = False
+
+
+def _scalar(rule: Rule, default) -> Param:
+    return Param(rule.parse, default, scalar=True)
+
+
+def _list(rule: Rule, default: tuple) -> Param:
+    """A nonempty list whose items are each already of the kind ``rule``
+    converts to and within its bound, used as given; null reads as ``default``."""
+
+    def read(value) -> tuple:
+        value = default if value is None else value
+        try:
+            if isinstance(value, str):  # "trmac" would iterate as letters
+                raise ValueError(value)
+            items = tuple(value)
+            if not items or any(rule.parse(item) != item for item in items):
+                raise ValueError(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"a nonempty list, each item a {rule.expected}") from None
+        return items
+
+    return Param(read, default)
+
+
+def _spot(value) -> tuple[tuple, Point]:
+    """A reference node of the heatmap as given and as a ``(depth, range, 0)``
+    point, checked as a node of ``network.nodes`` is."""
+    try:
+        if isinstance(value, str):  # "70" would unpack to two digits
+            raise ValueError(value)
+        spot = tuple(value)
+        return spot, NODES.parse([(*spot, 0.0)])[0]
+    except (TypeError, ValueError):
+        raise ValueError("a finite (depth >= 0, range) pair") from None
+
+
+# the taps per CIR of the PHY presets, under ChannelModelConfig's rule and default
+_TAPS = _scalar(ChannelModelConfig.RULES["tap_count"], ChannelModelConfig.tap_count)
+_D_FACTORS = _list(integer(POSITIVE), (1, 2, 4, 8))
+_PROTOCOLS = _list(string(one_of(*PROTOCOLS)), PROTOCOLS)
+_DURATION = _scalar(number(POSITIVE), Scenario.duration)
+# the pool size of the network presets; null means one worker per CPU
+_WORKERS = integer(POSITIVE, nullable=True)
+# the base scenario mapping of the network presets, used as given
+_SCENARIO = Param(lambda value: value, {})
+
+# the params each preset reads, in the order it reads them; a preset given
+# any other is refused
+PARAMS: dict[str, dict[str, Param]] = {
+    "sinr_vs_snr": {
+        "d_factors": _D_FACTORS,
+        # 40..80 dB, artifact-chosen
+        "snr_db_grid": _list(number(), tuple(40.0 + 2.0 * k for k in range(21))),
+        "tap_count": _TAPS,
+    },
+    "sinr_vs_eta": {
+        "d_factors": _D_FACTORS,
+        "eta_grid": _list(number(Bound("{} in [0, 1)", lambda v: 0 <= v < 1)),
+                          tuple(round(0.05 * k, 2) for k in range(19))),  # 0 .. 0.9
+        "snr_db": _scalar(number(), 65.0),
+        "tap_count": _TAPS,
+    },
+    "correlation_heatmap": {
+        "depth_step": _scalar(number(POSITIVE), 5.0),
+        "range_step": _scalar(number(POSITIVE), 50.0),
+        "water_depth": _scalar(number(POSITIVE), Environment.water_depth),
+        "max_range": _scalar(number(POSITIVE), NetworkConfig.region_size),
+        "tap_count": _TAPS,
+        "reference_tx": Param(_spot, REFERENCE_GEOMETRY["i"]),
+        "reference_rx": Param(_spot, REFERENCE_GEOMETRY["j"]),
+    },
+    "load_sweep": {
+        "loads": _list(integer(POSITIVE), (4, 6, 8, 10)),
+        "protocols": _PROTOCOLS,
+        "duration": _DURATION,
+        "workers": _scalar(_WORKERS, None),
+        "scenario": _SCENARIO,
+    },
+    "timeseries": {
+        "protocols": _PROTOCOLS,
+        "duration": _DURATION,
+        "sample_every": _scalar(number(POSITIVE), 100.0),
+        "links": _scalar(integer(POSITIVE), NetworkConfig.link_count),
+        # in-process unless asked: a pool saves little beyond its start-up on
+        # three runs, and in-process runs stay visible to a profiler
+        "workers": _scalar(_WORKERS, 1),
+        "scenario": _SCENARIO,
+    },
+}
+PRESET_NAMES = tuple(PARAMS)
 
 
 @dataclass
@@ -83,7 +168,7 @@ class ExperimentPreset:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}; expected one of {PRESET_NAMES}")
-        self.seeds = tuple(_parsed(self.name, "seeds", integer(), s) for s in self.seeds)
+        self.seeds = tuple(_parsed(self.name, "seeds", integer().parse, s) for s in self.seeds)
         if len(self.seeds) < 1:
             raise ValueError("ExperimentPreset.seeds must contain at least one seed")
         if len(self.seeds) > 1 and self.name != "load_sweep":
@@ -94,10 +179,25 @@ class ExperimentPreset:
                                  f"{', '.join(PARAMS[self.name])}")
 
 
-def _params_hash(preset: ExperimentPreset, **parsed) -> str:
-    """Digest of the preset's name, seeds and params, with the ``parsed``
-    value of each param given in place of the value as given."""
-    params = {**preset.params, **{k: v for k, v in parsed.items() if k in preset.params}}
+def _parsed(name: str, key: str, read: Callable[[Any], Any], value):
+    """``value`` as ``read`` turns it; ValueError naming the preset and key."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {key}: expected {exc}, got {value!r}") from None
+
+
+def _read(preset: ExperimentPreset) -> dict:
+    """Every param of the preset's table, read from its value as given or its default."""
+    return {key: _parsed(preset.name, key, param.read, preset.params.get(key, param.default))
+            for key, param in PARAMS[preset.name].items()}
+
+
+def _params_hash(preset: ExperimentPreset, values: dict) -> str:
+    """Digest of the preset's name, seeds and given params, each scalar
+    param as read into ``values``."""
+    table = PARAMS[preset.name]
+    params = {key: values[key] if table[key].scalar else value for key, value in preset.params.items()}
     blob = json.dumps({"name": preset.name, "params": params, "seeds": list(preset.seeds)},
                       sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -131,20 +231,17 @@ def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
     """Effective SINR of the reference link versus acoustic SNR, for the
     TR-based simultaneous transmissions (one interfering link active) and
     the single direct transmission, at several up/down-sampling factors."""
-    d_factors = _list_param(preset, "d_factors", _D_FACTOR, (1, 2, 4, 8))
-    # 40..80 dB, artifact-chosen
-    snr_grid = _list_param(preset, "snr_db_grid", number(), [40.0 + 2.0 * k for k in range(21)])
-    tap_count = _param(preset, *_TAPS)
+    p = _read(preset)
     seed = preset.seeds[0]
-    h_ab, h_ib, h_ij = _reference_links(seed, tap_count)
+    h_ab, h_ib, h_ij = _reference_links(seed, p["tap_count"])
 
     rows = []
-    for d in d_factors:
+    for d in p["d_factors"]:
         # the noise-free powers depend on D only
         phy = PhyConfig(avg_transmit_power=1.0, updown_factor=d, min_required_sinr=0.5)
         sig, isi, ili = p_sig(h_ab, phy), p_isi(h_ab, phy), p_ili(h_ib, h_ij, phy)
         peak, isi_sum = sdt_signal_and_isi(h_ab, d)
-        for snr_db in snr_grid:
+        for snr_db in p["snr_db_grid"]:
             sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
             phy = PhyConfig(avg_transmit_power=1.0, noise_variance=sigma2,
                             updown_factor=d, min_required_sinr=0.5)
@@ -152,7 +249,7 @@ def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
             sdt = sinr_sdt_from_parts(peak, isi_sum, phy)
             rows.append([d, snr_db, _db(atrsts), _db(sdt)])
     path = os.path.join(preset.output_dir, "sinr_vs_snr.csv")
-    prov = f"# preset=sinr_vs_snr config={_params_hash(preset, tap_count=tap_count)} seeds={seed}"
+    prov = f"# preset=sinr_vs_snr config={_params_hash(preset, p)} seeds={seed}"
     return _write_csv(path, prov, ["d_factor", "snr_db", "sinr_atrsts_db", "sinr_sdt_db"], rows)
 
 
@@ -160,99 +257,42 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
     """Effective SINR of the reference link versus the peak normalized
     cross-correlation between the interfering link and the victim-bound
     channel, with the measured off-peak structure held fixed."""
-    d_factors = _list_param(preset, "d_factors", _D_FACTOR, (1, 2, 4, 8))
-    eta_grid = _list_param(preset, "eta_grid", _ETA, [round(0.05 * k, 2) for k in range(19)])  # 0 .. 0.9
-    snr_db = _param(preset, "snr_db", number(), 65.0)
-    tap_count = _param(preset, *_TAPS)
-    seed = preset.seeds[0]
-    h_ab, h_ib, h_ij = _reference_links(seed, tap_count)
+    p = _read(preset)
+    seed, snr_db = preset.seeds[0], p["snr_db"]
+    h_ab, h_ib, h_ij = _reference_links(seed, p["tap_count"])
     sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
 
     rows = []
-    for d in d_factors:
+    for d in p["d_factors"]:
         phy = PhyConfig(avg_transmit_power=1.0, noise_variance=sigma2,
                         updown_factor=d, min_required_sinr=0.5)
         sig = p_sig(h_ab, phy)
         isi = p_isi(h_ab, phy)
         _, offpeak = crosscorr_sampled_stats(h_ib, h_ij, d)
-        for eta in eta_grid:
+        for eta in p["eta_grid"]:
             ili = ili_power_from_parts(norm(h_ib), float(eta), offpeak, phy)
             rows.append([d, eta, _db(sinr_atrsts_from_parts(sig, isi, [ili], phy))])
     path = os.path.join(preset.output_dir, "sinr_vs_eta.csv")
-    prov = (f"# preset=sinr_vs_eta config={_params_hash(preset, tap_count=tap_count, snr_db=snr_db)} "
-            f"seeds={seed} snr_db={snr_db}")
+    prov = f"# preset=sinr_vs_eta config={_params_hash(preset, p)} seeds={seed} snr_db={snr_db}"
     return _write_csv(path, prov, ["d_factor", "eta", "sinr_db"], rows)
-
-
-def _parsed(name: str, key: str, rule: Rule, value):
-    """``value`` converted by its rule; ValueError naming the preset and key."""
-    try:
-        return rule.parse(value)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {key}: expected {exc}, got {value!r}") from None
-
-
-def _param(preset: ExperimentPreset, key: str, rule: Rule, default):
-    """A preset parameter converted by its rule; ValueError naming the preset and key."""
-    return _parsed(preset.name, key, rule, preset.params.get(key, default))
-
-
-def _list_param(preset: ExperimentPreset, key: str, rule: Rule, default) -> tuple:
-    """A list parameter's items as given (``default`` when it is absent or
-    null), each already of the kind ``rule`` converts to and within its
-    bound; ValueError naming the preset and key when it is no such
-    nonempty list."""
-    value = preset.params.get(key)
-    if value is None:
-        value = default
-    try:
-        if isinstance(value, str):  # "trmac" would iterate as letters
-            raise ValueError(value)
-        items = tuple(value)
-        if not items or any(rule.parse(item) != item for item in items):
-            raise ValueError(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{preset.name}: {key}: expected a nonempty list, each item a {rule.expected}, got {value!r}"
-        ) from None
-    return items
-
-
-def _grid_spot(params: dict, key: str, default: tuple[float, float]) -> tuple[tuple, Point]:
-    """A reference node of the heatmap as given and as a ``(depth, range, 0)``
-    point, checked as a node of ``network.nodes`` is."""
-    value = params.get(key, default)
-    try:
-        if isinstance(value, str):  # "70" would unpack to two digits
-            raise ValueError(value)
-        spot = tuple(value)
-        return spot, NODES.parse([(*spot, 0.0)])[0]
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"correlation_heatmap: {key}: expected a finite (depth >= 0, range) pair, got {value!r}"
-        ) from None
 
 
 def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     """|eta| between the reference link and the link from the reference
     transmitter to a probe node swept over (depth, range) cells."""
-    params = preset.params
-    depth_step = _param(preset, "depth_step", number(POSITIVE), 5.0)
-    range_step = _param(preset, "range_step", number(POSITIVE), 50.0)
-    water_depth = _param(preset, "water_depth", number(POSITIVE), 80.0)
-    max_range = _param(preset, "max_range", number(POSITIVE), 4000.0)
-    tap_count = _param(preset, *_TAPS)
-    tx_spot, tx = _grid_spot(params, "reference_tx", REFERENCE_GEOMETRY["i"])
-    rx_spot, rx = _grid_spot(params, "reference_rx", REFERENCE_GEOMETRY["j"])
+    p = _read(preset)
+    depth_step, range_step, water_depth = p["depth_step"], p["range_step"], p["water_depth"]
+    tx_spot, tx = p["reference_tx"]
+    rx_spot, rx = p["reference_rx"]
     seed = preset.seeds[0]
 
     env = Environment(water_depth=water_depth)
-    cfg = ChannelModelConfig(tap_count=tap_count, rng_seed=seed)
+    cfg = ChannelModelConfig(tap_count=p["tap_count"], rng_seed=seed)
     h_ref = generate_cir(tx, rx, env, cfg)
 
     # cells are (depth, x, y) points, as generate_taps takes them
     depths = [round(k * depth_step, 9) for k in range(int(water_depth / depth_step) + 1)]
-    ranges = [round(k * range_step, 9) for k in range(int(max_range / range_step) + 1)]
+    ranges = [round(k * range_step, 9) for k in range(int(p["max_range"] / range_step) + 1)]
     rows = []
     for depth in depths:
         cells = [(depth, rng, 0.0) for rng in ranges]
@@ -266,26 +306,24 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
             # the cell at the reference transmitter is an undefined link to itself
             rows.append((depth, cell[1], math.nan if cell == tx else abs(next(etas))))
     path = os.path.join(preset.output_dir, "correlation_heatmap.csv")
-    config = _params_hash(preset, depth_step=depth_step, range_step=range_step, water_depth=water_depth,
-                          max_range=max_range, tap_count=tap_count)
-    prov = (f"# preset=correlation_heatmap config={config} "
+    prov = (f"# preset=correlation_heatmap config={_params_hash(preset, p)} "
             f"seeds={seed} reference_tx={tx_spot} reference_rx={rx_spot}")
     return _write_csv(path, prov, ["depth_m", "range_m", "eta_abs"], rows)
 
 
-def _network_scenario_dict(seed: int, protocol: str, duration: float, params: dict) -> dict:
-    # a deep copy: callers fill in sections, and params must stay as given
-    data = copy.deepcopy(params.get("scenario", {}))
+def _network_scenario_dict(seed: int, protocol: str, duration: float, base: dict) -> dict:
+    # a deep copy: callers fill in sections, and the given base must stay as given
+    data = copy.deepcopy(base)
     data["seed"] = seed
     data["duration_s"] = duration
     data.setdefault("mac", {})["protocol"] = protocol
     return data
 
 
-def _nested_load_scenarios(seed: int, duration: float, loads, protocols, params) -> list[dict]:
+def _nested_load_scenarios(seed: int, duration: float, loads, protocols, scenario: dict) -> list[dict]:
     """One resolved topology per seed; lighter loads reuse its first routes."""
     max_links = max(loads)
-    base_dict = _network_scenario_dict(seed, protocols[0], duration, params)
+    base_dict = _network_scenario_dict(seed, protocols[0], duration, scenario)
     base_dict.setdefault("network", {})["link_count"] = max_links
     base = scenario_from_dict(base_dict)
     jobs = []
@@ -355,21 +393,17 @@ def run_network_jobs(jobs: list[dict], workers: int | None = None) -> list[dict]
 
 def preset_load_sweep(preset: ExperimentPreset) -> str:
     """Delay / drop ratio / throughput for each protocol across network loads."""
-    loads = _list_param(preset, "loads", integer(POSITIVE), (4, 6, 8, 10))
-    protocols = _list_param(preset, "protocols", _PROTOCOL, PROTOCOLS)
-    duration = _param(preset, "duration", number(POSITIVE), 2000.0)
-    workers = _param(preset, "workers", _WORKERS, None)
-
+    p = _read(preset)
     jobs = []
     for seed in preset.seeds:
-        jobs.extend(_nested_load_scenarios(seed, duration, loads, protocols, preset.params))
+        jobs.extend(_nested_load_scenarios(seed, p["duration"], p["loads"], p["protocols"], p["scenario"]))
     rows = [
         [r["links"], r["protocol"], r["seed"], r["generated"], r["delivered"], r["dropped"],
          r["mean_delay_s"], r["drop_ratio"], r["throughput_bps"]]
-        for r in run_network_jobs(jobs, workers)
+        for r in run_network_jobs(jobs, p["workers"])
     ]
     path = os.path.join(preset.output_dir, "load_sweep.csv")
-    prov = (f"# preset=load_sweep config={_params_hash(preset, duration=duration, workers=workers)} "
+    prov = (f"# preset=load_sweep config={_params_hash(preset, p)} "
             f"seeds={','.join(str(s) for s in preset.seeds)}")
     header = ["links", "protocol", "seed", "generated", "delivered", "dropped",
               "mean_delay_s", "drop_ratio", "throughput_bps"]
@@ -378,30 +412,22 @@ def preset_load_sweep(preset: ExperimentPreset) -> str:
 
 def preset_timeseries(preset: ExperimentPreset) -> str:
     """Cumulative metric-versus-time curves for each protocol at one load."""
-    protocols = _list_param(preset, "protocols", _PROTOCOL, PROTOCOLS)
-    duration = _param(preset, "duration", number(POSITIVE), 2000.0)
-    sample_every = _param(preset, "sample_every", number(POSITIVE), 100.0)
-    links = _param(preset, "links", integer(POSITIVE), 10)
-    # in-process unless asked: a pool saves little beyond its start-up on
-    # three runs, and in-process runs stay visible to a profiler
-    workers = _param(preset, "workers", _WORKERS, 1)
-    seed = preset.seeds[0]
+    p = _read(preset)
+    seed, links = preset.seeds[0], p["links"]
 
     jobs = []
-    for protocol in protocols:
-        data = _network_scenario_dict(seed, protocol, duration, preset.params)
+    for protocol in p["protocols"]:
+        data = _network_scenario_dict(seed, protocol, p["duration"], p["scenario"])
         data.setdefault("network", {})["link_count"] = links
         jobs.append({"links": links, "protocol": protocol, "seed": seed, "scenario": data,
-                     "sample_every": sample_every})
+                     "sample_every": p["sample_every"]})
     rows = [
         [r["protocol"], row["time"], row["mean_delay"], row["drop_ratio"], row["throughput"]]
-        for r in run_network_jobs(jobs, workers)
+        for r in run_network_jobs(jobs, p["workers"])
         for row in r["series"]
     ]
     path = os.path.join(preset.output_dir, "timeseries.csv")
-    config = _params_hash(preset, duration=duration, links=links, workers=workers,
-                          sample_every=sample_every)
-    prov = f"# preset=timeseries config={config} seeds={seed} links={links}"
+    prov = f"# preset=timeseries config={_params_hash(preset, p)} seeds={seed} links={links}"
     header = ["protocol", "time_s", "mean_delay_s", "drop_ratio", "throughput_bps"]
     return _write_csv(path, prov, header, rows)
 

@@ -148,7 +148,6 @@ FIELDS: tuple[Field, ...] = (
     Field("duration_s", "duration", number(NON_NEGATIVE)),
     Field("warmup_s", "warmup", number(NON_NEGATIVE)),
     Field("environment.water_depth_m", "environment.water_depth", _ENV["water_depth"]),
-    Field("environment.carrier_frequency_hz", "environment.carrier_frequency", _ENV["carrier_frequency"]),
     Field("environment.bandwidth_hz", "environment.bandwidth", _ENV["bandwidth"]),
     Field("environment.nominal_sound_speed_mps", "environment.nominal_sound_speed", _ENV["nominal_sound_speed"]),
     Field("channel.model", "channel.model_kind", _CHANNEL["model_kind"]),

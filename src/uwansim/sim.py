@@ -145,7 +145,6 @@ class MetricsRecord:
     delay_samples: list
     mean_delay: float
     data_frames_transmitted: int
-    data_frames_dropped: int
     drop_ratio: float
     busy_time: float
     received_bits: int
@@ -276,7 +275,6 @@ def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
         delay_samples=delays,
         mean_delay=mean_delay,
         data_frames_transmitted=n_tx,
-        data_frames_dropped=n_drop,
         drop_ratio=drop_ratio,
         busy_time=busy,
         received_bits=bits,
@@ -394,7 +392,6 @@ class Simulator:
                 scenario.mac.protocol,
                 i,
                 self.timers,
-                self.phy,
                 neighbors,
                 scenario.network.data_rate,
                 control_bits=scenario.mac.control_bits,
@@ -441,8 +438,6 @@ class Simulator:
         threshold, seq = self.sense_threshold, self._event_seq
         latest = None
         for t, q, src, dur, _, _ in self._tx_log:
-            if t > now:
-                break  # later transmissions arrive after now
             if src == node_id or power[src] < threshold:
                 continue
             start = t + delay[src]
@@ -463,8 +458,6 @@ class Simulator:
         lo, hi, seq = rec.rx_start, rec.rx_end, rec.seq
         found = []
         for t, q, src, dur, frame, _ in self._tx_log:
-            if t > hi:
-                break  # later transmissions arrive after hi
             if src == node_id or q == seq:
                 continue
             start = t + delay[src]

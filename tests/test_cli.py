@@ -210,3 +210,31 @@ def test_preset_passes_the_flags_it_reads(tmp_path, monkeypatch):
                  "--out", str(tmp_path)]) == 0
     assert main(["preset", "timeseries", "--duration", "5", "--jobs", "1", "--out", str(tmp_path)]) == 0
     assert given == [{"duration": 5.0, "workers": 1, "loads": (2, 3)}, {"duration": 5.0, "workers": 1}]
+
+
+def test_run_prints_in_flight_next_to_the_drop_ratio(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    header, row = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+    metrics = dict(zip(header.split(","), row.split(",")))
+    assert 2 * int(metrics["in_flight"]) <= int(metrics["generated"])
+    assert f" in_flight={metrics['in_flight']} drop_ratio=" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("protocol, warning", [
+    # CSMA/CA saturates here: most packets wait in queues and are never sent
+    ("csma_ca", "warning: 852 of 1602 generated packets are still in flight at the end: the network "
+                "is saturated, and drop_ratio counts only the data frames that were transmitted\n"),
+    ("trmac", ""),
+])
+def test_run_warns_when_most_generated_packets_are_still_in_flight(protocol, warning, tmp_path, capsys):
+    scenario = tmp_path / "hundred.yaml"
+    scenario.write_text("seed: 2\nnetwork: {node_count: 100, link_count: 30}\n")
+    assert main(["run", str(scenario), "--protocol", protocol, "--duration", "400",
+                 "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == warning
+    if warning:
+        assert " in_flight=852 " in out

@@ -47,12 +47,12 @@ class FakeMedium:
 
 
 def trmac(node=0, neighbors=(1, 2, 3)):
-    return TrmacEngine(node, TIMERS, PHY, neighbors, 512.0, control_bits=MAC.control_bits,
+    return TrmacEngine(node, TIMERS, neighbors, 512.0, control_bits=MAC.control_bits,
                        rng=np.random.default_rng(0), medium=FakeMedium())
 
 
 def csma(node=0, kind="csma_ca", neighbors=(1, 2, 3)):
-    engine = make_engine(kind, node, TIMERS, PHY, neighbors, 512.0, control_bits=MAC.control_bits,
+    engine = make_engine(kind, node, TIMERS, neighbors, 512.0, control_bits=MAC.control_bits,
                          rng=np.random.default_rng(0), medium=FakeMedium(),
                          s_csma_cap=MAC.s_csma_max_backoff)
     return engine
@@ -447,7 +447,7 @@ def test_csma_stale_cts_ignored():
 
 def test_make_engine_rejects_unknown_protocol():
     with pytest.raises(ValueError):
-        make_engine("tdma", 0, TIMERS, PHY, (1,), 512.0, MAC.control_bits,
+        make_engine("tdma", 0, TIMERS, (1,), 512.0, MAC.control_bits,
                     s_csma_cap=MAC.s_csma_max_backoff)
 
 

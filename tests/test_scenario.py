@@ -89,6 +89,10 @@ def test_unknown_field_named_in_error():
         scenario_from_dict({"phy": {"transmit_powr_w": 2.0}})
     with pytest.raises(ScenarioError, match="config.bogus"):
         scenario_from_dict({"bogus": 1})
+    # nothing reads a carrier frequency: the statistical channel has only 1/d^2 spreading
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({"environment": {"carrier_frequency_hz": 25000}})
+    assert str(err.value) == "environment.carrier_frequency_hz: unknown field"
 
 
 def test_invalid_values_name_the_field():
@@ -317,6 +321,12 @@ def test_a_config_or_section_that_is_no_mapping_is_rejected():
     assert str(err.value) == "config: expected a mapping, got list"
 
 
+def test_an_arrival_file_channel_without_a_file_names_the_channel():
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({"channel": {"model": "arrival_file"}})
+    assert str(err.value) == "channel: ChannelModelConfig.arrival_file_path required for arrival_file model"
+
+
 def test_dataclass_scenario_is_checked_on_resolution():
     with pytest.raises(ScenarioError, match=r"^duration_s: "):
         Scenario(duration=NAN).resolved()
@@ -348,6 +358,8 @@ def test_null_selects_default_except_where_null_is_a_value():
     assert sc.duration == Scenario().duration
     assert sc.mac.protocol == Scenario().mac.protocol
     assert sc.traffic.mean_interarrival is None
+    # a null config, as YAML reads an empty file, is the defaults
+    assert scenario_from_dict(None) == scenario_from_dict({})
 
 
 def test_readme_table_lists_every_field():

@@ -430,7 +430,6 @@ def reference_metrics(trace, duration, warmup=0.0, sample_every=None):
         delay_samples=delays,
         mean_delay=mean_delay,
         data_frames_transmitted=len(tx),
-        data_frames_dropped=len(drops),
         drop_ratio=drop_ratio,
         busy_time=busy,
         received_bits=bits,

@@ -73,6 +73,16 @@ def test_tr_waveform_unit_norm_and_zero_rejection():
         tr_waveform(cir([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("name, call", [
+    ("crosscorr_sampled_stats", lambda zero: crosscorr_sampled_stats(zero, cir([1.0, 0.5]), 1)),
+    ("crosscorr_sampled_stats", lambda zero: crosscorr_sampled_stats(cir([1.0, 0.5]), zero, 1)),
+    ("sinr_sdt", lambda zero: sinr_sdt(zero, PhyConfig(updown_factor=1))),
+], ids=["crosscorr_a", "crosscorr_b", "sinr_sdt"])
+def test_a_zero_cir_is_rejected_naming_the_function(name, call):
+    with pytest.raises(ValueError, match=f"^{name} requires"):
+        call(cir([0.0, 0.0]))
+
+
 # ------------------------------------------------------- composite response
 
 
