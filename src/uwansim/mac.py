@@ -139,7 +139,6 @@ class Send:
 class Arm:
     key: str
     delay: float
-    context: tuple = ()
 
 
 @dataclass(slots=True)
@@ -177,10 +176,9 @@ class MacEngine:
     kind = "abstract"
     DATA_PHASE = "data"
 
-    def __init__(self, node_id, timers, neighbors, data_rate, control_bits, rng=None, medium=None):
+    def __init__(self, node_id, timers, data_rate, control_bits, rng=None, medium=None):
         self.node_id = node_id
         self.timers = timers
-        self.neighbors = frozenset(neighbors)
         self.data_rate = data_rate
         self.control_bits = control_bits
         self.rng = rng
@@ -197,8 +195,6 @@ class MacEngine:
     # (a hook never calls another hook, so traced hook calls do not nest)
 
     def enqueue(self, packet: Packet, dst: int, now: float) -> list[Action]:
-        if dst not in self.neighbors:
-            raise ValueError(f"node {self.node_id}: destination {dst} is not a neighbor")
         self.queue.append((packet, dst))
         if self.current is None:
             return self._begin_next(now)
@@ -213,23 +209,21 @@ class MacEngine:
         """Arm the response timer when the current phase's frame airs."""
         if self.current is None:
             return []
-        phase = self.phase
-        if frame.kind is (self.REQUEST if phase == self.FIRST_PHASE else self.DATA):
-            return [Arm("response", self.timers.t_th, (phase, self.current[0].packet_id))]
+        if frame.kind is (self.REQUEST if self.phase == self.FIRST_PHASE else self.DATA):
+            return [Arm("response", self.timers.t_th)]
         return []
 
-    def on_timer(self, key: str, context: tuple, now: float) -> list[Action]:
+    def on_timer(self, key: str, now: float) -> list[Action]:
+        """A response timer always finds the phase and packet it was armed
+        for: every change of either cancels it or comes while it is not armed."""
         if key == "reservation":
             return self._release_reservation()
         if self.current is None:
             return []
         if key != "response":
             return self._on_timer(key, now)
-        phase, packet_id = context
-        if self.current[0].packet_id != packet_id or phase != self.phase:
-            return []
         if self.retries >= self.timers.n_max:
-            return self._drop_current(now, f"{phase} retry limit")
+            return self._drop_current(now, f"{self.phase} retry limit")
         self.retries += 1
         return self._retry(now)
 

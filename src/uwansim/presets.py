@@ -5,20 +5,22 @@ Each preset writes one CSV with a leading provenance comment line
 per grid point -- never fewer, never more.  Each preset's params, with
 their rules and defaults, are one table in ``PARAMS``.  The hash covers the
 params given, each scalar as parsed, so values equal under their rules hash
-alike.  Network presets run their jobs in a pool of ``workers`` processes,
-or in-process when that is 1; rows are assembled in grid order regardless
-of completion order, and the runs of one placement share one link table.
+alike.  A network preset resolves its placement once per seed and derives
+each run's scenario from it; the runs go to a pool of ``workers``
+processes, or run in-process when that is 1.  Rows are assembled in grid
+order regardless of completion order, and the runs of one placement share
+one link table.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Any, Callable, NamedTuple
 
 from .channel import (
@@ -32,8 +34,8 @@ from .channel import (
 )
 from .mac import PROTOCOLS
 from .rules import NODES, POSITIVE, Bound, Rule, integer, number, one_of, string
-from .scenario import NetworkConfig, Scenario, scenario_from_dict, scenario_to_dict
-from .sim import LinkTable, Simulator, placement
+from .scenario import NetworkConfig, Scenario, scenario_from_dict
+from .sim import LinkTable, MetricsRecord, Simulator, placement
 from .tr_phy import (
     PhyConfig,
     crosscorr_sampled_stats,
@@ -73,7 +75,8 @@ def _scalar(rule: Rule, default) -> Param:
 
 def _list(rule: Rule, default: tuple) -> Param:
     """A nonempty list whose items are each already of the kind ``rule``
-    converts to and within its bound, used as given; null reads as ``default``."""
+    converts to and within its bound, each used as ``rule`` parses it (2.0
+    as 2 under an integer rule); null reads as ``default``."""
 
     def read(value) -> tuple:
         value = default if value is None else value
@@ -81,11 +84,12 @@ def _list(rule: Rule, default: tuple) -> Param:
             if isinstance(value, str):  # "trmac" would iterate as letters
                 raise ValueError(value)
             items = tuple(value)
-            if not items or any(rule.parse(item) != item for item in items):
+            parsed = tuple(map(rule.parse, items))
+            if not items or parsed != items:
                 raise ValueError(value)
         except (TypeError, ValueError):
             raise ValueError(f"a nonempty list, each item a {rule.expected}") from None
-        return items
+        return parsed
 
     return Param(read, default)
 
@@ -102,6 +106,18 @@ def _spot(value) -> tuple[tuple, Point]:
         raise ValueError("a finite (depth >= 0, range) pair") from None
 
 
+def _base_scenario(value) -> dict:
+    """The base scenario mapping of the network presets, as a scenario file
+    holds one: null reads as empty, and so does a null ``network``, whose
+    ``link_count`` the preset sets; ``scenario_from_dict`` checks the rest."""
+    value = {} if value is None else value
+    network = value.get("network") if isinstance(value, dict) else None
+    network = {} if network is None else network
+    if not isinstance(value, dict) or not isinstance(network, dict):
+        raise ValueError("a scenario mapping, its network section a mapping")
+    return {**value, "network": network}
+
+
 # the taps per CIR of the PHY presets, under ChannelModelConfig's rule and default
 _TAPS = _scalar(ChannelModelConfig.RULES["tap_count"], ChannelModelConfig.tap_count)
 _D_FACTORS = _list(integer(POSITIVE), (1, 2, 4, 8))
@@ -109,8 +125,7 @@ _PROTOCOLS = _list(string(one_of(*PROTOCOLS)), PROTOCOLS)
 _DURATION = _scalar(number(POSITIVE), Scenario.duration)
 # the pool size of the network presets; null means one worker per CPU
 _WORKERS = integer(POSITIVE, nullable=True)
-# the base scenario mapping of the network presets, used as given
-_SCENARIO = Param(lambda value: value, {})
+_SCENARIO = Param(_base_scenario, {})
 
 # the params each preset reads, in the order it reads them; a preset given
 # any other is refused
@@ -311,45 +326,20 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     return _write_csv(path, prov, ["depth_m", "range_m", "eta_abs"], rows)
 
 
-def _network_scenario_dict(seed: int, protocol: str, duration: float, base: dict) -> dict:
-    # a deep copy: callers fill in sections, and the given base must stay as given
-    data = copy.deepcopy(base)
-    data["seed"] = seed
-    data["duration_s"] = duration
-    data.setdefault("mac", {})["protocol"] = protocol
-    return data
+def _placed(p: dict, seed: int, links: int) -> Scenario:
+    """The network preset's base scenario at ``seed`` with ``links`` links,
+    resolved once: the placement every run of the seed derives from."""
+    base = p["scenario"]
+    return scenario_from_dict({**base, "seed": seed, "duration_s": p["duration"],
+                               "network": {**base["network"], "link_count": links}})
 
 
-def _nested_load_scenarios(seed: int, duration: float, loads, protocols, scenario: dict) -> list[dict]:
-    """One resolved topology per seed; lighter loads reuse its first routes."""
-    max_links = max(loads)
-    base_dict = _network_scenario_dict(seed, protocols[0], duration, scenario)
-    base_dict.setdefault("network", {})["link_count"] = max_links
-    base = scenario_from_dict(base_dict)
-    jobs = []
-    for links in loads:
-        for protocol in protocols:
-            d = scenario_to_dict(base)
-            d["network"]["routes"] = [list(r) for r in base.network.routes[:links]]
-            d["mac"]["protocol"] = protocol
-            jobs.append({"links": links, "protocol": protocol, "seed": seed, "scenario": d})
-    return jobs
+def _protocol(scenario: Scenario, protocol: str) -> Scenario:
+    return replace(scenario, mac=replace(scenario.mac, protocol=protocol))
 
 
-def _run_network_job(job: dict, scenario, links: LinkTable) -> dict:
-    metrics = Simulator(scenario, links=links).run(job.get("sample_every")).metrics
-    return {
-        "links": job["links"],
-        "protocol": job["protocol"],
-        "seed": job["seed"],
-        "generated": metrics.generated,
-        "delivered": metrics.delivered,
-        "dropped": metrics.dropped,
-        "mean_delay_s": metrics.mean_delay,
-        "drop_ratio": metrics.drop_ratio,
-        "throughput_bps": metrics.throughput,
-        "series": metrics.series,
-    }
+def _run(scenario: Scenario, sample_every: float | None, links: LinkTable) -> MetricsRecord:
+    return Simulator(scenario, links=links).run(sample_every).metrics
 
 
 # the link tables of the running call by placement, in a pool worker
@@ -361,19 +351,19 @@ def _set_worker_tables(tables: dict[tuple, LinkTable]) -> None:
     _worker_tables = tables
 
 
-def _run_pooled_job(job: dict, scenario) -> dict:
-    return _run_network_job(job, scenario, _worker_tables[placement(scenario)])
+def _run_pooled(scenario: Scenario, sample_every: float | None) -> MetricsRecord:
+    return _run(scenario, sample_every, _worker_tables[placement(scenario)])
 
 
-def run_network_jobs(jobs: list[dict], workers: int | None = None) -> list[dict]:
-    """Run scenario jobs, in parallel when workers allows; results keep job order.
+def run_network_jobs(scenarios: list[Scenario], workers: int | None = None,
+                     sample_every: float | None = None) -> list[MetricsRecord]:
+    """Run resolved scenarios, in parallel when ``workers`` allows (null
+    means one worker per CPU); one ``MetricsRecord`` per scenario, in order.
 
-    A job's ``scenario`` mapping is resolved once, here, and one link table
-    is built per placement and shared by its jobs: a pool gets the tables
-    through its initializer.  A job with ``sample_every`` also returns the
-    metric ``series``.
+    One link table is built per placement and shared by its runs: a pool
+    gets the tables through its initializer.  With ``sample_every`` each
+    record also holds the metric ``series``.
     """
-    scenarios = [scenario_from_dict(job["scenario"]) for job in jobs]
     tables: dict[tuple, LinkTable] = {}
     for scenario in scenarios:
         key = placement(scenario)
@@ -381,27 +371,30 @@ def run_network_jobs(jobs: list[dict], workers: int | None = None) -> list[dict]
             tables[key] = LinkTable(scenario)
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(scenarios))
     if workers <= 1:
-        return [_run_network_job(job, sc, tables[placement(sc)]) for job, sc in zip(jobs, scenarios)]
+        return [_run(sc, sample_every, tables[placement(sc)]) for sc in scenarios]
     from concurrent.futures import ProcessPoolExecutor  # a serial call never loads it
 
     with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_tables,
                              initargs=(tables,)) as pool:
-        return list(pool.map(_run_pooled_job, jobs, scenarios))
+        return list(pool.map(_run_pooled, scenarios, repeat(sample_every)))
 
 
 def preset_load_sweep(preset: ExperimentPreset) -> str:
     """Delay / drop ratio / throughput for each protocol across network loads."""
     p = _read(preset)
-    jobs = []
+    labels, scenarios = [], []
     for seed in preset.seeds:
-        jobs.extend(_nested_load_scenarios(seed, p["duration"], p["loads"], p["protocols"], p["scenario"]))
-    rows = [
-        [r["links"], r["protocol"], r["seed"], r["generated"], r["delivered"], r["dropped"],
-         r["mean_delay_s"], r["drop_ratio"], r["throughput_bps"]]
-        for r in run_network_jobs(jobs, p["workers"])
-    ]
+        # one placement per seed; lighter loads run its first routes
+        placed = _placed(p, seed, max(p["loads"]))
+        for links in p["loads"]:
+            loaded = replace(placed, network=replace(placed.network, routes=placed.network.routes[:links]))
+            for protocol in p["protocols"]:
+                labels.append((links, protocol, seed))
+                scenarios.append(_protocol(loaded, protocol))
+    rows = [[*label, m.generated, m.delivered, m.dropped, m.mean_delay, m.drop_ratio, m.throughput]
+            for label, m in zip(labels, run_network_jobs(scenarios, p["workers"]))]
     path = os.path.join(preset.output_dir, "load_sweep.csv")
     prov = (f"# preset=load_sweep config={_params_hash(preset, p)} "
             f"seeds={','.join(str(s) for s in preset.seeds)}")
@@ -414,18 +407,11 @@ def preset_timeseries(preset: ExperimentPreset) -> str:
     """Cumulative metric-versus-time curves for each protocol at one load."""
     p = _read(preset)
     seed, links = preset.seeds[0], p["links"]
-
-    jobs = []
-    for protocol in p["protocols"]:
-        data = _network_scenario_dict(seed, protocol, p["duration"], p["scenario"])
-        data.setdefault("network", {})["link_count"] = links
-        jobs.append({"links": links, "protocol": protocol, "seed": seed, "scenario": data,
-                     "sample_every": p["sample_every"]})
-    rows = [
-        [r["protocol"], row["time"], row["mean_delay"], row["drop_ratio"], row["throughput"]]
-        for r in run_network_jobs(jobs, p["workers"])
-        for row in r["series"]
-    ]
+    placed = _placed(p, seed, links)
+    records = run_network_jobs([_protocol(placed, protocol) for protocol in p["protocols"]],
+                               p["workers"], p["sample_every"])
+    rows = [[protocol, row["time"], row["mean_delay"], row["drop_ratio"], row["throughput"]]
+            for protocol, m in zip(p["protocols"], records) for row in m.series]
     path = os.path.join(preset.output_dir, "timeseries.csv")
     prov = f"# preset=timeseries config={_params_hash(preset, p)} seeds={seed} links={links}"
     header = ["protocol", "time_s", "mean_delay_s", "drop_ratio", "throughput_bps"]

@@ -56,6 +56,9 @@ arrivals are sorted by ``(arrival start, seq)`` and added to a ``0.0``
 accumulator.  This is the order in which one event per arrival boundary
 would be handled, so the float sums and every equal-time outcome are the
 same as scheduling all of them.
+
+Timers.  Each ``Arm`` or ``Cancel`` of a key starts a new generation of it;
+a timer reaches its engine only if it holds the key's latest generation.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ EV_ARRIVAL = 0
 EV_RX_START = 1
 EV_RX_END = 2
 EV_TIMER = 3
+EV_SEND = 4  # a delayed Send
+EV_DRAIN = 5  # the transmitter frees up for a queued frame
 
 
 class _RxRecord:
@@ -367,8 +372,7 @@ class Simulator:
         self.links = links
         self.scenario = scenario
         self.phy = scenario.phy
-        nodes = scenario.network.nodes
-        self.n_nodes = len(nodes)
+        self.n_nodes = len(scenario.network.nodes)
         self.timers = MacTimers(
             t_p=scenario.network.one_hop_range / scenario.environment.nominal_sound_speed,
             t_tr=scenario.traffic.packet_bits / scenario.network.data_rate,
@@ -381,18 +385,12 @@ class Simulator:
         # engines reach the medium through a proxy, so a finished run holds
         # no reference cycle and is freed as soon as it is dropped
         medium = weakref.proxy(self)
-        hop_limit = scenario.network.hop_limit
         self.nodes: list[_NodeState] = []
         for i in range(self.n_nodes):
-            neighbors = {
-                j for j in range(self.n_nodes)
-                if j != i and math.dist(nodes[i], nodes[j]) <= hop_limit
-            }
             engine = make_engine(
                 scenario.mac.protocol,
                 i,
                 self.timers,
-                neighbors,
                 scenario.network.data_rate,
                 control_bits=scenario.mac.control_bits,
                 rng=np.random.default_rng(np.random.SeedSequence((seed, 0x3AC, i))),
@@ -543,6 +541,10 @@ class Simulator:
                 self._handle_rx_end(subject, attachment, time)
             elif kind == EV_TIMER:
                 self._handle_timer(subject, attachment, time)
+            elif kind == EV_SEND:
+                self._submit_frame(subject, attachment, time)
+            elif kind == EV_DRAIN:
+                self._drain(subject, time)
             else:
                 self._handle_arrival(subject, attachment, time)
         metrics = collect_metrics(self.trace, duration, self.scenario.warmup, sample_every)
@@ -573,13 +575,13 @@ class Simulator:
             kind = type(action)  # no action class has a subclass
             if kind is Send:
                 if action.delay > 0.0:
-                    self._push(now + action.delay, EV_TIMER, node_id, ("__send", -1, action.frame))
+                    self._push(now + action.delay, EV_SEND, node_id, action.frame)
                 else:
                     self._submit_frame(node_id, action.frame, now)
             elif kind is Arm:
                 gen = state.timer_gen.get(action.key, 0) + 1
                 state.timer_gen[action.key] = gen
-                self._push(now + action.delay, EV_TIMER, node_id, (action.key, gen, action.context))
+                self._push(now + action.delay, EV_TIMER, node_id, (action.key, gen))
             elif kind is Cancel:
                 state.timer_gen[action.key] = state.timer_gen.get(action.key, 0) + 1
             elif kind is Deliver:
@@ -597,7 +599,7 @@ class Simulator:
         state = self.nodes[node_id]
         if state.tx_busy_until > now:
             state.outbox.append(frame)
-            self._push(state.tx_busy_until, EV_TIMER, node_id, ("__drain", -1, None))
+            self._push(state.tx_busy_until, EV_DRAIN, node_id, None)
             return
         self._start_tx(node_id, frame, now)
 
@@ -638,7 +640,7 @@ class Simulator:
             n += 2
         self._seq = n
         if state.outbox:
-            self._push(state.tx_busy_until, EV_TIMER, node_id, ("__drain", -1, None))
+            self._push(state.tx_busy_until, EV_DRAIN, node_id, None)
 
     def _pro_listeners_of(self, u: int) -> list[int]:
         """The senders that track the probe replies of node u, in increasing
@@ -702,20 +704,17 @@ class Simulator:
             sig, isi = self.links.direct[frame.src][node_id]
         return sinr_from_parts(sig, isi, rec.interference, self.phy) >= self.phy.min_required_sinr
 
-    def _handle_timer(self, node_id: int, payload, now: float) -> None:
-        key, gen, context = payload
+    def _drain(self, node_id: int, now: float) -> None:
         state = self.nodes[node_id]
-        if key == "__send":
-            self._submit_frame(node_id, context, now)
-            return
-        if key == "__drain":
-            if state.tx_busy_until <= now and state.outbox:
-                self._start_tx(node_id, state.outbox.pop(0), now)
-            return
+        if state.tx_busy_until <= now and state.outbox:
+            self._start_tx(node_id, state.outbox.pop(0), now)
+
+    def _handle_timer(self, node_id: int, payload, now: float) -> None:
+        key, gen = payload
+        state = self.nodes[node_id]
         if state.timer_gen.get(key) != gen:
             return  # cancelled or superseded
-        actions = state.engine.on_timer(key, context, now)
-        self._process_actions(node_id, actions, now)
+        self._process_actions(node_id, state.engine.on_timer(key, now), now)
 
     def _handle_delivery(self, node_id: int, packet: Packet, now: float) -> None:
         if node_id == packet.final_dst:

@@ -251,28 +251,24 @@ def test_acceptance_06_timers_and_hand_trace():
 def test_acceptance_07_protocol_ordering():
     seeds = range(1, 11)
     protocols = ("trmac", "csma_ca", "s_csma_ca")
-    jobs = [
-        {"links": 10, "protocol": proto, "seed": seed,
-         "scenario": {"seed": seed, "duration_s": 2000.0, "mac": {"protocol": proto}}}
-        for seed in seeds
-        for proto in protocols
-    ]
+    labels = [(seed, proto) for seed in seeds for proto in protocols]
     started = time.monotonic()
-    results = run_network_jobs(jobs, workers=WORKERS)
+    scenarios = [scenario_from_dict({"seed": seed, "duration_s": 2000.0, "mac": {"protocol": proto}})
+                 for seed, proto in labels]
+    by = dict(zip(labels, run_network_jobs(scenarios, workers=WORKERS)))
     elapsed = time.monotonic() - started
-    by = {(r["seed"], r["protocol"]): r for r in results}
     wins = 0
     trmac_drops = []
     for seed in seeds:
         t, c, s = by[(seed, "trmac")], by[(seed, "csma_ca")], by[(seed, "s_csma_ca")]
-        trmac_drops.append(t["drop_ratio"])
+        trmac_drops.append(t.drop_ratio)
         wins += (
-            t["drop_ratio"] < c["drop_ratio"]
-            and t["drop_ratio"] < s["drop_ratio"]
-            and t["mean_delay_s"] < c["mean_delay_s"]
-            and t["mean_delay_s"] < s["mean_delay_s"]
-            and t["throughput_bps"] > c["throughput_bps"]
-            and t["throughput_bps"] > s["throughput_bps"]
+            t.drop_ratio < c.drop_ratio
+            and t.drop_ratio < s.drop_ratio
+            and t.mean_delay < c.mean_delay
+            and t.mean_delay < s.mean_delay
+            and t.throughput > c.throughput
+            and t.throughput > s.throughput
         )
     mean_drop = statistics.mean(trmac_drops)
     assert wins >= 8, f"TRMAC won all three metrics in only {wins}/10 seeds"

@@ -17,17 +17,19 @@ results re-records the file and says why in CHANGES.md::
 A change made only for speed or structure must never re-record it.
 """
 
+import collections
 import copy
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from uwansim.mac import PROTOCOLS
+from uwansim.mac import PROTOCOLS, Arm
 from uwansim.scenario import scenario_from_dict
-from uwansim.sim import run_scenario
+from uwansim.sim import Simulator, run_scenario
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "fingerprint.json")
 
@@ -105,6 +107,55 @@ CASES = _load() if os.path.exists(GOLDEN) else []
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_golden_fingerprint(case):
     assert fingerprint(case["scenario"], case["events"]) == case["expected"]
+
+
+def _watch(engine, network, checked):
+    """Wrap the engine's hooks to check, at every call, what the engine takes
+    as given: a "response" timer that reaches it finds the phase and packet
+    current when it was armed, and every next hop it is given is within
+    ``network.hop_limit``."""
+    armed = {}
+
+    def recording(hook):
+        def call(*args):
+            actions = hook(*args)
+            if any(isinstance(a, Arm) and a.key == "response" for a in actions):
+                armed["response"] = (engine.phase, engine.current[0].packet_id)
+            return actions
+        return call
+
+    on_timer, enqueue = recording(engine.on_timer), recording(engine.enqueue)
+
+    def timer(key, now):
+        if key == "response":
+            assert engine.current is not None
+            assert (engine.phase, engine.current[0].packet_id) == armed["response"]
+            checked["response"] += 1
+        return on_timer(key, now)
+
+    def enqueued(packet, dst, now):
+        assert math.dist(network.nodes[engine.node_id], network.nodes[dst]) <= network.hop_limit
+        checked["enqueue"] += 1
+        return enqueue(packet, dst, now)
+
+    engine.on_timer, engine.enqueue = timer, enqueued
+    engine.on_frame, engine.on_tx_start = recording(engine.on_frame), recording(engine.on_tx_start)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_engines_find_what_their_timers_and_routes_promise(protocol):
+    """The engines keep no check of their own that a response timer is not
+    stale or that a next hop is in range: the simulator's timer generations
+    and ``validate_scenario`` make both hold.  This pins both on every dense
+    case of the protocol."""
+    checked = collections.Counter()
+    for case in CASES:
+        if case["id"].startswith(f"dense-{protocol}-"):
+            sim = Simulator(scenario_from_dict(copy.deepcopy(case["scenario"])))
+            for state in sim.nodes:
+                _watch(state.engine, sim.scenario.network, checked)
+            sim.run()
+    assert checked["response"] > 100 and checked["enqueue"] > 100, checked
 
 
 def test_golden_covers_all_protocols():

@@ -46,13 +46,13 @@ class FakeMedium:
         return self.busy
 
 
-def trmac(node=0, neighbors=(1, 2, 3)):
-    return TrmacEngine(node, TIMERS, neighbors, 512.0, control_bits=MAC.control_bits,
+def trmac(node=0):
+    return TrmacEngine(node, TIMERS, 512.0, control_bits=MAC.control_bits,
                        rng=np.random.default_rng(0), medium=FakeMedium())
 
 
-def csma(node=0, kind="csma_ca", neighbors=(1, 2, 3)):
-    engine = make_engine(kind, node, TIMERS, neighbors, 512.0, control_bits=MAC.control_bits,
+def csma(node=0, kind="csma_ca"):
+    engine = make_engine(kind, node, TIMERS, 512.0, control_bits=MAC.control_bits,
                          rng=np.random.default_rng(0), medium=FakeMedium(),
                          s_csma_cap=MAC.s_csma_max_backoff)
     return engine
@@ -87,7 +87,7 @@ def test_mac_timers_identities():
 
 
 def test_timer_actions_compare_by_value_and_hold_no_dict():
-    assert Arm("response", 2.0, ("probe", 5)) == Arm("response", 2.0, ("probe", 5))
+    assert Arm("response", 2.0) == Arm("response", 2.0)
     assert Arm("response", 2.0) != Arm("reservation", 2.0)
     assert Cancel("response") == Cancel("response") != Cancel("sense")
     assert not hasattr(Arm("a", 1.0), "__dict__") and not hasattr(Cancel("a"), "__dict__")
@@ -131,12 +131,6 @@ def test_trmac_enqueue_with_stale_probe_falls_back_to_pr():
     engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.1), received_at=0.0)
     actions = engine.enqueue(packet(), 1, now=2 * TIMERS.coherence_time)
     assert sends(actions, FrameKind.P_R)
-
-
-def test_trmac_enqueue_rejects_non_neighbor():
-    engine = trmac(neighbors=(1,))
-    with pytest.raises(ValueError):
-        engine.enqueue(packet(), 9, now=0.0)
 
 
 # --------------------------------------------------------- TRMAC backoff
@@ -325,13 +319,13 @@ def test_timeout_retransmits_then_drops(make, phase):
     engine.on_tx_start(sends(actions)[0].frame, 0.0)
     # three retransmissions allowed; CSMA airs each one after a backoff
     for retry in range(1, TIMERS.n_max + 1):
-        actions = engine.on_timer("response", (phase, 9), now=float(retry))
+        actions = engine.on_timer("response", now=float(retry))
         if arms(actions, "backoff"):
-            actions = engine.on_timer("backoff", (), now=float(retry))
+            actions = engine.on_timer("backoff", now=float(retry))
         assert sends(actions, engine.REQUEST)
         assert engine.retries == retry
     # the next expiry drops the packet
-    actions = engine.on_timer("response", (phase, 9), now=10.0)
+    actions = engine.on_timer("response", now=10.0)
     drops = [a for a in actions if isinstance(a, Drop)]
     assert len(drops) == 1 and drops[0].packet.packet_id == 9
     assert drops[0].reason == f"{phase} retry limit"
@@ -343,7 +337,7 @@ def test_trmac_data_timeout_recomputes_backoff_from_cache():
     engine = trmac(node=0)
     engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.05), received_at=0.0)
     engine.enqueue(packet(pid=11), 1, now=5.0)
-    actions = engine.on_timer("response", ("data", 11), now=8.0)
+    actions = engine.on_timer("response", now=8.0)
     (send,) = sends(actions, FrameKind.TR_DATA)
     assert engine.retries == 1
     assert send.delay == 0.0  # probe is older than the collision window
@@ -353,7 +347,7 @@ def test_reservation_timeout_releases_and_flushes():
     engine = trmac(node=1)
     engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), now=1.0)
     engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), now=1.5)
-    actions = engine.on_timer("reservation", (), now=1.0 + TIMERS.t_th)
+    actions = engine.on_timer("reservation", now=1.0 + TIMERS.t_th)
     (pro,) = sends(actions, FrameKind.PRO)
     assert pro.frame.dst == 2
     assert engine.reserved_for == 2
@@ -378,10 +372,10 @@ def test_csma_busy_channel_defers_then_backs_off():
     assert arm.delay == pytest.approx(4.0)
     # at idle, a backoff is drawn before transmitting
     engine.medium.busy = None
-    actions = engine.on_timer("sense", (), now=4.0)
+    actions = engine.on_timer("sense", now=4.0)
     (arm,) = arms(actions, "backoff")
     assert 0.0 <= arm.delay <= 2.0
-    actions = engine.on_timer("backoff", (), now=4.0 + arm.delay)
+    actions = engine.on_timer("backoff", now=4.0 + arm.delay)
     assert sends(actions, FrameKind.RTS)
 
 
@@ -401,17 +395,17 @@ def test_csma_retransmission_draws_bounded_backoff():
     engine = csma(kind="csma_ca")
     engine.enqueue(packet(pid=3), 1, now=0.0)
     for retry, bound in ((1, 2.0), (2, 4.0), (3, 8.0)):
-        actions = engine.on_timer("response", ("rts", 3), now=float(retry * 10))
+        actions = engine.on_timer("response", now=float(retry * 10))
         (arm,) = arms(actions, "backoff")
         assert 0.0 <= arm.delay <= bound
         assert engine.retries == retry
-    actions = engine.on_timer("response", ("rts", 3), now=100.0)
+    actions = engine.on_timer("response", now=100.0)
     assert [a for a in actions if isinstance(a, Drop)]
 
 
 def test_csma_handshake_flow_and_reservation():
     sender = csma(node=0)
-    receiver = csma(node=1, neighbors=(0, 2))
+    receiver = csma(node=1)
     pkt = packet(pid=21)
     (rts,) = sends(sender.enqueue(pkt, 1, now=0.0), FrameKind.RTS)
     sender.on_tx_start(rts.frame, 0.0)
@@ -447,7 +441,7 @@ def test_csma_stale_cts_ignored():
 
 def test_make_engine_rejects_unknown_protocol():
     with pytest.raises(ValueError):
-        make_engine("tdma", 0, TIMERS, (1,), 512.0, MAC.control_bits,
+        make_engine("tdma", 0, TIMERS, 512.0, MAC.control_bits,
                     s_csma_cap=MAC.s_csma_max_backoff)
 
 
@@ -456,7 +450,7 @@ def test_engines_reject_foreign_frame_kinds():
     rts = Frame(FrameKind.RTS, src=0, dst=1, payload_bits=32, tx_duration=0.0625)
     with pytest.raises(ValueError, match="RTS"):
         engine.on_frame(rts, now=0.0)
-    baseline = csma(node=1, neighbors=(0,))
+    baseline = csma(node=1)
     pr = Frame(FrameKind.P_R, src=0, dst=1, payload_bits=32, tx_duration=0.0625)
     with pytest.raises(ValueError, match="P_R"):
         baseline.on_frame(pr, now=0.0)

@@ -272,11 +272,11 @@ def test_network_presets_resolve_each_scenario_once(tmp_path, monkeypatch):
     run_preset(ExperimentPreset("timeseries", params={"duration": 20.0, "sample_every": 10.0, "links": 2,
                                                       "workers": 1},
                                 output_dir=str(tmp_path)))
-    assert len(calls) == 3  # one per protocol
+    assert len(calls) == 1  # one placement, run under each protocol
     calls.clear()
     run_preset(ExperimentPreset("load_sweep", params={"duration": 20.0, "loads": (1, 2), "workers": 1},
-                                output_dir=str(tmp_path)))
-    assert len(calls) == 1 + 2 * 3  # the shared topology, then one per job
+                                seeds=(1, 2), output_dir=str(tmp_path)))
+    assert len(calls) == 2  # one placement per seed, run at each load under each protocol
     # run_scenario still resolves, so it still rejects an invalid scenario
     with pytest.raises(ScenarioError, match="duration_s"):
         run_scenario(Scenario(duration=math.nan))
@@ -426,3 +426,60 @@ def test_provenance_hashes_the_parsed_params(name, params, whole, exact, tmp_pat
                                                  output_dir=str(out))))
 
     assert text(whole, (1.0,)) == text(exact, (1,))
+
+
+# short runs of the two network presets
+NETWORK_PRESETS = {
+    "load_sweep": {"duration": 20.0, "loads": (1, 2), "workers": 1},
+    "timeseries": {"duration": 20.0, "sample_every": 10.0, "links": 2, "workers": 1},
+}
+
+
+@pytest.mark.parametrize("name, params, key", [
+    ("load_sweep", NETWORK_PRESETS["load_sweep"], "loads"),
+    ("sinr_vs_snr", PHY_PRESETS["sinr_vs_snr"], "d_factors"),
+])
+def test_integer_lists_run_a_whole_float_item_as_that_integer(name, params, key, tmp_path):
+    def data(items):
+        path = run_preset(ExperimentPreset(name, params={**params, key: items},
+                                           output_dir=str(tmp_path / repr(items))))
+        _, header, rows = read_csv(path)
+        return header, rows
+
+    assert data([1, 2.0]) == data([1, 2])
+
+
+@pytest.mark.parametrize("name", NETWORK_PRESETS)
+@pytest.mark.parametrize("scenario", [None, {"network": None}, {"mac": None, "network": {}}])
+def test_network_presets_read_a_null_scenario_or_section_as_empty(name, scenario, tmp_path):
+    def data(**given):
+        path = run_preset(ExperimentPreset(name, params={**NETWORK_PRESETS[name], **given},
+                                           output_dir=str(tmp_path / repr(given))))
+        _, header, rows = read_csv(path)
+        return header, rows
+
+    assert data(scenario=scenario) == data()
+
+
+@pytest.mark.parametrize("name", NETWORK_PRESETS)
+@pytest.mark.parametrize("scenario, message", [
+    ([1], "{name}: scenario: expected a scenario mapping, its network section a mapping, got [1]"),
+    ("network", "{name}: scenario: expected a scenario mapping, its network section a mapping, got 'network'"),
+    ({"network": [5]}, "{name}: scenario: expected a scenario mapping, its network section a mapping, "
+                       "got {{'network': [5]}}"),
+    ({"mac": 5}, "mac: expected a mapping, got int"),
+])
+def test_network_presets_refuse_a_scenario_that_is_no_mapping_before_any_run(name, scenario, message,
+                                                                            tmp_path, monkeypatch):
+    from uwansim import presets
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(presets, "Simulator", no_run)
+    params = {**NETWORK_PRESETS[name], "scenario": scenario}
+    with pytest.raises(ValueError) as err:
+        run_preset(ExperimentPreset(name, params=params, seeds=(1,), output_dir=str(tmp_path)))
+    assert str(err.value) == message.format(name=name)
+    assert not list(tmp_path.iterdir())
+

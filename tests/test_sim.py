@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from uwansim.channel import ArrivalFileError, ArrivalTable, generate_cir, norm
-from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Frame, FrameKind, Packet, Piggyback, ProCacheEntry, Send
+from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Cancel, Frame, FrameKind, Packet, Piggyback, ProCacheEntry, Send
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import sim as sim_module
 from uwansim.sim import LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
@@ -565,13 +565,26 @@ def test_equal_time_timers_fire_in_the_order_armed():
     fired = []
     for node in (0, 1):
         sim.nodes[node].engine.on_timer = (
-            lambda key, context, now, node=node: fired.append((now, node, key)) or []
+            lambda key, now, node=node: fired.append((now, node, key)) or []
         )
     sim._process_actions(1, [Arm("b", 5.0), Arm("c", 4.0)], 0.0)
     sim._process_actions(0, [Arm("a", 5.0), Arm("d", 5.0)], 0.0)
     sim._process_actions(1, [Arm("e", 5.0)], 0.0)
     sim.run()
     assert fired == [(4.0, 1, "c"), (5.0, 1, "b"), (5.0, 0, "a"), (5.0, 0, "d"), (5.0, 1, "e")]
+
+
+def test_only_a_timer_keys_latest_uncancelled_arming_reaches_the_engine():
+    sim = Simulator(single_link_scenario())
+    fired = []
+    sim.nodes[0].engine.on_timer = lambda key, now: fired.append((now, key)) or []
+    sim._process_actions(0, [Arm("cancelled", 3.0), Arm("later", 2.0), Arm("sooner", 7.0),
+                             Arm("again", 4.0), Arm("kept", 6.0)], 0.0)
+    sim._process_actions(0, [Cancel("cancelled"), Arm("later", 8.0), Arm("sooner", 1.0),
+                             Cancel("again"), Arm("again", 5.0), Cancel("unarmed")], 0.5)
+    sim.run()
+    # each key fires at most once, at the time of its latest arming
+    assert fired == [(1.5, "sooner"), (5.5, "again"), (6.0, "kept"), (8.5, "later")]
 
 
 def test_arrival_file_channel_end_to_end(tmp_path):
