@@ -102,47 +102,61 @@ def norm(c: np.ndarray) -> float:
     return n
 
 
-def _cross_correlation(at: np.ndarray, conj_bt: np.ndarray, lag: int) -> complex:
-    if lag == 0 and at.size == conj_bt.size:  # whole rows: no slices to make
-        return complex(at.dot(conj_bt))
-    lo = max(0, -lag)
-    hi = min(at.size, conj_bt.size - lag)
-    if hi <= lo:
-        return 0j
-    return complex(at[lo:hi].dot(conj_bt[lo + lag : hi + lag]))
-
-
 def cross_correlation(a: np.ndarray, b: np.ndarray, lag: int) -> complex:
     """r_{a,b}[lag] = sum_l a[l] * conj(b[l + lag]); out-of-range taps are zero.
 
     ValueError if a row has no taps or the result is not finite.
     """
-    r = _cross_correlation(a, np.conj(b), lag)
+    lo = max(0, -lag)
+    hi = min(a.size, b.size - lag)
+    r = complex(a[lo:hi].dot(np.conj(b)[lo + lag : hi + lag])) if lo < hi else 0j
     if not (a.size and b.size and cmath.isfinite(r)):
         raise ValueError("cross_correlation needs CIRs of at least one tap, and a finite result")
     return r
 
 
-def normalized_cross_correlations(rows, b: np.ndarray, lag: int) -> list[complex]:
-    """eta[lag] = r[lag] / (||a|| * ||b||) of each tap row a against b.
+def normalized_cross_correlations(rows, b: np.ndarray, lag: int) -> np.ndarray:
+    """eta[lag] = r[lag] / (||a|| * ||b||) of each tap row a against b, as a
+    complex array; magnitudes are bounded by 1.
 
-    Each row gets its own norm and dot product, so a row's value does not
-    depend on the other rows; magnitudes are bounded by 1.
+    ``rows`` is a 2-D tap matrix, or a list of tap rows of one length.  A
+    stacked ``np.matmul`` of 1xL by Lx1 cores makes, for each row, the same
+    BLAS dot products that ``norm`` and ``cross_correlation`` make of it
+    alone, and the real and imaginary parts of r are divided by the real
+    ||a|| * ||b|| one at a time, as Python divides a complex by a float.  So
+    each value equals the one computed from ``norm`` and
+    ``cross_correlation`` of its row alone, whatever the other rows hold.
+    Take magnitudes with ``np.hypot``, which equals Python's ``abs`` of a
+    complex; ``np.abs`` of the array rounds differently.
+
+    ValueError if ``b`` or a row has no taps, or a norm that is zero or not
+    finite, or if the rows are ragged.
     """
     nb = norm(b)
-    conj_bt = np.conj(b)
-    etas = []
-    for at in rows:
-        na = norm(at)
-        if na == 0.0 or nb == 0.0:
-            raise ValueError("normalized_cross_correlation requires nonzero-norm CIRs")
-        etas.append(_cross_correlation(at, conj_bt, lag) / (na * nb))
-    return etas
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or not rows.shape[1]:
+        raise ValueError("normalized_cross_correlations needs rows of one length, at least one tap each")
+    re, im = rows.real, rows.imag
+    na = np.sqrt(np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None]))
+    na = na.reshape(-1)
+    if not (na < math.inf).all():
+        raise ValueError("a CIR needs at least one tap, and finite taps")
+    if nb == 0.0 or not na.all():
+        raise ValueError("normalized_cross_correlation requires nonzero-norm CIRs")
+    lo = max(0, -lag)
+    hi = min(rows.shape[1], b.size - lag)
+    if hi <= lo:
+        return np.zeros(len(rows), dtype=np.complex128)
+    r = np.matmul(rows[:, None, lo:hi], np.conj(b)[lo + lag : hi + lag, None]).reshape(-1)
+    den = na * nb
+    r.real /= den
+    r.imag /= den
+    return r
 
 
 def normalized_cross_correlation(a: np.ndarray, b: np.ndarray, lag: int) -> complex:
     """eta[lag] = r[lag] / (||a|| * ||b||); magnitude bounded by 1."""
-    return normalized_cross_correlations([a], b, lag)[0]
+    return complex(normalized_cross_correlations(a[None], b, lag)[0])
 
 
 def peak_eta(a: np.ndarray, b: np.ndarray) -> float:
@@ -150,30 +164,19 @@ def peak_eta(a: np.ndarray, b: np.ndarray) -> float:
     return abs(normalized_cross_correlation(a, b, 0))
 
 
-def _link_signature(
-    tx_depth: float, rx_depth: float, distance: float, cfg: ChannelModelConfig
-) -> tuple[int, int, int]:
-    """Quantized symmetric geometry signature used to seed the tap stream.
-
-    Links whose endpoint depths fall in the same depth cells and whose
-    lengths fall in the same range cell share a signature, hence a tap
-    stream; sorting the depth cells makes the signature (and thus the
-    CIR) reciprocal.
-    """
-    dq_tx = math.floor(tx_depth / cfg.depth_quantum)
-    dq_rx = math.floor(rx_depth / cfg.depth_quantum)
-    lq = math.floor(distance / cfg.range_quantum)
-    return (dq_tx, dq_rx, lq) if dq_tx <= dq_rx else (dq_rx, dq_tx, lq)
-
-
 @lru_cache(maxsize=128)
 def _tap_draws(seed: int, signature: tuple[int, int, int], tap_count: int) -> np.ndarray:
-    """Unit-variance complex Gaussian tap stream of one link signature.
+    """Unit-variance complex Gaussian tap stream of one link signature: the
+    real parts are the first ``tap_count`` standard normals of the
+    signature's generator, the imaginary parts the next ``tap_count``.
 
     Read-only, because every link of the signature shares the array.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, *(q & SEED_MASK for q in signature))))
-    draws = rng.standard_normal(tap_count) + 1j * rng.standard_normal(tap_count)
+    normals = rng.standard_normal(2 * tap_count)
+    draws = np.empty(tap_count, dtype=np.complex128)
+    draws.real = normals[:tap_count]
+    draws.imag = normals[tap_count:]
     draws.flags.writeable = False
     return draws
 
@@ -187,6 +190,11 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     the result is deterministic, reciprocal, and highly correlated across
     geometrically similar links; links that share a signature share one
     cached draw.
+
+    A link's signature is its sorted endpoint depth cells and its length
+    cell: links whose endpoints fall in the same depth cells and whose
+    lengths fall in the same range cell share a tap stream, and sorting
+    the depth cells makes the CIR reciprocal.
     """
     if cfg.model_kind != STATISTICAL_PDP:
         raise ValueError(f"generate_taps: needs the {STATISTICAL_PDP} model, got {cfg.model_kind!r}")
@@ -207,11 +215,14 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     scale = decay / np.array([d**2 for d in distances]).reshape(-1, 1)
     scale /= 2.0
     np.sqrt(scale, out=scale)
-    tx_depth = tx[0]
-    taps = np.array([
-        _tap_draws(seed, _link_signature(tx_depth, rx[0], d, cfg), tap_count)
-        for rx, d in zip(rxs, distances)
-    ]).reshape(-1, tap_count)
+    depth_quantum, range_quantum = cfg.depth_quantum, cfg.range_quantum
+    tx_cell = math.floor(tx[0] / depth_quantum)
+    draws = []
+    for rx, d in zip(rxs, distances):
+        rx_cell = math.floor(rx[0] / depth_quantum)
+        low, high = (tx_cell, rx_cell) if tx_cell <= rx_cell else (rx_cell, tx_cell)
+        draws.append(_tap_draws(seed, (low, high, math.floor(d / range_quantum)), tap_count))
+    taps = np.array(draws).reshape(-1, tap_count)
     np.multiply(scale, taps, out=taps)
     return taps
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Any, Callable, NamedTuple
 
+import numpy as np
+
 from .channel import (
     ChannelModelConfig,
     Environment,
@@ -48,9 +50,10 @@ from .tr_phy import (
     sinr_sdt_from_parts,
 )
 
-# receivers per tap matrix of the correlation heatmap: a whole 401-cell
-# row raised the peak memory by ~1.3 MiB, while 64 costs no more than one
-# CIR per cell and keeps numpy's per-call overhead small
+# receivers per tap matrix of the correlation heatmap, each matrix drawn and
+# correlated by a few numpy calls: a whole 401-cell row raised the peak
+# memory by ~1.3 MiB, while 64 costs no more than one CIR per cell and keeps
+# numpy's per-call overhead small
 _PROBE_BLOCK = 64
 
 # two-link reference geometry used by the SINR presets: (depth m, range m)
@@ -275,6 +278,7 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
     p = _read(preset)
     seed, snr_db = preset.seeds[0], p["snr_db"]
     h_ab, h_ib, h_ij = _reference_links(seed, p["tap_count"])
+    norm_ib = norm(h_ib)
     sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
 
     rows = []
@@ -285,7 +289,7 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
         isi = p_isi(h_ab, phy)
         _, offpeak = crosscorr_sampled_stats(h_ib, h_ij, d)
         for eta in p["eta_grid"]:
-            ili = ili_power_from_parts(norm(h_ib), float(eta), offpeak, phy)
+            ili = ili_power_from_parts(norm_ib, float(eta), offpeak, phy)
             rows.append([d, eta, _db(sinr_atrsts_from_parts(sig, isi, [ili], phy))])
     path = os.path.join(preset.output_dir, "sinr_vs_eta.csv")
     prov = f"# preset=sinr_vs_eta config={_params_hash(preset, p)} seeds={seed} snr_db={snr_db}"
@@ -312,14 +316,15 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     for depth in depths:
         cells = [(depth, rng, 0.0) for rng in ranges]
         linked = [cell for cell in cells if cell != tx]
-        etas = []
+        magnitudes = []
         for k in range(0, len(linked), _PROBE_BLOCK):
-            etas += normalized_cross_correlations(
+            etas = normalized_cross_correlations(
                 generate_taps(tx, linked[k : k + _PROBE_BLOCK], env, cfg), h_ref, 0)
-        etas = iter(etas)
+            magnitudes += np.hypot(etas.real, etas.imag).tolist()
+        magnitudes = iter(magnitudes)
         for cell in cells:
             # the cell at the reference transmitter is an undefined link to itself
-            rows.append((depth, cell[1], math.nan if cell == tx else abs(next(etas))))
+            rows.append((depth, cell[1], math.nan if cell == tx else next(magnitudes)))
     path = os.path.join(preset.output_dir, "correlation_heatmap.csv")
     prov = (f"# preset=correlation_heatmap config={_params_hash(preset, p)} "
             f"seeds={seed} reference_tx={tx_spot} reference_rx={rx_spot}")

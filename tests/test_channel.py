@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uwansim.channel import (
+    SEED_MASK,
     ArrivalFileError,
     ArrivalTable,
     ChannelModel,
@@ -18,6 +19,7 @@ from uwansim.channel import (
     normalized_cross_correlation,
     normalized_cross_correlations,
     peak_eta,
+    _tap_draws,
 )
 from uwansim.tr_phy import (
     PhyConfig,
@@ -204,6 +206,61 @@ def test_normalized_cross_correlation_rejects_zero_norm():
         normalized_cross_correlation(good, zero, 0)
 
 
+def random_rows(rng, count, length):
+    return rng.standard_normal((count, length)) + 1j * rng.standard_normal((count, length))
+
+
+@pytest.mark.parametrize("length", [1, 129, 1025])
+@pytest.mark.parametrize("block", [1, 64])
+def test_block_correlations_match_per_row_reference_bit_for_bit(length, block):
+    rng = np.random.default_rng(length * 100 + block)
+    rows = random_rows(rng, block, length)
+    b = random_cir(rng, length)
+    for lag in (-5, 0, 3, length, -length):
+        etas = normalized_cross_correlations(rows, b, lag)
+        magnitudes = np.hypot(etas.real, etas.imag)
+        assert etas.shape == magnitudes.shape == (block,)
+        for a, eta, magnitude in zip(rows, etas.tolist(), magnitudes.tolist()):
+            want = cross_correlation(a, b, lag) / (norm(a) * norm(b))
+            assert (eta.real.hex(), eta.imag.hex()) == (want.real.hex(), want.imag.hex())
+            assert magnitude.hex() == abs(want).hex()
+            single = normalized_cross_correlation(a, b, lag)
+            assert (single.real.hex(), single.imag.hex()) == (want.real.hex(), want.imag.hex())
+            if lag == 0:
+                assert peak_eta(a, b).hex() == abs(want).hex()
+        # a list of rows reads as the matrix it stacks to
+        assert np.array_equal(normalized_cross_correlations(list(rows), b, lag), etas)
+        if abs(lag) >= length:
+            assert not etas.any()
+
+
+BAD_BLOCK_ROWS = {"nan": row([np.nan] * 3), "inf": row([1.0, 1j * np.inf, 0.0]), "zero": row([0.0] * 3)}
+
+
+@pytest.mark.parametrize("bad", BAD_BLOCK_ROWS)
+def test_block_correlations_reject_a_bad_row_anywhere_in_the_block(bad):
+    rows = random_rows(np.random.default_rng(2), 64, 3)
+    b = rows[0].copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in (0, 37, 63):
+            block = rows.copy()
+            block[k] = BAD_BLOCK_ROWS[bad]
+            with pytest.raises(ValueError):
+                normalized_cross_correlations(block, b, 0)
+        with pytest.raises(ValueError):
+            normalized_cross_correlations(rows, BAD_BLOCK_ROWS[bad], 0)
+    normalized_cross_correlations(rows, b, 0)
+
+
+def test_block_correlations_reject_rows_with_no_taps_or_ragged_rows():
+    good = row([1.0, 2.0j])
+    for rows in (np.empty((2, 0), dtype=np.complex128), [row([]), row([])], [good, row([1.0])], [good, row([])]):
+        with pytest.raises(ValueError):
+            normalized_cross_correlations(rows, good, 0)
+    with pytest.raises(ValueError):
+        normalized_cross_correlations([good], row([]), 0)
+
+
 # ------------------------------------------------------------- generate_cir
 
 
@@ -300,6 +357,22 @@ def test_generate_taps_rows_equal_single_link_cirs_bit_for_bit():
     for row, probe in zip(rows, PROBE_POINTS):
         assert np.array_equal(row, generate_cir(TX_POINT, probe, ENV, cfg))
         assert np.array_equal(row, single_link_oracle(TX_POINT, probe, ENV, cfg))
+
+
+@pytest.mark.parametrize("tap_count", [1, 129, 1025])
+def test_tap_draws_are_two_standard_normal_draws_of_the_signature_generator(tap_count):
+    # the real parts are one standard_normal(L) draw and the imaginary parts
+    # the next, from a generator seeded by the seed and the signature cells
+    for seed in (0, 7, -1 & SEED_MASK, 2**63 + 5):
+        for signature in ((0, 0, 0), (-3, -1, 4), (2, 9, -7), (-1, 5, 80)):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, *(q & SEED_MASK for q in signature))))
+            real = rng.standard_normal(tap_count)
+            imag = rng.standard_normal(tap_count)
+            draws = _tap_draws(seed, signature, tap_count)
+            assert draws.dtype == np.complex128 and draws.shape == (tap_count,)
+            assert not draws.flags.writeable
+            assert np.array_equal(draws.real, real) and np.array_equal(draws.imag, imag)
+            assert np.array_equal(draws, real + 1j * imag)
 
 
 def test_writing_into_a_cir_does_not_change_the_next_draw():
