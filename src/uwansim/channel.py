@@ -141,22 +141,32 @@ def normalized_cross_correlations(rows, b: np.ndarray, lag: int) -> np.ndarray:
     na = na.reshape(-1)
     if not (na < math.inf).all():
         raise ValueError("a CIR needs at least one tap, and finite taps")
-    if nb == 0.0 or not na.all():
+    den = na * nb
+    if not den.all():
         raise ValueError("normalized_cross_correlation requires nonzero-norm CIRs")
     lo = max(0, -lag)
     hi = min(rows.shape[1], b.size - lag)
     if hi <= lo:
         return np.zeros(len(rows), dtype=np.complex128)
     r = np.matmul(rows[:, None, lo:hi], np.conj(b)[lo + lag : hi + lag, None]).reshape(-1)
-    den = na * nb
     r.real /= den
     r.imag /= den
     return r
 
 
 def normalized_cross_correlation(a: np.ndarray, b: np.ndarray, lag: int) -> complex:
-    """eta[lag] = r[lag] / (||a|| * ||b||); magnitude bounded by 1."""
-    return complex(normalized_cross_correlations(a[None], b, lag)[0])
+    """eta[lag] = r[lag] / (||a|| * ||b||); magnitude bounded by 1.
+
+    From ``norm`` and ``cross_correlation`` of the two rows, each part of r
+    divided by the real ||a|| * ||b||, so it equals the
+    ``normalized_cross_correlations`` value of ``a`` as a one-row block.
+    ValueError as there.
+    """
+    den = norm(a) * norm(b)
+    if not den:
+        raise ValueError("normalized_cross_correlation requires nonzero-norm CIRs")
+    r = cross_correlation(a, b, lag)
+    return complex(r.real / den, r.imag / den)
 
 
 def peak_eta(a: np.ndarray, b: np.ndarray) -> float:
@@ -170,10 +180,19 @@ def _tap_draws(seed: int, signature: tuple[int, int, int], tap_count: int) -> np
     real parts are the first ``tap_count`` standard normals of the
     signature's generator, the imaginary parts the next ``tap_count``.
 
+    The generator is seeded with ``seed`` (below 2**64) and each signature
+    cell masked by ``SEED_MASK``, given as the uint32 words that
+    ``SeedSequence`` would split those ints into: little-endian 32-bit
+    words, at least one per value.  The same stream as seeding it with the
+    tuple of ints, without ``SeedSequence`` converting each int itself.
+
     Read-only, because every link of the signature shares the array.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, *(q & SEED_MASK for q in signature))))
-    normals = rng.standard_normal(2 * tap_count)
+    words = []
+    for value in (seed, *(q & SEED_MASK for q in signature)):
+        words += (value & 0xFFFFFFFF, value >> 32) if value >> 32 else (value,)
+    bits = np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+    normals = np.random.Generator(bits).standard_normal(2 * tap_count)
     draws = np.empty(tap_count, dtype=np.complex128)
     draws.real = normals[:tap_count]
     draws.imag = normals[tap_count:]

@@ -14,7 +14,6 @@ one link table.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -221,13 +220,28 @@ def _params_hash(preset: ExperimentPreset, values: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _write_csv(path: str, provenance: str, header: list[str], rows: list[list]) -> str:
+def _csv_line(row) -> str:
+    """One CSV line of ``row``, as ``csv.writer``'s default dialect writes a
+    row whose fields hold no comma, quote or line break.  Every preset field
+    is such an int, protocol name or float, and ``str`` of a float is the
+    repr that ``csv.writer`` writes."""
+    return ",".join(map(str, row)) + "\r\n"
+
+
+def _write_csv(path: str, provenance: str, header: list[str], lines) -> str:
+    """Write the provenance comment, the header and the finished ``lines``
+    as they come; a file that could not be completed is removed, so a
+    preset never leaves fewer rows than its grid."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(provenance + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    fh = open(path, "w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(provenance + "\n")
+            fh.write(_csv_line(header))
+            fh.writelines(lines)
+    except BaseException:
+        os.remove(path)
+        raise
     return path
 
 
@@ -268,7 +282,8 @@ def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
             rows.append([d, snr_db, _db(atrsts), _db(sdt)])
     path = os.path.join(preset.output_dir, "sinr_vs_snr.csv")
     prov = f"# preset=sinr_vs_snr config={_params_hash(preset, p)} seeds={seed}"
-    return _write_csv(path, prov, ["d_factor", "snr_db", "sinr_atrsts_db", "sinr_sdt_db"], rows)
+    header = ["d_factor", "snr_db", "sinr_atrsts_db", "sinr_sdt_db"]
+    return _write_csv(path, prov, header, map(_csv_line, rows))
 
 
 def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
@@ -293,12 +308,16 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
             rows.append([d, eta, _db(sinr_atrsts_from_parts(sig, isi, [ili], phy))])
     path = os.path.join(preset.output_dir, "sinr_vs_eta.csv")
     prov = f"# preset=sinr_vs_eta config={_params_hash(preset, p)} seeds={seed} snr_db={snr_db}"
-    return _write_csv(path, prov, ["d_factor", "eta", "sinr_db"], rows)
+    return _write_csv(path, prov, ["d_factor", "eta", "sinr_db"], map(_csv_line, rows))
 
 
 def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     """|eta| between the reference link and the link from the reference
-    transmitter to a probe node swept over (depth, range) cells."""
+    transmitter to a probe node swept over (depth, range) cells.
+
+    The CSV is written a depth row at a time as the row is computed, each
+    row one string of its lines, so no list of all cells is kept.
+    """
     p = _read(preset)
     depth_step, range_step, water_depth = p["depth_step"], p["range_step"], p["water_depth"]
     tx_spot, tx = p["reference_tx"]
@@ -312,23 +331,29 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     # cells are (depth, x, y) points, as generate_taps takes them
     depths = [round(k * depth_step, 9) for k in range(int(water_depth / depth_step) + 1)]
     ranges = [round(k * range_step, 9) for k in range(int(p["max_range"] / range_step) + 1)]
-    rows = []
-    for depth in depths:
-        cells = [(depth, rng, 0.0) for rng in ranges]
-        linked = [cell for cell in cells if cell != tx]
-        magnitudes = []
-        for k in range(0, len(linked), _PROBE_BLOCK):
-            etas = normalized_cross_correlations(
-                generate_taps(tx, linked[k : k + _PROBE_BLOCK], env, cfg), h_ref, 0)
-            magnitudes += np.hypot(etas.real, etas.imag).tolist()
-        magnitudes = iter(magnitudes)
-        for cell in cells:
-            # the cell at the reference transmitter is an undefined link to itself
-            rows.append((depth, cell[1], math.nan if cell == tx else next(magnitudes)))
+    # the "<range>," field of each column, formatted once
+    columns = [f"{rng!r}," for rng in ranges]
+
+    def lines():
+        for depth in depths:
+            cells = [(depth, rng, 0.0) for rng in ranges]
+            linked = [cell for cell in cells if cell != tx]
+            magnitudes = []
+            for k in range(0, len(linked), _PROBE_BLOCK):
+                etas = normalized_cross_correlations(
+                    generate_taps(tx, linked[k : k + _PROBE_BLOCK], env, cfg), h_ref, 0)
+                magnitudes += np.hypot(etas.real, etas.imag).tolist()
+            if len(linked) < len(cells):
+                # the cell at the reference transmitter is an undefined link to itself
+                magnitudes.insert(cells.index(tx), math.nan)
+            lead = f"{depth!r},"
+            # lead + column + repr(eta) per cell, each line ended by "\r\n"
+            yield lead + f"\r\n{lead}".join(map(str.__add__, columns, map(repr, magnitudes))) + "\r\n"
+
     path = os.path.join(preset.output_dir, "correlation_heatmap.csv")
     prov = (f"# preset=correlation_heatmap config={_params_hash(preset, p)} "
             f"seeds={seed} reference_tx={tx_spot} reference_rx={rx_spot}")
-    return _write_csv(path, prov, ["depth_m", "range_m", "eta_abs"], rows)
+    return _write_csv(path, prov, ["depth_m", "range_m", "eta_abs"], lines())
 
 
 def _placed(p: dict, seed: int, links: int) -> Scenario:
@@ -405,7 +430,7 @@ def preset_load_sweep(preset: ExperimentPreset) -> str:
             f"seeds={','.join(str(s) for s in preset.seeds)}")
     header = ["links", "protocol", "seed", "generated", "delivered", "dropped",
               "mean_delay_s", "drop_ratio", "throughput_bps"]
-    return _write_csv(path, prov, header, rows)
+    return _write_csv(path, prov, header, map(_csv_line, rows))
 
 
 def preset_timeseries(preset: ExperimentPreset) -> str:
@@ -420,7 +445,7 @@ def preset_timeseries(preset: ExperimentPreset) -> str:
     path = os.path.join(preset.output_dir, "timeseries.csv")
     prov = f"# preset=timeseries config={_params_hash(preset, p)} seeds={seed} links={links}"
     header = ["protocol", "time_s", "mean_delay_s", "drop_ratio", "throughput_bps"]
-    return _write_csv(path, prov, header, rows)
+    return _write_csv(path, prov, header, map(_csv_line, rows))
 
 
 _RUNNERS = {

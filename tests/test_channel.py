@@ -216,7 +216,7 @@ def test_block_correlations_match_per_row_reference_bit_for_bit(length, block):
     rng = np.random.default_rng(length * 100 + block)
     rows = random_rows(rng, block, length)
     b = random_cir(rng, length)
-    for lag in (-5, 0, 3, length, -length):
+    for lag in (-5, -3, 0, 3, 5, length, -length):
         etas = normalized_cross_correlations(rows, b, lag)
         magnitudes = np.hypot(etas.real, etas.imag)
         assert etas.shape == magnitudes.shape == (block,)
@@ -224,7 +224,12 @@ def test_block_correlations_match_per_row_reference_bit_for_bit(length, block):
             want = cross_correlation(a, b, lag) / (norm(a) * norm(b))
             assert (eta.real.hex(), eta.imag.hex()) == (want.real.hex(), want.imag.hex())
             assert magnitude.hex() == abs(want).hex()
+            # the single-row function computes the pair directly, and equals
+            # the row as a one-row block
             single = normalized_cross_correlation(a, b, lag)
+            one_row = complex(normalized_cross_correlations(a[None], b, lag)[0])
+            assert type(single) is complex
+            assert (single.real.hex(), single.imag.hex()) == (one_row.real.hex(), one_row.imag.hex())
             assert (single.real.hex(), single.imag.hex()) == (want.real.hex(), want.imag.hex())
             if lag == 0:
                 assert peak_eta(a, b).hex() == abs(want).hex()
@@ -362,12 +367,16 @@ def test_generate_taps_rows_equal_single_link_cirs_bit_for_bit():
 @pytest.mark.parametrize("tap_count", [1, 129, 1025])
 def test_tap_draws_are_two_standard_normal_draws_of_the_signature_generator(tap_count):
     # the real parts are one standard_normal(L) draw and the imaginary parts
-    # the next, from a generator seeded by the seed and the signature cells
-    for seed in (0, 7, -1 & SEED_MASK, 2**63 + 5):
-        for signature in ((0, 0, 0), (-3, -1, 4), (2, 9, -7), (-1, 5, 80)):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, *(q & SEED_MASK for q in signature))))
-            real = rng.standard_normal(tap_count)
-            imag = rng.standard_normal(tap_count)
+    # the next, from a generator seeded by the tuple of the seed and the
+    # masked signature cells; seeds and cells of one and of two 32-bit words
+    for seed in (0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1):
+        for signature in ((0, 0, 0), (-3, -1, 4), (2, 9, -7), (-1, 5, 80), (-1, 0, 2**32),
+                          (-(2**40), 7, 2**63 + 5), (3, -5, 2**64 - 1)):
+            seq = np.random.SeedSequence((seed, *(q & SEED_MASK for q in signature)))
+            real, imag = np.split(np.random.default_rng(seq).standard_normal(2 * tap_count), 2)
+            rng = np.random.default_rng(seq)
+            assert np.array_equal(real, rng.standard_normal(tap_count))
+            assert np.array_equal(imag, rng.standard_normal(tap_count))
             draws = _tap_draws(seed, signature, tap_count)
             assert draws.dtype == np.complex128 and draws.shape == (tap_count,)
             assert not draws.flags.writeable

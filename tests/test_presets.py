@@ -1,10 +1,12 @@
 import copy
 import csv
+import io
 import math
 import re
 
 import pytest
 
+from uwansim import presets
 from uwansim.channel import (
     ChannelModelConfig,
     Environment,
@@ -16,6 +18,7 @@ from uwansim.presets import (
     PARAMS,
     ExperimentPreset,
     REFERENCE_GEOMETRY,
+    _csv_line,
     _reference_links,
     preset_correlation_heatmap,
     preset_load_sweep,
@@ -145,6 +148,8 @@ def brute_force_heatmap(params, seed):
 HEATMAP_GRIDS = {
     "tx_on_a_cell": {"depth_step": 10.0, "range_step": 250.0},
     "tx_off_the_grid": {"depth_step": 15.0, "range_step": 250.0, "reference_tx": [47.5, 130.0]},
+    # the NaN cell is the last of its depth row
+    "tx_last_in_its_row": {"depth_step": 20.0, "range_step": 500.0, "reference_tx": [40.0, 4000.0]},
     # 81 cells a row: more than one tap matrix per row
     "rows_past_a_block": {"depth_step": 25.0, "range_step": 50.0},
     "257_taps": {"depth_step": 10.0, "range_step": 250.0, "tap_count": 257},
@@ -154,17 +159,50 @@ HEATMAP_GRIDS = {
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("grid", sorted(HEATMAP_GRIDS))
 def test_correlation_heatmap_matches_cell_by_cell_reference(grid, seed, tmp_path):
+    # each line is the cell's depth, range and |eta| formatted with repr
     params = HEATMAP_GRIDS[grid]
     path = preset_correlation_heatmap(
         ExperimentPreset("correlation_heatmap", params=params, seeds=(seed,), output_dir=str(tmp_path)))
-    _, _, rows = read_csv(path)
-    got = [tuple(float(v) for v in row) for row in rows]
-    want = brute_force_heatmap(params, seed)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g[:2] == w[:2]
-        assert g[2] == w[2] or (math.isnan(g[2]) and math.isnan(w[2])), (g, w)
-    assert sum(math.isnan(g[2]) for g in got) == (0 if grid == "tx_off_the_grid" else 1)
+    with open(path, encoding="utf-8", newline="") as fh:
+        _, body = fh.read().split("\n", 1)
+    header, *lines, end = body.split("\r\n")
+    assert header == "depth_m,range_m,eta_abs" and end == ""
+    assert lines == [f"{depth!r},{rng!r},{eta!r}" for depth, rng, eta in brute_force_heatmap(params, seed)]
+    nans = [k for k, line in enumerate(lines) if line.endswith(",nan")]
+    assert len(nans) == (0 if grid == "tx_off_the_grid" else 1)
+    if grid == "tx_last_in_its_row":
+        assert nans == [3 * 9 - 1]  # the last of the 9 cells of the third (40-m) row
+
+
+def test_a_heatmap_that_fails_midway_leaves_no_file(tmp_path, monkeypatch):
+    calls = []
+
+    def failing(rows, b, lag):
+        calls.append(len(rows))
+        if len(calls) > 1:
+            raise ValueError("the second depth row fails")
+        return correlate(rows, b, lag)
+
+    correlate = presets.normalized_cross_correlations
+    monkeypatch.setattr(presets, "normalized_cross_correlations", failing)
+    preset = ExperimentPreset("correlation_heatmap", params={"depth_step": 20.0, "range_step": 500.0},
+                              output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="second depth row"):
+        preset_correlation_heatmap(preset)
+    assert len(calls) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_csv_line_writes_the_bytes_of_csv_writer():
+    rows = [
+        [4, "trmac", 1, 120, 117, 3, 0.1 + 0.2, 0.025, 1e16],
+        [10, "s_csma_ca", 2**63, -7, 0, 0, math.nan, math.inf, -math.inf],
+        [-0.0, 1e-7, 5e-324, 1.7976931348623157e308, 0.0, "csma_ca", 0],
+        ["depth_m", "range_m", "eta_abs"],
+    ]
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    assert "".join(map(_csv_line, rows)).encode() == buffer.getvalue().encode()
 
 
 @pytest.mark.parametrize("key, value", [
