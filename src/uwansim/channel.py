@@ -231,7 +231,11 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     lags = np.arange(tap_count)
     decay = np.exp(-lags * env.sample_interval / cfg.pdp_decay_constant)
     # squared in Python: np.square rounds a few distances differently
-    scale = decay / np.array([d**2 for d in distances]).reshape(-1, 1)
+    try:
+        squares = [d**2 for d in distances]
+    except OverflowError:
+        raise ValueError(f"generate_taps: a link length of {max(distances)!r} m overflows when squared") from None
+    scale = decay / np.array(squares).reshape(-1, 1)
     scale /= 2.0
     np.sqrt(scale, out=scale)
     depth_quantum, range_quantum = cfg.depth_quantum, cfg.range_quantum

@@ -44,9 +44,9 @@ from .tr_phy import (
     p_ili,
     p_isi,
     p_sig,
-    sdt_signal_and_isi,
+    sdt_powers,
     sinr_atrsts_from_parts,
-    sinr_sdt_from_parts,
+    sinr_from_parts,
 )
 
 # receivers per tap matrix of the correlation heatmap, each matrix drawn and
@@ -272,14 +272,13 @@ def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
         # the noise-free powers depend on D only
         phy = PhyConfig(avg_transmit_power=1.0, updown_factor=d, min_required_sinr=0.5)
         sig, isi, ili = p_sig(h_ab, phy), p_isi(h_ab, phy), p_ili(h_ib, h_ij, phy)
-        peak, isi_sum = sdt_signal_and_isi(h_ab, d)
+        sdt = sdt_powers(h_ab, phy)
         for snr_db in p["snr_db_grid"]:
             sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
             phy = PhyConfig(avg_transmit_power=1.0, noise_variance=sigma2,
                             updown_factor=d, min_required_sinr=0.5)
             atrsts = sinr_atrsts_from_parts(sig, isi, [ili], phy)
-            sdt = sinr_sdt_from_parts(peak, isi_sum, phy)
-            rows.append([d, snr_db, _db(atrsts), _db(sdt)])
+            rows.append([d, snr_db, _db(atrsts), _db(sinr_from_parts(*sdt, 0.0, phy))])
     path = os.path.join(preset.output_dir, "sinr_vs_snr.csv")
     prov = f"# preset=sinr_vs_snr config={_params_hash(preset, p)} seeds={seed}"
     header = ["d_factor", "snr_db", "sinr_atrsts_db", "sinr_sdt_db"]

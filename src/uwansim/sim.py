@@ -39,13 +39,14 @@ plain indexing.  They depend only on the placement (node positions,
 environment, channel model and phy), so a table is built for a placement
 in one pass and may serve every run on it: a run builds its own at its
 first transmission unless it is handed one (``Simulator(..., links=)``),
-and a preset call shares one per placement across its runs.  A link's TR
-quantities (signal, ISI, ILI at every victim) are filled in at its first TR
-frame, and the norm and off-peak autocorrelation sum its probe replies carry
-at the first reply its replier sends.  MAC engines read the table by node ids.  A pair's
-CIR and delay come from its lower -> higher node index direction, so an
-arrival file that gives the two directions different records yields the
-same results whichever node speaks first.
+and a preset call shares one per placement across its runs.  A link's norm
+and off-peak autocorrelation sum, which its probe replies carry, are filled
+in once, at its first probe reply or TR frame; its TR quantities (signal
+and ISI from those two, ILI at every victim) at its first TR frame.  MAC
+engines read the table by node ids.  A pair's CIR and delay come from its
+lower -> higher node index direction, so an arrival file that gives the two
+directions different records yields the same results whichever node speaks
+first.
 
 Ties.  Heap entries are ``(time, seq, kind, subject, attachment)`` tuples;
 ``seq`` grows with every push, so equal-time events run in the order they
@@ -70,6 +71,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -91,8 +93,9 @@ from .mac import (
     step4_defers,
 )
 from .scenario import Scenario, check_scenario
-from .tr_phy import autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
+from .tr_phy import autocorr_offpeak_sum, p_ili, sdt_powers, sinr_from_parts, tr_powers
 
+# event kinds, which index the handler table of ``Simulator.run``
 EV_ARRIVAL = 0
 EV_RX_START = 1
 EV_RX_END = 2
@@ -165,8 +168,8 @@ class RunResult:
 
 
 def _time_ordered(field_name: str, times: list, what: str = "times") -> list:
-    """``times`` itself, checked non-decreasing: the cursors of
-    ``collect_metrics`` only move forward."""
+    """``times`` itself, checked non-decreasing, as ``collect_metrics``
+    bisects it."""
     if any(map(operator.gt, times, times[1:])):
         raise ValueError(f"RunTrace.{field_name}: {what} must be non-decreasing")
     return times
@@ -194,97 +197,85 @@ def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
     is taken at ``duration``; with ``sample_every`` (positive and finite, or
     ValueError), ``series`` adds one row at ``min(t, duration)`` for ``t =
     sample_every, t += sample_every, ...`` while ``t <= duration + 1e-9``.
+    ``duration`` and ``warmup`` must be finite and non-negative, or
+    ValueError naming the argument.
 
-    One forward pass computes them all.  The five trace lists must be in
-    time order (busy intervals by start), as the engine appends them; each
-    keeps a cursor that moves up to every bound in turn, and a list that
-    goes backwards raises ``ValueError`` naming it.  Delays and merged busy
-    segments are added left to right to a ``0.0`` accumulator, so the sums
-    do not depend on how the Python version's ``sum()`` rounds.
+    The five trace lists must be in time order (busy intervals by start),
+    as the engine appends them, or ValueError naming the list.  Running
+    totals of the entries from ``warmup`` on are added left to right from
+    ``0.0``, so the sums do not depend on how the Python version's ``sum()``
+    rounds; so is the busy union, whose state is kept after each interval.
+    Each bound then reads its figures from them with a few bisects.
     """
-    sampled = sample_every is not None
+    for name, value in (("duration", duration), ("warmup", warmup)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name}: expected a finite non-negative number, got {value!r}")
     _check_sample_every(sample_every)
     deliveries, drops, rx_success = trace.deliveries, trace.drops, trace.rx_success
-    intervals = trace.busy_intervals
     delivery_t = _time_ordered("deliveries", [d[0] for d in deliveries])
     drop_t = _time_ordered("drops", [d[0] for d in drops])
     tx_t = _time_ordered("data_tx_times", trace.data_tx_times)
-    start_t = _time_ordered("busy_intervals", [iv[0] for iv in intervals], "starts")
+    _time_ordered("busy_intervals", [iv[0] for iv in trace.busy_intervals], "starts")
     rx_t = _time_ordered("rx_success", [r[0] for r in rx_success])
     delivered_ids = {d[1] for d in deliveries}
 
-    bounds = []
-    if sampled:
+    # entries before warmup never count: each total starts at the first after it
+    i_del, i_drop, i_tx, i_rx = (bisect_left(ts, warmup) for ts in (delivery_t, drop_t, tx_t, rx_t))
+    delays = [d[2] for d in deliveries[i_del:]]
+    delay_sums = list(accumulate(delays, initial=0.0))
+    drop_counts = list(accumulate((d[1] not in delivered_ids for d in drops[i_drop:]), initial=0))
+    bit_sums = list(accumulate((r[1] for r in rx_success[i_rx:]), initial=0))
+    # the union after each interval, clipped to start at warmup: the length of
+    # the segments no later interval reaches, and the open segment, which
+    # starts as the empty [0, 0] (no bound is negative)
+    starts, unions = [], [(0.0, 0.0, 0.0)]
+    closed, lo, hi = unions[0]
+    for a, b in trace.busy_intervals:
+        a = max(a, warmup)
+        if b <= a:
+            continue  # empty after clipping
+        if a > hi:
+            closed += hi - lo
+            lo, hi = a, b
+        elif b > hi:
+            hi = b
+        starts.append(a)
+        unions.append((closed, lo, hi))
+
+    def figures(until: float) -> tuple:
+        n = bisect_right(delivery_t, until, i_del) - i_del
+        n_drop = drop_counts[bisect_right(drop_t, until, i_drop) - i_drop]
+        n_tx = bisect_right(tx_t, until, i_tx) - i_tx
+        bits = bit_sums[bisect_right(rx_t, until, i_rx) - i_rx]
+        closed, lo, hi = unions[bisect_left(starts, until)]
+        busy = closed + (min(hi, until) - lo)
+        drop_ratio = min(1.0, n_drop / n_tx) if n_tx else (1.0 if n_drop else 0.0)
+        row = {"time": until, "mean_delay": delay_sums[n] / n if n else math.nan,
+               "drop_ratio": drop_ratio, "throughput": bits / busy if busy > 0 else 0.0}
+        return row, n, n_drop, n_tx, bits, busy
+
+    series = None
+    if sample_every is not None:
+        series = []
         t = sample_every
         while t <= duration + 1e-9:
-            bounds.append(min(t, duration))
+            series.append(figures(min(t, duration))[0])
             t += sample_every
-    bounds.append(duration)
-
-    # each cursor is the next entry to take in; entries before warmup never are
-    i_del, i_drop, tx_first, i_rx = (bisect_left(ts, warmup) for ts in (delivery_t, drop_t, tx_t, rx_t))
-    i_start = 0
-    delays = []
-    total_delay = 0.0
-    n_tx = n_drop = bits = 0
-    closed_busy = 0.0  # merged busy segments that no later interval can reach
-    cur_a = cur_b = None  # the open segment
-    rows = []
-    for until in bounds:
-        if until >= warmup:
-            end = bisect_right(delivery_t, until)
-            for d in deliveries[i_del:end]:
-                delays.append(d[2])
-                total_delay += d[2]
-            i_del = end
-            end = bisect_right(drop_t, until)
-            for d in drops[i_drop:end]:
-                if d[1] not in delivered_ids:
-                    n_drop += 1
-            i_drop = end
-            n_tx = bisect_right(tx_t, until) - tx_first
-            end = bisect_right(rx_t, until)
-            for r in rx_success[i_rx:end]:
-                bits += r[1]
-            i_rx = end
-            end = bisect_left(start_t, until)
-            for a, b in intervals[i_start:end]:
-                a = max(a, warmup)
-                if b <= a:
-                    continue  # empty after clipping
-                if cur_b is None or a > cur_b:
-                    if cur_b is not None:
-                        closed_busy += cur_b - cur_a
-                    cur_a, cur_b = a, b
-                elif b > cur_b:
-                    cur_b = b
-            i_start = end
-        mean_delay = total_delay / len(delays) if delays else math.nan
-        if n_tx == 0:
-            drop_ratio = 0.0 if n_drop == 0 else 1.0
-        else:
-            drop_ratio = min(1.0, n_drop / n_tx)
-        busy = closed_busy
-        if cur_b is not None:
-            busy += min(cur_b, until) - cur_a
-        throughput = bits / busy if busy > 0 else 0.0
-        rows.append({"time": until, "mean_delay": mean_delay,
-                     "drop_ratio": drop_ratio, "throughput": throughput})
-
+    row, n, n_drop, n_tx, bits, busy = figures(duration)
     dropped_ids = {d[1] for d in drops} - delivered_ids
     return MetricsRecord(
         generated=trace.generated,
-        delivered=len(delays),
+        delivered=n,
         dropped=n_drop,
         in_flight=trace.generated - len(delivered_ids) - len(dropped_ids),
-        delay_samples=delays,
-        mean_delay=mean_delay,
+        delay_samples=delays[:n],
+        mean_delay=row["mean_delay"],
         data_frames_transmitted=n_tx,
-        drop_ratio=drop_ratio,
+        drop_ratio=row["drop_ratio"],
         busy_time=busy,
         received_bits=bits,
-        throughput=throughput,
-        series=rows[:-1] if sampled else None,
+        throughput=row["throughput"],
+        series=series,
     )
 
 
@@ -321,15 +312,13 @@ class LinkTable:
         self.tr: list[list] = [[None] * n for _ in range(n)]
         self.reply: list[list] = [[None] * n for _ in range(n)]
         self._defers: dict[tuple, bool] = {}
-        d = phy.updown_factor
-        power = phy.avg_transmit_power
-        for i, j, c, energy, delay in ChannelModel(scenario.environment, scenario.channel).pairs(nodes, d):
-            peak, isi_sum = sdt_signal_and_isi(c, d)
-            direct = (d * power * peak, d * power * isi_sum)
+        pairs = ChannelModel(scenario.environment, scenario.channel).pairs(nodes, phy.updown_factor)
+        for i, j, c, energy, delay in pairs:
+            direct = sdt_powers(c, phy)
             for a, b in ((i, j), (j, i)):
                 self.cir[a][b] = c
                 self.delay[a][b] = delay
-                self.power[a][b] = power * energy
+                self.power[a][b] = phy.avg_transmit_power * energy
                 self.direct[a][b] = direct
         self.reach = [max(x for x in row if x is not None) for row in self.delay]
 
@@ -337,7 +326,7 @@ class LinkTable:
         """Fill the TR quantities of frames a sends on link (a, b)."""
         own, row = self.cir[a][b], self.cir[a]
         ili = [None if v == a else p_ili(row[v], own, self.phy) for v in range(len(row))]
-        self.tr[a][b] = (p_sig(own, self.phy), p_isi(own, self.phy), ili)
+        self.tr[a][b] = (*tr_powers(*self.reply_quantities(a, b), self.phy), ili)
 
     def reply_quantities(self, a: int, b: int) -> tuple[float, float]:
         """The ``(norm, off-peak autocorrelation sum)`` of link (a, b) that its probe replies carry."""
@@ -530,23 +519,14 @@ class Simulator:
         duration = self.scenario.duration
         heap = self.heap
         heappop = heapq.heappop
+        handlers = (self._handle_arrival, self._handle_rx_start, self._handle_rx_end,
+                    self._handle_timer, self._submit_frame, self._drain)
         while heap:
             time, seq, kind, subject, attachment = heappop(heap)
             if time > duration:
                 break
             self._event_seq = seq
-            if kind == EV_RX_START:
-                self._handle_rx_start(subject, attachment, time)
-            elif kind == EV_RX_END:
-                self._handle_rx_end(subject, attachment, time)
-            elif kind == EV_TIMER:
-                self._handle_timer(subject, attachment, time)
-            elif kind == EV_SEND:
-                self._submit_frame(subject, attachment, time)
-            elif kind == EV_DRAIN:
-                self._drain(subject, time)
-            else:
-                self._handle_arrival(subject, attachment, time)
+            handlers[kind](subject, attachment, time)
         metrics = collect_metrics(self.trace, duration, self.scenario.warmup, sample_every)
         stats = {key: sum(state.engine.stats[key] for state in self.nodes) for key in self.nodes[0].engine.stats}
         return RunResult(metrics=metrics, trace=self.trace, engine_stats=stats)
@@ -704,7 +684,7 @@ class Simulator:
             sig, isi = self.links.direct[frame.src][node_id]
         return sinr_from_parts(sig, isi, rec.interference, self.phy) >= self.phy.min_required_sinr
 
-    def _drain(self, node_id: int, now: float) -> None:
+    def _drain(self, node_id: int, _, now: float) -> None:
         state = self.nodes[node_id]
         if state.tx_busy_until <= now and state.outbox:
             self._start_tx(node_id, state.outbox.pop(0), now)

@@ -98,15 +98,22 @@ def crosscorr_sampled_stats(a: np.ndarray, b: np.ndarray, d_factor: int) -> tupl
     return float(math.sqrt(mags[center])), float(mags.sum() - mags[center])
 
 
+def tr_powers(link_norm: float, offpeak: float, phy: PhyConfig) -> tuple[float, float]:
+    """(signal, ISI) power of a TR transmission over a link of norm ||c||
+    and off-peak autocorrelation sum ``offpeak``: D * P * ||c||^2, and that
+    times ``offpeak``."""
+    sig = phy.updown_factor * phy.avg_transmit_power * link_norm**2
+    return sig, sig * offpeak
+
+
 def p_sig(c: np.ndarray, phy: PhyConfig) -> float:
     """Received signal power of a TR transmission: D * P * ||c||^2."""
-    return phy.updown_factor * phy.avg_transmit_power * norm(c) ** 2
+    return tr_powers(norm(c), 0.0, phy)[0]
 
 
 def p_isi(c: np.ndarray, phy: PhyConfig) -> float:
     """Residual self-interference power after TR and down-sampling."""
-    n2 = norm(c) ** 2
-    return phy.updown_factor * phy.avg_transmit_power * n2 * autocorr_offpeak_sum(c, phy.updown_factor)
+    return tr_powers(norm(c), autocorr_offpeak_sum(c, phy.updown_factor), phy)[1]
 
 
 def p_ili(interferer_to_victim: np.ndarray, interferer_link: np.ndarray, phy: PhyConfig) -> float:
@@ -116,8 +123,7 @@ def p_ili(interferer_to_victim: np.ndarray, interferer_link: np.ndarray, phy: Ph
     i.e. the peak term plus the off-peak terms.
     """
     peak, offpeak = crosscorr_sampled_stats(interferer_to_victim, interferer_link, phy.updown_factor)
-    n2 = norm(interferer_to_victim) ** 2
-    return phy.updown_factor * phy.avg_transmit_power * n2 * (peak**2 + offpeak)
+    return ili_power_from_parts(norm(interferer_to_victim), peak, offpeak, phy)
 
 
 def ili_power_from_parts(
@@ -182,18 +188,19 @@ def sdt_signal_and_isi(c: np.ndarray, d_factor: int) -> tuple[float, float]:
     return peak, float(sampled.sum() - mags[l_bar])
 
 
-def sinr_sdt_from_parts(peak_power: float, isi_sum: float, phy: PhyConfig) -> float:
-    """SDT SINR from the ``sdt_signal_and_isi`` pair of a CIR."""
+def sdt_powers(c: np.ndarray, phy: PhyConfig) -> tuple[float, float]:
+    """(signal, ISI) power of a single direct (non-TR) transmission over c:
+    D * P times the ``sdt_signal_and_isi`` pair."""
+    peak, isi_sum = sdt_signal_and_isi(c, phy.updown_factor)
     dp = phy.updown_factor * phy.avg_transmit_power
-    return sinr_from_parts(dp * peak_power, dp * isi_sum, 0.0, phy)
+    return dp * peak, dp * isi_sum
 
 
 def sinr_sdt(c: np.ndarray, phy: PhyConfig) -> float:
     """Effective SINR of a single direct (non-TR) transmission."""
     if norm(c) == 0.0:
         raise ValueError("sinr_sdt requires a nonzero CIR")
-    peak_power, isi_sum = sdt_signal_and_isi(c, phy.updown_factor)
-    return sinr_sdt_from_parts(peak_power, isi_sum, phy)
+    return sinr_from_parts(*sdt_powers(c, phy), 0.0, phy)
 
 
 def eta_threshold(

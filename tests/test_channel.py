@@ -417,6 +417,15 @@ def test_generate_taps_rejects_a_nonfinite_point(bad):
         generate_taps(bad, PROBE_POINTS[:2], ENV, CFG)
 
 
+def test_generate_taps_rejects_a_link_length_whose_square_overflows():
+    # 1e200 m is finite, but its square is not: a ValueError naming the length
+    far = (20.0, 1e200, 0.0)
+    with pytest.raises(ValueError, match=r"^generate_taps: a link length of 1e\+200 m overflows when squared$"):
+        generate_taps(TX_POINT, [PROBE_POINTS[0], far], ENV, CFG)
+    with pytest.raises(ValueError, match=r"1e\+200 m overflows"):
+        generate_cir(far, TX_POINT, ENV, CFG)
+
+
 def test_statistical_model_without_a_seed_names_the_field():
     # rng_seed=None means "follow Scenario.seed", which only a resolved Scenario fills in
     unseeded = ChannelModelConfig(rng_seed=None)

@@ -123,6 +123,17 @@ def test_an_unusable_arrival_file_is_an_error_naming_it(command, arrivals, messa
     assert err.startswith(f"error: {arrival_file}: {message}")
 
 
+def test_a_link_length_whose_square_overflows_is_an_error(tmp_path, capsys):
+    # every node lies inside the huge region, so the scenario itself is valid
+    scenario = tmp_path / "far.yaml"
+    scenario.write_text("network: {region_size_m: 1.0e+201, nodes: [[20, 0, 0], [20, 600, 0], [20, 1.0e+200, 0]],"
+                        " routes: [[0, 1]], link_count: 1}\n")
+    assert main(["run", str(scenario), "--duration", "60", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: generate_taps: a link length of 1e+200 m overflows when squared\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_preset_subcommand(tmp_path):
     assert main(["preset", "sinr_vs_eta", "--out", str(tmp_path)]) == 0
     assert os.path.exists(tmp_path / "sinr_vs_eta.csv")

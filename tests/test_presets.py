@@ -193,6 +193,14 @@ def test_a_heatmap_that_fails_midway_leaves_no_file(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_a_heatmap_range_whose_square_overflows_names_it_and_leaves_no_file(tmp_path):
+    preset = ExperimentPreset("correlation_heatmap", params={"depth_step": 80.0, "range_step": 1e299,
+                                                             "max_range": 1e300}, output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=r"a link length of 1e\+300 m overflows when squared"):
+        preset_correlation_heatmap(preset)
+    assert not list(tmp_path.iterdir())
+
+
 def test_csv_line_writes_the_bytes_of_csv_writer():
     rows = [
         [4, "trmac", 1, 120, 117, 3, 0.1 + 0.2, 0.025, 1e16],

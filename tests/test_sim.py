@@ -15,7 +15,8 @@ from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Cancel, Frame, FrameKind, Pack
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import sim as sim_module
 from uwansim.sim import LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
-from uwansim.tr_phy import autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_signal_and_isi, sinr_from_parts
+from uwansim.tr_phy import (autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_powers, sdt_signal_and_isi,
+                            sinr_from_parts, tr_powers)
 
 
 def single_link_scenario(**overrides):
@@ -328,6 +329,25 @@ def test_run_rejects_a_bad_sample_period_before_the_first_event(value):
     with pytest.raises(ValueError, match="^sample_every: expected a positive finite number"):
         sim.run(value)
     assert not sim.heap and sim.trace.generated == 0
+
+
+@pytest.mark.parametrize("name, duration, warmup", [
+    ("duration", math.nan, 0.0), ("duration", -5.0, 0.0), ("duration", math.inf, 0.0),
+    ("warmup", 40.0, math.nan), ("warmup", 40.0, -1.0), ("warmup", 40.0, math.inf),
+])
+@pytest.mark.parametrize("sample_every", [None, 10.0])
+def test_collect_metrics_refuses_a_bad_duration_or_warmup(name, duration, warmup, sample_every):
+    # refused before any bound is taken, so an infinite duration never samples
+    trace = RunTrace(generated=1, data_tx_times=[1.0], deliveries=[(2.0, 1, 1.0)])
+    with pytest.raises(ValueError, match=f"^{name}: expected a finite non-negative number, got "):
+        collect_metrics(trace, duration, warmup, sample_every)
+
+
+def test_collect_metrics_takes_a_zero_duration_and_warmup():
+    trace = RunTrace(generated=1, data_tx_times=[0.0], deliveries=[(0.0, 1, 0.5)],
+                     busy_intervals=[(0.0, 1.0)], rx_success=[(0.0, 256)])
+    m = collect_metrics(trace, 0.0, 0.0, 10.0)
+    assert (m.delivered, m.data_frames_transmitted, m.busy_time, m.throughput, m.series) == (1, 1, 0.0, 0.0, [])
 
 
 def test_second_run_is_refused_before_any_event():
@@ -1151,6 +1171,41 @@ def test_reply_row_holds_each_links_norm_and_offpeak_sum():
         for b in set(range(n)) - {a}:
             c = table.cir[a][b]
             assert table.reply[a][b] == (norm(c), autocorr_offpeak_sum(c, sc.phy.updown_factor))
+
+
+@pytest.mark.parametrize("phy", [{}, {"updown_factor": 4, "transmit_power_w": 0.7}], ids=["default", "d4"])
+def test_link_powers_from_the_reply_row_are_the_per_cir_powers_bit_for_bit(phy):
+    sc = scenario_from_dict({"seed": 2, "phy": phy})
+    table = LinkTable(sc)
+    n = len(sc.network.nodes)
+    for a in range(n):
+        for b in set(range(n)) - {a}:
+            c = table.cir[a][b]
+            tr = tr_powers(*table.reply_quantities(a, b), sc.phy)
+            assert list(map(float.hex, tr)) == [p_sig(c, sc.phy).hex(), p_isi(c, sc.phy).hex()]
+            assert list(map(float.hex, sdt_powers(c, sc.phy))) == list(map(float.hex, table.direct[a][b]))
+
+
+def test_each_links_offpeak_sum_is_computed_once_per_table(monkeypatch):
+    """The off-peak autocorrelation sum of a link feeds its probe replies and
+    the ISI of the TR frames of both its directions: one computation each."""
+    computed = []
+
+    def counting(c, d_factor):
+        computed.append(c)
+        return autocorr_offpeak_sum(c, d_factor)
+
+    monkeypatch.setattr("uwansim.tr_phy.autocorr_offpeak_sum", counting)
+    monkeypatch.setattr("uwansim.sim.autocorr_offpeak_sum", counting)
+    case = next(c for c in DENSE_CASES if c["scenario"]["mac"]["protocol"] == "trmac")
+    sim = Simulator(scenario_from_dict(copy.deepcopy(case["scenario"])))
+    sim.run()
+    links, n = sim.links, sim.n_nodes
+    read = {frozenset((a, b)) for a in range(n) for b in range(n)
+            if links.reply[a][b] is not None or links.tr[a][b] is not None}
+    assert sum(entry is not None for row in links.tr for entry in row) > len(read) > 1
+    # the table holds one CIR object per unordered pair
+    assert len({id(c) for c in computed}) == len(computed) <= len(read)
 
 
 # a tiny victim norm makes the admission radicand negative (near-far); a

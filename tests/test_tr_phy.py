@@ -14,12 +14,13 @@ from uwansim.tr_phy import (
     p_ili,
     p_isi,
     p_sig,
+    sdt_powers,
     sdt_signal_and_isi,
     sinr_atrsts,
     sinr_atrsts_from_parts,
     sinr_from_parts,
     sinr_sdt,
-    sinr_sdt_from_parts,
+    tr_powers,
     tr_waveform,
 )
 
@@ -255,7 +256,10 @@ def test_sinr_parts_share_the_engine_summation_order():
     assert sinr_atrsts_from_parts(sig, isi, ilis, phy) == sig / (isi + (0.0 + 0.1 + 0.2 + 1e-17) + 0.1)
     assert sinr_atrsts_from_parts(sig, isi, [], phy) == sig / (isi + 0.1)
     dp = 3 * 0.7
-    assert sinr_sdt_from_parts(1.5, 0.25, phy) == dp * 1.5 / (dp * 0.25 + 0.1)
+    c = cir([2.0, 0.0, 0.0, 1.0])  # D = 3 keeps taps 0 and 3: |h_lbar|^2 = 4, ISI 1
+    assert sdt_powers(c, phy) == (dp * 4.0, dp * 1.0)
+    assert sinr_sdt(c, phy) == sinr_from_parts(*sdt_powers(c, phy), 0.0, phy) == dp * 4.0 / (dp * 1.0 + 0.0 + 0.1)
+    assert tr_powers(2.0, 0.25, phy) == (dp * 4.0, dp * 4.0 * 0.25)
 
 
 def test_sinr_sdt_retains_offgrid_strongest_tap():
