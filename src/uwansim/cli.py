@@ -8,7 +8,6 @@ import math
 import os
 import sys
 
-from .channel import ARRIVAL_FILE
 from .mac import PROTOCOLS
 from .presets import PARAMS, PRESET_NAMES, ExperimentPreset, run_preset
 from .scenario import ScenarioError, config_hash, load_scenario, scenario_from_dict, scenario_to_dict
@@ -100,8 +99,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
-    if scenario.channel.model_kind == ARRIVAL_FILE:
-        LinkTable(scenario)  # reads the file and checks every pair, as a run does
+    LinkTable(scenario)  # builds every pair's channel, as a run does
     print(f"OK: {args.scenario} (config={config_hash(scenario)}, "
           f"{len(scenario.network.nodes)} nodes, {len(scenario.network.routes)} routes)")
     return 0

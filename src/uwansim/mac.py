@@ -51,7 +51,6 @@ class Packet:
     """Application-layer data unit routed over a static multi-hop route."""
 
     packet_id: int
-    flow_id: int
     route: tuple[int, ...]
     size_bits: int
     created_at: float
@@ -83,7 +82,6 @@ class Frame:
     tx_duration: float
     piggyback: Optional[Piggyback] = None
     packet: Optional[Packet] = None
-    frame_id: int = -1
 
     def __post_init__(self):
         if self.payload_bits < 0:

@@ -1,6 +1,6 @@
-# This module is a port of ``max_weight_matching`` from networkx 3.6.1
-# (networkx/algorithms/matching.py), which is distributed under the
-# following license:
+# This module keeps the search order of ``max_weight_matching`` from
+# networkx 3.6.1 (networkx/algorithms/matching.py), which is distributed
+# under the following license:
 #
 #    Copyright (c) 2004-2025, NetworkX Developers
 #    Aric Hagberg <hagberg@lanl.gov>
@@ -37,56 +37,183 @@
 #    OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """Maximum-cardinality matching of a simple graph: Edmonds' blossom algorithm.
 
-``max_cardinality_matching`` returns the matching that networkx 3.6.1's
-``max_weight_matching(G, maxcardinality=True)`` returns when every edge
-weighs 1: given each node's neighbours in the order an ``nx.Graph`` lists
-them, it scans edges and queues vertices in the same order, so it breaks
-ties alike and the placed routes do not depend on networkx.
+``max_cardinality_matching`` runs Edmonds' cardinality search ("Paths,
+trees, and flowers", Canad. J. Math. 17, 1965) and returns the matching that
+networkx 3.6.1's ``max_weight_matching(G, maxcardinality=True)`` returns
+when every edge weighs 1.  A graph has many maximum matchings as a rule, and
+which one comes out depends on the order of the search: the LIFO queue of S
+vertices, the scan of each vertex's neighbours in adjacency order, the
+alternating trace that finds a blossom's base, and the order in which a new
+blossom queues the T vertices it absorbs.  Placement (``scenario._pair_nodes``)
+takes its links from the matching, so all four are networkx's, and the
+placed routes are those networkx placed.
 
-networkx runs Galil's primal-dual form ("Efficient Algorithms for Finding
-Maximum Matching in Graphs", ACM Computing Surveys 18(1), 1986) of Edmonds'
-blossom method ("Paths, trees, and flowers", 1965).  With unit weights its
-dual machinery never acts before the search ends, which leaves Edmonds'
-cardinality algorithm:
+With unit weights networkx's dual updates never act before the search ends,
+so every blossom is an S-blossom and is dissolved when its stage ends: a
+stage needs no blossom tree.  A blossom is its base and a member list, and
+an augmenting path is walked from the labels as in Gabow ("An efficient
+implementation of Edmonds' algorithm for maximum matching on graphs",
+J. ACM 23(2), 1976): a T vertex absorbed into a blossom keeps the edge that
+closed it (its bridge), and the walk crosses the blossom through it.
 
-- every vertex dual starts at 1 (networkx keeps duals and slacks times
-  two), so every edge has zero slack and is allowable when first scanned;
-- so every blossom is made an S-blossom with zero dual, stays one and is
-  dissolved when its stage ends: no stage starts with a blossom and no
-  T-blossom exists;
-- so the only dual update is the final one (delta = 1), which exists only
-  to certify the optimum.  ``verify_optimum`` checks that certificate with
-  the duals worked out from the last stage's labels: S vertices 0, T
-  vertices 2, unlabelled vertices 1, top-level S-blossoms z = 1, nested
-  blossoms 0.
-
-Every internal ``assert`` of the code kept is kept, and an ``assert`` stands
-where networkx starts a branch that this argument rules out, so a wrong
-argument fails loudly instead of drifting from networkx.  The networkx code
-derives from Joris van Rantwijk's mwmatching.py.  Many terms in the
-comments are explained in Galil's paper.
+The end of every call asserts the dual certificate of optimality, with the
+duals (times two, as in networkx) worked out from the last stage's labels:
+S vertices 0, T vertices 2, unlabelled vertices 1, and 1 for each top-level
+blossom.
 """
 
 
-class _Blossom:
-    """A non-trivial blossom or sub-blossom."""
+class _Stage:
+    """One stage of the search: the alternating forest grown from the single
+    vertices until an augmenting path is found or the queue runs empty.
 
-    __slots__ = ("childs", "edges")
+    Labels (1 for S, 2 for T, 5 for a breadcrumb) and label edges are keyed
+    by the base of a top-level blossom, which is ``top[v]`` for each vertex
+    ``v``; ``members[base]`` lists the vertices of a non-trivial one."""
 
-    # childs: the sub-blossoms in order, starting with the base and going
-    # round the blossom.
-    # edges: the connecting edges; edges[i] = (v, w) with v a vertex in
-    # childs[i] and w a vertex in childs[wrap(i+1)].
+    def __init__(self, adjacency, mate):
+        self.adjacency = adjacency
+        self.mate = mate
+        self.top = list(range(len(adjacency)))
+        # the single vertices are the S roots, queued in index order
+        self.queue = [v for v in self.top if v not in mate]
+        self.label = dict.fromkeys(self.queue, 1)
+        self.labeledge = dict.fromkeys(self.queue)
+        self.members = {}
+        # bridge[t] = (the end of the closing edge on t's side, the other end)
+        # for each T vertex t that a blossom absorbed
+        self.bridge = {}
 
-    def leaves(self):
-        """The blossom's vertices."""
-        stack = [*self.childs]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, _Blossom):
-                stack.extend(t.childs)
+    def search(self) -> bool:
+        """Label from the queue; True once an augmentation ends the stage."""
+        adjacency, mate, top, label, labeledge, queue = (
+            self.adjacency, self.mate, self.top, self.label, self.labeledge, self.queue)
+        while queue:
+            v = queue.pop()
+            for w in adjacency[v]:
+                bw = top[w]
+                if top[v] == bw:
+                    continue  # an edge inside a blossom
+                lw = label.get(bw)
+                if lw is None:
+                    # w is unlabelled, so matched: label it T and its mate S
+                    m = mate[w]
+                    label[w], labeledge[w] = 2, (v, w)
+                    label[m], labeledge[m] = 1, (w, m)
+                    queue.append(m)
+                elif lw == 1:
+                    base = self.scan(v, w)
+                    if base is None:
+                        self.augment(v, w)
+                        return True
+                    self.blossom(base, v, w)
+        return False
+
+    def scan(self, v, w):
+        """Trace back from S vertices v and w in turn, leaving breadcrumbs:
+        the base of the blossom that edge (v, w) closes, or None if the two
+        paths end at different single vertices."""
+        top, label, labeledge = self.top, self.label, self.labeledge
+        path = []
+        base = None
+        while v is not None:
+            b = top[v]
+            if label[b] & 4:
+                base = b
+                break
+            path.append(b)
+            label[b] = 5
+            v = None if labeledge[b] is None else labeledge[labeledge[b][0]][0]
+            if w is not None:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return base
+
+    def blossom(self, base, v, w):
+        """Make the S-blossom that edge (v, w) closes on ``base`` and queue
+        its T vertices: those of w's side from the base outward, then those
+        of v's side from v toward the base."""
+        top, label, labeledge, members = self.top, self.label, self.labeledge, self.members
+        sides = []
+        for end, other in ((v, w), (w, v)):
+            side = []
+            b = top[end]
+            while b != base:
+                side.append(b)
+                if label[b] == 2:
+                    self.bridge[b] = (end, other)
+                b = top[labeledge[b][0]]
+            sides.append(side)
+        inside = members.setdefault(base, [base])
+        for b in sides[1][::-1] + sides[0]:
+            if label[b] == 2:
+                self.queue.append(b)
+            for x in members.pop(b, (b,)):
+                top[x] = base
+                inside.append(x)
+
+    def _walk(self, x, stop, out):
+        """Append the alternating path from S vertex x to its single vertex,
+        up to ``stop`` if given, to ``out``; yield the arguments of each
+        sub-walk this needs, to be run before the walk goes on."""
+        labeledge = self.labeledge
+        while True:
+            while x in self.bridge:
+                # x is an absorbed T vertex: its path runs back along its
+                # side of the blossom to the bridge, then on from the far end
+                near, far = self.bridge[x]
+                part = []
+                yield near, x, part
+                out.extend(reversed(part))
+                x = far
+            out.append(x)
+            if labeledge[x] is None:
+                return
+            t = labeledge[x][0]  # x's mate, a T vertex
+            out.append(t)
+            if t == stop:
+                return
+            x = labeledge[t][0]
+
+    def walk(self, x) -> list:
+        """The alternating path from S vertex x to its single vertex.  The
+        sub-walks run from a stack, so Python's stack does not grow with
+        the nesting of the blossoms."""
+        out = []
+        walks = [self._walk(x, None, out)]
+        while walks:
+            for args in walks[-1]:
+                walks.append(self._walk(*args))
+                break
             else:
-                yield t
+                walks.pop()
+        return out
+
+    def augment(self, v, w):
+        """Match every other edge of the path through edge (v, w)."""
+        path = self.walk(v)[::-1] + self.walk(w)
+        assert len(path) % 2 == 0 and path[0] not in self.mate and path[-1] not in self.mate
+        for a, b in zip(path[::2], path[1::2]):
+            self.mate[a], self.mate[b] = b, a
+
+    def certify(self):
+        """Assert that this last stage's labels certify a maximum matching."""
+        mate, top = self.mate, self.top
+        dual = [{None: 1, 1: 0, 2: 2}[self.label.get(b)] for b in top]
+        matched = 0
+        for i, row in enumerate(self.adjacency):
+            for j in row:
+                # an edge inside a top-level blossom takes its dual twice
+                slack = dual[i] + dual[j] - 2 + 2 * (top[i] == top[j])
+                assert slack >= 0
+                if mate.get(i) == j:
+                    assert slack == 0 and mate[j] == i
+                    matched += 1
+        assert matched == len(mate)  # every matched pair is an edge
+        assert all(dual[v] == 0 for v in range(len(top)) if v not in mate)
+        for base, inside in self.members.items():
+            assert all(top[mate[x]] == base for x in inside if x != base)
 
 
 def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]]:
@@ -98,382 +225,9 @@ def max_cardinality_matching(adjacency: list[list[int]]) -> list[tuple[int, int]
     exactly when ``i`` is in ``adjacency[j]``, no node its own neighbour,
     no neighbour listed twice.  Where several maximum matchings exist, the
     order of the rows decides which one is returned."""
-    gnodes = range(len(adjacency))
-    if not gnodes:
-        return []
-
-    # If v is a matched vertex, mate[v] is its partner vertex.
-    # If v is a single vertex, v does not occur as a key in mate.
-    # Initially all vertices are single; updated during augmentation.
     mate = {}
-
-    # If b is a top-level blossom,
-    # label.get(b) is None if b is unlabeled (free),
-    #                 1 if b is an S-blossom,
-    #                 2 if b is a T-vertex (never a non-trivial blossom).
-    # The label of a vertex is found by looking at the label of its top-level
-    # containing blossom.
-    # Labels are assigned during a stage and reset after each augmentation.
-    label = {}
-
-    # If b is a labeled top-level blossom,
-    # labeledge[b] = (v, w) is the edge through which b obtained its label
-    # such that w is a vertex in b, or None if b's base vertex is single.
-    labeledge = {}
-
-    # If v is a vertex, inblossom[v] is the top-level blossom to which v
-    # belongs.
-    # If v is a top-level vertex, inblossom[v] == v since v is itself
-    # a (trivial) top-level blossom.
-    # Initially all vertices are top-level trivial blossoms.
-    inblossom = list(gnodes)
-
-    # If b is a sub-blossom,
-    # blossomparent[b] is its immediate parent (sub-)blossom.
-    # If b is a top-level blossom, blossomparent[b] is None.
-    # Its keys are the vertices, then the blossoms of this stage.
-    blossomparent = dict.fromkeys(gnodes)
-
-    # If b is a (sub-)blossom,
-    # blossombase[b] is its base VERTEX (i.e. recursive sub-blossom).
-    blossombase = dict(zip(gnodes, gnodes))
-
-    # The blossoms made in this stage, in order of creation.
-    blossoms = []
-
-    # Queue of newly discovered S-vertices.
-    queue = []
-
-    # Assign label t to vertex w, coming through an edge from vertex v.
-    def assign_label(w, t, v):
-        # Only vertices are unlabelled: every blossom is made an S-blossom.
-        assert inblossom[w] == w and label.get(w) is None
-        label[w] = t
-        labeledge[w] = None if v is None else (v, w)
-        if t == 1:
-            # w became an S-vertex; add it to the queue.
-            queue.append(w)
-        elif t == 2:
-            # w became a T-vertex; assign label S to its mate.
-            assign_label(mate[w], 1, w)
-
-    # Trace back from vertices v and w to discover either a new blossom
-    # or an augmenting path. Return the base vertex of the new blossom,
-    # or None if an augmenting path was found.
-    def scan_blossom(v, w):
-        # Trace back from v and w, placing breadcrumbs as we go.
-        path = []
-        base = None
-        while v is not None:
-            # Look for a breadcrumb in v's blossom or put a new breadcrumb.
-            b = inblossom[v]
-            if label[b] & 4:
-                base = blossombase[b]
-                break
-            assert label[b] == 1
-            path.append(b)
-            label[b] = 5
-            # Trace one step back.
-            if labeledge[b] is None:
-                # The base of blossom b is single; stop tracing this path.
-                assert blossombase[b] not in mate
-                v = None
-            else:
-                assert labeledge[b][0] == mate[blossombase[b]]
-                v = labeledge[b][0]
-                b = inblossom[v]
-                assert label[b] == 2
-                # b is a T-vertex; trace one more step back.
-                v = labeledge[b][0]
-            # Swap v and w so that we alternate between both paths.
-            if w is not None:
-                v, w = w, v
-        # Remove breadcrumbs.
-        for b in path:
-            label[b] = 1
-        # Return base vertex, if we found one.
-        return base
-
-    # Construct a new blossom with given base, through S-vertices v and w.
-    # Label the new blossom as S; relabel its T-vertices to S and add them
-    # to the queue.
-    def add_blossom(base, v, w):
-        bb = inblossom[base]
-        bv = inblossom[v]
-        bw = inblossom[w]
-        # Create blossom.
-        b = _Blossom()
-        blossoms.append(b)
-        blossombase[b] = base
-        blossomparent[b] = None
-        blossomparent[bb] = b
-        # Make list of sub-blossoms and their interconnecting edge endpoints.
-        b.childs = path = []
-        b.edges = edgs = [(v, w)]
-        # Trace back from v to base.
-        while bv != bb:
-            # Add bv to the new blossom.
-            blossomparent[bv] = b
-            path.append(bv)
-            edgs.append(labeledge[bv])
-            assert label[bv] == 2 or (
-                label[bv] == 1 and labeledge[bv][0] == mate[blossombase[bv]]
-            )
-            # Trace one step back.
-            v = labeledge[bv][0]
-            bv = inblossom[v]
-        # Add base sub-blossom; reverse lists.
-        path.append(bb)
-        path.reverse()
-        edgs.reverse()
-        # Trace back from w to base.
-        while bw != bb:
-            # Add bw to the new blossom.
-            blossomparent[bw] = b
-            path.append(bw)
-            edgs.append((labeledge[bw][1], labeledge[bw][0]))
-            assert label[bw] == 2 or (
-                label[bw] == 1 and labeledge[bw][0] == mate[blossombase[bw]]
-            )
-            # Trace one step back.
-            w = labeledge[bw][0]
-            bw = inblossom[w]
-        # Set label to S.
-        assert label[bb] == 1
-        label[b] = 1
-        labeledge[b] = labeledge[bb]
-        # Relabel vertices.
-        for v in b.leaves():
-            if label[inblossom[v]] == 2:
-                # This T-vertex now turns into an S-vertex because it becomes
-                # part of an S-blossom; add it to the queue.
-                queue.append(v)
-            inblossom[v] = b
-
-    # Swap matched/unmatched edges over an alternating path through blossom b
-    # between vertex v and the base vertex. Keep blossom bookkeeping
-    # consistent.
-    def augment_blossom(b, v):
-        # The augmentation recurses into sub-blossoms. Each recursive call is
-        # a generator that yields the arguments of its own recursive calls,
-        # so that the Python call stack stays flat (a trampoline).
-
-        def _recurse(b, v):
-            # Bubble up through the blossom tree from vertex v to an immediate
-            # sub-blossom of b.
-            t = v
-            while blossomparent[t] != b:
-                t = blossomparent[t]
-            # Recursively deal with the first sub-blossom.
-            if isinstance(t, _Blossom):
-                yield (t, v)
-            # Decide in which direction we will go round the blossom.
-            i = j = b.childs.index(t)
-            if i & 1:
-                # Start index is odd; go forward and wrap.
-                j -= len(b.childs)
-                jstep = 1
-            else:
-                # Start index is even; go backward.
-                jstep = -1
-            # Move along the blossom until we get to the base.
-            while j != 0:
-                # Step to the next sub-blossom and augment it recursively.
-                j += jstep
-                t = b.childs[j]
-                if jstep == 1:
-                    w, x = b.edges[j]
-                else:
-                    x, w = b.edges[j - 1]
-                if isinstance(t, _Blossom):
-                    yield (t, w)
-                # Step to the next sub-blossom and augment it recursively.
-                j += jstep
-                t = b.childs[j]
-                if isinstance(t, _Blossom):
-                    yield (t, x)
-                # Match the edge connecting those sub-blossoms.
-                mate[w] = x
-                mate[x] = w
-            # Rotate the list of sub-blossoms to put the new base at the front.
-            b.childs = b.childs[i:] + b.childs[:i]
-            b.edges = b.edges[i:] + b.edges[:i]
-            blossombase[b] = blossombase[b.childs[0]]
-            assert blossombase[b] == v
-
-        # Run the trampoline: a stack of the pending generators, grown by one
-        # for each argument a generator yields and shrunk when one is done.
-        stack = [_recurse(b, v)]
-        while stack:
-            top = stack[-1]
-            for args in top:
-                stack.append(_recurse(*args))
-                break
-            else:
-                stack.pop()
-
-    # Swap matched/unmatched edges over an alternating path between two
-    # single vertices. The augmenting path runs through S-vertices v and w.
-    def augment_matching(v, w):
-        for s, j in ((v, w), (w, v)):
-            # Match vertex s to vertex j. Then trace back from s
-            # until we find a single vertex, swapping matched and unmatched
-            # edges as we go.
-            while 1:
-                bs = inblossom[s]
-                assert label[bs] == 1
-                assert (labeledge[bs] is None and blossombase[bs] not in mate) or (
-                    labeledge[bs][0] == mate[blossombase[bs]]
-                )
-                # Augment through the S-blossom from s to base.
-                if isinstance(bs, _Blossom):
-                    augment_blossom(bs, s)
-                # Update mate[s]
-                mate[s] = j
-                # Trace one step back.
-                if labeledge[bs] is None:
-                    # Reached single vertex; stop.
-                    break
-                t = labeledge[bs][0]
-                bt = inblossom[t]
-                assert label[bt] == 2
-                # Trace one more step back.
-                s, j = labeledge[bt]
-                # A T label is only ever on a vertex, so there is no
-                # T-blossom to augment through from j to its base.
-                assert blossombase[bt] == t and bt == j
-                # Update mate[j]
-                mate[j] = s
-
-    # Verify that the optimum solution has been reached.
-    def verify_optimum():
-        # The duals after the final update (times two): S vertices 0, T
-        # vertices 2, unlabelled 1; top-level S-blossoms 1, nested ones 0.
-        vertexdual = {None: 1, 1: 0, 2: 2}
-        dualvar = [vertexdual[label.get(inblossom[v])] for v in gnodes]
-        blossomdual = {}
-        for b in blossoms:
-            assert blossomparent[b] is not None or label[b] == 1
-            blossomdual[b] = 1 if blossomparent[b] is None else 0
-        # 0. all dual variables are non-negative
-        assert min(dualvar) >= 0
-        assert len(blossomdual) == 0 or min(blossomdual.values()) >= 0
-        # 0. all edges have non-negative slack and
-        # 1. all matched edges have zero slack;
-        for i in gnodes:
-            for j in adjacency[i]:
-                if j < i:
-                    continue  # each edge once
-                s = dualvar[i] + dualvar[j] - 2
-                iblossoms = [i]
-                jblossoms = [j]
-                while blossomparent[iblossoms[-1]] is not None:
-                    iblossoms.append(blossomparent[iblossoms[-1]])
-                while blossomparent[jblossoms[-1]] is not None:
-                    jblossoms.append(blossomparent[jblossoms[-1]])
-                iblossoms.reverse()
-                jblossoms.reverse()
-                for bi, bj in zip(iblossoms, jblossoms):
-                    if bi != bj:
-                        break
-                    s += 2 * blossomdual[bi]
-                assert s >= 0
-                if mate.get(i) == j or mate.get(j) == i:
-                    assert mate[i] == j and mate[j] == i
-                    assert s == 0
-        # 2. all single vertices have zero dual value;
-        for v in gnodes:
-            assert (v in mate) or dualvar[v] == 0
-        # 3. all blossoms with positive dual value are full.
-        for b in blossomdual:
-            if blossomdual[b] > 0:
-                assert len(b.edges) % 2 == 1
-                for i, j in b.edges[1::2]:
-                    assert mate[i] == j and mate[j] == i
-        # Ok.
-
-    # Main loop: continue until no further improvement is possible.
-    while 1:
-        # Each iteration of this loop is a "stage".
-        # A stage finds an augmenting path and uses that to improve
-        # the matching.
-
-        # The last stage dissolved every blossom.
-        assert len(blossomparent) == len(gnodes)
-
-        # Remove labels from top-level blossoms/vertices.
-        label.clear()
-        labeledge.clear()
-
-        # Make queue empty.
-        queue[:] = []
-
-        # Label single vertices with S and put them in the queue.
-        for v in gnodes:
-            if v not in mate:
-                assign_label(v, 1, None)
-
-        # Continue labeling until all vertices which are reachable
-        # through an alternating path have got a label, or an augmenting
-        # path is found.  Every edge is allowable, so there is no dual
-        # update to make before the queue runs empty.
-        augmented = 0
-        while queue and not augmented:
-            # Take an S vertex from the queue.
-            v = queue.pop()
-            assert label[inblossom[v]] == 1
-
-            # Scan its neighbors:
-            for w in adjacency[v]:
-                # w is a neighbor to v
-                bv = inblossom[v]
-                bw = inblossom[w]
-                if bv == bw:
-                    # this edge is internal to a blossom; ignore it
-                    continue
-                if label.get(bw) is None:
-                    # (C1) w is a free vertex;
-                    # label w with T and label its mate with S (R12).
-                    assign_label(w, 2, v)
-                elif label.get(bw) == 1:
-                    # (C2) w is an S-vertex (not in the same blossom);
-                    # follow back-links to discover either an
-                    # augmenting path or a new blossom.
-                    base = scan_blossom(v, w)
-                    if base is not None:
-                        # Found a new blossom; add it to the blossom
-                        # bookkeeping and turn it into an S-blossom.
-                        add_blossom(base, v, w)
-                    else:
-                        # Found an augmenting path; augment the
-                        # matching and end this stage.
-                        augment_matching(v, w)
-                        augmented = 1
-                        break
-                else:
-                    # w is a T-vertex, never inside a T-blossom.
-                    assert label[bw] == 2 and bw == w
-
-        # Paranoia check that the matching is symmetric.
-        for v in mate:
-            assert mate[mate[v]] == v
-
-        # Stop when no more augmenting path can be found.
-        if not augmented:
-            break
-
-        # End of a stage; dissolve every blossom, each an S-blossom with
-        # zero dual, by making its own vertices top-level again.
-        for b in blossoms:
-            assert blossomparent[b] is not None or label[b] == 1
-            for s in b.childs:
-                if not isinstance(s, _Blossom):
-                    inblossom[s] = s
-                    blossomparent[s] = None
-            del blossomparent[b], blossombase[b]
-        blossoms.clear()
-
-    # Verify that we reached the optimum solution.
-    verify_optimum()
-
+    stage = _Stage(adjacency, mate)
+    while stage.search():  # each augmentation ends a stage
+        stage = _Stage(adjacency, mate)
+    stage.certify()
     return sorted((v, w) for v, w in mate.items() if v < w)

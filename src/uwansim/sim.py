@@ -410,7 +410,6 @@ class Simulator:
         self.heap: list[tuple] = []
         self._seq = 0
         self._event_seq = 0  # seq of the event being handled
-        self._frame_seq = 0
         self._packet_seq = 0
         self._ran = False
         self.trace = RunTrace(events=[] if record_events else None)
@@ -536,7 +535,6 @@ class Simulator:
         self._packet_seq += 1
         packet = Packet(
             packet_id=self._packet_seq,
-            flow_id=flow_idx,
             route=route,
             size_bits=self.scenario.traffic.packet_bits,
             created_at=now,
@@ -574,8 +572,6 @@ class Simulator:
                 raise TypeError(f"unknown MAC action {action!r}")
 
     def _submit_frame(self, node_id: int, frame: Frame, now: float) -> None:
-        self._frame_seq += 1
-        frame.frame_id = self._frame_seq
         state = self.nodes[node_id]
         if state.tx_busy_until > now:
             state.outbox.append(frame)

@@ -134,6 +134,17 @@ def test_a_link_length_whose_square_overflows_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_validate_refuses_a_link_length_that_run_refuses(tmp_path, capsys):
+    # validate builds the link table as run does, whatever the channel model
+    scenario = tmp_path / "far.yaml"
+    scenario.write_text("network: {region_size_m: 1.0e+201, nodes: [[20, 0, 0], [20, 600, 0], [20, 1.0e+200, 0]],"
+                        " routes: [[0, 1]]}\n")
+    assert main(["validate", str(scenario)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: generate_taps: a link length of 1e+200 m overflows when squared\n"
+
+
 def test_preset_subcommand(tmp_path):
     assert main(["preset", "sinr_vs_eta", "--out", str(tmp_path)]) == 0
     assert os.path.exists(tmp_path / "sinr_vs_eta.csv")

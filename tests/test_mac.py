@@ -34,7 +34,7 @@ MAC = SCENARIO.mac  # the only source of the engines' defaults
 
 
 def packet(pid=1, route=(0, 1)):
-    return Packet(packet_id=pid, flow_id=0, route=tuple(route), size_bits=256, created_at=0.0)
+    return Packet(packet_id=pid, route=tuple(route), size_bits=256, created_at=0.0)
 
 
 class FakeMedium:

@@ -1,10 +1,12 @@
 """``uwansim.matching`` against networkx's ``max_weight_matching``, whose
 unit-weight case it reproduces.
 
-Placement takes its links from the matching, so the port must return the
+Placement takes its links from the matching, so it must return the
 very matching networkx returns, not just one of the same size: otherwise the
 routes, and every golden metric, would change.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -75,22 +77,60 @@ def test_relabelled_named_graphs_match_networkx(name):
     ([[1, 4], [0, 2], [1, 3], [2, 4], [0, 3]], [(0, 4), (2, 3)], 1),  # 5-cycle
     # with 0-5 and 2-4 matched, triangle 2-3-4 closes into a blossom, which
     # the cycle through 0 and 5 takes into a second one; the augmenting path
-    # from 0 to 1 then runs through both and moves the inner base to 4
+    # from 1 to 3 then crosses both through their bridges, 5-4 and 4-3
     ([[1, 2, 5], [0], [0, 3, 4], [2, 4], [2, 3, 5], [0, 4]], [(0, 1), (2, 3), (4, 5)], 2),
 ], ids=["no-nodes", "no-edges", "triangle-with-pendant", "odd-cycle", "nested-blossom"])
 def test_small_graphs(monkeypatch, adjacency, pairs, blossoms):
     made = []
 
-    class Blossom(matching._Blossom):
-        __slots__ = ()
+    class Stage(matching._Stage):
+        def blossom(self, base, v, w):
+            made.append(base)
+            super().blossom(base, v, w)
 
-        def __init__(self):
-            made.append(self)
-
-    monkeypatch.setattr(matching, "_Blossom", Blossom)
+    monkeypatch.setattr(matching, "_Stage", Stage)
     assert max_cardinality_matching(adjacency) == pairs
     assert len(made) == blossoms
     assert networkx_pairs(graph_of(adjacency)) == pairs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("node_count, region", [(200, 4000.0), (400, 5657.0), (1000, 8944.0)])
+def test_large_placements_match_networkx(node_count, region, seed):
+    # each at ten times the node density of the default 20 nodes in 4000 m
+    rng = np.random.default_rng(seed)
+    nodes = [tuple(p) for p in rng.uniform((0.0, 0.0, 0.0), (50.0, region, region), (node_count, 3)).tolist()]
+    adjacency = scenario._within_range(nodes, 1000.0)
+    assert max_cardinality_matching(adjacency) == networkx_pairs(graph_of(adjacency))
+
+
+# a G(n, p) graph found by search: an augmenting path crosses a blossom
+# nested three levels deep
+DEEP = [[2, 5, 8, 11, 12], [11, 13, 14], [0, 3], [2, 4, 6], [3, 8, 9, 12], [0, 6, 7, 10],
+        [3, 5, 7, 8, 9, 12], [5, 6], [0, 4, 6, 12, 14], [4, 6], [5, 12, 14], [0, 1, 13],
+        [0, 4, 6, 8, 10], [1, 11], [1, 8, 10]]
+
+
+def test_nested_blossoms_are_walked_on_a_flat_stack(monkeypatch):
+    live, nesting, frames = [], [], set()
+
+    class Stage(matching._Stage):
+        def _walk(self, x, stop, out):
+            live.append(x)
+            nesting.append(len(live) - 1)
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            frames.add(depth)
+            yield from super()._walk(x, stop, out)
+            live.pop()
+
+    monkeypatch.setattr(matching, "_Stage", Stage)
+    pairs = [(0, 11), (1, 13), (3, 6), (4, 9), (5, 7), (8, 12), (10, 14)]
+    assert max_cardinality_matching(DEEP) == pairs
+    assert max(nesting) == 3
+    assert len(frames) == 1  # every walk, however deeply nested, starts at the same stack depth
+    assert networkx_pairs(graph_of(DEEP)) == pairs
 
 
 def test_a_placement_too_sparse_for_the_links_is_drawn_again(monkeypatch):

@@ -193,7 +193,7 @@ def test_lone_tr_frame_success_and_parallel_tr_frames_both_succeed():
     })
     sim = Simulator(sc, record_events=True)
     for sender, dst, pid in ((0, 1, 1), (2, 3, 2)):
-        pkt = Packet(packet_id=pid, flow_id=0, route=(sender, dst), size_bits=256, created_at=0.0)
+        pkt = Packet(packet_id=pid, route=(sender, dst), size_bits=256, created_at=0.0)
         frame = Frame(FrameKind.TR_DATA, sender, dst, 256, 0.5, packet=pkt)
         sim._submit_frame(sender, frame, 0.0)
         sim.nodes[sender].tx_busy_until = 0.5
@@ -228,7 +228,7 @@ def test_half_duplex_receiver_locks_to_first_addressed_frame():
     })
     sim = Simulator(sc, record_events=True)
     for sender, pid in ((0, 1), (2, 2)):
-        pkt = Packet(packet_id=pid, flow_id=0, route=(sender, 1), size_bits=256, created_at=0.0)
+        pkt = Packet(packet_id=pid, route=(sender, 1), size_bits=256, created_at=0.0)
         frame = Frame(FrameKind.TR_DATA, sender, 1, 256, 0.5, packet=pkt)
         sim._submit_frame(sender, frame, 0.0)
         sim.nodes[sender].tx_busy_until = 0.5
@@ -686,7 +686,7 @@ def test_adjudicate_closed_form_threshold_margin():
     gamma = sim.phy.min_required_sinr
     sigma2 = sim.phy.noise_variance
     sim.links.tr[0][1] = (2.0 * gamma * sigma2, 0.0, None)
-    frame = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, packet=Packet(1, 0, (0, 1), 256, 0.0))
+    frame = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, packet=Packet(1, (0, 1), 256, 0.0))
     rec = _RxRecord(frame, 0.0, 0.5, 1)
     assert sim._adjudicate(rec, 1) is True
     rec.interference = 3.0 * gamma * sigma2
