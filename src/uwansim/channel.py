@@ -10,7 +10,9 @@ exploits.  Quantizing a symmetric geometry signature also makes the
 model reciprocal and seed-deterministic by construction.
 
 An arrival-file path ingests precomputed ray arrivals for users who
-have ray-traced data instead.  ``ChannelModel.pairs`` is the one place
+have ray-traced data instead, keyed by node index and binned into the
+same ``tap_count`` taps per pair as the statistical model, so every CIR
+of a placement has one length.  ``ChannelModel.pairs`` is the one place
 that chooses between the two.
 """
 
@@ -261,16 +263,16 @@ class ArrivalTable:
 
     Format: header line ``ARRIVALS v1``, then whitespace-separated records
     ``tx_id rx_id delay_s amplitude phase_rad``, ``#`` starting a comment.
-    A placement's ids are its 0-based node indices.
+    ``tx_id`` and ``rx_id`` are 0-based node indices of the placement.
     """
 
-    def __init__(self, records: dict[tuple[str, str], list[tuple[float, float, float]]], path: str = "<memory>"):
+    def __init__(self, records: dict[tuple[int, int], list[tuple[float, float, float]]], path: str = "<memory>"):
         self.records = records
         self.path = path
 
     @classmethod
     def from_file(cls, path: str) -> "ArrivalTable":
-        records: dict[tuple[str, str], list[tuple[float, float, float]]] = {}
+        records: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
         header_seen = False
         try:
             fh = open(path, "r", encoding="utf-8")
@@ -289,7 +291,9 @@ class ArrivalTable:
                 fields = line.split()
                 if len(fields) != 5:
                     raise ArrivalFileError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-                tx_id, rx_id = fields[0], fields[1]
+                for node_id in fields[:2]:
+                    if not (node_id.isascii() and node_id.isdigit()):
+                        raise ArrivalFileError(f"{path}:{lineno}: a node id is a 0-based node index, got {node_id!r}")
                 try:
                     delay, amplitude, phase = (float(v) for v in fields[2:])
                 except ValueError as exc:
@@ -300,32 +304,35 @@ class ArrivalTable:
                     raise ArrivalFileError(f"{path}:{lineno}: amplitude must be finite and >= 0, got {amplitude}")
                 if not math.isfinite(phase):
                     raise ArrivalFileError(f"{path}:{lineno}: phase must be finite, got {phase}")
-                records.setdefault((tx_id, rx_id), []).append((delay, amplitude, phase))
+                records.setdefault((int(fields[0]), int(fields[1])), []).append((delay, amplitude, phase))
         if not header_seen:
             raise ArrivalFileError(f"{path}: missing 'ARRIVALS v1' header")
         return cls(records, path)
 
-    def _arrivals(self, pair: tuple[str, str]) -> list[tuple[float, float, float]]:
-        found = self.records.get(pair)
-        if found is None:
-            # channel reciprocity: accept the reversed direction
-            found = self.records.get((pair[1], pair[0]))
-        if not found:
-            raise ArrivalFileError(f"{self.path}: no arrivals for pair {pair[0]}->{pair[1]}")
-        return found
+    def pair(self, i: int, j: int, sample_interval: float, tap_count: int) -> tuple[np.ndarray, float]:
+        """``(taps, delay)`` of the pair i -> j, from its record or else, by
+        reciprocity, the reverse one: arrivals binned at
+        round(delay/sample_interval) past the earliest one into ``tap_count``
+        taps, zeros after the last arrival, and the earliest delay.
 
-    def cir(self, pair: tuple[str, str], sample_interval: float) -> np.ndarray:
-        """Bin arrivals into taps at round(delay/sample_interval) past the earliest one."""
-        arrivals = self._arrivals(pair)
-        earliest = min(delay for delay, _, _ in arrivals)
-        indices = [round((delay - earliest) / sample_interval) for delay, _, _ in arrivals]
-        taps = np.zeros(max(indices) + 1, dtype=np.complex128)
-        for idx, (_, amplitude, phase) in zip(indices, arrivals):
-            taps[idx] += amplitude * cmath.exp(1j * phase)
-        return taps
-
-    def direct_delay(self, pair: tuple[str, str]) -> float:
-        return min(delay for delay, _, _ in self._arrivals(pair))
+        ArrivalFileError naming the pair if neither direction is listed, or
+        if its arrivals span more than ``tap_count`` taps; that is checked
+        before the taps are allocated.
+        """
+        arrivals = self.records.get((i, j)) or self.records.get((j, i))
+        if not arrivals:
+            raise ArrivalFileError(f"{self.path}: no arrivals for pair {i}->{j}")
+        delays = [delay for delay, _, _ in arrivals]
+        earliest = min(delays)
+        span = (max(delays) - earliest) / sample_interval  # inf only if it overflows
+        needed = round(span) + 1 if span < math.inf else span
+        if needed > tap_count:
+            raise ArrivalFileError(
+                f"{self.path}: pair {i}->{j}: its arrivals span {needed} taps, more than channel.tap_count {tap_count}")
+        taps = np.zeros(tap_count, dtype=np.complex128)
+        for delay, amplitude, phase in arrivals:
+            taps[round((delay - earliest) / sample_interval)] += amplitude * cmath.exp(1j * phase)
+        return taps, earliest
 
 
 class ChannelModel:
@@ -336,16 +343,15 @@ class ChannelModel:
         self.env = env
         self.cfg = cfg
 
-    def pairs(self, points: list[Point], d_factor: int):
+    def pairs(self, points: list[Point]):
         """``(i, j, CIR, sum of |taps|^2, delay)`` of every pair i < j of
-        ``points``, CIR and delay in the i -> j direction; taps are read-only,
-        since tables that hold them are shared.
+        ``points``, CIR and delay in the i -> j direction, ``cfg.tap_count``
+        taps each; taps are read-only, since tables that hold them are shared.
 
         Statistical taps come from one ``generate_taps`` call per node over
         its higher-index partners, and the delay is the straight-line
         distance over the nominal sound speed.  An arrival file names nodes
-        by their index in ``points``; its responses are zero-padded to
-        ``(L-1) % d_factor == 0``, and its earliest arrival is the delay.
+        by their index in ``points``; ``ArrivalTable.pair`` bins each pair.
         """
         env, cfg = self.env, self.cfg
         if cfg.model_kind == STATISTICAL_PDP:
@@ -361,18 +367,12 @@ class ChannelModel:
         table = ArrivalTable.from_file(cfg.arrival_file_path)
         for i in range(len(points) - 1):
             for j in range(i + 1, len(points)):
-                pair = (str(i), str(j))
                 # an overflow is reported below, naming the file and the pair
                 with np.errstate(over="ignore", invalid="ignore"):
-                    c = table.cir(pair, env.sample_interval)
-                    excess = (c.size - 1) % d_factor
-                    if excess:
-                        # arrival-file responses have data-driven lengths; trailing
-                        # zero taps make them compliant without changing any power
-                        c = np.concatenate([c, np.zeros(d_factor - excess, dtype=np.complex128)])
+                    c, delay = table.pair(i, j, env.sample_interval, cfg.tap_count)
                     energy = float(np.sum(np.abs(c) ** 2))
                 if not energy < math.inf:
                     raise ArrivalFileError(
                         f"{table.path}: pair {i}->{j}: taps or tap energy not finite (amplitudes too large)")
                 c.flags.writeable = False
-                yield i, j, c, energy, table.direct_delay(pair)
+                yield i, j, c, energy, delay

@@ -312,7 +312,7 @@ class LinkTable:
         self.tr: list[list] = [[None] * n for _ in range(n)]
         self.reply: list[list] = [[None] * n for _ in range(n)]
         self._defers: dict[tuple, bool] = {}
-        pairs = ChannelModel(scenario.environment, scenario.channel).pairs(nodes, phy.updown_factor)
+        pairs = ChannelModel(scenario.environment, scenario.channel).pairs(nodes)
         for i, j, c, energy, delay in pairs:
             direct = sdt_powers(c, phy)
             for a, b in ((i, j), (j, i)):

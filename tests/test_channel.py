@@ -307,7 +307,7 @@ def test_generate_cir_accepts_a_130_tap_configuration():
 
 def test_statistical_pair_delay_hand_value():
     # 1000 m at 1500 m/s
-    [(_, _, _, _, delay)] = ChannelModel(ENV, CFG).pairs([(20.0, 0.0, 0.0), (20.0, 1000.0, 0.0)], 1)
+    [(_, _, _, _, delay)] = ChannelModel(ENV, CFG).pairs([(20.0, 0.0, 0.0), (20.0, 1000.0, 0.0)])
     assert delay == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert f"{delay:.4f}" == "0.6667"
 
@@ -449,56 +449,91 @@ def write_arrivals(tmp_path, body):
 
 def test_load_arrivals_single_tap(tmp_path):
     path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
-    c = ArrivalTable.from_file(path).cir(("0", "1"), DT)
-    assert np.array_equal(c, np.array([1.0 + 0j]))
+    c, delay = ArrivalTable.from_file(path).pair(0, 1, DT, 1)
+    assert np.array_equal(c, np.array([1.0 + 0j])) and delay == 0.0
 
 
 def test_load_arrivals_two_taps(tmp_path):
     path = write_arrivals(tmp_path, f"0 1 0.0 1.0 0.0\n0 1 {DT} 0.5 0.0\n")
-    c = ArrivalTable.from_file(path).cir(("0", "1"), DT)
-    assert np.allclose(c, [1.0, 0.5])
+    c, _ = ArrivalTable.from_file(path).pair(0, 1, DT, 4)
+    assert np.array_equal(c, np.array([1.0, 0.5, 0.0, 0.0], dtype=np.complex128))
 
 
 def test_load_arrivals_colliding_taps_sum_to_zero(tmp_path):
     # 1 at phase 0 plus 1 at phase pi land on the same tap and cancel
     path = write_arrivals(tmp_path, f"0 1 0.0 1.0 0.0\n0 1 0.0 1.0 {math.pi}\n")
-    c = ArrivalTable.from_file(path).cir(("0", "1"), DT)
+    c, _ = ArrivalTable.from_file(path).pair(0, 1, DT, 1)
     assert abs(c[0]) < 1e-15
 
 
 def test_load_arrivals_relative_to_earliest_and_comments(tmp_path):
     body = "# a comment line\n0 1 0.010 1.0 0.0   # trailing comment\n0 1 0.0105 0.25 0.0\n"
-    c = ArrivalTable.from_file(write_arrivals(tmp_path, body)).cir(("0", "1"), DT)
-    assert np.allclose(c, [1.0, 0.0, 0.25])
+    c, delay = ArrivalTable.from_file(write_arrivals(tmp_path, body)).pair(0, 1, DT, 3)
+    assert np.allclose(c, [1.0, 0.0, 0.25]) and delay == 0.010
 
 
 def test_load_arrivals_reversed_pair_fallback(tmp_path):
     path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
-    c = ArrivalTable.from_file(path).cir(("1", "0"), DT)
+    c, _ = ArrivalTable.from_file(path).pair(1, 0, DT, 1)
     assert np.array_equal(c, np.array([1.0 + 0j]))
 
 
 def test_load_arrivals_errors(tmp_path):
     path = write_arrivals(tmp_path, "0 1 0.0 1.0\n")
     with pytest.raises(ArrivalFileError, match=":2:"):
-        ArrivalTable.from_file(path).cir(("0", "1"), DT)
+        ArrivalTable.from_file(path)
 
     path = write_arrivals(tmp_path, "0 1 zero 1.0 0.0\n")
     with pytest.raises(ArrivalFileError, match=":2:"):
-        ArrivalTable.from_file(path).cir(("0", "1"), DT)
+        ArrivalTable.from_file(path)
 
     path = write_arrivals(tmp_path, "0 1 -1.0 1.0 0.0\n")
     with pytest.raises(ArrivalFileError, match="delay"):
-        ArrivalTable.from_file(path).cir(("0", "1"), DT)
+        ArrivalTable.from_file(path)
 
     path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
     with pytest.raises(ArrivalFileError, match="2->3"):
-        ArrivalTable.from_file(path).cir(("2", "3"), DT)
+        ArrivalTable.from_file(path).pair(2, 3, DT, 1)
 
     bad = tmp_path / "noheader.txt"
     bad.write_text("0 1 0.0 1.0 0.0\n", encoding="utf-8")
     with pytest.raises(ArrivalFileError, match="header"):
         ArrivalTable.from_file(str(bad))
+
+
+@pytest.mark.parametrize("ids", ["n0 n1", "-1 0", "0.5 1", "0 +1", "0 1_0"])
+def test_load_arrivals_refuses_a_node_id_that_is_no_node_index(ids, tmp_path):
+    path = write_arrivals(tmp_path, f"0 1 0.4 5e-3 0.0\n{ids} 0.4 5e-3 0.0\n")
+    with pytest.raises(ArrivalFileError) as err:
+        ArrivalTable.from_file(path)
+    assert str(err.value).startswith(f"{path}:3: a node id is a 0-based node index, got ")
+
+
+def test_load_arrivals_keys_pairs_by_node_index(tmp_path):
+    path = write_arrivals(tmp_path, "0 1 0.4 5e-3 0.0\n12 003 0.5 1e-3 0.0\n")
+    assert sorted(ArrivalTable.from_file(path).records) == [(0, 1), (12, 3)]
+
+
+@pytest.mark.parametrize("tap_count, needed", [(2, 3), (129, 4_000_000_001)])
+def test_a_pair_spanning_more_than_tap_count_is_refused_before_its_taps_are_allocated(tap_count, needed, tmp_path):
+    late = 2 * DT if needed == 3 else 1e6
+    path = write_arrivals(tmp_path, f"0 1 0.0 1.0 0.0\n0 1 {late} 1.0 0.0\n")
+    table = ArrivalTable.from_file(path)
+    message = f"{path}: pair 0->1: its arrivals span {needed} taps, more than channel.tap_count {tap_count}"
+    with pytest.raises(ArrivalFileError) as err:
+        table.pair(0, 1, DT, tap_count)
+    assert str(err.value) == message
+    cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path, tap_count=tap_count)
+    with pytest.raises(ArrivalFileError) as err:
+        next(ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0)]))
+    assert str(err.value) == message
+
+
+def test_a_pair_whose_span_in_taps_overflows_is_refused(tmp_path):
+    # 1e306 s over a 0.25-ms tap is no float, so no int either
+    path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n0 1 1e306 1.0 0.0\n")
+    with pytest.raises(ArrivalFileError, match=r": pair 0->1: its arrivals span inf taps"):
+        ArrivalTable.from_file(path).pair(0, 1, DT, 129)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -523,9 +558,9 @@ def test_arrival_channel_model_missing_pair_identifies_pair(tmp_path):
     # a file names nodes by their index in the placement; pair 1-2 is missing
     path = write_arrivals(tmp_path, "0 1 0.5 1.0 0.0\n0 2 0.7 1.0 0.0\n")
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
-    pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)], 1)
+    pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)])
     i, j, c, _, delay = next(pairs)
-    assert (i, j, delay, len(c)) == (0, 1, 0.5, 1)
+    assert (i, j, delay, len(c)) == (0, 1, 0.5, cfg.tap_count)
     assert next(pairs)[4] == 0.7
     with pytest.raises(ArrivalFileError, match="1->2"):
         next(pairs)
@@ -538,7 +573,7 @@ def test_arrival_channel_model_missing_pair_identifies_pair(tmp_path):
 def test_arrival_channel_model_rejects_an_overflowing_pair(tmp_path, overflow):
     path = write_arrivals(tmp_path, "0 1 0.5 1.0 0.0\n" + overflow)
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
-    pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)], 1)
+    pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)])
     assert next(pairs)[:2] == (0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error says it all, without a numpy warning
@@ -550,9 +585,11 @@ def test_arrival_file_model_bins_the_file_and_draws_no_taps(tmp_path):
     path = write_arrivals(tmp_path, f"0 1 0.25 1.0 0.0\n0 1 {0.25 + 2 * DT} 0.5 {math.pi / 2}\n")
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
     a, b = (10, 0, 0), (10, 900, 0)
-    [(_, _, c, energy, delay)] = ChannelModel(ENV, cfg).pairs([a, b], 1)
-    assert np.array_equal(c, ArrivalTable.from_file(path).cir(("0", "1"), DT))
-    assert np.allclose(c, [1.0, 0.0, 0.5j])
+    [(_, _, c, energy, delay)] = ChannelModel(ENV, cfg).pairs([a, b])
+    assert np.array_equal(c, ArrivalTable.from_file(path).pair(0, 1, DT, cfg.tap_count)[0])
+    # binned into the configured tap count, zeros after the last arrival
+    assert len(c) == cfg.tap_count and not c[3:].any()
+    assert np.allclose(c[:3], [1.0, 0.0, 0.5j])
     assert energy == pytest.approx(1.25) and delay == 0.25
     # the statistical model's functions do not read arrival files
     for draw in (lambda: generate_cir(a, b, ENV, cfg), lambda: generate_taps(a, [b], ENV, cfg)):
@@ -574,8 +611,8 @@ def test_environment_validation():
 
 def test_channel_model_caches_and_reciprocity():
     a, b = (20, 0, 0), (30, 700, 0)
-    [(_, _, ab, _, delay)] = ChannelModel(ENV, CFG).pairs([a, b], 1)
-    [(_, _, ba, _, _)] = ChannelModel(ENV, CFG).pairs([b, a], 1)
+    [(_, _, ab, _, delay)] = ChannelModel(ENV, CFG).pairs([a, b])
+    [(_, _, ba, _, _)] = ChannelModel(ENV, CFG).pairs([b, a])
     assert np.array_equal(ab, ba)
     assert np.array_equal(ab, generate_cir(a, b, ENV, CFG))
     assert delay == pytest.approx(math.dist(a, b) / 1500.0)

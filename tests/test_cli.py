@@ -108,7 +108,10 @@ def test_validate_names_a_nan_field(tmp_path, capsys):
 @pytest.mark.parametrize("arrivals, message", [
     (None, "cannot open: "),
     ("ARRIVALS v1\n0 1 0.4 1e200 0.0\n", "pair 0->1: taps or tap energy not finite"),
-], ids=["missing", "overflowing"])
+    # refused before 4e9 taps are allocated
+    ("ARRIVALS v1\n0 1 0.0 5e-3 0.0\n0 1 1e6 5e-3 0.0\n",
+     "pair 0->1: its arrivals span 4000000001 taps, more than channel.tap_count 129"),
+], ids=["missing", "overflowing", "too-long"])
 def test_an_unusable_arrival_file_is_an_error_naming_it(command, arrivals, message, tmp_path, capsys):
     arrival_file = tmp_path / "arrivals.txt"
     if arrivals is not None:

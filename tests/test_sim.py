@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import weakref
 
 import numpy as np
@@ -1096,15 +1097,11 @@ def _reference_pair(sc, i, j):
     nodes, env, phy = sc.network.nodes, sc.environment, sc.phy
     if sc.channel.model_kind == "arrival_file":
         arrivals = ArrivalTable.from_file(sc.channel.arrival_file_path)
-        c = arrivals.cir((str(i), str(j)), env.sample_interval)
-        delay = arrivals.direct_delay((str(i), str(j)))
+        c, delay = arrivals.pair(i, j, env.sample_interval, sc.channel.tap_count)
     else:
         c = generate_cir(nodes[i], nodes[j], env, sc.channel)
         delay = math.dist(nodes[i], nodes[j]) / env.nominal_sound_speed
     d = phy.updown_factor
-    excess = (c.size - 1) % d
-    if excess:
-        c = np.concatenate([c, np.zeros(d - excess, dtype=np.complex128)])
     peak, isi_sum = sdt_signal_and_isi(c, d)
     dp = d * phy.avg_transmit_power
     power = phy.avg_transmit_power * float(np.sum(np.abs(c) ** 2))
@@ -1138,7 +1135,7 @@ def test_link_table_matches_per_pair_statistical_model(seed, tap_count):
 
 def test_link_table_matches_per_pair_arrival_file(tmp_path):
     # 0 -> 1 and 1 -> 0 differ, and the table takes 0 -> 1; 2 -> 3 is only
-    # given reversed; three-tap responses are padded to (L-1) % D == 0
+    # given reversed; one- to six-tap responses all get channel.tap_count taps
     dt = 1.0 / 4000.0
     arrivals = tmp_path / "arrivals.txt"
     arrivals.write_text("\n".join([
@@ -1156,7 +1153,90 @@ def test_link_table_matches_per_pair_arrival_file(tmp_path):
                     "routes": [[0, 1], [2, 3]]},
     })
     table = assert_table_matches_per_pair(sc)
-    assert table.delay[1][0] == 0.4 and len(table.cir[0][1]) == 5
+    assert table.delay[1][0] == 0.4
+    assert {len(c) for c in cirs(table)} == {sc.channel.tap_count}
+
+
+def cirs(table):
+    """The tap rows of every ordered pair of ``table``."""
+    return [c for row in table.cir for c in row if c is not None]
+
+
+def image_source_arrivals(path, nodes, env):
+    """Write an ``ARRIVALS v1`` file of every pair of ``nodes`` in isovelocity
+    water of depth ``env.water_depth``: the direct path, one surface
+    reflection (phase pi) and one bottom reflection, each of amplitude
+    1/path length and delay path length/sound speed (image sources, Jensen
+    et al., *Computational Ocean Acoustics*, 2nd ed., 2011)."""
+    lines = ["ARRIVALS v1"]
+    for i, (zi, xi, yi) in enumerate(nodes):
+        for j, (zj, xj, yj) in enumerate(nodes[i + 1:], start=i + 1):
+            r = math.hypot(xi - xj, yi - yj)
+            for dz, phase in ((zi - zj, 0.0), (zi + zj, math.pi), (2 * env.water_depth - zi - zj, 0.0)):
+                length = math.hypot(r, dz)
+                lines.append(f"{i} {j} {length / env.nominal_sound_speed!r} {1 / length!r} {phase!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_twenty_node_image_source_file_builds_the_per_pair_table_and_runs(tmp_path):
+    arrivals = tmp_path / "arrivals.txt"
+    placed = scenario_from_dict({"seed": 1})
+    image_source_arrivals(arrivals, placed.network.nodes, placed.environment)
+    sc = scenario_from_dict({"seed": 1, "channel": {"model": "arrival_file", "arrival_file": str(arrivals)}})
+    assert sc.network.nodes == placed.network.nodes
+    table = assert_table_matches_per_pair(sc)
+    assert max(np.flatnonzero(c)[-1] + 1 for c in cirs(table)) == 80
+    assert {len(c) for c in cirs(table)} == {129}
+    for protocol in PROTOCOLS:
+        m = run_scenario(dataclasses.replace(sc, duration=300.0,
+                                             mac=dataclasses.replace(sc.mac, protocol=protocol))).metrics
+        assert m.generated > 0 and m.delivered > 0
+        assert m.generated == m.delivered + m.dropped + m.in_flight and m.in_flight >= 0
+
+
+THREE_NODE_ARRIVALS = ("0 1 0.4 5e-3 0.0\n0 1 0.40025 3e-3 1.0\n0 2 0.5 5e-3 0.0\n"
+                       "1 2 0.45 4e-3 0.0\n1 2 0.4505 2e-3 0.5\n1 2 0.4510 1e-3 0.5\n")
+TWO_NODE_ARRIVALS = "0 1 0.4 5e-3 0.0\n0 1 0.40025 3e-3 1.0\n0 1 0.4005 1e-3 2.0\n"
+
+# (generated, delivered, dropped, in_flight, mean_delay, drop_ratio,
+# throughput, busy_time, data_frames_transmitted) of 200-s runs, recorded
+# when each pair's CIR still had its own binned length; None where that
+# could not run (TRMAC refused CIRs of lengths 1 and 5)
+ARRIVAL_FILE_METRICS = {
+    ("three", "trmac"): None,
+    ("three", "csma_ca"): (53, 53, 0, 0, 3.7142125151203107, 0.0, 279.1769547325099, 48.600000000000065, 53),
+    ("three", "s_csma_ca"): (53, 53, 0, 0, 3.740471480227936, 0.0, 279.1769547325099, 48.600000000000065, 53),
+    ("two", "trmac"): (35, 35, 0, 0, 1.3378227075454008, 0.0, 284.44444444444326, 31.500000000000128, 35),
+    ("two", "csma_ca"): (35, 35, 0, 0, 2.57494395478844, 0.0, 284.4444444444433, 31.500000000000124, 35),
+    ("two", "s_csma_ca"): (35, 35, 0, 0, 2.57494395478844, 0.0, 284.4444444444433, 31.500000000000124, 35),
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("name, body, nodes, routes", [
+    ("three", THREE_NODE_ARRIVALS, [[20, 0, 0], [20, 600, 0], [25, 300, 500]], [[0, 1], [2, 1]]),
+    ("two", TWO_NODE_ARRIVALS, [[20, 0, 0], [20, 600, 0]], [[0, 1]]),
+], ids=["three-node", "two-node"])
+def test_arrival_files_whose_pairs_bin_to_different_lengths_run_every_protocol(
+        name, body, nodes, routes, protocol, tmp_path):
+    # the three-node file's pairs bin to 2, 1 and 3 taps; each CIR gets
+    # channel.tap_count taps, so TRMAC's correlations of links of two pairs run
+    arrivals = tmp_path / "arrivals.txt"
+    arrivals.write_text("ARRIVALS v1\n" + body)
+    sc = scenario_from_dict({
+        "duration_s": 200,
+        "mac": {"protocol": protocol},
+        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "network": {"nodes": nodes, "routes": routes},
+    })
+    sim = Simulator(sc)
+    m = sim.run().metrics
+    assert m.delivered > 0
+    assert {len(c) for c in cirs(sim.links)} == {sc.channel.tap_count}
+    expected = ARRIVAL_FILE_METRICS[name, protocol]
+    if expected is not None:
+        assert (m.generated, m.delivered, m.dropped, m.in_flight, m.mean_delay, m.drop_ratio,
+                m.throughput, m.busy_time, m.data_frames_transmitted) == expected
 
 
 def test_reply_row_holds_each_links_norm_and_offpeak_sum():
@@ -1335,8 +1415,8 @@ def test_arrival_file_missing_pair_raises_at_the_first_transmission(tmp_path):
         sim._submit_frame(0, Frame(FrameKind.ACK, 0, 1, 32, 0.0625), 0.0)
 
 
-def test_arrival_file_keyed_by_names_fails_at_the_table_build_naming_the_pair(tmp_path):
-    # a file names nodes by their index in network.nodes, so "n0 n1" is no pair of the placement
+def test_arrival_file_keyed_by_names_fails_at_the_table_build_naming_the_line(tmp_path):
+    # a file names nodes by their index in network.nodes, so "n0 n1" is refused as it is read
     arrivals = tmp_path / "arrivals.txt"
     arrivals.write_text("ARRIVALS v1\nn0 n1 0.4 5e-3 0.0\n")
     sc = scenario_from_dict({
@@ -1344,5 +1424,5 @@ def test_arrival_file_keyed_by_names_fails_at_the_table_build_naming_the_pair(tm
         "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
         "network": {"nodes": [[20, 0, 0], [20, 600, 0]], "routes": [[0, 1]]},
     })
-    with pytest.raises(ArrivalFileError, match="0->1"):
+    with pytest.raises(ArrivalFileError, match=rf"^{re.escape(str(arrivals))}:2: a node id is a 0-based node index"):
         LinkTable(sc)
