@@ -263,7 +263,8 @@ class ArrivalTable:
 
     Format: header line ``ARRIVALS v1``, then whitespace-separated records
     ``tx_id rx_id delay_s amplitude phase_rad``, ``#`` starting a comment.
-    ``tx_id`` and ``rx_id`` are 0-based node indices of the placement.
+    ``tx_id`` and ``rx_id`` are two different 0-based node indices of the
+    placement.
     """
 
     def __init__(self, records: dict[tuple[int, int], list[tuple[float, float, float]]], path: str = "<memory>"):
@@ -271,7 +272,9 @@ class ArrivalTable:
         self.path = path
 
     @classmethod
-    def from_file(cls, path: str) -> "ArrivalTable":
+    def from_file(cls, path: str, node_count: int) -> "ArrivalTable":
+        """Parse the file of a placement of ``node_count`` nodes;
+        ArrivalFileError at ``path:line`` for a record that is not a pair of them."""
         records: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
         header_seen = False
         try:
@@ -294,6 +297,12 @@ class ArrivalTable:
                 for node_id in fields[:2]:
                     if not (node_id.isascii() and node_id.isdigit()):
                         raise ArrivalFileError(f"{path}:{lineno}: a node id is a 0-based node index, got {node_id!r}")
+                tx, rx = int(fields[0]), int(fields[1])
+                if tx == rx:
+                    raise ArrivalFileError(f"{path}:{lineno}: pair {tx}->{rx} links a node to itself")
+                if max(tx, rx) >= node_count:
+                    raise ArrivalFileError(
+                        f"{path}:{lineno}: node id {max(tx, rx)} is not a node of the {node_count} placed")
                 try:
                     delay, amplitude, phase = (float(v) for v in fields[2:])
                 except ValueError as exc:
@@ -304,7 +313,7 @@ class ArrivalTable:
                     raise ArrivalFileError(f"{path}:{lineno}: amplitude must be finite and >= 0, got {amplitude}")
                 if not math.isfinite(phase):
                     raise ArrivalFileError(f"{path}:{lineno}: phase must be finite, got {phase}")
-                records.setdefault((int(fields[0]), int(fields[1])), []).append((delay, amplitude, phase))
+                records.setdefault((tx, rx), []).append((delay, amplitude, phase))
         if not header_seen:
             raise ArrivalFileError(f"{path}: missing 'ARRIVALS v1' header")
         return cls(records, path)
@@ -350,21 +359,28 @@ class ChannelModel:
 
         Statistical taps come from one ``generate_taps`` call per node over
         its higher-index partners, and the delay is the straight-line
-        distance over the nominal sound speed.  An arrival file names nodes
-        by their index in ``points``; ``ArrivalTable.pair`` bins each pair.
+        distance over the nominal sound speed; ValueError naming the pair
+        and its length if the link is too short for taps of finite energy.
+        An arrival file names nodes by their index in ``points``;
+        ``ArrivalTable.pair`` bins each pair.
         """
         env, cfg = self.env, self.cfg
         if cfg.model_kind == STATISTICAL_PDP:
             for i in range(len(points) - 1):
-                taps = generate_taps(points[i], points[i + 1:], env, cfg)
+                # a link too short for finite taps is reported below, naming the pair
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    taps = generate_taps(points[i], points[i + 1:], env, cfg)
+                    energies = (np.abs(taps) ** 2).sum(axis=1)
                 taps.flags.writeable = False
-                energies = (np.abs(taps) ** 2).sum(axis=1)
                 for j, row, energy in zip(range(i + 1, len(points)), taps, energies):
-                    delay = math.dist(points[i], points[j]) / env.nominal_sound_speed
-                    yield i, j, row, float(energy), delay
+                    distance = math.dist(points[i], points[j])
+                    if not energy < math.inf:
+                        raise ValueError(
+                            f"pair {i}->{j}: a link length of {distance!r} m is too short for taps of finite energy")
+                    yield i, j, row, float(energy), distance / env.nominal_sound_speed
             return
         # read afresh for every table: a file may change between runs
-        table = ArrivalTable.from_file(cfg.arrival_file_path)
+        table = ArrivalTable.from_file(cfg.arrival_file_path, len(points))
         for i in range(len(points) - 1):
             for j in range(i + 1, len(points)):
                 # an overflow is reported below, naming the file and the pair

@@ -63,14 +63,6 @@ class Packet:
         return self.route[self.route.index(node) + 1]
 
 
-@dataclass(frozen=True)
-class Piggyback:
-    """Victim-side quantities a receiver attaches to its probe reply."""
-
-    victim_link_norm: float
-    victim_autocorr_offpeak_sum: float
-
-
 @dataclass(eq=False)
 class Frame:
     """MAC protocol data unit."""
@@ -80,7 +72,6 @@ class Frame:
     dst: int
     payload_bits: int
     tx_duration: float
-    piggyback: Optional[Piggyback] = None
     packet: Optional[Packet] = None
 
     def __post_init__(self):
@@ -116,12 +107,6 @@ class MacTimers(Checked):
     @property
     def t_th(self) -> float:
         return 2.0 * self.t_p + self.t_tr + self.delta
-
-
-@dataclass
-class ProCacheEntry:
-    piggyback: Piggyback
-    received_at: float
 
 
 # ------------------------------------------------------------------ actions
@@ -168,7 +153,7 @@ class MacEngine:
     data arrives or the reservation timer expires.  Subclasses set the
     frame kinds ``REQUEST``, ``REPLY``, ``DATA`` and ``ACK`` and the
     ``FIRST_PHASE`` name, and define ``_start_packet`` (which sets
-    ``phase``), ``_send_data``, ``_retry`` and ``_reply_frame``.
+    ``phase``), ``_send_data`` and ``_retry``.
     """
 
     kind = "abstract"
@@ -266,7 +251,8 @@ class MacEngine:
 
     def _reply(self, requester: int, packet: Optional[Packet]) -> list[Action]:
         self.reserved_for = requester
-        return [Send(self._reply_frame(requester, packet)), Arm("reservation", self.timers.t_th)]
+        reply = self._control_frame(self.REPLY, requester, packet=packet)
+        return [Send(reply), Arm("reservation", self.timers.t_th)]
 
     def _begin_next(self, now: float) -> list[Action]:
         if not self.queue:
@@ -320,9 +306,10 @@ class MacEngine:
 
 def step4_defers(heard, own, victim_norm: float, victim_offpeak: float, phy) -> bool:
     """TRMAC step 4: whether a probe reply heard over the channel ``heard``,
-    whose piggyback is ``(victim_norm, victim_offpeak)``, makes a sender on
-    the ``own`` link defer: the link pair's threshold does not exist or the
-    peak cross-correlation exceeds it."""
+    on a victim link of norm ``victim_norm`` and off-peak autocorrelation
+    sum ``victim_offpeak``, makes a sender on the ``own`` link defer: the
+    link pair's threshold does not exist or the peak cross-correlation
+    exceeds it."""
     eta = peak_eta(heard, own)
     threshold = eta_threshold(victim_norm, victim_offpeak, heard, own, phy)
     return threshold is None or eta > threshold
@@ -331,11 +318,15 @@ def step4_defers(heard, own, victim_norm: float, victim_offpeak: float, phy) -> 
 class TrmacEngine(MacEngine):
     """Probe-reservation MAC with time-reversed data transfer.
 
-    Handshake: P_R -> PRO (with victim piggyback) -> TR_DATA -> TR_ACK.
-    A probe overheard from the intended receiver within the coherence
-    time lets the sender skip the P_R/PRO exchange entirely; probes
-    overheard from third parties feed the correlation-threshold backoff
-    that protects their in-progress receptions.  The simulator hands an
+    Handshake: P_R -> PRO -> TR_DATA -> TR_ACK.  A PRO carries no numbers:
+    its ``(src, dst)`` names the victim link, whose norm and off-peak
+    autocorrelation sum the paper's receiver piggybacks, and a listener
+    reads them from the ``LinkTable``.  ``pro_cache`` maps each origin to
+    the requester of its latest probe heard and the time it was heard.  A
+    probe overheard from the intended receiver within the coherence time
+    lets the sender skip the P_R/PRO exchange entirely; probes overheard
+    from third parties feed the correlation-threshold backoff that
+    protects their in-progress receptions.  The simulator hands an
     engine only the overheard probes that can change what it does: every
     probe of its next hops, and every probe of an origin one of whose
     probes can make it defer (``Simulator._pro_listeners_of``).
@@ -347,7 +338,7 @@ class TrmacEngine(MacEngine):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.pro_cache: dict[int, ProCacheEntry] = {}
+        self.pro_cache: dict[int, tuple[int, float]] = {}  # origin -> (requester, heard at)
         self.deferred_prs: deque[int] = deque()  # requester ids
 
     # bound here so that tracing TRMAC's hooks sees every P_R that airs
@@ -356,7 +347,7 @@ class TrmacEngine(MacEngine):
     def on_frame(self, frame: Frame, now: float) -> list[Action]:
         if frame.kind is FrameKind.PRO:
             # every probe reply heard, addressed or overheard, is cached
-            self.pro_cache[frame.src] = ProCacheEntry(frame.piggyback, now)
+            self.pro_cache[frame.src] = (frame.dst, now)
         if frame.dst != self.node_id:
             return []
         return self._addressed(frame, now)
@@ -366,11 +357,11 @@ class TrmacEngine(MacEngine):
     def _start_packet(self, now: float) -> list[Action]:
         dst = self.current[1]
         entry = self.pro_cache.get(dst)
-        if entry is not None and now - entry.received_at < self.timers.coherence_time:
+        if entry is not None and now - entry[1] < self.timers.coherence_time:
             # handshake omission: the cached probe still describes the link
             self.stats["handshake_omissions"] += 1
             self.phase = self.DATA_PHASE
-            return self._send_data(now, t_pro_b=now - entry.received_at)
+            return self._send_data(now, t_pro_b=now - entry[1])
         self.phase = self.FIRST_PHASE
         return [Send(self._control_frame(FrameKind.P_R, dst))]
 
@@ -384,37 +375,33 @@ class TrmacEngine(MacEngine):
         if self.phase == self.FIRST_PHASE:
             return [Send(self._control_frame(FrameKind.P_R, dst))]
         # the probe that opened the data phase stays cached
-        return self._send_data(now, t_pro_b=now - self.pro_cache[dst].received_at)
+        return self._send_data(now, t_pro_b=now - self.pro_cache[dst][1])
 
     def compute_backoff(self, now: float, t_pro_b: Optional[float], dst: int) -> float:
         """Steps 3-5 deferral before sending to ``dst``.
 
         t_pro_b None marks the fresh-handshake path, where the receiver
         term is defined to vanish.  Each third-party probe overheard
-        within the collision window is checked against its threshold
-        (``LinkTable.defers``, which keeps each check it computes);
-        conflicting ones extend the deferral to the end of their window.
+        within the collision window is checked against the threshold of
+        its victim link (``LinkTable.defers``, which keeps each check it
+        computes); conflicting ones extend the deferral to the end of
+        their window.
         """
         t_cl = self.timers.t_cl
         backoff = max(t_cl - t_pro_b, 0.0) if t_pro_b is not None else 0.0
         defers, node = self.medium.links.defers, self.node_id
-        for origin, entry in self.pro_cache.items():
+        for origin, (requester, heard_at) in self.pro_cache.items():
             if origin == dst:
                 continue
-            age = now - entry.received_at
+            age = now - heard_at
             if age >= t_cl:
                 continue
-            piggyback = entry.piggyback
-            if defers(origin, node, dst, piggyback.victim_link_norm, piggyback.victim_autocorr_offpeak_sum):
+            if defers(origin, node, dst, requester):
                 self.stats["step4_deferrals"] += 1
                 backoff = max(backoff, t_cl - age)
         return backoff
 
     # -- receiver side -----------------------------------------------------
-
-    def _reply_frame(self, requester: int, packet: Optional[Packet]) -> Frame:
-        piggyback = Piggyback(*self.medium.links.reply_quantities(self.node_id, requester))
-        return self._control_frame(FrameKind.PRO, requester, piggyback=piggyback)
 
     def _on_reserved(self, frame: Frame) -> list[Action]:
         # already reserved by another link: defer the reply until it clears
@@ -479,9 +466,6 @@ class CsmaEngine(MacEngine):
     def _retry(self, now: float) -> list[Action]:
         """Draw a backoff, after which the pending frame airs if still idle."""
         return [Arm("backoff", float(self.rng.uniform(0.0, self.backoff_window())))]
-
-    def _reply_frame(self, requester: int, packet: Optional[Packet]) -> Frame:
-        return self._control_frame(FrameKind.CTS, requester, packet=packet)
 
     def _on_timer(self, key: str, now: float) -> list[Action]:
         if key == "sense":

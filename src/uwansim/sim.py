@@ -14,8 +14,8 @@ sender reads that cache for its next hops (handshake omission and retry)
 and for the step-4 backoff, where a probe counts only if it makes the
 sender defer (``LinkTable.defers``).  So a sender v tracks the probes of an
 origin u only if u is a next hop of v or some probe u can send (to a route
-predecessor, with that link's piggyback) defers v for a next hop other than
-u; and then every probe of u, since a probe that does not defer still
+predecessor, whose link is then the victim) defers v for a next hop other
+than u; and then every probe of u, since a probe that does not defer still
 replaces one that does.  Every other
 arrival matters only as interference or carrier-sense power, so the engine
 keeps a log with one entry per transmission (tx time, the event sequence
@@ -40,13 +40,15 @@ environment, channel model and phy), so a table is built for a placement
 in one pass and may serve every run on it: a run builds its own at its
 first transmission unless it is handed one (``Simulator(..., links=)``),
 and a preset call shares one per placement across its runs.  A link's norm
-and off-peak autocorrelation sum, which its probe replies carry, are filled
-in once, at its first probe reply or TR frame; its TR quantities (signal
-and ISI from those two, ILI at every victim) at its first TR frame.  MAC
-engines read the table by node ids.  A pair's CIR and delay come from its
-lower -> higher node index direction, so an arrival file that gives the two
-directions different records yields the same results whichever node speaks
-first.
+and off-peak autocorrelation sum, which the paper's probe replies carry, are
+filled in once, at the first step-4 check with it as the victim or at its
+first TR frame; its TR quantities (signal and ISI from those two, ILI at
+every victim) at its first TR frame.  MAC engines read the table by node
+ids: a probe reply carries no numbers, its ``(src, dst)`` names the victim
+link, and ``LinkTable.defers`` keys each step-4 check by four node ids.  A
+pair's CIR and delay come from its lower -> higher node index direction, so
+an arrival file that gives the two directions different records yields the
+same results whichever node speaks first.
 
 Ties.  Heap entries are ``(time, seq, kind, subject, attachment)`` tuples;
 ``seq`` grows with every push, so equal-time events run in the order they
@@ -329,22 +331,23 @@ class LinkTable:
         self.tr[a][b] = (*tr_powers(*self.reply_quantities(a, b), self.phy), ili)
 
     def reply_quantities(self, a: int, b: int) -> tuple[float, float]:
-        """The ``(norm, off-peak autocorrelation sum)`` of link (a, b) that its probe replies carry."""
+        """The ``(norm, off-peak autocorrelation sum)`` of link (a, b), which
+        the paper's probe replies on it piggyback."""
         if self.reply[a][b] is None:
             c = self.cir[a][b]
             self.reply[a][b] = self.reply[b][a] = (norm(c), autocorr_offpeak_sum(c, self.phy.updown_factor))
         return self.reply[a][b]
 
-    def defers(self, origin: int, listener: int, dst: int, victim_norm: float, victim_offpeak: float) -> bool:
-        """Whether a probe reply from ``origin`` with the piggyback
-        ``(victim_norm, victim_offpeak)``, overheard at ``listener``, makes
-        the listener defer its frames to ``dst`` (``mac.step4_defers``).
-        Each check depends only on its arguments, so it is computed once."""
-        key = (origin, listener, dst, victim_norm, victim_offpeak)
+    def defers(self, origin: int, listener: int, dst: int, victim: int) -> bool:
+        """Whether a probe reply from ``origin`` to ``victim``, overheard at
+        ``listener``, makes the listener defer its frames to ``dst``
+        (``mac.step4_defers`` on the victim link's ``reply_quantities``).
+        Each check depends only on the four node ids, so it is computed once."""
+        key = (origin, listener, dst, victim)
         check = self._defers.get(key)
         if check is None:
             check = self._defers[key] = step4_defers(
-                self.cir[origin][listener], self.cir[listener][dst], victim_norm, victim_offpeak, self.phy)
+                self.cir[origin][listener], self.cir[listener][dst], *self.reply_quantities(origin, victim), self.phy)
         return check
 
 
@@ -627,10 +630,10 @@ class Simulator:
         for route in self.scenario.network.routes:
             for a, b in zip(route, route[1:]):
                 next_hops.setdefault(a, set()).add(b)
-        links = self.links
-        piggybacks = [links.reply_quantities(u, r) for r, hops in next_hops.items() if u in hops]
+        defers = self.links.defers
+        requesters = [r for r, hops in next_hops.items() if u in hops]
         return [v for v in sorted(next_hops) if v != u and (u in next_hops[v] or any(
-            links.defers(u, v, d, *piggyback) for d in next_hops[v] if d != u for piggyback in piggybacks))]
+            defers(u, v, d, r) for d in next_hops[v] if d != u for r in requesters))]
 
     def _handle_rx_start(self, node_id: int, rec: _RxRecord, now: float) -> None:
         state = self.nodes[node_id]

@@ -426,6 +426,20 @@ def test_generate_taps_rejects_a_link_length_whose_square_overflows():
         generate_cir(far, TX_POINT, ENV, CFG)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("length", [1e-200, 1e-160, 1e-154])
+def test_a_link_too_short_for_finite_taps_is_refused_naming_the_pair(length):
+    # 1e-200 m squares to 0.0, 1e-160 m to a power that overflows, and 1e-154 m
+    # to taps whose energy overflows: each a ValueError, without a numpy warning
+    points = [(20.0, 0.0, 0.0), (20.0, length, 0.0), (20.0, 600.0, 0.0)]
+    with pytest.raises(ValueError) as err:
+        list(ChannelModel(ENV, CFG).pairs(points))
+    assert str(err.value) == f"pair 0->1: a link length of {length!r} m is too short for taps of finite energy"
+    # 1e-150 m still gives taps of finite energy
+    points[1] = (20.0, 1e-150, 0.0)
+    assert all(energy < math.inf for _, _, _, energy, _ in ChannelModel(ENV, CFG).pairs(points))
+
+
 def test_statistical_model_without_a_seed_names_the_field():
     # rng_seed=None means "follow Scenario.seed", which only a resolved Scenario fills in
     unseeded = ChannelModelConfig(rng_seed=None)
@@ -449,76 +463,92 @@ def write_arrivals(tmp_path, body):
 
 def test_load_arrivals_single_tap(tmp_path):
     path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
-    c, delay = ArrivalTable.from_file(path).pair(0, 1, DT, 1)
+    c, delay = ArrivalTable.from_file(path, 2).pair(0, 1, DT, 1)
     assert np.array_equal(c, np.array([1.0 + 0j])) and delay == 0.0
 
 
 def test_load_arrivals_two_taps(tmp_path):
     path = write_arrivals(tmp_path, f"0 1 0.0 1.0 0.0\n0 1 {DT} 0.5 0.0\n")
-    c, _ = ArrivalTable.from_file(path).pair(0, 1, DT, 4)
+    c, _ = ArrivalTable.from_file(path, 2).pair(0, 1, DT, 4)
     assert np.array_equal(c, np.array([1.0, 0.5, 0.0, 0.0], dtype=np.complex128))
 
 
 def test_load_arrivals_colliding_taps_sum_to_zero(tmp_path):
     # 1 at phase 0 plus 1 at phase pi land on the same tap and cancel
     path = write_arrivals(tmp_path, f"0 1 0.0 1.0 0.0\n0 1 0.0 1.0 {math.pi}\n")
-    c, _ = ArrivalTable.from_file(path).pair(0, 1, DT, 1)
+    c, _ = ArrivalTable.from_file(path, 2).pair(0, 1, DT, 1)
     assert abs(c[0]) < 1e-15
 
 
 def test_load_arrivals_relative_to_earliest_and_comments(tmp_path):
     body = "# a comment line\n0 1 0.010 1.0 0.0   # trailing comment\n0 1 0.0105 0.25 0.0\n"
-    c, delay = ArrivalTable.from_file(write_arrivals(tmp_path, body)).pair(0, 1, DT, 3)
+    c, delay = ArrivalTable.from_file(write_arrivals(tmp_path, body), 2).pair(0, 1, DT, 3)
     assert np.allclose(c, [1.0, 0.0, 0.25]) and delay == 0.010
 
 
 def test_load_arrivals_reversed_pair_fallback(tmp_path):
     path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
-    c, _ = ArrivalTable.from_file(path).pair(1, 0, DT, 1)
+    c, _ = ArrivalTable.from_file(path, 2).pair(1, 0, DT, 1)
     assert np.array_equal(c, np.array([1.0 + 0j]))
 
 
 def test_load_arrivals_errors(tmp_path):
     path = write_arrivals(tmp_path, "0 1 0.0 1.0\n")
     with pytest.raises(ArrivalFileError, match=":2:"):
-        ArrivalTable.from_file(path)
+        ArrivalTable.from_file(path, 2)
 
     path = write_arrivals(tmp_path, "0 1 zero 1.0 0.0\n")
     with pytest.raises(ArrivalFileError, match=":2:"):
-        ArrivalTable.from_file(path)
+        ArrivalTable.from_file(path, 2)
 
     path = write_arrivals(tmp_path, "0 1 -1.0 1.0 0.0\n")
     with pytest.raises(ArrivalFileError, match="delay"):
-        ArrivalTable.from_file(path)
+        ArrivalTable.from_file(path, 2)
 
     path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n")
     with pytest.raises(ArrivalFileError, match="2->3"):
-        ArrivalTable.from_file(path).pair(2, 3, DT, 1)
+        ArrivalTable.from_file(path, 4).pair(2, 3, DT, 1)
 
     bad = tmp_path / "noheader.txt"
     bad.write_text("0 1 0.0 1.0 0.0\n", encoding="utf-8")
     with pytest.raises(ArrivalFileError, match="header"):
-        ArrivalTable.from_file(str(bad))
+        ArrivalTable.from_file(str(bad), 2)
 
 
 @pytest.mark.parametrize("ids", ["n0 n1", "-1 0", "0.5 1", "0 +1", "0 1_0"])
 def test_load_arrivals_refuses_a_node_id_that_is_no_node_index(ids, tmp_path):
     path = write_arrivals(tmp_path, f"0 1 0.4 5e-3 0.0\n{ids} 0.4 5e-3 0.0\n")
     with pytest.raises(ArrivalFileError) as err:
-        ArrivalTable.from_file(path)
+        ArrivalTable.from_file(path, 2)
     assert str(err.value).startswith(f"{path}:3: a node id is a 0-based node index, got ")
+
+
+@pytest.mark.parametrize("record, message", [
+    ("0 0 0.1 5e-3 0.0", ":3: pair 0->0 links a node to itself"),
+    ("0 7 0.5 5e-3 0.0", ":3: node id 7 is not a node of the 2 placed"),
+    ("2 1 0.5 5e-3 0.0", ":3: node id 2 is not a node of the 2 placed"),
+], ids=["self-pair", "rx-outside", "tx-outside"])
+def test_load_arrivals_refuses_a_record_that_is_no_pair_of_the_placement(record, message, tmp_path):
+    path = write_arrivals(tmp_path, f"0 1 0.4 5e-3 0.0\n{record}\n")
+    with pytest.raises(ArrivalFileError) as err:
+        ArrivalTable.from_file(path, 2)
+    assert str(err.value) == path + message
+    # the channel model reads the file for the placement it is given
+    cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
+    with pytest.raises(ArrivalFileError, match=re.escape(message)):
+        next(ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0)]))
 
 
 def test_load_arrivals_keys_pairs_by_node_index(tmp_path):
     path = write_arrivals(tmp_path, "0 1 0.4 5e-3 0.0\n12 003 0.5 1e-3 0.0\n")
-    assert sorted(ArrivalTable.from_file(path).records) == [(0, 1), (12, 3)]
+    assert sorted(ArrivalTable.from_file(path, 13).records) == [(0, 1), (12, 3)]
 
 
 @pytest.mark.parametrize("tap_count, needed", [(2, 3), (129, 4_000_000_001)])
 def test_a_pair_spanning_more_than_tap_count_is_refused_before_its_taps_are_allocated(tap_count, needed, tmp_path):
     late = 2 * DT if needed == 3 else 1e6
     path = write_arrivals(tmp_path, f"0 1 0.0 1.0 0.0\n0 1 {late} 1.0 0.0\n")
-    table = ArrivalTable.from_file(path)
+    table = ArrivalTable.from_file(path, 2)
     message = f"{path}: pair 0->1: its arrivals span {needed} taps, more than channel.tap_count {tap_count}"
     with pytest.raises(ArrivalFileError) as err:
         table.pair(0, 1, DT, tap_count)
@@ -533,7 +563,7 @@ def test_a_pair_whose_span_in_taps_overflows_is_refused(tmp_path):
     # 1e306 s over a 0.25-ms tap is no float, so no int either
     path = write_arrivals(tmp_path, "0 1 0.0 1.0 0.0\n0 1 1e306 1.0 0.0\n")
     with pytest.raises(ArrivalFileError, match=r": pair 0->1: its arrivals span inf taps"):
-        ArrivalTable.from_file(path).pair(0, 1, DT, 129)
+        ArrivalTable.from_file(path, 2).pair(0, 1, DT, 129)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -545,7 +575,7 @@ def test_load_arrivals_rejects_a_bad_value_or_no_header(text, message, tmp_path)
     path = tmp_path / "arrivals.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ArrivalFileError) as err:
-        ArrivalTable.from_file(str(path))
+        ArrivalTable.from_file(str(path), 2)
     assert str(err.value) == str(path) + message
 
 
@@ -586,7 +616,7 @@ def test_arrival_file_model_bins_the_file_and_draws_no_taps(tmp_path):
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
     a, b = (10, 0, 0), (10, 900, 0)
     [(_, _, c, energy, delay)] = ChannelModel(ENV, cfg).pairs([a, b])
-    assert np.array_equal(c, ArrivalTable.from_file(path).pair(0, 1, DT, cfg.tap_count)[0])
+    assert np.array_equal(c, ArrivalTable.from_file(path, 2).pair(0, 1, DT, cfg.tap_count)[0])
     # binned into the configured tap count, zeros after the last arrival
     assert len(c) == cfg.tap_count and not c[3:].any()
     assert np.allclose(c[:3], [1.0, 0.0, 0.5j])

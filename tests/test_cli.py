@@ -148,6 +148,21 @@ def test_validate_refuses_a_link_length_that_run_refuses(tmp_path, capsys):
     assert err == "error: generate_taps: a link length of 1e+200 m overflows when squared\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_link_too_short_for_finite_taps_is_an_error_naming_the_pair(command, tmp_path, capsys):
+    scenario = tmp_path / "near.yaml"
+    scenario.write_text("network: {nodes: [[20, 0, 0], [20, 1.0e-200, 0], [20, 600, 0]], routes: [[0, 2]]}\n")
+    extra = ["--duration", "60", "--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(scenario), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert "OK" not in out
+    assert err == "error: pair 0->1: a link length of 1e-200 m is too short for taps of finite energy\n"
+    # a link of 1e-150 m still gives finite taps
+    scenario.write_text("network: {nodes: [[20, 0, 0], [20, 1.0e-150, 0], [20, 600, 0]], routes: [[0, 2]]}\n")
+    assert main(["validate", str(scenario)]) == 0
+
+
 def test_preset_subcommand(tmp_path):
     assert main(["preset", "sinr_vs_eta", "--out", str(tmp_path)]) == 0
     assert os.path.exists(tmp_path / "sinr_vs_eta.csv")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from uwansim.channel import norm
 from uwansim.mac import (
     Arm,
     Cancel,
@@ -12,15 +11,14 @@ from uwansim.mac import (
     FrameKind,
     MacTimers,
     Packet,
-    Piggyback,
-    ProCacheEntry,
     Send,
     TrmacEngine,
     make_engine,
+    step4_defers,
 )
 from uwansim.scenario import scenario_from_dict
 from uwansim.sim import LinkTable
-from uwansim.tr_phy import autocorr_offpeak_sum
+from uwansim.tr_phy import PhyConfig
 
 TIMERS = MacTimers(t_p=1000.0 / 1500.0, t_tr=0.5, delta=0.25, coherence_time=30.0, n_max=3)
 # engines read their links from the table of a placed four-node network
@@ -29,7 +27,6 @@ SCENARIO = scenario_from_dict({
     "network": {"nodes": [[20, 0, 0], [20, 600, 0], [30, 0, 700], [40, 600, 700]],
                 "routes": [[0, 1], [2, 3]]},
 })
-PHY = SCENARIO.phy
 MAC = SCENARIO.mac  # the only source of the engines' defaults
 
 
@@ -38,17 +35,28 @@ def packet(pid=1, route=(0, 1)):
 
 
 class FakeMedium:
-    def __init__(self):
+    """A settable carrier-sense answer and the placed network's table.  With
+    ``conflicting``, step 4 is steered: a probe reply from an origin in it
+    makes the listener defer and any other does not, and ``checks`` records
+    the ``(origin, listener, dst, victim)`` of every check asked."""
+
+    def __init__(self, conflicting=None):
         self.busy = None
         self.links = LinkTable(SCENARIO)
+        self.checks = []
+        if conflicting is not None:
+            def defers(origin, listener, dst, victim):
+                self.checks.append((origin, listener, dst, victim))
+                return origin in conflicting
+            self.links.defers = defers
 
     def busy_until(self, node_id, now):
         return self.busy
 
 
-def trmac(node=0):
+def trmac(node=0, conflicting=None):
     return TrmacEngine(node, TIMERS, 512.0, control_bits=MAC.control_bits,
-                       rng=np.random.default_rng(0), medium=FakeMedium())
+                       rng=np.random.default_rng(0), medium=FakeMedium(conflicting))
 
 
 def csma(node=0, kind="csma_ca"):
@@ -116,7 +124,7 @@ def test_trmac_enqueue_without_cached_probe_sends_pr_and_arms_timeout():
 
 def test_trmac_enqueue_with_fresh_cached_probe_skips_handshake():
     engine = trmac()
-    engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.1), received_at=0.0)
+    engine.pro_cache[1] = (0, 0.0)  # node 1 replied to node 0 at 0 s
     actions = engine.enqueue(packet(), 1, now=TIMERS.coherence_time / 2)
     assert not sends(actions, FrameKind.P_R)
     (send,) = sends(actions, FrameKind.TR_DATA)
@@ -128,22 +136,12 @@ def test_trmac_enqueue_with_fresh_cached_probe_skips_handshake():
 
 def test_trmac_enqueue_with_stale_probe_falls_back_to_pr():
     engine = trmac()
-    engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.1), received_at=0.0)
+    engine.pro_cache[1] = (0, 0.0)
     actions = engine.enqueue(packet(), 1, now=2 * TIMERS.coherence_time)
     assert sends(actions, FrameKind.P_R)
 
 
 # --------------------------------------------------------- TRMAC backoff
-
-
-def conflicting_piggyback():
-    # tiny victim norm makes the admission radicand negative (near-far)
-    return Piggyback(victim_link_norm=1e-4, victim_autocorr_offpeak_sum=0.0)
-
-
-def permissive_piggyback():
-    # huge victim norm clamps the threshold at 1, which |eta| cannot exceed
-    return Piggyback(victim_link_norm=1e4, victim_autocorr_offpeak_sum=0.0)
 
 
 def test_backoff_no_overheard_pro_is_zero():
@@ -154,43 +152,49 @@ def test_backoff_no_overheard_pro_is_zero():
 
 def test_backoff_conflicting_neighbor_hand_value():
     # T_Pro^j = 0.2 s at T_cl = 1.4167 s -> deferral 1.2167 s
-    engine = trmac()
+    engine = trmac(conflicting={2})
     now = 5.0
-    engine.pro_cache[2] = ProCacheEntry(conflicting_piggyback(), received_at=now - 0.2)
+    engine.pro_cache[2] = (3, now - 0.2)
     backoff = engine.compute_backoff(now, TIMERS.t_cl, dst=1)
     assert backoff == pytest.approx(TIMERS.t_cl - 0.2, abs=1e-9)
     assert f"{backoff:.4f}" == "1.2167"
     assert engine.stats["step4_deferrals"] == 1
+    # the check names the probe's victim link by its requester
+    assert engine.medium.checks == [(2, 0, 1, 3)]
 
 
 def test_backoff_ignores_low_correlation_neighbor():
-    engine = trmac()
+    engine = trmac(conflicting=set())
     now = 5.0
-    engine.pro_cache[2] = ProCacheEntry(permissive_piggyback(), received_at=now - 0.2)
+    engine.pro_cache[2] = (3, now - 0.2)
     assert engine.compute_backoff(now, TIMERS.t_cl, dst=1) == 0.0
     assert engine.stats["step4_deferrals"] == 0
+    assert engine.medium.checks == [(2, 0, 1, 3)]
 
 
 def test_backoff_ignores_expired_and_destination_probes():
-    engine = trmac()
+    engine = trmac(conflicting={1, 2})
     now = 5.0
-    engine.pro_cache[1] = ProCacheEntry(conflicting_piggyback(), received_at=now - 0.1)
-    engine.pro_cache[2] = ProCacheEntry(conflicting_piggyback(), received_at=now - 2 * TIMERS.t_cl)
+    engine.pro_cache[1] = (0, now - 0.1)
+    engine.pro_cache[2] = (3, now - 2 * TIMERS.t_cl)
     assert engine.compute_backoff(now, TIMERS.t_cl, dst=1) == 0.0
+    assert engine.medium.checks == []
 
 
 def test_backoff_takes_max_over_conflicting_neighbors():
-    engine = trmac()
+    engine = trmac(conflicting={2, 3})
     now = 5.0
-    engine.pro_cache[2] = ProCacheEntry(conflicting_piggyback(), received_at=now - 0.9)
-    engine.pro_cache[3] = ProCacheEntry(conflicting_piggyback(), received_at=now - 0.2)
+    engine.pro_cache[2] = (3, now - 0.9)
+    engine.pro_cache[3] = (2, now - 0.2)
     backoff = engine.compute_backoff(now, TIMERS.t_cl, dst=1)
     assert backoff == pytest.approx(TIMERS.t_cl - 0.2, abs=1e-9)
+    assert engine.stats["step4_deferrals"] == 2
 
 
 def test_backoff_compares_the_heard_channel_with_the_own_link(monkeypatch):
-    # node 0 overheard node 2's probe reply and sends to node 1: eta and its
-    # threshold take the 2 -> 0 channel and the 0 -> 1 link from the table
+    # node 0 overheard node 2's probe reply to node 3 and sends to node 1:
+    # eta and its threshold take the 2 -> 0 channel and the 0 -> 1 link from
+    # the table, and the threshold the quantities of the victim link (2, 3)
     import uwansim.mac as mac
 
     seen = []
@@ -201,24 +205,43 @@ def test_backoff_compares_the_heard_channel_with_the_own_link(monkeypatch):
 
     def eta_threshold(victim_norm, victim_offpeak, heard, own, phy):
         seen.append((heard, own))
+        seen.append((victim_norm, victim_offpeak))
         return 1.0
 
     monkeypatch.setattr(mac, "peak_eta", peak_eta)
     monkeypatch.setattr(mac, "eta_threshold", eta_threshold)
     engine = trmac()
-    engine.pro_cache[2] = ProCacheEntry(permissive_piggyback(), received_at=4.8)
+    engine.pro_cache[2] = (3, 4.8)
     assert engine.compute_backoff(5.0, None, dst=1) == 0.0
     links = engine.medium.links
     # the table holds one read-only row per pair, in both directions
     assert links.cir[2][0] is links.cir[0][2] and links.cir[0][1] is links.cir[1][0]
+    assert seen.pop() == links.reply_quantities(2, 3)
     assert len(seen) == 2
     for heard, own in seen:
         assert heard is links.cir[2][0] and own is links.cir[0][1]
 
 
+@pytest.mark.parametrize("victim_norm, peak, defers", [
+    (1e-4, 0.3, True),   # a tiny victim norm makes the radicand negative (near-far)
+    (1e4, 0.99, False),  # a huge one clamps the threshold at 1, which |eta| cannot exceed
+    (1.0, 0.3, False),   # the threshold is ||h_victim|| / ||h_interferer|| = 0.5
+    (1.0, 0.7, True),
+])
+def test_step4_defers_when_the_threshold_is_missing_or_exceeded(victim_norm, peak, defers):
+    # a lone spike of norm 2 heard, against a unit-norm own link whose peak
+    # |eta| with it is ``peak`` and whose rest falls off the sampled lags
+    phy = PhyConfig(noise_variance=1e-14, updown_factor=2, min_required_sinr=1.0)
+    heard = np.zeros(9, dtype=complex)
+    heard[0] = 2.0
+    own = np.zeros(9, dtype=complex)
+    own[0], own[3] = peak, np.sqrt(1.0 - peak**2)
+    assert step4_defers(heard, own, victim_norm, 0.0, phy) is defers
+
+
 def test_backoff_includes_receiver_window_on_cached_path():
     engine = trmac()
-    engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.1), received_at=10.0)
+    engine.pro_cache[1] = (0, 10.0)
     actions = engine.enqueue(packet(), 1, now=10.3)
     (send,) = sends(actions, FrameKind.TR_DATA)
     assert send.delay == pytest.approx(TIMERS.t_cl - 0.3, abs=1e-9)
@@ -227,14 +250,14 @@ def test_backoff_includes_receiver_window_on_cached_path():
 # -------------------------------------------------------- TRMAC receiver
 
 
-def test_pr_at_idle_receiver_replies_pro_with_piggyback():
+def test_pr_at_idle_receiver_replies_pro_naming_the_link():
     engine = trmac(node=1)
-    measured = engine.medium.links.cir[0][1]
     pr = Frame(FrameKind.P_R, src=0, dst=1, payload_bits=32, tx_duration=0.0625)
     actions = engine.on_frame(pr, now=1.0)
     (send,) = sends(actions, FrameKind.PRO)
-    assert send.frame.dst == 0
-    assert send.frame.piggyback == Piggyback(norm(measured), autocorr_offpeak_sum(measured, PHY.updown_factor))
+    # the reply carries no numbers: its (src, dst) is the victim link
+    assert (send.frame.src, send.frame.dst) == (1, 0)
+    assert send.frame.packet is None and not hasattr(send.frame, "piggyback")
     assert engine.reserved_for == 0
     assert arms(actions, "reservation")
 
@@ -249,11 +272,10 @@ def test_pr_at_reserved_receiver_defers_reply():
 
 def test_overheard_pro_is_cached_without_transmission():
     engine = trmac(node=0)
-    pro = Frame(FrameKind.PRO, src=3, dst=2, payload_bits=32, tx_duration=0.0625,
-                piggyback=Piggyback(1.0, 0.1))
+    pro = Frame(FrameKind.PRO, src=3, dst=2, payload_bits=32, tx_duration=0.0625)
     actions = engine.on_frame(pro, now=4.0)
     assert actions == []
-    assert engine.pro_cache[3].received_at == 4.0
+    assert engine.pro_cache[3] == (2, 4.0)
 
 
 def test_tr_data_delivery_ack_and_deferred_pro_flush():
@@ -268,10 +290,9 @@ def test_tr_data_delivery_ack_and_deferred_pro_flush():
     # the acknowledgement is focused on the reverse link
     assert (ack.frame.src, ack.frame.dst) == (1, 0)
     assert ack.frame.packet is pkt
-    # reservation passes to the deferred requester, with its own link's quantities
+    # reservation passes to the deferred requester, whose link the reply names
     (pro,) = sends(actions, FrameKind.PRO)
-    assert pro.frame.dst == 2
-    assert pro.frame.piggyback.victim_link_norm == norm(engine.medium.links.cir[2][1])
+    assert (pro.frame.src, pro.frame.dst) == (1, 2) and pro.frame.packet is None
     assert engine.reserved_for == 2
 
     # duplicate data is acknowledged but not delivered twice
@@ -287,7 +308,7 @@ def test_full_sender_handshake_and_ack_completion():
     (pr,) = sends(actions, FrameKind.P_R)
     engine.on_tx_start(pr.frame, 0.0)
 
-    pro = Frame(FrameKind.PRO, 1, 0, 32, 0.0625, piggyback=Piggyback(1.0, 0.05))
+    pro = Frame(FrameKind.PRO, 1, 0, 32, 0.0625)
     actions = engine.on_frame(pro, now=1.46)
     assert any(isinstance(a, Cancel) and a.key == "response" for a in actions)
     (data,) = sends(actions, FrameKind.TR_DATA)
@@ -304,8 +325,7 @@ def test_full_sender_handshake_and_ack_completion():
 def test_ack_for_abandoned_packet_is_ignored(make):
     engine = make(node=0)
     engine.enqueue(packet(pid=7), 1, now=1.0)
-    piggyback = Piggyback(1.0, 0.05) if engine.REPLY is FrameKind.PRO else None
-    engine.on_frame(Frame(engine.REPLY, 1, 0, 32, 0.0625, piggyback=piggyback), now=1.1)
+    engine.on_frame(Frame(engine.REPLY, 1, 0, 32, 0.0625), now=1.1)
     assert engine.phase == "data"
     stale = Frame(engine.ACK, 1, 0, 32, 0.0625, packet=packet(pid=6))
     assert engine.on_frame(stale, now=1.2) == []
@@ -335,7 +355,7 @@ def test_timeout_retransmits_then_drops(make, phase):
 
 def test_trmac_data_timeout_recomputes_backoff_from_cache():
     engine = trmac(node=0)
-    engine.pro_cache[1] = ProCacheEntry(Piggyback(1.0, 0.05), received_at=0.0)
+    engine.pro_cache[1] = (0, 0.0)
     engine.enqueue(packet(pid=11), 1, now=5.0)
     actions = engine.on_timer("response", now=8.0)
     (send,) = sends(actions, FrameKind.TR_DATA)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from uwansim.channel import ArrivalFileError, ArrivalTable, generate_cir, norm
-from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Cancel, Frame, FrameKind, Packet, Piggyback, ProCacheEntry, Send
+from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Cancel, Frame, FrameKind, Packet, Send
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import sim as sim_module
 from uwansim.sim import LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
@@ -858,9 +858,8 @@ def test_overheard_probe_replies_are_tracked_only_at_nodes_that_send():
     # reply of node 0 can make node 5 defer, so node 5 tracks none of them
     sim, heard = run_probe_listener_scenario()
     links = sim.links
-    replies = [links.reply_quantities(0, r) for r in (1, 2)]
-    assert links.defers(0, 3, 4, *replies[0]) and not links.defers(0, 3, 4, *replies[1])
-    assert not any(links.defers(0, 5, 6, *q) for q in replies)
+    assert links.defers(0, 3, 4, 1) and not links.defers(0, 3, 4, 2)
+    assert not any(links.defers(0, 5, 6, r) for r in (1, 2))
     assert sim._pro_listeners[0] == [1, 2, 3]
     # an addressee is a listener by construction: a requester has its
     # replier as a next hop
@@ -879,8 +878,18 @@ def test_a_listener_tracks_every_probe_reply_of_an_origin_even_one_that_cannot_d
     # requester) would leave that stale reply in the cache
     sim, heard = run_probe_listener_scenario()
     assert heard[3] == [(0, 1), (0, 2)]
-    entry = sim.nodes[3].engine.pro_cache[0]
-    assert entry.piggyback == Piggyback(*sim.links.reply_quantities(0, 2))
+    assert sim.nodes[3].engine.pro_cache[0][0] == 2
+
+
+def test_a_probe_reply_carries_no_numbers_and_its_listeners_cache_the_link_it_names():
+    # a reply's (src, dst) is its victim link: frames hold no piggyback, and
+    # a listener caches the requester and the time
+    assert [f.name for f in dataclasses.fields(Frame)] == ["kind", "src", "dst", "payload_bits",
+                                                          "tx_duration", "packet"]
+    sim, _ = run_probe_listener_scenario()
+    (pro_at_3,) = [e["time"] for e in sim.trace.events
+                   if e["event"] == "rx_end" and e["node"] == 3 and e["frame"] == "PRO" and e["time"] > 40.0]
+    assert sim.nodes[3].engine.pro_cache == {0: (2, pro_at_3)}
 
 
 def _every_sender_listens(sim, u):
@@ -1096,7 +1105,7 @@ def _reference_pair(sc, i, j):
     read afresh."""
     nodes, env, phy = sc.network.nodes, sc.environment, sc.phy
     if sc.channel.model_kind == "arrival_file":
-        arrivals = ArrivalTable.from_file(sc.channel.arrival_file_path)
+        arrivals = ArrivalTable.from_file(sc.channel.arrival_file_path, len(nodes))
         c, delay = arrivals.pair(i, j, env.sample_interval, sc.channel.tap_count)
     else:
         c = generate_cir(nodes[i], nodes[j], env, sc.channel)
@@ -1288,13 +1297,9 @@ def test_each_links_offpeak_sum_is_computed_once_per_table(monkeypatch):
     assert len({id(c) for c in computed}) == len(computed) <= len(read)
 
 
-# a tiny victim norm makes the admission radicand negative (near-far); a
-# huge one clamps the threshold at 1, which |eta| cannot exceed
-CONFLICTING = (1e-4, 0.0)
-PERMISSIVE = (1e4, 0.0)
-
-
 def step4_scenario():
+    """Four nodes where a probe reply of node 2 to node 1 makes node 0 defer
+    its frames to node 3 (``LinkTable.defers(2, 0, 3, 1)``)."""
     return scenario_from_dict({
         "seed": 5, "mac": {"protocol": "trmac"},
         "network": {"nodes": [[20, 0, 0], [20, 600, 0], [30, 0, 700], [40, 600, 700]],
@@ -1311,23 +1316,23 @@ def test_step4_check_is_computed_once_per_table_and_key(monkeypatch):
         monkeypatch.setattr(mac, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
     sc = step4_scenario()
     table = LinkTable(sc)
-    # node 0 overheard node 2's probe reply and sends to node 1
-    assert table.defers(2, 0, 1, *CONFLICTING) is True
+    # node 0 overheard node 2's probe reply to node 1 and sends to node 3
+    assert table.defers(2, 0, 3, 1) is True
     assert calls == ["peak_eta", "eta_threshold"]
     # the same check again, also through an engine's backoff: the kept one
     sim = Simulator(sc, links=table)
     engine = sim.nodes[0].engine
-    engine.pro_cache[2] = ProCacheEntry(Piggyback(*CONFLICTING), received_at=4.8)
-    assert table.defers(2, 0, 1, *CONFLICTING) is True
-    assert engine.compute_backoff(5.0, None, dst=1) > 0.0
+    engine.pro_cache[2] = (1, 4.8)
+    assert table.defers(2, 0, 3, 1) is True
+    assert engine.compute_backoff(5.0, None, dst=3) > 0.0
     assert len(calls) == 2 and engine.stats["step4_deferrals"] == 1
-    # another destination, another listener, another piggyback: new checks
-    table.defers(2, 0, 3, *CONFLICTING)
-    table.defers(2, 1, 0, *CONFLICTING)
-    assert table.defers(2, 0, 1, *PERMISSIVE) is False
+    # another destination, another listener, another victim: new checks
+    table.defers(2, 0, 1, 1)
+    table.defers(2, 3, 0, 1)
+    assert table.defers(2, 0, 3, 0) is False
     assert len(calls) == 8
     # another table computes its own
-    assert LinkTable(sc).defers(2, 0, 1, *CONFLICTING) is True
+    assert LinkTable(sc).defers(2, 0, 3, 1) is True
     assert calls == ["peak_eta", "eta_threshold"] * 5
 
 
@@ -1338,13 +1343,15 @@ def test_backoff_with_kept_checks_equals_fresh_tables():
     kept_sim = Simulator(sc, links=LinkTable(sc))  # engines reach their simulator by weak reference
     kept = kept_sim.nodes[0].engine
     deferrals = 0
+    # (origin, its requester, heard at, now, dst): only node 2's replies to
+    # node 1 make node 0 defer, and only for node 3
     steps = [
-        (2, CONFLICTING, 4.8, 5.0, 1), (3, PERMISSIVE, 5.0, 5.1, 1),
-        (2, CONFLICTING, 4.8, 5.2, 3), (2, PERMISSIVE, 5.3, 5.4, 1),
-        (3, CONFLICTING, 5.5, 5.6, 1), (2, PERMISSIVE, 5.3, 5.7, 3),
+        (2, 1, 4.8, 5.0, 3), (3, 2, 5.0, 5.1, 1),
+        (2, 1, 4.8, 5.2, 1), (2, 3, 5.3, 5.4, 3),
+        (1, 2, 5.5, 5.6, 3), (2, 1, 5.3, 5.7, 3),
     ]
-    for origin, piggyback, heard_at, now, dst in steps:
-        kept.pro_cache[origin] = ProCacheEntry(Piggyback(*piggyback), received_at=heard_at)
+    for origin, requester, heard_at, now, dst in steps:
+        kept.pro_cache[origin] = (requester, heard_at)
         fresh_sim = Simulator(sc, links=LinkTable(sc))
         fresh = fresh_sim.nodes[0].engine
         fresh.pro_cache = dict(kept.pro_cache)
