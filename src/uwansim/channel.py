@@ -7,7 +7,8 @@ cells plus a link-length cell), so links with similar geometry produce
 highly correlated responses while dissimilar links stay essentially
 uncorrelated -- the spatial-variability behaviour that the MAC layer
 exploits.  Quantizing a symmetric geometry signature also makes the
-model reciprocal and seed-deterministic by construction.
+model reciprocal and seed-deterministic by construction.  The seed is the
+scenario's own ``seed``, passed to every function that draws taps.
 
 An arrival-file path ingests precomputed ray arrivals for users who
 have ray-traced data instead, keyed by node index and binned into the
@@ -69,7 +70,6 @@ class ChannelModelConfig(Checked):
     model_kind: str = STATISTICAL_PDP
     tap_count: int = 129
     pdp_decay_constant: float = 1.0e-3
-    rng_seed: int | None = 0  # None inside a Scenario: follow Scenario.seed
     arrival_file_path: str | None = None
     depth_quantum: float = 5.0
     range_quantum: float = 50.0
@@ -78,7 +78,6 @@ class ChannelModelConfig(Checked):
         "model_kind": string(one_of(STATISTICAL_PDP, ARRIVAL_FILE)),
         "tap_count": integer(POSITIVE),
         "pdp_decay_constant": number(POSITIVE),
-        "rng_seed": integer(nullable=True),
         "arrival_file_path": string(nullable=True),
         "depth_quantum": number(POSITIVE),
         "range_quantum": number(POSITIVE),
@@ -202,15 +201,16 @@ def _tap_draws(seed: int, signature: tuple[int, int, int], tap_count: int) -> np
     return draws
 
 
-def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelModelConfig) -> np.ndarray:
+def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelModelConfig,
+                  seed: int) -> np.ndarray:
     """Statistical-model taps of the links tx->rx, one row per receiver.
 
     ``tx`` and each receiver are ``(depth, x, y)`` points.  Tap l has
     expected power exp(-l*dt/tau) / d^2 with complex circular-Gaussian
-    amplitude.  The draws are seeded from the quantized link geometry, so
-    the result is deterministic, reciprocal, and highly correlated across
-    geometrically similar links; links that share a signature share one
-    cached draw.
+    amplitude.  The draws are seeded from ``seed`` and the quantized link
+    geometry, so the result is deterministic, reciprocal, and highly
+    correlated across geometrically similar links; links that share a
+    signature share one cached draw.
 
     A link's signature is its sorted endpoint depth cells and its length
     cell: links whose endpoints fall in the same depth cells and whose
@@ -219,8 +219,6 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     """
     if cfg.model_kind != STATISTICAL_PDP:
         raise ValueError(f"generate_taps: needs the {STATISTICAL_PDP} model, got {cfg.model_kind!r}")
-    if cfg.rng_seed is None:  # a Scenario sets it to its seed on resolution
-        raise ValueError("generate_taps: ChannelModelConfig.rng_seed is None, a seed is needed")
     distances = [math.dist(tx, rx) for rx in rxs]
     # a distance is 0.0 only where the points coincide, and not finite
     # only where a coordinate is not
@@ -229,7 +227,7 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     if not math.isfinite(sum(distances)):
         raise ValueError("generate_taps: point coordinates must be finite")
     tap_count = int(cfg.tap_count)
-    seed = cfg.rng_seed & SEED_MASK
+    seed &= SEED_MASK
     lags = np.arange(tap_count)
     decay = np.exp(-lags * env.sample_interval / cfg.pdp_decay_constant)
     # squared in Python: np.square rounds a few distances differently
@@ -252,10 +250,10 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     return taps
 
 
-def generate_cir(tx: Point, rx: Point, env: Environment, cfg: ChannelModelConfig) -> np.ndarray:
+def generate_cir(tx: Point, rx: Point, env: Environment, cfg: ChannelModelConfig, seed: int) -> np.ndarray:
     """The statistical-model CIR of the directed link tx->rx: the
     ``generate_taps`` row of the pair."""
-    return generate_taps(tx, [rx], env, cfg)[0]
+    return generate_taps(tx, [rx], env, cfg, seed)[0]
 
 
 class ArrivalTable:
@@ -352,32 +350,36 @@ class ChannelModel:
         self.env = env
         self.cfg = cfg
 
-    def pairs(self, points: list[Point]):
+    def pairs(self, points: list[Point], seed: int):
         """``(i, j, CIR, sum of |taps|^2, delay)`` of every pair i < j of
         ``points``, CIR and delay in the i -> j direction, ``cfg.tap_count``
         taps each; taps are read-only, since tables that hold them are shared.
 
         Statistical taps come from one ``generate_taps`` call per node over
-        its higher-index partners, and the delay is the straight-line
-        distance over the nominal sound speed; ValueError naming the pair
-        and its length if the link is too short for taps of finite energy.
-        An arrival file names nodes by their index in ``points``;
-        ``ArrivalTable.pair`` bins each pair.
+        its higher-index partners, drawn with ``seed``, and the delay is the
+        straight-line distance over the nominal sound speed.  An arrival
+        file names nodes by their index in ``points``; ``ArrivalTable.pair``
+        bins each pair, and ``seed`` is not read.
+
+        A pair whose tap energy squared is not finite is refused, naming
+        it: the TR correlations square products of two links' norms.  That
+        is a ValueError naming the link length under the statistical model
+        (a link too short), an ArrivalFileError naming the file otherwise.
         """
         env, cfg = self.env, self.cfg
         if cfg.model_kind == STATISTICAL_PDP:
             for i in range(len(points) - 1):
                 # a link too short for finite taps is reported below, naming the pair
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    taps = generate_taps(points[i], points[i + 1:], env, cfg)
-                    energies = (np.abs(taps) ** 2).sum(axis=1)
+                    taps = generate_taps(points[i], points[i + 1:], env, cfg, seed)
+                    energies = (np.abs(taps) ** 2).sum(axis=1).tolist()
                 taps.flags.writeable = False
                 for j, row, energy in zip(range(i + 1, len(points)), taps, energies):
                     distance = math.dist(points[i], points[j])
-                    if not energy < math.inf:
-                        raise ValueError(
-                            f"pair {i}->{j}: a link length of {distance!r} m is too short for taps of finite energy")
-                    yield i, j, row, float(energy), distance / env.nominal_sound_speed
+                    if not energy * energy < math.inf:
+                        raise ValueError(f"pair {i}->{j}: a link length of {distance!r} m is too short "
+                                         "for a finite tap energy squared")
+                    yield i, j, row, energy, distance / env.nominal_sound_speed
             return
         # read afresh for every table: a file may change between runs
         table = ArrivalTable.from_file(cfg.arrival_file_path, len(points))
@@ -387,8 +389,8 @@ class ChannelModel:
                 with np.errstate(over="ignore", invalid="ignore"):
                     c, delay = table.pair(i, j, env.sample_interval, cfg.tap_count)
                     energy = float(np.sum(np.abs(c) ** 2))
-                if not energy < math.inf:
+                if not energy * energy < math.inf:
                     raise ArrivalFileError(
-                        f"{table.path}: pair {i}->{j}: taps or tap energy not finite (amplitudes too large)")
+                        f"{table.path}: pair {i}->{j}: tap energy squared not finite (amplitudes too large)")
                 c.flags.writeable = False
                 yield i, j, c, energy, delay

@@ -16,14 +16,14 @@ from .sim import LinkTable, run_scenario
 
 def _load(path: str, overrides: argparse.Namespace):
     # a file's placement is explicit once resolved; without a file nothing
-    # is, so the defaults (placement included) follow the overrides
+    # is, so the defaults (placement included) follow the overrides.  With a
+    # file, --seed is the same as editing its seed: key
     data = scenario_to_dict(load_scenario(path)) if path else {}
     if overrides.seed is not None:
         data["seed"] = overrides.seed
         if getattr(overrides, "reseed_topology", False):
             data.setdefault("network", {}).pop("nodes", None)
             data["network"].pop("routes", None)
-        data.setdefault("channel", {})["rng_seed"] = overrides.seed
     if overrides.duration is not None:
         data["duration_s"] = overrides.duration
     if getattr(overrides, "protocol", None):

@@ -9,7 +9,7 @@ alike.  A network preset resolves its placement once per seed and derives
 each run's scenario from it; the runs go to a pool of ``workers``
 processes, or run in-process when that is 1.  Rows are assembled in grid
 order regardless of completion order, and the runs of one placement share
-one link table.
+one link table.  A PHY preset draws its channel taps with its one seed.
 """
 
 from __future__ import annotations
@@ -247,11 +247,11 @@ def _write_csv(path: str, provenance: str, header: list[str], lines) -> str:
 
 def _reference_links(seed: int, tap_count: int):
     env = Environment()
-    cfg = ChannelModelConfig(tap_count=tap_count, rng_seed=seed)
+    cfg = ChannelModelConfig(tap_count=tap_count)
     g = {k: (depth, rng, 0.0) for k, (depth, rng) in REFERENCE_GEOMETRY.items()}
-    h_ab = generate_cir(g["a"], g["b"], env, cfg)
-    h_ib = generate_cir(g["i"], g["b"], env, cfg)
-    h_ij = generate_cir(g["i"], g["j"], env, cfg)
+    h_ab = generate_cir(g["a"], g["b"], env, cfg, seed)
+    h_ib = generate_cir(g["i"], g["b"], env, cfg, seed)
+    h_ij = generate_cir(g["i"], g["j"], env, cfg, seed)
     return h_ab, h_ib, h_ij
 
 
@@ -324,8 +324,8 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     seed = preset.seeds[0]
 
     env = Environment(water_depth=water_depth)
-    cfg = ChannelModelConfig(tap_count=p["tap_count"], rng_seed=seed)
-    h_ref = generate_cir(tx, rx, env, cfg)
+    cfg = ChannelModelConfig(tap_count=p["tap_count"])
+    h_ref = generate_cir(tx, rx, env, cfg, seed)
 
     # cells are (depth, x, y) points, as generate_taps takes them
     depths = [round(k * depth_step, 9) for k in range(int(water_depth / depth_step) + 1)]
@@ -340,7 +340,7 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
             magnitudes = []
             for k in range(0, len(linked), _PROBE_BLOCK):
                 etas = normalized_cross_correlations(
-                    generate_taps(tx, linked[k : k + _PROBE_BLOCK], env, cfg), h_ref, 0)
+                    generate_taps(tx, linked[k : k + _PROBE_BLOCK], env, cfg, seed), h_ref, 0)
                 magnitudes += np.hypot(etas.real, etas.imag).tolist()
             if len(linked) < len(cells):
                 # the cell at the reference transmitter is an undefined link to itself

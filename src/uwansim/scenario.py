@@ -8,6 +8,8 @@ so an empty config file is a runnable scenario.  ``FIELDS`` gives each YAML
 key once with its attribute and rule; parsing and emitting walk it, and so
 does ``Scenario.resolved``, which also fills in a missing placement.  The
 ``Simulator`` runs a resolved scenario as it is, after ``check_scenario``.
+One ``seed`` keys every random stream of a scenario: the generated
+placement, the channel taps, the traffic and the MAC backoffs.
 The rules of the environment, channel, phy and MAC timer keys are those
 their dataclasses check on construction; ``FIELDS`` holds the only copy of
 the others.
@@ -81,8 +83,7 @@ class Scenario:
     duration: float = 2000.0
     warmup: float = 0.0
     environment: Environment = field(default_factory=Environment)
-    # rng_seed None: the channel stream follows ``seed``
-    channel: ChannelModelConfig = field(default_factory=lambda: ChannelModelConfig(rng_seed=None))
+    channel: ChannelModelConfig = field(default_factory=ChannelModelConfig)
     phy: PhyConfig = field(
         default_factory=lambda: PhyConfig(noise_variance=1.0e-7, updown_factor=4, min_required_sinr=0.5)
     )
@@ -94,10 +95,7 @@ class Scenario:
         """A new scenario, sharing no list with this one: every field checked
         and normalized, a null or empty ``network.nodes`` generated (with routes
         unless given), given nodes without routes paired, and the whole validated."""
-        values = _parsed_fields(self)
-        if values["channel.rng_seed"] is None:
-            values["channel.rng_seed"] = values["seed"]
-        out = _with_values(self, values)
+        out = _with_values(self, _parsed_fields(self))
         net = out.network
         nodes, routes = net.nodes, net.routes
         if not nodes:
@@ -153,7 +151,6 @@ FIELDS: tuple[Field, ...] = (
     Field("channel.model", "channel.model_kind", _CHANNEL["model_kind"]),
     Field("channel.tap_count", "channel.tap_count", _CHANNEL["tap_count"]),
     Field("channel.pdp_decay_s", "channel.pdp_decay_constant", _CHANNEL["pdp_decay_constant"]),
-    Field("channel.rng_seed", "channel.rng_seed", _CHANNEL["rng_seed"]),
     Field("channel.arrival_file", "channel.arrival_file_path", _CHANNEL["arrival_file_path"]),
     Field("channel.depth_quantum_m", "channel.depth_quantum", _CHANNEL["depth_quantum"]),
     Field("channel.range_quantum_m", "channel.range_quantum", _CHANNEL["range_quantum"]),

@@ -36,10 +36,12 @@ receptions only.
 Per-pair quantities live in a ``LinkTable``: symmetric n x n rows of CIR,
 delay, impinging power and direct-transmission signal and ISI, read by
 plain indexing.  They depend only on the placement (node positions,
-environment, channel model and phy), so a table is built for a placement
-in one pass and may serve every run on it: a run builds its own at its
-first transmission unless it is handed one (``Simulator(..., links=)``),
-and a preset call shares one per placement across its runs.  A link's norm
+seed, environment, channel model and phy), so a table is built for a
+placement in one pass and may serve every run on it: a run builds its own
+at its first transmission unless it is handed one (``Simulator(...,
+links=)``), and a preset call shares one per placement across its runs.
+The seed is part of the placement because the statistical channel draws
+its taps with it, so no table serves two seeds.  A link's norm
 and off-peak autocorrelation sum, which the paper's probe replies carry, are
 filled in once, at the first step-4 check with it as the victim or at its
 first TR frame; its TR quantities (signal and ISI from those two, ILI at
@@ -283,9 +285,9 @@ def collect_metrics(trace: RunTrace, duration: float, warmup: float = 0.0,
 
 def placement(scenario: Scenario) -> tuple:
     """What the link table of a scenario depends on: its node positions,
-    environment, channel model and phy, as hashable values."""
+    seed, environment, channel model and phy, as hashable values."""
     nodes = tuple(map(tuple, scenario.network.nodes))
-    return nodes, scenario.environment, scenario.channel, scenario.phy
+    return nodes, scenario.seed, scenario.environment, scenario.channel, scenario.phy
 
 
 class LinkTable:
@@ -314,7 +316,7 @@ class LinkTable:
         self.tr: list[list] = [[None] * n for _ in range(n)]
         self.reply: list[list] = [[None] * n for _ in range(n)]
         self._defers: dict[tuple, bool] = {}
-        pairs = ChannelModel(scenario.environment, scenario.channel).pairs(nodes)
+        pairs = ChannelModel(scenario.environment, scenario.channel).pairs(nodes, scenario.seed)
         for i, j, c, energy, delay in pairs:
             direct = sdt_powers(c, phy)
             for a, b in ((i, j), (j, i)):
@@ -413,7 +415,6 @@ class Simulator:
         self.heap: list[tuple] = []
         self._seq = 0
         self._event_seq = 0  # seq of the event being handled
-        self._packet_seq = 0
         self._ran = False
         self.trace = RunTrace(events=[] if record_events else None)
 
@@ -535,14 +536,13 @@ class Simulator:
 
     def _handle_arrival(self, flow_idx: int, tag, now: float) -> None:
         route = self.scenario.network.routes[flow_idx]
-        self._packet_seq += 1
+        self.trace.generated += 1
         packet = Packet(
-            packet_id=self._packet_seq,
+            packet_id=self.trace.generated,
             route=route,
             size_bits=self.scenario.traffic.packet_bits,
             created_at=now,
         )
-        self.trace.generated += 1
         if self.trace.events is not None:
             self._log(now, route[0], "packet_arrival", "-", f"flow{flow_idx}")
         actions = self.nodes[route[0]].engine.enqueue(packet, route[1], now)

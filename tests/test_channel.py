@@ -67,7 +67,8 @@ def random_cir(rng, length):
 
 
 ENV = Environment()
-CFG = ChannelModelConfig(rng_seed=7)
+CFG = ChannelModelConfig()
+SEED = 7  # the scenario seed the statistical taps are drawn with
 
 
 # -------------------------------------------------------- CIR rows checked
@@ -122,8 +123,7 @@ def test_norm_trivial_cases():
 
 
 def test_norm_matches_elementwise_oracle_on_130_taps():
-    c = generate_cir((20, 0, 0), (20, 1000, 0), ENV,
-                     ChannelModelConfig(tap_count=130, rng_seed=3))
+    c = generate_cir((20, 0, 0), (20, 1000, 0), ENV, ChannelModelConfig(tap_count=130), 3)
     brute = math.sqrt(sum(abs(t) ** 2 for t in c))
     assert norm(c) == pytest.approx(brute, rel=1e-12)
 
@@ -272,9 +272,9 @@ def test_block_correlations_reject_rows_with_no_taps_or_ragged_rows():
 def test_generate_cir_deterministic_and_reciprocal():
     tx = (20.0, 0.0, 0.0)
     rx = (50.0, 800.0, 300.0)
-    c1 = generate_cir(tx, rx, ENV, CFG)
-    c2 = generate_cir(tx, rx, ENV, CFG)
-    c3 = generate_cir(rx, tx, ENV, CFG)
+    c1 = generate_cir(tx, rx, ENV, CFG, SEED)
+    c2 = generate_cir(tx, rx, ENV, CFG, SEED)
+    c3 = generate_cir(rx, tx, ENV, CFG, SEED)
     assert np.array_equal(c1, c2)
     assert np.array_equal(c1, c3)
     assert len(c1) == CFG.tap_count
@@ -284,30 +284,30 @@ def test_generate_cir_deterministic_and_reciprocal():
 def test_generate_cir_changes_with_seed_and_geometry():
     tx = (20.0, 0.0, 0.0)
     rx = (50.0, 800.0, 300.0)
-    c1 = generate_cir(tx, rx, ENV, CFG)
-    c2 = generate_cir(tx, rx, ENV, ChannelModelConfig(rng_seed=8))
+    c1 = generate_cir(tx, rx, ENV, CFG, SEED)
+    c2 = generate_cir(tx, rx, ENV, CFG, 8)
     assert not np.array_equal(c1, c2)
     far = (5.0, 2500.0, 0.0)
-    c3 = generate_cir(tx, far, ENV, CFG)
+    c3 = generate_cir(tx, far, ENV, CFG, SEED)
     assert not np.array_equal(c1, c3)
 
 
 def test_generate_cir_rejects_coincident_positions():
     p = (10.0, 5.0, 5.0)
     with pytest.raises(ValueError, match="coincide"):
-        generate_cir(p, (10.0, 5.0, 5.0), ENV, CFG)
+        generate_cir(p, (10.0, 5.0, 5.0), ENV, CFG, SEED)
 
 
 def test_generate_cir_accepts_a_130_tap_configuration():
     env = Environment()
-    cfg = ChannelModelConfig(tap_count=130, rng_seed=1)
-    c = generate_cir((20, 0, 0), (20, 1000, 0), env, cfg)
+    cfg = ChannelModelConfig(tap_count=130)
+    c = generate_cir((20, 0, 0), (20, 1000, 0), env, cfg, 1)
     assert len(c) == 130
 
 
 def test_statistical_pair_delay_hand_value():
     # 1000 m at 1500 m/s
-    [(_, _, _, _, delay)] = ChannelModel(ENV, CFG).pairs([(20.0, 0.0, 0.0), (20.0, 1000.0, 0.0)])
+    [(_, _, _, _, delay)] = ChannelModel(ENV, CFG).pairs([(20.0, 0.0, 0.0), (20.0, 1000.0, 0.0)], SEED)
     assert delay == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert f"{delay:.4f}" == "0.6667"
 
@@ -318,8 +318,8 @@ def test_same_signature_links_share_tap_pattern():
     tx = (20.0, 0.0, 0.0)
     rx_a = (30.0, 1000.0, 0.0)
     rx_b = (30.0, 1010.0, 0.0)
-    ca = generate_cir(tx, rx_a, ENV, CFG)
-    cb = generate_cir(tx, rx_b, ENV, CFG)
+    ca = generate_cir(tx, rx_a, ENV, CFG, SEED)
+    cb = generate_cir(tx, rx_b, ENV, CFG, SEED)
     ratio = math.dist(tx, rx_a) / math.dist(tx, rx_b)
     assert np.allclose(cb * 1.0 / ratio, ca, rtol=1e-12)
     assert abs(normalized_cross_correlation(ca, cb, 0)) == pytest.approx(1.0, abs=1e-12)
@@ -327,21 +327,21 @@ def test_same_signature_links_share_tap_pattern():
 
 def test_dissimilar_links_weakly_correlated():
     tx = (20.0, 0.0, 0.0)
-    ref = generate_cir(tx, (30.0, 1000.0, 0.0), ENV, CFG)
-    other = generate_cir((45.0, 500.0, 900.0), (10.0, 2000.0, 2000.0), ENV, CFG)
+    ref = generate_cir(tx, (30.0, 1000.0, 0.0), ENV, CFG, SEED)
+    other = generate_cir((45.0, 500.0, 900.0), (10.0, 2000.0, 2000.0), ENV, CFG, SEED)
     assert abs(normalized_cross_correlation(ref, other, 0)) < 0.5
 
 
 # ------------------------------------------------------------ generate_taps
 
 
-def single_link_oracle(tx, rx, env, cfg):
+def single_link_oracle(tx, rx, env, cfg, seed):
     """The statistical model drawn for one link, step by step."""
     distance = math.dist(tx, rx)
     signature = (math.floor(min(tx[0], rx[0]) / cfg.depth_quantum),
                  math.floor(max(tx[0], rx[0]) / cfg.depth_quantum),
                  math.floor(distance / cfg.range_quantum))
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, *signature)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, *signature)))
     pdp = np.exp(-np.arange(cfg.tap_count) * env.sample_interval / cfg.pdp_decay_constant) / distance**2
     draws = rng.standard_normal(cfg.tap_count) + 1j * rng.standard_normal(cfg.tap_count)
     return np.sqrt(pdp / 2.0) * draws
@@ -354,14 +354,13 @@ PROBE_POINTS = [(0.0, 3550.0, 0.0), (0.0, 10.0, 0.0), (70.0, 1000.0, 0.0),
 
 
 def test_generate_taps_rows_equal_single_link_cirs_bit_for_bit():
-    cfg = ChannelModelConfig(rng_seed=1)
     far = math.dist(TX_POINT, PROBE_POINTS[0])
     assert far**2 != np.square(far)
-    rows = generate_taps(TX_POINT, PROBE_POINTS, ENV, cfg)
-    assert rows.shape == (len(PROBE_POINTS), cfg.tap_count)
+    rows = generate_taps(TX_POINT, PROBE_POINTS, ENV, CFG, 1)
+    assert rows.shape == (len(PROBE_POINTS), CFG.tap_count)
     for row, probe in zip(rows, PROBE_POINTS):
-        assert np.array_equal(row, generate_cir(TX_POINT, probe, ENV, cfg))
-        assert np.array_equal(row, single_link_oracle(TX_POINT, probe, ENV, cfg))
+        assert np.array_equal(row, generate_cir(TX_POINT, probe, ENV, CFG, 1))
+        assert np.array_equal(row, single_link_oracle(TX_POINT, probe, ENV, CFG, 1))
 
 
 @pytest.mark.parametrize("tap_count", [1, 129, 1025])
@@ -386,67 +385,60 @@ def test_tap_draws_are_two_standard_normal_draws_of_the_signature_generator(tap_
 
 def test_writing_into_a_cir_does_not_change_the_next_draw():
     tx, rx = TX_POINT, PROBE_POINTS[2]
-    first = generate_cir(tx, rx, ENV, CFG)
+    first = generate_cir(tx, rx, ENV, CFG, SEED)
     kept = first.copy()
     first[:] = 0.0
-    rows = generate_taps(tx, [rx, rx], ENV, CFG)
+    rows = generate_taps(tx, [rx, rx], ENV, CFG, SEED)
     rows[0] *= 2.0
     assert np.array_equal(rows[1], kept)
-    assert np.array_equal(generate_cir(tx, rx, ENV, CFG), kept)
-    assert np.array_equal(generate_cir(rx, tx, ENV, CFG), kept)
+    assert np.array_equal(generate_cir(tx, rx, ENV, CFG, SEED), kept)
+    assert np.array_equal(generate_cir(rx, tx, ENV, CFG, SEED), kept)
 
 
 def test_integral_float_tap_count_draws_like_the_integer():
     tx, rx = TX_POINT, PROBE_POINTS[2]
-    as_float = generate_cir(tx, rx, ENV, ChannelModelConfig(tap_count=129.0, rng_seed=7))
-    assert np.array_equal(as_float, generate_cir(tx, rx, ENV, CFG))
+    as_float = generate_cir(tx, rx, ENV, ChannelModelConfig(tap_count=129.0), SEED)
+    assert np.array_equal(as_float, generate_cir(tx, rx, ENV, CFG, SEED))
 
 
 def test_generate_taps_rejects_a_coincident_receiver():
     # -0.0 is the same coordinate as 0.0, and a list is the same point as a tuple
     for same in ((50.0, 0.0, 0.0), (50, -0.0, 0), [50.0, 0.0, 0.0]):
         with pytest.raises(ValueError, match="coincide"):
-            generate_taps(TX_POINT, [PROBE_POINTS[0], same], ENV, CFG)
+            generate_taps(TX_POINT, [PROBE_POINTS[0], same], ENV, CFG, SEED)
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 10.0, 0.0), (0.0, math.inf, 0.0), (0.0, 10.0, -math.inf)])
 def test_generate_taps_rejects_a_nonfinite_point(bad):
     with pytest.raises(ValueError, match="finite"):
-        generate_taps(TX_POINT, [PROBE_POINTS[0], bad], ENV, CFG)
+        generate_taps(TX_POINT, [PROBE_POINTS[0], bad], ENV, CFG, SEED)
     with pytest.raises(ValueError, match="finite"):
-        generate_taps(bad, PROBE_POINTS[:2], ENV, CFG)
+        generate_taps(bad, PROBE_POINTS[:2], ENV, CFG, SEED)
 
 
 def test_generate_taps_rejects_a_link_length_whose_square_overflows():
     # 1e200 m is finite, but its square is not: a ValueError naming the length
     far = (20.0, 1e200, 0.0)
     with pytest.raises(ValueError, match=r"^generate_taps: a link length of 1e\+200 m overflows when squared$"):
-        generate_taps(TX_POINT, [PROBE_POINTS[0], far], ENV, CFG)
+        generate_taps(TX_POINT, [PROBE_POINTS[0], far], ENV, CFG, SEED)
     with pytest.raises(ValueError, match=r"1e\+200 m overflows"):
-        generate_cir(far, TX_POINT, ENV, CFG)
+        generate_cir(far, TX_POINT, ENV, CFG, SEED)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("length", [1e-200, 1e-160, 1e-154])
+@pytest.mark.parametrize("length", [1e-200, 1e-160, 1e-154, 1e-150, 1e-80, 1e-77])
 def test_a_link_too_short_for_finite_taps_is_refused_naming_the_pair(length):
-    # 1e-200 m squares to 0.0, 1e-160 m to a power that overflows, and 1e-154 m
-    # to taps whose energy overflows: each a ValueError, without a numpy warning
+    # 1e-200 m squares to 0.0, 1e-160 m to a power that overflows, 1e-154 m
+    # to taps whose energy overflows, and 1e-150 to 1e-77 m to a finite energy
+    # whose square, which the TR correlations reach, overflows: each a
+    # ValueError, without a numpy warning
     points = [(20.0, 0.0, 0.0), (20.0, length, 0.0), (20.0, 600.0, 0.0)]
     with pytest.raises(ValueError) as err:
-        list(ChannelModel(ENV, CFG).pairs(points))
-    assert str(err.value) == f"pair 0->1: a link length of {length!r} m is too short for taps of finite energy"
-    # 1e-150 m still gives taps of finite energy
-    points[1] = (20.0, 1e-150, 0.0)
-    assert all(energy < math.inf for _, _, _, energy, _ in ChannelModel(ENV, CFG).pairs(points))
-
-
-def test_statistical_model_without_a_seed_names_the_field():
-    # rng_seed=None means "follow Scenario.seed", which only a resolved Scenario fills in
-    unseeded = ChannelModelConfig(rng_seed=None)
-    for draw in (lambda: generate_cir(TX_POINT, PROBE_POINTS[2], ENV, unseeded),
-                 lambda: generate_taps(TX_POINT, PROBE_POINTS[1:3], ENV, unseeded)):
-        with pytest.raises(ValueError, match=r"ChannelModelConfig\.rng_seed is None"):
-            draw()
+        list(ChannelModel(ENV, CFG).pairs(points, SEED))
+    assert str(err.value) == f"pair 0->1: a link length of {length!r} m is too short for a finite tap energy squared"
+    # 1e-75 m gives a tap energy of about 6.6e150, whose square is finite
+    points[1] = (20.0, 1e-75, 0.0)
+    assert all(energy * energy < math.inf for _, _, _, energy, _ in ChannelModel(ENV, CFG).pairs(points, SEED))
 
 
 # ------------------------------------------------------------ arrival files
@@ -536,7 +528,7 @@ def test_load_arrivals_refuses_a_record_that_is_no_pair_of_the_placement(record,
     # the channel model reads the file for the placement it is given
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
     with pytest.raises(ArrivalFileError, match=re.escape(message)):
-        next(ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0)]))
+        next(ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0)], SEED))
 
 
 def test_load_arrivals_keys_pairs_by_node_index(tmp_path):
@@ -555,7 +547,7 @@ def test_a_pair_spanning_more_than_tap_count_is_refused_before_its_taps_are_allo
     assert str(err.value) == message
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path, tap_count=tap_count)
     with pytest.raises(ArrivalFileError) as err:
-        next(ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0)]))
+        next(ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0)], SEED))
     assert str(err.value) == message
 
 
@@ -588,7 +580,7 @@ def test_arrival_channel_model_missing_pair_identifies_pair(tmp_path):
     # a file names nodes by their index in the placement; pair 1-2 is missing
     path = write_arrivals(tmp_path, "0 1 0.5 1.0 0.0\n0 2 0.7 1.0 0.0\n")
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
-    pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)])
+    pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)], SEED)
     i, j, c, _, delay = next(pairs)
     assert (i, j, delay, len(c)) == (0, 1, 0.5, cfg.tap_count)
     assert next(pairs)[4] == 0.7
@@ -597,13 +589,14 @@ def test_arrival_channel_model_missing_pair_identifies_pair(tmp_path):
 
 
 @pytest.mark.parametrize("overflow", [
+    "0 2 0.7 1e80 0.0\n",  # the tap energy is finite, its square is not
     "0 2 0.7 1e200 0.0\n",  # the tap is finite, its energy is not
     "0 2 0.7 1.5e308 0.0\n0 2 0.7 1.5e308 0.0\n",  # the binned tap is not finite
 ])
 def test_arrival_channel_model_rejects_an_overflowing_pair(tmp_path, overflow):
     path = write_arrivals(tmp_path, "0 1 0.5 1.0 0.0\n" + overflow)
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
-    pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)])
+    pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)], SEED)
     assert next(pairs)[:2] == (0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error says it all, without a numpy warning
@@ -615,14 +608,14 @@ def test_arrival_file_model_bins_the_file_and_draws_no_taps(tmp_path):
     path = write_arrivals(tmp_path, f"0 1 0.25 1.0 0.0\n0 1 {0.25 + 2 * DT} 0.5 {math.pi / 2}\n")
     cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
     a, b = (10, 0, 0), (10, 900, 0)
-    [(_, _, c, energy, delay)] = ChannelModel(ENV, cfg).pairs([a, b])
+    [(_, _, c, energy, delay)] = ChannelModel(ENV, cfg).pairs([a, b], SEED)
     assert np.array_equal(c, ArrivalTable.from_file(path, 2).pair(0, 1, DT, cfg.tap_count)[0])
     # binned into the configured tap count, zeros after the last arrival
     assert len(c) == cfg.tap_count and not c[3:].any()
     assert np.allclose(c[:3], [1.0, 0.0, 0.5j])
     assert energy == pytest.approx(1.25) and delay == 0.25
     # the statistical model's functions do not read arrival files
-    for draw in (lambda: generate_cir(a, b, ENV, cfg), lambda: generate_taps(a, [b], ENV, cfg)):
+    for draw in (lambda: generate_cir(a, b, ENV, cfg, SEED), lambda: generate_taps(a, [b], ENV, cfg, SEED)):
         with pytest.raises(ValueError, match="statistical_pdp"):
             draw()
 
@@ -641,8 +634,8 @@ def test_environment_validation():
 
 def test_channel_model_caches_and_reciprocity():
     a, b = (20, 0, 0), (30, 700, 0)
-    [(_, _, ab, _, delay)] = ChannelModel(ENV, CFG).pairs([a, b])
-    [(_, _, ba, _, _)] = ChannelModel(ENV, CFG).pairs([b, a])
+    [(_, _, ab, _, delay)] = ChannelModel(ENV, CFG).pairs([a, b], SEED)
+    [(_, _, ba, _, _)] = ChannelModel(ENV, CFG).pairs([b, a], SEED)
     assert np.array_equal(ab, ba)
-    assert np.array_equal(ab, generate_cir(a, b, ENV, CFG))
+    assert np.array_equal(ab, generate_cir(a, b, ENV, CFG, SEED))
     assert delay == pytest.approx(math.dist(a, b) / 1500.0)

@@ -30,6 +30,21 @@ def test_run_writes_metrics_and_is_byte_identical(tmp_path):
     assert "generated,delivered,dropped" in text
 
 
+def test_an_edited_seed_equals_the_seed_override(tmp_path):
+    # the channel follows the scenario's one seed, so editing it in a file
+    # and overriding it with --seed are the same run
+    original = tmp_path / "s1.yaml"
+    emit_scenario(scenario_from_dict({}), str(original))
+    text = original.read_text()
+    assert text.count("\nseed: 1\n") == 1
+    edited = tmp_path / "s2.yaml"
+    edited.write_text(text.replace("\nseed: 1\n", "\nseed: 2\n"))
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", str(edited), "--duration", "300", "--out", str(out_a)]) == 0
+    assert main(["run", str(original), "--seed", "2", "--duration", "300", "--out", str(out_b)]) == 0
+    assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+
+
 def test_run_seed_override_changes_output(tmp_path):
     scenario = write_scenario(tmp_path)
     out_a = tmp_path / "a"
@@ -107,11 +122,12 @@ def test_validate_names_a_nan_field(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("arrivals, message", [
     (None, "cannot open: "),
-    ("ARRIVALS v1\n0 1 0.4 1e200 0.0\n", "pair 0->1: taps or tap energy not finite"),
+    ("ARRIVALS v1\n0 1 0.4 1e200 0.0\n", "pair 0->1: tap energy squared not finite"),
+    ("ARRIVALS v1\n0 1 0.4 1e80 0.0\n", "pair 0->1: tap energy squared not finite"),
     # refused before 4e9 taps are allocated
     ("ARRIVALS v1\n0 1 0.0 5e-3 0.0\n0 1 1e6 5e-3 0.0\n",
      "pair 0->1: its arrivals span 4000000001 taps, more than channel.tap_count 129"),
-], ids=["missing", "overflowing", "too-long"])
+], ids=["missing", "overflowing", "overflowing-square", "too-long"])
 def test_an_unusable_arrival_file_is_an_error_naming_it(command, arrivals, message, tmp_path, capsys):
     arrival_file = tmp_path / "arrivals.txt"
     if arrivals is not None:
@@ -148,19 +164,32 @@ def test_validate_refuses_a_link_length_that_run_refuses(tmp_path, capsys):
     assert err == "error: generate_taps: a link length of 1e+200 m overflows when squared\n"
 
 
+def near_scenario(path, length):
+    """A three-node scenario whose two routes both end at node 1, ``length`` m from node 0."""
+    path.write_text(f"network: {{nodes: [[20, 0, 0], [20, {length!r}, 0], [20, 600, 0]], routes: [[0, 1], [2, 1]]}}\n")
+    return str(path)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_a_link_too_short_for_finite_taps_is_an_error_naming_the_pair(command, tmp_path, capsys):
-    scenario = tmp_path / "near.yaml"
-    scenario.write_text("network: {nodes: [[20, 0, 0], [20, 1.0e-200, 0], [20, 600, 0]], routes: [[0, 2]]}\n")
-    extra = ["--duration", "60", "--out", str(tmp_path / "out")] if command == "run" else []
-    assert main([command, str(scenario), *extra]) == 2
-    out, err = capsys.readouterr()
-    assert "OK" not in out
-    assert err == "error: pair 0->1: a link length of 1e-200 m is too short for taps of finite energy\n"
-    # a link of 1e-150 m still gives finite taps
-    scenario.write_text("network: {nodes: [[20, 0, 0], [20, 1.0e-150, 0], [20, 600, 0]], routes: [[0, 2]]}\n")
-    assert main(["validate", str(scenario)]) == 0
+    # from 1e-154 m to 1e-77 m the taps' energy is finite, but its square,
+    # which TRMAC's correlations reach, is not
+    extra = ["--duration", "60", "--protocol", "trmac", "--out", str(tmp_path / "out")] if command == "run" else []
+    for length in (1e-200, 1e-150, 1e-80, 1e-77):
+        scenario = near_scenario(tmp_path / "near.yaml", length)
+        assert main([command, scenario, *extra]) == 2
+        out, err = capsys.readouterr()
+        assert "OK" not in out
+        assert err == f"error: pair 0->1: a link length of {length!r} m is too short for a finite tap energy squared\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_shortest_link_with_a_finite_tap_energy_squared_runs_trmac(tmp_path, capsys):
+    scenario = near_scenario(tmp_path / "near.yaml", 1e-75)
+    assert main(["validate", scenario]) == 0
+    assert main(["run", scenario, "--duration", "100", "--protocol", "trmac", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_preset_subcommand(tmp_path):
@@ -189,7 +218,7 @@ def test_run_seed_without_scenario_file_regenerates_placement(tmp_path, monkeypa
     assert main(["run", "--seed", "5", "--duration", "1", "--out", str(tmp_path)]) == 0
     assert main(["run", "--duration", "1", "--out", str(tmp_path)]) == 0
     seeded, default = ran
-    assert seeded.seed == 5 and seeded.channel.rng_seed == 5
+    assert seeded.seed == 5
     assert seeded.network.nodes == scenario_from_dict({"seed": 5}).network.nodes
     assert seeded.network.routes == scenario_from_dict({"seed": 5}).network.routes
     assert default.network.nodes == scenario_from_dict({}).network.nodes

@@ -128,11 +128,11 @@ def brute_force_heatmap(params, seed):
     generate_cir and normalized_cross_correlation of the cell's link alone."""
     depth_step, range_step = params["depth_step"], params["range_step"]
     env = Environment(water_depth=80.0)
-    cfg = ChannelModelConfig(tap_count=params.get("tap_count", 129), rng_seed=seed)
+    cfg = ChannelModelConfig(tap_count=params.get("tap_count", 129))
     tx_depth, tx_range = params.get("reference_tx", REFERENCE_GEOMETRY["i"])
     rx_depth, rx_range = REFERENCE_GEOMETRY["j"]
     ref_tx = (tx_depth, tx_range, 0.0)
-    h_ref = generate_cir(ref_tx, (rx_depth, rx_range, 0.0), env, cfg)
+    h_ref = generate_cir(ref_tx, (rx_depth, rx_range, 0.0), env, cfg, seed)
     rows = []
     for kd in range(int(80.0 / depth_step) + 1):
         for kr in range(int(4000.0 / range_step) + 1):
@@ -140,7 +140,7 @@ def brute_force_heatmap(params, seed):
             if probe == ref_tx:
                 eta = math.nan
             else:
-                eta = abs(normalized_cross_correlation(generate_cir(ref_tx, probe, env, cfg), h_ref, 0))
+                eta = abs(normalized_cross_correlation(generate_cir(ref_tx, probe, env, cfg, seed), h_ref, 0))
             rows.append((probe[0], probe[1], eta))
     return rows
 

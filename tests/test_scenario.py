@@ -95,6 +95,15 @@ def test_unknown_field_named_in_error():
     assert str(err.value) == "environment.carrier_frequency_hz: unknown field"
 
 
+def test_a_channel_seed_is_an_unknown_field():
+    # the channel draws its taps with the scenario's seed; there is no second one
+    for value in (3, None):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict({"channel": {"rng_seed": value}})
+        assert str(err.value) == "channel.rng_seed: unknown field"
+    assert "rng_seed" not in scenario_to_dict(scenario_from_dict({}))["channel"]
+
+
 def test_invalid_values_name_the_field():
     with pytest.raises(ScenarioError, match="mac.protocol"):
         scenario_from_dict({"mac": {"protocol": "tdma"}})
@@ -139,9 +148,8 @@ def test_resolution_shares_no_list_with_its_input():
     assert resolved.network.routes == [(0, 1)]
     assert resolved.network.nodes is not sc.network.nodes
     assert resolved.network.routes is not sc.network.routes
-    # the input is left as it was: lists, and a channel seed still to follow
+    # the input is left as it was: lists
     assert sc.network.nodes == [[10, 0, 0], [10, 500, 0]] and sc.network.routes == [[0, 1]]
-    assert sc.channel.rng_seed is None and resolved.channel.rng_seed == sc.seed
     generated = Scenario(seed=3).resolved()
     assert Scenario().network.nodes is None and Scenario().network.routes is None
     assert generated.network.nodes is not generated.resolved().network.nodes
@@ -336,7 +344,7 @@ def test_dataclass_scenario_is_checked_on_resolution():
 def test_dataclass_and_dict_entry_points_agree(seed, duration):
     built = Scenario(seed=seed, duration=duration).resolved()
     parsed = scenario_from_dict({"seed": seed, "duration_s": duration})
-    assert built.channel.rng_seed == seed
+    assert built.seed == parsed.seed == seed
     assert config_hash(built) == config_hash(parsed)
 
 

@@ -1108,7 +1108,7 @@ def _reference_pair(sc, i, j):
         arrivals = ArrivalTable.from_file(sc.channel.arrival_file_path, len(nodes))
         c, delay = arrivals.pair(i, j, env.sample_interval, sc.channel.tap_count)
     else:
-        c = generate_cir(nodes[i], nodes[j], env, sc.channel)
+        c = generate_cir(nodes[i], nodes[j], env, sc.channel, sc.seed)
         delay = math.dist(nodes[i], nodes[j]) / env.nominal_sound_speed
     d = phy.updown_factor
     peak, isi_sum = sdt_signal_and_isi(c, d)
@@ -1197,10 +1197,27 @@ def test_twenty_node_image_source_file_builds_the_per_pair_table_and_runs(tmp_pa
     assert max(np.flatnonzero(c)[-1] + 1 for c in cirs(table)) == 80
     assert {len(c) for c in cirs(table)} == {129}
     for protocol in PROTOCOLS:
-        m = run_scenario(dataclasses.replace(sc, duration=300.0,
-                                             mac=dataclasses.replace(sc.mac, protocol=protocol))).metrics
-        assert m.generated > 0 and m.delivered > 0
+        result = run_scenario(dataclasses.replace(sc, duration=300.0,
+                                                  mac=dataclasses.replace(sc.mac, protocol=protocol)))
+        m = result.metrics
         assert m.generated == m.delivered + m.dropped + m.in_flight and m.in_flight >= 0
+        assert ((m.generated, m.delivered, m.dropped, m.in_flight, m.mean_delay, m.drop_ratio,
+                 m.throughput, m.busy_time, m.data_frames_transmitted), result.engine_stats) \
+            == IMAGE_SOURCE_RUNS[protocol]
+
+
+# (metrics as in ARRIVAL_FILE_METRICS, engine_stats) of 300-s seed-1 runs of
+# the 20-node image-source file, recorded before the channel took the
+# scenario's seed as an argument; an arrival file draws no taps, so no seed
+# reaches it
+IMAGE_SOURCE_RUNS = {
+    "trmac": ((356, 356, 0, 0, 1.6493405507023313, 0.0, 431.9648320854928, 210.9801382672808, 363),
+              {"drops": 0, "handshake_omissions": 278, "step4_deferrals": 0}),
+    "csma_ca": ((356, 340, 0, 16, 10.355785763246136, 0.0, 422.53597308059847, 207.81189199067478, 363),
+                {"drops": 0, "handshake_omissions": 0, "step4_deferrals": 0}),
+    "s_csma_ca": ((356, 340, 0, 16, 10.100804706083064, 0.0, 429.1145548884858, 203.4328572767373, 369),
+                  {"drops": 0, "handshake_omissions": 0, "step4_deferrals": 0}),
+}
 
 
 THREE_NODE_ARRIVALS = ("0 1 0.4 5e-3 0.0\n0 1 0.40025 3e-3 1.0\n0 2 0.5 5e-3 0.0\n"
@@ -1209,10 +1226,11 @@ TWO_NODE_ARRIVALS = "0 1 0.4 5e-3 0.0\n0 1 0.40025 3e-3 1.0\n0 1 0.4005 1e-3 2.0
 
 # (generated, delivered, dropped, in_flight, mean_delay, drop_ratio,
 # throughput, busy_time, data_frames_transmitted) of 200-s runs, recorded
-# when each pair's CIR still had its own binned length; None where that
-# could not run (TRMAC refused CIRs of lengths 1 and 5)
+# when each pair's CIR still had its own binned length, except the
+# three-node TRMAC run (TRMAC refused CIRs of lengths 1 and 5), recorded
+# once every CIR had channel.tap_count taps
 ARRIVAL_FILE_METRICS = {
-    ("three", "trmac"): None,
+    ("three", "trmac"): (53, 53, 0, 0, 1.438586783047951, 0.0, 279.331277968607, 48.573149769231556, 56),
     ("three", "csma_ca"): (53, 53, 0, 0, 3.7142125151203107, 0.0, 279.1769547325099, 48.600000000000065, 53),
     ("three", "s_csma_ca"): (53, 53, 0, 0, 3.740471480227936, 0.0, 279.1769547325099, 48.600000000000065, 53),
     ("two", "trmac"): (35, 35, 0, 0, 1.3378227075454008, 0.0, 284.44444444444326, 31.500000000000128, 35),
@@ -1242,10 +1260,8 @@ def test_arrival_files_whose_pairs_bin_to_different_lengths_run_every_protocol(
     m = sim.run().metrics
     assert m.delivered > 0
     assert {len(c) for c in cirs(sim.links)} == {sc.channel.tap_count}
-    expected = ARRIVAL_FILE_METRICS[name, protocol]
-    if expected is not None:
-        assert (m.generated, m.delivered, m.dropped, m.in_flight, m.mean_delay, m.drop_ratio,
-                m.throughput, m.busy_time, m.data_frames_transmitted) == expected
+    assert (m.generated, m.delivered, m.dropped, m.in_flight, m.mean_delay, m.drop_ratio,
+            m.throughput, m.busy_time, m.data_frames_transmitted) == ARRIVAL_FILE_METRICS[name, protocol]
 
 
 def test_reply_row_holds_each_links_norm_and_offpeak_sum():
@@ -1394,7 +1410,7 @@ def test_shared_link_table_gives_the_fresh_table_results():
 @pytest.mark.parametrize("change", [
     {"seed": 4},
     {"phy": {"noise_variance_w": 2.0e-7}},
-    {"channel": {"rng_seed": 9}},
+    {"channel": {"pdp_decay_s": 2.0e-3}},
     {"environment": {"nominal_sound_speed_mps": 1490.0}},
 ])
 def test_link_table_of_another_placement_is_refused(change):
@@ -1404,6 +1420,18 @@ def test_link_table_of_another_placement_is_refused(change):
     other = scenario_from_dict({**base, **change})
     with pytest.raises(ValueError, match="another placement"):
         Simulator(other, links=table)
+
+
+def test_a_table_of_another_seed_on_the_same_nodes_is_refused():
+    # the statistical channel draws its taps with the scenario's seed, so a
+    # table is keyed by it even where the nodes are the same
+    sc = scenario_from_dict({"seed": 1, "duration_s": 50})
+    table = LinkTable(sc)
+    other = dataclasses.replace(sc, seed=2)
+    assert other.network == sc.network
+    with pytest.raises(ValueError, match="another placement"):
+        Simulator(other, links=table)
+    assert not np.array_equal(LinkTable(other).cir[0][1], table.cir[0][1])
 
 
 def test_arrival_file_missing_pair_raises_at_the_first_transmission(tmp_path):
