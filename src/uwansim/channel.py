@@ -8,7 +8,10 @@ highly correlated responses while dissimilar links stay essentially
 uncorrelated -- the spatial-variability behaviour that the MAC layer
 exploits.  Quantizing a symmetric geometry signature also makes the
 model reciprocal and seed-deterministic by construction.  The seed is the
-scenario's own ``seed``, passed to every function that draws taps.
+scenario's own ``seed``, passed to every function that draws taps.  A
+signature's draws are shared through a memo that the caller owns (one per
+``ChannelModel.pairs`` call or heatmap) and dropped with it; nothing is
+cached for the process.
 
 An arrival-file path ingests precomputed ray arrivals for users who
 have ray-traced data instead, keyed by node index and binned into the
@@ -175,7 +178,6 @@ def peak_eta(a: np.ndarray, b: np.ndarray) -> float:
     return abs(normalized_cross_correlation(a, b, 0))
 
 
-@lru_cache(maxsize=128)
 def _tap_draws(seed: int, signature: tuple[int, int, int], tap_count: int) -> np.ndarray:
     """Unit-variance complex Gaussian tap stream of one link signature: the
     real parts are the first ``tap_count`` standard normals of the
@@ -201,51 +203,75 @@ def _tap_draws(seed: int, signature: tuple[int, int, int], tap_count: int) -> np
     return draws
 
 
+@lru_cache(maxsize=16)
+def _decay_profile(tap_count: int, sample_interval: float, pdp_decay_constant: float) -> np.ndarray:
+    """exp(-l*dt/tau) of taps l = 0 .. tap_count - 1, read-only."""
+    decay = np.exp(-np.arange(tap_count) * sample_interval / pdp_decay_constant)
+    decay.flags.writeable = False
+    return decay
+
+
 def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelModelConfig,
-                  seed: int) -> np.ndarray:
+                  seed: int, draws: dict | None = None) -> np.ndarray:
     """Statistical-model taps of the links tx->rx, one row per receiver.
 
     ``tx`` and each receiver are ``(depth, x, y)`` points.  Tap l has
     expected power exp(-l*dt/tau) / d^2 with complex circular-Gaussian
     amplitude.  The draws are seeded from ``seed`` and the quantized link
     geometry, so the result is deterministic, reciprocal, and highly
-    correlated across geometrically similar links; links that share a
-    signature share one cached draw.
+    correlated across geometrically similar links.
 
     A link's signature is its sorted endpoint depth cells and its length
     cell: links whose endpoints fall in the same depth cells and whose
     lengths fall in the same range cell share a tap stream, and sorting
-    the depth cells makes the CIR reciprocal.
+    the depth cells makes the CIR reciprocal.  Each signature of the call
+    is drawn once, and the rows are gathered from those draws by index.
+    ``draws`` is the caller's memo from signature to draws, for one
+    ``seed`` and ``cfg``: signatures it holds are not drawn again, and new
+    ones are added to it.  Without it the draws are dropped on return;
+    nothing is cached for the process.
+
+    ValueError if a receiver coincides with ``tx``, a coordinate is not
+    finite, or a link length is infinite or overflows when squared.
     """
     if cfg.model_kind != STATISTICAL_PDP:
         raise ValueError(f"generate_taps: needs the {STATISTICAL_PDP} model, got {cfg.model_kind!r}")
     distances = [math.dist(tx, rx) for rx in rxs]
-    # a distance is 0.0 only where the points coincide, and not finite
-    # only where a coordinate is not
+    # a distance is 0.0 only where the points coincide
     if 0.0 in distances:
         raise ValueError("generate_taps: tx and rx positions coincide")
-    if not math.isfinite(sum(distances)):
-        raise ValueError("generate_taps: point coordinates must be finite")
-    tap_count = int(cfg.tap_count)
-    seed &= SEED_MASK
-    lags = np.arange(tap_count)
-    decay = np.exp(-lags * env.sample_interval / cfg.pdp_decay_constant)
     # squared in Python: np.square rounds a few distances differently
     try:
-        squares = [d**2 for d in distances]
+        squares = np.array([d**2 for d in distances]).reshape(-1, 1)
+        finite = (squares < math.inf).all()
     except OverflowError:
-        raise ValueError(f"generate_taps: a link length of {max(distances)!r} m overflows when squared") from None
-    scale = decay / np.array(squares).reshape(-1, 1)
+        finite = False
+    # a square is not finite where a coordinate is not, or where a link
+    # between finite points is too long; the coordinates tell which
+    if not finite:
+        if not all(map(math.isfinite, (*tx, *(c for rx in rxs for c in rx)))):
+            raise ValueError("generate_taps: point coordinates must be finite")
+        raise ValueError(f"generate_taps: a link length of {max(distances)!r} m overflows when squared")
+    tap_count = int(cfg.tap_count)
+    seed &= SEED_MASK
+    scale = _decay_profile(tap_count, env.sample_interval, cfg.pdp_decay_constant) / squares
     scale /= 2.0
     np.sqrt(scale, out=scale)
-    depth_quantum, range_quantum = cfg.depth_quantum, cfg.range_quantum
-    tx_cell = math.floor(tx[0] / depth_quantum)
-    draws = []
-    for rx, d in zip(rxs, distances):
-        rx_cell = math.floor(rx[0] / depth_quantum)
-        low, high = (tx_cell, rx_cell) if tx_cell <= rx_cell else (rx_cell, tx_cell)
-        draws.append(_tap_draws(seed, (low, high, math.floor(d / range_quantum)), tap_count))
-    taps = np.array(draws).reshape(-1, tap_count)
+    depth_quantum, range_quantum, floor = cfg.depth_quantum, cfg.range_quantum, math.floor
+    tx_cell = floor(tx[0] / depth_quantum)
+    signatures = [(tx_cell, cell, floor(d / range_quantum)) if tx_cell <= cell
+                  else (cell, tx_cell, floor(d / range_quantum))
+                  for cell, d in zip([floor(rx[0] / depth_quantum) for rx in rxs], distances)]
+    # each distinct signature's position in the stack of draws, in first-seen order
+    positions: dict[tuple[int, int, int], int] = {}
+    index = [positions.setdefault(signature, len(positions)) for signature in signatures]
+    if draws is None:
+        draws = {}
+    for signature in positions:
+        if signature not in draws:
+            draws[signature] = _tap_draws(seed, signature, tap_count)
+    stack = np.array([draws[signature] for signature in positions]).reshape(-1, tap_count)
+    taps = stack.take(np.array(index, dtype=np.intp), axis=0)
     np.multiply(scale, taps, out=taps)
     return taps
 
@@ -356,10 +382,12 @@ class ChannelModel:
         taps each; taps are read-only, since tables that hold them are shared.
 
         Statistical taps come from one ``generate_taps`` call per node over
-        its higher-index partners, drawn with ``seed``, and the delay is the
-        straight-line distance over the nominal sound speed.  An arrival
-        file names nodes by their index in ``points``; ``ArrivalTable.pair``
-        bins each pair, and ``seed`` is not read.
+        its higher-index partners, drawn with ``seed`` and sharing one memo
+        of draws, so each signature is drawn once per call of ``pairs`` and
+        no draws outlive it.  The delay is the straight-line distance over
+        the nominal sound speed.  An arrival file names nodes by their index
+        in ``points``; ``ArrivalTable.pair`` bins each pair, and ``seed`` is
+        not read.
 
         A pair whose tap energy squared is not finite is refused, naming
         it: the TR correlations square products of two links' norms.  That
@@ -368,10 +396,11 @@ class ChannelModel:
         """
         env, cfg = self.env, self.cfg
         if cfg.model_kind == STATISTICAL_PDP:
+            draws: dict = {}
             for i in range(len(points) - 1):
                 # a link too short for finite taps is reported below, naming the pair
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    taps = generate_taps(points[i], points[i + 1:], env, cfg, seed)
+                    taps = generate_taps(points[i], points[i + 1:], env, cfg, seed, draws)
                     energies = (np.abs(taps) ** 2).sum(axis=1).tolist()
                 taps.flags.writeable = False
                 for j, row, energy in zip(range(i + 1, len(points)), taps, energies):

@@ -8,10 +8,11 @@ import math
 import os
 import sys
 
+from .channel import ChannelModel
 from .mac import PROTOCOLS
 from .presets import PARAMS, PRESET_NAMES, ExperimentPreset, run_preset
 from .scenario import ScenarioError, config_hash, load_scenario, scenario_from_dict, scenario_to_dict
-from .sim import LinkTable, run_scenario
+from .sim import run_scenario
 
 
 def _load(path: str, overrides: argparse.Namespace):
@@ -99,7 +100,11 @@ def _cmd_preset(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
-    LinkTable(scenario)  # builds every pair's channel, as a run does
+    # draws every pair's channel as a run's LinkTable does, which is where a
+    # run refuses a channel, but keeps none of them
+    pairs = ChannelModel(scenario.environment, scenario.channel).pairs(scenario.network.nodes, scenario.seed)
+    for _ in pairs:
+        pass
     print(f"OK: {args.scenario} (config={config_hash(scenario)}, "
           f"{len(scenario.network.nodes)} nodes, {len(scenario.network.routes)} routes)")
     return 0

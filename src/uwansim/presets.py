@@ -50,10 +50,12 @@ from .tr_phy import (
 )
 
 # receivers per tap matrix of the correlation heatmap, each matrix drawn and
-# correlated by a few numpy calls: a whole 401-cell row raised the peak
-# memory by ~1.3 MiB, while 64 costs no more than one CIR per cell and keeps
-# numpy's per-call overhead small
-_PROBE_BLOCK = 64
+# correlated by a few numpy calls, so a default 401-cell depth row is one
+# matrix.  Against 64, this took the default heatmap from 0.13-0.19 s to
+# 0.12-0.14 s of CPU time (best of 15, five alternating processes) and its
+# peak RSS from 39.6 to 40.5 MiB; a finer range grid is split into matrices
+# of this many rows, so its tap matrices stay bounded
+_PROBE_BLOCK = 512
 
 # two-link reference geometry used by the SINR presets: (depth m, range m)
 REFERENCE_GEOMETRY = {"a": (20.0, 0.0), "b": (20.0, 1000.0), "i": (50.0, 0.0), "j": (70.0, 1000.0)}
@@ -315,7 +317,8 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     transmitter to a probe node swept over (depth, range) cells.
 
     The CSV is written a depth row at a time as the row is computed, each
-    row one string of its lines, so no list of all cells is kept.
+    row one string of its lines, so no list of all cells is kept.  Each
+    link signature is drawn once per call, into a memo dropped on return.
     """
     p = _read(preset)
     depth_step, range_step, water_depth = p["depth_step"], p["range_step"], p["water_depth"]
@@ -333,6 +336,8 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     # the "<range>," field of each column, formatted once
     columns = [f"{rng!r}," for rng in ranges]
 
+    draws: dict = {}
+
     def lines():
         for depth in depths:
             cells = [(depth, rng, 0.0) for rng in ranges]
@@ -340,7 +345,7 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
             magnitudes = []
             for k in range(0, len(linked), _PROBE_BLOCK):
                 etas = normalized_cross_correlations(
-                    generate_taps(tx, linked[k : k + _PROBE_BLOCK], env, cfg, seed), h_ref, 0)
+                    generate_taps(tx, linked[k : k + _PROBE_BLOCK], env, cfg, seed, draws), h_ref, 0)
                 magnitudes += np.hypot(etas.real, etas.imag).tolist()
             if len(linked) < len(cells):
                 # the cell at the reference transmitter is an undefined link to itself

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from uwansim import channel as channel_module
 from uwansim.channel import (
     SEED_MASK,
     ArrivalFileError,
@@ -383,6 +384,43 @@ def test_tap_draws_are_two_standard_normal_draws_of_the_signature_generator(tap_
             assert np.array_equal(draws, real + 1j * imag)
 
 
+def test_a_row_is_the_same_bytes_alone_in_a_block_repeated_or_from_a_shared_memo():
+    # six receivers over five signatures (PROBE_POINTS[0] and [5] share one),
+    # each also repeated, and drawn again in reverse with a memo kept across calls
+    alone = [generate_cir(TX_POINT, probe, ENV, CFG, SEED).tobytes() for probe in PROBE_POINTS]
+    block = generate_taps(TX_POINT, PROBE_POINTS, ENV, CFG, SEED)
+    assert [row.tobytes() for row in block] == alone
+    repeated = generate_taps(TX_POINT, PROBE_POINTS + PROBE_POINTS[::-1], ENV, CFG, SEED)
+    assert [row.tobytes() for row in repeated] == alone + alone[::-1]
+    memo = {}
+    first = generate_taps(TX_POINT, PROBE_POINTS[:3], ENV, CFG, SEED, memo)
+    drawn = dict(memo)
+    again = generate_taps(TX_POINT, PROBE_POINTS[::-1], ENV, CFG, SEED, memo)
+    assert [row.tobytes() for row in first] == alone[:3]
+    assert [row.tobytes() for row in again] == alone[::-1]
+    assert len(memo) == 5
+    # a signature in the memo is not drawn again
+    assert all(memo[signature] is draws for signature, draws in drawn.items())
+
+
+def test_generate_taps_draws_each_signature_of_a_call_once(monkeypatch):
+    signatures = []
+
+    def counting(seed, signature, tap_count):
+        signatures.append(signature)
+        return draws(seed, signature, tap_count)
+
+    draws = channel_module._tap_draws
+    monkeypatch.setattr(channel_module, "_tap_draws", counting)
+    generate_taps(TX_POINT, PROBE_POINTS * 3, ENV, CFG, SEED)
+    assert len(signatures) == len(set(signatures)) == 5
+    memo = {}
+    generate_taps(TX_POINT, PROBE_POINTS[:2], ENV, CFG, SEED, memo)
+    generate_taps(TX_POINT, PROBE_POINTS, ENV, CFG, SEED, memo)
+    assert len(signatures) == 5 + 2 + 3
+    assert not generate_taps(TX_POINT, [], ENV, CFG, SEED, memo).size
+
+
 def test_writing_into_a_cir_does_not_change_the_next_draw():
     tx, rx = TX_POINT, PROBE_POINTS[2]
     first = generate_cir(tx, rx, ENV, CFG, SEED)
@@ -423,6 +461,24 @@ def test_generate_taps_rejects_a_link_length_whose_square_overflows():
         generate_taps(TX_POINT, [PROBE_POINTS[0], far], ENV, CFG, SEED)
     with pytest.raises(ValueError, match=r"1e\+200 m overflows"):
         generate_cir(far, TX_POINT, ENV, CFG, SEED)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rxs, length", [
+    # finite lengths whose sum overflows
+    ([(0.0, 1e308, 0.0)] * 2, "1e+308"),
+    # finite coordinates whose distance is infinite
+    ([(0.0, 1.7e308, 1.7e308)], "inf"),
+    ([(0.0, 10.0, 0.0), (0.0, -1.7e308, -1.7e308)], "inf"),
+])
+def test_a_link_of_finite_points_is_refused_by_its_length(rxs, length):
+    message = f"generate_taps: a link length of {length} m overflows when squared"
+    with pytest.raises(ValueError) as err:
+        generate_taps((0.0, 0.0, 0.0), rxs, Environment(), ChannelModelConfig(), 1)
+    assert str(err.value) == message
+    # a coordinate that is not finite is named first, wherever it is
+    with pytest.raises(ValueError, match="^generate_taps: point coordinates must be finite$"):
+        generate_taps((0.0, 0.0, 0.0), [*rxs, (0.0, 0.0, math.nan)], Environment(), ChannelModelConfig(), 1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from uwansim import channel as channel_module
 from uwansim import presets
 from uwansim.channel import (
     ChannelModelConfig,
@@ -150,8 +151,8 @@ HEATMAP_GRIDS = {
     "tx_off_the_grid": {"depth_step": 15.0, "range_step": 250.0, "reference_tx": [47.5, 130.0]},
     # the NaN cell is the last of its depth row
     "tx_last_in_its_row": {"depth_step": 20.0, "range_step": 500.0, "reference_tx": [40.0, 4000.0]},
-    # 81 cells a row: more than one tap matrix per row
-    "rows_past_a_block": {"depth_step": 25.0, "range_step": 50.0},
+    # 572 cells a row: more than one tap matrix per row
+    "rows_past_a_block": {"depth_step": 25.0, "range_step": 7.0},
     "257_taps": {"depth_step": 10.0, "range_step": 250.0, "tap_count": 257},
 }
 
@@ -172,6 +173,8 @@ def test_correlation_heatmap_matches_cell_by_cell_reference(grid, seed, tmp_path
     assert len(nans) == (0 if grid == "tx_off_the_grid" else 1)
     if grid == "tx_last_in_its_row":
         assert nans == [3 * 9 - 1]  # the last of the 9 cells of the third (40-m) row
+    if grid == "rows_past_a_block":
+        assert int(4000.0 / params["range_step"]) + 1 > presets._PROBE_BLOCK
 
 
 def test_a_heatmap_that_fails_midway_leaves_no_file(tmp_path, monkeypatch):
@@ -199,6 +202,39 @@ def test_a_heatmap_range_whose_square_overflows_names_it_and_leaves_no_file(tmp_
     with pytest.raises(ValueError, match=r"a link length of 1e\+300 m overflows when squared"):
         preset_correlation_heatmap(preset)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_heatmap_of_finite_ranges_whose_lengths_overflow_together_names_the_length(tmp_path):
+    # each range is finite, and so is each link length; a row's lengths sum
+    # past the largest float, and 1.78e308 m overflows when squared
+    preset = ExperimentPreset("correlation_heatmap", params={"depth_step": 80.0, "range_step": 8.9e307,
+                                                             "max_range": 1.78e308}, output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=r"^generate_taps: a link length of 1\.78e\+308 m overflows when squared$"):
+        preset_correlation_heatmap(preset)
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_heatmap_draws_each_signature_once(tmp_path, monkeypatch):
+    signatures = []
+
+    def counting(seed, signature, tap_count):
+        signatures.append(signature)
+        return draws(seed, signature, tap_count)
+
+    draws = channel_module._tap_draws
+    monkeypatch.setattr(channel_module, "_tap_draws", counting)
+    preset = ExperimentPreset("correlation_heatmap", params={"depth_step": 2.0, "range_step": 25.0},
+                              output_dir=str(tmp_path))
+    preset_correlation_heatmap(preset)
+    # the reference link's own draw, then each signature of the cells' links once
+    cfg = ChannelModelConfig()
+    tx = (*REFERENCE_GEOMETRY["i"], 0.0)
+    cells = [(round(kd * 2.0, 9), round(kr * 25.0, 9), 0.0) for kd in range(41) for kr in range(161)]
+    want = {(*sorted(math.floor(depth / cfg.depth_quantum) for depth in (tx[0], cell[0])),
+             math.floor(math.dist(tx, cell) / cfg.range_quantum)) for cell in cells if cell != tx}
+    assert sorted(signatures[1:]) == sorted(want)
+    assert len(want) < len(cells) - 1
 
 
 def test_csv_line_writes_the_bytes_of_csv_writer():

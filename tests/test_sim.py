@@ -14,6 +14,7 @@ import pytest
 from uwansim.channel import ArrivalFileError, ArrivalTable, generate_cir, norm
 from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Cancel, Frame, FrameKind, Packet, Send
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
+from uwansim import channel as channel_module
 from uwansim import sim as sim_module
 from uwansim.sim import LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
 from uwansim.tr_phy import (autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_powers, sdt_signal_and_isi,
@@ -1140,6 +1141,30 @@ def test_link_table_matches_per_pair_statistical_model(seed, tap_count):
     # a shared table's taps cannot be written by one of its runs
     with pytest.raises(ValueError):
         table.cir[0][1][0] = 0.0
+
+
+def test_a_table_build_draws_each_signature_once_and_keeps_no_draws(monkeypatch):
+    drawn = []
+
+    def recording(seed, signature, tap_count):
+        draws = tap_draws(seed, signature, tap_count)
+        drawn.append((signature, weakref.ref(draws)))
+        return draws
+
+    tap_draws = channel_module._tap_draws
+    monkeypatch.setattr(channel_module, "_tap_draws", recording)
+    sc = scenario_from_dict({"seed": 3, "network": {"node_count": 50, "link_count": 16}})
+    nodes, cfg = sc.network.nodes, sc.channel
+    # a pair's signature: its sorted depth cells and its length cell
+    signatures = {(*sorted(math.floor(nodes[k][0] / cfg.depth_quantum) for k in (i, j)),
+                   math.floor(math.dist(nodes[i], nodes[j]) / cfg.range_quantum))
+                  for i in range(len(nodes)) for j in range(i + 1, len(nodes))}
+    assert len(signatures) < len(nodes) * (len(nodes) - 1) // 2
+    table = LinkTable(sc)
+    assert sorted(signature for signature, _ in drawn) == sorted(signatures)
+    del table
+    gc.collect()
+    assert not [signature for signature, ref in drawn if ref() is not None]
 
 
 def test_link_table_matches_per_pair_arrival_file(tmp_path):
