@@ -9,9 +9,10 @@ uncorrelated -- the spatial-variability behaviour that the MAC layer
 exploits.  Quantizing a symmetric geometry signature also makes the
 model reciprocal and seed-deterministic by construction.  The seed is the
 scenario's own ``seed``, passed to every function that draws taps.  A
-signature's draws are shared through a memo that the caller owns (one per
-``ChannelModel.pairs`` call or heatmap) and dropped with it; nothing is
-cached for the process.
+signature's draws are shared through a memo that the caller owns and
+dropped with it: one per ``ChannelModel.pairs`` call, and one per depth
+cell of a correlation heatmap.  No draw is cached for the process; the one
+process-wide cache is the decay profile's ``lru_cache(16)``.
 
 An arrival-file path ingests precomputed ray arrivals for users who
 have ray-traced data instead, keyed by node index and binned into the
@@ -228,12 +229,21 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     is drawn once, and the rows are gathered from those draws by index.
     ``draws`` is the caller's memo from signature to draws, for one
     ``seed`` and ``cfg``: signatures it holds are not drawn again, and new
-    ones are added to it.  Without it the draws are dropped on return;
-    nothing is cached for the process.
+    ones are added to it.  Without it the draws are dropped on return.
+    Every signature holds the transmitter's and the receiver's depth cell,
+    ``floor(depth / cfg.depth_quantum)``, so a caller whose receivers pass
+    through depth cells in order, as the heatmap's rows do, can start a
+    new memo at each cell and never draw a signature twice.
 
     ValueError if a receiver coincides with ``tx``, a coordinate is not
     finite, or a link length is infinite or overflows when squared.
     """
+    return _taps_and_distances(tx, rxs, env, cfg, seed, draws)[0]
+
+
+def _taps_and_distances(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelModelConfig,
+                        seed: int, draws: dict | None) -> tuple[np.ndarray, list[float]]:
+    """``generate_taps``' rows, and the ``math.dist`` length of each link."""
     if cfg.model_kind != STATISTICAL_PDP:
         raise ValueError(f"generate_taps: needs the {STATISTICAL_PDP} model, got {cfg.model_kind!r}")
     distances = [math.dist(tx, rx) for rx in rxs]
@@ -273,7 +283,7 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     stack = np.array([draws[signature] for signature in positions]).reshape(-1, tap_count)
     taps = stack.take(np.array(index, dtype=np.intp), axis=0)
     np.multiply(scale, taps, out=taps)
-    return taps
+    return taps, distances
 
 
 def generate_cir(tx: Point, rx: Point, env: Environment, cfg: ChannelModelConfig, seed: int) -> np.ndarray:
@@ -384,10 +394,10 @@ class ChannelModel:
         Statistical taps come from one ``generate_taps`` call per node over
         its higher-index partners, drawn with ``seed`` and sharing one memo
         of draws, so each signature is drawn once per call of ``pairs`` and
-        no draws outlive it.  The delay is the straight-line distance over
-        the nominal sound speed.  An arrival file names nodes by their index
-        in ``points``; ``ArrivalTable.pair`` bins each pair, and ``seed`` is
-        not read.
+        no draws outlive it.  The delay is the straight-line distance, which
+        that call computes with the taps, over the nominal sound speed.  An
+        arrival file names nodes by their index in ``points``;
+        ``ArrivalTable.pair`` bins each pair, and ``seed`` is not read.
 
         A pair whose tap energy squared is not finite is refused, naming
         it: the TR correlations square products of two links' norms.  That
@@ -400,11 +410,10 @@ class ChannelModel:
             for i in range(len(points) - 1):
                 # a link too short for finite taps is reported below, naming the pair
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    taps = generate_taps(points[i], points[i + 1:], env, cfg, seed, draws)
+                    taps, distances = _taps_and_distances(points[i], points[i + 1:], env, cfg, seed, draws)
                     energies = (np.abs(taps) ** 2).sum(axis=1).tolist()
                 taps.flags.writeable = False
-                for j, row, energy in zip(range(i + 1, len(points)), taps, energies):
-                    distance = math.dist(points[i], points[j])
+                for j, row, energy, distance in zip(range(i + 1, len(points)), taps, energies, distances):
                     if not energy * energy < math.inf:
                         raise ValueError(f"pair {i}->{j}: a link length of {distance!r} m is too short "
                                          "for a finite tap energy squared")

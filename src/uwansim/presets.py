@@ -50,12 +50,15 @@ from .tr_phy import (
 )
 
 # receivers per tap matrix of the correlation heatmap, each matrix drawn and
-# correlated by a few numpy calls, so a default 401-cell depth row is one
-# matrix.  Against 64, this took the default heatmap from 0.13-0.19 s to
-# 0.12-0.14 s of CPU time (best of 15, five alternating processes) and its
-# peak RSS from 39.6 to 40.5 MiB; a finer range grid is split into matrices
-# of this many rows, so its tap matrices stay bounded
-_PROBE_BLOCK = 512
+# correlated by a few numpy calls; a longer depth row is split into matrices
+# of this many rows.  A matrix's scratch space (its n x taps float scale and
+# complex taps) is most of the heatmap's peak memory once its draws are kept
+# per depth cell.  At the 1 m x 10 m, 401-cell-row benchmark grid, against
+# 512: a tracemalloc peak of 0.80 MiB instead of 1.73, the phy_maps peak RSS
+# 57.8-58.1 MiB instead of 59.0-59.2, and 3 % more time (best of 25
+# interleaved runs, 0.1085 s against 0.1050 s); 64 saves no more RSS and
+# takes 12 % more time
+_PROBE_BLOCK = 128
 
 # two-link reference geometry used by the SINR presets: (depth m, range m)
 REFERENCE_GEOMETRY = {"a": (20.0, 0.0), "b": (20.0, 1000.0), "i": (50.0, 0.0), "j": (70.0, 1000.0)}
@@ -318,13 +321,26 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
 
     The CSV is written a depth row at a time as the row is computed, each
     row one string of its lines, so no list of all cells is kept.  Each
-    link signature is drawn once per call, into a memo dropped on return.
+    link signature is drawn once, into a memo of the probe's depth cell:
+    every signature of a cell's links holds that cell, and depths only
+    grow, so the memo is dropped when the rows leave the cell.
+
+    ValueError naming the param, before any file is written, for a
+    reference node below ``water_depth`` or a ``reference_rx`` at
+    ``reference_tx``.
     """
     p = _read(preset)
     depth_step, range_step, water_depth = p["depth_step"], p["range_step"], p["water_depth"]
     tx_spot, tx = p["reference_tx"]
     rx_spot, rx = p["reference_rx"]
     seed = preset.seeds[0]
+    for key in ("reference_tx", "reference_rx"):
+        spot, (depth, _, _) = p[key]
+        if depth > water_depth:
+            raise ValueError(f"correlation_heatmap: {key}: expected a depth in [0, water_depth {water_depth!r}], "
+                             f"got {spot!r}")
+    if rx == tx:
+        raise ValueError(f"correlation_heatmap: reference_rx: expected a node apart from reference_tx, got {rx_spot!r}")
 
     env = Environment(water_depth=water_depth)
     cfg = ChannelModelConfig(tap_count=p["tap_count"])
@@ -336,10 +352,13 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     # the "<range>," field of each column, formatted once
     columns = [f"{rng!r}," for rng in ranges]
 
-    draws: dict = {}
-
     def lines():
+        memo_cell = None
         for depth in depths:
+            # a new memo at each probe depth cell, the cell generate_taps computes
+            depth_cell = math.floor(depth / cfg.depth_quantum)
+            if depth_cell != memo_cell:
+                memo_cell, draws = depth_cell, {}
             cells = [(depth, rng, 0.0) for rng in ranges]
             linked = [cell for cell in cells if cell != tx]
             magnitudes = []

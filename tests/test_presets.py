@@ -3,6 +3,8 @@ import csv
 import io
 import math
 import re
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -154,6 +156,9 @@ HEATMAP_GRIDS = {
     # 572 cells a row: more than one tap matrix per row
     "rows_past_a_block": {"depth_step": 25.0, "range_step": 7.0},
     "257_taps": {"depth_step": 10.0, "range_step": 250.0, "tap_count": 257},
+    # 3 m does not divide the 5-m depth quantum: a depth cell holds one or
+    # two rows, and the transmitter's 50-m depth is no row
+    "depth_step_off_the_quantum": {"depth_step": 3.0, "range_step": 250.0},
 }
 
 
@@ -170,7 +175,7 @@ def test_correlation_heatmap_matches_cell_by_cell_reference(grid, seed, tmp_path
     assert header == "depth_m,range_m,eta_abs" and end == ""
     assert lines == [f"{depth!r},{rng!r},{eta!r}" for depth, rng, eta in brute_force_heatmap(params, seed)]
     nans = [k for k, line in enumerate(lines) if line.endswith(",nan")]
-    assert len(nans) == (0 if grid == "tx_off_the_grid" else 1)
+    assert len(nans) == (0 if grid in ("tx_off_the_grid", "depth_step_off_the_quantum") else 1)
     if grid == "tx_last_in_its_row":
         assert nans == [3 * 9 - 1]  # the last of the 9 cells of the third (40-m) row
     if grid == "rows_past_a_block":
@@ -237,6 +242,42 @@ def test_a_heatmap_draws_each_signature_once(tmp_path, monkeypatch):
     assert len(want) < len(cells) - 1
 
 
+# the grid of the phy_maps benchmark
+BENCHMARK_HEATMAP = {"depth_step": 1.0, "range_step": 10.0, "tap_count": 129}
+
+
+def test_a_heatmap_keeps_the_draws_of_one_depth_cell_at_a_time(tmp_path, monkeypatch):
+    refs = []
+    most_alive = 0
+
+    def tracked(seed, signature, tap_count):
+        nonlocal most_alive
+        draw = draws(seed, signature, tap_count)
+        refs.append(weakref.ref(draw))
+        most_alive = max(most_alive, sum(ref() is not None for ref in refs))
+        return draw
+
+    draws = channel_module._tap_draws
+    monkeypatch.setattr(channel_module, "_tap_draws", tracked)
+    preset_correlation_heatmap(ExperimentPreset("correlation_heatmap", params=BENCHMARK_HEATMAP,
+                                                output_dir=str(tmp_path)))
+    # a depth cell's links fall in the 81 range cells of the 4000-m region;
+    # one more allows the next cell's first draw before the memo is dropped
+    range_cells = int(4000.0 / ChannelModelConfig.range_quantum) + 1
+    assert most_alive <= range_cells + 1 < len(refs)
+
+
+def test_a_heatmap_at_the_benchmark_grid_peaks_below_3_mib(tmp_path):
+    preset = ExperimentPreset("correlation_heatmap", params=BENCHMARK_HEATMAP, output_dir=str(tmp_path))
+    tracemalloc.start()
+    try:
+        preset_correlation_heatmap(preset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 def test_csv_line_writes_the_bytes_of_csv_writer():
     rows = [
         [4, "trmac", 1, 120, 117, 3, 0.1 + 0.2, 0.025, 1e16],
@@ -255,12 +296,35 @@ def test_csv_line_writes_the_bytes_of_csv_writer():
     ("max_range", -1), ("max_range", math.inf), ("water_depth", 0.0),
     ("reference_tx", (math.nan, 0.0)), ("reference_tx", (-1.0, 0.0)), ("reference_tx", (50.0,)),
     ("reference_rx", (70.0, math.inf)), ("reference_rx", 70.0), ("reference_rx", "70"),
+    # below the 80-m water, and at the default transmitter
+    ("reference_tx", (100.0, 0.0)), ("reference_rx", (80.5, 1000.0)), ("reference_rx", (50, 0)),
 ])
 def test_correlation_heatmap_rejects_a_bad_grid_naming_the_parameter(key, value, tmp_path):
     preset = ExperimentPreset("correlation_heatmap", params={key: value}, output_dir=str(tmp_path))
     with pytest.raises(ValueError, match=f"correlation_heatmap: {key}: expected"):
         preset_correlation_heatmap(preset)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("params, key, message", [
+    # the default transmitter is 50 m deep
+    ({"water_depth": 40.0}, "reference_tx", r"a depth in \[0, water_depth 40\.0\], got \(50\.0, 0\.0\)"),
+    ({"reference_tx": [70.0, 1000.0], "reference_rx": [70, 1000.0]}, "reference_rx",
+     r"a node apart from reference_tx, got \(70, 1000\.0\)"),
+])
+def test_correlation_heatmap_checks_the_reference_nodes_against_the_water_and_each_other(params, key, message,
+                                                                                        tmp_path):
+    preset = ExperimentPreset("correlation_heatmap", params=params, output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=f"^correlation_heatmap: {key}: expected {message}$"):
+        preset_correlation_heatmap(preset)
+    assert not list(tmp_path.iterdir())
+
+
+def test_correlation_heatmap_accepts_reference_nodes_on_the_bottom_and_at_the_surface(tmp_path):
+    preset = ExperimentPreset("correlation_heatmap", output_dir=str(tmp_path), params={
+        "depth_step": 20.0, "range_step": 500.0, "reference_tx": [0.0, 0.0], "reference_rx": [80.0, 1000.0]})
+    _, _, rows = read_csv(preset_correlation_heatmap(preset))
+    assert len(rows) == 5 * 9
 
 
 # small grids of the three PHY presets
