@@ -30,12 +30,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rules import POSITIVE, Bound, Checked, integer, number, one_of, string
+from .rules import POSITIVE, SEED, Bound, Checked, integer, number, one_of, string
 
 STATISTICAL_PDP = "statistical_pdp"
 ARRIVAL_FILE = "arrival_file"
 
-# seeds and signature cells enter a SeedSequence as unsigned 64-bit words
+# signature cells enter a SeedSequence as unsigned 64-bit words
 SEED_MASK = (1 << 64) - 1
 
 
@@ -235,8 +235,9 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     through depth cells in order, as the heatmap's rows do, can start a
     new memo at each cell and never draw a signature twice.
 
-    ValueError if a receiver coincides with ``tx``, a coordinate is not
-    finite, or a link length is infinite or overflows when squared.
+    ValueError if ``seed`` is no integer in [0, 2**64), a receiver
+    coincides with ``tx``, a coordinate is not finite, or a link length is
+    infinite or overflows when squared.
     """
     return _taps_and_distances(tx, rxs, env, cfg, seed, draws)[0]
 
@@ -246,6 +247,10 @@ def _taps_and_distances(tx: Point, rxs: list[Point], env: Environment, cfg: Chan
     """``generate_taps``' rows, and the ``math.dist`` length of each link."""
     if cfg.model_kind != STATISTICAL_PDP:
         raise ValueError(f"generate_taps: needs the {STATISTICAL_PDP} model, got {cfg.model_kind!r}")
+    try:
+        seed = SEED.parse(seed)
+    except ValueError:
+        raise ValueError(f"generate_taps: seed: expected {SEED.expected}, got {seed!r}") from None
     distances = [math.dist(tx, rx) for rx in rxs]
     # a distance is 0.0 only where the points coincide
     if 0.0 in distances:
@@ -263,7 +268,6 @@ def _taps_and_distances(tx: Point, rxs: list[Point], env: Environment, cfg: Chan
             raise ValueError("generate_taps: point coordinates must be finite")
         raise ValueError(f"generate_taps: a link length of {max(distances)!r} m overflows when squared")
     tap_count = int(cfg.tap_count)
-    seed &= SEED_MASK
     scale = _decay_profile(tap_count, env.sample_interval, cfg.pdp_decay_constant) / squares
     scale /= 2.0
     np.sqrt(scale, out=scale)

@@ -11,25 +11,33 @@ import sys
 from .channel import ChannelModel
 from .mac import PROTOCOLS
 from .presets import PARAMS, PRESET_NAMES, ExperimentPreset, run_preset
-from .scenario import ScenarioError, config_hash, load_scenario, scenario_from_dict, scenario_to_dict
+from .scenario import ScenarioError, config_hash, load_scenario, read_scenario_file, scenario_from_dict
 from .sim import run_scenario
 
 
 def _load(path: str, overrides: argparse.Namespace):
-    # a file's placement is explicit once resolved; without a file nothing
-    # is, so the defaults (placement included) follow the overrides.  With a
-    # file, --seed is the same as editing its seed: key
-    data = scenario_to_dict(load_scenario(path)) if path else {}
+    # the overrides edit the file's own mapping, as editing the file would,
+    # and the result is resolved once: a placement the file does not give
+    # follows --seed, and one it gives is kept unless --reseed-topology
+    data = read_scenario_file(path) if path else {}
     if overrides.seed is not None:
         data["seed"] = overrides.seed
-        if getattr(overrides, "reseed_topology", False):
-            data.setdefault("network", {}).pop("nodes", None)
-            data["network"].pop("routes", None)
+    if overrides.reseed_topology:
+        _edit_section(data, "network", nodes=None, routes=None)
     if overrides.duration is not None:
         data["duration_s"] = overrides.duration
-    if getattr(overrides, "protocol", None):
-        data.setdefault("mac", {})["protocol"] = overrides.protocol
+    if overrides.protocol:
+        _edit_section(data, "mac", protocol=overrides.protocol)
     return scenario_from_dict(data)
+
+
+def _edit_section(data: dict, key: str, **values) -> None:
+    """Set ``values`` in a copy of the section ``key`` of ``data``; a null
+    section reads as empty, and one that is no mapping is left for
+    ``scenario_from_dict`` to refuse by name."""
+    section = {} if data.get(key) is None else data[key]
+    if isinstance(section, dict):
+        data[key] = {**section, **values}
 
 
 def _write_metrics_csv(path: str, scenario, metrics) -> None:

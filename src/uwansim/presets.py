@@ -1,15 +1,19 @@
 """Experiment presets: canned sweeps emitting CSV files.
 
-Each preset writes one CSV with a leading provenance comment line
-(`# preset=<name> config=<hash> seeds=<...>`), a header row, and one row
-per grid point -- never fewer, never more.  Each preset's params, with
-their rules and defaults, are one table in ``PARAMS``.  The hash covers the
-params given, each scalar as parsed, so values equal under their rules hash
-alike.  A network preset resolves its placement once per seed and derives
-each run's scenario from it; the runs go to a pool of ``workers``
-processes, or run in-process when that is 1.  Rows are assembled in grid
-order regardless of completion order, and the runs of one placement share
-one link table.  A PHY preset draws its channel taps with its one seed.
+``run_preset`` is the one place that turns a preset into a file.  It reads
+the preset's params, calls the preset's rows function with them and its
+seeds, and writes ``<output_dir>/<name>.csv``: a provenance comment line
+``# preset=<name> config=<hash> seeds=<s1,s2,...>`` and the ``key=value``
+fields the preset adds (``snr_db``; ``reference_tx`` and ``reference_rx``;
+``links``), a header row, and one row per grid point -- never fewer,
+never more.  Each preset's params, with their rules and defaults, are one
+table in ``PARAMS``.  The hash covers the params given, each scalar as
+parsed, so values equal under their rules hash alike.  A network preset
+resolves its placement once per seed and derives each run's scenario from
+it; the runs go to a pool of ``workers`` processes, or run in-process when
+that is 1.  Rows are assembled in grid order regardless of completion
+order, and the runs of one placement share one link table.  A PHY preset
+draws its channel taps with its one seed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .channel import (
     normalized_cross_correlations,
 )
 from .mac import PROTOCOLS
-from .rules import NODES, POSITIVE, Bound, Rule, integer, number, one_of, string
+from .rules import NODES, POSITIVE, SEED, Bound, Rule, integer, number, one_of, string
 from .scenario import NetworkConfig, Scenario, scenario_from_dict
 from .sim import LinkTable, MetricsRecord, Simulator, placement
 from .tr_phy import (
@@ -190,7 +194,7 @@ class ExperimentPreset:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}; expected one of {PRESET_NAMES}")
-        self.seeds = tuple(_parsed(self.name, "seeds", integer().parse, s) for s in self.seeds)
+        self.seeds = tuple(_parsed(self.name, "seeds", SEED.parse, s) for s in self.seeds)
         if len(self.seeds) < 1:
             raise ValueError("ExperimentPreset.seeds must contain at least one seed")
         if len(self.seeds) > 1 and self.name != "load_sweep":
@@ -250,6 +254,11 @@ def _write_csv(path: str, provenance: str, header: list[str], lines) -> str:
     return path
 
 
+# what a preset's rows function returns: the CSV header, the finished lines
+# of its rows, and the provenance fields it adds, each led by a space
+Rows = tuple[list[str], Iterable[str], str]
+
+
 def _reference_links(seed: int, tap_count: int):
     env = Environment()
     cfg = ChannelModelConfig(tap_count=tap_count)
@@ -264,13 +273,11 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x) if x > 0 else math.nan
 
 
-def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
+def _sinr_vs_snr(p: dict, seeds: tuple[int, ...]) -> Rows:
     """Effective SINR of the reference link versus acoustic SNR, for the
     TR-based simultaneous transmissions (one interfering link active) and
     the single direct transmission, at several up/down-sampling factors."""
-    p = _read(preset)
-    seed = preset.seeds[0]
-    h_ab, h_ib, h_ij = _reference_links(seed, p["tap_count"])
+    h_ab, h_ib, h_ij = _reference_links(seeds[0], p["tap_count"])
 
     rows = []
     for d in p["d_factors"]:
@@ -284,19 +291,15 @@ def preset_sinr_vs_snr(preset: ExperimentPreset) -> str:
                             updown_factor=d, min_required_sinr=0.5)
             atrsts = sinr_atrsts_from_parts(sig, isi, [ili], phy)
             rows.append([d, snr_db, _db(atrsts), _db(sinr_from_parts(*sdt, 0.0, phy))])
-    path = os.path.join(preset.output_dir, "sinr_vs_snr.csv")
-    prov = f"# preset=sinr_vs_snr config={_params_hash(preset, p)} seeds={seed}"
-    header = ["d_factor", "snr_db", "sinr_atrsts_db", "sinr_sdt_db"]
-    return _write_csv(path, prov, header, map(_csv_line, rows))
+    return ["d_factor", "snr_db", "sinr_atrsts_db", "sinr_sdt_db"], map(_csv_line, rows), ""
 
 
-def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
+def _sinr_vs_eta(p: dict, seeds: tuple[int, ...]) -> Rows:
     """Effective SINR of the reference link versus the peak normalized
     cross-correlation between the interfering link and the victim-bound
     channel, with the measured off-peak structure held fixed."""
-    p = _read(preset)
-    seed, snr_db = preset.seeds[0], p["snr_db"]
-    h_ab, h_ib, h_ij = _reference_links(seed, p["tap_count"])
+    snr_db = p["snr_db"]
+    h_ab, h_ib, h_ij = _reference_links(seeds[0], p["tap_count"])
     norm_ib = norm(h_ib)
     sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
 
@@ -310,12 +313,10 @@ def preset_sinr_vs_eta(preset: ExperimentPreset) -> str:
         for eta in p["eta_grid"]:
             ili = ili_power_from_parts(norm_ib, float(eta), offpeak, phy)
             rows.append([d, eta, _db(sinr_atrsts_from_parts(sig, isi, [ili], phy))])
-    path = os.path.join(preset.output_dir, "sinr_vs_eta.csv")
-    prov = f"# preset=sinr_vs_eta config={_params_hash(preset, p)} seeds={seed} snr_db={snr_db}"
-    return _write_csv(path, prov, ["d_factor", "eta", "sinr_db"], map(_csv_line, rows))
+    return ["d_factor", "eta", "sinr_db"], map(_csv_line, rows), f" snr_db={snr_db}"
 
 
-def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
+def _correlation_heatmap(p: dict, seeds: tuple[int, ...]) -> Rows:
     """|eta| between the reference link and the link from the reference
     transmitter to a probe node swept over (depth, range) cells.
 
@@ -325,15 +326,14 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
     every signature of a cell's links holds that cell, and depths only
     grow, so the memo is dropped when the rows leave the cell.
 
-    ValueError naming the param, before any file is written, for a
-    reference node below ``water_depth`` or a ``reference_rx`` at
-    ``reference_tx``.
+    ValueError naming the param, before the line generator is returned
+    and so before any file is written, for a reference node below
+    ``water_depth`` or a ``reference_rx`` at ``reference_tx``.
     """
-    p = _read(preset)
     depth_step, range_step, water_depth = p["depth_step"], p["range_step"], p["water_depth"]
     tx_spot, tx = p["reference_tx"]
     rx_spot, rx = p["reference_rx"]
-    seed = preset.seeds[0]
+    seed = seeds[0]
     for key in ("reference_tx", "reference_rx"):
         spot, (depth, _, _) = p[key]
         if depth > water_depth:
@@ -373,10 +373,7 @@ def preset_correlation_heatmap(preset: ExperimentPreset) -> str:
             # lead + column + repr(eta) per cell, each line ended by "\r\n"
             yield lead + f"\r\n{lead}".join(map(str.__add__, columns, map(repr, magnitudes))) + "\r\n"
 
-    path = os.path.join(preset.output_dir, "correlation_heatmap.csv")
-    prov = (f"# preset=correlation_heatmap config={_params_hash(preset, p)} "
-            f"seeds={seed} reference_tx={tx_spot} reference_rx={rx_spot}")
-    return _write_csv(path, prov, ["depth_m", "range_m", "eta_abs"], lines())
+    return ["depth_m", "range_m", "eta_abs"], lines(), f" reference_tx={tx_spot} reference_rx={rx_spot}"
 
 
 def _placed(p: dict, seed: int, links: int) -> Scenario:
@@ -434,11 +431,10 @@ def run_network_jobs(scenarios: list[Scenario], workers: int | None = None,
         return list(pool.map(_run_pooled, scenarios, repeat(sample_every)))
 
 
-def preset_load_sweep(preset: ExperimentPreset) -> str:
+def _load_sweep(p: dict, seeds: tuple[int, ...]) -> Rows:
     """Delay / drop ratio / throughput for each protocol across network loads."""
-    p = _read(preset)
     labels, scenarios = [], []
-    for seed in preset.seeds:
+    for seed in seeds:
         # one placement per seed; lighter loads run its first routes
         placed = _placed(p, seed, max(p["loads"]))
         for links in p["loads"]:
@@ -448,38 +444,40 @@ def preset_load_sweep(preset: ExperimentPreset) -> str:
                 scenarios.append(_protocol(loaded, protocol))
     rows = [[*label, m.generated, m.delivered, m.dropped, m.mean_delay, m.drop_ratio, m.throughput]
             for label, m in zip(labels, run_network_jobs(scenarios, p["workers"]))]
-    path = os.path.join(preset.output_dir, "load_sweep.csv")
-    prov = (f"# preset=load_sweep config={_params_hash(preset, p)} "
-            f"seeds={','.join(str(s) for s in preset.seeds)}")
     header = ["links", "protocol", "seed", "generated", "delivered", "dropped",
               "mean_delay_s", "drop_ratio", "throughput_bps"]
-    return _write_csv(path, prov, header, map(_csv_line, rows))
+    return header, map(_csv_line, rows), ""
 
 
-def preset_timeseries(preset: ExperimentPreset) -> str:
+def _timeseries(p: dict, seeds: tuple[int, ...]) -> Rows:
     """Cumulative metric-versus-time curves for each protocol at one load."""
-    p = _read(preset)
-    seed, links = preset.seeds[0], p["links"]
-    placed = _placed(p, seed, links)
+    links = p["links"]
+    placed = _placed(p, seeds[0], links)
     records = run_network_jobs([_protocol(placed, protocol) for protocol in p["protocols"]],
                                p["workers"], p["sample_every"])
     rows = [[protocol, row["time"], row["mean_delay"], row["drop_ratio"], row["throughput"]]
             for protocol, m in zip(p["protocols"], records) for row in m.series]
-    path = os.path.join(preset.output_dir, "timeseries.csv")
-    prov = f"# preset=timeseries config={_params_hash(preset, p)} seeds={seed} links={links}"
     header = ["protocol", "time_s", "mean_delay_s", "drop_ratio", "throughput_bps"]
-    return _write_csv(path, prov, header, map(_csv_line, rows))
+    return header, map(_csv_line, rows), f" links={links}"
 
 
-_RUNNERS = {
-    "sinr_vs_snr": preset_sinr_vs_snr,
-    "sinr_vs_eta": preset_sinr_vs_eta,
-    "correlation_heatmap": preset_correlation_heatmap,
-    "load_sweep": preset_load_sweep,
-    "timeseries": preset_timeseries,
+# each preset's rows function, called with its params as read and its seeds
+_ROWS: dict[str, Callable[[dict, tuple[int, ...]], Rows]] = {
+    "sinr_vs_snr": _sinr_vs_snr,
+    "sinr_vs_eta": _sinr_vs_eta,
+    "correlation_heatmap": _correlation_heatmap,
+    "load_sweep": _load_sweep,
+    "timeseries": _timeseries,
 }
 
 
 def run_preset(preset: ExperimentPreset) -> str:
-    """Execute one preset; returns the written CSV path."""
-    return _RUNNERS[preset.name](preset)
+    """Execute one preset; returns the written CSV path,
+    ``<output_dir>/<name>.csv``.  Its first line is the provenance
+    ``# preset=<name> config=<hash> seeds=<s1,s2,...>``, followed by the
+    fields the preset adds."""
+    p = _read(preset)
+    header, lines, extra = _ROWS[preset.name](p, preset.seeds)
+    provenance = (f"# preset={preset.name} config={_params_hash(preset, p)} "
+                  f"seeds={','.join(map(str, preset.seeds))}{extra}")
+    return _write_csv(os.path.join(preset.output_dir, f"{preset.name}.csv"), provenance, header, lines)

@@ -78,6 +78,9 @@ def _node(value) -> tuple[float, float, float]:
 number = partial(Rule, "finite number", _number)
 integer = partial(Rule, "integer", _integer)
 string = partial(Rule, "string", str)
+# a seed enters a SeedSequence as one unsigned 64-bit word; a wider or
+# negative one would alias a seed in range, and run its streams
+SEED = integer(Bound("{} in [0, 2**64)", lambda v: 0 <= v < 1 << 64))
 # lists of (depth, x, y) and of node indices
 NODES = Rule("list of finite [depth >= 0, x, y]", lambda v: [_node(node) for node in v], nullable=True)
 ROUTES = Rule("routes", lambda v: [tuple(map(_integer, route)) for route in v], nullable=True)

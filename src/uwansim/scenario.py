@@ -27,10 +27,10 @@ from typing import Any
 
 import numpy as np
 
-from .channel import SEED_MASK, ChannelModelConfig, Environment, Point
+from .channel import ChannelModelConfig, Environment, Point
 from .mac import PROTOCOLS, TRMAC, MacTimers
 from .matching import max_cardinality_matching
-from .rules import NODES, NON_NEGATIVE, POSITIVE, ROUTES, Bound, Rule, integer, number, one_of, string
+from .rules import NODES, NON_NEGATIVE, POSITIVE, ROUTES, SEED, Bound, Rule, integer, number, one_of, string
 from .tr_phy import PhyConfig, check_divisible
 
 
@@ -142,7 +142,7 @@ class Field:
 _ENV, _CHANNEL, _PHY, _TIMERS = (c.RULES for c in (Environment, ChannelModelConfig, PhyConfig, MacTimers))
 
 FIELDS: tuple[Field, ...] = (
-    Field("seed", "seed", integer()),
+    Field("seed", "seed", SEED),
     Field("duration_s", "duration", number(NON_NEGATIVE)),
     Field("warmup_s", "warmup", number(NON_NEGATIVE)),
     Field("environment.water_depth_m", "environment.water_depth", _ENV["water_depth"]),
@@ -208,7 +208,7 @@ def _with_values(scenario: Scenario, values: dict[str, Any]) -> Scenario:
 
 def _topology_rng(seed: int) -> np.random.Generator:
     """The stream that places nodes and draws link directions."""
-    return np.random.default_rng(np.random.SeedSequence((seed & SEED_MASK, 0x7090)))
+    return np.random.default_rng(np.random.SeedSequence((seed, 0x7090)))
 
 
 def _generate_topology(scenario: Scenario) -> tuple[list[Point], list[tuple[int, int]]]:
@@ -272,6 +272,9 @@ def validate_scenario(scenario: Scenario) -> None:
     net = scenario.network
     if not net.nodes or not net.routes:
         raise ScenarioError("network.nodes: the scenario is not placed; resolve it first (Scenario.resolved)")
+    if scenario.warmup > scenario.duration:
+        # a run would count nothing: every figure reads the times in [warmup, duration]
+        raise ScenarioError(f"warmup_s: {scenario.warmup} exceeds duration_s {scenario.duration}")
     try:
         check_divisible(scenario.channel.tap_count, scenario.phy.updown_factor)
     except ValueError as exc:
@@ -354,9 +357,10 @@ def scenario_from_dict(data: dict | None) -> Scenario:
     return _with_values(Scenario(), values).resolved()
 
 
-def load_scenario(path: str) -> Scenario:
-    """Parse a scenario YAML file; ScenarioError naming the file when it
-    does not parse as YAML."""
+def read_scenario_file(path: str) -> dict:
+    """The scenario mapping a YAML file holds, unparsed (empty for an empty
+    file); ScenarioError naming the file when it does not parse as YAML,
+    and naming ``config`` when it holds no mapping."""
     import yaml
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -364,7 +368,12 @@ def load_scenario(path: str) -> Scenario:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: not valid YAML: {exc}") from None
-    return scenario_from_dict(data)
+    return _expect_mapping(data, "config")
+
+
+def load_scenario(path: str) -> Scenario:
+    """Parse a scenario YAML file, as ``read_scenario_file`` reads it."""
+    return scenario_from_dict(read_scenario_file(path))
 
 
 def emit_scenario(scenario: Scenario, path: str) -> None:

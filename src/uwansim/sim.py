@@ -80,7 +80,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import SEED_MASK, ChannelModel, norm
+from .channel import ChannelModel, norm
 from .mac import (
     Arm,
     Cancel,
@@ -375,7 +375,6 @@ class Simulator:
             n_max=scenario.mac.n_max,
         )
 
-        seed = scenario.seed & SEED_MASK
         # engines reach the medium through a proxy, so a finished run holds
         # no reference cycle and is freed as soon as it is dropped
         medium = weakref.proxy(self)
@@ -387,14 +386,14 @@ class Simulator:
                 self.timers,
                 scenario.network.data_rate,
                 control_bits=scenario.mac.control_bits,
-                rng=np.random.default_rng(np.random.SeedSequence((seed, 0x3AC, i))),
+                rng=np.random.default_rng(np.random.SeedSequence((scenario.seed, 0x3AC, i))),
                 medium=medium,
                 s_csma_cap=scenario.mac.s_csma_max_backoff,
             )
             self.nodes.append(_NodeState(engine))
 
         self.flow_rngs = [
-            np.random.default_rng(np.random.SeedSequence((seed, 0xF10, f)))
+            np.random.default_rng(np.random.SeedSequence((scenario.seed, 0xF10, f)))
             for f in range(len(scenario.network.routes))
         ]
 

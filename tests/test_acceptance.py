@@ -19,10 +19,8 @@ from uwansim.mac import MacTimers
 from uwansim.presets import (
     ExperimentPreset,
     REFERENCE_GEOMETRY,
-    preset_correlation_heatmap,
-    preset_load_sweep,
-    preset_sinr_vs_eta,
     run_network_jobs,
+    run_preset,
 )
 from uwansim.scenario import emit_scenario, scenario_from_dict
 from uwansim.sim import Simulator
@@ -195,7 +193,7 @@ def test_acceptance_04_noise_dominated_tr_gain():
 
 
 def test_acceptance_05_sinr_vs_eta_curves(tmp_path):
-    path = preset_sinr_vs_eta(ExperimentPreset("sinr_vs_eta", output_dir=str(tmp_path)))
+    path = run_preset(ExperimentPreset("sinr_vs_eta", output_dir=str(tmp_path)))
     with open(path, encoding="utf-8") as fh:
         fh.readline()
         rows = list(csv.DictReader(fh))
@@ -292,7 +290,7 @@ THROUGHPUT_BAND = 0.05
 def test_acceptance_08_load_trend(tmp_path):
     seeds = tuple(range(1, 11))
     loads = (4, 6, 8, 10)
-    path = preset_load_sweep(ExperimentPreset(
+    path = run_preset(ExperimentPreset(
         "load_sweep",
         params={"duration": 2000.0, "protocols": ("trmac",), "workers": WORKERS, "loads": loads},
         seeds=seeds,
@@ -362,7 +360,7 @@ def test_acceptance_09_determinism(tmp_path):
 
 
 def test_acceptance_10_heatmap_sanity(tmp_path):
-    path = preset_correlation_heatmap(
+    path = run_preset(
         ExperimentPreset("correlation_heatmap", output_dir=str(tmp_path))
     )
     with open(path, encoding="utf-8") as fh:

@@ -45,6 +45,45 @@ def test_an_edited_seed_equals_the_seed_override(tmp_path):
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
 
 
+def test_an_edited_seed_equals_the_seed_override_in_a_file_with_no_placement(tmp_path):
+    # the override edits the file's mapping, so the placement the file does
+    # not give is generated for seed 2 in both runs
+    original, edited = tmp_path / "s1.yaml", tmp_path / "s2.yaml"
+    original.write_text("seed: 1\nduration_s: 100\n")
+    edited.write_text("seed: 2\nduration_s: 100\n")
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", str(edited), "--out", str(out_a)]) == 0
+    assert main(["run", str(original), "--seed", "2", "--out", str(out_b)]) == 0
+    assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("- 1\n", ["--seed", "2"], "config: expected a mapping, got list"),
+    ("network: [1]\n", ["--seed", "2", "--reseed-topology"], "network: expected a mapping, got list"),
+    ("mac: 5\n", ["--protocol", "csma_ca"], "mac: expected a mapping, got int"),
+], ids=["config", "network", "mac"])
+def test_run_overrides_on_a_file_or_section_that_is_no_mapping_are_an_error(text, flags, message,
+                                                                             tmp_path, capsys):
+    scenario, out = tmp_path / "scenario.yaml", tmp_path / "out"
+    scenario.write_text(text)
+    assert main(["run", str(scenario), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    (None, ["--seed", "18446744073709551617"], "seed: expected integer in [0, 2**64), got 18446744073709551617"),
+    ("duration_s: 100\nwarmup_s: 500\n", [], "warmup_s: 500.0 exceeds duration_s 100.0"),
+], ids=["seed", "warmup"])
+def test_run_refuses_a_seed_past_64_bits_and_a_warmup_past_the_duration(text, flags, message, tmp_path, capsys):
+    scenario, out = tmp_path / "scenario.yaml", tmp_path / "out"
+    if text is not None:
+        scenario.write_text(text)
+    assert main(["run", *([str(scenario)] if text is not None else []), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_seed_override_changes_output(tmp_path):
     scenario = write_scenario(tmp_path)
     out_a = tmp_path / "a"

@@ -23,11 +23,6 @@ from uwansim.presets import (
     REFERENCE_GEOMETRY,
     _csv_line,
     _reference_links,
-    preset_correlation_heatmap,
-    preset_load_sweep,
-    preset_sinr_vs_eta,
-    preset_sinr_vs_snr,
-    preset_timeseries,
     run_preset,
 )
 from uwansim.scenario import Scenario, ScenarioError
@@ -60,7 +55,7 @@ def test_single_seed_presets_refuse_more_seeds(name, tmp_path):
 
 
 def test_sinr_vs_snr_grid_cardinality(tmp_path):
-    path = preset_sinr_vs_snr(ExperimentPreset("sinr_vs_snr", output_dir=str(tmp_path)))
+    path = run_preset(ExperimentPreset("sinr_vs_snr", output_dir=str(tmp_path)))
     _, header, rows = read_csv(path)
     assert header == ["d_factor", "snr_db", "sinr_atrsts_db", "sinr_sdt_db"]
     assert len(rows) == 4 * 21
@@ -83,13 +78,13 @@ def test_sinr_vs_snr_correlates_once_per_d_factor(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tr_phy, "autocorr_offpeak_sum", counting)
     params = {"d_factors": [1, 2, 4], "snr_db_grid": [40.0 + 5.0 * k for k in range(9)]}
-    preset_sinr_vs_snr(ExperimentPreset("sinr_vs_snr", params=params, output_dir=str(tmp_path)))
+    run_preset(ExperimentPreset("sinr_vs_snr", params=params, output_dir=str(tmp_path)))
     assert sorted(calls) == [1, 2, 4]
 
 
 def test_sinr_vs_eta_monotone_and_eta0_identity(tmp_path):
     preset = ExperimentPreset("sinr_vs_eta", output_dir=str(tmp_path))
-    path = preset_sinr_vs_eta(preset)
+    path = run_preset(preset)
     _, header, rows = read_csv(path)
     assert len(rows) == 4 * 19
     by_d = {}
@@ -113,7 +108,7 @@ def test_sinr_vs_eta_monotone_and_eta0_identity(tmp_path):
 
 
 def test_correlation_heatmap_reference_cell_and_cardinality(tmp_path):
-    path = preset_correlation_heatmap(ExperimentPreset("correlation_heatmap", output_dir=str(tmp_path)))
+    path = run_preset(ExperimentPreset("correlation_heatmap", output_dir=str(tmp_path)))
     _, header, rows = read_csv(path)
     assert header == ["depth_m", "range_m", "eta_abs"]
     assert len(rows) == 17 * 81  # 0..80 m by 5, 0..4000 m by 50
@@ -167,7 +162,7 @@ HEATMAP_GRIDS = {
 def test_correlation_heatmap_matches_cell_by_cell_reference(grid, seed, tmp_path):
     # each line is the cell's depth, range and |eta| formatted with repr
     params = HEATMAP_GRIDS[grid]
-    path = preset_correlation_heatmap(
+    path = run_preset(
         ExperimentPreset("correlation_heatmap", params=params, seeds=(seed,), output_dir=str(tmp_path)))
     with open(path, encoding="utf-8", newline="") as fh:
         _, body = fh.read().split("\n", 1)
@@ -196,7 +191,7 @@ def test_a_heatmap_that_fails_midway_leaves_no_file(tmp_path, monkeypatch):
     preset = ExperimentPreset("correlation_heatmap", params={"depth_step": 20.0, "range_step": 500.0},
                               output_dir=str(tmp_path))
     with pytest.raises(ValueError, match="second depth row"):
-        preset_correlation_heatmap(preset)
+        run_preset(preset)
     assert len(calls) == 2
     assert not list(tmp_path.iterdir())
 
@@ -205,7 +200,7 @@ def test_a_heatmap_range_whose_square_overflows_names_it_and_leaves_no_file(tmp_
     preset = ExperimentPreset("correlation_heatmap", params={"depth_step": 80.0, "range_step": 1e299,
                                                              "max_range": 1e300}, output_dir=str(tmp_path))
     with pytest.raises(ValueError, match=r"a link length of 1e\+300 m overflows when squared"):
-        preset_correlation_heatmap(preset)
+        run_preset(preset)
     assert not list(tmp_path.iterdir())
 
 
@@ -216,7 +211,7 @@ def test_a_heatmap_of_finite_ranges_whose_lengths_overflow_together_names_the_le
     preset = ExperimentPreset("correlation_heatmap", params={"depth_step": 80.0, "range_step": 8.9e307,
                                                              "max_range": 1.78e308}, output_dir=str(tmp_path))
     with pytest.raises(ValueError, match=r"^generate_taps: a link length of 1\.78e\+308 m overflows when squared$"):
-        preset_correlation_heatmap(preset)
+        run_preset(preset)
     assert not list(tmp_path.iterdir())
 
 
@@ -231,7 +226,7 @@ def test_a_heatmap_draws_each_signature_once(tmp_path, monkeypatch):
     monkeypatch.setattr(channel_module, "_tap_draws", counting)
     preset = ExperimentPreset("correlation_heatmap", params={"depth_step": 2.0, "range_step": 25.0},
                               output_dir=str(tmp_path))
-    preset_correlation_heatmap(preset)
+    run_preset(preset)
     # the reference link's own draw, then each signature of the cells' links once
     cfg = ChannelModelConfig()
     tx = (*REFERENCE_GEOMETRY["i"], 0.0)
@@ -259,8 +254,7 @@ def test_a_heatmap_keeps_the_draws_of_one_depth_cell_at_a_time(tmp_path, monkeyp
 
     draws = channel_module._tap_draws
     monkeypatch.setattr(channel_module, "_tap_draws", tracked)
-    preset_correlation_heatmap(ExperimentPreset("correlation_heatmap", params=BENCHMARK_HEATMAP,
-                                                output_dir=str(tmp_path)))
+    run_preset(ExperimentPreset("correlation_heatmap", params=BENCHMARK_HEATMAP, output_dir=str(tmp_path)))
     # a depth cell's links fall in the 81 range cells of the 4000-m region;
     # one more allows the next cell's first draw before the memo is dropped
     range_cells = int(4000.0 / ChannelModelConfig.range_quantum) + 1
@@ -271,7 +265,7 @@ def test_a_heatmap_at_the_benchmark_grid_peaks_below_3_mib(tmp_path):
     preset = ExperimentPreset("correlation_heatmap", params=BENCHMARK_HEATMAP, output_dir=str(tmp_path))
     tracemalloc.start()
     try:
-        preset_correlation_heatmap(preset)
+        run_preset(preset)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -302,7 +296,7 @@ def test_csv_line_writes_the_bytes_of_csv_writer():
 def test_correlation_heatmap_rejects_a_bad_grid_naming_the_parameter(key, value, tmp_path):
     preset = ExperimentPreset("correlation_heatmap", params={key: value}, output_dir=str(tmp_path))
     with pytest.raises(ValueError, match=f"correlation_heatmap: {key}: expected"):
-        preset_correlation_heatmap(preset)
+        run_preset(preset)
     assert not list(tmp_path.iterdir())
 
 
@@ -316,14 +310,14 @@ def test_correlation_heatmap_checks_the_reference_nodes_against_the_water_and_ea
                                                                                         tmp_path):
     preset = ExperimentPreset("correlation_heatmap", params=params, output_dir=str(tmp_path))
     with pytest.raises(ValueError, match=f"^correlation_heatmap: {key}: expected {message}$"):
-        preset_correlation_heatmap(preset)
+        run_preset(preset)
     assert not list(tmp_path.iterdir())
 
 
 def test_correlation_heatmap_accepts_reference_nodes_on_the_bottom_and_at_the_surface(tmp_path):
     preset = ExperimentPreset("correlation_heatmap", output_dir=str(tmp_path), params={
         "depth_step": 20.0, "range_step": 500.0, "reference_tx": [0.0, 0.0], "reference_rx": [80.0, 1000.0]})
-    _, _, rows = read_csv(preset_correlation_heatmap(preset))
+    _, _, rows = read_csv(run_preset(preset))
     assert len(rows) == 5 * 9
 
 
@@ -365,12 +359,12 @@ def test_load_sweep_cardinality_and_determinism(tmp_path):
         seeds=(1, 2),
         output_dir=str(tmp_path),
     )
-    path = preset_load_sweep(preset)
+    path = run_preset(preset)
     first = open(path, "rb").read()
     _, header, rows = read_csv(path)
     assert len(rows) == 2 * 3 * 2  # loads x protocols x seeds
     assert rows[0][:3] == ["2", "trmac", "1"]
-    path = preset_load_sweep(preset)
+    path = run_preset(preset)
     assert open(path, "rb").read() == first
 
 
@@ -381,7 +375,7 @@ def test_timeseries_rows(tmp_path):
         seeds=(4,),
         output_dir=str(tmp_path),
     )
-    path = preset_timeseries(preset)
+    path = run_preset(preset)
     _, header, rows = read_csv(path)
     assert header == ["protocol", "time_s", "mean_delay_s", "drop_ratio", "throughput_bps"]
     assert len(rows) == 3 * 2
@@ -485,8 +479,8 @@ def test_network_presets_build_one_link_table_per_placement(name, params, seeds,
 
 
 @pytest.mark.parametrize("name, params, seeds, key, value, expected", [
-    ("sinr_vs_snr", {}, (1.7,), "seeds", 1.7, "integer"),
-    ("load_sweep", {}, (True,), "seeds", True, "integer"),
+    ("sinr_vs_snr", {}, (1.7,), "seeds", 1.7, "integer in [0, 2**64)"),
+    ("load_sweep", {}, (True,), "seeds", True, "integer in [0, 2**64)"),
     ("timeseries", {"links": 2.6}, (1,), "links", 2.6, "positive integer"),
     ("timeseries", {"links": 0}, (1,), "links", 0, "positive integer"),
     ("timeseries", {"workers": 1.5}, (1,), "workers", 1.5, "positive integer or null"),

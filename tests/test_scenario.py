@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from uwansim.channel import ChannelModelConfig, Environment
+from uwansim.channel import ChannelModelConfig, Environment, generate_cir
 from uwansim.mac import MacTimers
+from uwansim.presets import ExperimentPreset
 from uwansim.tr_phy import PhyConfig
 from uwansim.scenario import (
     FIELDS,
@@ -318,6 +319,27 @@ def test_a_node_outside_the_region_is_rejected():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict({"network": {"nodes": [[10, 0, 0], [10, -100, 0]], "routes": [[0, 1]]}})
     assert str(err.value) == "network.nodes[1]: position outside the region"
+
+
+@pytest.mark.parametrize("seed", [2**64 + 1, -1])
+def test_a_seed_outside_64_bits_is_refused_not_aliased(seed):
+    # reduced mod 2**64, 2**64 + 1 would run seed 1's network and -1 that of 2**64 - 1
+    expected = r"expected integer in \[0, 2\*\*64\), got " + re.escape(repr(seed)) + "$"
+    with pytest.raises(ScenarioError, match=f"^seed: {expected}"):
+        scenario_from_dict({"seed": seed})
+    with pytest.raises(ValueError, match=f"^load_sweep: seeds: {expected}"):
+        ExperimentPreset("load_sweep", seeds=(1, seed))
+    with pytest.raises(ValueError, match=f"^generate_taps: seed: {expected}"):
+        generate_cir((20.0, 0.0, 0.0), (20.0, 500.0, 0.0), Environment(), ChannelModelConfig(), seed)
+    assert scenario_from_dict({"seed": 2**64 - 1}).seed == 2**64 - 1
+
+
+def test_a_warmup_past_the_duration_is_refused():
+    # such a run counts nothing: 0 delivered, 0 dropped and a nan delay
+    with pytest.raises(ScenarioError, match=r"^warmup_s: 500\.0 exceeds duration_s 100\.0$"):
+        scenario_from_dict({"duration_s": 100, "warmup_s": 500})
+    for duration in (100.0, 0.0):
+        assert scenario_from_dict({"duration_s": duration, "warmup_s": duration}).warmup == duration
 
 
 def test_a_config_or_section_that_is_no_mapping_is_rejected():
