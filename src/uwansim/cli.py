@@ -60,7 +60,7 @@ def _cmd_run(args) -> int:
     metrics = result.metrics
     out_dir = args.out
     _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), scenario, metrics)
-    if metrics.series:
+    if args.sample_every is not None:
         series_path = os.path.join(out_dir, "metrics_series.csv")
         with open(series_path, "w", newline="", encoding="utf-8") as fh:
             fh.write(f"# config={config_hash(scenario)} seed={scenario.seed}\n")

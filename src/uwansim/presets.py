@@ -39,7 +39,7 @@ from .channel import (
 )
 from .mac import PROTOCOLS
 from .rules import NODES, POSITIVE, SEED, Bound, Rule, integer, number, one_of, string
-from .scenario import NetworkConfig, Scenario, scenario_from_dict
+from .scenario import FIELDS, NetworkConfig, Scenario, scenario_from_dict
 from .sim import LinkTable, MetricsRecord, Simulator, placement
 from .tr_phy import (
     PhyConfig,
@@ -137,6 +137,7 @@ _DURATION = _scalar(number(POSITIVE), Scenario.duration)
 # the pool size of the network presets; null means one worker per CPU
 _WORKERS = integer(POSITIVE, nullable=True)
 _SCENARIO = Param(_base_scenario, {})
+_WARMUP = next(f for f in FIELDS if f.key == "warmup_s")
 
 # the params each preset reads, in the order it reads them; a preset given
 # any other is refused
@@ -214,9 +215,15 @@ def _parsed(name: str, key: str, read: Callable[[Any], Any], value):
 
 
 def _read(preset: ExperimentPreset) -> dict:
-    """Every param of the preset's table, read from its value as given or its default."""
-    return {key: _parsed(preset.name, key, param.read, preset.params.get(key, param.default))
-            for key, param in PARAMS[preset.name].items()}
+    """Every param of the preset's table, read from its value as given or
+    its default.  A network preset's ``duration`` sets its scenario's
+    ``duration_s``, so a ``warmup_s`` past it is refused here, naming both."""
+    p = {key: _parsed(preset.name, key, param.read, preset.params.get(key, param.default))
+         for key, param in PARAMS[preset.name].items()}
+    warmup = p["scenario"].get("warmup_s") if "scenario" in p else None
+    if warmup is not None and (warmup := _WARMUP.parse(warmup)) > p["duration"]:
+        raise ValueError(f"{preset.name}: scenario: warmup_s {warmup} exceeds duration {p['duration']}")
+    return p
 
 
 def _params_hash(preset: ExperimentPreset, values: dict) -> str:

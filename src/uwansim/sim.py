@@ -27,7 +27,16 @@ number taken at tx start, the frame) and answers from it:
 * ``busy_until``, the latest end among arrivals sensed at a node now,
   for CSMA carrier sense.
 
-Each query scans the log once and applies the key rule below inline.
+Each query scans the log once and applies the key rule below inline.  At
+each transmission the log drops, from its front, every entry whose latest
+arrival end plus the longest frame sent so far is before now.  This relies
+on every reception lasting no longer than the longest frame sent before
+it: a reception open now ends at or after now, so it began after such an
+entry ended everywhere, and one still to come begins at or after now; no
+query can find the entry again.  The test adds the longest frame to the
+entry's end because subtracting it from now can round past a reception's
+start (``Simulator._trim_log``).
+
 Debug records (``record_events``) are built only when they are kept.
 
 Half-duplex and receiver-lock rules act on the node's open tracked
@@ -111,7 +120,7 @@ EV_DRAIN = 5  # the transmitter frees up for a queued frame
 class _RxRecord:
     """One tracked reception: a frame addressed to, or a probe overheard by, a node."""
 
-    __slots__ = ("frame", "rx_start", "rx_end", "seq", "corrupted", "interference", "ended")
+    __slots__ = ("frame", "rx_start", "rx_end", "seq", "corrupted")
 
     def __init__(self, frame, rx_start, rx_end, seq):
         self.frame = frame
@@ -119,8 +128,6 @@ class _RxRecord:
         self.rx_end = rx_end
         self.seq = seq  # of the transmission
         self.corrupted = False
-        self.interference = 0.0
-        self.ended = False  # its rx end has been handled
 
 
 class _NodeState:
@@ -409,8 +416,7 @@ class Simulator:
         # transmission log in tx order: (tx time, seq, src, duration, frame,
         # latest arrival end at any node)
         self._tx_log: deque = deque()
-        # tracked receptions in rx-start order; ended ones leave from the front
-        self._open_rx: deque = deque()
+        self._longest = 0.0  # the longest tx duration sent so far
         self.heap: list[tuple] = []
         self._seq = 0
         self._event_seq = 0  # seq of the event being handled
@@ -464,26 +470,20 @@ class Simulator:
             total += part
         return total
 
-    def _rx_cutoff(self, now: float) -> float:
-        """The earliest start of any open tracked reception, or ``now`` if
-        none starts earlier.  Receptions enter ``_open_rx`` in event order,
-        so its first entry that has not ended has the earliest start."""
-        open_rx = self._open_rx
-        while open_rx and open_rx[0].ended:
-            open_rx.popleft()
-        if open_rx and open_rx[0].rx_start < now:
-            return open_rx[0].rx_start
-        return now
-
     def _trim_log(self, now: float) -> None:
-        """Drop the oldest transmissions whose arrivals ended everywhere
-        before ``_rx_cutoff(now)``: before every open tracked reception began
-        and before ``now``, the earliest start of any reception still to come."""
-        log = self._tx_log
-        if not log or log[0][5] >= now:
-            return
-        cutoff = self._rx_cutoff(now)
-        while log and log[0][5] < cutoff:
+        """Drop the oldest transmissions whose latest arrival end ``e``
+        has ``e + _longest < now``.
+
+        This relies on every reception lasting no longer than the longest
+        frame sent before it.  A reception open now ends at ``fl(rx_start +
+        duration) >= now`` with ``duration <= _longest``, and rounding is
+        monotone, so ``e + _longest < now`` gives ``e < rx_start``: the entry
+        ended before the reception began, even at an exact tie; a reception
+        still to come starts at or after ``now > e``.  The test adds
+        ``_longest`` to ``e`` rather than checking ``e < now - _longest``,
+        whose subtraction can round past a reception's start."""
+        log, longest = self._tx_log, self._longest
+        while log and log[0][5] + longest < now:
             log.popleft()
 
     # ---------------------------------------------------------- scheduling
@@ -601,6 +601,8 @@ class Simulator:
             self._log(now, node_id, "tx_start", frame.kind.value, f"to {frame.dst}")
         self._seq += 1
         seq = self._seq
+        if duration > self._longest:
+            self._longest = duration
         self._trim_log(now)
         self._tx_log.append((now, seq, node_id, duration, frame, now + links.reach[node_id] + duration))
         if frame.kind is FrameKind.PRO:  # its addressee is a listener too
@@ -651,16 +653,12 @@ class Simulator:
         elif state.rx_lock is not None:
             rec.corrupted = True
         state.tracked.append(rec)
-        self._open_rx.append(rec)
 
     def _handle_rx_end(self, node_id: int, rec: _RxRecord, now: float) -> None:
         state = self.nodes[node_id]
         if state.rx_lock is rec:
             state.rx_lock = None
         state.tracked.remove(rec)
-        rec.ended = True
-        if not rec.corrupted:
-            rec.interference = self._interference(rec, node_id)
         success = self._adjudicate(rec, node_id)
         frame = rec.frame
         if self.trace.events is not None:
@@ -672,7 +670,8 @@ class Simulator:
         self._process_actions(node_id, state.engine.on_frame(frame, now), now)
 
     def _adjudicate(self, rec: _RxRecord, node_id: int) -> bool:
-        """SINR gate over the full-overlap worst case, after half-duplex rules."""
+        """SINR gate over the full-overlap worst case, after half-duplex
+        rules; the interference is summed only for a clean reception."""
         if rec.corrupted:
             return False
         frame = rec.frame
@@ -680,7 +679,7 @@ class Simulator:
             sig, isi, _ = self.links.tr[frame.src][frame.dst]
         else:
             sig, isi = self.links.direct[frame.src][node_id]
-        return sinr_from_parts(sig, isi, rec.interference, self.phy) >= self.phy.min_required_sinr
+        return sinr_from_parts(sig, isi, self._interference(rec, node_id), self.phy) >= self.phy.min_required_sinr
 
     def _drain(self, node_id: int, _, now: float) -> None:
         state = self.nodes[node_id]

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from uwansim.cli import main
+from uwansim.presets import ExperimentPreset, run_preset
 from uwansim.scenario import emit_scenario, scenario_from_dict
 
 
@@ -104,6 +105,14 @@ def test_run_trace_and_series(tmp_path):
     series = (tmp_path / "metrics_series.csv").read_text().splitlines()
     assert series[1] == "time_s,mean_delay_s,drop_ratio,throughput_bps"
     assert len(series) == 4  # provenance + header + 2 samples
+
+
+def test_run_writes_the_series_header_when_no_sample_falls_in_the_run(tmp_path):
+    scenario = write_scenario(tmp_path, duration_s=50.0)
+    assert main(["run", scenario, "--out", str(tmp_path), "--sample-every", "100"]) == 0
+    series = (tmp_path / "metrics_series.csv").read_text().splitlines()
+    assert series[0].startswith("# config=")
+    assert series[1:] == ["time_s,mean_delay_s,drop_ratio,throughput_bps"]
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
@@ -297,6 +306,18 @@ def test_run_refuses_reseed_topology_without_seed(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--reseed-topology: needs --seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["load_sweep", "timeseries"])
+def test_preset_refuses_a_warmup_past_its_duration(name, tmp_path, monkeypatch, capsys):
+    # no flag sets the base scenario, so this one sets its warmup_s
+    from uwansim import cli
+
+    monkeypatch.setattr(cli, "run_preset", lambda preset: run_preset(
+        ExperimentPreset(preset.name, {**preset.params, "scenario": {"warmup_s": 45.0}}, output_dir=preset.output_dir)))
+    assert main(["preset", name, "--duration", "20", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {name}: scenario: warmup_s 45.0 exceeds duration 20.0\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name, flag", [

@@ -623,3 +623,19 @@ def test_network_presets_refuse_a_scenario_that_is_no_mapping_before_any_run(nam
     assert str(err.value) == message.format(name=name)
     assert not list(tmp_path.iterdir())
 
+
+@pytest.mark.parametrize("name", NETWORK_PRESETS)
+def test_network_presets_refuse_a_warmup_past_their_duration_naming_both(name, tmp_path, monkeypatch):
+    # the preset's duration param sets the scenario's duration_s, so the
+    # error names that param, and nothing is placed or tabled before it
+    def no_table(*args, **kwargs):
+        raise AssertionError("a scenario was placed or a table built")
+
+    monkeypatch.setattr(presets, "scenario_from_dict", no_table)
+    monkeypatch.setattr(presets, "LinkTable", no_table)
+    params = {"duration": 20.0, "scenario": {"warmup_s": 45}}
+    with pytest.raises(ValueError) as err:
+        run_preset(ExperimentPreset(name, params=params, output_dir=str(tmp_path)))
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{name}: scenario: warmup_s 45.0 exceeds duration 20.0"
+    assert not list(tmp_path.iterdir())

@@ -690,10 +690,11 @@ def test_adjudicate_closed_form_threshold_margin():
     sim.links.tr[0][1] = (2.0 * gamma * sigma2, 0.0, None)
     frame = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, packet=Packet(1, (0, 1), 256, 0.0))
     rec = _RxRecord(frame, 0.0, 0.5, 1)
+    sim._interference = lambda *_: 0.0
     assert sim._adjudicate(rec, 1) is True
-    rec.interference = 3.0 * gamma * sigma2
+    sim._interference = lambda *_: 3.0 * gamma * sigma2
     assert sim._adjudicate(rec, 1) is False
-    rec.interference = 0.0
+    sim._interference = lambda *_: 0.0
     rec.corrupted = True
     assert sim._adjudicate(rec, 1) is False
 
@@ -815,14 +816,15 @@ def test_interference_sums_in_arrival_order():
     for node, power in powers.items():
         sim.links.tr[node][1][2][0] = power  # ILI of link (node, 1) at node 0
     seen = []
-    adjudicate = sim._adjudicate
+    interference = sim._interference
 
     def recording(rec, node_id):
+        total = interference(rec, node_id)
         if node_id == 0:
-            seen.append(rec.interference)
-        return adjudicate(rec, node_id)
+            seen.append(total)
+        return total
 
-    sim._adjudicate = recording
+    sim._interference = recording
     sim.run()
     assert seen == [1.0]
 
@@ -998,7 +1000,7 @@ def test_overlap_queries_match_an_untrimmed_brute_force_reference(case, sense_th
     config["mac"]["sense_threshold_w"] = sense_threshold_w
     sim = Simulator(scenario_from_dict(config))
     log, queries, receptions = [], [], []
-    start_tx, busy_until, adjudicate = sim._start_tx, sim.busy_until, sim._adjudicate
+    start_tx, busy_until, summed = sim._start_tx, sim.busy_until, sim._interference
 
     def logging_start_tx(node_id, frame, now):
         start_tx(node_id, frame, now)
@@ -1009,12 +1011,13 @@ def test_overlap_queries_match_an_untrimmed_brute_force_reference(case, sense_th
         queries.append((node_id, now, sim._event_seq, answer))
         return answer
 
-    def recording_adjudicate(rec, node_id):
-        if not rec.corrupted:
-            receptions.append((rec, node_id, rec.interference))
-        return adjudicate(rec, node_id)
+    def recording_interference(rec, node_id):
+        total = summed(rec, node_id)
+        receptions.append((rec, node_id, total))
+        return total
 
-    sim._start_tx, sim.busy_until, sim._adjudicate = logging_start_tx, recording_busy_until, recording_adjudicate
+    sim._start_tx, sim.busy_until = logging_start_tx, recording_busy_until
+    sim._interference = recording_interference
     sim.run()
     links = sim.links
     assert receptions and (queries or case["scenario"]["mac"]["protocol"] == "trmac")
@@ -1031,26 +1034,34 @@ def test_overlap_queries_match_an_untrimmed_brute_force_reference(case, sense_th
         assert interference == total
 
 
-@pytest.mark.parametrize("case", DENSE_CASES, ids=[c["id"] for c in DENSE_CASES])
-def test_rx_cutoff_is_the_earliest_open_reception_start(case):
-    # at every transmission of a dense run, the log-trim cutoff read from
-    # the rx-start-ordered queue equals a walk over every node's open
-    # tracked receptions
-    config = copy.deepcopy(case["scenario"])
-    config["duration_s"] = 100.0
-    sim = Simulator(scenario_from_dict(config))
-    start_tx = sim._start_tx
-    earlier = []
+def test_trim_log_adds_the_longest_frame_to_the_entry_end():
+    # a reception of a 0.5-s frame starting at 15.702010662503652 is still
+    # open at now = 16.202010662503653, and the entry ending just as it
+    # starts may overlap it; now - 0.5 rounds to 15.702010662503653, so only
+    # the added form keeps that entry
+    sim = Simulator(single_link_scenario())
+    sim._longest, now, tie_end = 0.5, 16.202010662503653, 15.702010662503652
+    assert tie_end < now - sim._longest
+    sim._tx_log.extend([(14.0, 1, 0, 0.5, None, 15.0), (15.0, 2, 0, 0.5, None, tie_end),
+                        (16.0, 3, 1, 0.5, None, 17.0)])
+    sim._trim_log(now)
+    assert [entry[1] for entry in sim._tx_log] == [2, 3]
 
-    def checking_start_tx(node_id, frame, now):
-        walk = min([now] + [rec.rx_start for state in sim.nodes for rec in state.tracked])
-        assert sim._rx_cutoff(now) == walk
-        earlier.append(walk < now)
+
+@pytest.mark.parametrize("protocol", ["trmac", "csma_ca"])
+def test_transmission_log_stays_short_in_a_default_run(protocol):
+    # trimming by the longest frame keeps the log bounded over a whole
+    # default run, so a trim that stopped dropping entries would show here
+    sim = Simulator(scenario_from_dict({"seed": 1, "mac": {"protocol": protocol}}))
+    start_tx, lengths = sim._start_tx, []
+
+    def measuring_start_tx(node_id, frame, now):
         start_tx(node_id, frame, now)
+        lengths.append(len(sim._tx_log))
 
-    sim._start_tx = checking_start_tx
+    sim._start_tx = measuring_start_tx
     sim.run()
-    assert any(earlier) and not all(earlier)
+    assert len(lengths) > 1000 and max(lengths) <= 40
 
 
 def test_default_sense_threshold_is_receiver_sensitivity():
