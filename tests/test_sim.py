@@ -1034,6 +1034,32 @@ def test_overlap_queries_match_an_untrimmed_brute_force_reference(case, sense_th
         assert interference == total
 
 
+@pytest.mark.parametrize("case", DENSE_CASES, ids=[c["id"] for c in DENSE_CASES])
+def test_trim_keeps_every_entry_an_open_reception_can_overlap(case):
+    # at every transmission of a dense run, each entry the trim drops ends
+    # before the earliest open tracked reception starts (a walk over every
+    # node), and before now, where every future reception starts
+    config = copy.deepcopy(case["scenario"])
+    config["duration_s"] = 100.0
+    sim = Simulator(scenario_from_dict(config))
+    trim_log = sim._trim_log
+    dropped, opened = 0, []
+
+    def checking_trim_log(now):
+        nonlocal dropped
+        walk = min([now] + [rec.rx_start for state in sim.nodes for rec in state.tracked])
+        before = list(sim._tx_log)
+        trim_log(now)
+        gone = before[:len(before) - len(sim._tx_log)]
+        assert all(entry[5] < walk for entry in gone)
+        dropped += len(gone)
+        opened.append(walk < now)
+
+    sim._trim_log = checking_trim_log
+    sim.run()
+    assert dropped > 0 and any(opened) and not all(opened)
+
+
 def test_trim_log_adds_the_longest_frame_to_the_entry_end():
     # a reception of a 0.5-s frame starting at 15.702010662503652 is still
     # open at now = 16.202010662503653, and the entry ending just as it
