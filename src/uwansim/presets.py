@@ -294,10 +294,8 @@ def _sinr_vs_snr(p: dict, seeds: tuple[int, ...]) -> Rows:
         sdt = sdt_powers(h_ab, phy)
         for snr_db in p["snr_db_grid"]:
             sigma2 = 1.0 / 10.0 ** (snr_db / 10.0)
-            phy = PhyConfig(avg_transmit_power=1.0, noise_variance=sigma2,
-                            updown_factor=d, min_required_sinr=0.5)
-            atrsts = sinr_atrsts_from_parts(sig, isi, [ili], phy)
-            rows.append([d, snr_db, _db(atrsts), _db(sinr_from_parts(*sdt, 0.0, phy))])
+            atrsts = sinr_atrsts_from_parts(sig, isi, [ili], sigma2)
+            rows.append([d, snr_db, _db(atrsts), _db(sinr_from_parts(*sdt, 0.0, sigma2))])
     return ["d_factor", "snr_db", "sinr_atrsts_db", "sinr_sdt_db"], map(_csv_line, rows), ""
 
 
@@ -319,7 +317,7 @@ def _sinr_vs_eta(p: dict, seeds: tuple[int, ...]) -> Rows:
         _, offpeak = crosscorr_sampled_stats(h_ib, h_ij, d)
         for eta in p["eta_grid"]:
             ili = ili_power_from_parts(norm_ib, float(eta), offpeak, phy)
-            rows.append([d, eta, _db(sinr_atrsts_from_parts(sig, isi, [ili], phy))])
+            rows.append([d, eta, _db(sinr_atrsts_from_parts(sig, isi, [ili], sigma2))])
     return ["d_factor", "eta", "sinr_db"], map(_csv_line, rows), f" snr_db={snr_db}"
 
 

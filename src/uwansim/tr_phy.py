@@ -142,13 +142,13 @@ def ili_power_from_parts(
     )
 
 
-def sinr_from_parts(sig: float, isi: float, interference: float, phy: PhyConfig) -> float:
+def sinr_from_parts(sig: float, isi: float, interference: float, noise_variance: float) -> float:
     """sig / (isi + interference + sigma^2), summed in that order: the one
     SINR formula of the TR and direct transmissions and of the engine."""
-    return sig / (isi + interference + phy.noise_variance)
+    return sig / (isi + interference + noise_variance)
 
 
-def sinr_atrsts_from_parts(sig: float, isi: float, ilis: list[float], phy: PhyConfig) -> float:
+def sinr_atrsts_from_parts(sig: float, isi: float, ilis: list[float], noise_variance: float) -> float:
     """p_sig / (p_isi + sum of the interferers' p_ili + sigma^2), ILIs summed left to right.
 
     Lets sweeps over the noise variance reuse powers that depend on D only.
@@ -156,7 +156,7 @@ def sinr_atrsts_from_parts(sig: float, isi: float, ilis: list[float], phy: PhyCo
     interference = 0.0
     for ili in ilis:
         interference += ili
-    return sinr_from_parts(sig, isi, interference, phy)
+    return sinr_from_parts(sig, isi, interference, noise_variance)
 
 
 def sinr_atrsts(
@@ -169,7 +169,7 @@ def sinr_atrsts(
     Each interferer is (channel interferer->victim, interferer's own link).
     """
     ilis = [p_ili(to_victim, own_link, phy) for to_victim, own_link in interferers]
-    return sinr_atrsts_from_parts(p_sig(signal_link, phy), p_isi(signal_link, phy), ilis, phy)
+    return sinr_atrsts_from_parts(p_sig(signal_link, phy), p_isi(signal_link, phy), ilis, phy.noise_variance)
 
 
 def sdt_signal_and_isi(c: np.ndarray, d_factor: int) -> tuple[float, float]:
@@ -200,7 +200,7 @@ def sinr_sdt(c: np.ndarray, phy: PhyConfig) -> float:
     """Effective SINR of a single direct (non-TR) transmission."""
     if norm(c) == 0.0:
         raise ValueError("sinr_sdt requires a nonzero CIR")
-    return sinr_from_parts(*sdt_powers(c, phy), 0.0, phy)
+    return sinr_from_parts(*sdt_powers(c, phy), 0.0, phy.noise_variance)
 
 
 def eta_threshold(

@@ -22,6 +22,7 @@ from uwansim.channel import (
     peak_eta,
     _tap_draws,
 )
+from uwansim.scenario import scenario_from_dict
 from uwansim.tr_phy import (
     PhyConfig,
     autocorr_offpeak_sum,
@@ -401,6 +402,23 @@ def test_a_row_is_the_same_bytes_alone_in_a_block_repeated_or_from_a_shared_memo
     assert len(memo) == 5
     # a signature in the memo is not drawn again
     assert all(memo[signature] is draws for signature, draws in drawn.items())
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": 1}, {"seed": 2}, {"seed": 3},
+    {"seed": 1, "network": {"node_count": 100, "link_count": 30}},
+], ids=["20-nodes-seed1", "20-nodes-seed2", "20-nodes-seed3", "100-nodes"])
+def test_a_pair_is_the_same_bytes_whichever_pairs_are_drawn_with_it(config):
+    # a table may draw a pair's taps alone, as a one-receiver generate_taps call
+    sc = scenario_from_dict(config)
+    env, cfg, nodes = sc.environment, sc.channel, sc.network.nodes
+    count = 0
+    for i, j, row, energy, _ in ChannelModel(env, cfg).pairs(nodes, sc.seed):
+        alone = generate_taps(nodes[i], [nodes[j]], env, cfg, sc.seed)
+        assert row.tobytes() == alone[0].tobytes(), (i, j)
+        assert energy.hex() == float((np.abs(alone) ** 2).sum(axis=1)[0]).hex(), (i, j)
+        count += 1
+    assert count == len(nodes) * (len(nodes) - 1) // 2
 
 
 def test_generate_taps_draws_each_signature_of_a_call_once(monkeypatch):

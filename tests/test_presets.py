@@ -82,6 +82,21 @@ def test_sinr_vs_snr_correlates_once_per_d_factor(tmp_path, monkeypatch):
     assert sorted(calls) == [1, 2, 4]
 
 
+def test_sinr_vs_snr_builds_one_phy_config_per_d_factor(tmp_path, monkeypatch):
+    # the SNR points pass sigma^2 to the SINR helpers as a number
+    built = []
+    init = PhyConfig.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.updown_factor)
+
+    monkeypatch.setattr(PhyConfig, "__init__", counting)
+    params = {"d_factors": [1, 2, 4], "snr_db_grid": [40.0 + 5.0 * k for k in range(9)]}
+    run_preset(ExperimentPreset("sinr_vs_snr", params=params, output_dir=str(tmp_path)))
+    assert sorted(built) == [1, 2, 4]
+
+
 def test_sinr_vs_eta_monotone_and_eta0_identity(tmp_path):
     preset = ExperimentPreset("sinr_vs_eta", output_dir=str(tmp_path))
     path = run_preset(preset)

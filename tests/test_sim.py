@@ -803,6 +803,27 @@ def test_tie_csma_backoff_expires_at_end_of_later_arrival():
     assert rts[0] == 1.5
 
 
+def test_waiting_frames_air_in_submission_order_back_to_back():
+    # a 1-s frame then two short ones, all submitted at 0; a delayed Send
+    # landing when the transmitter frees keeps its place behind them by seq
+    sim = Simulator(single_link_scenario())
+    long, first, second, late = (Frame(FrameKind.TR_ACK, 0, 1, 32, d) for d in (1.0, 0.0625, 0.125, 0.25))
+    starts = []
+    start_tx = sim._start_tx
+
+    def recording(node_id, frame, now):
+        starts.append((now, frame))
+        start_tx(node_id, frame, now)
+
+    sim._start_tx = recording
+    for frame in (long, first, second):
+        sim._submit_frame(0, frame, 0.0)
+    sim._process_actions(0, [Send(late, delay=1.0)], 0.0)
+    sim.run()
+    node0 = [(now, frame) for now, frame in starts if frame.src == 0]
+    assert node0 == [(0.0, long), (1.0, first), (1.0625, second), (1.1875, late)]
+
+
 def test_interference_sums_in_arrival_order():
     # three interferers reach node 0 at 0.1, 0.2 and 0.3 s and all overlap
     # its reception over [0.5, 1.0); they start in the reverse order.  Only

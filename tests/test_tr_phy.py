@@ -252,13 +252,13 @@ def test_sinr_parts_share_the_engine_summation_order():
     # the order matters in the last bits: (isi + sum of ILIs) + sigma^2
     phy = PhyConfig(avg_transmit_power=0.7, noise_variance=0.1, updown_factor=3)
     sig, isi, ilis = 2.3, 0.3, [0.1, 0.2, 1e-17]
-    assert sinr_from_parts(sig, isi, 0.4, phy) == sig / (isi + 0.4 + 0.1)
-    assert sinr_atrsts_from_parts(sig, isi, ilis, phy) == sig / (isi + (0.0 + 0.1 + 0.2 + 1e-17) + 0.1)
-    assert sinr_atrsts_from_parts(sig, isi, [], phy) == sig / (isi + 0.1)
+    assert sinr_from_parts(sig, isi, 0.4, phy.noise_variance) == sig / (isi + 0.4 + 0.1)
+    assert sinr_atrsts_from_parts(sig, isi, ilis, phy.noise_variance) == sig / (isi + (0.0 + 0.1 + 0.2 + 1e-17) + 0.1)
+    assert sinr_atrsts_from_parts(sig, isi, [], phy.noise_variance) == sig / (isi + 0.1)
     dp = 3 * 0.7
     c = cir([2.0, 0.0, 0.0, 1.0])  # D = 3 keeps taps 0 and 3: |h_lbar|^2 = 4, ISI 1
     assert sdt_powers(c, phy) == (dp * 4.0, dp * 1.0)
-    assert sinr_sdt(c, phy) == sinr_from_parts(*sdt_powers(c, phy), 0.0, phy) == dp * 4.0 / (dp * 1.0 + 0.0 + 0.1)
+    assert sinr_sdt(c, phy) == sinr_from_parts(*sdt_powers(c, phy), 0.0, phy.noise_variance) == dp * 4.0 / (dp * 1.0 + 0.0 + 0.1)
     assert tr_powers(2.0, 0.25, phy) == (dp * 4.0, dp * 4.0 * 0.25)
 
 
