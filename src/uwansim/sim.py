@@ -67,24 +67,22 @@ same results whichever node speaks first.
 Ties.  Heap entries are ``(time, seq, kind, subject, attachment)`` tuples;
 ``seq`` grows with every push, so equal-time events run in the order they
 were scheduled.  Every arrival boundary of a transmission has the key
-``(time, seq of the transmission)``; while the event with key ``(t, s)``
-is handled, a boundary has passed iff its key is smaller.  Overlapping
+``(time, seq of the transmission)``; while the event with key ``(t, s)`` is
+handled, a boundary has passed iff its key is smaller.  Overlapping
 arrivals are sorted by ``(arrival start, seq)`` and added to a ``0.0``
 accumulator.  This is the order in which one event per arrival boundary
 would be handled, so the float sums and every equal-time outcome are the
-same as scheduling all of them.
-
-A frame that finds its transmitter busy waits as an ``EV_SEND``, the event
-of a delayed ``Send``, pushed at its submission for the time the
-transmitter frees; if that event finds the transmitter busy again, the
-frame is pushed again at the new free time.  So frames waiting at one node
-start back to back in the order they were submitted, except against an
-event scheduled for exactly the instant a second waiting frame resumes,
-after the frame ahead of it started and before the second frame's event ran
-(say a third frame submitted at the node at the very instant its
-transmitter frees): that event runs first, where a node queue drained from
-the end of each start would run it after.  No golden case and no recorded
-benchmark seed schedules such an event.
+same as scheduling all of them.  A frame that finds its transmitter busy
+waits as an ``EV_SEND``, the event of a delayed ``Send``, pushed at its
+submission for the time the transmitter frees; if that event finds the
+transmitter busy again, the frame is pushed again at the new free time.  So
+frames waiting at one node start back to back in the order they were
+submitted, with one exception: an event scheduled for exactly the instant a
+second waiting frame resumes, after the frame ahead of it started and
+before the second frame's event ran, comes before that frame's new event.
+Say a third frame is submitted at the node at the very instant its
+transmitter frees: it airs before the second.  No golden case and no
+recorded benchmark seed schedules such an event.
 
 Timers.  Each ``Arm`` or ``Cancel`` of a key starts a new generation of it;
 a timer reaches its engine only if it holds the key's latest generation.

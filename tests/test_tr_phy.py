@@ -258,7 +258,7 @@ def test_sinr_parts_share_the_engine_summation_order():
     dp = 3 * 0.7
     c = cir([2.0, 0.0, 0.0, 1.0])  # D = 3 keeps taps 0 and 3: |h_lbar|^2 = 4, ISI 1
     assert sdt_powers(c, phy) == (dp * 4.0, dp * 1.0)
-    assert sinr_sdt(c, phy) == sinr_from_parts(*sdt_powers(c, phy), 0.0, phy.noise_variance) == dp * 4.0 / (dp * 1.0 + 0.0 + 0.1)
+    assert sinr_sdt(c, phy) == sinr_from_parts(*sdt_powers(c, phy), 0.0, 0.1) == dp * 4.0 / (dp * 1.0 + 0.0 + 0.1)
     assert tr_powers(2.0, 0.25, phy) == (dp * 4.0, dp * 4.0 * 0.25)
 
 
