@@ -14,11 +14,12 @@ dropped with it: one per ``ChannelModel.pairs`` call, and one per depth
 cell of a correlation heatmap.  No draw is cached for the process; the one
 process-wide cache is the decay profile's ``lru_cache(16)``.
 
-An arrival-file path ingests precomputed ray arrivals for users who
-have ray-traced data instead, keyed by node index and binned into the
-same ``tap_count`` taps per pair as the statistical model, so every CIR
-of a placement has one length.  ``ChannelModel.pairs`` is the one place
-that chooses between the two.
+An arrival file ingests precomputed ray arrivals for users who have
+ray-traced data instead, keyed by node index and binned into the same
+``tap_count`` taps per pair as the statistical model, so every CIR of a
+placement has one length.  A config that names a file uses it, and one
+that names none uses the statistical model; ``ChannelModel.pairs`` is
+the one place that chooses between the two.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rules import POSITIVE, SEED, Bound, Checked, integer, number, one_of, string
-
-STATISTICAL_PDP = "statistical_pdp"
-ARRIVAL_FILE = "arrival_file"
+from .rules import POSITIVE, SEED, Bound, Checked, integer, number, string
 
 # signature cells enter a SeedSequence as unsigned 64-bit words
 SEED_MASK = (1 << 64) - 1
@@ -69,9 +67,11 @@ class Environment(Checked):
 
 @dataclass(frozen=True)
 class ChannelModelConfig(Checked):
-    """How CIRs are produced for node pairs."""
+    """How CIRs are produced for node pairs: from the arrival file at
+    ``arrival_file_path`` when it is set, else by the statistical model.
+    A relative path is opened from the working directory, not from the
+    directory of the scenario file that names it."""
 
-    model_kind: str = STATISTICAL_PDP
     tap_count: int = 129
     pdp_decay_constant: float = 1.0e-3
     arrival_file_path: str | None = None
@@ -79,18 +79,12 @@ class ChannelModelConfig(Checked):
     range_quantum: float = 50.0
 
     RULES = {
-        "model_kind": string(one_of(STATISTICAL_PDP, ARRIVAL_FILE)),
         "tap_count": integer(POSITIVE),
         "pdp_decay_constant": number(POSITIVE),
-        "arrival_file_path": string(nullable=True),
+        "arrival_file_path": string(Bound("non-empty {}", lambda v: v != ""), nullable=True),
         "depth_quantum": number(POSITIVE),
         "range_quantum": number(POSITIVE),
     }
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.model_kind == ARRIVAL_FILE and not self.arrival_file_path:
-            raise ValueError("ChannelModelConfig.arrival_file_path required for arrival_file model")
 
 
 def norm(c: np.ndarray) -> float:
@@ -235,9 +229,9 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
     through depth cells in order, as the heatmap's rows do, can start a
     new memo at each cell and never draw a signature twice.
 
-    ValueError if ``seed`` is no integer in [0, 2**64), a receiver
-    coincides with ``tx``, a coordinate is not finite, or a link length is
-    infinite or overflows when squared.
+    ValueError if ``cfg`` names an arrival file, ``seed`` is no integer in
+    [0, 2**64), a receiver coincides with ``tx``, a coordinate is not
+    finite, or a link length is infinite or overflows when squared.
     """
     return _taps_and_distances(tx, rxs, env, cfg, seed, draws)[0]
 
@@ -245,8 +239,8 @@ def generate_taps(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelMod
 def _taps_and_distances(tx: Point, rxs: list[Point], env: Environment, cfg: ChannelModelConfig,
                         seed: int, draws: dict | None) -> tuple[np.ndarray, list[float]]:
     """``generate_taps``' rows, and the ``math.dist`` length of each link."""
-    if cfg.model_kind != STATISTICAL_PDP:
-        raise ValueError(f"generate_taps: needs the {STATISTICAL_PDP} model, got {cfg.model_kind!r}")
+    if cfg.arrival_file_path is not None:
+        raise ValueError(f"generate_taps: a config with arrival_file {cfg.arrival_file_path!r} has no statistical taps")
     try:
         seed = SEED.parse(seed)
     except ValueError:
@@ -384,7 +378,7 @@ class ArrivalTable:
 
 class ChannelModel:
     """The per-pair CIRs and propagation delays of a placement, from the
-    statistical model or from an arrival file, whichever ``cfg`` names."""
+    arrival file ``cfg`` names, or from the statistical model if it names none."""
 
     def __init__(self, env: Environment, cfg: ChannelModelConfig):
         self.env = env
@@ -409,7 +403,7 @@ class ChannelModel:
         (a link too short), an ArrivalFileError naming the file otherwise.
         """
         env, cfg = self.env, self.cfg
-        if cfg.model_kind == STATISTICAL_PDP:
+        if cfg.arrival_file_path is None:
             draws: dict = {}
             for i in range(len(points) - 1):
                 # a link too short for finite taps is reported below, naming the pair

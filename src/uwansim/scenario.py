@@ -148,7 +148,6 @@ FIELDS: tuple[Field, ...] = (
     Field("environment.water_depth_m", "environment.water_depth", _ENV["water_depth"]),
     Field("environment.bandwidth_hz", "environment.bandwidth", _ENV["bandwidth"]),
     Field("environment.nominal_sound_speed_mps", "environment.nominal_sound_speed", _ENV["nominal_sound_speed"]),
-    Field("channel.model", "channel.model_kind", _CHANNEL["model_kind"]),
     Field("channel.tap_count", "channel.tap_count", _CHANNEL["tap_count"]),
     Field("channel.pdp_decay_s", "channel.pdp_decay_constant", _CHANNEL["pdp_decay_constant"]),
     Field("channel.arrival_file", "channel.arrival_file_path", _CHANNEL["arrival_file_path"]),
@@ -196,10 +195,7 @@ def _with_values(scenario: Scenario, values: dict[str, Any]) -> Scenario:
         sections.setdefault(section, {})[name] = value
     top = sections.pop("", {})
     for section, changes in sections.items():
-        try:
-            top[section] = dataclasses.replace(getattr(scenario, section), **changes)
-        except ValueError as exc:  # cross-field rules of the section's own dataclass
-            raise ScenarioError(f"{section}: {exc}") from None
+        top[section] = dataclasses.replace(getattr(scenario, section), **changes)
     return dataclasses.replace(scenario, **top)
 
 

@@ -600,7 +600,7 @@ def test_load_arrivals_refuses_a_record_that_is_no_pair_of_the_placement(record,
         ArrivalTable.from_file(path, 2)
     assert str(err.value) == path + message
     # the channel model reads the file for the placement it is given
-    cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
+    cfg = ChannelModelConfig(arrival_file_path=path)
     with pytest.raises(ArrivalFileError, match=re.escape(message)):
         next(ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0)], SEED))
 
@@ -619,7 +619,7 @@ def test_a_pair_spanning_more_than_tap_count_is_refused_before_its_taps_are_allo
     with pytest.raises(ArrivalFileError) as err:
         table.pair(0, 1, DT, tap_count)
     assert str(err.value) == message
-    cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path, tap_count=tap_count)
+    cfg = ChannelModelConfig(arrival_file_path=path, tap_count=tap_count)
     with pytest.raises(ArrivalFileError) as err:
         next(ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0)], SEED))
     assert str(err.value) == message
@@ -645,15 +645,10 @@ def test_load_arrivals_rejects_a_bad_value_or_no_header(text, message, tmp_path)
     assert str(err.value) == str(path) + message
 
 
-def test_arrival_file_model_needs_a_path():
-    with pytest.raises(ValueError, match="ChannelModelConfig.arrival_file_path required"):
-        ChannelModelConfig(model_kind="arrival_file")
-
-
 def test_arrival_channel_model_missing_pair_identifies_pair(tmp_path):
     # a file names nodes by their index in the placement; pair 1-2 is missing
     path = write_arrivals(tmp_path, "0 1 0.5 1.0 0.0\n0 2 0.7 1.0 0.0\n")
-    cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
+    cfg = ChannelModelConfig(arrival_file_path=path)
     pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)], SEED)
     i, j, c, _, delay = next(pairs)
     assert (i, j, delay, len(c)) == (0, 1, 0.5, cfg.tap_count)
@@ -669,7 +664,7 @@ def test_arrival_channel_model_missing_pair_identifies_pair(tmp_path):
 ])
 def test_arrival_channel_model_rejects_an_overflowing_pair(tmp_path, overflow):
     path = write_arrivals(tmp_path, "0 1 0.5 1.0 0.0\n" + overflow)
-    cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
+    cfg = ChannelModelConfig(arrival_file_path=path)
     pairs = ChannelModel(ENV, cfg).pairs([(10, 0, 0), (10, 900, 0), (10, 1800, 0)], SEED)
     assert next(pairs)[:2] == (0, 1)
     with warnings.catch_warnings():
@@ -680,7 +675,7 @@ def test_arrival_channel_model_rejects_an_overflowing_pair(tmp_path, overflow):
 
 def test_arrival_file_model_bins_the_file_and_draws_no_taps(tmp_path):
     path = write_arrivals(tmp_path, f"0 1 0.25 1.0 0.0\n0 1 {0.25 + 2 * DT} 0.5 {math.pi / 2}\n")
-    cfg = ChannelModelConfig(model_kind="arrival_file", arrival_file_path=path)
+    cfg = ChannelModelConfig(arrival_file_path=path)
     a, b = (10, 0, 0), (10, 900, 0)
     [(_, _, c, energy, delay)] = ChannelModel(ENV, cfg).pairs([a, b], SEED)
     assert np.array_equal(c, ArrivalTable.from_file(path, 2).pair(0, 1, DT, cfg.tap_count)[0])
@@ -690,8 +685,9 @@ def test_arrival_file_model_bins_the_file_and_draws_no_taps(tmp_path):
     assert energy == pytest.approx(1.25) and delay == 0.25
     # the statistical model's functions do not read arrival files
     for draw in (lambda: generate_cir(a, b, ENV, cfg, SEED), lambda: generate_taps(a, [b], ENV, cfg, SEED)):
-        with pytest.raises(ValueError, match="statistical_pdp"):
+        with pytest.raises(ValueError) as err:
             draw()
+        assert str(err.value) == f"generate_taps: a config with arrival_file {path!r} has no statistical taps"
 
 
 # ------------------------------------------------------------- environment

@@ -175,19 +175,35 @@ def test_validate_names_a_nan_field(tmp_path, capsys):
     # refused before 4e9 taps are allocated
     ("ARRIVALS v1\n0 1 0.0 5e-3 0.0\n0 1 1e6 5e-3 0.0\n",
      "pair 0->1: its arrivals span 4000000001 taps, more than channel.tap_count 129"),
-], ids=["missing", "overflowing", "overflowing-square", "too-long"])
+    ("ARRIVALS v1\n", "no arrivals for pair 0->1"),
+], ids=["missing", "overflowing", "overflowing-square", "too-long", "missing-pair"])
 def test_an_unusable_arrival_file_is_an_error_naming_it(command, arrivals, message, tmp_path, capsys):
     arrival_file = tmp_path / "arrivals.txt"
     if arrivals is not None:
         arrival_file.write_text(arrivals)
     scenario = tmp_path / "scenario.yaml"
-    scenario.write_text(f"channel: {{model: arrival_file, arrival_file: {arrival_file}}}\n"
+    scenario.write_text(f"channel: {{arrival_file: {arrival_file}}}\n"
                         "network: {nodes: [[20, 0, 0], [20, 600, 0]], routes: [[0, 1]], link_count: 1}\n")
     extra = ["--duration", "60", "--out", str(tmp_path / "out")] if command == "run" else []
     assert main([command, str(scenario), *extra]) == 2
     out, err = capsys.readouterr()
     assert "OK" not in out
     assert err.startswith(f"error: {arrival_file}: {message}")
+
+
+def test_a_relative_arrival_file_is_opened_from_the_working_directory(tmp_path, monkeypatch, capsys):
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "two.yaml").write_text(
+        "channel: {arrival_file: arrivals.txt}\n"
+        "network: {nodes: [[20, 0, 0], [20, 600, 0]], routes: [[0, 1]], link_count: 1}\n")
+    (tmp_path / "scenarios" / "arrivals.txt").write_text("ARRIVALS v1\n0 1 0.9 5e-3 0.0\n")
+    monkeypatch.chdir(tmp_path)
+    # the file beside the scenario is not the one it names
+    assert main(["validate", "scenarios/two.yaml"]) == 2
+    assert capsys.readouterr().err.startswith("error: arrivals.txt: cannot open: ")
+    (tmp_path / "arrivals.txt").write_text("ARRIVALS v1\n0 1 0.9 5e-3 0.0\n")
+    assert main(["validate", "scenarios/two.yaml"]) == 0
+    assert capsys.readouterr().out.startswith("OK: scenarios/two.yaml ")
 
 
 def test_a_link_length_whose_square_overflows_is_an_error(tmp_path, capsys):

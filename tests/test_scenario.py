@@ -4,6 +4,7 @@ import os
 import re
 
 import pytest
+import yaml
 
 from uwansim.channel import ChannelModelConfig, Environment, generate_cir
 from uwansim.mac import MacTimers
@@ -20,6 +21,7 @@ from uwansim.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from uwansim.sim import placement
 
 
 def test_empty_config_gets_reference_defaults():
@@ -123,6 +125,18 @@ def test_roundtrip_through_yaml(tmp_path):
     assert config_hash(again) == config_hash(sc)
     assert again.network.routes == sc.network.routes
     assert again.network.nodes == sc.network.nodes
+
+
+def test_an_arrival_file_scenario_roundtrips_without_a_model_key(tmp_path):
+    # the file is not read until a link table is built, so it need not exist here
+    sc = scenario_from_dict({"seed": 3, "channel": {"arrival_file": str(tmp_path / "arrivals.txt")}})
+    path = tmp_path / "scenario.yaml"
+    emit_scenario(sc, str(path))
+    emitted = yaml.safe_load(path.read_text())["channel"]
+    assert "model" not in emitted and emitted["arrival_file"] == str(tmp_path / "arrivals.txt")
+    again = load_scenario(str(path))
+    assert placement(again) == placement(sc)
+    assert config_hash(again) == config_hash(sc)
 
 
 def test_explicit_nodes_without_routes_get_paired():
@@ -240,7 +254,7 @@ def test_directly_built_config_rejects_non_integral_counts(build, field, value):
 OWNERS = {"environment": Environment, "channel": ChannelModelConfig, "phy": PhyConfig}
 TIMER_ATTRS = {"mac.guard_time": "delta", "mac.coherence_time": "coherence_time", "mac.n_max": "n_max"}
 OWNED = [f for f in FIELDS if f.attr.split(".")[0] in OWNERS or f.attr in TIMER_ATTRS]
-BAD_VALUES = [True, NAN, INF, -1.0, 0, 2.5, 1e9, "bogus"]
+BAD_VALUES = [True, NAN, INF, -1.0, 0, 2.5, 1e9, "bogus", ""]
 
 
 def owner_of(f):
@@ -351,10 +365,13 @@ def test_a_config_or_section_that_is_no_mapping_is_rejected():
     assert str(err.value) == "config: expected a mapping, got list"
 
 
-def test_an_arrival_file_channel_without_a_file_names_the_channel():
-    with pytest.raises(ScenarioError) as err:
-        scenario_from_dict({"channel": {"model": "arrival_file"}})
-    assert str(err.value) == "channel: ChannelModelConfig.arrival_file_path required for arrival_file model"
+def test_a_channel_model_key_is_an_unknown_field():
+    # whether channel.arrival_file names a file selects the model; no second key does
+    for model in ("arrival_file", "statistical_pdp"):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict({"channel": {"model": model, "arrival_file": "arrivals.txt"}})
+        assert str(err.value) == "channel.model: unknown field"
+    assert len(FIELDS) == 33
 
 
 def test_dataclass_scenario_is_checked_on_resolution():

@@ -621,7 +621,7 @@ def test_arrival_file_channel_end_to_end(tmp_path):
         "seed": 2,
         "duration_s": 30,
         "traffic": {"mean_interarrival_s": None},
-        "channel": {"model": "arrival_file", "arrival_file": str(arrivals), "tap_count": 129},
+        "channel": {"arrival_file": str(arrivals), "tap_count": 129},
         "network": {"nodes": [[20, 0, 0], [20, 600, 0]], "routes": [[0, 1]]},
     })
     sim = Simulator(sc)
@@ -634,6 +634,19 @@ def test_arrival_file_channel_end_to_end(tmp_path):
     assert m.delay_samples[0] == pytest.approx(expected, abs=1e-9)
 
 
+def test_a_channel_section_naming_only_a_file_builds_the_table_from_it(tmp_path):
+    # 600 m at 1500 m/s would give the statistical model's 0.4 s; the file says 0.9 s
+    arrivals = tmp_path / "arrivals.txt"
+    arrivals.write_text("ARRIVALS v1\n0 1 0.9 5e-3 0.0\n")
+    sc = scenario_from_dict({
+        "channel": {"arrival_file": str(arrivals)},
+        "network": {"nodes": [[20, 0, 0], [20, 600, 0]], "routes": [[0, 1]]},
+    })
+    table = LinkTable(sc)
+    assert table.delay[0][1] == table.delay[1][0] == 0.9
+    assert table.cir[0][1][0] == 5e-3 and not table.cir[0][1][1:].any()
+
+
 def test_arrival_file_rewritten_between_runs_is_read_again(tmp_path):
     # the same path, first with a link strong enough to deliver, then with
     # one too weak to: each run's table reads the file as it is then
@@ -642,7 +655,7 @@ def test_arrival_file_rewritten_between_runs_is_read_again(tmp_path):
         "seed": 2,
         "duration_s": 30,
         "traffic": {"mean_interarrival_s": None},
-        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "channel": {"arrival_file": str(arrivals)},
         "network": {"nodes": [[20, 0, 0], [20, 600, 0]], "routes": [[0, 1]]},
     })
     delivered = []
@@ -666,7 +679,7 @@ def test_arrival_file_pair_delay_from_lower_to_higher_index(tmp_path, first):
         "duration_s": 5,
         "traffic": {"mean_interarrival_s": None},
         "mac": {"protocol": "csma_ca"},
-        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "channel": {"arrival_file": str(arrivals)},
         "network": {"nodes": [[20, 0, 0], [20, 600, 0]], "routes": [[0, 1]]},
     })
     sim = Simulator(sc, record_events=True)
@@ -1163,7 +1176,7 @@ def _reference_pair(sc, i, j):
     ``generate_cir`` and the straight-line delay, or from the arrival file
     read afresh."""
     nodes, env, phy = sc.network.nodes, sc.environment, sc.phy
-    if sc.channel.model_kind == "arrival_file":
+    if sc.channel.arrival_file_path is not None:
         arrivals = ArrivalTable.from_file(sc.channel.arrival_file_path, len(nodes))
         c, delay = arrivals.pair(i, j, env.sample_interval, sc.channel.tap_count)
     else:
@@ -1240,7 +1253,7 @@ def test_link_table_matches_per_pair_arrival_file(tmp_path):
     ]) + "\n")
     sc = scenario_from_dict({
         "seed": 2,
-        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "channel": {"arrival_file": str(arrivals)},
         "network": {"nodes": [[20, 0, 0], [20, 600, 0], [30, 0, 700], [30, 600, 700]],
                     "routes": [[0, 1], [2, 3]]},
     })
@@ -1274,7 +1287,7 @@ def test_twenty_node_image_source_file_builds_the_per_pair_table_and_runs(tmp_pa
     arrivals = tmp_path / "arrivals.txt"
     placed = scenario_from_dict({"seed": 1})
     image_source_arrivals(arrivals, placed.network.nodes, placed.environment)
-    sc = scenario_from_dict({"seed": 1, "channel": {"model": "arrival_file", "arrival_file": str(arrivals)}})
+    sc = scenario_from_dict({"seed": 1, "channel": {"arrival_file": str(arrivals)}})
     assert sc.network.nodes == placed.network.nodes
     table = assert_table_matches_per_pair(sc)
     assert max(np.flatnonzero(c)[-1] + 1 for c in cirs(table)) == 80
@@ -1336,7 +1349,7 @@ def test_arrival_files_whose_pairs_bin_to_different_lengths_run_every_protocol(
     sc = scenario_from_dict({
         "duration_s": 200,
         "mac": {"protocol": protocol},
-        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "channel": {"arrival_file": str(arrivals)},
         "network": {"nodes": nodes, "routes": routes},
     })
     sim = Simulator(sc)
@@ -1525,7 +1538,7 @@ def test_arrival_file_missing_pair_raises_at_the_first_transmission(tmp_path):
         "seed": 2,
         "duration_s": 5,
         "traffic": {"mean_interarrival_s": None},
-        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "channel": {"arrival_file": str(arrivals)},
         "network": {"nodes": [[20, 0, 0], [20, 600, 0], [20, 0, 700]], "routes": [[0, 1]]},
     })
     sim = Simulator(sc)
@@ -1539,7 +1552,7 @@ def test_arrival_file_keyed_by_names_fails_at_the_table_build_naming_the_line(tm
     arrivals.write_text("ARRIVALS v1\nn0 n1 0.4 5e-3 0.0\n")
     sc = scenario_from_dict({
         "seed": 2,
-        "channel": {"model": "arrival_file", "arrival_file": str(arrivals)},
+        "channel": {"arrival_file": str(arrivals)},
         "network": {"nodes": [[20, 0, 0], [20, 600, 0]], "routes": [[0, 1]]},
     })
     with pytest.raises(ArrivalFileError, match=rf"^{re.escape(str(arrivals))}:2: a node id is a 0-based node index"):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uwansim.channel import norm, normalized_cross_correlation
+from uwansim.channel import generate_cir, norm, normalized_cross_correlation
+from uwansim.scenario import scenario_from_dict
 from uwansim.tr_phy import (
     PhyConfig,
     autocorr_offpeak_sum,
@@ -386,3 +387,48 @@ def test_eta_threshold_norm_ratio_limit():
     to_victim, own = spike_interferer_pair(2.0, 0.3, 0.0, 9, 2, 3)
     th = eta_threshold(1.0, 0.0, to_victim, own, phy)
     assert th == pytest.approx(0.5, abs=1e-6)
+
+
+# ------------------------------------------------ symbol-level Monte Carlo
+
+
+def qpsk(rng, count):
+    """``count`` unit-power QPSK symbols."""
+    return (rng.choice([-1.0, 1.0], count) + 1j * rng.choice([-1.0, 1.0], count)) / math.sqrt(2)
+
+
+def tr_chain(symbols, link, channel, d_factor):
+    """``symbols`` upsampled by D, sent through the TR waveform of ``link``
+    and then through ``channel``: the received samples, before sampling."""
+    upsampled = np.zeros(len(symbols) * d_factor, dtype=np.complex128)
+    upsampled[::d_factor] = symbols
+    return np.convolve(np.convolve(upsampled, tr_waveform(link)), channel)
+
+
+@pytest.mark.parametrize("victim, interferer", [(0, 1), (1, 2), (4, 5)])
+def test_tr_closed_forms_match_a_symbol_level_simulation(victim, interferer):
+    # the victim's link c and the interferer's own link h_il and its
+    # channel to the victim's receiver h_iv, from the seed-1 20-node
+    # placement; both streams are sampled at the victim's peaks
+    # k*D + L - 1, so the interferer is symbol-synchronous (offset 0)
+    sc = scenario_from_dict({"seed": 1})
+    nodes, routes, phy = sc.network.nodes, sc.network.routes, sc.phy
+    (tv, rv), (ti, ri) = routes[victim], routes[interferer]
+    c, h_il, h_iv = (generate_cir(nodes[a], nodes[b], sc.environment, sc.channel, sc.seed)
+                     for a, b in ((tv, rv), (ti, ri), (ti, rv)))
+    d = phy.updown_factor
+    span = (c.size - 1) // d  # symbols on each side of a peak that reach it
+    count = 16_000
+    rng = np.random.default_rng(2024)
+    s, s2 = qpsk(rng, count + 2 * span), qpsk(rng, count + 2 * span)
+    k = np.arange(span, span + count)  # every symbol reached by a full response
+    peaks = k * d + c.size - 1
+    y = tr_chain(s, c, c, d)[peaks]
+    z = tr_chain(s2, h_il, h_iv, d)[peaks]
+    gain = np.vdot(s[k], y) / count  # the focused peak, measured
+    signal = abs(gain) ** 2
+    isi = np.mean(np.abs(y - gain * s[k]) ** 2)
+    ili = np.mean(np.abs(z) ** 2)
+    # the worst error over 60 symbol seeds of five route pairs was 4.5 %
+    assert isi / signal == pytest.approx(autocorr_offpeak_sum(c, d), rel=0.1)
+    assert ili / signal == pytest.approx(p_ili(h_iv, h_il, phy) / p_sig(c, phy), rel=0.1)
