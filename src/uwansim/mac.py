@@ -7,7 +7,8 @@ after an optional delay, arm/cancel a named timer, deliver or drop a
 packet).  Cross-node interaction happens only through the scheduler, so
 an engine never touches another node's state.  Engines name links by node
 ids and read their static quantities from the run's ``LinkTable`` through
-``medium.links``.
+``medium.links``.  A frame carries its size in bits and the simulator
+times it, so no engine knows the data rate.
 
 Both families run one request/reply/data/ack handshake, written once in
 ``MacEngine``; the subclasses keep only their protocol hooks.  A TR frame
@@ -65,20 +66,18 @@ class Packet:
 
 @dataclass(eq=False)
 class Frame:
-    """MAC protocol data unit."""
+    """MAC protocol data unit.  It carries its size, not its airtime: the
+    simulator times it as ``payload_bits / network.data_rate_bps``."""
 
     kind: FrameKind
     src: int
     dst: int
     payload_bits: int
-    tx_duration: float
     packet: Optional[Packet] = None
 
     def __post_init__(self):
-        if self.payload_bits < 0:
-            raise ValueError("Frame.payload_bits must be >= 0")
-        if self.tx_duration <= 0:
-            raise ValueError("Frame.tx_duration must be > 0")
+        if self.payload_bits <= 0:  # a zero-bit frame would take no time on air
+            raise ValueError("Frame.payload_bits must be > 0")
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,9 @@ class MacEngine:
     kind = "abstract"
     DATA_PHASE = "data"
 
-    def __init__(self, node_id, timers, data_rate, control_bits, rng=None, medium=None):
+    def __init__(self, node_id, timers, control_bits, rng=None, medium=None):
         self.node_id = node_id
         self.timers = timers
-        self.data_rate = data_rate
         self.control_bits = control_bits
         self.rng = rng
         self.medium = medium
@@ -289,7 +287,6 @@ class MacEngine:
             src=self.node_id,
             dst=dst,
             payload_bits=self.control_bits,
-            tx_duration=self.control_bits / self.data_rate,
             **extra,
         )
 
@@ -299,7 +296,6 @@ class MacEngine:
             src=self.node_id,
             dst=dst,
             payload_bits=packet.size_bits,
-            tx_duration=packet.size_bits / self.data_rate,
             packet=packet,
         )
 

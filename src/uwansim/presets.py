@@ -289,7 +289,7 @@ def _sinr_vs_snr(p: dict, seeds: tuple[int, ...]) -> Rows:
     rows = []
     for d in p["d_factors"]:
         # the noise-free powers depend on D only
-        phy = PhyConfig(avg_transmit_power=1.0, updown_factor=d, min_required_sinr=0.5)
+        phy = PhyConfig(updown_factor=d)
         sig, isi, ili = p_sig(h_ab, phy), p_isi(h_ab, phy), p_ili(h_ib, h_ij, phy)
         sdt = sdt_powers(h_ab, phy)
         for snr_db in p["snr_db_grid"]:
@@ -310,8 +310,7 @@ def _sinr_vs_eta(p: dict, seeds: tuple[int, ...]) -> Rows:
 
     rows = []
     for d in p["d_factors"]:
-        phy = PhyConfig(avg_transmit_power=1.0, noise_variance=sigma2,
-                        updown_factor=d, min_required_sinr=0.5)
+        phy = PhyConfig(updown_factor=d)
         sig = p_sig(h_ab, phy)
         isi = p_isi(h_ab, phy)
         _, offpeak = crosscorr_sampled_stats(h_ib, h_ij, d)

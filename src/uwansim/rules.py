@@ -29,7 +29,7 @@ def one_of(*names: str) -> Bound:
 
 class Rule(NamedTuple):
     noun: str
-    convert: Callable[[Any], Any]  # to the kind; raises when it cannot
+    convert: Callable[[Any], Any]  # to the kind; raises or gives None when it cannot
     bound: Bound = ANY
     nullable: bool = False  # null is a value here
 
@@ -77,7 +77,7 @@ def _node(value) -> tuple[float, float, float]:
 
 number = partial(Rule, "finite number", _number)
 integer = partial(Rule, "integer", _integer)
-string = partial(Rule, "string", str)
+string = partial(Rule, "string", lambda v: v if isinstance(v, str) else None)  # no file is named str([1, 2])
 # a seed enters a SeedSequence as one unsigned 64-bit word; a wider or
 # negative one would alias a seed in range, and run its streams
 SEED = integer(Bound("{} in [0, 2**64)", lambda v: 0 <= v < 1 << 64))

@@ -84,9 +84,7 @@ class Scenario:
     warmup: float = 0.0
     environment: Environment = field(default_factory=Environment)
     channel: ChannelModelConfig = field(default_factory=ChannelModelConfig)
-    phy: PhyConfig = field(
-        default_factory=lambda: PhyConfig(noise_variance=1.0e-7, updown_factor=4, min_required_sinr=0.5)
-    )
+    phy: PhyConfig = field(default_factory=PhyConfig)
     mac: MacConfig = field(default_factory=MacConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)

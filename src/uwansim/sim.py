@@ -4,7 +4,8 @@ One run owns one event heap and one set of RNG streams, so identical
 scenarios and seeds replay identically.
 
 Every frame reaches every other node after the pair's propagation delay:
-its arrival at node v covers ``[tx + delay(src, v), ... + duration)``.
+its arrival at node v covers ``[tx + delay(src, v), ... + duration)``,
+where the duration is the frame's ``payload_bits / network.data_rate_bps``.
 Only *tracked* receptions are events, a start and an end each: frames
 addressed to the node and, under TRMAC, probe replies (PROs) overheard by a
 sender whose actions they can change.  An overheard probe never holds a
@@ -402,7 +403,6 @@ class Simulator:
                 scenario.mac.protocol,
                 i,
                 self.timers,
-                scenario.network.data_rate,
                 control_bits=scenario.mac.control_bits,
                 rng=np.random.default_rng(np.random.SeedSequence((scenario.seed, 0x3AC, i))),
                 medium=medium,
@@ -593,7 +593,7 @@ class Simulator:
 
     def _start_tx(self, node_id: int, frame: Frame, now: float) -> None:
         state = self.nodes[node_id]
-        duration = frame.tx_duration
+        duration = frame.payload_bits / self.scenario.network.data_rate
         state.tx_busy_until = now + duration
         # half-duplex: transmitting destroys anything currently arriving here
         for rec in state.tracked:

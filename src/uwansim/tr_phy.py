@@ -22,12 +22,12 @@ from .rules import POSITIVE, Checked, integer, number
 
 @dataclass(frozen=True)
 class PhyConfig(Checked):
-    """Physical-layer parameters shared by all nodes."""
+    """Physical-layer parameters shared by all nodes: the paper's PHY by default."""
 
     avg_transmit_power: float = 1.0
-    noise_variance: float = 1.0
-    updown_factor: int = 1
-    min_required_sinr: float = 1.0
+    noise_variance: float = 1.0e-7
+    updown_factor: int = 4
+    min_required_sinr: float = 0.5
 
     RULES = {
         "avg_transmit_power": number(POSITIVE),

@@ -77,7 +77,7 @@ SEED = 7  # the scenario seed the statistical taps are drawn with
 
 
 GOOD = row([1.0])
-PHY = PhyConfig()
+PHY = PhyConfig(noise_variance=1.0, updown_factor=1, min_required_sinr=1.0)
 # every public function that takes a CIR, with the bad row in each CIR slot
 CIR_FUNCTIONS = {
     "norm": norm,

@@ -167,6 +167,16 @@ def test_validate_names_a_nan_field(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: network.region_size_m")
 
 
+@pytest.mark.parametrize("value", ["[1, 2]", "5"])
+def test_an_arrival_file_that_is_no_string_is_refused_naming_the_key(value, tmp_path, capsys):
+    # str() would have named the file "[1, 2]" and failed to open it
+    bad = tmp_path / "scenario.yaml"
+    bad.write_text(f"channel: {{arrival_file: {value}}}\n")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: channel.arrival_file: expected non-empty string or null, got {value}\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("arrivals, message", [
     (None, "cannot open: "),

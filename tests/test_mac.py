@@ -55,12 +55,12 @@ class FakeMedium:
 
 
 def trmac(node=0, conflicting=None):
-    return TrmacEngine(node, TIMERS, 512.0, control_bits=MAC.control_bits,
+    return TrmacEngine(node, TIMERS, control_bits=MAC.control_bits,
                        rng=np.random.default_rng(0), medium=FakeMedium(conflicting))
 
 
 def csma(node=0, kind="csma_ca"):
-    engine = make_engine(kind, node, TIMERS, 512.0, control_bits=MAC.control_bits,
+    engine = make_engine(kind, node, TIMERS, control_bits=MAC.control_bits,
                          rng=np.random.default_rng(0), medium=FakeMedium(),
                          s_csma_cap=MAC.s_csma_max_backoff)
     return engine
@@ -103,9 +103,9 @@ def test_timer_actions_compare_by_value_and_hold_no_dict():
 
 def test_frame_invariants():
     with pytest.raises(ValueError):
-        Frame(FrameKind.RTS, 0, 1, -1, 0.1)
-    with pytest.raises(ValueError):
-        Frame(FrameKind.TR_DATA, 0, 1, 256, 0.0)
+        Frame(FrameKind.RTS, 0, 1, -1)
+    with pytest.raises(ValueError, match="payload_bits"):
+        Frame(FrameKind.TR_DATA, 0, 1, 0)
 
 
 # --------------------------------------------------------- TRMAC enqueue
@@ -116,7 +116,7 @@ def test_trmac_enqueue_without_cached_probe_sends_pr_and_arms_timeout():
     actions = engine.enqueue(packet(), 1, now=0.0)
     (send,) = sends(actions, FrameKind.P_R)
     assert send.frame.dst == 1
-    assert send.frame.tx_duration == pytest.approx(32 / 512)
+    assert send.frame.payload_bits == MAC.control_bits
     # the retransmission timer starts when the frame actually airs
     (arm,) = arms(engine.on_tx_start(send.frame, 0.0), "response")
     assert arm.delay == pytest.approx(TIMERS.t_th)
@@ -252,7 +252,7 @@ def test_backoff_includes_receiver_window_on_cached_path():
 
 def test_pr_at_idle_receiver_replies_pro_naming_the_link():
     engine = trmac(node=1)
-    pr = Frame(FrameKind.P_R, src=0, dst=1, payload_bits=32, tx_duration=0.0625)
+    pr = Frame(FrameKind.P_R, src=0, dst=1, payload_bits=32)
     actions = engine.on_frame(pr, now=1.0)
     (send,) = sends(actions, FrameKind.PRO)
     # the reply carries no numbers: its (src, dst) is the victim link
@@ -264,15 +264,15 @@ def test_pr_at_idle_receiver_replies_pro_naming_the_link():
 
 def test_pr_at_reserved_receiver_defers_reply():
     engine = trmac(node=1)
-    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), now=1.0)
-    actions = engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), now=1.5)
+    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32), now=1.0)
+    actions = engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32), now=1.5)
     assert not sends(actions)
     assert list(engine.deferred_prs) == [2]
 
 
 def test_overheard_pro_is_cached_without_transmission():
     engine = trmac(node=0)
-    pro = Frame(FrameKind.PRO, src=3, dst=2, payload_bits=32, tx_duration=0.0625)
+    pro = Frame(FrameKind.PRO, src=3, dst=2, payload_bits=32)
     actions = engine.on_frame(pro, now=4.0)
     assert actions == []
     assert engine.pro_cache[3] == (2, 4.0)
@@ -280,10 +280,10 @@ def test_overheard_pro_is_cached_without_transmission():
 
 def test_tr_data_delivery_ack_and_deferred_pro_flush():
     engine = trmac(node=1)
-    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), now=1.0)
-    engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), now=1.5)
+    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32), now=1.0)
+    engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32), now=1.5)
     pkt = packet(pid=42)
-    data = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, packet=pkt)
+    data = Frame(FrameKind.TR_DATA, 0, 1, 256, packet=pkt)
     actions = engine.on_frame(data, now=3.0)
     assert [a.packet.packet_id for a in actions if isinstance(a, Deliver)] == [42]
     (ack,) = sends(actions, FrameKind.TR_ACK)
@@ -308,14 +308,14 @@ def test_full_sender_handshake_and_ack_completion():
     (pr,) = sends(actions, FrameKind.P_R)
     engine.on_tx_start(pr.frame, 0.0)
 
-    pro = Frame(FrameKind.PRO, 1, 0, 32, 0.0625)
+    pro = Frame(FrameKind.PRO, 1, 0, 32)
     actions = engine.on_frame(pro, now=1.46)
     assert any(isinstance(a, Cancel) and a.key == "response" for a in actions)
     (data,) = sends(actions, FrameKind.TR_DATA)
     assert data.delay == 0.0  # fresh handshake: no receiver-side deferral
     engine.on_tx_start(data.frame, 1.46)
 
-    ack = Frame(FrameKind.TR_ACK, 1, 0, 32, 0.0625, packet=pkt)
+    ack = Frame(FrameKind.TR_ACK, 1, 0, 32, packet=pkt)
     actions = engine.on_frame(ack, now=3.4)
     assert any(isinstance(a, Cancel) for a in actions)
     assert engine.current is None
@@ -325,9 +325,9 @@ def test_full_sender_handshake_and_ack_completion():
 def test_ack_for_abandoned_packet_is_ignored(make):
     engine = make(node=0)
     engine.enqueue(packet(pid=7), 1, now=1.0)
-    engine.on_frame(Frame(engine.REPLY, 1, 0, 32, 0.0625), now=1.1)
+    engine.on_frame(Frame(engine.REPLY, 1, 0, 32), now=1.1)
     assert engine.phase == "data"
-    stale = Frame(engine.ACK, 1, 0, 32, 0.0625, packet=packet(pid=6))
+    stale = Frame(engine.ACK, 1, 0, 32, packet=packet(pid=6))
     assert engine.on_frame(stale, now=1.2) == []
     assert engine.current is not None
 
@@ -365,8 +365,8 @@ def test_trmac_data_timeout_recomputes_backoff_from_cache():
 
 def test_reservation_timeout_releases_and_flushes():
     engine = trmac(node=1)
-    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32, 0.0625), now=1.0)
-    engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32, 0.0625), now=1.5)
+    engine.on_frame(Frame(FrameKind.P_R, 0, 1, 32), now=1.0)
+    engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32), now=1.5)
     actions = engine.on_timer("reservation", now=1.0 + TIMERS.t_th)
     (pro,) = sends(actions, FrameKind.PRO)
     assert pro.frame.dst == 2
@@ -434,7 +434,7 @@ def test_csma_handshake_flow_and_reservation():
     (cts,) = sends(actions, FrameKind.CTS)
     assert receiver.reserved_for == 0
     # a competing RTS gets silence while reserved
-    competing = Frame(FrameKind.RTS, 2, 1, 32, 0.0625, packet=packet(pid=22))
+    competing = Frame(FrameKind.RTS, 2, 1, 32, packet=packet(pid=22))
     assert receiver.on_frame(competing, now=0.6) == []
 
     actions = sender.on_frame(cts.frame, now=1.1)
@@ -454,23 +454,23 @@ def test_csma_handshake_flow_and_reservation():
 def test_csma_stale_cts_ignored():
     sender = csma(node=0)
     sender.enqueue(packet(pid=31), 1, now=0.0)
-    stale = Frame(FrameKind.CTS, 1, 0, 32, 0.0625, packet=packet(pid=30))
+    stale = Frame(FrameKind.CTS, 1, 0, 32, packet=packet(pid=30))
     assert sender.on_frame(stale, now=0.5) == []
     assert sender.phase == CsmaEngine.FIRST_PHASE
 
 
 def test_make_engine_rejects_unknown_protocol():
     with pytest.raises(ValueError):
-        make_engine("tdma", 0, TIMERS, 512.0, MAC.control_bits,
+        make_engine("tdma", 0, TIMERS, MAC.control_bits,
                     s_csma_cap=MAC.s_csma_max_backoff)
 
 
 def test_engines_reject_foreign_frame_kinds():
     engine = trmac(node=1)
-    rts = Frame(FrameKind.RTS, src=0, dst=1, payload_bits=32, tx_duration=0.0625)
+    rts = Frame(FrameKind.RTS, src=0, dst=1, payload_bits=32)
     with pytest.raises(ValueError, match="RTS"):
         engine.on_frame(rts, now=0.0)
     baseline = csma(node=1)
-    pr = Frame(FrameKind.P_R, src=0, dst=1, payload_bits=32, tx_duration=0.0625)
+    pr = Frame(FrameKind.P_R, src=0, dst=1, payload_bits=32)
     with pytest.raises(ValueError, match="P_R"):
         baseline.on_frame(pr, now=0.0)

@@ -49,6 +49,13 @@ def test_empty_config_gets_reference_defaults():
         assert math.dist(sc.network.nodes[a], sc.network.nodes[b]) <= 1000.0
 
 
+def test_the_scenario_phy_is_the_phy_config_defaults():
+    # the paper's PHY is written once, as PhyConfig's defaults
+    assert Scenario().phy == PhyConfig() == PhyConfig(avg_transmit_power=1.0, noise_variance=1e-7,
+                                                      updown_factor=4, min_required_sinr=0.5)
+    assert scenario_from_dict({}).phy == PhyConfig()
+
+
 def test_topology_is_seed_deterministic():
     a = scenario_from_dict({"seed": 11})
     b = scenario_from_dict({"seed": 11})
@@ -254,7 +261,7 @@ def test_directly_built_config_rejects_non_integral_counts(build, field, value):
 OWNERS = {"environment": Environment, "channel": ChannelModelConfig, "phy": PhyConfig}
 TIMER_ATTRS = {"mac.guard_time": "delta", "mac.coherence_time": "coherence_time", "mac.n_max": "n_max"}
 OWNED = [f for f in FIELDS if f.attr.split(".")[0] in OWNERS or f.attr in TIMER_ATTRS]
-BAD_VALUES = [True, NAN, INF, -1.0, 0, 2.5, 1e9, "bogus", ""]
+BAD_VALUES = [True, NAN, INF, -1.0, 0, 2.5, 1e9, "bogus", "", [1, 2]]
 
 
 def owner_of(f):

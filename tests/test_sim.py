@@ -196,7 +196,7 @@ def test_lone_tr_frame_success_and_parallel_tr_frames_both_succeed():
     sim = Simulator(sc, record_events=True)
     for sender, dst, pid in ((0, 1, 1), (2, 3, 2)):
         pkt = Packet(packet_id=pid, route=(sender, dst), size_bits=256, created_at=0.0)
-        frame = Frame(FrameKind.TR_DATA, sender, dst, 256, 0.5, packet=pkt)
+        frame = Frame(FrameKind.TR_DATA, sender, dst, 256, packet=pkt)
         sim._submit_frame(sender, frame, 0.0)
         sim.nodes[sender].tx_busy_until = 0.5
     sim.run()
@@ -208,13 +208,35 @@ def test_frame_arriving_during_victim_transmission_fails():
     sc = single_link_scenario()
     sim = Simulator(sc, record_events=True)
     # keep the receiver transmitting across the probe request's arrival
-    blocker = Frame(FrameKind.P_R, src=1, dst=0, payload_bits=1024, tx_duration=2.0)
+    blocker = Frame(FrameKind.P_R, src=1, dst=0, payload_bits=1024)
     sim._submit_frame(1, blocker, 0.0)
     sim.schedule_packet(0, 0.0)
     result = sim.run()
     rx_fail = [e for e in result.trace.events
                if e["event"] == "rx_end" and e["node"] == 1 and e["frame"] == "P_R"]
     assert rx_fail and rx_fail[0]["outcome"] == "fail"
+
+
+@pytest.mark.parametrize("protocol", ["trmac", "csma_ca"])
+def test_airtime_is_the_frame_bits_over_the_scenario_data_rate(protocol):
+    # frames carry bits and engines no rate: the simulator times every frame
+    sc = single_link_scenario(mac={"protocol": protocol}, network={
+        "data_rate_bps": 1024, "nodes": [[20, 0, 0], [20, 1000, 0]], "routes": [[0, 1]]})
+    sim = Simulator(sc)
+    assert sc.traffic.packet_bits == 256 and sim.timers.t_tr == 256 / 1024
+    timed = []
+    start_tx = sim._start_tx
+
+    def recording(node_id, frame, now):
+        start_tx(node_id, frame, now)
+        timed.append((frame.kind, sim.nodes[node_id].tx_busy_until, now + frame.payload_bits / 1024))
+
+    sim._start_tx = recording
+    sim.schedule_packet(0, 0.0)
+    m = sim.run().metrics
+    assert len(timed) == 4 and all(busy_until == expected for _, busy_until, expected in timed)
+    assert (m.delivered, m.data_frames_transmitted, m.received_bits) == (1, 1, 256)
+    assert m.busy_time == pytest.approx(256 / 1024 + sim.links.delay[1][0], abs=1e-12)
 
 
 def test_half_duplex_receiver_locks_to_first_addressed_frame():
@@ -231,7 +253,7 @@ def test_half_duplex_receiver_locks_to_first_addressed_frame():
     sim = Simulator(sc, record_events=True)
     for sender, pid in ((0, 1), (2, 2)):
         pkt = Packet(packet_id=pid, route=(sender, 1), size_bits=256, created_at=0.0)
-        frame = Frame(FrameKind.TR_DATA, sender, 1, 256, 0.5, packet=pkt)
+        frame = Frame(FrameKind.TR_DATA, sender, 1, 256, packet=pkt)
         sim._submit_frame(sender, frame, 0.0)
         sim.nodes[sender].tx_busy_until = 0.5
     result = sim.run()
@@ -684,7 +706,7 @@ def test_arrival_file_pair_delay_from_lower_to_higher_index(tmp_path, first):
     })
     sim = Simulator(sc, record_events=True)
     for src in (first, 1 - first):
-        sim._submit_frame(src, Frame(FrameKind.ACK, src, 1 - src, 32, 0.0625), 0.0)
+        sim._submit_frame(src, Frame(FrameKind.ACK, src, 1 - src, 32), 0.0)
     sim.run()
     ends = sorted((e["node"], e["time"]) for e in sim.trace.events if e["event"] == "rx_end")
     assert ends == [(0, 0.4625), (1, 0.4625)]
@@ -701,7 +723,7 @@ def test_adjudicate_closed_form_threshold_margin():
     gamma = sim.phy.min_required_sinr
     sigma2 = sim.phy.noise_variance
     sim.links.tr[0][1] = (2.0 * gamma * sigma2, 0.0, None)
-    frame = Frame(FrameKind.TR_DATA, 0, 1, 256, 0.5, packet=Packet(1, (0, 1), 256, 0.0))
+    frame = Frame(FrameKind.TR_DATA, 0, 1, 256, packet=Packet(1, (0, 1), 256, 0.0))
     rec = _RxRecord(frame, 0.0, 0.5, 1)
     sim._interference = lambda *_: 0.0
     assert sim._adjudicate(rec, 1) is True
@@ -739,7 +761,7 @@ def rx_outcomes(sim, node):
 
 
 def _tr_ack(src, dst):
-    return Frame(FrameKind.TR_ACK, src, dst, 32, 0.5)
+    return Frame(FrameKind.TR_ACK, src, dst, 256)
 
 
 def _tie_run(scenario, frames, first):
@@ -807,8 +829,8 @@ def test_tie_csma_backoff_expires_at_end_of_later_arrival():
     sc = line_scenario([0, 750, 2250, 1500, 937.5], protocol="csma_ca", routes=[(1, 3)])
     sim = Simulator(sc, record_events=True)
     sim.nodes[1].engine.rng = _FixedDraw(0.25)
-    sim._submit_frame(0, Frame(FrameKind.ACK, 0, 3, 32, 0.5), 0.0)
-    late = Frame(FrameKind.ACK, 4, 3, 32, 0.0625)
+    sim._submit_frame(0, Frame(FrameKind.ACK, 0, 3, 256), 0.0)
+    late = Frame(FrameKind.ACK, 4, 3, 32)
     sim._process_actions(4, [Send(late, delay=1.0625)], 0.0)
     sim.schedule_packet(0, 0.75)
     sim.run()
@@ -820,7 +842,7 @@ def test_waiting_frames_air_in_submission_order_back_to_back():
     # a 1-s frame then two short ones, all submitted at 0; a delayed Send
     # landing when the transmitter frees keeps its place behind them by seq
     sim = Simulator(single_link_scenario())
-    long, first, second, late = (Frame(FrameKind.TR_ACK, 0, 1, 32, d) for d in (1.0, 0.0625, 0.125, 0.25))
+    long, first, second, late = (Frame(FrameKind.TR_ACK, 0, 1, bits) for bits in (512, 32, 64, 128))
     starts = []
     start_tx = sim._start_tx
 
@@ -921,8 +943,7 @@ def test_a_listener_tracks_every_probe_reply_of_an_origin_even_one_that_cannot_d
 def test_a_probe_reply_carries_no_numbers_and_its_listeners_cache_the_link_it_names():
     # a reply's (src, dst) is its victim link: frames hold no piggyback, and
     # a listener caches the requester and the time
-    assert [f.name for f in dataclasses.fields(Frame)] == ["kind", "src", "dst", "payload_bits",
-                                                          "tx_duration", "packet"]
+    assert [f.name for f in dataclasses.fields(Frame)] == ["kind", "src", "dst", "payload_bits", "packet"]
     sim, _ = run_probe_listener_scenario()
     (pro_at_3,) = [e["time"] for e in sim.trace.events
                    if e["event"] == "rx_end" and e["node"] == 3 and e["frame"] == "PRO" and e["time"] > 40.0]
@@ -1143,7 +1164,7 @@ def test_default_sense_threshold_is_receiver_sensitivity():
     assert power[1] < sensitivity <= power[2] < 2 * sensitivity
     for src, sensed in ((1, False), (2, True)):
         sim = Simulator(sc)
-        sim._submit_frame(src, Frame(FrameKind.ACK, src, 3, 32, 1.0), 0.0)
+        sim._submit_frame(src, Frame(FrameKind.ACK, src, 3, 512), 0.0)
         arrival = sim.links.delay[src][0]
         assert sim.busy_until(0, arrival + 0.5) == (arrival + 1.0 if sensed else None)
 
@@ -1158,9 +1179,9 @@ def test_tie_csma_sense_timer_expires_at_arrival_end(far_frame, sensed_until):
     sc = line_scenario([0, 750, 2250, 1500], protocol="csma_ca", routes=[(1, 3)])
     sim = Simulator(sc, record_events=True)
     u = copy.deepcopy(sim.nodes[1].engine.rng).uniform(0.0, 2.0)
-    sim._submit_frame(0, Frame(FrameKind.ACK, 0, 3, 32, 0.5), 0.0)
+    sim._submit_frame(0, Frame(FrameKind.ACK, 0, 3, 256), 0.0)
     if far_frame:
-        sim._submit_frame(2, Frame(FrameKind.ACK, 2, 3, 32, 0.5), 0.0)
+        sim._submit_frame(2, Frame(FrameKind.ACK, 2, 3, 256), 0.0)
     sim.schedule_packet(0, 0.75)
     sim.run()
     rts = [e["time"] for e in sim.trace.events if e["event"] == "tx_start" and e["node"] == 1]
@@ -1543,7 +1564,7 @@ def test_arrival_file_missing_pair_raises_at_the_first_transmission(tmp_path):
     })
     sim = Simulator(sc)
     with pytest.raises(ArrivalFileError, match="1->2"):
-        sim._submit_frame(0, Frame(FrameKind.ACK, 0, 1, 32, 0.0625), 0.0)
+        sim._submit_frame(0, Frame(FrameKind.ACK, 0, 1, 32), 0.0)
 
 
 def test_arrival_file_keyed_by_names_fails_at_the_table_build_naming_the_line(tmp_path):

@@ -125,9 +125,9 @@ def test_composite_response_divisibility_error():
 
 def test_p_sig_examples():
     assert p_sig(cir([1.0]), PhyConfig(updown_factor=4)) == pytest.approx(4.0)
-    assert p_sig(cir([3.0, 4.0j]), PhyConfig(avg_transmit_power=2.0)) == pytest.approx(50.0)
-    one = p_sig(cir([1.0, 1.0]), PhyConfig())
-    four = p_sig(cir([2.0, 2.0]), PhyConfig())
+    assert p_sig(cir([3.0, 4.0j]), PhyConfig(avg_transmit_power=2.0, updown_factor=1)) == pytest.approx(50.0)
+    one = p_sig(cir([1.0, 1.0]), PhyConfig(updown_factor=1))
+    four = p_sig(cir([2.0, 2.0]), PhyConfig(updown_factor=1))
     assert four == pytest.approx(4.0 * one)
 
 
@@ -135,7 +135,7 @@ def test_p_isi_examples():
     assert p_isi(cir([1.0]), PhyConfig(updown_factor=1)) == 0.0
     # c = [1, 1], D = 1: eta[+-1] = 1/2, so p_isi = P * 2 * (1/4 + 1/4) = P
     for power in (1.0, 3.0):
-        phy = PhyConfig(avg_transmit_power=power)
+        phy = PhyConfig(avg_transmit_power=power, updown_factor=1)
         assert p_isi(cir([1.0, 1.0]), phy) == pytest.approx(power, abs=1e-12)
 
 
@@ -198,7 +198,7 @@ def test_p_ili_matches_double_loop_oracle():
 
 def test_p_ili_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
-        p_ili(cir([1.0, 0.0]), cir([1.0, 0.0, 0.0]), PhyConfig())
+        p_ili(cir([1.0, 0.0]), cir([1.0, 0.0, 0.0]), PhyConfig(updown_factor=1))
 
 
 def test_ili_power_from_parts_consistent_with_p_ili():
