@@ -261,7 +261,7 @@ def _taps_and_distances(tx: Point, rxs: list[Point], env: Environment, cfg: Chan
         if not all(map(math.isfinite, (*tx, *(c for rx in rxs for c in rx)))):
             raise ValueError("generate_taps: point coordinates must be finite")
         raise ValueError(f"generate_taps: a link length of {max(distances)!r} m overflows when squared")
-    tap_count = int(cfg.tap_count)
+    tap_count = cfg.tap_count
     scale = _decay_profile(tap_count, env.sample_interval, cfg.pdp_decay_constant) / squares
     scale /= 2.0
     np.sqrt(scale, out=scale)

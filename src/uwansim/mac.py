@@ -155,10 +155,9 @@ class MacEngine:
     ``phase``), ``_send_data`` and ``_retry``.
     """
 
-    kind = "abstract"
     DATA_PHASE = "data"
 
-    def __init__(self, node_id, timers, control_bits, rng=None, medium=None):
+    def __init__(self, node_id, timers, control_bits, rng, medium):
         self.node_id = node_id
         self.timers = timers
         self.control_bits = control_bits
@@ -226,7 +225,7 @@ class MacEngine:
         if kind is self.DATA:
             # the acknowledgement goes first, so a relayed packet's request
             # queues behind it
-            actions: list[Action] = [Send(self._control_frame(self.ACK, frame.src, packet=frame.packet))]
+            actions: list[Action] = [Send(self._frame(self.ACK, frame.src, frame.packet))]
             if frame.packet.packet_id not in self.delivered_ids:
                 self.delivered_ids.add(frame.packet.packet_id)
                 actions.append(Deliver(frame.packet))
@@ -238,7 +237,7 @@ class MacEngine:
                 return []
             self.phase = None
             return [Cancel("response"), *self._begin_next(now)]
-        raise ValueError(f"{self.kind} engine cannot handle frame kind {kind.value}")
+        raise ValueError(f"{type(self).__name__} cannot handle frame kind {kind.value}")
 
     def _answers(self, frame: Frame, phase: str) -> bool:
         """Whether ``frame`` answers the current packet's ``phase`` frame; a
@@ -249,8 +248,7 @@ class MacEngine:
 
     def _reply(self, requester: int, packet: Optional[Packet]) -> list[Action]:
         self.reserved_for = requester
-        reply = self._control_frame(self.REPLY, requester, packet=packet)
-        return [Send(reply), Arm("reservation", self.timers.t_th)]
+        return [Send(self._frame(self.REPLY, requester, packet)), Arm("reservation", self.timers.t_th)]
 
     def _begin_next(self, now: float) -> list[Action]:
         if not self.queue:
@@ -281,23 +279,10 @@ class MacEngine:
 
     # -- frames ------------------------------------------------------------
 
-    def _control_frame(self, kind: FrameKind, dst: int, **extra) -> Frame:
-        return Frame(
-            kind=kind,
-            src=self.node_id,
-            dst=dst,
-            payload_bits=self.control_bits,
-            **extra,
-        )
-
-    def _data_frame(self, kind: FrameKind, dst: int, packet: Packet) -> Frame:
-        return Frame(
-            kind=kind,
-            src=self.node_id,
-            dst=dst,
-            payload_bits=packet.size_bits,
-            packet=packet,
-        )
+    def _frame(self, kind: FrameKind, dst: int, packet: Optional[Packet] = None) -> Frame:
+        """A ``DATA`` frame carries its packet's bits, every other frame ``control_bits``."""
+        bits = packet.size_bits if kind is self.DATA else self.control_bits
+        return Frame(kind, self.node_id, dst, bits, packet)
 
 
 def step4_defers(heard, own, victim_norm: float, victim_offpeak: float, phy) -> bool:
@@ -328,7 +313,6 @@ class TrmacEngine(MacEngine):
     probes can make it defer (``Simulator._pro_listeners_of``).
     """
 
-    kind = TRMAC
     REQUEST, REPLY, DATA, ACK = FrameKind.P_R, FrameKind.PRO, FrameKind.TR_DATA, FrameKind.TR_ACK
     FIRST_PHASE = "probe"
 
@@ -359,17 +343,17 @@ class TrmacEngine(MacEngine):
             self.phase = self.DATA_PHASE
             return self._send_data(now, t_pro_b=now - entry[1])
         self.phase = self.FIRST_PHASE
-        return [Send(self._control_frame(FrameKind.P_R, dst))]
+        return [Send(self._frame(FrameKind.P_R, dst))]
 
     def _send_data(self, now: float, t_pro_b: Optional[float] = None) -> list[Action]:
         packet, dst = self.current
         backoff = self.compute_backoff(now, t_pro_b, dst)
-        return [Send(self._data_frame(FrameKind.TR_DATA, dst, packet), delay=backoff)]
+        return [Send(self._frame(FrameKind.TR_DATA, dst, packet), delay=backoff)]
 
     def _retry(self, now: float) -> list[Action]:
         dst = self.current[1]
         if self.phase == self.FIRST_PHASE:
-            return [Send(self._control_frame(FrameKind.P_R, dst))]
+            return [Send(self._frame(FrameKind.P_R, dst))]
         # the probe that opened the data phase stays cached
         return self._send_data(now, t_pro_b=now - self.pro_cache[dst][1])
 
@@ -416,8 +400,8 @@ class TrmacEngine(MacEngine):
 class CsmaEngine(MacEngine):
     """Carrier-sense four-frame handshake (RTS/CTS/DATA/ACK).
 
-    CSMA/CA backs off uniformly in [0, 2^i] seconds for the i-th
-    retransmission; the simplified variant always uses [0, 2] seconds.
+    S-CSMA/CA backs off uniformly in [0, backoff_cap] seconds; CSMA/CA has
+    no cap and backs off in [0, 2^i] seconds for the i-th retransmission.
     Sensing reflects only signals currently impinging at this node, so
     the long propagation delays leave it largely blind -- which is the
     point of the comparison.
@@ -426,16 +410,13 @@ class CsmaEngine(MacEngine):
     REQUEST, REPLY, DATA, ACK = FrameKind.RTS, FrameKind.CTS, FrameKind.DATA, FrameKind.ACK
     FIRST_PHASE = "rts"
 
-    def __init__(self, *args, s_csma_cap, kind=CSMA_CA, **kwargs):
+    def __init__(self, *args, backoff_cap: Optional[float], **kwargs):
         super().__init__(*args, **kwargs)
-        if kind not in (CSMA_CA, S_CSMA_CA):
-            raise ValueError(f"unknown CSMA engine kind {kind!r}")
-        self.kind = kind
-        self.s_csma_cap = s_csma_cap
+        self.backoff_cap = backoff_cap
 
     def backoff_window(self) -> float:
-        if self.kind == S_CSMA_CA:
-            return self.s_csma_cap
+        if self.backoff_cap is not None:
+            return self.backoff_cap
         return 2.0 ** max(1, self.retries)
 
     def _start_packet(self, now: float) -> list[Action]:
@@ -452,12 +433,12 @@ class CsmaEngine(MacEngine):
     def _transmit_pending(self, now: float) -> list[Action]:
         if self.phase == self.FIRST_PHASE:
             packet, dst = self.current
-            return [Send(self._control_frame(FrameKind.RTS, dst, packet=packet))]
+            return [Send(self._frame(FrameKind.RTS, dst, packet))]
         return self._send_data(now)
 
     def _send_data(self, now: float) -> list[Action]:
         packet, dst = self.current
-        return [Send(self._data_frame(FrameKind.DATA, dst, packet))]
+        return [Send(self._frame(FrameKind.DATA, dst, packet))]
 
     def _retry(self, now: float) -> list[Action]:
         """Draw a backoff, after which the pending frame airs if still idle."""
@@ -473,8 +454,12 @@ class CsmaEngine(MacEngine):
 
 
 def make_engine(protocol: str, *args, s_csma_cap: float, **kwargs) -> MacEngine:
+    """The one place a protocol name becomes behaviour: the two CSMA
+    variants differ only in their backoff cap."""
     if protocol == TRMAC:
         return TrmacEngine(*args, **kwargs)
-    if protocol in (CSMA_CA, S_CSMA_CA):
-        return CsmaEngine(*args, kind=protocol, s_csma_cap=s_csma_cap, **kwargs)
+    if protocol == CSMA_CA:
+        return CsmaEngine(*args, backoff_cap=None, **kwargs)
+    if protocol == S_CSMA_CA:
+        return CsmaEngine(*args, backoff_cap=s_csma_cap, **kwargs)
     raise ValueError(f"unknown MAC protocol {protocol!r}")

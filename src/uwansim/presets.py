@@ -320,6 +320,13 @@ def _sinr_vs_eta(p: dict, seeds: tuple[int, ...]) -> Rows:
     return ["d_factor", "eta", "sinr_db"], map(_csv_line, rows), f" snr_db={snr_db}"
 
 
+def _axis(extent: float, step: float) -> list[float]:
+    """0, step, 2 step, ... up to ``extent``, rounded to 9 decimals.  A
+    quotient within a relative 1e-12 of an integer counts as that integer,
+    so 70 / 23.333333333333336 = 2.9999999999999996 still ends at 70."""
+    return [round(k * step, 9) for k in range(math.floor(extent / step * (1 + 1e-12)) + 1)]
+
+
 def _correlation_heatmap(p: dict, seeds: tuple[int, ...]) -> Rows:
     """|eta| between the reference link and the link from the reference
     transmitter to a probe node swept over (depth, range) cells.
@@ -351,8 +358,7 @@ def _correlation_heatmap(p: dict, seeds: tuple[int, ...]) -> Rows:
     h_ref = generate_cir(tx, rx, env, cfg, seed)
 
     # cells are (depth, x, y) points, as generate_taps takes them
-    depths = [round(k * depth_step, 9) for k in range(int(water_depth / depth_step) + 1)]
-    ranges = [round(k * range_step, 9) for k in range(int(p["max_range"] / range_step) + 1)]
+    depths, ranges = _axis(water_depth, depth_step), _axis(p["max_range"], range_step)
     # the "<range>," field of each column, formatted once
     columns = [f"{rng!r}," for rng in ranges]
 

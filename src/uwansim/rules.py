@@ -92,7 +92,8 @@ class Checked:
     ``Class.attr`` at the first that breaks its rule.
 
     A value must already be of its kind, that is, convert to an equal
-    value: 129.0 is an integer, but "1e-7" is no number.
+    value: 129.0 is an integer, but "1e-7" is no number.  A value is kept
+    as its rule parses it, so an integer field given 129.0 holds the int 129.
     """
 
     RULES: ClassVar[dict[str, Rule]] = {}
@@ -101,9 +102,11 @@ class Checked:
         for name, rule in self.RULES.items():
             value = getattr(self, name)
             try:
-                ok = rule.parse(value) == value
+                parsed = rule.parse(value)
+                ok = parsed == value
             except ValueError:
                 ok = False
             if not ok:
                 article = "an" if rule.expected[0] in "aeiou" else "a"
                 raise ValueError(f"{type(self).__name__}.{name} must be {article} {rule.expected}, got {value!r}")
+            object.__setattr__(self, name, parsed)  # the config dataclasses are frozen

@@ -276,6 +276,7 @@ def validate_scenario(scenario: Scenario) -> None:
     if net.node_depth_max > scenario.environment.water_depth:
         raise ScenarioError("network.node_depth_max_m: exceeds environment.water_depth_m")
 
+    first_at: dict[tuple, int] = {}  # position -> the first node placed there
     for i, (depth, x, y) in enumerate(net.nodes):
         if not (0.0 <= depth <= net.node_depth_max):
             raise ScenarioError(
@@ -283,6 +284,10 @@ def validate_scenario(scenario: Scenario) -> None:
             )
         if not (0.0 <= x <= net.region_size and 0.0 <= y <= net.region_size):
             raise ScenarioError(f"network.nodes[{i}]: position outside the region")
+        # a link between two nodes at one position has no length, so no CIR
+        j = first_at.setdefault((depth, x, y), i)
+        if j != i:
+            raise ScenarioError(f"network.nodes[{i}]: same position as network.nodes[{j}]")
 
     n = len(net.nodes)
     for r, route in enumerate(net.routes):

@@ -17,7 +17,7 @@ from uwansim.mac import (
     step4_defers,
 )
 from uwansim.scenario import scenario_from_dict
-from uwansim.sim import LinkTable
+from uwansim.sim import LinkTable, run_scenario
 from uwansim.tr_phy import PhyConfig
 
 TIMERS = MacTimers(t_p=1000.0 / 1500.0, t_tr=0.5, delta=0.25, coherence_time=30.0, n_max=3)
@@ -59,10 +59,10 @@ def trmac(node=0, conflicting=None):
                        rng=np.random.default_rng(0), medium=FakeMedium(conflicting))
 
 
-def csma(node=0, kind="csma_ca"):
+def csma(node=0, kind="csma_ca", cap=MAC.s_csma_max_backoff):
     engine = make_engine(kind, node, TIMERS, control_bits=MAC.control_bits,
                          rng=np.random.default_rng(0), medium=FakeMedium(),
-                         s_csma_cap=MAC.s_csma_max_backoff)
+                         s_csma_cap=cap)
     return engine
 
 
@@ -400,15 +400,23 @@ def test_csma_busy_channel_defers_then_backs_off():
 
 
 def test_csma_backoff_windows():
-    engine = csma(kind="csma_ca")
-    assert engine.backoff_window() == 2.0  # initial-attempt window
-    engine.retries = 1
-    assert engine.backoff_window() == 2.0
-    engine.retries = 3
-    assert engine.backoff_window() == 8.0
-    simple = csma(kind="s_csma_ca")
-    simple.retries = 3
-    assert simple.backoff_window() == 2.0
+    # both variants are one engine, apart only in the backoff cap
+    uncapped, capped = csma(kind="csma_ca", cap=5.0), csma(kind="s_csma_ca", cap=5.0)
+    assert type(uncapped) is type(capped) is CsmaEngine
+    for retries, window in enumerate((2.0, 2.0, 4.0, 8.0)):  # retry 0: the initial-attempt window
+        uncapped.retries = capped.retries = retries
+        assert uncapped.backoff_window() == window  # CSMA/CA ignores the cap
+        assert capped.backoff_window() == 5.0
+
+
+@pytest.mark.parametrize("protocol, moves", [("csma_ca", False), ("s_csma_ca", True)])
+def test_only_s_csma_runs_read_the_backoff_cap(protocol, moves):
+    def metrics(cap):
+        scenario = scenario_from_dict({"duration_s": 300.0, "mac": {"protocol": protocol,
+                                                                    "s_csma_max_backoff_s": cap}})
+        return run_scenario(scenario).metrics
+
+    assert (metrics(2.0) != metrics(5.0)) is moves
 
 
 def test_csma_retransmission_draws_bounded_backoff():

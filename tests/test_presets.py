@@ -192,6 +192,16 @@ def test_correlation_heatmap_matches_cell_by_cell_reference(grid, seed, tmp_path
         assert int(4000.0 / params["range_step"]) + 1 > presets._PROBE_BLOCK
 
 
+def test_a_heatmap_keeps_the_last_row_and_column_when_the_quotient_rounds_below_an_integer(tmp_path):
+    # 70 / 23.333333333333336 is 2.9999999999999996, just below 3
+    step = 23.333333333333336
+    params = {"water_depth": 70, "depth_step": step, "max_range": 70, "range_step": step}
+    _, _, rows = read_csv(run_preset(ExperimentPreset("correlation_heatmap", params=params,
+                                                      output_dir=str(tmp_path))))
+    grid = ["0.0", "23.333333333", "46.666666667", "70.0"]
+    assert [r[:2] for r in rows] == [[depth, rng] for depth in grid for rng in grid]
+
+
 def test_a_heatmap_that_fails_midway_leaves_no_file(tmp_path, monkeypatch):
     calls = []
 

@@ -342,6 +342,16 @@ def test_a_node_outside_the_region_is_rejected():
     assert str(err.value) == "network.nodes[1]: position outside the region"
 
 
+@pytest.mark.parametrize("channel", [{}, {"arrival_file": "arrivals.txt"}], ids=["statistical", "arrival_file"])
+def test_two_nodes_at_one_position_are_refused_naming_both(channel):
+    # a link between them has no length, so no channel model gives it a CIR
+    nodes = [[20, 0, 0], [20, 600, 0], [20, 600, 0], [30, 0, 700]]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({"duration_s": 100, "channel": channel,
+                            "network": {"nodes": nodes, "routes": [[0, 1], [3, 0]]}})
+    assert str(err.value) == "network.nodes[2]: same position as network.nodes[1]"
+
+
 @pytest.mark.parametrize("seed", [2**64 + 1, -1])
 def test_a_seed_outside_64_bits_is_refused_not_aliased(seed):
     # reduced mod 2**64, 2**64 + 1 would run seed 1's network and -1 that of 2**64 - 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uwansim.channel import generate_cir, norm, normalized_cross_correlation
+from uwansim.channel import ChannelModelConfig, Environment, generate_cir, norm, normalized_cross_correlation
 from uwansim.scenario import scenario_from_dict
 from uwansim.tr_phy import (
     PhyConfig,
@@ -378,6 +378,14 @@ def test_phy_config_validation():
         PhyConfig(updown_factor=0)
     with pytest.raises(ValueError):
         PhyConfig(min_required_sinr=0.0)
+
+
+def test_a_config_keeps_an_integral_float_as_the_integer_its_rule_parses():
+    factor = PhyConfig(updown_factor=4.0).updown_factor
+    assert type(factor) is int and factor == 4
+    assert type(ChannelModelConfig(tap_count=129.0).tap_count) is int
+    h = generate_cir((50.0, 0.0, 0.0), (70.0, 1000.0, 0.0), Environment(), ChannelModelConfig(), 1)
+    assert p_isi(h, PhyConfig(updown_factor=4.0)) == p_isi(h, PhyConfig())
 
 
 def test_eta_threshold_norm_ratio_limit():
