@@ -10,7 +10,7 @@ import sys
 
 from .channel import ChannelModel
 from .mac import PROTOCOLS
-from .presets import PARAMS, PRESET_NAMES, ExperimentPreset, run_preset
+from .presets import PRESET_NAMES, PRESETS, ExperimentPreset, run_preset
 from .scenario import ScenarioError, config_hash, load_scenario, read_scenario_file, scenario_from_dict
 from .sim import run_scenario
 
@@ -40,17 +40,14 @@ def _edit_section(data: dict, key: str, **values) -> None:
         data[key] = {**section, **values}
 
 
-def _write_metrics_csv(path: str, scenario, metrics) -> None:
+def _write_run_csv(path: str, scenario, header: list[str], rows) -> None:
+    """The provenance line ``# config=<hash> seed=<seed>``, the header and
+    the rows, each field as ``str`` writes it."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    header = ["generated", "delivered", "dropped", "in_flight", "mean_delay_s",
-              "drop_ratio", "throughput_bps", "busy_time_s", "data_frames_transmitted"]
-    row = [metrics.generated, metrics.delivered, metrics.dropped, metrics.in_flight,
-           metrics.mean_delay, metrics.drop_ratio, metrics.throughput,
-           metrics.busy_time, metrics.data_frames_transmitted]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# config={config_hash(scenario)} seed={scenario.seed}\n")
-        fh.write(",".join(header) + "\n")
-        fh.write(",".join(str(v) for v in row) + "\n")
+        for row in [header, *rows]:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _cmd_run(args) -> int:
@@ -59,14 +56,17 @@ def _cmd_run(args) -> int:
                           record_events=args.trace is not None)
     metrics = result.metrics
     out_dir = args.out
-    _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), scenario, metrics)
+    _write_run_csv(os.path.join(out_dir, "metrics.csv"), scenario,
+                   ["generated", "delivered", "dropped", "in_flight", "mean_delay_s",
+                    "drop_ratio", "throughput_bps", "busy_time_s", "data_frames_transmitted"],
+                   [[metrics.generated, metrics.delivered, metrics.dropped, metrics.in_flight,
+                     metrics.mean_delay, metrics.drop_ratio, metrics.throughput,
+                     metrics.busy_time, metrics.data_frames_transmitted]])
     if args.sample_every is not None:
-        series_path = os.path.join(out_dir, "metrics_series.csv")
-        with open(series_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# config={config_hash(scenario)} seed={scenario.seed}\n")
-            fh.write("time_s,mean_delay_s,drop_ratio,throughput_bps\n")
-            for row in metrics.series:
-                fh.write(f"{row['time']},{row['mean_delay']},{row['drop_ratio']},{row['throughput']}\n")
+        _write_run_csv(os.path.join(out_dir, "metrics_series.csv"), scenario,
+                       ["time_s", "mean_delay_s", "drop_ratio", "throughput_bps"],
+                       [[row["time"], row["mean_delay"], row["drop_ratio"], row["throughput"]]
+                        for row in metrics.series])
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for record in result.trace.events:
@@ -92,7 +92,7 @@ def _cmd_preset(args) -> int:
     params: dict = {}
     for flag, (key, value) in given.items():
         if value is not None:
-            if key not in PARAMS[args.name]:
+            if key not in PRESETS[args.name].params:
                 raise ValueError(f"preset {args.name} does not read {flag}")
             params[key] = value
     preset = ExperimentPreset(

@@ -6,9 +6,11 @@ seeds, and writes ``<output_dir>/<name>.csv``: a provenance comment line
 ``# preset=<name> config=<hash> seeds=<s1,s2,...>`` and the ``key=value``
 fields the preset adds (``snr_db``; ``reference_tx`` and ``reference_rx``;
 ``links``), a header row, and one row per grid point -- never fewer,
-never more.  Each preset's params, with their rules and defaults, are one
-table in ``PARAMS``.  The hash covers the params given, each scalar as
-parsed, so values equal under their rules hash alike.  A network preset
+never more.  Each preset is one entry of ``PRESETS``: its rows function
+and its params, with their rules and defaults.  The hash covers the params
+given, each as read, so values equal under their rules hash alike.  A
+network preset refuses a base scenario that gives a key the preset sets
+(``seed``, ``duration_s``, ``mac.protocol``, ``network.link_count``), and
 resolves its placement once per seed and derives each run's scenario from
 it; the runs go to a pool of ``workers`` processes, or run in-process when
 that is 1.  Rows are assembled in grid order regardless of completion
@@ -72,16 +74,14 @@ class Param(NamedTuple):
     """One preset parameter.  ``read`` turns the value as given into the
     value the preset uses, or raises ValueError saying what it expected;
     ``default`` stands in for an absent value.  The provenance hash takes a
-    scalar as read, so values equal under its rule hash alike, and any
-    other param as given."""
+    given param as read, so values equal under its rule hash alike."""
 
     read: Callable[[Any], Any]
     default: Any
-    scalar: bool = False
 
 
 def _scalar(rule: Rule, default) -> Param:
-    return Param(rule.parse, default, scalar=True)
+    return Param(rule.parse, default)
 
 
 def _list(rule: Rule, default: tuple) -> Param:
@@ -105,28 +105,26 @@ def _list(rule: Rule, default: tuple) -> Param:
     return Param(read, default)
 
 
-def _spot(value) -> tuple[tuple, Point]:
-    """A reference node of the heatmap as given and as a ``(depth, range, 0)``
-    point, checked as a node of ``network.nodes`` is."""
+def _spot(value) -> Point:
+    """A reference node of the heatmap as a ``(depth, range, 0)`` point,
+    checked as a node of ``network.nodes`` is."""
     try:
         if isinstance(value, str):  # "70" would unpack to two digits
             raise ValueError(value)
-        spot = tuple(value)
-        return spot, NODES.parse([(*spot, 0.0)])[0]
+        return NODES.parse([(*value, 0.0)])[0]
     except (TypeError, ValueError):
         raise ValueError("a finite (depth >= 0, range) pair") from None
 
 
 def _base_scenario(value) -> dict:
     """The base scenario mapping of the network presets, as a scenario file
-    holds one: null reads as empty, and so does a null ``network``, whose
-    ``link_count`` the preset sets; ``scenario_from_dict`` checks the rest."""
+    holds one: null reads as empty, and a ``network`` section must be a
+    mapping or null, since the preset sets its ``link_count``;
+    ``scenario_from_dict`` checks the rest."""
     value = {} if value is None else value
-    network = value.get("network") if isinstance(value, dict) else None
-    network = {} if network is None else network
-    if not isinstance(value, dict) or not isinstance(network, dict):
+    if not isinstance(value, dict) or not isinstance(value.get("network"), (dict, type(None))):
         raise ValueError("a scenario mapping, its network section a mapping")
-    return {**value, "network": network}
+    return value
 
 
 # the taps per CIR of the PHY presets, under ChannelModelConfig's rule and default
@@ -137,52 +135,7 @@ _DURATION = _scalar(number(POSITIVE), Scenario.duration)
 # the pool size of the network presets; null means one worker per CPU
 _WORKERS = integer(POSITIVE, nullable=True)
 _SCENARIO = Param(_base_scenario, {})
-_WARMUP = next(f for f in FIELDS if f.key == "warmup_s")
-
-# the params each preset reads, in the order it reads them; a preset given
-# any other is refused
-PARAMS: dict[str, dict[str, Param]] = {
-    "sinr_vs_snr": {
-        "d_factors": _D_FACTORS,
-        # 40..80 dB, artifact-chosen
-        "snr_db_grid": _list(number(), tuple(40.0 + 2.0 * k for k in range(21))),
-        "tap_count": _TAPS,
-    },
-    "sinr_vs_eta": {
-        "d_factors": _D_FACTORS,
-        "eta_grid": _list(number(Bound("{} in [0, 1)", lambda v: 0 <= v < 1)),
-                          tuple(round(0.05 * k, 2) for k in range(19))),  # 0 .. 0.9
-        "snr_db": _scalar(number(), 65.0),
-        "tap_count": _TAPS,
-    },
-    "correlation_heatmap": {
-        "depth_step": _scalar(number(POSITIVE), 5.0),
-        "range_step": _scalar(number(POSITIVE), 50.0),
-        "water_depth": _scalar(number(POSITIVE), Environment.water_depth),
-        "max_range": _scalar(number(POSITIVE), NetworkConfig.region_size),
-        "tap_count": _TAPS,
-        "reference_tx": Param(_spot, REFERENCE_GEOMETRY["i"]),
-        "reference_rx": Param(_spot, REFERENCE_GEOMETRY["j"]),
-    },
-    "load_sweep": {
-        "loads": _list(integer(POSITIVE), (4, 6, 8, 10)),
-        "protocols": _PROTOCOLS,
-        "duration": _DURATION,
-        "workers": _scalar(_WORKERS, None),
-        "scenario": _SCENARIO,
-    },
-    "timeseries": {
-        "protocols": _PROTOCOLS,
-        "duration": _DURATION,
-        "sample_every": _scalar(number(POSITIVE), 100.0),
-        "links": _scalar(integer(POSITIVE), NetworkConfig.link_count),
-        # in-process unless asked: a pool saves little beyond its start-up on
-        # three runs, and in-process runs stay visible to a profiler
-        "workers": _scalar(_WORKERS, 1),
-        "scenario": _SCENARIO,
-    },
-}
-PRESET_NAMES = tuple(PARAMS)
+_WARMUP = next(f.rule for f in FIELDS if f.key == "warmup_s")
 
 
 @dataclass
@@ -200,10 +153,12 @@ class ExperimentPreset:
             raise ValueError("ExperimentPreset.seeds must contain at least one seed")
         if len(self.seeds) > 1 and self.name != "load_sweep":
             raise ValueError(f"{self.name}: seeds: expected one seed, got {self.seeds!r}")
+        if len(set(self.seeds)) < len(self.seeds):  # a paired interval would count a seed twice
+            raise ValueError(f"{self.name}: seeds: expected distinct seeds, got {self.seeds!r}")
         for key in self.params:
-            if key not in PARAMS[self.name]:
+            if key not in PRESETS[self.name].params:
                 raise ValueError(f"{self.name}: {key}: unknown parameter; expected one of "
-                                 f"{', '.join(PARAMS[self.name])}")
+                                 f"{', '.join(PRESETS[self.name].params)}")
 
 
 def _parsed(name: str, key: str, read: Callable[[Any], Any], value):
@@ -216,21 +171,36 @@ def _parsed(name: str, key: str, read: Callable[[Any], Any], value):
 
 def _read(preset: ExperimentPreset) -> dict:
     """Every param of the preset's table, read from its value as given or
-    its default.  A network preset's ``duration`` sets its scenario's
-    ``duration_s``, so a ``warmup_s`` past it is refused here, naming both."""
+    its default.  A network preset's base scenario is checked here, before
+    any placement or file: it may not give a key the preset sets, and its
+    ``warmup_s`` may not pass the ``duration`` that sets ``duration_s``."""
     p = {key: _parsed(preset.name, key, param.read, preset.params.get(key, param.default))
-         for key, param in PARAMS[preset.name].items()}
-    warmup = p["scenario"].get("warmup_s") if "scenario" in p else None
-    if warmup is not None and (warmup := _WARMUP.parse(warmup)) > p["duration"]:
-        raise ValueError(f"{preset.name}: scenario: warmup_s {warmup} exceeds duration {p['duration']}")
+         for key, param in PRESETS[preset.name].params.items()}
+    if "scenario" not in p:
+        return p
+    base = p["scenario"]
+    # each scenario key the preset sets, with what sets it; a section that is
+    # null or no mapping is left for scenario_from_dict
+    setters = {"seed": "seeds", "duration_s": "duration", "mac.protocol": "protocols",
+               "network.link_count": "links" if "links" in p else "loads"}
+    for key, setter in setters.items():
+        section, _, leaf = key.rpartition(".")
+        mapping = base.get(section) if section else base
+        if isinstance(mapping, dict) and leaf in mapping:
+            raise ValueError(f"{preset.name}: scenario: {key}: expected no value, as the preset sets it "
+                             f"from {setter}, got {mapping[leaf]!r}")
+    warmup = base.get("warmup_s")
+    if warmup is not None:
+        warmup = _parsed(preset.name, "scenario: warmup_s", _WARMUP.parse, warmup)
+        if warmup > p["duration"]:
+            raise ValueError(f"{preset.name}: scenario: warmup_s {warmup} exceeds duration {p['duration']}")
     return p
 
 
 def _params_hash(preset: ExperimentPreset, values: dict) -> str:
-    """Digest of the preset's name, seeds and given params, each scalar
-    param as read into ``values``."""
-    table = PARAMS[preset.name]
-    params = {key: values[key] if table[key].scalar else value for key, value in preset.params.items()}
+    """Digest of the preset's name, seeds and given params, each as read
+    into ``values``."""
+    params = {key: values[key] for key in preset.params}
     blob = json.dumps({"name": preset.name, "params": params, "seeds": list(preset.seeds)},
                       sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -264,6 +234,11 @@ def _write_csv(path: str, provenance: str, header: list[str], lines) -> str:
 # what a preset's rows function returns: the CSV header, the finished lines
 # of its rows, and the provenance fields it adds, each led by a space
 Rows = tuple[list[str], Iterable[str], str]
+
+
+class Preset(NamedTuple):
+    rows: Callable[[dict, tuple[int, ...]], Rows]
+    params: dict[str, Param]
 
 
 def _reference_links(seed: int, tap_count: int):
@@ -342,16 +317,14 @@ def _correlation_heatmap(p: dict, seeds: tuple[int, ...]) -> Rows:
     ``water_depth`` or a ``reference_rx`` at ``reference_tx``.
     """
     depth_step, range_step, water_depth = p["depth_step"], p["range_step"], p["water_depth"]
-    tx_spot, tx = p["reference_tx"]
-    rx_spot, rx = p["reference_rx"]
+    tx, rx = p["reference_tx"], p["reference_rx"]
     seed = seeds[0]
     for key in ("reference_tx", "reference_rx"):
-        spot, (depth, _, _) = p[key]
-        if depth > water_depth:
+        if p[key][0] > water_depth:
             raise ValueError(f"correlation_heatmap: {key}: expected a depth in [0, water_depth {water_depth!r}], "
-                             f"got {spot!r}")
+                             f"got {p[key][:2]!r}")
     if rx == tx:
-        raise ValueError(f"correlation_heatmap: reference_rx: expected a node apart from reference_tx, got {rx_spot!r}")
+        raise ValueError(f"correlation_heatmap: reference_rx: expected a node apart from reference_tx, got {rx[:2]!r}")
 
     env = Environment(water_depth=water_depth)
     cfg = ChannelModelConfig(tap_count=p["tap_count"])
@@ -383,7 +356,7 @@ def _correlation_heatmap(p: dict, seeds: tuple[int, ...]) -> Rows:
             # lead + column + repr(eta) per cell, each line ended by "\r\n"
             yield lead + f"\r\n{lead}".join(map(str.__add__, columns, map(repr, magnitudes))) + "\r\n"
 
-    return ["depth_m", "range_m", "eta_abs"], lines(), f" reference_tx={tx_spot} reference_rx={rx_spot}"
+    return ["depth_m", "range_m", "eta_abs"], lines(), f" reference_tx={tx[:2]} reference_rx={rx[:2]}"
 
 
 def _placed(p: dict, seed: int, links: int) -> Scenario:
@@ -391,7 +364,7 @@ def _placed(p: dict, seed: int, links: int) -> Scenario:
     resolved once: the placement every run of the seed derives from."""
     base = p["scenario"]
     return scenario_from_dict({**base, "seed": seed, "duration_s": p["duration"],
-                               "network": {**base["network"], "link_count": links}})
+                               "network": {**(base.get("network") or {}), "link_count": links}})
 
 
 def _protocol(scenario: Scenario, protocol: str) -> Scenario:
@@ -471,14 +444,51 @@ def _timeseries(p: dict, seeds: tuple[int, ...]) -> Rows:
     return header, map(_csv_line, rows), f" links={links}"
 
 
-# each preset's rows function, called with its params as read and its seeds
-_ROWS: dict[str, Callable[[dict, tuple[int, ...]], Rows]] = {
-    "sinr_vs_snr": _sinr_vs_snr,
-    "sinr_vs_eta": _sinr_vs_eta,
-    "correlation_heatmap": _correlation_heatmap,
-    "load_sweep": _load_sweep,
-    "timeseries": _timeseries,
+# each preset: its rows function, called with its params as read and its
+# seeds, and the params it reads, in the order it reads them; a preset given
+# any other param is refused
+PRESETS: dict[str, Preset] = {
+    "sinr_vs_snr": Preset(_sinr_vs_snr, {
+        "d_factors": _D_FACTORS,
+        # 40..80 dB, artifact-chosen
+        "snr_db_grid": _list(number(), tuple(40.0 + 2.0 * k for k in range(21))),
+        "tap_count": _TAPS,
+    }),
+    "sinr_vs_eta": Preset(_sinr_vs_eta, {
+        "d_factors": _D_FACTORS,
+        "eta_grid": _list(number(Bound("{} in [0, 1)", lambda v: 0 <= v < 1)),
+                          tuple(round(0.05 * k, 2) for k in range(19))),  # 0 .. 0.9
+        "snr_db": _scalar(number(), 65.0),
+        "tap_count": _TAPS,
+    }),
+    "correlation_heatmap": Preset(_correlation_heatmap, {
+        "depth_step": _scalar(number(POSITIVE), 5.0),
+        "range_step": _scalar(number(POSITIVE), 50.0),
+        "water_depth": _scalar(number(POSITIVE), Environment.water_depth),
+        "max_range": _scalar(number(POSITIVE), NetworkConfig.region_size),
+        "tap_count": _TAPS,
+        "reference_tx": Param(_spot, REFERENCE_GEOMETRY["i"]),
+        "reference_rx": Param(_spot, REFERENCE_GEOMETRY["j"]),
+    }),
+    "load_sweep": Preset(_load_sweep, {
+        "loads": _list(integer(POSITIVE), (4, 6, 8, 10)),
+        "protocols": _PROTOCOLS,
+        "duration": _DURATION,
+        "workers": _scalar(_WORKERS, None),
+        "scenario": _SCENARIO,
+    }),
+    "timeseries": Preset(_timeseries, {
+        "protocols": _PROTOCOLS,
+        "duration": _DURATION,
+        "sample_every": _scalar(number(POSITIVE), 100.0),
+        "links": _scalar(integer(POSITIVE), NetworkConfig.link_count),
+        # in-process unless asked: a pool saves little beyond its start-up on
+        # three runs, and in-process runs stay visible to a profiler
+        "workers": _scalar(_WORKERS, 1),
+        "scenario": _SCENARIO,
+    }),
 }
+PRESET_NAMES = tuple(PRESETS)
 
 
 def run_preset(preset: ExperimentPreset) -> str:
@@ -487,7 +497,7 @@ def run_preset(preset: ExperimentPreset) -> str:
     ``# preset=<name> config=<hash> seeds=<s1,s2,...>``, followed by the
     fields the preset adds."""
     p = _read(preset)
-    header, lines, extra = _ROWS[preset.name](p, preset.seeds)
+    header, lines, extra = PRESETS[preset.name].rows(p, preset.seeds)
     provenance = (f"# preset={preset.name} config={_params_hash(preset, p)} "
                   f"seeds={','.join(map(str, preset.seeds))}{extra}")
     return _write_csv(os.path.join(preset.output_dir, f"{preset.name}.csv"), provenance, header, lines)

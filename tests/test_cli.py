@@ -5,7 +5,8 @@ import pytest
 
 from uwansim.cli import main
 from uwansim.presets import ExperimentPreset, run_preset
-from uwansim.scenario import emit_scenario, scenario_from_dict
+from uwansim.scenario import config_hash, emit_scenario, load_scenario, scenario_from_dict
+from uwansim.sim import run_scenario
 
 
 def write_scenario(tmp_path, **cfg):
@@ -107,6 +108,21 @@ def test_run_trace_and_series(tmp_path):
     assert len(series) == 4  # provenance + header + 2 samples
 
 
+def test_run_csvs_hold_each_field_as_str_writes_it(tmp_path):
+    scenario = write_scenario(tmp_path, duration_s=40.0)
+    assert main(["run", scenario, "--out", str(tmp_path), "--sample-every", "15"]) == 0
+    m = run_scenario(load_scenario(scenario), sample_every=15.0).metrics
+    provenance = f"# config={config_hash(load_scenario(scenario))} seed=3\n"
+    assert (tmp_path / "metrics.csv").read_bytes().decode() == provenance + (
+        "generated,delivered,dropped,in_flight,mean_delay_s,drop_ratio,throughput_bps,busy_time_s,"
+        f"data_frames_transmitted\n{m.generated},{m.delivered},{m.dropped},{m.in_flight},{m.mean_delay},"
+        f"{m.drop_ratio},{m.throughput},{m.busy_time},{m.data_frames_transmitted}\n")
+    assert (tmp_path / "metrics_series.csv").read_bytes().decode() == provenance + (
+        "time_s,mean_delay_s,drop_ratio,throughput_bps\n") + "".join(
+        f"{r['time']},{r['mean_delay']},{r['drop_ratio']},{r['throughput']}\n" for r in m.series)
+    assert len(m.series) == 2
+
+
 def test_run_writes_the_series_header_when_no_sample_falls_in_the_run(tmp_path):
     scenario = write_scenario(tmp_path, duration_s=50.0)
     assert main(["run", scenario, "--out", str(tmp_path), "--sample-every", "100"]) == 0
@@ -136,6 +152,13 @@ def test_preset_refuses_seed_and_seeds_together(tmp_path, capsys):
 def test_preset_refuses_seeds_it_does_not_read(tmp_path, capsys):
     assert main(["preset", "sinr_vs_eta", "--seeds", "1", "2", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: sinr_vs_eta: seeds: expected one seed, got (1, 2)\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_preset_refuses_a_repeated_seed(tmp_path, capsys):
+    argv = ["preset", "load_sweep", "--seeds", "1", "1", "--duration", "10", "--loads", "1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: load_sweep: seeds: expected distinct seeds, got (1, 1)\n"
     assert not list(tmp_path.iterdir())
 
 

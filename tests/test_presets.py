@@ -18,7 +18,7 @@ from uwansim.channel import (
     normalized_cross_correlation,
 )
 from uwansim.presets import (
-    PARAMS,
+    PRESETS,
     ExperimentPreset,
     REFERENCE_GEOMETRY,
     _csv_line,
@@ -52,6 +52,14 @@ def test_single_seed_presets_refuse_more_seeds(name, tmp_path):
     assert str(err.value) == f"{name}: seeds: expected one seed, got (1, 2)"
     assert not list(tmp_path.iterdir())
     assert ExperimentPreset("load_sweep", seeds=(1, 2)).seeds == (1, 2)
+
+
+def test_load_sweep_refuses_a_repeated_seed(tmp_path):
+    # a seed counted twice would weigh double in an interval over seeds
+    with pytest.raises(ValueError) as err:
+        ExperimentPreset("load_sweep", seeds=(1, 2, 1.0), output_dir=str(tmp_path))
+    assert str(err.value) == "load_sweep: seeds: expected distinct seeds, got (1, 2, 1)"
+    assert not list(tmp_path.iterdir())
 
 
 def test_sinr_vs_snr_grid_cardinality(tmp_path):
@@ -329,7 +337,7 @@ def test_correlation_heatmap_rejects_a_bad_grid_naming_the_parameter(key, value,
     # the default transmitter is 50 m deep
     ({"water_depth": 40.0}, "reference_tx", r"a depth in \[0, water_depth 40\.0\], got \(50\.0, 0\.0\)"),
     ({"reference_tx": [70.0, 1000.0], "reference_rx": [70, 1000.0]}, "reference_rx",
-     r"a node apart from reference_tx, got \(70, 1000\.0\)"),
+     r"a node apart from reference_tx, got \(70\.0, 1000\.0\)"),
 ])
 def test_correlation_heatmap_checks_the_reference_nodes_against_the_water_and_each_other(params, key, message,
                                                                                         tmp_path):
@@ -525,7 +533,7 @@ def test_network_presets_build_one_link_table_per_placement(name, params, seeds,
 ])
 def test_preset_integers_are_parsed_by_their_rule(name, params, seeds, key, value, expected, tmp_path):
     # a short duration where the preset reads one, so that a run not refused stays short
-    short = {"duration": 20.0} if "duration" in PARAMS[name] else {}
+    short = {"duration": 20.0} if "duration" in PRESETS[name].params else {}
     with pytest.raises(ValueError) as err:
         run_preset(ExperimentPreset(name, params={**short, **params}, seeds=seeds,
                                     output_dir=str(tmp_path)))
@@ -583,6 +591,12 @@ def test_preset_lists_are_checked_item_by_item_before_any_run(name, key, value, 
     ("timeseries", {"duration": 20.0, "links": 2}, {"sample_every": 10}, {"sample_every": 10.0}),
     ("timeseries", {"links": 2, "sample_every": 10.0}, {"duration": 20}, {"duration": 20.0}),
     ("sinr_vs_eta", PHY_PRESETS["sinr_vs_eta"], {"snr_db": 65}, {"snr_db": 65.0}),
+    # list, mapping and pair params are hashed as read too
+    ("sinr_vs_snr", PHY_PRESETS["sinr_vs_snr"], {"snr_db_grid": [40, 50]}, {"snr_db_grid": [40.0, 50.0]}),
+    ("load_sweep", {"duration": 20.0, "workers": 1}, {"loads": [1, 2.0]}, {"loads": [1, 2]}),
+    ("timeseries", {"duration": 20.0, "sample_every": 10.0, "links": 2}, {"scenario": None}, {"scenario": {}}),
+    ("correlation_heatmap", PHY_PRESETS["correlation_heatmap"],
+     {"reference_tx": [50, 0]}, {"reference_tx": (50.0, 0.0)}),
 ])
 def test_provenance_hashes_the_parsed_params(name, params, whole, exact, tmp_path):
     def text(extra, seeds):
@@ -663,4 +677,38 @@ def test_network_presets_refuse_a_warmup_past_their_duration_naming_both(name, t
         run_preset(ExperimentPreset(name, params=params, output_dir=str(tmp_path)))
     assert type(err.value) is ValueError
     assert str(err.value) == f"{name}: scenario: warmup_s 45.0 exceeds duration 20.0"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", NETWORK_PRESETS)
+def test_network_presets_name_themselves_for_a_warmup_that_is_no_number(name, tmp_path):
+    params = {**NETWORK_PRESETS[name], "scenario": {"warmup_s": "abc"}}
+    with pytest.raises(ValueError) as err:
+        run_preset(ExperimentPreset(name, params=params, output_dir=str(tmp_path)))
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{name}: scenario: warmup_s: expected non-negative finite number, got 'abc'"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", NETWORK_PRESETS)
+@pytest.mark.parametrize("scenario, key, value, setter", [
+    ({"seed": 2}, "seed", 2, "seeds"),
+    ({"duration_s": 20}, "duration_s", 20, "duration"),
+    ({"mac": {"protocol": "trmac"}}, "mac.protocol", "trmac", "protocols"),
+    ({"network": {"link_count": 2}}, "network.link_count", 2, None),  # links or loads
+])
+def test_network_presets_refuse_a_scenario_key_they_set(name, scenario, key, value, setter, tmp_path, monkeypatch):
+    # the preset would overwrite the key without a word: a scenario duration_s
+    # of 20 s would run the preset's 2000 s
+    def no_table(*args, **kwargs):
+        raise AssertionError("a scenario was placed or a table built")
+
+    monkeypatch.setattr(presets, "scenario_from_dict", no_table)
+    monkeypatch.setattr(presets, "LinkTable", no_table)
+    setter = setter or {"load_sweep": "loads", "timeseries": "links"}[name]
+    params = {**NETWORK_PRESETS[name], "scenario": scenario}
+    with pytest.raises(ValueError) as err:
+        run_preset(ExperimentPreset(name, params=params, output_dir=str(tmp_path)))
+    assert str(err.value) == (f"{name}: scenario: {key}: expected no value, as the preset sets it "
+                              f"from {setter}, got {value!r}")
     assert not list(tmp_path.iterdir())
