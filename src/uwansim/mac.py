@@ -2,10 +2,11 @@
 
 Engines are event-driven state machines decoupled from the scheduler:
 the simulator feeds them decoded frames, transmit-start notifications,
-and timer expiries, and they answer with action lists (send a frame
-after an optional delay, arm/cancel a named timer, deliver or drop a
-packet).  Cross-node interaction happens only through the scheduler, so
-an engine never touches another node's state.  Engines name links by node
+and timer expiries, and they answer with action lists (a frame to air
+now, arm/cancel a named timer, deliver or drop a packet).  An engine
+waits only through its timers: whatever it airs later, an expiry returns.
+Cross-node interaction happens only through the scheduler, so an engine
+never touches another node's state.  Engines name links by node
 ids and read their static quantities from the run's ``LinkTable`` through
 ``medium.links``.  A frame carries its size in bits and the simulator
 times it, so no engine knows the data rate.
@@ -111,12 +112,6 @@ class MacTimers(Checked):
 # ------------------------------------------------------------------ actions
 
 
-@dataclass(eq=False)
-class Send:
-    frame: Frame
-    delay: float = 0.0
-
-
 @dataclass(slots=True)
 class Arm:
     key: str
@@ -139,7 +134,7 @@ class Drop:
     reason: str
 
 
-Action = Send | Arm | Cancel | Deliver | Drop
+Action = Frame | Arm | Cancel | Deliver | Drop
 
 
 class MacEngine:
@@ -194,8 +189,9 @@ class MacEngine:
         return []
 
     def on_timer(self, key: str, now: float) -> list[Action]:
-        """A response timer always finds the phase and packet it was armed
-        for: every change of either cancels it or comes while it is not armed."""
+        """A response timer, and TRMAC's ``"data"`` wait, always finds the
+        phase and packet it was armed for: every change of either cancels it
+        or comes while it is not armed."""
         if key == "reservation":
             return self._release_reservation()
         if self.current is None:
@@ -225,7 +221,7 @@ class MacEngine:
         if kind is self.DATA:
             # the acknowledgement goes first, so a relayed packet's request
             # queues behind it
-            actions: list[Action] = [Send(self._frame(self.ACK, frame.src, frame.packet))]
+            actions: list[Action] = [self._frame(self.ACK, frame.src, frame.packet)]
             if frame.packet.packet_id not in self.delivered_ids:
                 self.delivered_ids.add(frame.packet.packet_id)
                 actions.append(Deliver(frame.packet))
@@ -236,7 +232,8 @@ class MacEngine:
             if not self._answers(frame, self.DATA_PHASE):
                 return []
             self.phase = None
-            return [Cancel("response"), *self._begin_next(now)]
+            # a late ack can end the data phase while TRMAC waits to retry
+            return [Cancel("response"), Cancel("data"), *self._begin_next(now)]
         raise ValueError(f"{type(self).__name__} cannot handle frame kind {kind.value}")
 
     def _answers(self, frame: Frame, phase: str) -> bool:
@@ -248,7 +245,7 @@ class MacEngine:
 
     def _reply(self, requester: int, packet: Optional[Packet]) -> list[Action]:
         self.reserved_for = requester
-        return [Send(self._frame(self.REPLY, requester, packet)), Arm("reservation", self.timers.t_th)]
+        return [self._frame(self.REPLY, requester, packet), Arm("reservation", self.timers.t_th)]
 
     def _begin_next(self, now: float) -> list[Action]:
         if not self.queue:
@@ -307,7 +304,8 @@ class TrmacEngine(MacEngine):
     probe overheard from the intended receiver within the coherence time
     lets the sender skip the P_R/PRO exchange entirely; probes overheard
     from third parties feed the correlation-threshold backoff that
-    protects their in-progress receptions.  The simulator hands an
+    protects their in-progress receptions; the TR_DATA frame waits it out
+    as the timer ``"data"``.  The simulator hands an
     engine only the overheard probes that can change what it does: every
     probe of its next hops, and every probe of an origin one of whose
     probes can make it defer (``Simulator._pro_listeners_of``).
@@ -343,19 +341,26 @@ class TrmacEngine(MacEngine):
             self.phase = self.DATA_PHASE
             return self._send_data(now, t_pro_b=now - entry[1])
         self.phase = self.FIRST_PHASE
-        return [Send(self._frame(FrameKind.P_R, dst))]
+        return [self._frame(FrameKind.P_R, dst)]
 
     def _send_data(self, now: float, t_pro_b: Optional[float] = None) -> list[Action]:
-        packet, dst = self.current
-        backoff = self.compute_backoff(now, t_pro_b, dst)
-        return [Send(self._frame(FrameKind.TR_DATA, dst, packet), delay=backoff)]
+        """The TR data frame now, or when the step 3-5 backoff, armed as
+        ``"data"``, expires."""
+        backoff = self.compute_backoff(now, t_pro_b, self.current[1])
+        if backoff > 0.0:
+            return [Arm("data", backoff)]
+        return self._on_timer("data", now)
 
     def _retry(self, now: float) -> list[Action]:
         dst = self.current[1]
         if self.phase == self.FIRST_PHASE:
-            return [Send(self._frame(FrameKind.P_R, dst))]
+            return [self._frame(FrameKind.P_R, dst)]
         # the probe that opened the data phase stays cached
         return self._send_data(now, t_pro_b=now - self.pro_cache[dst][1])
+
+    def _on_timer(self, key: str, now: float) -> list[Action]:
+        packet, dst = self.current  # "data" is TRMAC's one wait
+        return [self._frame(FrameKind.TR_DATA, dst, packet)]
 
     def compute_backoff(self, now: float, t_pro_b: Optional[float], dst: int) -> float:
         """Steps 3-5 deferral before sending to ``dst``.
@@ -433,12 +438,12 @@ class CsmaEngine(MacEngine):
     def _transmit_pending(self, now: float) -> list[Action]:
         if self.phase == self.FIRST_PHASE:
             packet, dst = self.current
-            return [Send(self._frame(FrameKind.RTS, dst, packet))]
+            return [self._frame(FrameKind.RTS, dst, packet)]
         return self._send_data(now)
 
     def _send_data(self, now: float) -> list[Action]:
         packet, dst = self.current
-        return [Send(self._frame(FrameKind.DATA, dst, packet))]
+        return [self._frame(FrameKind.DATA, dst, packet)]
 
     def _retry(self, now: float) -> list[Action]:
         """Draw a backoff, after which the pending frame airs if still idle."""

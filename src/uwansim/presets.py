@@ -8,14 +8,16 @@ fields the preset adds (``snr_db``; ``reference_tx`` and ``reference_rx``;
 ``links``), a header row, and one row per grid point -- never fewer,
 never more.  Each preset is one entry of ``PRESETS``: its rows function
 and its params, with their rules and defaults.  The hash covers the params
-given, each as read, so values equal under their rules hash alike.  A
-network preset refuses a base scenario that gives a key the preset sets
-(``seed``, ``duration_s``, ``mac.protocol``, ``network.link_count``), and
-resolves its placement once per seed and derives each run's scenario from
-it; the runs go to a pool of ``workers`` processes, or run in-process when
-that is 1.  Rows are assembled in grid order regardless of completion
-order, and the runs of one placement share one link table.  A PHY preset
-draws its channel taps with its one seed.
+given, each as read, so values equal under their rules hash alike, and a
+list param refuses a repeated item.  A network preset refuses a base
+scenario that gives a key the preset sets (``seed``, ``duration_s``,
+``mac.protocol``, ``network.link_count``), and resolves its placement once
+per seed and derives each run's scenario from it.  A run of ``n`` links
+runs the placement's first ``n`` routes, so a placement whose given routes
+are fewer is refused.  The runs go to a pool of ``workers`` processes, or
+run in-process when that is 1.  Rows are assembled in grid order
+regardless of completion order, and the runs of one placement share one
+link table.  A PHY preset draws its channel taps with its one seed.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ def _scalar(rule: Rule, default) -> Param:
 def _list(rule: Rule, default: tuple) -> Param:
     """A nonempty list whose items are each already of the kind ``rule``
     converts to and within its bound, each used as ``rule`` parses it (2.0
-    as 2 under an integer rule); null reads as ``default``."""
+    as 2 under an integer rule), and distinct as parsed, since a repeated
+    grid point would write its rows twice; null reads as ``default``."""
 
     def read(value) -> tuple:
         value = default if value is None else value
@@ -100,6 +103,8 @@ def _list(rule: Rule, default: tuple) -> Param:
                 raise ValueError(value)
         except (TypeError, ValueError):
             raise ValueError(f"a nonempty list, each item a {rule.expected}") from None
+        if len(set(parsed)) < len(parsed):
+            raise ValueError("distinct items")
         return parsed
 
     return Param(read, default)
@@ -359,12 +364,19 @@ def _correlation_heatmap(p: dict, seeds: tuple[int, ...]) -> Rows:
     return ["depth_m", "range_m", "eta_abs"], lines(), f" reference_tx={tx[:2]} reference_rx={rx[:2]}"
 
 
-def _placed(p: dict, seed: int, links: int) -> Scenario:
-    """The network preset's base scenario at ``seed`` with ``links`` links,
-    resolved once: the placement every run of the seed derives from."""
+def _placed(p: dict, seed: int, links: int, setter: str) -> Scenario:
+    """The network preset's base scenario at ``seed`` with its first
+    ``links`` routes, resolved once: the placement every run of the seed
+    derives from.  Routes the base scenario gives win over the link count,
+    so a placement with fewer routes is refused, naming the preset and
+    param of ``setter`` (``"<preset>: <param>"``)."""
     base = p["scenario"]
-    return scenario_from_dict({**base, "seed": seed, "duration_s": p["duration"],
-                               "network": {**(base.get("network") or {}), "link_count": links}})
+    placed = scenario_from_dict({**base, "seed": seed, "duration_s": p["duration"],
+                                 "network": {**(base.get("network") or {}), "link_count": links}})
+    routes = placed.network.routes
+    if len(routes) < links:
+        raise ValueError(f"{setter}: {links} links need {links} routes, but the scenario places {len(routes)}")
+    return replace(placed, network=replace(placed.network, routes=routes[:links]))
 
 
 def _protocol(scenario: Scenario, protocol: str) -> Scenario:
@@ -419,7 +431,7 @@ def _load_sweep(p: dict, seeds: tuple[int, ...]) -> Rows:
     labels, scenarios = [], []
     for seed in seeds:
         # one placement per seed; lighter loads run its first routes
-        placed = _placed(p, seed, max(p["loads"]))
+        placed = _placed(p, seed, max(p["loads"]), "load_sweep: loads")
         for links in p["loads"]:
             loaded = replace(placed, network=replace(placed.network, routes=placed.network.routes[:links]))
             for protocol in p["protocols"]:
@@ -435,7 +447,7 @@ def _load_sweep(p: dict, seeds: tuple[int, ...]) -> Rows:
 def _timeseries(p: dict, seeds: tuple[int, ...]) -> Rows:
     """Cumulative metric-versus-time curves for each protocol at one load."""
     links = p["links"]
-    placed = _placed(p, seeds[0], links)
+    placed = _placed(p, seeds[0], links, "timeseries: links")
     records = run_network_jobs([_protocol(placed, protocol) for protocol in p["protocols"]],
                                p["workers"], p["sample_every"])
     rows = [[protocol, row["time"], row["mean_delay"], row["drop_ratio"], row["throughput"]]

@@ -74,9 +74,9 @@ arrivals are sorted by ``(arrival start, seq)`` and added to a ``0.0``
 accumulator.  This is the order in which one event per arrival boundary
 would be handled, so the float sums and every equal-time outcome are the
 same as scheduling all of them.  A frame that finds its transmitter busy
-waits as an ``EV_SEND``, the event of a delayed ``Send``, pushed at its
-submission for the time the transmitter frees; if that event finds the
-transmitter busy again, the frame is pushed again at the new free time.  So
+waits as an ``EV_SEND``, pushed at its submission for the time the
+transmitter frees; if that event finds the transmitter busy again, the
+frame is pushed again at the new free time.  So
 frames waiting at one node start back to back in the order they were
 submitted, with one exception: an event scheduled for exactly the instant a
 second waiting frame resumes, after the frame ahead of it started and
@@ -85,8 +85,10 @@ Say a third frame is submitted at the node at the very instant its
 transmitter frees: it airs before the second.  No golden case and no
 recorded benchmark seed schedules such an event.
 
-Timers.  Each ``Arm`` or ``Cancel`` of a key starts a new generation of it;
-a timer reaches its engine only if it holds the key's latest generation.
+Timers.  An engine waits only through its timers.  A timer event carries
+its key, and a node maps each armed key to the ``seq`` of its latest
+``Arm``; ``Cancel`` removes the key.  So a timer reaches its engine only if
+it is the key's latest arming and no ``Cancel`` came after it.
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ from .mac import (
     FrameKind,
     MacTimers,
     Packet,
-    Send,
     TR_KINDS,
     make_engine,
     step4_defers,
@@ -127,7 +128,7 @@ EV_ARRIVAL = 0
 EV_RX_START = 1
 EV_RX_END = 2
 EV_TIMER = 3
-EV_SEND = 4  # a delayed Send, or a frame waiting for its transmitter
+EV_SEND = 4  # a frame waiting for its busy transmitter
 
 
 class _RxRecord:
@@ -144,14 +145,14 @@ class _RxRecord:
 
 
 class _NodeState:
-    __slots__ = ("engine", "tx_busy_until", "tracked", "rx_lock", "timer_gen")
+    __slots__ = ("engine", "tx_busy_until", "tracked", "rx_lock", "timers")
 
     def __init__(self, engine):
         self.engine = engine
         self.tx_busy_until = 0.0
         self.tracked = []  # tracked receptions that started and have not ended
         self.rx_lock = None
-        self.timer_gen = {}
+        self.timers = {}  # armed key -> seq of its latest Arm
 
 
 @dataclass
@@ -564,17 +565,13 @@ class Simulator:
         state = self.nodes[node_id]
         for action in actions:
             kind = type(action)  # no action class has a subclass
-            if kind is Send:
-                if action.delay > 0.0:
-                    self._push(now + action.delay, EV_SEND, node_id, action.frame)
-                else:
-                    self._submit_frame(node_id, action.frame, now)
+            if kind is Frame:
+                self._submit_frame(node_id, action, now)
             elif kind is Arm:
-                gen = state.timer_gen.get(action.key, 0) + 1
-                state.timer_gen[action.key] = gen
-                self._push(now + action.delay, EV_TIMER, node_id, (action.key, gen))
+                self._push(now + action.delay, EV_TIMER, node_id, action.key)
+                state.timers[action.key] = self._seq
             elif kind is Cancel:
-                state.timer_gen[action.key] = state.timer_gen.get(action.key, 0) + 1
+                state.timers.pop(action.key, None)
             elif kind is Deliver:
                 self._handle_delivery(node_id, action.packet, now)
             elif kind is Drop:
@@ -690,10 +687,9 @@ class Simulator:
         phy = self.phy
         return sinr_from_parts(sig, isi, self._interference(rec, node_id), phy.noise_variance) >= phy.min_required_sinr
 
-    def _handle_timer(self, node_id: int, payload, now: float) -> None:
-        key, gen = payload
+    def _handle_timer(self, node_id: int, key: str, now: float) -> None:
         state = self.nodes[node_id]
-        if state.timer_gen.get(key) != gen:
+        if state.timers.get(key) != self._event_seq:
             return  # cancelled or superseded
         self._process_actions(node_id, state.engine.on_timer(key, now), now)
 

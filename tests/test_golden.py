@@ -111,26 +111,27 @@ def test_golden_fingerprint(case):
 
 def _watch(engine, network, checked):
     """Wrap the engine's hooks to check, at every call, what the engine takes
-    as given: a "response" timer that reaches it finds the phase and packet
-    current when it was armed, and every next hop it is given is within
-    ``network.hop_limit``."""
+    as given: a "response" timer, or TRMAC's "data" wait, that reaches it
+    finds the phase and packet current when it was armed, and every next hop
+    it is given is within ``network.hop_limit``."""
     armed = {}
 
     def recording(hook):
         def call(*args):
             actions = hook(*args)
-            if any(isinstance(a, Arm) and a.key == "response" for a in actions):
-                armed["response"] = (engine.phase, engine.current[0].packet_id)
+            for a in actions:
+                if isinstance(a, Arm) and a.key in ("response", "data"):
+                    armed[a.key] = (engine.phase, engine.current[0].packet_id)
             return actions
         return call
 
     on_timer, enqueue = recording(engine.on_timer), recording(engine.enqueue)
 
     def timer(key, now):
-        if key == "response":
+        if key in ("response", "data"):
             assert engine.current is not None
-            assert (engine.phase, engine.current[0].packet_id) == armed["response"]
-            checked["response"] += 1
+            assert (engine.phase, engine.current[0].packet_id) == armed[key]
+            checked[key] += 1
         return on_timer(key, now)
 
     def enqueued(packet, dst, now):
@@ -145,9 +146,9 @@ def _watch(engine, network, checked):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_engines_find_what_their_timers_and_routes_promise(protocol):
     """The engines keep no check of their own that a response timer is not
-    stale or that a next hop is in range: the simulator's timer generations
-    and ``validate_scenario`` make both hold.  This pins both on every dense
-    case of the protocol."""
+    stale or that a next hop is in range: the simulator's timer sequence
+    numbers and ``validate_scenario`` make both hold.  This pins both on
+    every dense case of the protocol."""
     checked = collections.Counter()
     for case in CASES:
         if case["id"].startswith(f"dense-{protocol}-"):
@@ -156,6 +157,7 @@ def test_engines_find_what_their_timers_and_routes_promise(protocol):
                 _watch(state.engine, sim.scenario.network, checked)
             sim.run()
     assert checked["response"] > 100 and checked["enqueue"] > 100, checked
+    assert checked["data"] > 100 if protocol == "trmac" else not checked["data"], checked
 
 
 def test_golden_covers_all_protocols():

@@ -11,7 +11,6 @@ from uwansim.mac import (
     FrameKind,
     MacTimers,
     Packet,
-    Send,
     TrmacEngine,
     make_engine,
     step4_defers,
@@ -67,9 +66,10 @@ def csma(node=0, kind="csma_ca", cap=MAC.s_csma_max_backoff):
 
 
 def sends(actions, kind=None):
-    out = [a for a in actions if isinstance(a, Send)]
+    """The frames among ``actions``, of ``kind`` if given."""
+    out = [a for a in actions if isinstance(a, Frame)]
     if kind is not None:
-        out = [a for a in out if a.frame.kind is kind]
+        out = [a for a in out if a.kind is kind]
     return out
 
 
@@ -115,10 +115,10 @@ def test_trmac_enqueue_without_cached_probe_sends_pr_and_arms_timeout():
     engine = trmac()
     actions = engine.enqueue(packet(), 1, now=0.0)
     (send,) = sends(actions, FrameKind.P_R)
-    assert send.frame.dst == 1
-    assert send.frame.payload_bits == MAC.control_bits
+    assert send.dst == 1
+    assert send.payload_bits == MAC.control_bits
     # the retransmission timer starts when the frame actually airs
-    (arm,) = arms(engine.on_tx_start(send.frame, 0.0), "response")
+    (arm,) = arms(engine.on_tx_start(send, 0.0), "response")
     assert arm.delay == pytest.approx(TIMERS.t_th)
 
 
@@ -128,10 +128,10 @@ def test_trmac_enqueue_with_fresh_cached_probe_skips_handshake():
     actions = engine.enqueue(packet(), 1, now=TIMERS.coherence_time / 2)
     assert not sends(actions, FrameKind.P_R)
     (send,) = sends(actions, FrameKind.TR_DATA)
-    assert (send.frame.src, send.frame.dst) == (0, 1)
+    assert (send.src, send.dst) == (0, 1)
     assert engine.stats["handshake_omissions"] == 1
     # probe age exceeds the collision window, so no receiver-side deferral
-    assert send.delay == 0.0
+    assert not arms(actions, "data")
 
 
 def test_trmac_enqueue_with_stale_probe_falls_back_to_pr():
@@ -242,9 +242,14 @@ def test_step4_defers_when_the_threshold_is_missing_or_exceeded(victim_norm, pea
 def test_backoff_includes_receiver_window_on_cached_path():
     engine = trmac()
     engine.pro_cache[1] = (0, 10.0)
-    actions = engine.enqueue(packet(), 1, now=10.3)
-    (send,) = sends(actions, FrameKind.TR_DATA)
-    assert send.delay == pytest.approx(TIMERS.t_cl - 0.3, abs=1e-9)
+    pkt = packet()
+    actions = engine.enqueue(pkt, 1, now=10.3)
+    assert not sends(actions)
+    (arm,) = arms(actions, "data")
+    assert arm.delay == pytest.approx(TIMERS.t_cl - 0.3, abs=1e-9)
+    # the frame comes when the wait expires
+    (send,) = sends(engine.on_timer("data", now=10.3 + arm.delay), FrameKind.TR_DATA)
+    assert send.packet is pkt and (send.src, send.dst) == (0, 1)
 
 
 # -------------------------------------------------------- TRMAC receiver
@@ -256,8 +261,8 @@ def test_pr_at_idle_receiver_replies_pro_naming_the_link():
     actions = engine.on_frame(pr, now=1.0)
     (send,) = sends(actions, FrameKind.PRO)
     # the reply carries no numbers: its (src, dst) is the victim link
-    assert (send.frame.src, send.frame.dst) == (1, 0)
-    assert send.frame.packet is None and not hasattr(send.frame, "piggyback")
+    assert (send.src, send.dst) == (1, 0)
+    assert send.packet is None and not hasattr(send, "piggyback")
     assert engine.reserved_for == 0
     assert arms(actions, "reservation")
 
@@ -288,11 +293,11 @@ def test_tr_data_delivery_ack_and_deferred_pro_flush():
     assert [a.packet.packet_id for a in actions if isinstance(a, Deliver)] == [42]
     (ack,) = sends(actions, FrameKind.TR_ACK)
     # the acknowledgement is focused on the reverse link
-    assert (ack.frame.src, ack.frame.dst) == (1, 0)
-    assert ack.frame.packet is pkt
+    assert (ack.src, ack.dst) == (1, 0)
+    assert ack.packet is pkt
     # reservation passes to the deferred requester, whose link the reply names
     (pro,) = sends(actions, FrameKind.PRO)
-    assert (pro.frame.src, pro.frame.dst) == (1, 2) and pro.frame.packet is None
+    assert (pro.src, pro.dst) == (1, 2) and pro.packet is None
     assert engine.reserved_for == 2
 
     # duplicate data is acknowledged but not delivered twice
@@ -306,14 +311,14 @@ def test_full_sender_handshake_and_ack_completion():
     pkt = packet(pid=5)
     actions = engine.enqueue(pkt, 1, now=0.0)
     (pr,) = sends(actions, FrameKind.P_R)
-    engine.on_tx_start(pr.frame, 0.0)
+    engine.on_tx_start(pr, 0.0)
 
     pro = Frame(FrameKind.PRO, 1, 0, 32)
     actions = engine.on_frame(pro, now=1.46)
     assert any(isinstance(a, Cancel) and a.key == "response" for a in actions)
     (data,) = sends(actions, FrameKind.TR_DATA)
-    assert data.delay == 0.0  # fresh handshake: no receiver-side deferral
-    engine.on_tx_start(data.frame, 1.46)
+    assert not arms(actions, "data")  # fresh handshake: no receiver-side deferral
+    engine.on_tx_start(data, 1.46)
 
     ack = Frame(FrameKind.TR_ACK, 1, 0, 32, packet=pkt)
     actions = engine.on_frame(ack, now=3.4)
@@ -336,7 +341,7 @@ def test_ack_for_abandoned_packet_is_ignored(make):
 def test_timeout_retransmits_then_drops(make, phase):
     engine = make(node=0)
     actions = engine.enqueue(packet(pid=9), 1, now=0.0)
-    engine.on_tx_start(sends(actions)[0].frame, 0.0)
+    engine.on_tx_start(sends(actions)[0], 0.0)
     # three retransmissions allowed; CSMA airs each one after a backoff
     for retry in range(1, TIMERS.n_max + 1):
         actions = engine.on_timer("response", now=float(retry))
@@ -360,7 +365,24 @@ def test_trmac_data_timeout_recomputes_backoff_from_cache():
     actions = engine.on_timer("response", now=8.0)
     (send,) = sends(actions, FrameKind.TR_DATA)
     assert engine.retries == 1
-    assert send.delay == 0.0  # probe is older than the collision window
+    assert not arms(actions, "data")  # probe is older than the collision window
+
+
+def test_a_late_ack_during_the_data_wait_cancels_it():
+    # the data frame timed out, and its retry waits out a probe reply that
+    # node 2 sent 0.1 s ago; the first attempt's ack, arriving during the
+    # wait, ends the data phase, so the wait must not air the frame
+    engine = trmac(node=0, conflicting={2})
+    engine.pro_cache[1] = (0, 0.0)
+    pkt = packet(pid=12)
+    assert sends(engine.enqueue(pkt, 1, now=5.0), FrameKind.TR_DATA)
+    engine.pro_cache[2] = (3, 7.9)
+    actions = engine.on_timer("response", now=8.0)
+    assert not sends(actions)
+    (arm,) = arms(actions, "data")
+    assert arm.delay == pytest.approx(TIMERS.t_cl - 0.1, abs=1e-9)
+    actions = engine.on_frame(Frame(FrameKind.TR_ACK, 1, 0, 32, packet=pkt), now=8.5)
+    assert Cancel("data") in actions and engine.current is None
 
 
 def test_reservation_timeout_releases_and_flushes():
@@ -369,7 +391,7 @@ def test_reservation_timeout_releases_and_flushes():
     engine.on_frame(Frame(FrameKind.P_R, 2, 1, 32), now=1.5)
     actions = engine.on_timer("reservation", now=1.0 + TIMERS.t_th)
     (pro,) = sends(actions, FrameKind.PRO)
-    assert pro.frame.dst == 2
+    assert pro.dst == 2
     assert engine.reserved_for == 2
 
 
@@ -380,7 +402,7 @@ def test_csma_idle_channel_sends_rts_immediately():
     engine = csma()
     actions = engine.enqueue(packet(), 1, now=0.0)
     (send,) = sends(actions, FrameKind.RTS)
-    (arm,) = arms(engine.on_tx_start(send.frame, 0.0), "response")
+    (arm,) = arms(engine.on_tx_start(send, 0.0), "response")
     assert arm.delay == pytest.approx(TIMERS.t_th)
 
 
@@ -436,26 +458,26 @@ def test_csma_handshake_flow_and_reservation():
     receiver = csma(node=1)
     pkt = packet(pid=21)
     (rts,) = sends(sender.enqueue(pkt, 1, now=0.0), FrameKind.RTS)
-    sender.on_tx_start(rts.frame, 0.0)
+    sender.on_tx_start(rts, 0.0)
 
-    actions = receiver.on_frame(rts.frame, now=0.5)
+    actions = receiver.on_frame(rts, now=0.5)
     (cts,) = sends(actions, FrameKind.CTS)
     assert receiver.reserved_for == 0
     # a competing RTS gets silence while reserved
     competing = Frame(FrameKind.RTS, 2, 1, 32, packet=packet(pid=22))
     assert receiver.on_frame(competing, now=0.6) == []
 
-    actions = sender.on_frame(cts.frame, now=1.1)
+    actions = sender.on_frame(cts, now=1.1)
     (data,) = sends(actions, FrameKind.DATA)
-    assert data.frame.packet is pkt
-    sender.on_tx_start(data.frame, 1.1)
+    assert data.packet is pkt
+    sender.on_tx_start(data, 1.1)
 
-    actions = receiver.on_frame(data.frame, now=2.2)
+    actions = receiver.on_frame(data, now=2.2)
     assert [a for a in actions if isinstance(a, Deliver)]
     (ack,) = sends(actions, FrameKind.ACK)
     assert receiver.reserved_for is None
 
-    actions = sender.on_frame(ack.frame, now=3.0)
+    actions = sender.on_frame(ack, now=3.0)
     assert sender.current is None
 
 

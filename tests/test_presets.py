@@ -712,3 +712,64 @@ def test_network_presets_refuse_a_scenario_key_they_set(name, scenario, key, val
     assert str(err.value) == (f"{name}: scenario: {key}: expected no value, as the preset sets it "
                               f"from {setter}, got {value!r}")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("load_sweep", "loads", [2, 2]),
+    ("load_sweep", "loads", [2, 4, 2.0]),  # 2 and 2.0 are one load
+    ("load_sweep", "protocols", ["trmac", "csma_ca", "trmac"]),
+    ("timeseries", "protocols", ["s_csma_ca", "s_csma_ca"]),
+    ("sinr_vs_snr", "snr_db_grid", [40, 40.0]),
+    ("sinr_vs_snr", "d_factors", [1, 2, 1]),
+    ("sinr_vs_eta", "eta_grid", [0.5, 0.5]),
+])
+def test_preset_lists_refuse_a_repeated_item_before_any_run(name, key, value, tmp_path, monkeypatch):
+    # a repeated grid point would write its rows twice
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(presets, "run_network_jobs", no_run)
+    monkeypatch.setattr(presets, "generate_cir", no_run)
+    with pytest.raises(ValueError) as err:
+        run_preset(ExperimentPreset(name, params={key: value}, output_dir=str(tmp_path)))
+    assert str(err.value) == f"{name}: {key}: expected distinct items, got {value!r}"
+    assert not list(tmp_path.iterdir())
+
+
+# six nodes within one hop of their partners, and three given routes
+SIX_NODES = [[20, 0, 0], [20, 600, 0], [30, 0, 700], [40, 600, 700], [25, 300, 1400], [25, 900, 1400]]
+THREE_ROUTES = [[0, 1], [2, 3], [4, 5]]
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("load_sweep", {"loads": [1, 4]}, "load_sweep: loads: 4 links need 4 routes, but the scenario places 3"),
+    ("timeseries", {"links": 4}, "timeseries: links: 4 links need 4 routes, but the scenario places 3"),
+])
+def test_network_presets_refuse_a_placement_with_fewer_routes_than_links(name, params, message,
+                                                                         tmp_path, monkeypatch):
+    # given routes win over the link count, so a load of 4 would run 3 routes
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(presets, "run_network_jobs", no_run)
+    scenario = {"network": {"nodes": SIX_NODES, "routes": THREE_ROUTES}}
+    with pytest.raises(ValueError) as err:
+        run_preset(ExperimentPreset(name, params={**NETWORK_PRESETS[name], **params, "scenario": scenario},
+                                    output_dir=str(tmp_path)))
+    assert str(err.value) == message
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, params", [
+    ("load_sweep", {"loads": [1]}),
+    ("timeseries", {"links": 1, "duration": 200.0, "sample_every": 100.0}),
+])
+def test_network_presets_run_the_first_routes_of_a_placement_with_more(name, params, tmp_path):
+    def data(routes):
+        scenario = {"network": {"nodes": SIX_NODES, "routes": routes}}
+        path = run_preset(ExperimentPreset(name, params={**NETWORK_PRESETS[name], **params, "scenario": scenario},
+                                           output_dir=str(tmp_path / repr(routes))))
+        _, header, rows = read_csv(path)
+        return header, rows
+
+    assert data(THREE_ROUTES) == data(THREE_ROUTES[:1])

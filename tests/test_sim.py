@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from uwansim.channel import ArrivalFileError, ArrivalTable, generate_cir, norm
-from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Cancel, Frame, FrameKind, Packet, Send
+from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Cancel, Frame, FrameKind, Packet
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import channel as channel_module
 from uwansim import sim as sim_module
-from uwansim.sim import LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
+from uwansim.sim import EV_SEND, EV_TIMER, LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
 from uwansim.tr_phy import (autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_powers, sdt_signal_and_isi,
                             sinr_from_parts, tr_powers)
 
@@ -631,6 +631,17 @@ def test_only_a_timer_keys_latest_uncancelled_arming_reaches_the_engine():
     assert fired == [(1.5, "sooner"), (5.5, "again"), (6.0, "kept"), (8.5, "later")]
 
 
+def test_a_timer_is_named_by_the_seq_of_its_latest_arm():
+    sim = Simulator(single_link_scenario())
+    sim._process_actions(0, [Arm("a", 2.0), Arm("b", 3.0), Arm("a", 1.0)], 0.0)
+    # the event carries the key alone; the node keeps the seq of each live arm
+    assert sorted(sim.heap) == [(1.0, 3, EV_TIMER, 0, "a"), (2.0, 1, EV_TIMER, 0, "a"),
+                                (3.0, 2, EV_TIMER, 0, "b")]
+    assert sim.nodes[0].timers == {"a": 3, "b": 2}
+    sim._process_actions(0, [Cancel("b"), Cancel("never armed")], 0.0)
+    assert sim.nodes[0].timers == {"a": 3}
+
+
 def test_arrival_file_channel_end_to_end(tmp_path):
     # a two-node run whose only channel comes from ray-arrival records
     dt = 1.0 / 4000.0
@@ -831,7 +842,7 @@ def test_tie_csma_backoff_expires_at_end_of_later_arrival():
     sim.nodes[1].engine.rng = _FixedDraw(0.25)
     sim._submit_frame(0, Frame(FrameKind.ACK, 0, 3, 256), 0.0)
     late = Frame(FrameKind.ACK, 4, 3, 32)
-    sim._process_actions(4, [Send(late, delay=1.0625)], 0.0)
+    sim._push(1.0625, EV_SEND, 4, late)
     sim.schedule_packet(0, 0.75)
     sim.run()
     rts = [e["time"] for e in sim.trace.events if e["event"] == "tx_start" and e["node"] == 1]
@@ -839,8 +850,8 @@ def test_tie_csma_backoff_expires_at_end_of_later_arrival():
 
 
 def test_waiting_frames_air_in_submission_order_back_to_back():
-    # a 1-s frame then two short ones, all submitted at 0; a delayed Send
-    # landing when the transmitter frees keeps its place behind them by seq
+    # a 1-s frame then two short ones, all submitted at 0; a frame pushed
+    # for the time the transmitter frees keeps its place behind them by seq
     sim = Simulator(single_link_scenario())
     long, first, second, late = (Frame(FrameKind.TR_ACK, 0, 1, bits) for bits in (512, 32, 64, 128))
     starts = []
@@ -853,7 +864,7 @@ def test_waiting_frames_air_in_submission_order_back_to_back():
     sim._start_tx = recording
     for frame in (long, first, second):
         sim._submit_frame(0, frame, 0.0)
-    sim._process_actions(0, [Send(late, delay=1.0)], 0.0)
+    sim._push(1.0, EV_SEND, 0, late)
     sim.run()
     node0 = [(now, frame) for now, frame in starts if frame.src == 0]
     assert node0 == [(0.0, long), (1.0, first), (1.0625, second), (1.1875, late)]
