@@ -118,7 +118,7 @@ class Arm:
     delay: float
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)  # an engine's WAITS shares its instances
 class Cancel:
     key: str
 
@@ -145,12 +145,18 @@ class MacEngine:
     left unanswered is retried ``n_max`` times, then its packet is dropped.
     A receiver reserves itself for one requester until that requester's
     data arrives or the reservation timer expires.  Subclasses set the
-    frame kinds ``REQUEST``, ``REPLY``, ``DATA`` and ``ACK`` and the
-    ``FIRST_PHASE`` name, and define ``_start_packet`` (which sets
-    ``phase``), ``_send_data`` and ``_retry``.
+    frame kinds ``REQUEST``, ``REPLY``, ``DATA`` and ``ACK``, the
+    ``FIRST_PHASE`` name and ``WAITS``, and define ``_start_packet`` (which
+    sets ``phase``), ``_send_data`` and ``_retry``.
+
+    ``WAITS`` cancels every timer the engine waits on for its current packet
+    and phase: a subclass lists each key it arms besides ``"reservation"``.
+    Every change of packet or phase (a reply, an ack, a drop) emits it first,
+    so no wait outlives the phase it was armed for.
     """
 
     DATA_PHASE = "data"
+    WAITS = (Cancel("response"),)
 
     def __init__(self, node_id, timers, control_bits, rng, medium):
         self.node_id = node_id
@@ -189,13 +195,11 @@ class MacEngine:
         return []
 
     def on_timer(self, key: str, now: float) -> list[Action]:
-        """A response timer, and TRMAC's ``"data"`` wait, always finds the
-        phase and packet it was armed for: every change of either cancels it
-        or comes while it is not armed."""
+        """Every wait finds the phase and packet it was armed for: every
+        change of either cancels all of ``WAITS``.  ``"reservation"``, the
+        receiver's timer, is no wait of the current packet."""
         if key == "reservation":
             return self._release_reservation()
-        if self.current is None:
-            return []
         if key != "response":
             return self._on_timer(key, now)
         if self.retries >= self.timers.n_max:
@@ -217,7 +221,7 @@ class MacEngine:
             # reservation complete; move to the data phase
             self.retries = 0
             self.phase = self.DATA_PHASE
-            return [Cancel("response"), *self._send_data(now)]
+            return [*self.WAITS, *self._send_data(now)]
         if kind is self.DATA:
             # the acknowledgement goes first, so a relayed packet's request
             # queues behind it
@@ -232,8 +236,7 @@ class MacEngine:
             if not self._answers(frame, self.DATA_PHASE):
                 return []
             self.phase = None
-            # a late ack can end the data phase while TRMAC waits to retry
-            return [Cancel("response"), Cancel("data"), *self._begin_next(now)]
+            return [*self.WAITS, *self._begin_next(now)]
         raise ValueError(f"{type(self).__name__} cannot handle frame kind {kind.value}")
 
     def _answers(self, frame: Frame, phase: str) -> bool:
@@ -258,7 +261,7 @@ class MacEngine:
     def _drop_current(self, now: float, reason: str) -> list[Action]:
         packet, _ = self.current
         self.stats["drops"] += 1
-        actions: list[Action] = [Cancel("response"), Drop(packet, reason)]
+        actions: list[Action] = [*self.WAITS, Drop(packet, reason)]
         actions.extend(self._begin_next(now))
         return actions
 
@@ -313,6 +316,7 @@ class TrmacEngine(MacEngine):
 
     REQUEST, REPLY, DATA, ACK = FrameKind.P_R, FrameKind.PRO, FrameKind.TR_DATA, FrameKind.TR_ACK
     FIRST_PHASE = "probe"
+    WAITS = (Cancel("response"), Cancel("data"))
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -370,7 +374,8 @@ class TrmacEngine(MacEngine):
         within the collision window is checked against the threshold of
         its victim link (``LinkTable.defers``, which keeps each check it
         computes); conflicting ones extend the deferral to the end of
-        their window.
+        their window.  A probe heard exactly ``t_cl`` ago has left its window
+        and defers nothing.
         """
         t_cl = self.timers.t_cl
         backoff = max(t_cl - t_pro_b, 0.0) if t_pro_b is not None else 0.0
@@ -414,6 +419,7 @@ class CsmaEngine(MacEngine):
 
     REQUEST, REPLY, DATA, ACK = FrameKind.RTS, FrameKind.CTS, FrameKind.DATA, FrameKind.ACK
     FIRST_PHASE = "rts"
+    WAITS = (Cancel("response"), Cancel("backoff"), Cancel("sense"))
 
     def __init__(self, *args, backoff_cap: Optional[float], **kwargs):
         super().__init__(*args, **kwargs)

@@ -73,22 +73,21 @@ handled, a boundary has passed iff its key is smaller.  Overlapping
 arrivals are sorted by ``(arrival start, seq)`` and added to a ``0.0``
 accumulator.  This is the order in which one event per arrival boundary
 would be handled, so the float sums and every equal-time outcome are the
-same as scheduling all of them.  A frame that finds its transmitter busy
-waits as an ``EV_SEND``, pushed at its submission for the time the
-transmitter frees; if that event finds the transmitter busy again, the
-frame is pushed again at the new free time.  So
+same as scheduling all of them.  A frame submitted while its node's
+transmitter is busy, or while another of the node's frames waits, joins the
+node's queue of waiting frames and pushes one ``EV_SEND`` for the time the
+transmitter frees.  An ``EV_SEND`` starts the first waiting frame if the
+transmitter is free, and is pushed again at the new free time if not.  So
 frames waiting at one node start back to back in the order they were
-submitted, with one exception: an event scheduled for exactly the instant a
-second waiting frame resumes, after the frame ahead of it started and
-before the second frame's event ran, comes before that frame's new event.
-Say a third frame is submitted at the node at the very instant its
-transmitter frees: it airs before the second.  No golden case and no
-recorded benchmark seed schedules such an event.
+submitted, whatever else happens at the instant the transmitter frees.
 
 Timers.  An engine waits only through its timers.  A timer event carries
 its key, and a node maps each armed key to the ``seq`` of its latest
 ``Arm``; ``Cancel`` removes the key.  So a timer reaches its engine only if
-it is the key's latest arming and no ``Cancel`` came after it.
+it is the key's latest arming and no ``Cancel`` came after it.  An engine
+cancels all of its waits (``MacEngine.WAITS``) at every change of packet or
+phase, so each wait that reaches it finds the phase and packet it was armed
+for.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ EV_ARRIVAL = 0
 EV_RX_START = 1
 EV_RX_END = 2
 EV_TIMER = 3
-EV_SEND = 4  # a frame waiting for its busy transmitter
+EV_SEND = 4  # a node's first waiting frame may start
 
 
 class _RxRecord:
@@ -145,11 +144,12 @@ class _RxRecord:
 
 
 class _NodeState:
-    __slots__ = ("engine", "tx_busy_until", "tracked", "rx_lock", "timers")
+    __slots__ = ("engine", "tx_busy_until", "waiting", "tracked", "rx_lock", "timers")
 
     def __init__(self, engine):
         self.engine = engine
         self.tx_busy_until = 0.0
+        self.waiting = deque()  # frames submitted and not yet started, one EV_SEND each
         self.tracked = []  # tracked receptions that started and have not ended
         self.rx_lock = None
         self.timers = {}  # armed key -> seq of its latest Arm
@@ -520,8 +520,9 @@ class Simulator:
     # -------------------------------------------------------------- events
 
     def run(self, sample_every: float | None = None) -> RunResult:
-        """Simulate to ``scenario.duration``; ``sample_every`` adds the
-        metrics series of ``collect_metrics``, whose ValueError for a bad
+        """Simulate to ``scenario.duration``: an event at exactly
+        ``duration`` is handled, a later one is not.  ``sample_every`` adds
+        the metrics series of ``collect_metrics``, whose ValueError for a bad
         period comes before the first event.  A simulator runs once; a
         second call raises RuntimeError before it handles any event."""
         if self._ran:
@@ -534,7 +535,7 @@ class Simulator:
         heap = self.heap
         heappop = heapq.heappop
         handlers = (self._handle_arrival, self._handle_rx_start, self._handle_rx_end,
-                    self._handle_timer, self._submit_frame)
+                    self._handle_timer, self._handle_send)
         while heap:
             time, seq, kind, subject, attachment = heappop(heap)
             if time > duration:
@@ -582,11 +583,25 @@ class Simulator:
                 raise TypeError(f"unknown MAC action {action!r}")
 
     def _submit_frame(self, node_id: int, frame: Frame, now: float) -> None:
+        """Start ``frame`` now if the transmitter is free and none of the
+        node's frames waits, else queue it last.  Its ``EV_SEND`` is due when
+        the transmitter frees: now, if only waiting frames hold it back,
+        since their events are due by then."""
         state = self.nodes[node_id]
-        if state.tx_busy_until > now:
-            self._push(state.tx_busy_until, EV_SEND, node_id, frame)
+        if state.waiting or state.tx_busy_until > now:
+            state.waiting.append(frame)
+            self._push(state.tx_busy_until, EV_SEND, node_id, None)
             return
         self._start_tx(node_id, frame, now)
+
+    def _handle_send(self, node_id: int, _, now: float) -> None:
+        """Start the node's first waiting frame, or wait again while the
+        transmitter is busy."""
+        state = self.nodes[node_id]
+        if state.tx_busy_until > now:
+            self._push(state.tx_busy_until, EV_SEND, node_id, None)
+            return
+        self._start_tx(node_id, state.waiting.popleft(), now)
 
     def _start_tx(self, node_id: int, frame: Frame, now: float) -> None:
         state = self.nodes[node_id]
@@ -642,6 +657,9 @@ class Simulator:
             defers(u, v, d, r) for d in next_hops[v] if d != u for r in requesters))]
 
     def _handle_rx_start(self, node_id: int, rec: _RxRecord, now: float) -> None:
+        """Open a tracked reception.  One that starts while the node
+        transmits is corrupted, but not one that starts at the very instant
+        the node's transmission ends; the receiver lock applies after that."""
         state = self.nodes[node_id]
         if state.tx_busy_until > now:
             rec.corrupted = True

@@ -111,16 +111,18 @@ def test_golden_fingerprint(case):
 
 def _watch(engine, network, checked):
     """Wrap the engine's hooks to check, at every call, what the engine takes
-    as given: a "response" timer, or TRMAC's "data" wait, that reaches it
-    finds the phase and packet current when it was armed, and every next hop
-    it is given is within ``network.hop_limit``."""
+    as given: every timer that reaches it, bar the receiver's
+    "reservation", is one of its ``WAITS`` and finds a current packet, and
+    the phase and packet current when it was armed; and every next hop it
+    is given is within ``network.hop_limit``."""
+    waits = {cancel.key for cancel in engine.WAITS}
     armed = {}
 
     def recording(hook):
         def call(*args):
             actions = hook(*args)
             for a in actions:
-                if isinstance(a, Arm) and a.key in ("response", "data"):
+                if isinstance(a, Arm) and a.key in waits:
                     armed[a.key] = (engine.phase, engine.current[0].packet_id)
             return actions
         return call
@@ -128,7 +130,8 @@ def _watch(engine, network, checked):
     on_timer, enqueue = recording(engine.on_timer), recording(engine.enqueue)
 
     def timer(key, now):
-        if key in ("response", "data"):
+        if key != "reservation":
+            assert key in waits
             assert engine.current is not None
             assert (engine.phase, engine.current[0].packet_id) == armed[key]
             checked[key] += 1
@@ -143,12 +146,17 @@ def _watch(engine, network, checked):
     engine.on_frame, engine.on_tx_start = recording(engine.on_frame), recording(engine.on_tx_start)
 
 
+# the waits each protocol arms
+WAITS = {"trmac": {"response", "data"}, "csma_ca": {"response", "backoff", "sense"},
+         "s_csma_ca": {"response", "backoff", "sense"}}
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_engines_find_what_their_timers_and_routes_promise(protocol):
-    """The engines keep no check of their own that a response timer is not
-    stale or that a next hop is in range: the simulator's timer sequence
-    numbers and ``validate_scenario`` make both hold.  This pins both on
-    every dense case of the protocol."""
+    """The engines keep no check of their own that a wait is not stale or
+    that a next hop is in range: the cancelled ``WAITS`` with the
+    simulator's timer sequence numbers, and ``validate_scenario``, make both
+    hold.  This pins both on every dense case of the protocol."""
     checked = collections.Counter()
     for case in CASES:
         if case["id"].startswith(f"dense-{protocol}-"):
@@ -156,8 +164,8 @@ def test_engines_find_what_their_timers_and_routes_promise(protocol):
             for state in sim.nodes:
                 _watch(state.engine, sim.scenario.network, checked)
             sim.run()
-    assert checked["response"] > 100 and checked["enqueue"] > 100, checked
-    assert checked["data"] > 100 if protocol == "trmac" else not checked["data"], checked
+    assert set(checked) == WAITS[protocol] | {"enqueue"}, checked
+    assert min(checked.values()) > 100, checked
 
 
 def test_golden_covers_all_protocols():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,16 @@ def test_step4_defers_when_the_threshold_is_missing_or_exceeded(victim_norm, pea
     assert step4_defers(heard, own, victim_norm, 0.0, phy) is defers
 
 
+def test_a_probe_exactly_t_cl_old_defers_nothing():
+    engine = trmac(node=0, conflicting={2})
+    engine.pro_cache[2] = (3, 0.0)
+    assert engine.compute_backoff(TIMERS.t_cl, None, 1) == 0.0
+    assert engine.medium.checks == [] and engine.stats["step4_deferrals"] == 0
+    # a moment younger, it is checked and defers
+    assert engine.compute_backoff(math.nextafter(TIMERS.t_cl, 0.0), None, 1) > 0.0
+    assert engine.medium.checks == [(2, 0, 1, 3)] and engine.stats["step4_deferrals"] == 1
+
+
 def test_backoff_includes_receiver_window_on_cached_path():
     engine = trmac()
     engine.pro_cache[1] = (0, 10.0)
@@ -383,6 +395,42 @@ def test_a_late_ack_during_the_data_wait_cancels_it():
     assert arm.delay == pytest.approx(TIMERS.t_cl - 0.1, abs=1e-9)
     actions = engine.on_frame(Frame(FrameKind.TR_ACK, 1, 0, 32, packet=pkt), now=8.5)
     assert Cancel("data") in actions and engine.current is None
+
+
+@pytest.mark.parametrize("make, waits", [(trmac, {"response", "data"}), (csma, {"response", "backoff", "sense"})],
+                         ids=["trmac", "csma_ca"])
+def test_every_change_of_packet_or_phase_cancels_every_wait(make, waits):
+    engine = make(node=0)
+    assert {cancel.key for cancel in engine.WAITS} == waits
+    pkt = packet(pid=1)
+    engine.enqueue(pkt, 1, now=0.0)
+    reply = engine.on_frame(Frame(engine.REPLY, 1, 0, 32, pkt), now=1.0)  # to the data phase
+    ack = engine.on_frame(Frame(engine.ACK, 1, 0, 32, pkt), now=2.0)  # packet 1 ends
+    engine.enqueue(packet(pid=2), 1, now=3.0)
+    engine.retries = TIMERS.n_max
+    drop = engine.on_timer("response", now=4.0)  # packet 2 is dropped
+    assert [a for a in drop if isinstance(a, Drop)]
+    for actions in (reply, ack, drop):
+        assert [a for a in actions if isinstance(a, Cancel)] == list(engine.WAITS)
+
+
+def test_a_late_ack_during_a_csma_backoff_cancels_it():
+    # the data frame timed out and its retry waits out a backoff when the
+    # first attempt's ack arrives, with a second packet queued: the ack ends
+    # packet 1 and starts packet 2, and cancels the backoff, which would
+    # otherwise air packet 2's request a second time
+    engine = csma(node=0)
+    first, second = packet(pid=1), packet(pid=2)
+    (rts,) = sends(engine.enqueue(first, 1, now=0.0), FrameKind.RTS)
+    engine.on_tx_start(rts, 0.0)
+    (data,) = sends(engine.on_frame(Frame(FrameKind.CTS, 1, 0, 32, first), now=1.0), FrameKind.DATA)
+    engine.on_tx_start(data, 1.0)
+    assert engine.enqueue(second, 1, now=1.5) == []
+    assert arms(engine.on_timer("response", now=1.0 + TIMERS.t_th), "backoff")
+    actions = engine.on_frame(Frame(FrameKind.ACK, 1, 0, 32, first), now=3.5)
+    assert Cancel("backoff") in actions
+    (rts,) = sends(actions, FrameKind.RTS)
+    assert rts.packet is second
 
 
 def test_reservation_timeout_releases_and_flushes():

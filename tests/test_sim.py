@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import gc
@@ -16,7 +17,7 @@ from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Cancel, Frame, FrameKind, Pack
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import channel as channel_module
 from uwansim import sim as sim_module
-from uwansim.sim import EV_SEND, EV_TIMER, LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
+from uwansim.sim import EV_TIMER, LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
 from uwansim.tr_phy import (autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_powers, sdt_signal_and_isi,
                             sinr_from_parts, tr_powers)
 
@@ -832,6 +833,15 @@ class _FixedDraw:
         return self.value
 
 
+def _air_from_timer(sim, node, frame, at):
+    """Arm a timer at ``node`` now (t = 0) whose expiry at ``at`` returns
+    ``frame``, as an engine airs whatever it sends later."""
+    engine = sim.nodes[node].engine
+    on_timer, key = engine.on_timer, f"air {id(frame)}"
+    engine.on_timer = lambda k, now: [frame] if k == key else on_timer(k, now)
+    sim._process_actions(node, [Arm(key, at)], 0.0)
+
+
 def test_tie_csma_backoff_expires_at_end_of_later_arrival():
     # node 1 senses node 0's frame until 1.0, then backs off 0.25 s.  Node 4
     # (187.5 m away) starts a 0.0625-s frame at 1.0625, after the backoff
@@ -841,33 +851,118 @@ def test_tie_csma_backoff_expires_at_end_of_later_arrival():
     sim = Simulator(sc, record_events=True)
     sim.nodes[1].engine.rng = _FixedDraw(0.25)
     sim._submit_frame(0, Frame(FrameKind.ACK, 0, 3, 256), 0.0)
-    late = Frame(FrameKind.ACK, 4, 3, 32)
-    sim._push(1.0625, EV_SEND, 4, late)
+    _air_from_timer(sim, 4, Frame(FrameKind.ACK, 4, 3, 32), 1.0625)
     sim.schedule_packet(0, 0.75)
     sim.run()
     rts = [e["time"] for e in sim.trace.events if e["event"] == "tx_start" and e["node"] == 1]
     assert rts[0] == 1.5
 
 
-def test_waiting_frames_air_in_submission_order_back_to_back():
-    # a 1-s frame then two short ones, all submitted at 0; a frame pushed
-    # for the time the transmitter frees keeps its place behind them by seq
+def _node0_starts(armed_after, at):
+    """Node 0 submits a 512-bit frame, then a 32- and a 64-bit one, at t = 0;
+    after the first ``armed_after`` of them it arms a timer whose expiry at
+    ``at`` submits a 128-bit frame.  Returns the frames, each paired with
+    the time it would start in submission order, and the starts seen."""
     sim = Simulator(single_link_scenario())
-    long, first, second, late = (Frame(FrameKind.TR_ACK, 0, 1, bits) for bits in (512, 32, 64, 128))
+    frames = [Frame(FrameKind.TR_ACK, 0, 1, bits) for bits in (512, 32, 64, 128)]
     starts = []
     start_tx = sim._start_tx
 
     def recording(node_id, frame, now):
-        starts.append((now, frame))
+        if node_id == 0:
+            starts.append((now, frame))
         start_tx(node_id, frame, now)
 
     sim._start_tx = recording
-    for frame in (long, first, second):
+    for frame in frames[:armed_after]:
         sim._submit_frame(0, frame, 0.0)
-    sim._push(1.0, EV_SEND, 0, late)
+    _air_from_timer(sim, 0, frames[3], at)
+    for frame in frames[armed_after:3]:
+        sim._submit_frame(0, frame, 0.0)
     sim.run()
-    node0 = [(now, frame) for now, frame in starts if frame.src == 0]
-    assert node0 == [(0.0, long), (1.0, first), (1.0625, second), (1.1875, late)]
+    return list(zip((0.0, 1.0, 1.0625, 1.1875), frames)), starts
+
+
+def test_waiting_frames_air_in_submission_order_back_to_back():
+    # the three frames submitted at 0 air back to back; the frame submitted
+    # when the transmitter frees keeps its place behind them
+    in_order, starts = _node0_starts(3, 1.0)
+    assert starts == in_order
+
+
+@pytest.mark.parametrize("armed_after, at", [(3, 1.0625), (2, 1.0)],
+                         ids=["as-second-resumes", "between-the-waiting-frames"])
+def test_a_frame_submitted_as_a_waiting_frame_resumes_airs_after_it(armed_after, at):
+    # the 128-bit frame is submitted at the instant a waiting frame's event
+    # is due, with the transmitter free: at 1.0625, by a timer armed before
+    # the 64-bit frame's event was pushed again at 1.0; or at 1.0, by a timer
+    # armed between the two waiting frames, after the 32-bit frame starts
+    # and before the 64-bit frame's event finds the transmitter busy.  It
+    # still airs after the 64-bit frame
+    in_order, starts = _node0_starts(armed_after, at)
+    assert starts == in_order
+
+
+def _csma_exchange(replies, duration, second_packet):
+    """Node 0 sends packet 1 to node 1 under CSMA/CA at t = 0, and a second
+    packet at 0.1 if ``second_packet``; its backoffs draw 1.0 s.  Node 1
+    answers nothing it hears: it airs each ``(time, kind)`` of ``replies``,
+    naming node 0's current packet.  Returns the times node 0 starts each
+    frame kind."""
+    sim = Simulator(single_link_scenario(duration_s=duration, mac={"protocol": "csma_ca"}),
+                    record_events=True)
+    sim.nodes[0].engine.rng = _FixedDraw(1.0)
+    peer = sim.nodes[1].engine
+    peer.on_frame = lambda frame, now: []
+    peer.on_timer = lambda kind, now: [Frame(FrameKind[kind], 1, 0, 32, sim.nodes[0].engine.current[0])]
+    for at, kind in replies:
+        sim._process_actions(1, [Arm(kind, at)], 0.0)
+    sim.schedule_packet(0, 0.0)
+    if second_packet:
+        sim.schedule_packet(0, 0.1)
+    sim.run()
+    starts = collections.defaultdict(list)
+    for e in sim.trace.events:
+        if e["event"] == "tx_start" and e["node"] == 0:
+            starts[e["frame"]].append(e["time"])
+    return starts
+
+
+def test_a_late_ack_during_a_csma_backoff_airs_no_second_request():
+    # the RTS airs at 0 and the CTS (sent at 0.5) starts the DATA at 1.229;
+    # its response timer expires at 3.3125 and arms a 1-s backoff.  The
+    # first attempt's ack (sent at 3.4) ends packet 1 at 4.129, and packet
+    # 2's RTS airs at once; the backoff, due at 4.3125, must not air another
+    starts = _csma_exchange([(0.5, "CTS"), (3.4, "ACK")], duration=6.0, second_packet=True)
+    assert starts["DATA"] == [pytest.approx(0.5 + T_PROP + T_CTRL)]
+    assert starts["RTS"] == [0.0, pytest.approx(3.4 + T_PROP + T_CTRL)]
+
+
+def test_a_late_cts_during_a_csma_backoff_airs_one_data_frame():
+    # the RTS times out at 2.083 and arms a 1-s backoff; the CTS, sent at
+    # 1.5, arrives late and starts the DATA at 2.229.  The backoff, due at
+    # 3.083, must not air the DATA again
+    starts = _csma_exchange([(1.5, "CTS")], duration=4.0, second_packet=False)
+    assert starts["RTS"] == [0.0]
+    assert starts["DATA"] == [pytest.approx(1.5 + T_PROP + T_CTRL)]
+
+
+def test_a_reception_starting_as_its_nodes_transmission_ends_is_not_corrupted():
+    # nodes 750 m (0.5 s) apart each send the other a 0.5-s frame at t = 0,
+    # so each arrival starts at the very instant its receiver stops sending
+    sim = Simulator(line_scenario([0, 750]), record_events=True)
+    for src in (0, 1):
+        sim._submit_frame(src, _tr_ack(src, 1 - src), 0.0)
+    assert sim.nodes[0].tx_busy_until == sim.links.delay[0][1] == 0.5
+    sim.run()
+    assert rx_outcomes(sim, 0) == rx_outcomes(sim, 1) == [(1.0, "ok")]
+
+
+def test_an_event_at_exactly_the_duration_is_handled():
+    sim = Simulator(single_link_scenario())
+    sim.schedule_packet(0, 60.0)
+    sim.schedule_packet(0, math.nextafter(60.0, math.inf))
+    assert sim.run().metrics.generated == 1
 
 
 def test_interference_sums_in_arrival_order():
