@@ -50,8 +50,26 @@ def _write_run_csv(path: str, scenario, header: list[str], rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
+def _check_outputs(out: str, trace: str | None) -> None:
+    """Refuse, creating nothing, an ``--out`` directory the run could not
+    make and a ``--trace`` file it could not open: the trace's directory
+    must exist, or be ``--out``, which the run makes first."""
+    existing = os.path.normpath(out)
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing or "."):
+        raise ValueError(f"--out: {existing} is not a directory")
+    if trace is not None:
+        directory = os.path.dirname(trace) or "."
+        if os.path.isdir(trace):
+            raise ValueError(f"--trace: {trace} is a directory")
+        if not os.path.isdir(directory) and os.path.abspath(directory) != os.path.abspath(out):
+            raise ValueError(f"--trace: {directory} is not a directory")
+
+
 def _cmd_run(args) -> int:
     scenario = _load(args.scenario, args)
+    _check_outputs(args.out, args.trace)
     result = run_scenario(scenario, sample_every=args.sample_every,
                           record_events=args.trace is not None)
     metrics = result.metrics

@@ -97,15 +97,32 @@ def test_run_seed_override_changes_output(tmp_path):
 
 def test_run_trace_and_series(tmp_path):
     scenario = write_scenario(tmp_path, duration_s=40.0)
-    trace = tmp_path / "trace.ndjson"
-    assert main(["run", scenario, "--out", str(tmp_path), "--trace", str(trace),
-                 "--sample-every", "20"]) == 0
+    # the trace may go into the --out directory the run makes
+    out = tmp_path / "out"
+    trace = out / "trace.ndjson"
+    assert main(["run", scenario, "--out", str(out), "--trace", str(trace), "--sample-every", "20"]) == 0
     lines = trace.read_text().strip().splitlines()
-    record = json.loads(lines[0])
-    assert {"time", "node", "event", "frame", "outcome"} <= set(record)
-    series = (tmp_path / "metrics_series.csv").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert {"time", "node", "event", "frame", "outcome"} <= set(records[0])
+    assert {"tx_start", "rx_end"} <= {record["event"] for record in records}
+    series = (out / "metrics_series.csv").read_text().splitlines()
     assert series[1] == "time_s,mean_delay_s,drop_ratio,throughput_bps"
     assert len(series) == 4  # provenance + header + 2 samples
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--trace", "{tmp}/nodir/x.ndjson", "--out", "{tmp}/out"], "--trace: {tmp}/nodir is not a directory"),
+    (["--out", "{tmp}/file"], "--out: {tmp}/file is not a directory"),
+], ids=["trace-in-a-missing-directory", "out-is-a-file"])
+def test_run_refuses_an_output_path_it_cannot_write_before_it_runs(flags, message, tmp_path, monkeypatch, capsys):
+    from uwansim import cli
+
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("the run started"))
+    (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", "--duration", "30", *(flag.format(tmp=tmp_path) for flag in flags)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_run_csvs_hold_each_field_as_str_writes_it(tmp_path):
@@ -155,10 +172,15 @@ def test_preset_refuses_seeds_it_does_not_read(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_preset_refuses_a_repeated_seed(tmp_path, capsys):
-    argv = ["preset", "load_sweep", "--seeds", "1", "1", "--duration", "10", "--loads", "1", "--out", str(tmp_path)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "error: load_sweep: seeds: expected distinct seeds, got (1, 1)\n"
+@pytest.mark.parametrize("flags, message", [
+    # a seed given twice would count twice in an interval over seeds
+    (["--seeds", "1", "1", "--loads", "1"], "seeds: expected distinct seeds, got (1, 1)"),
+    # a load given twice would write its rows twice
+    (["--loads", "2", "2", "--jobs", "1"], "loads: expected distinct items, got (2, 2)"),
+], ids=["seeds", "loads"])
+def test_preset_refuses_a_repeated_seed_or_load(flags, message, tmp_path, capsys):
+    assert main(["preset", "load_sweep", *flags, "--duration", "10", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: load_sweep: {message}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -201,27 +223,33 @@ def test_an_arrival_file_that_is_no_string_is_refused_naming_the_key(value, tmp_
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("arrivals, message", [
-    (None, "cannot open: "),
-    ("ARRIVALS v1\n0 1 0.4 1e200 0.0\n", "pair 0->1: tap energy squared not finite"),
-    ("ARRIVALS v1\n0 1 0.4 1e80 0.0\n", "pair 0->1: tap energy squared not finite"),
+@pytest.mark.parametrize("arrivals, node_count, message", [
+    (None, 2, ": cannot open: "),
+    ("ARRIVALS v1\n0 1 0.4 1e200 0.0\n", 2, ": pair 0->1: tap energy squared not finite"),
+    ("ARRIVALS v1\n0 1 0.4 1e80 0.0\n", 2, ": pair 0->1: tap energy squared not finite"),
     # refused before 4e9 taps are allocated
-    ("ARRIVALS v1\n0 1 0.0 5e-3 0.0\n0 1 1e6 5e-3 0.0\n",
-     "pair 0->1: its arrivals span 4000000001 taps, more than channel.tap_count 129"),
-    ("ARRIVALS v1\n", "no arrivals for pair 0->1"),
-], ids=["missing", "overflowing", "overflowing-square", "too-long", "missing-pair"])
-def test_an_unusable_arrival_file_is_an_error_naming_it(command, arrivals, message, tmp_path, capsys):
+    ("ARRIVALS v1\n0 1 0.0 5e-3 0.0\n0 1 1e6 5e-3 0.0\n", 2,
+     ": pair 0->1: its arrivals span 4000000001 taps, more than channel.tap_count 129"),
+    ("ARRIVALS v1\n", 2, ": no arrivals for pair 0->1"),
+    # a message ending in a newline is the whole first line of stderr; a
+    # three-node placement whose file gives only pair 0->1
+    ("ARRIVALS v1\n0 1 0.4 5e-3 0.0\n", 3, ": no arrivals for pair 0->2\n"),
+    ("ARRIVALS v1\n0 1 0.4 5e-3 0.0\n0 0 0.1 5e-3 0.0\n", 2, ":3: pair 0->0 links a node to itself\n"),
+], ids=["missing", "overflowing", "overflowing-square", "too-long", "missing-pair", "missing-third-pair",
+        "self-pair"])
+def test_an_unusable_arrival_file_is_an_error_naming_it(command, arrivals, node_count, message, tmp_path, capsys):
     arrival_file = tmp_path / "arrivals.txt"
     if arrivals is not None:
         arrival_file.write_text(arrivals)
     scenario = tmp_path / "scenario.yaml"
+    nodes = [[20, 0, 0], [20, 600, 0], [25, 300, 500]][:node_count]
     scenario.write_text(f"channel: {{arrival_file: {arrival_file}}}\n"
-                        "network: {nodes: [[20, 0, 0], [20, 600, 0]], routes: [[0, 1]], link_count: 1}\n")
+                        f"network: {{nodes: {nodes}, routes: [[0, 1]], link_count: 1}}\n")
     extra = ["--duration", "60", "--out", str(tmp_path / "out")] if command == "run" else []
     assert main([command, str(scenario), *extra]) == 2
     out, err = capsys.readouterr()
     assert "OK" not in out
-    assert err.startswith(f"error: {arrival_file}: {message}")
+    assert err.startswith(f"error: {arrival_file}{message}")
 
 
 def test_a_relative_arrival_file_is_opened_from_the_working_directory(tmp_path, monkeypatch, capsys):
@@ -250,15 +278,22 @@ def test_a_link_length_whose_square_overflows_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_refuses_a_link_length_that_run_refuses(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ("network: {region_size_m: 1.0e+201, nodes: [[20, 0, 0], [20, 600, 0], [20, 1.0e+200, 0]], routes: [[0, 1]]}\n",
+     "generate_taps: a link length of 1e+200 m overflows when squared"),
+    # two nodes at one position have no channel between them
+    ("duration_s: 100\nnetwork: {nodes: [[20, 0, 0], [20, 600, 0], [20, 600, 0], [30, 0, 700]],"
+     " routes: [[0, 1], [3, 0]]}\n",
+     "network.nodes[2]: same position as network.nodes[1]"),
+], ids=["overflowing", "coincident"])
+def test_validate_refuses_a_link_length_that_run_refuses(text, message, tmp_path, capsys):
     # validate builds the link table as run does, whatever the channel model
-    scenario = tmp_path / "far.yaml"
-    scenario.write_text("network: {region_size_m: 1.0e+201, nodes: [[20, 0, 0], [20, 600, 0], [20, 1.0e+200, 0]],"
-                        " routes: [[0, 1]]}\n")
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text)
     assert main(["validate", str(scenario)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: generate_taps: a link length of 1e+200 m overflows when squared\n"
+    assert err == f"error: {message}\n"
 
 
 def near_scenario(path, length):
@@ -267,7 +302,6 @@ def near_scenario(path, length):
     return str(path)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_a_link_too_short_for_finite_taps_is_an_error_naming_the_pair(command, tmp_path, capsys):
     # from 1e-154 m to 1e-77 m the taps' energy is finite, but its square,
@@ -281,7 +315,6 @@ def test_a_link_too_short_for_finite_taps_is_an_error_naming_the_pair(command, t
         assert err == f"error: pair 0->1: a link length of {length!r} m is too short for a finite tap energy squared\n"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_the_shortest_link_with_a_finite_tap_energy_squared_runs_trmac(tmp_path, capsys):
     scenario = near_scenario(tmp_path / "near.yaml", 1e-75)
     assert main(["validate", scenario]) == 0

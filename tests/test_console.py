@@ -1,9 +1,13 @@
-"""The console script's refusals and warnings, one table row each.
+"""Console-script cases run in a separate process, one table row each.
 
 Each row writes its files into a fresh directory, runs
 ``python -m uwansim.cli`` from this checkout there with its argv and checks
-the exit code and a line of stderr; no row may print a traceback.  Add a
-row, not a shell block in CI, for a new error path.
+the exit code and a line of stderr; no row may print a traceback.  A
+refusal of the console script is a case in ``tests/test_cli.py``, which
+calls ``uwansim.cli.main`` in this process; it is a row here only when it
+needs a separate process.  CI adds only smoke runs of the installed
+script, a no-skip run of the networkx comparison and ``perfbench``, never
+a shell block for an error path.
 """
 
 import os

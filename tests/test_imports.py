@@ -56,9 +56,12 @@ def test_a_network_is_placed_and_run_without_networkx(tmp_path):
         "from uwansim import Scenario, run_scenario\n"
         "scenario = Scenario(duration=60.0).resolved()\n"
         "assert len(scenario.network.routes) == 10, scenario.network.routes\n"
-        "assert run_scenario(scenario).metrics.delivered > 0\n",
+        "assert run_scenario(scenario).metrics.delivered > 0\n"
+        "from uwansim.cli import main\n"
+        "assert main(['preset', 'load_sweep', '--duration', '60', '--loads', '2', '--jobs', '1', '--out', '.']) == 0\n",
         tmp_path,
     )
+    assert [p.name for p in tmp_path.iterdir()] == ["load_sweep.csv"]
 
 
 def test_every_name_in_all_resolves():

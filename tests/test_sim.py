@@ -903,6 +903,27 @@ def test_a_frame_submitted_as_a_waiting_frame_resumes_airs_after_it(armed_after,
     assert starts == in_order
 
 
+@pytest.mark.parametrize("data_rate", [512, 1024])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_relayed_route_delivers_while_the_relays_frames_wait(protocol, data_rate):
+    # node 1 relays route 0 -> 1 -> 2 and receives from node 3, so its
+    # frames wait for its transmitter, which no single-hop run makes them do
+    sim = Simulator(scenario_from_dict({
+        "duration_s": 600, "mac": {"protocol": protocol},
+        "network": {"data_rate_bps": data_rate, "nodes": [[20, 0, 0], [20, 800, 0], [20, 1600, 0], [30, 800, 800]],
+                    "routes": [[0, 1, 2], [3, 1]]},
+    }))
+    handle_send, sends = sim._handle_send, []
+
+    def counting(node_id, attachment, now):
+        sends.append(node_id)
+        handle_send(node_id, attachment, now)
+
+    sim._handle_send = counting
+    assert sim.run().metrics.delivered > 0
+    assert sends
+
+
 def _csma_exchange(replies, duration, second_packet):
     """Node 0 sends packet 1 to node 1 under CSMA/CA at t = 0, and a second
     packet at 0.1 if ``second_packet``; its backoffs draw 1.0 s.  Node 1
