@@ -43,8 +43,21 @@ start (``Simulator._trim_log``).
 
 Debug records (``record_events``) are built only when they are kept.
 
-Half-duplex and receiver-lock rules act on the node's open tracked
-receptions only.
+Outcomes.  A tracked reception records in ``_RxRecord.cause`` the first
+rule that hit it, or ``None`` while it is clean; a later rule never replaces
+an earlier cause.  The rules act on the node's open tracked receptions only,
+in this order:
+
+* ``HALF_DUPLEX``: the node is transmitting when the reception starts, or
+  starts a frame during it (not one that starts at the very instant the
+  node's transmission ends);
+* ``RECEIVER_LOCKED``: an addressed reception holds the receiver when this
+  one starts, whether this one is addressed or an overheard probe;
+* ``PROBE_CLASH``: an addressed reception starts over an overheard probe;
+* ``SINR``: at its end, a clean reception fails ``sinr >= min_required_sinr``
+  (so a NaN SINR fails too).
+
+A reception succeeds iff its cause is still ``None`` after its end.
 
 Per-pair quantities live in a ``LinkTable``: symmetric n x n rows of CIR,
 delay, impinging power and direct-transmission signal and ISI, read by
@@ -129,18 +142,21 @@ EV_RX_END = 2
 EV_TIMER = 3
 EV_SEND = 4  # a node's first waiting frame may start
 
+# why a tracked reception failed (``_RxRecord.cause``), in the order the rules apply
+HALF_DUPLEX, RECEIVER_LOCKED, PROBE_CLASH, SINR = "half_duplex", "receiver_locked", "probe_clash", "sinr"
+
 
 class _RxRecord:
     """One tracked reception: a frame addressed to, or a probe overheard by, a node."""
 
-    __slots__ = ("frame", "rx_start", "rx_end", "seq", "corrupted")
+    __slots__ = ("frame", "rx_start", "rx_end", "seq", "cause")
 
     def __init__(self, frame, rx_start, rx_end, seq):
         self.frame = frame
         self.rx_start = rx_start
         self.rx_end = rx_end
         self.seq = seq  # of the transmission
-        self.corrupted = False
+        self.cause = None  # None while clean, else the first rule that hit it
 
 
 class _NodeState:
@@ -609,7 +625,7 @@ class Simulator:
         state.tx_busy_until = now + duration
         # half-duplex: transmitting destroys anything currently arriving here
         for rec in state.tracked:
-            rec.corrupted = True
+            rec.cause = rec.cause or HALF_DUPLEX
         self._process_actions(node_id, state.engine.on_tx_start(frame, now), now)
         links = self.links
         if links is None:
@@ -658,23 +674,22 @@ class Simulator:
 
     def _handle_rx_start(self, node_id: int, rec: _RxRecord, now: float) -> None:
         """Open a tracked reception.  One that starts while the node
-        transmits is corrupted, but not one that starts at the very instant
-        the node's transmission ends; the receiver lock applies after that."""
+        transmits fails on half-duplex, but not one that starts at the very
+        instant the node's transmission ends; the receiver lock applies
+        after that."""
         state = self.nodes[node_id]
         if state.tx_busy_until > now:
-            rec.corrupted = True
+            rec.cause = HALF_DUPLEX
+        elif state.rx_lock is not None:
+            rec.cause = RECEIVER_LOCKED
         if rec.frame.dst == node_id:
             # one real reception at a time; opportunistically decoded probes
             # neither hold the receiver nor survive overlapping it
-            if state.rx_lock is not None:
-                rec.corrupted = True
-            else:
+            if state.rx_lock is None:
                 state.rx_lock = rec
             for other in state.tracked:
                 if other.frame.dst != node_id:
-                    other.corrupted = True
-        elif state.rx_lock is not None:
-            rec.corrupted = True
+                    other.cause = other.cause or PROBE_CLASH
         state.tracked.append(rec)
 
     def _handle_rx_end(self, node_id: int, rec: _RxRecord, now: float) -> None:
@@ -693,9 +708,11 @@ class Simulator:
         self._process_actions(node_id, state.engine.on_frame(frame, now), now)
 
     def _adjudicate(self, rec: _RxRecord, node_id: int) -> bool:
-        """SINR gate over the full-overlap worst case, after half-duplex
-        rules; the interference is summed only for a clean reception."""
-        if rec.corrupted:
+        """SINR gate over the full-overlap worst case, after the receiver's
+        rules (module docstring): whether the reception succeeds, with
+        ``SINR`` as its cause if a clean one fails the gate.  The
+        interference is summed only for a clean reception."""
+        if rec.cause is not None:
             return False
         frame = rec.frame
         if frame.kind in TR_KINDS:
@@ -703,7 +720,9 @@ class Simulator:
         else:
             sig, isi = self.links.direct[frame.src][node_id]
         phy = self.phy
-        return sinr_from_parts(sig, isi, self._interference(rec, node_id), phy.noise_variance) >= phy.min_required_sinr
+        if not sinr_from_parts(sig, isi, self._interference(rec, node_id), phy.noise_variance) >= phy.min_required_sinr:
+            rec.cause = SINR
+        return rec.cause is None
 
     def _handle_timer(self, node_id: int, key: str, now: float) -> None:
         state = self.nodes[node_id]

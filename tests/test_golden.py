@@ -14,15 +14,27 @@ results re-records the file and says why in CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden.py
 
-A change made only for speed or structure must never re-record it.
+A change made only for speed or structure must never re-record it.  To see
+what moved against a git revision, run every case with its debug events
+under this checkout and under the revision (``git archive``), each in a
+subprocess, and print, for each case that moved, its first differing event
+and the metrics and engine stats that moved::
+
+    PYTHONPATH=src python tests/test_golden.py --diverge HEAD
 """
 
+import argparse
 import collections
 import copy
 import hashlib
+import itertools
 import json
 import math
 import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,7 +186,96 @@ def test_golden_covers_all_protocols():
     assert len(CASES) == 3 * 3 + 3 * 20
 
 
+def first_divergence(a: list, b: list):
+    """``(k, a[k], b[k])`` for the first index k where the event lists
+    differ, a missing record being ``None``; ``None`` if they are equal."""
+    for k, (x, y) in enumerate(itertools.zip_longest(a, b)):
+        if x != y:
+            return k, x, y
+    return None
+
+
+def _moved(a: dict, b: dict) -> list[str]:
+    """The metrics and engine stats that differ between two case outputs."""
+    return [f"{section}.{name}: {a[section].get(name)} -> {b[section].get(name)}"
+            for section in ("metrics", "engine_stats")
+            for name in sorted(a[section].keys() | b[section].keys())
+            if a[section].get(name) != b[section].get(name)]
+
+
+# run against one tree's ``src``: reads scenarios as JSON lines and writes,
+# for each, a JSON line of its metrics, engine stats and debug events
+_RECORD = """
+import json, sys
+from uwansim.scenario import scenario_from_dict
+from uwansim.sim import run_scenario
+fields = json.loads(sys.argv[1])
+for line in sys.stdin:
+    result = run_scenario(scenario_from_dict(json.loads(line)), record_events=True)
+    print(json.dumps({"metrics": {name: str(getattr(result.metrics, attr)) for name, attr in fields.items()},
+                      "engine_stats": result.engine_stats, "events": result.trace.events}))
+"""
+
+
+def diverge(rev: str) -> int:
+    """Print each golden case that moved between git revision ``rev`` and
+    this checkout; returns how many moved."""
+    here = Path(__file__).resolve().parent.parent
+    scenarios = "".join(json.dumps(case["scenario"]) + "\n" for case in CASES)
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(here), "archive", rev], stdout=subprocess.PIPE, check=True).stdout
+        Path(tmp, "rev").mkdir()
+        subprocess.run(["tar", "-x", "-C", str(Path(tmp, "rev"))], input=archive, check=True)
+        outputs = []
+        for name, root in (("rev", Path(tmp, "rev")), ("here", here)):
+            outputs.append(Path(tmp, f"{name}.jsonl"))
+            with open(outputs[-1], "w", encoding="utf-8") as fh:
+                subprocess.run([sys.executable, "-c", _RECORD, json.dumps(METRIC_FIELDS)], input=scenarios,
+                               stdout=fh, text=True, check=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+        moved = 0
+        with open(outputs[0], encoding="utf-8") as old, open(outputs[1], encoding="utf-8") as new:
+            for case, a, b in zip(CASES, old, new):
+                if a == b:
+                    continue
+                moved += 1
+                a, b = json.loads(a), json.loads(b)
+                print(f"{case['id']}:")
+                first = first_divergence(a["events"], b["events"])
+                if first is not None:
+                    k, x, y = first
+                    print(f"  event {k}: {x} -> {y}")
+                for line in _moved(a, b):
+                    print(f"  {line}")
+    print(f"{moved} of {len(CASES)} golden cases moved against {rev}")
+    return moved
+
+
+@pytest.mark.parametrize("a, b, found", [
+    ([{"time": 0.5}, {"time": 1.0}], [{"time": 0.5}, {"time": 1.0}], None),
+    ([{"time": 0.5}, {"time": 1.0}, {"time": 2.0}], [{"time": 0.5}, {"time": 1.5}, {"time": 2.0}],
+     (1, {"time": 1.0}, {"time": 1.5})),
+    ([{"time": 0.5}], [{"time": 0.5}, {"time": 1.0}], (1, None, {"time": 1.0})),
+    ([{"time": 0.5}, {"time": 1.0}], [{"time": 0.5}], (1, {"time": 1.0}, None)),
+], ids=["equal", "at-1", "a-prefix-of-b", "b-prefix-of-a"])
+def test_first_divergence(a, b, found):
+    assert first_divergence(a, b) == found
+
+
+def test_moved_names_every_metric_and_stat_that_differs():
+    a = {"metrics": {"delivered": "5", "dropped": "0"}, "engine_stats": {"drops": 0}}
+    b = {"metrics": {"delivered": "4", "dropped": "0"}, "engine_stats": {"drops": 1, "retries": 2}}
+    assert _moved(a, a) == []
+    assert _moved(a, b) == ["metrics.delivered: 5 -> 4", "engine_stats.drops: 0 -> 1",
+                            "engine_stats.retries: None -> 2"]
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record the golden fingerprint, or compare every case with a revision.")
+    parser.add_argument("--diverge", metavar="REV",
+                        help="print the cases that moved against git revision REV instead of recording")
+    diverge_from = parser.parse_args().diverge
+    if diverge_from is not None:
+        sys.exit(1 if diverge(diverge_from) else 0)
     recorded = []
     for case in make_cases():
         case["expected"] = fingerprint(case["scenario"], case["events"])

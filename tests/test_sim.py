@@ -17,7 +17,8 @@ from uwansim.mac import PROTOCOLS, TR_KINDS, Arm, Cancel, Frame, FrameKind, Pack
 from uwansim.scenario import Scenario, ScenarioError, scenario_from_dict
 from uwansim import channel as channel_module
 from uwansim import sim as sim_module
-from uwansim.sim import EV_TIMER, LinkTable, MetricsRecord, RunTrace, Simulator, collect_metrics, run_scenario
+from uwansim.sim import (EV_TIMER, HALF_DUPLEX, PROBE_CLASH, RECEIVER_LOCKED, SINR, LinkTable, MetricsRecord,
+                         RunTrace, Simulator, collect_metrics, run_scenario)
 from uwansim.tr_phy import (autocorr_offpeak_sum, p_ili, p_isi, p_sig, sdt_powers, sdt_signal_and_isi,
                             sinr_from_parts, tr_powers)
 
@@ -726,7 +727,9 @@ def test_arrival_file_pair_delay_from_lower_to_higher_index(tmp_path, first):
 
 def test_adjudicate_closed_form_threshold_margin():
     # lone TR frame on a single-tap-equivalent link with SINR = 2*gamma
-    # succeeds; pushing interference to 3x the signal budget fails it
+    # succeeds; pushing interference to 3x the signal budget fails it on
+    # SINR, and so does a NaN SINR; a reception an earlier rule hit fails
+    # before the gate and keeps its cause
     from uwansim.mac import Frame, FrameKind
     from uwansim.sim import _RxRecord
 
@@ -738,12 +741,16 @@ def test_adjudicate_closed_form_threshold_margin():
     frame = Frame(FrameKind.TR_DATA, 0, 1, 256, packet=Packet(1, (0, 1), 256, 0.0))
     rec = _RxRecord(frame, 0.0, 0.5, 1)
     sim._interference = lambda *_: 0.0
-    assert sim._adjudicate(rec, 1) is True
+    assert sim._adjudicate(rec, 1) is True and rec.cause is None
     sim._interference = lambda *_: 3.0 * gamma * sigma2
-    assert sim._adjudicate(rec, 1) is False
-    sim._interference = lambda *_: 0.0
-    rec.corrupted = True
-    assert sim._adjudicate(rec, 1) is False
+    assert sim._adjudicate(rec, 1) is False and rec.cause == SINR
+    rec.cause = None
+    sim._interference = lambda *_: math.nan
+    assert sim._adjudicate(rec, 1) is False and rec.cause == SINR
+    for interference in (0.0, 3.0 * gamma * sigma2):
+        rec.cause = HALF_DUPLEX
+        sim._interference = lambda *_: interference
+        assert sim._adjudicate(rec, 1) is False and rec.cause == HALF_DUPLEX
 
 
 # ------------------------------------------------------------- exact ties
@@ -772,6 +779,19 @@ def rx_outcomes(sim, node):
             if e["event"] == "rx_end" and e["node"] == node]
 
 
+def record_causes(monkeypatch):
+    """Record ``(time, node, frame kind, cause)`` at the end of every
+    tracked reception of the runs that follow."""
+    seen, handle = [], Simulator._handle_rx_end
+
+    def recording(self, node_id, rec, now):
+        handle(self, node_id, rec, now)
+        seen.append((now, node_id, rec.frame.kind.value, rec.cause))
+
+    monkeypatch.setattr(Simulator, "_handle_rx_end", recording)
+    return seen
+
+
 def _tr_ack(src, dst):
     return Frame(FrameKind.TR_ACK, src, dst, 256)
 
@@ -786,14 +806,17 @@ def _tie_run(scenario, frames, first):
     return sim
 
 
-@pytest.mark.parametrize("first, a_outcome", [("A", "fail"), ("C", "ok")])
-def test_tie_arrival_end_meets_arrival_start_under_rx_lock(first, a_outcome):
+@pytest.mark.parametrize("first, a_outcome, a_cause", [("A", "fail", RECEIVER_LOCKED), ("C", "ok", None)],
+                         ids=["A-fail", "C-ok"])
+def test_tie_arrival_end_meets_arrival_start_under_rx_lock(first, a_outcome, a_cause, monkeypatch):
     # both frames are addressed to node 1; if A started first its arrival
     # start is handled before C's end, so it finds the receiver locked
+    causes = record_causes(monkeypatch)
     frames = {"A": _tr_ack(2, 1), "C": _tr_ack(0, 1)}
     sim = _tie_run(line_scenario([0, 750, 2250]), frames, first)
     assert sim.links.delay[2][1] == 1.0
     assert rx_outcomes(sim, 1) == [(1.0, "ok"), (1.5, a_outcome)]
+    assert [(t, cause) for t, node, _, cause in causes if node == 1] == [(1.0, None), (1.5, a_cause)]
 
 
 @pytest.mark.parametrize("victim, first, outcome", [
@@ -968,15 +991,26 @@ def test_a_late_cts_during_a_csma_backoff_airs_one_data_frame():
     assert starts["DATA"] == [pytest.approx(1.5 + T_PROP + T_CTRL)]
 
 
-def test_a_reception_starting_as_its_nodes_transmission_ends_is_not_corrupted():
-    # nodes 750 m (0.5 s) apart each send the other a 0.5-s frame at t = 0,
-    # so each arrival starts at the very instant its receiver stops sending
+@pytest.mark.parametrize("bits, at, causes", [
+    (256, 0.0, {0: None, 1: None}),
+    (512, 0.0, {0: HALF_DUPLEX, 1: HALF_DUPLEX}),
+    (256, 0.75, {0: None, 1: HALF_DUPLEX}),
+], ids=["as-it-ends", "while-it-sends", "mid-reception"])
+def test_a_reception_fails_on_half_duplex_only_while_its_node_transmits(bits, at, causes, monkeypatch):
+    # nodes 750 m (0.5 s) apart: node 0 sends node 1 a frame at t = 0, and
+    # node 1 sends node 0 one at ``at``.  A 0.5-s frame sent at 0 ends at
+    # the very instant the other's arrival starts, a 1-s frame halfway
+    # through it; node 1's frame at 0.75 starts halfway through its
+    # reception of node 0's
+    seen = record_causes(monkeypatch)
     sim = Simulator(line_scenario([0, 750]), record_events=True)
-    for src in (0, 1):
-        sim._submit_frame(src, _tr_ack(src, 1 - src), 0.0)
-    assert sim.nodes[0].tx_busy_until == sim.links.delay[0][1] == 0.5
+    sim._submit_frame(0, Frame(FrameKind.TR_ACK, 0, 1, bits), 0.0)
+    _air_from_timer(sim, 1, Frame(FrameKind.TR_ACK, 1, 0, bits), at)
+    assert sim.links.delay[0][1] == 0.5 and sim.nodes[0].tx_busy_until == bits / 512
     sim.run()
-    assert rx_outcomes(sim, 0) == rx_outcomes(sim, 1) == [(1.0, "ok")]
+    assert {node: cause for _, node, _, cause in seen} == causes
+    assert {node: rx_outcomes(sim, node)[0][1] for node in causes} == {
+        node: "ok" if cause is None else "fail" for node, cause in causes.items()}
 
 
 def test_an_event_at_exactly_the_duration_is_handled():
@@ -1012,10 +1046,11 @@ def test_interference_sums_in_arrival_order():
     assert seen == [1.0]
 
 
-def run_probe_listener_scenario():
+def run_probe_listener_scenario(*airs):
     """Node 0 replies to requesters 1 (far, a weak link; at 0 s) and 2
     (near; at 40 s, past the coherence time, so node 2 cannot skip its
     request); node 3 sends to 4 near node 0, node 5 to 6 farther off.
+    Each ``(node, frame, at)`` of ``airs`` is aired at ``at`` besides.
     Returns the run and the ``(src, dst)`` of each probe reply each node's
     engine was handed."""
     sim = Simulator(scenario_from_dict({
@@ -1034,6 +1069,8 @@ def run_probe_listener_scenario():
         state.engine.on_frame = on_frame
     sim.schedule_packet(0, 0.0)
     sim.schedule_packet(1, 40.0)
+    for node, frame, at in airs:
+        _air_from_timer(sim, node, frame, at)
     sim.run()
     return sim, heard
 
@@ -1075,6 +1112,58 @@ def test_a_probe_reply_carries_no_numbers_and_its_listeners_cache_the_link_it_na
     (pro_at_3,) = [e["time"] for e in sim.trace.events
                    if e["event"] == "rx_end" and e["node"] == 3 and e["frame"] == "PRO" and e["time"] > 40.0]
     assert sim.nodes[3].engine.pro_cache == {0: (2, pro_at_3)}
+
+
+@pytest.mark.parametrize("airs, cause", [
+    ([(4, 32, 0.5)], PROBE_CLASH),
+    ([(4, 256, -0.5)], RECEIVER_LOCKED),
+    ([(3, 16, 0.125), (4, 32, 0.75)], HALF_DUPLEX),
+    ([(4, 256, -0.5), (3, 16, 0.125)], RECEIVER_LOCKED),
+    ([(4, 256, -0.5), (3, 16, -0.25)], HALF_DUPLEX),
+], ids=["probe-clash", "receiver-locked", "half-duplex-then-probe-clash", "receiver-locked-then-half-duplex",
+        "half-duplex-over-a-locked-receiver"])
+def test_an_overheard_probe_reply_fails_by_the_first_rule_that_hits_it(airs, cause, monkeypatch):
+    # node 3 overhears node 0's first probe reply, clean when alone.  Each
+    # ``(node, bits, offset)`` airs a frame to the other of nodes 3 and 4
+    # that starts at node 3 ``offset`` probe lengths after the probe does.
+    # Node 4's frame starts over the probe, or holds node 3's receiver from
+    # before it starts; node 3's own frame hits the probe during it, or is
+    # on the air when it starts.  A later rule leaves the first one's cause
+    seen = record_causes(monkeypatch)
+
+    def first_probe_at_3():
+        return next((t, cause) for t, node, kind, cause in seen if (node, kind) == (3, "PRO"))
+
+    sim, _ = run_probe_listener_scenario()
+    end, clean = first_probe_at_3()
+    assert clean is None
+    start = end - T_CTRL
+    frames = [(node, Frame(FrameKind.TR_ACK, node, 7 - node, bits),
+               start + offset * T_CTRL - (sim.links.delay[node][3] if node == 4 else 0.0))
+              for node, bits, offset in airs]
+    seen.clear()
+    run_probe_listener_scenario(*frames)
+    assert first_probe_at_3() == (end, cause)
+
+
+@pytest.mark.parametrize("protocol, failed, total, kind, data_failed, data_total", [
+    ("trmac", 75, 6036, "TR_DATA", 34, 2497),
+    ("csma_ca", 541, 10075, "DATA", 362, 2738),
+    ("s_csma_ca", 601, 10200, "DATA", 388, 2775),
+])
+def test_at_20_nodes_only_sinr_fails_a_reception_and_tr_data_fails_least(
+        protocol, failed, total, kind, data_failed, data_total, monkeypatch):
+    # the default placement, seed 1, 2000 s: no tracked reception fails on
+    # a rule of the receiver, only on SINR, and TR focusing shows as the
+    # data-frame failure rate: TR_DATA 1.4 %, DATA 13.2 % and 14.0 % (the
+    # abstract's "significantly diminishes the interference among parallel
+    # links")
+    seen = record_causes(monkeypatch)
+    run_scenario(scenario_from_dict({"seed": 1, "mac": {"protocol": protocol}}))
+    assert {cause for *_, cause in seen} == {None, SINR}
+    assert (sum(cause is not None for *_, cause in seen), len(seen)) == (failed, total)
+    data_causes = [cause for _, _, k, cause in seen if k == kind]
+    assert (data_causes.count(SINR), len(data_causes)) == (data_failed, data_total)
 
 
 def _every_sender_listens(sim, u):
